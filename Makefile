@@ -42,7 +42,8 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Micro-benchmarks (mat kernels, GED beam kernel, parallel vs sequential
+# Micro-benchmarks (mat kernels, GED arena kernels beside their reference
+# twins — A*, ensemble, Hungarian, VJ, beam —, parallel vs sequential
 # PG build, pool resize, root package ablations) plus the end-to-end
 # lan-bench run, which writes a BENCH_<timestamp>.json summary with build
 # and query speedups and latency percentiles; see DESIGN.md "Performance

@@ -5,24 +5,33 @@ import "math"
 // infCost marks an infeasible assignment cell.
 const infCost = 1e9
 
+// The solvers work on the arena's flat row-major n x n matrix c.cost[:n*n]
+// and leave the row -> column assignment in c.assign[:n]. Their working
+// vectors are the arena's fa/fb/fc, ia/ib/ic and mark scratch.
+
 // solveHungarian solves the square min-cost assignment problem with the
 // O(n^3) potentials formulation of the Hungarian algorithm (Kuhn–Munkres).
-// cost must be square; the result maps each row to its assigned column.
-func solveHungarian(cost [][]float64) []int {
-	n := len(cost)
-	if n == 0 {
-		return nil
-	}
+//
+//lan:hotpath
+func (c *pairCtx) solveHungarian(n int) {
+	c.solves++
+	cost := c.cost[:n*n]
+	c.assign = grow(c.assign, n)
 	// 1-indexed potentials formulation.
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1)   // p[j]: row matched to column j (0 = none)
-	way := make([]int, n+1) // way[j]: previous column on the alternating path
-	for i := 1; i <= n; i++ {
+	c.fa, c.fb, c.fc = grow(c.fa, n+1), grow(c.fb, n+1), grow(c.fc, n+1)
+	c.ia, c.ib, c.mark = grow(c.ia, n+1), grow(c.ib, n+1), grow(c.mark, n+1)
+	u, v, minv := c.fa, c.fb, c.fc
+	p := c.ia   // p[j]: row matched to column j (0 = none)
+	way := c.ib // way[j]: previous column on the alternating path
+	used := c.mark
+	clear(u)
+	clear(v)
+	clear(p)
+	clear(way)
+	for i := int32(1); i <= int32(n); i++ {
 		p[0] = i
-		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
+		j0 := int32(0)
+		clear(used)
 		for j := range minv {
 			minv[j] = math.Inf(1)
 		}
@@ -30,19 +39,23 @@ func solveHungarian(cost [][]float64) []int {
 			used[j0] = true
 			i0 := p[j0]
 			delta := math.Inf(1)
-			j1 := 0
-			for j := 1; j <= n; j++ {
-				if used[j] {
+			j1 := int32(0)
+			// Columns 1..n as 0-based views, so the scan runs without
+			// bounds checks.
+			row, ui0 := cost[int(i0-1)*n:int(i0)*n], u[i0]
+			vs, minvs, useds, ways := v[1:n+1], minv[1:n+1], used[1:n+1], way[1:n+1]
+			for j, cij := range row {
+				if useds[j] {
 					continue
 				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
+				cur := cij - ui0 - vs[j]
+				if cur < minvs[j] {
+					minvs[j] = cur
+					ways[j] = j0
 				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
+				if minvs[j] < delta {
+					delta = minvs[j]
+					j1 = int32(j + 1)
 				}
 			}
 			for j := 0; j <= n; j++ {
@@ -64,26 +77,25 @@ func solveHungarian(cost [][]float64) []int {
 			j0 = j1
 		}
 	}
-	assign := make([]int, n)
 	for j := 1; j <= n; j++ {
 		if p[j] > 0 {
-			assign[p[j]-1] = j - 1
+			c.assign[p[j]-1] = int32(j - 1)
 		}
 	}
-	return assign
 }
 
 // solveJV solves the square min-cost assignment problem with the
 // Jonker–Volgenant algorithm: column reduction, augmenting row reduction,
 // then shortest augmenting paths for the remaining free rows.
-func solveJV(cost [][]float64) []int {
-	n := len(cost)
-	if n == 0 {
-		return nil
-	}
-	rowsol := make([]int, n) // rowsol[i]: column assigned to row i
-	colsol := make([]int, n) // colsol[j]: row assigned to column j
-	v := make([]float64, n)  // column potentials
+//
+//lan:hotpath
+func (c *pairCtx) solveJV(n int) {
+	c.solves++
+	cost := c.cost[:n*n]
+	c.assign, c.ia, c.fa = grow(c.assign, n), grow(c.ia, n), grow(c.fa, n)
+	rowsol := c.assign // rowsol[i]: column assigned to row i
+	colsol := c.ia     // colsol[j]: row assigned to column j
+	v := c.fa          // column potentials
 	for i := range rowsol {
 		rowsol[i] = -1
 		colsol[i] = -1
@@ -93,14 +105,14 @@ func solveJV(cost [][]float64) []int {
 	for j := n - 1; j >= 0; j-- {
 		imin := 0
 		for i := 1; i < n; i++ {
-			if cost[i][j] < cost[imin][j] {
+			if cost[i*n+j] < cost[imin*n+j] {
 				imin = i
 			}
 		}
-		v[j] = cost[imin][j]
+		v[j] = cost[imin*n+j]
 		if rowsol[imin] == -1 {
-			rowsol[imin] = j
-			colsol[j] = imin
+			rowsol[imin] = int32(j)
+			colsol[j] = int32(imin)
 		}
 	}
 
@@ -109,10 +121,10 @@ func solveJV(cost [][]float64) []int {
 	// potential by the gap to the second-best; a bumped row is retried
 	// immediately when the potential strictly decreased, otherwise it is
 	// deferred to the next pass.
-	free := make([]int, 0, n)
+	c.ib, c.ic = grow(c.ib, n)[:0], grow(c.ic, n)[:0]
 	for i := 0; i < n; i++ {
 		if rowsol[i] == -1 {
-			free = append(free, i)
+			c.ib = append(c.ib, int32(i))
 		}
 	}
 	// retryBudget caps the immediate-retry ping-pong, which can fail to
@@ -121,22 +133,24 @@ func solveJV(cost [][]float64) []int {
 	// any dual-feasible warm start.
 	retryBudget := 20*n + 100
 	for pass := 0; pass < 2; pass++ {
+		// c.ib is this pass's free list, c.ic collects the next one.
+		free := c.ib
 		k := 0
 		prevLen := len(free)
-		next := make([]int, 0, prevLen)
+		c.ic = c.ic[:0]
 		for k < prevLen {
 			i := free[k]
 			k++
 			// Two smallest reduced costs in row i.
-			j1, j2 := -1, -1
+			j1, j2 := int32(-1), int32(-1)
 			u1, u2 := math.Inf(1), math.Inf(1)
-			for j := 0; j < n; j++ {
-				r := cost[i][j] - v[j]
+			for j, cij := range cost[int(i)*n : int(i+1)*n] {
+				r := cij - v[j]
 				if r < u1 {
 					u2, j2 = u1, j1
-					u1, j1 = r, j
+					u1, j1 = r, int32(j)
 				} else if r < u2 {
-					u2, j2 = r, j
+					u2, j2 = r, int32(j)
 				}
 			}
 			i0 := colsol[j1]
@@ -156,48 +170,55 @@ func solveJV(cost [][]float64) []int {
 					k--
 					free[k] = i0
 				} else {
-					next = append(next, i0)
+					c.ic = append(c.ic, i0)
 				}
 			}
 		}
-		free = next
+		c.ib, c.ic = c.ic, c.ib
 	}
 
 	// Shortest augmenting path for each remaining free row (Dijkstra on
 	// reduced costs).
-	for _, f := range free {
-		d := make([]float64, n)
-		pred := make([]int, n)
-		done := make([]bool, n)
-		for j := 0; j < n; j++ {
-			d[j] = cost[f][j] - v[j]
+	c.fb, c.ic, c.mark = grow(c.fb, n), grow(c.ic, n), grow(c.mark, n)
+	d, pred, done := c.fb[:n], c.ic[:n], c.mark[:n]
+	v = v[:n]
+	for _, f := range c.ib {
+		clear(done)
+		// jmin is the unscanned column with minimal d (the first among
+		// equals); every pass over the columns that changes d finds the
+		// next one as it goes.
+		jmin, dmin := -1, 0.0
+		for j, cfj := range cost[int(f)*n : int(f+1)*n] {
+			d[j] = cfj - v[j]
 			pred[j] = f
+			if jmin == -1 || d[j] < dmin {
+				jmin, dmin = j, d[j]
+			}
 		}
-		endj := -1
+		endj := int32(-1)
 		var mu float64
 		for {
-			// Pick the unscanned column with minimal d.
-			jmin := -1
-			for j := 0; j < n; j++ {
-				if !done[j] && (jmin == -1 || d[j] < d[jmin]) {
-					jmin = j
-				}
-			}
 			done[jmin] = true
-			mu = d[jmin]
+			mu = dmin
 			if colsol[jmin] == -1 {
-				endj = jmin
+				endj = int32(jmin)
 				break
 			}
 			// Relax through the row currently owning jmin.
 			i := colsol[jmin]
-			for j := 0; j < n; j++ {
+			row := cost[int(i)*n : int(i+1)*n]
+			own := row[jmin] - v[jmin]
+			jmin = -1
+			for j, cij := range row {
 				if done[j] {
 					continue
 				}
-				if nd := mu + cost[i][j] - v[j] - (cost[i][jmin] - v[jmin]); nd < d[j] {
+				if nd := mu + cij - v[j] - own; nd < d[j] {
 					d[j] = nd
 					pred[j] = i
+				}
+				if jmin == -1 || d[j] < dmin {
+					jmin, dmin = j, d[j]
 				}
 			}
 		}
@@ -217,14 +238,4 @@ func solveJV(cost [][]float64) []int {
 			}
 		}
 	}
-	return rowsol
-}
-
-// assignmentCost sums the matrix cost of an assignment (for tests).
-func assignmentCost(cost [][]float64, assign []int) float64 {
-	total := 0.0
-	for i, j := range assign {
-		total += cost[i][j]
-	}
-	return total
 }

@@ -37,8 +37,27 @@ func bruteForceAssignment(cost [][]float64) float64 {
 	return best
 }
 
+// solveHungarian and solveJV run the arena's flat solvers on a square
+// matrix given as rows.
+func solveHungarian(m [][]float64) []int { return solveFlat(m, (*pairCtx).solveHungarian) }
+func solveJV(m [][]float64) []int        { return solveFlat(m, (*pairCtx).solveJV) }
+
+func solveFlat(m [][]float64, solve func(*pairCtx, int)) []int {
+	n := len(m)
+	c := &pairCtx{}
+	for _, row := range m {
+		c.cost = append(c.cost, row...)
+	}
+	solve(c, n)
+	assign := make([]int, n)
+	for i, j := range c.assign[:n] {
+		assign[i] = int(j)
+	}
+	return assign
+}
+
 func randomCostMatrix(rng *rand.Rand, n int) [][]float64 {
-	m := newSquare(n)
+	m := refNewSquare(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			m[i][j] = math.Floor(rng.Float64()*100) / 10
@@ -52,7 +71,7 @@ func TestHungarianMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(7)
 		m := randomCostMatrix(rng, n)
-		got := assignmentCost(m, solveHungarian(m))
+		got := refAssignmentCost(m, solveHungarian(m))
 		want := bruteForceAssignment(m)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d (n=%d): hungarian cost %v; want %v", trial, n, got, want)
@@ -65,7 +84,7 @@ func TestJVMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(7)
 		m := randomCostMatrix(rng, n)
-		got := assignmentCost(m, solveJV(m))
+		got := refAssignmentCost(m, solveJV(m))
 		want := bruteForceAssignment(m)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d (n=%d): JV cost %v; want %v", trial, n, got, want)
@@ -78,8 +97,8 @@ func TestSolversAgreeOnLargerMatrices(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 10 + rng.Intn(30)
 		m := randomCostMatrix(rng, n)
-		h := assignmentCost(m, solveHungarian(m))
-		jv := assignmentCost(m, solveJV(m))
+		h := refAssignmentCost(m, solveHungarian(m))
+		jv := refAssignmentCost(m, solveJV(m))
 		if math.Abs(h-jv) > 1e-6 {
 			t.Fatalf("trial %d (n=%d): hungarian %v != JV %v", trial, n, h, jv)
 		}
@@ -108,10 +127,10 @@ func TestAssignmentIsPermutation(t *testing.T) {
 }
 
 func TestAssignmentEmptyMatrix(t *testing.T) {
-	if got := solveHungarian(nil); got != nil {
+	if got := solveHungarian(nil); len(got) != 0 {
 		t.Fatalf("hungarian(nil) = %v", got)
 	}
-	if got := solveJV(nil); got != nil {
+	if got := solveJV(nil); len(got) != 0 {
 		t.Fatalf("jv(nil) = %v", got)
 	}
 }
@@ -119,7 +138,7 @@ func TestAssignmentEmptyMatrix(t *testing.T) {
 func TestAssignmentWithInfeasibleCells(t *testing.T) {
 	// Diagonal forbidden: the optimum must avoid infCost cells.
 	n := 5
-	m := newSquare(n)
+	m := refNewSquare(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {

@@ -1,283 +1,133 @@
 package ged
 
-import (
-	"container/heap"
-
-	"github.com/lansearch/lan/graph"
-)
-
 // notProcessed marks a g node whose mapping decision has not been made.
 const notProcessed = -2
 
-// searchCtx holds the static data shared by all A*/beam states for one
-// (g, h) pair: the node processing order and the suffix statistics used by
-// the admissible heuristic.
-type searchCtx struct {
-	g, h  *graph.Graph
-	order []int // g nodes in processing order (degree descending)
-
-	// suffixHist[i] is the label histogram of g nodes order[i:].
-	suffixHist []map[string]int
-	// suffixEdges[i] is the number of g edges with both endpoints at
-	// order positions >= i.
-	suffixEdges []int
-	// pos[u] is the order position of g node u.
-	pos []int
-
-	hHist map[string]int
-}
-
-type state struct {
-	depth int     // number of g nodes processed
-	cost  float64 // g-value: edit cost accrued so far
-	f     float64 // cost + heuristic
-	phi   []int   // phi[u] for g node u: h node, unmapped, or notProcessed
-	used  []uint64
-}
-
-func newSearchCtx(g, h *graph.Graph) *searchCtx {
-	c := &searchCtx{g: g, h: h, hHist: h.LabelHistogram()}
-	n := g.N()
-	c.order = make([]int, n)
-	for i := range c.order {
-		c.order[i] = i
-	}
-	// Degree-descending order tightens the heuristic early.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && g.Degree(c.order[j]) > g.Degree(c.order[j-1]); j-- {
-			c.order[j], c.order[j-1] = c.order[j-1], c.order[j]
-		}
-	}
-	c.pos = make([]int, n)
-	for i, u := range c.order {
-		c.pos[u] = i
-	}
-	c.suffixHist = make([]map[string]int, n+1)
-	c.suffixHist[n] = map[string]int{}
-	for i := n - 1; i >= 0; i-- {
-		m := make(map[string]int, len(c.suffixHist[i+1])+1)
-		for k, v := range c.suffixHist[i+1] {
-			m[k] = v
-		}
-		m[g.Label(c.order[i])]++
-		c.suffixHist[i] = m
-	}
-	c.suffixEdges = make([]int, n+1)
-	for i := n - 1; i >= 0; i-- {
-		c.suffixEdges[i] = c.suffixEdges[i+1]
-		u := c.order[i]
-		for _, v := range g.Neighbors(u) {
-			if c.pos[v] > i {
-				c.suffixEdges[i]++
-			}
-		}
-	}
-	return c
-}
-
-func (c *searchCtx) initial() *state {
-	n := c.g.N()
-	s := &state{
-		phi:  make([]int, n),
-		used: make([]uint64, (c.h.N()+63)/64),
-	}
-	for i := range s.phi {
-		s.phi[i] = notProcessed
-	}
-	if n == 0 {
-		s.cost = c.completionCost(s)
-		s.f = s.cost
+// astar runs exact GED A* over the loaded pair: d is exact when ok, and
+// the optimal mapping of g into h is then left in the A0 state slot.
+// maxExpansions <= 0 means unbounded; when the budget runs out the search
+// returns ok=false and no bound — the caller decides what a bound is worth.
+// prepSearch must have run.
+//
+// Children are candidate records with a parent pointer; only the states
+// actually popped (at most the budget) have their mapping rebuilt, and
+// cost, heuristic and edge counters are those of beam search's addCand.
+// The open list is an index heap performing container/heap's exact
+// comparisons (astarPush, astarPop), so the pop order among equal-f states
+// — and with it which pairs finish inside a budget — is that of the
+// container/heap implementation this kernel replaced.
+//
+//lan:hotpath
+func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) {
+	s := c.rootState()
+	root := searchCand{parent: -1, remEdges: c.hM}
+	if c.gN == 0 {
+		root.cost = float64(c.hN) + float64(c.hM) // insert all of h
+		root.f = root.cost
 	} else {
-		s.f = s.cost + c.heuristic(s)
+		root.f = c.heuristicOf(0, &root)
 	}
-	return s
-}
-
-func isUsed(used []uint64, w int) bool { return used[w/64]&(1<<(w%64)) != 0 }
-
-// heuristic is the admissible lower bound on the remaining edit cost: the
-// label-multiset bound between unprocessed g nodes and unused h nodes plus
-// the gap between remaining-remaining edge counts on both sides.
-func (c *searchCtx) heuristic(s *state) float64 {
-	remG := c.g.N() - s.depth
-	// Unused h labels = full histogram minus used ones.
-	usedHist := make(map[string]int)
-	usedCount := 0
-	for u := 0; u < c.g.N(); u++ {
-		if w := s.phi[u]; w >= 0 {
-			usedHist[c.h.Label(w)]++
-			usedCount++
-		}
-	}
-	remHHist := make(map[string]int, len(c.hHist))
-	for l, n := range c.hHist {
-		if r := n - usedHist[l]; r > 0 {
-			remHHist[l] = r
-		}
-	}
-	lb := multisetEditLB(c.suffixHist[s.depth], remHHist, remG, c.h.N()-usedCount)
-
-	eg := c.suffixEdges[s.depth]
-	eh := 0
-	for _, e := range c.h.Edges() {
-		if !isUsed(s.used, e[0]) && !isUsed(s.used, e[1]) {
-			eh++
-		}
-	}
-	if eg > eh {
-		lb += float64(eg - eh)
-	} else {
-		lb += float64(eh - eg)
-	}
-	return lb
-}
-
-// assignCost returns the incremental edit cost of mapping g node u to h
-// node w (w == unmapped for deletion), given the partial mapping in s.
-func (c *searchCtx) assignCost(s *state, u, w int) float64 {
-	if w == unmapped {
-		cost := 1.0 // node deletion
-		for _, j := range c.g.Neighbors(u) {
-			if s.phi[j] != notProcessed {
-				cost++ // incident edge to a processed node is deleted
-			}
-		}
-		return cost
-	}
-	cost := 0.0
-	if c.g.Label(u) != c.h.Label(w) {
-		cost++ // relabel
-	}
-	matched := 0
-	for _, j := range c.g.Neighbors(u) {
-		switch pj := s.phi[j]; {
-		case pj == notProcessed:
-			// decided later
-		case pj == unmapped:
-			cost++ // g edge to a deleted node: deletion
-		case c.h.HasEdge(w, pj):
-			matched++
-		default:
-			cost++ // g edge with no h counterpart: deletion
-		}
-	}
-	// h edges from w to already-used nodes that are not matched by a g
-	// edge must be inserted.
-	usedNbr := 0
-	for _, x := range c.h.Neighbors(w) {
-		if isUsed(s.used, x) {
-			usedNbr++
-		}
-	}
-	cost += float64(usedNbr - matched)
-	return cost
-}
-
-// child returns the successor of s that maps g node u (= order[s.depth])
-// to w (or deletes it when w == unmapped).
-func (c *searchCtx) child(s *state, u, w int) *state {
-	ns := &state{
-		depth: s.depth + 1,
-		cost:  s.cost + c.assignCost(s, u, w),
-		phi:   append([]int(nil), s.phi...),
-		used:  append([]uint64(nil), s.used...),
-	}
-	ns.phi[u] = w
-	if w >= 0 {
-		ns.used[w/64] |= 1 << (w % 64)
-	}
-	if ns.depth == c.g.N() {
-		// Terminal: fold in the forced insertions so that f is exact and
-		// popping the first terminal state is optimal.
-		ns.cost += c.completionCost(ns)
-		ns.f = ns.cost
-	} else {
-		ns.f = ns.cost + c.heuristic(ns)
-	}
-	return ns
-}
-
-// completionCost returns the cost of finishing a state where every g node
-// has been processed: insert each unused h node and every h edge with at
-// least one unused endpoint.
-func (c *searchCtx) completionCost(s *state) float64 {
-	cost := 0.0
-	for w := 0; w < c.h.N(); w++ {
-		if !isUsed(s.used, w) {
-			cost++
-		}
-	}
-	for _, e := range c.h.Edges() {
-		if !isUsed(s.used, e[0]) || !isUsed(s.used, e[1]) {
-			cost++
-		}
-	}
-	return cost
-}
-
-type stateHeap []*state
-
-func (h stateHeap) Len() int            { return len(h) }
-func (h stateHeap) Less(i, j int) bool  { return h[i].f < h[j].f }
-func (h stateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *stateHeap) Push(x interface{}) { *h = append(*h, x.(*state)) }
-func (h *stateHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
-}
-
-// astarWithMapping runs exact GED A*, returning the optimal mapping from
-// g's nodes into h's. maxExpansions <= 0 means unbounded.
-func astarWithMapping(g, h *graph.Graph, maxExpansions int) (float64, []int, bool) {
-	swapped := g.N() > h.N()
-	if swapped {
-		g, h = h, g // unit costs make GED symmetric; branch over the bigger side
-	}
-	c := newSearchCtx(g, h)
-	pq := &stateHeap{c.initial()}
-	heap.Init(pq)
-	expansions := 0
-	for pq.Len() > 0 {
-		s := heap.Pop(pq).(*state)
-		if s.depth == g.N() {
-			// Completion cost already folded in by child().
-			phi := append([]int(nil), s.phi...)
-			if swapped {
-				phi = invertMapping(phi, h.N())
-			}
-			return s.cost, phi, true
+	c.cands = append(c.cands[:0], root)
+	c.heap = append(c.heap[:0], 0)
+	for len(c.heap) > 0 {
+		ci := c.astarPop()
+		depth := int(c.cands[ci].depth)
+		if depth == c.gN {
+			// Completion cost already folded in by addCand.
+			c.rebuild(ci, &s)
+			return s.cost, expansions, true
 		}
 		expansions++
 		if maxExpansions > 0 && expansions > maxExpansions {
-			// Budget exhausted: return a cheap valid upper bound.
-			return Hungarian(g, h), nil, false
+			return 0, expansions, false
 		}
-		u := c.order[s.depth]
-		for w := 0; w < h.N(); w++ {
-			if !isUsed(s.used, w) {
-				heap.Push(pq, c.child(s, u, w))
-			}
+		c.rebuild(ci, &s)
+		first := len(c.cands)
+		c.expand(depth, ci, &s)
+		for i := first; i < len(c.cands); i++ {
+			c.astarPush(int32(i))
 		}
-		heap.Push(pq, c.child(s, u, unmapped))
 	}
-	return 0, nil, false // unreachable for well-formed inputs
+	return 0, expansions, false // unreachable for well-formed inputs
 }
 
-// invertMapping converts a mapping smaller->bigger into bigger->smaller:
-// nodes of the bigger graph that are not images become deletions.
-func invertMapping(phi []int, n int) []int {
-	inv := make([]int, n)
-	for i := range inv {
-		inv[i] = unmapped
+// rebuild materializes candidate ci into s by walking its parent chain,
+// and leaves its used-label histogram in c.usedHist.
+func (c *pairCtx) rebuild(ci int32, s *searchState) {
+	for i := range s.phi {
+		s.phi[i] = notProcessed
 	}
-	for u, w := range phi {
-		if w != unmapped {
-			inv[w] = u
+	clear(s.used)
+	clear(c.usedHist)
+	nc := &c.cands[ci]
+	s.cost = nc.cost
+	s.usedN, s.bothUsed, s.remEdges = nc.usedN, nc.bothUsed, nc.remEdges
+	for ; nc.parent >= 0; nc = &c.cands[nc.parent] {
+		s.phi[c.order[nc.depth-1]] = nc.w
+		if nc.w >= 0 {
+			s.used[nc.w/64] |= 1 << (nc.w % 64)
+			c.usedHist[c.hLab[nc.w]]++
 		}
 	}
-	return inv
+}
+
+// astarPush is container/heap.Push on the open list under Less = f <.
+func (c *pairCtx) astarPush(ci int32) {
+	c.heap = append(c.heap, ci)
+	h := c.heap
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(c.cands[h[j]].f < c.cands[h[i]].f) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// astarPop is container/heap.Pop on the open list under Less = f <.
+func (c *pairCtx) astarPop() int32 {
+	h := c.heap
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && c.cands[h[r]].f < c.cands[h[j]].f {
+			j = r
+		}
+		if !(c.cands[h[j]].f < c.cands[h[i]].f) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	c.heap = h[:n]
+	return h[n]
+}
+
+// exactMapping returns the mapping astar left in slot A0 in the caller's
+// orientation: when the pair was swapped, nodes of the bigger graph that
+// are not images become deletions.
+func (c *pairCtx) exactMapping() []int {
+	small := c.phiA[:c.gN]
+	if !c.swapped {
+		phi := make([]int, c.gN)
+		for u, w := range small {
+			phi[u] = int(w)
+		}
+		return phi
+	}
+	phi := make([]int, c.hN)
+	for i := range phi {
+		phi[i] = unmapped
+	}
+	for u, w := range small {
+		if w != unmapped {
+			phi[w] = u
+		}
+	}
+	return phi
 }

@@ -1,58 +1,16 @@
 package ged
 
 import (
-	"sync"
+	"math/bits"
 
-	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/order"
 )
 
-// beamSearch computes an upper bound of GED via beam search over the same
-// state space as A*: at each depth only the w most promising partial
-// mappings (by cost + admissible heuristic) are kept. This is the "Beam"
-// algorithm of Neuhaus, Riesen and Bunke used in the paper's ground-truth
-// protocol. Width w <= 0 defaults to 8.
-//
-// The kernel is the hottest code in the serving path: every ged.Ensemble
-// distance pays at least one beam search, and a single query pays 60-130
-// ensemble distances. It therefore runs on a pooled, reusable arena
-// (beamCtx) instead of the A* searchCtx: states live in flat per-depth
-// arenas, label histograms are dense []int32 counters over interned label
-// ids rather than map[string]int, the per-state edge statistics are
-// maintained incrementally, and the per-depth frontier truncation is a
-// partial top-w heap selection instead of a full sort. Steady-state the
-// kernel allocates nothing (see BenchmarkBeamKernel / TestBeamKernelAllocs).
-//
-// Ties on f are broken by state creation order — the order the old
-// sort-based kernel enumerated children in — so the kept frontier is a
-// deterministic function of the input pair, not of sort internals.
-//
-//lan:hotpath
-func beamSearch(g, h *graph.Graph, w int) float64 {
-	if w <= 0 {
-		w = 8
-	}
-	if g.N() > h.N() {
-		g, h = h, g
-	}
-	c := beamCtxPool.Get().(*beamCtx)
-	beamArenaGets.Add(1)
-	d := c.run(g, h, w)
-	c.g, c.h = nil, nil // do not retain the graphs across pool reuse
-	beamCtxPool.Put(c)
-	return d
-}
-
-var beamCtxPool = sync.Pool{New: func() interface{} {
-	beamArenaNews.Add(1)
-	return newBeamCtx()
-}}
-
-// beamState is one surviving partial mapping of the frontier. phi and used
-// are slices into the context's per-depth arenas; the struct itself is
-// stored by value in the frontier slice, so keeping a frontier allocates
-// nothing.
-type beamState struct {
+// searchState is one partial mapping with its mapping materialized: a
+// member of the beam frontier, or the state A* is expanding. phi and used
+// are slices into the arena's state buffers; the struct itself is stored
+// by value, so keeping a frontier allocates nothing.
+type searchState struct {
 	cost float64
 	f    float64
 	// usedN counts used h nodes; bothUsed counts h edges with both
@@ -66,165 +24,47 @@ type beamState struct {
 	used     []uint64
 }
 
-// beamCand is a child state before frontier truncation: assignment
-// metadata only. phi/used bitsets are materialized for the top-w survivors
-// after selection, so the (much larger) rejected majority never pays the
-// arena copy.
-type beamCand struct {
+// searchCand is a child state as assignment metadata only: which parent,
+// which h node. Beam search materializes phi/used for the top-w survivors
+// after selection, A* for the states it actually pops, so the (much
+// larger) rejected majority never pays the copy.
+type searchCand struct {
 	cost     float64
 	f        float64
-	parent   int32
+	parent   int32 // frontier index (beam) or candidate index (A*)
 	w        int32 // h node, or unmapped
+	depth    int32 // number of g nodes processed
 	usedN    int32
 	bothUsed int32
 	remEdges int32
 }
 
-// beamCtx is the reusable arena for one beam search. All slices grow
-// monotonically and are reused across calls via beamCtxPool, so after a
-// few calls at the corpus' working sizes the kernel reaches a zero-alloc
-// steady state.
-type beamCtx struct {
-	g, h   *graph.Graph
-	gN, hN int
-	hWords int
-	hM     int32
-
-	// Label interning: labelID maps label strings of both graphs to dense
-	// ids; gLab/hLab hold the interned label of each node.
-	labelID map[string]int32
-	nLabels int
-	gLab    []int32
-	hLab    []int32
-
-	// Static g-side data (identical to the A* searchCtx, in dense form).
-	order       []int32 // g nodes in processing order (degree descending)
-	pos         []int32 // pos[u] is the order position of g node u
-	suffixHist  []int32 // (gN+1) x nLabels label histogram of order[i:]
-	suffixEdges []int32 // edges with both endpoints at positions >= i
-	hHist       []int32 // label histogram of h
-
-	// usedHist is the per-parent scratch histogram of used-h-node labels;
-	// children adjust it by one label around their heuristic evaluation.
-	usedHist []int32
-
-	frontier []beamState
-	next     []beamState
-	cands    []beamCand
-	heap     []int32 // candidate indices, max-heap by (f, creation index)
-
-	// Ping-pong state arenas: the frontier lives in the A buffers while
-	// survivors are materialized into the B buffers, then the pair swaps.
-	phiA, phiB   []int32
-	usedA, usedB []uint64
-}
-
-func newBeamCtx() *beamCtx {
-	return &beamCtx{labelID: make(map[string]int32)}
-}
-
-// intern returns the dense id of label l, assigning the next id on first
-// sight.
-func (c *beamCtx) intern(l string) int32 {
-	if id, ok := c.labelID[l]; ok {
-		return id
-	}
-	id := int32(c.nLabels)
-	c.labelID[l] = id
-	c.nLabels++
-	return id
-}
-
-// reset prepares the arena for one (g, h) pair, reusing every buffer that
-// is already large enough.
-func (c *beamCtx) reset(g, h *graph.Graph) {
-	c.g, c.h = g, h
-	c.gN, c.hN = g.N(), h.N()
-	c.hWords = (c.hN + 63) / 64
-	c.hM = int32(h.M())
-
-	clear(c.labelID)
-	c.nLabels = 0
-	c.gLab = growInt32(c.gLab, c.gN)
-	for u := 0; u < c.gN; u++ {
-		c.gLab[u] = c.intern(g.Label(u))
-	}
-	c.hLab = growInt32(c.hLab, c.hN)
-	for x := 0; x < c.hN; x++ {
-		c.hLab[x] = c.intern(h.Label(x))
-	}
-
-	// Degree-descending processing order, exactly as the A* searchCtx
-	// computes it (insertion sort moving strictly greater degrees only, so
-	// equal degrees keep ascending-id order).
-	c.order = growInt32(c.order, c.gN)
-	for i := range c.order {
-		c.order[i] = int32(i)
-	}
-	for i := 1; i < c.gN; i++ {
-		for j := i; j > 0 && g.Degree(int(c.order[j])) > g.Degree(int(c.order[j-1])); j-- {
-			c.order[j], c.order[j-1] = c.order[j-1], c.order[j]
-		}
-	}
-	c.pos = growInt32(c.pos, c.gN)
-	for i, u := range c.order {
-		c.pos[u] = int32(i)
-	}
-
-	L := c.nLabels
-	c.suffixHist = growInt32(c.suffixHist, (c.gN+1)*L)
-	for l := 0; l < L; l++ {
-		c.suffixHist[c.gN*L+l] = 0
-	}
-	for i := c.gN - 1; i >= 0; i-- {
-		row, prev := c.suffixHist[i*L:(i+1)*L], c.suffixHist[(i+1)*L:(i+2)*L]
-		copy(row, prev)
-		row[c.gLab[c.order[i]]]++
-	}
-	c.suffixEdges = growInt32(c.suffixEdges, c.gN+1)
-	c.suffixEdges[c.gN] = 0
-	for i := c.gN - 1; i >= 0; i-- {
-		c.suffixEdges[i] = c.suffixEdges[i+1]
-		u := int(c.order[i])
-		for _, v := range g.Neighbors(u) {
-			if c.pos[v] > int32(i) {
-				c.suffixEdges[i]++
-			}
-		}
-	}
-
-	c.hHist = growInt32(c.hHist, L)
-	for l := range c.hHist {
-		c.hHist[l] = 0
-	}
-	for x := 0; x < c.hN; x++ {
-		c.hHist[c.hLab[x]]++
-	}
-	c.usedHist = growInt32(c.usedHist, L)
-	for l := range c.usedHist {
-		c.usedHist[l] = 0
-	}
-}
-
-// run executes the beam search of width w over the prepared pair.
-func (c *beamCtx) run(g, h *graph.Graph, w int) float64 {
-	c.reset(g, h)
-
-	// Initial state in arena slot A0.
-	c.phiA = growInt32(c.phiA, c.gN)
-	c.usedA = growUint64(c.usedA, c.hWords)
-	s0 := beamState{remEdges: c.hM, phi: c.phiA[:c.gN], used: c.usedA[:c.hWords]}
-	for i := range s0.phi {
-		s0.phi[i] = notProcessed
-	}
-	for i := range s0.used {
-		s0.used[i] = 0
+// beam computes an upper bound of GED via beam search over the same state
+// space as A*: at each depth only the w most promising partial mappings
+// (by cost + admissible heuristic) are kept. This is the "Beam" algorithm
+// of Neuhaus, Riesen and Bunke used in the paper's ground-truth protocol.
+// Width w <= 0 defaults to 8. prepSearch must have run.
+//
+// States live in flat per-depth arenas, label histograms are dense
+// []int32 counters over interned label ids, the per-state edge statistics
+// are maintained incrementally, and the per-depth frontier truncation is a
+// partial top-w heap selection instead of a full sort.
+//
+// Ties on f are broken by state creation order — the order a stable sort
+// of the enumerated children keeps — so the kept frontier is a
+// deterministic function of the input pair, not of sort internals.
+//
+//lan:hotpath
+func (c *pairCtx) beam(w int) float64 {
+	if w <= 0 {
+		w = 8
 	}
 	if c.gN == 0 {
 		// Terminal immediately: insert all of h.
 		return float64(c.hN) + float64(c.hM)
 	}
-	s0.f = c.heuristicOf(0, &beamCand{remEdges: c.hM})
+	s0 := c.rootState()
+	s0.f = c.heuristicOf(0, &searchCand{remEdges: c.hM})
 	c.frontier = append(c.frontier[:0], s0)
 
 	for depth := 0; depth < c.gN; depth++ {
@@ -233,12 +73,7 @@ func (c *beamCtx) run(g, h *graph.Graph, w int) float64 {
 		for pi := range c.frontier {
 			s := &c.frontier[pi]
 			c.fillUsedHist(s)
-			for x := 0; x < c.hN; x++ {
-				if !isUsed(s.used, x) {
-					c.addCand(depth, int32(pi), s, u, int32(x))
-				}
-			}
-			c.addCand(depth, int32(pi), s, u, unmapped)
+			c.expand(depth, int32(pi), s)
 		}
 		c.keepBest(w, u)
 		c.frontier, c.next = c.next, c.frontier
@@ -255,9 +90,22 @@ func (c *beamCtx) run(g, h *graph.Graph, w int) float64 {
 	return best
 }
 
+// expand appends to c.cands every child of s, a state at the given depth:
+// g node order[depth] mapped to each unused h node in ascending id order,
+// then deleted. c.usedHist must hold s's used-label histogram.
+func (c *pairCtx) expand(depth int, pi int32, s *searchState) {
+	u := int(c.order[depth])
+	for x := 0; x < c.hN; x++ {
+		if !isUsed(s.used, x) {
+			c.addCand(depth, pi, s, u, int32(x))
+		}
+	}
+	c.addCand(depth, pi, s, u, unmapped)
+}
+
 // fillUsedHist recomputes the used-h-label histogram of parent s into the
 // scratch buffer.
-func (c *beamCtx) fillUsedHist(s *beamState) {
+func (c *pairCtx) fillUsedHist(s *searchState) {
 	for l := 0; l < c.nLabels; l++ {
 		c.usedHist[l] = 0
 	}
@@ -271,7 +119,7 @@ func (c *beamCtx) fillUsedHist(s *beamState) {
 // addCand appends the child of s that maps g node u to h node w (or
 // deletes u when w == unmapped), computing its cost and f without
 // materializing the child's mapping.
-func (c *beamCtx) addCand(depth int, pi int32, s *beamState, u int, w int32) {
+func (c *pairCtx) addCand(depth int, pi int32, s *searchState, u int, w int32) {
 	cost := 0.0
 	var usedNbr, unusedNbr int32
 	if w == unmapped {
@@ -292,26 +140,23 @@ func (c *beamCtx) addCand(depth int, pi int32, s *beamState, u int, w int32) {
 				// decided later
 			case pj == unmapped:
 				cost++ // g edge to a deleted node: deletion
-			case c.h.HasEdge(int(w), int(pj)):
+			case c.hasEdgeH(w, pj):
 				matched++
 			default:
 				cost++ // g edge with no h counterpart: deletion
 			}
 		}
-		for _, x := range c.h.Neighbors(int(w)) {
-			if isUsed(s.used, x) {
-				usedNbr++
-			} else {
-				unusedNbr++
-			}
+		for i, row := range c.hAdj[int(w)*c.hWords : (int(w)+1)*c.hWords] {
+			usedNbr += int32(bits.OnesCount64(row & s.used[i]))
+			unusedNbr += int32(bits.OnesCount64(row &^ s.used[i]))
 		}
 		// h edges from w to already-used nodes that are not matched by a g
 		// edge must be inserted.
 		cost += float64(usedNbr - matched)
 	}
 
-	nc := beamCand{
-		cost: s.cost + cost, parent: pi, w: w,
+	nc := searchCand{
+		cost: s.cost + cost, parent: pi, w: w, depth: int32(depth + 1),
 		usedN: s.usedN, bothUsed: s.bothUsed, remEdges: s.remEdges,
 	}
 	if w >= 0 {
@@ -339,7 +184,7 @@ func (c *beamCtx) addCand(depth int, pi int32, s *beamState, u int, w int32) {
 // unprocessed g nodes and unused h nodes plus the gap between the
 // remaining-remaining edge counts on both sides. c.usedHist must hold the
 // candidate's used-label histogram.
-func (c *beamCtx) heuristicOf(depth int, nc *beamCand) float64 {
+func (c *pairCtx) heuristicOf(depth int, nc *searchCand) float64 {
 	common := int32(0)
 	row := c.suffixHist[depth*c.nLabels : (depth+1)*c.nLabels]
 	for l, sfx := range row {
@@ -373,7 +218,7 @@ func (c *beamCtx) heuristicOf(depth int, nc *beamCand) float64 {
 // ascending) — the deterministic refinement of the old full-sort-and-
 // truncate — and materializes them, in that order, into the B arenas as
 // the next frontier.
-func (c *beamCtx) keepBest(w, u int) {
+func (c *pairCtx) keepBest(w, u int) {
 	// Max-heap of at most w candidate indices, worst on top: push each
 	// candidate and evict the worst beyond capacity. O(C log w).
 	c.heap = c.heap[:0]
@@ -395,8 +240,8 @@ func (c *beamCtx) keepBest(w, u int) {
 	}
 	c.heap = sorted
 
-	c.phiB = growInt32(c.phiB, n*c.gN)
-	c.usedB = growUint64(c.usedB, n*c.hWords)
+	c.phiB = grow(c.phiB, n*c.gN)
+	c.usedB = grow(c.usedB, n*c.hWords)
 	c.next = c.next[:0]
 	for si, ci := range sorted {
 		nc := &c.cands[ci]
@@ -409,7 +254,7 @@ func (c *beamCtx) keepBest(w, u int) {
 		if nc.w >= 0 {
 			used[nc.w/64] |= 1 << (nc.w % 64)
 		}
-		c.next = append(c.next, beamState{
+		c.next = append(c.next, searchState{
 			cost: nc.cost, f: nc.f,
 			usedN: nc.usedN, bothUsed: nc.bothUsed, remEdges: nc.remEdges,
 			phi: phi, used: used,
@@ -419,14 +264,14 @@ func (c *beamCtx) keepBest(w, u int) {
 
 // worse reports whether candidate a ranks strictly after candidate b under
 // (f ascending, creation index ascending).
-func (c *beamCtx) worse(a, b int32) bool {
+func (c *pairCtx) worse(a, b int32) bool {
 	if cmp := order.Cmp(c.cands[a].f, c.cands[b].f); cmp != 0 {
 		return cmp > 0
 	}
 	return a > b
 }
 
-func (c *beamCtx) siftUp(i int) {
+func (c *pairCtx) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if !c.worse(c.heap[i], c.heap[p]) {
@@ -437,7 +282,7 @@ func (c *beamCtx) siftUp(i int) {
 	}
 }
 
-func (c *beamCtx) siftDown(i int) {
+func (c *pairCtx) siftDown(i int) {
 	n := len(c.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -457,28 +302,9 @@ func (c *beamCtx) siftDown(i int) {
 }
 
 // popWorst removes the heap root (the worst kept candidate).
-func (c *beamCtx) popWorst() {
+func (c *pairCtx) popWorst() {
 	n := len(c.heap) - 1
 	c.heap[0] = c.heap[n]
 	c.heap = c.heap[:n]
 	c.siftDown(0)
-}
-
-// growInt32 returns s resized to n, reusing its backing array when the
-// capacity suffices (contents are unspecified).
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		//lint:allow hotalloc amortized arena growth; zero allocations once the pooled arena reaches working size
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growUint64 is growInt32 for []uint64.
-func growUint64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		//lint:allow hotalloc amortized arena growth; zero allocations once the pooled arena reaches working size
-		return make([]uint64, n)
-	}
-	return s[:n]
 }

@@ -13,37 +13,41 @@ const unmapped = -1
 // edge not covered this way is inserted. The result is an upper bound of
 // the exact GED for any mapping and equals the GED for an optimal mapping.
 func mappingCost(g, h *graph.Graph, phi []int) float64 {
-	cost := 0.0
-	used := make([]bool, h.N())
-	for u := 0; u < g.N(); u++ {
-		w := phi[u]
+	c := acquireAsGiven(g, h) // phi is g's mapping
+	c.phiA = grow(c.phiA, c.gN)
+	for u, w := range phi {
+		c.phiA[u] = int32(w)
+	}
+	d := c.mappingCost(c.phiA)
+	release(c)
+	return d
+}
+
+// mappingCost is the edit cost of mapping the loaded g into the loaded h
+// by phi, counted rather than accumulated: every term is a unit cost.
+//
+//lan:hotpath
+func (c *pairCtx) mappingCost(phi []int32) float64 {
+	mapped, relabels, matched := 0, 0, 0
+	for u, w := range phi {
 		if w == unmapped {
-			cost++ // node deletion
 			continue
 		}
-		used[w] = true
-		if g.Label(u) != h.Label(w) {
-			cost++ // relabel
+		mapped++
+		if c.gLab[u] != c.hLab[w] {
+			relabels++
+		}
+		for _, v := range c.g.Neighbors(u) {
+			if x := phi[v]; v > u && x != unmapped && c.hasEdgeH(w, x) {
+				matched++ // the g edge {u, v} survives
+			}
 		}
 	}
-	for w := 0; w < h.N(); w++ {
-		if !used[w] {
-			cost++ // node insertion
-		}
-	}
-	// Edge deletions: g edges that do not survive.
-	matched := 0
-	for _, e := range g.Edges() {
-		a, b := phi[e[0]], phi[e[1]]
-		if a != unmapped && b != unmapped && h.HasEdge(a, b) {
-			matched++
-		} else {
-			cost++ // edge deletion
-		}
-	}
-	// Edge insertions: h edges not covered by surviving g edges.
-	cost += float64(h.M() - matched)
-	return cost
+	// Node deletions, relabels and node insertions; then the g edges that
+	// do not survive are deleted and the h edges they do not cover inserted.
+	nodes := (c.gN - mapped) + relabels + (c.hN - mapped)
+	edges := (c.g.M() - matched) + (int(c.hM) - matched)
+	return float64(nodes + edges)
 }
 
 // labelLowerBound is an admissible GED lower bound from the node-label

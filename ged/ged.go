@@ -15,6 +15,15 @@
 // All functions in this package use unit edit costs: node insertion,
 // node deletion, edge insertion, edge deletion and node relabeling each
 // cost 1, matching the paper's GED definition.
+//
+// Every kernel — A*, beam search, both assignment solvers and the mapping
+// cost — runs on one pooled per-pair arena (pairCtx, arena.go): labels
+// interned to dense ids, h's adjacency as a bitset, flat cost matrices and
+// index heaps, all reused across calls, so a distance call allocates
+// nothing in steady state. An Ensemble distance loads the pair once for
+// all of its members. The kernels they replaced live on in
+// reference_test.go, where the identity tests and the fuzzer hold the
+// arena kernels to them bit for bit.
 package ged
 
 import (
@@ -42,7 +51,23 @@ func (f MetricFunc) Distance(g, h *graph.Graph) float64 { return f(g, h) }
 // ok=false the returned value is a valid upper bound obtained from the best
 // complete mapping seen (falling back to a bipartite bound).
 func Exact(g, h *graph.Graph, maxExpansions int) (d float64, ok bool) {
-	d, _, ok = astarWithMapping(g, h, maxExpansions)
+	c := acquire(g, h)
+	d, ok = c.exact(maxExpansions)
+	release(c)
+	return d, ok
+}
+
+// exact runs A* on a freshly loaded arena and, when the budget runs out,
+// pays for the bound the public contract promises: the Hungarian bound
+// taken smaller-graph-first, whatever the caller's argument order.
+func (c *pairCtx) exact(maxExpansions int) (d float64, ok bool) {
+	c.prepSearch()
+	if d, _, ok = c.astar(maxExpansions); !ok {
+		swapped := c.swapped
+		c.swapped = false
+		d = c.hungarian()
+		c.swapped = swapped
+	}
 	return d, ok
 }
 
@@ -55,11 +80,12 @@ const Unmapped = unmapped
 // nodes of h that are not images are insertions. ok=false mirrors Exact's
 // budget semantics, in which case phi is nil.
 func ExactMapping(g, h *graph.Graph, maxExpansions int) (phi []int, d float64, ok bool) {
-	d, phi, ok = astarWithMapping(g, h, maxExpansions)
-	if !ok {
-		return nil, d, false
+	c := acquire(g, h)
+	if d, ok = c.exact(maxExpansions); ok {
+		phi = c.exactMapping()
 	}
-	return phi, d, true
+	release(c)
+	return phi, d, ok
 }
 
 // LowerBound returns an admissible lower bound of the exact GED from the
@@ -98,7 +124,11 @@ func MappingCost(g, h *graph.Graph, phi []int) (float64, error) {
 // Beam returns the beam-search GED of g and h with beam width w (an upper
 // bound of the exact GED).
 func Beam(g, h *graph.Graph, w int) float64 {
-	return beamSearch(g, h, w)
+	c := acquire(g, h)
+	c.prepSearch()
+	d := c.beam(w)
+	release(c)
+	return d
 }
 
 // Hungarian returns the Riesen–Bunke bipartite upper bound: node assignment
@@ -106,18 +136,20 @@ func Beam(g, h *graph.Graph, w int) float64 {
 // Hungarian algorithm; the returned value is the edit cost induced by the
 // resulting node mapping.
 func Hungarian(g, h *graph.Graph) float64 {
-	m := riesenBunkeCosts(g, h)
-	assign := solveHungarian(m)
-	return mappingCost(g, h, extractMapping(assign, g.N(), h.N()))
+	c := acquire(g, h)
+	d := c.hungarian()
+	release(c)
+	return d
 }
 
 // VJ returns a bipartite upper bound using plain label substitution costs
 // solved with the Jonker–Volgenant algorithm (the "VJ" baseline of the
 // paper's ground-truth protocol).
 func VJ(g, h *graph.Graph) float64 {
-	m := labelCosts(g, h)
-	assign := solveJV(m)
-	return mappingCost(g, h, extractMapping(assign, g.N(), h.N()))
+	c := acquire(g, h)
+	d := c.vj()
+	release(c)
+	return d
 }
 
 // Ensemble is the ground-truth distance protocol of the paper (Sec. VII):
@@ -132,21 +164,36 @@ type Ensemble struct {
 }
 
 // Distance implements Metric.
+//
+//lan:hotpath
 func (e Ensemble) Distance(g, h *graph.Graph) float64 {
+	c := acquire(g, h)
+	d := e.distanceOn(c)
+	release(c)
+	return d
+}
+
+// distanceOn runs the protocol on a loaded arena: every member works on
+// the one pair context, and an exhausted A* hands over without computing
+// the bound Exact would return — the approximations below are that bound.
+func (e Ensemble) distanceOn(c *pairCtx) float64 {
+	c.prepSearch()
 	if e.ExactBudget > 0 {
-		if d, ok := Exact(g, h, e.ExactBudget); ok {
+		if d, _, ok := c.astar(e.ExactBudget); ok {
+			astarFinished.Add(1)
 			return d
 		}
+		astarExhausted.Add(1)
 	}
 	w := e.BeamWidth
 	if w <= 0 {
 		w = 16
 	}
-	d := VJ(g, h)
-	if d2 := Hungarian(g, h); d2 < d {
+	d := c.vj()
+	if d2 := c.hungarian(); d2 < d {
 		d = d2
 	}
-	if d3 := Beam(g, h, w); d3 < d {
+	if d3 := c.beam(w); d3 < d {
 		d = d3
 	}
 	return d

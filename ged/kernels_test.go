@@ -1,0 +1,347 @@
+package ged
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/lansearch/lan/graph"
+)
+
+// simulatorPairs draws pairs the way the dataset simulators plant them
+// (internal/dataset imports this package, so the two families the
+// benchmark runs on are rebuilt here from their Table I parameters):
+// cluster seeds, their mutants, and pairs across clusters.
+func simulatorPairs(seed int64, n int, newSeed func(*graph.Generator, *rand.Rand) *graph.Graph, labels []string, maxMut int) [][2]*graph.Graph {
+	gen := graph.NewGenerator(seed)
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	var pairs [][2]*graph.Graph
+	prev := newSeed(gen, rng)
+	for len(pairs) < n {
+		s := newSeed(gen, rng)
+		a := gen.Mutate(s, 1+rng.Intn(maxMut), labels)
+		b := gen.Mutate(s, 1+rng.Intn(maxMut), labels)
+		pairs = append(pairs, [2]*graph.Graph{s, a}, [2]*graph.Graph{a, b}, [2]*graph.Graph{prev, b})
+		prev = s
+	}
+	return pairs
+}
+
+func simLabels(n int) []string {
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("L%02d", i)
+	}
+	return labels
+}
+
+// aidsPairs: molecule skeletons of 19-31 nodes over 51 skewed labels.
+func aidsPairs(n int) [][2]*graph.Graph {
+	labels := simLabels(51)
+	return simulatorPairs(4201, n, func(gen *graph.Generator, rng *rand.Rand) *graph.Graph {
+		return gen.MoleculeLike(19+rng.Intn(13), 2+rng.Intn(3), labels, 0.35)
+	}, labels, 6)
+}
+
+// synPairs: connected random graphs of 7-12 nodes over 5 labels.
+func synPairs(n int) [][2]*graph.Graph {
+	labels := simLabels(5)
+	return simulatorPairs(4204, n, func(gen *graph.Generator, rng *rand.Rand) *graph.Graph {
+		return gen.RandomConnected(7+rng.Intn(6), 11+rng.Intn(9), labels, 0.1)
+	}, labels, 4)
+}
+
+func kernelCorpus() [][2]*graph.Graph {
+	pairs := beamCorpus()
+	pairs = append(pairs, aidsPairs(12)...)
+	return append(pairs, synPairs(30)...)
+}
+
+// arenaAStar runs the arena kernel the way Exact does, additionally
+// reporting the expansion count and the mapping.
+func arenaAStar(g, h *graph.Graph, budget int) (d float64, phi []int, expansions int, ok bool) {
+	c := acquire(g, h)
+	c.prepSearch()
+	d, expansions, ok = c.astar(budget)
+	if ok {
+		phi = c.exactMapping()
+	}
+	release(c)
+	return d, phi, expansions, ok
+}
+
+func TestAStarKernelMatchesReference(t *testing.T) {
+	for i, pair := range kernelCorpus() {
+		// Both argument orders, so the g.N() > h.N() swap is covered.
+		for _, p := range [][2]*graph.Graph{pair, {pair[1], pair[0]}} {
+			g, h := p[0], p[1]
+			budgets := []int{1, 30, 150}
+			if g.N() <= 9 && h.N() <= 9 {
+				budgets = append(budgets, 0)
+			}
+			for _, budget := range budgets {
+				d, phi, exp, ok := arenaAStar(g, h, budget)
+				wd, wphi, wexp, wok := refAStar(g, h, budget)
+				if ok != wok || exp != wexp {
+					t.Fatalf("pair %d (|g|=%d |h|=%d) budget %d: ok=%v after %d expansions; reference ok=%v after %d",
+						i, g.N(), h.N(), budget, ok, exp, wok, wexp)
+				}
+				if ok && (d != wd || !slices.Equal(phi, wphi)) {
+					t.Fatalf("pair %d budget %d: d=%v phi=%v; reference d=%v phi=%v", i, budget, d, phi, wd, wphi)
+				}
+				// The public entry points: Exact pays for the bound on
+				// exhaustion exactly as the reference did.
+				if pd, pok := Exact(g, h, budget); pok != wok || pd != wd {
+					t.Fatalf("pair %d budget %d: Exact = %v, %v; reference %v, %v", i, budget, pd, pok, wd, wok)
+				}
+				if mphi, md, mok := ExactMapping(g, h, budget); mok != wok || md != wd || !slices.Equal(mphi, wphi) {
+					t.Fatalf("pair %d budget %d: ExactMapping = %v, %v, %v; reference %v, %v, %v",
+						i, budget, mphi, md, mok, wphi, wd, wok)
+				}
+			}
+		}
+	}
+}
+
+func TestBipartiteKernelsMatchReference(t *testing.T) {
+	for i, pair := range kernelCorpus() {
+		for _, p := range [][2]*graph.Graph{pair, {pair[1], pair[0]}} {
+			g, h := p[0], p[1]
+			c := acquire(g, h)
+			for _, k := range []struct {
+				name       string
+				structural bool
+				solve      func(*pairCtx, int)
+				costs      func(g, h *graph.Graph) [][]float64
+				refSolve   func([][]float64) []int
+			}{
+				{"hungarian", true, (*pairCtx).solveHungarian, refRiesenBunkeCosts, refSolveHungarian},
+				{"vj", false, (*pairCtx).solveJV, refLabelCosts, refSolveJV},
+			} {
+				n := c.fillCosts(k.structural)
+				m := k.costs(g, h)
+				if n != len(m) || !slices.Equal(c.cost[:n*n], slices.Concat(m...)) {
+					t.Fatalf("pair %d %s: cost matrix differs from the reference", i, k.name)
+				}
+				k.solve(c, n)
+				want := k.refSolve(m)
+				for r, col := range c.assign[:n] {
+					if int(col) != want[r] {
+						t.Fatalf("pair %d (|g|=%d |h|=%d) %s: assignment %v; reference %v",
+							i, g.N(), h.N(), k.name, c.assign[:n], want)
+					}
+				}
+				got := c.assignedCost()
+				if w := refMappingCost(g, h, refExtractMapping(want, g.N(), h.N())); got != w {
+					t.Fatalf("pair %d %s: induced cost %v; reference %v", i, k.name, got, w)
+				}
+			}
+			release(c)
+			if got, want := Hungarian(g, h), refHungarian(g, h); got != want {
+				t.Fatalf("pair %d: Hungarian %v; reference %v", i, got, want)
+			}
+			if got, want := VJ(g, h), refVJ(g, h); got != want {
+				t.Fatalf("pair %d: VJ %v; reference %v", i, got, want)
+			}
+		}
+	}
+}
+
+func TestEnsembleMatchesReference(t *testing.T) {
+	for _, e := range []Ensemble{{BeamWidth: 2}, {ExactBudget: 30, BeamWidth: 4}, {ExactBudget: 150}} {
+		for i, pair := range kernelCorpus() {
+			for _, p := range [][2]*graph.Graph{pair, {pair[1], pair[0]}} {
+				if got, want := e.Distance(p[0], p[1]), refEnsemble(e, p[0], p[1]); got != want {
+					t.Fatalf("%+v pair %d: %v; reference %v", e, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEnsembleSolvesEachBoundOnce pins the fix of the double Hungarian: an
+// exhausted A* used to compute the Hungarian bound, which the ensemble
+// discarded before computing VJ, Hungarian (again) and beam.
+func TestEnsembleSolvesEachBoundOnce(t *testing.T) {
+	pair := aidsPairs(3)[2] // across clusters: no budget-30 search finishes
+	e := Ensemble{ExactBudget: 30, BeamWidth: 4}
+	c := acquire(pair[0], pair[1])
+	_, exhausted0 := AStarStats()
+	e.distanceOn(c)
+	if _, exhausted := AStarStats(); exhausted != exhausted0+1 {
+		t.Fatalf("A* finished within 30 expansions on a %d/%d-node pair; pick another", pair[0].N(), pair[1].N())
+	}
+	if c.solves != 2 {
+		t.Fatalf("exhausted ensemble call solved %d assignment problems; want 2 (VJ, Hungarian)", c.solves)
+	}
+	release(c)
+
+	g := path("A", "B", "C")
+	c = acquire(g, cycle("A", "B", "C"))
+	finished0, _ := AStarStats()
+	e.distanceOn(c)
+	if finished, _ := AStarStats(); finished != finished0+1 {
+		t.Fatal("A* did not finish on a 3-node pair")
+	}
+	if c.solves != 0 {
+		t.Fatalf("finished ensemble call solved %d assignment problems; want 0", c.solves)
+	}
+	release(c)
+}
+
+func TestEnsembleDeterministicUnderConcurrency(t *testing.T) {
+	pairs := append(aidsPairs(6), synPairs(12)...)
+	e := Ensemble{ExactBudget: 30, BeamWidth: 4}
+	want := make([]float64, len(pairs))
+	for i, p := range pairs {
+		want[i] = refEnsemble(e, p[0], p[1])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range pairs {
+					i := (k + w*5) % len(pairs) // every goroutine in its own order
+					if d := e.Distance(pairs[i][0], pairs[i][1]); d != want[i] {
+						errs <- fmt.Errorf("goroutine %d pair %d: %v; want %v", w, i, d, want[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestEnsembleAllocs: a whole ensemble call allocates nothing once the
+// pooled arena has its working size — also right after garbage
+// collections, which is when a query's GED calls run: the model code
+// between them allocates, and an arena pool the collector empties (a
+// sync.Pool) would regrow its arena several times per query.
+func TestEnsembleAllocs(t *testing.T) {
+	e := Ensemble{ExactBudget: 30, BeamWidth: 4}
+	for i, p := range aidsPairs(4) {
+		e.Distance(p[0], p[1]) // bring the pooled arena to working size
+		runtime.GC()
+		runtime.GC()
+		if allocs := testing.AllocsPerRun(20, func() { e.Distance(p[0], p[1]) }); allocs != 0 {
+			t.Fatalf("pair %d (|g|=%d |h|=%d): %.1f allocs/op in steady state; want 0", i, p[0].N(), p[1].N(), allocs)
+		}
+	}
+}
+
+// pooledArenas returns the arenas idle in the pool.
+func pooledArenas() []*pairCtx {
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	return slices.Clone(arenaPool.idle[:arenaPool.n])
+}
+
+// TestPoolIsBounded: an unbudgeted A* may grow an arena without bound, and
+// release must leave such an arena to the collector; nor does the pool keep
+// more than maxPooledArenas however many callers ran at once.
+func TestPoolIsBounded(t *testing.T) {
+	gen := graph.NewGenerator(4)
+	labels := []string{"A", "B", "C"}
+	g := gen.RandomConnected(12, 17, labels, 0.1)
+	h := gen.RandomConnected(12, 18, labels, 0.1)
+	c := acquire(g, h)
+	c.prepSearch()
+	if _, _, ok := c.astar(0); !ok {
+		t.Fatal("unbudgeted A* did not finish")
+	}
+	if c.footprint() <= maxPooledArenaBytes {
+		t.Skipf("arena only grew to %d bytes; the pair is too easy to exercise the cap", c.footprint())
+	}
+	release(c)
+	if c.g != nil || c.h != nil {
+		t.Fatal("release kept the graph pointers")
+	}
+
+	held := make([]*pairCtx, maxPooledArenas+3)
+	for i := range held {
+		held[i] = acquire(g, h)
+	}
+	for _, a := range held {
+		release(a)
+	}
+	runtime.GC()
+	runtime.GC()
+	idle := pooledArenas()
+	if len(idle) != maxPooledArenas {
+		t.Fatalf("pool keeps %d arenas after %d were released; want %d", len(idle), len(held), maxPooledArenas)
+	}
+	for _, a := range idle {
+		if a == c || a.footprint() > maxPooledArenaBytes {
+			t.Fatalf("pool keeps an arena of %d bytes (cap %d)", a.footprint(), maxPooledArenaBytes)
+		}
+		if a.g != nil || a.h != nil {
+			t.Fatal("pooled arena pins a graph")
+		}
+	}
+}
+
+// The benchmarks below come in pairs: the arena kernel and its reference
+// twin on the same AIDS-like pairs, so `make bench` prints the kernel-level
+// before/after.
+
+func benchPairs(b *testing.B, f func(g, h *graph.Graph)) {
+	pairs := aidsPairs(9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		f(p[0], p[1])
+	}
+}
+
+func BenchmarkExactBudget30(b *testing.B) {
+	benchPairs(b, func(g, h *graph.Graph) {
+		c := acquire(g, h)
+		c.prepSearch()
+		c.astar(30) // the ensemble's entry: no bound on exhaustion
+		release(c)
+	})
+}
+
+func BenchmarkExactBudget30Reference(b *testing.B) {
+	// The reference pays its Hungarian bound on exhaustion, as the old
+	// ensemble did on every call.
+	benchPairs(b, func(g, h *graph.Graph) { refAStar(g, h, 30) })
+}
+
+func BenchmarkEnsembleAIDS(b *testing.B) {
+	e := Ensemble{ExactBudget: 30, BeamWidth: 4}
+	benchPairs(b, func(g, h *graph.Graph) { e.Distance(g, h) })
+}
+
+func BenchmarkEnsembleAIDSReference(b *testing.B) {
+	e := Ensemble{ExactBudget: 30, BeamWidth: 4}
+	benchPairs(b, func(g, h *graph.Graph) { refEnsemble(e, g, h) })
+}
+
+func BenchmarkHungarianFlat(b *testing.B) {
+	benchPairs(b, func(g, h *graph.Graph) { Hungarian(g, h) })
+}
+
+func BenchmarkHungarianReference(b *testing.B) {
+	benchPairs(b, func(g, h *graph.Graph) { refHungarian(g, h) })
+}
+
+func BenchmarkVJFlat(b *testing.B) {
+	benchPairs(b, func(g, h *graph.Graph) { VJ(g, h) })
+}
+
+func BenchmarkVJReference(b *testing.B) {
+	benchPairs(b, func(g, h *graph.Graph) { refVJ(g, h) })
+}

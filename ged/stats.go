@@ -2,25 +2,41 @@ package ged
 
 import "sync/atomic"
 
-// beamArenaGets counts beam-kernel invocations that drew an arena from
-// the pool; beamArenaNews counts the subset where the pool was empty and
-// a fresh arena had to be allocated. Their difference is the reuse count
-// — the quantity the zero-alloc steady-state claim rests on.
+// arenaGets counts kernel invocations that drew an arena from the pool
+// (one per Ensemble.Distance, or per direct Exact/VJ/Hungarian/Beam call);
+// arenaNews counts the subset where the pool was empty and a fresh arena
+// had to be allocated. Their difference is the reuse count — the quantity
+// the zero-alloc steady-state claim rests on.
 var (
-	beamArenaGets atomic.Uint64
-	beamArenaNews atomic.Uint64
+	arenaGets atomic.Uint64
+	arenaNews atomic.Uint64
 )
 
-// BeamKernelStats reports the beam kernel's arena-pool behaviour since
-// process start: how many invocations reused a pooled arena and how many
-// had to allocate one. Safe for concurrent use; values are monotonic.
-func BeamKernelStats() (reused, allocated uint64) {
-	gets := beamArenaGets.Load()
-	news := beamArenaNews.Load()
+// astarFinished and astarExhausted count the budgeted A* attempts of
+// Ensemble.Distance by outcome: exact within ExactBudget, or out of budget
+// and on to the approximations.
+var (
+	astarFinished  atomic.Uint64
+	astarExhausted atomic.Uint64
+)
+
+// ArenaStats reports the kernel arena pool's behaviour since process
+// start: how many invocations reused a pooled arena and how many had to
+// allocate one. Safe for concurrent use; values are monotonic.
+func ArenaStats() (reused, allocated uint64) {
+	gets := arenaGets.Load()
+	news := arenaNews.Load()
 	if gets < news {
-		// A Get that triggered New may have bumped news before gets lands;
-		// clamp the transient.
+		// A miss may land in news between the two loads; clamp the
+		// transient.
 		gets = news
 	}
 	return gets - news, news
+}
+
+// AStarStats reports how many of Ensemble.Distance's budgeted A* attempts
+// finished inside the budget and how many exhausted it, since process
+// start. Safe for concurrent use; values are monotonic.
+func AStarStats() (finished, exhausted uint64) {
+	return astarFinished.Load(), astarExhausted.Load()
 }

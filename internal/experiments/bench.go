@@ -393,7 +393,7 @@ func tracePoint(env *Env, beam int) (TracePoint, error) {
 	// second-scale latencies is scheduler and GC noise, not tracing cost.
 	// Interleave off/on legs (drift hits both alike), alternate which leg
 	// goes first each repetition, and force a collection before every leg
-	// so sync.Pool eviction (the GED beam arenas) cannot land on one side
+	// so sync.Pool eviction (internal/mat's scratch) cannot land on one side
 	// systematically; each query keeps its minimum across repetitions —
 	// the usual min-of-k estimator — so the paired comparison below
 	// measures the overhead, not the noise floor.

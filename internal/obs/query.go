@@ -68,12 +68,18 @@ func Query() *QueryMetrics {
 			DistCacheMisses: r.Counter("lan_distcache_misses_total",
 				"Per-query distance-memo lookups that paid a GED call."),
 		}
-		r.CounterFunc("lan_ged_beam_arena_reused_total",
-			"GED beam-kernel invocations served by a pooled arena.",
-			func() uint64 { reused, _ := ged.BeamKernelStats(); return reused })
-		r.CounterFunc("lan_ged_beam_arena_allocated_total",
-			"GED beam-kernel arenas allocated because the pool was empty.",
-			func() uint64 { _, allocated := ged.BeamKernelStats(); return allocated })
+		r.CounterFunc("lan_ged_arena_reused_total",
+			"GED kernel invocations served by a pooled pair arena.",
+			func() uint64 { reused, _ := ged.ArenaStats(); return reused })
+		r.CounterFunc("lan_ged_arena_allocated_total",
+			"GED pair arenas allocated because the pool was empty.",
+			func() uint64 { _, allocated := ged.ArenaStats(); return allocated })
+		r.CounterFunc("lan_ged_astar_finished_total",
+			"Ensemble distances whose budgeted A* finished: the distance is exact.",
+			func() uint64 { finished, _ := ged.AStarStats(); return finished })
+		r.CounterFunc("lan_ged_astar_exhausted_total",
+			"Ensemble distances whose A* ran out of budget and fell back to the approximations.",
+			func() uint64 { _, exhausted := ged.AStarStats(); return exhausted })
 	})
 	return queryMetrics
 }

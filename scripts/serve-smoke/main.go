@@ -282,7 +282,7 @@ func checks(base string, q *graph.Graph) error {
 		"lan_query_ndc_routing_total",
 		"lan_route_gamma_steps_count",
 		"lan_distcache_hits_total",
-		"lan_ged_beam_arena_reused_total",
+		"lan_ged_arena_reused_total",
 		"lan_process_goroutines",
 		"lan_process_uptime_seconds",
 		"lan_build_info{",
