@@ -43,20 +43,21 @@ race:
 	$(GO) test -race -short ./...
 
 # Micro-benchmarks (mat kernels, GED arena kernels beside their reference
-# twins — A*, ensemble, Hungarian, VJ, beam —, parallel vs sequential
-# PG build, pool resize, root package ablations) plus the end-to-end
+# twins — A*, ensemble, Hungarian, VJ, beam —, the model kernels beside
+# theirs — BenchmarkCrossInfer, BenchmarkRankerCall —, parallel vs
+# sequential PG build, pool resize, root package ablations) plus the end-to-end
 # lan-bench run, which writes a BENCH_<timestamp>.json summary with build
 # and query speedups and latency percentiles; see DESIGN.md "Performance
 # architecture".
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/mat ./internal/pg ./ged .
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models .
 	$(GO) run ./cmd/lan-bench -exp tab1
 
 # Benchmark smoke for CI: every benchmark runs exactly once so a
 # regression that panics or deadlocks is caught without paying for
 # statistically meaningful timings.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/mat ./internal/pg ./ged
+	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models
 
 # Regenerate the paper's evaluation on the dataset simulators.
 experiments:

@@ -28,6 +28,7 @@ package ged
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -207,14 +208,69 @@ const counterShards = 64
 
 type counterShard struct {
 	mu    sync.Mutex
-	cache map[[2]int]float64
+	cache pairTable
+}
+
+// pairTable is the memo of one stripe: an open-addressing hash table from
+// a packed id pair to its distance, 16 bytes a slot, doubled at 3/4 full.
+// A map[[2]int]float64 held the same entries at ~85 resident bytes each
+// once its tables (each below the allocator's large-object size) had grown
+// and split a few times; under mutation the memo only grows, by ~150 pairs
+// per write, and was the largest thing a writable index added to its
+// process (5 MB after ~550 writes on a 640-graph index). This table costs
+// 21-43 bytes a pair and is one allocation per stripe.
+type pairTable struct {
+	slots []pairSlot
+	n     int
+}
+
+// pairSlot holds key+1, so that the zero slot is empty.
+type pairSlot struct {
+	key1 uint64
+	d    float64
+}
+
+// find returns key1's slot, or the empty slot where it would go (linear
+// probing; the table is never full).
+func (t *pairTable) find(key1 uint64) *pairSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := (key1 * 0x9e3779b97f4a7c15) >> 32 & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.key1 == key1 || s.key1 == 0 {
+			return s
+		}
+	}
+}
+
+func (t *pairTable) get(key1 uint64) (float64, bool) {
+	if len(t.slots) == 0 {
+		return 0, false
+	}
+	s := t.find(key1)
+	return s.d, s.key1 == key1
+}
+
+func (t *pairTable) put(key1 uint64, d float64) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]pairSlot, max(16, 2*len(old)))
+		for _, s := range old {
+			if s.key1 != 0 {
+				*t.find(s.key1) = s
+			}
+		}
+	}
+	s := t.find(key1)
+	if s.key1 == 0 {
+		t.n++
+	}
+	*s = pairSlot{key1: key1, d: d}
 }
 
 // Counter wraps a Metric and counts calls; the routing layer uses it to
 // report NDC. It optionally memoizes by (g.ID, h.ID) pairs when both ids
-// are non-negative; cache hits do not increment the counter because a
-// cached distance costs no GED computation. The memo is sharded across
-// lock stripes, so Distance is safe for concurrent use.
+// are non-negative (and fit 32 bits); cache hits do not increment the
+// counter because a cached distance costs no GED computation. The memo is
+// sharded across lock stripes, so Distance is safe for concurrent use.
 type Counter struct {
 	Metric Metric
 
@@ -224,44 +280,39 @@ type Counter struct {
 }
 
 // NewCounter returns a counting, memoizing wrapper around m.
-func NewCounter(m Metric) *Counter {
-	c := &Counter{Metric: m}
-	for i := range c.shards {
-		c.shards[i].cache = make(map[[2]int]float64)
-	}
-	return c
-}
+func NewCounter(m Metric) *Counter { return &Counter{Metric: m} }
 
 // shard picks the lock stripe for a sorted id pair, mixing both ids so
 // consecutive pairs spread across stripes.
-func (c *Counter) shard(key [2]int) *counterShard {
-	h := uint64(key[0])*0x9e3779b97f4a7c15 ^ uint64(key[1])*0xbf58476d1ce4e5b9
+func (c *Counter) shard(lo, hi int) *counterShard {
+	h := uint64(lo)*0x9e3779b97f4a7c15 ^ uint64(hi)*0xbf58476d1ce4e5b9
 	return &c.shards[(h>>32)&(counterShards-1)]
 }
 
 // Distance implements Metric, counting and caching the computation.
 func (c *Counter) Distance(g, h *graph.Graph) float64 {
 	var sh *counterShard
-	var key [2]int
-	cacheable := g.ID >= 0 && h.ID >= 0
+	var key1 uint64
+	lo, hi := g.ID, h.ID
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	cacheable := lo >= 0 && hi < math.MaxUint32
 	if cacheable {
-		key = [2]int{g.ID, h.ID}
-		if g.ID > h.ID {
-			key = [2]int{h.ID, g.ID}
-		}
-		sh = c.shard(key)
+		key1 = (uint64(lo)<<32 | uint64(hi)) + 1
+		sh = c.shard(lo, hi)
 		sh.mu.Lock()
-		if d, ok := sh.cache[key]; ok {
-			sh.mu.Unlock()
+		d, ok := sh.cache.get(key1)
+		sh.mu.Unlock()
+		if ok {
 			return d
 		}
-		sh.mu.Unlock()
 	}
 	d := c.Metric.Distance(g, h)
 	c.calls.Add(1)
 	if cacheable {
 		sh.mu.Lock()
-		sh.cache[key] = d
+		sh.cache.put(key1, d)
 		sh.mu.Unlock()
 	}
 	return d
@@ -276,7 +327,7 @@ func (c *Counter) Reset() {
 	c.calls.Store(0)
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
-		c.shards[i].cache = make(map[[2]int]float64)
+		c.shards[i].cache = pairTable{}
 		c.shards[i].mu.Unlock()
 	}
 }

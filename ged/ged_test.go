@@ -2,6 +2,7 @@ package ged
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/lansearch/lan/graph"
@@ -396,5 +397,61 @@ func TestLowerBoundPublicAPI(t *testing.T) {
 	}
 	if lb <= 0 {
 		t.Fatalf("expected positive bound, got %v", lb)
+	}
+}
+
+// TestCounterMemoTable: the memo returns exactly what was stored for every
+// pair through several doublings of its tables — pair (0, 0) and both
+// argument orders included — and computes each pair once, from several
+// goroutines at a time.
+func TestCounterMemoTable(t *testing.T) {
+	const n = 120
+	gs := make([]*graph.Graph, n)
+	for i := range gs {
+		gs[i] = graph.New(i)
+		gs[i].AddNode("A")
+	}
+	// A metric that is cheap and tells unordered pairs apart.
+	pair := func(g, h *graph.Graph) float64 {
+		lo, hi := min(g.ID, h.ID), max(g.ID, h.ID)
+		return float64(lo*n+hi) + 0.25
+	}
+	c := NewCounter(MetricFunc(pair))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						g, h := gs[i], gs[j]
+						if (i+j+w)%2 == 1 {
+							g, h = h, g
+						}
+						if got, want := c.Distance(g, h), pair(g, h); got != want {
+							t.Errorf("Distance(%d, %d) = %v; want %v", g.ID, h.ID, got, want)
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	held := 0
+	for i := range c.shards {
+		held += c.shards[i].cache.n
+	}
+	if want := n * (n + 1) / 2; held != want {
+		t.Fatalf("memo holds %d pairs; want %d", held, want)
+	}
+	// Racing goroutines may each compute a pair before either stores it,
+	// but a settled memo never computes again.
+	before := c.Calls()
+	c.Distance(gs[0], gs[0])
+	c.Distance(gs[n-1], gs[3])
+	if c.Calls() != before {
+		t.Fatalf("a memoised pair was recomputed")
 	}
 }

@@ -120,3 +120,15 @@ func traceFamily(r *obs.Registry) {
 	queue.Set(0)
 	bad.Inc()
 }
+
+// rankerFamily mirrors the engine's lan_ranker_* counters (M_rk
+// inferences run and memo hits): a two-word name before the unit is
+// fine, the counter suffix is still required.
+func rankerFamily(r *obs.Registry) {
+	inferences := r.Counter("lan_ranker_inferences_total", "Cross-graph inferences run.")
+	hits := r.Counter("lan_ranker_memo_hits_total", "Scores served from the memo.")
+	bad := r.Counter("lan_ranker_memo_hits", "Counter without _total.") // want "must end in _total"
+	inferences.Inc()
+	hits.Inc()
+	bad.Inc()
+}

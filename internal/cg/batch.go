@@ -113,6 +113,7 @@ func (m *GINModel) embedChunk(cs []*Compressed, out [][]float64) {
 		}
 	}
 	for i, c := range cs {
-		out[i] = weightedMean(hs[i], c.Levels[m.Cfg.Layers].Size)
+		out[i] = make([]float64, hs[i].Cols)
+		readout(out[i], hs[i].Data, c.Levels[m.Cfg.Layers].Size)
 	}
 }

@@ -16,6 +16,7 @@
 package cg
 
 import (
+	"math"
 	"sort"
 
 	"github.com/lansearch/lan/graph"
@@ -108,6 +109,10 @@ type Compressed struct {
 type Level struct {
 	// Size[i] is |g| — how many original nodes group i contains.
 	Size []float64
+	// LogSize[i] is log(Size[i]), the term that folds the |g| weights of
+	// Eq. 10 into a plain softmax; inference reads it once per attention
+	// score, so it is computed here, once per graph.
+	LogSize []float64
 	// Feature[i] is the label feature index of group i (level 0 only).
 	Feature []int
 	// Parent[i] is the index of the previous-level group containing
@@ -117,6 +122,26 @@ type Level struct {
 	// In[i] lists the weighted aggregation edges from previous-level
 	// groups into group i (levels >= 1), including the GIN self term.
 	In [][]autograd.Lin
+}
+
+// zeroLogs is the LogSize of every level made of singleton groups — all of
+// a raw GNN-graph's, and most levels of a compressed one past level 0. It
+// is shared and read-only: ~100 bytes per level add up over a cached
+// database.
+var zeroLogs [64]float64
+
+// logSizes returns log(size[i]) for the groups of one level of a graph of
+// n nodes. The groups partition the nodes, so they are all singletons
+// exactly when there are n of them.
+func logSizes(size []float64, n int) []float64 {
+	if ng := len(size); ng == n && ng <= len(zeroLogs) {
+		return zeroLogs[:ng:ng]
+	}
+	out := make([]float64, len(size))
+	for i, s := range size {
+		out[i] = math.Log(s)
+	}
+	return out
 }
 
 // Groups returns the number of groups at level l.
@@ -162,6 +187,7 @@ func Build(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 				rep[gi] = u
 			}
 		}
+		lv.LogSize = logSizes(lv.Size, g.N())
 		if l == 0 {
 			lv.Feature = make([]int, ng)
 			for i, u := range rep {
@@ -203,6 +229,7 @@ func BuildRaw(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 		for i := range lv.Size {
 			lv.Size[i] = 1
 		}
+		lv.LogSize = logSizes(lv.Size, n)
 		if l == 0 {
 			lv.Feature = make([]int, n)
 			for u := 0; u < n; u++ {

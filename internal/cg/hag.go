@@ -148,17 +148,16 @@ func ForwardCross(m *CrossModel, hg, hq *HAG) *autograd.Value {
 	vq := inputFeatures(cgQ, m.Cfg.Vocab.Size())
 	for l := 1; l <= m.Cfg.Layers; l++ {
 		w, a1, a2 := m.W[l-1], m.A1[l-1], m.A2[l-1]
-		szGprev := cgG.Levels[l-1].Size
-		szQprev := cgQ.Levels[l-1].Size
+		logG, logQ := cgG.Levels[l-1].LogSize, cgQ.Levels[l-1].LogSize
 
 		kg1 := autograd.MatMul(vg, a1)
 		kg2 := autograd.Transpose(autograd.MatMul(vg, a2))
 		kq1 := autograd.MatMul(vq, a1)
 		kq2 := autograd.Transpose(autograd.MatMul(vq, a2))
 
-		scoresG := autograd.AddRowBroadcast(autograd.OuterSum(kg1, kq2), logSizes(szQprev))
+		scoresG := autograd.AddRowBroadcast(autograd.OuterSum(kg1, kq2), logSizeRow(logQ))
 		muGprev := autograd.MatMul(autograd.SoftmaxRows(scoresG), vq)
-		scoresQ := autograd.AddRowBroadcast(autograd.OuterSum(kq1, kg2), logSizes(szGprev))
+		scoresQ := autograd.AddRowBroadcast(autograd.OuterSum(kq1, kg2), logSizeRow(logG))
 		muQprev := autograd.MatMul(autograd.SoftmaxRows(scoresQ), vg)
 
 		tG := hg.Aggregate(l, vg)

@@ -65,14 +65,11 @@ func inputFeatures(c *Compressed, vocabSize int) *autograd.Value {
 	return autograd.Const(m)
 }
 
-// logSizes returns the constant 1xN row of log group sizes used to fold
-// the |q| weights of Eq. 10 into a plain softmax.
-func logSizes(sizes []float64) *autograd.Value {
-	m := mat.New(1, len(sizes))
-	for i, s := range sizes {
-		m.Data[i] = math.Log(s)
-	}
-	return autograd.Const(m)
+// logSizeRow wraps a level's LogSize as the constant 1xN row that folds
+// the |q| weights of Eq. 10 into a plain softmax. The slice is shared, not
+// copied: constants are never written.
+func logSizeRow(logSize []float64) *autograd.Value {
+	return autograd.Const(&mat.Matrix{Rows: 1, Cols: len(logSize), Data: logSize})
 }
 
 // Forward computes the cross-graph embedding h_G || h_Q (1 x 2*Dim) of two
@@ -87,8 +84,7 @@ func (m *CrossModel) Forward(cgG, cgQ *Compressed) *autograd.Value {
 	for l := 1; l <= m.Cfg.Layers; l++ {
 		w, a1, a2 := m.W[l-1], m.A1[l-1], m.A2[l-1]
 		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
-		szGprev := cgG.Levels[l-1].Size
-		szQprev := cgQ.Levels[l-1].Size
+		logG, logQ := cgG.Levels[l-1].LogSize, cgQ.Levels[l-1].LogSize
 
 		// Attention both ways over previous-level groups (Eq. 9-10 with
 		// group-size weights folded into the softmax as log terms).
@@ -97,9 +93,9 @@ func (m *CrossModel) Forward(cgG, cgQ *Compressed) *autograd.Value {
 		kq1 := autograd.MatMul(hq, a1)
 		kq2 := autograd.Transpose(autograd.MatMul(hq, a2))
 
-		scoresG := autograd.AddRowBroadcast(autograd.OuterSum(kg1, kq2), logSizes(szQprev))
+		scoresG := autograd.AddRowBroadcast(autograd.OuterSum(kg1, kq2), logSizeRow(logQ))
 		muGprev := autograd.MatMul(autograd.SoftmaxRows(scoresG), hq)
-		scoresQ := autograd.AddRowBroadcast(autograd.OuterSum(kq1, kg2), logSizes(szGprev))
+		scoresQ := autograd.AddRowBroadcast(autograd.OuterSum(kq1, kg2), logSizeRow(logG))
 		muQprev := autograd.MatMul(autograd.SoftmaxRows(scoresQ), hg)
 
 		// Aggregate (Eq. 8), add the cross message of the parent group,
@@ -151,6 +147,17 @@ func (m *GINModel) Forward(c *Compressed) *autograd.Value {
 	return autograd.WeightedMeanRows(h, c.Levels[m.Cfg.Layers].Size)
 }
 
+// inferInput builds the one-hot level-0 feature matrix of c for the
+// tape-free GIN paths.
+func inferInput(c *Compressed, vocabSize int) *mat.Matrix {
+	lv := c.Levels[0]
+	h := mat.New(len(lv.Feature), vocabSize)
+	for i, f := range lv.Feature {
+		h.Set(i, f, 1)
+	}
+	return h
+}
+
 // Embed computes the embedding without building an autodiff tape (the
 // inference path; equals Forward's output).
 func (m *GINModel) Embed(c *Compressed) []float64 {
@@ -174,5 +181,7 @@ func (m *GINModel) Embed(c *Compressed) []float64 {
 			}
 		}
 	}
-	return weightedMean(h, c.Levels[m.Cfg.Layers].Size)
+	out := make([]float64, h.Cols)
+	readout(out, h.Data, c.Levels[m.Cfg.Layers].Size)
+	return out
 }

@@ -215,6 +215,12 @@ type QueryStats struct {
 	// the oracle ranker.
 	RankerCalls   int
 	ISPredictions int
+	// RankerInferences and RankerMemoHits split M_rk's neighbour scores
+	// (LANRoute only): cross-graph inferences run, one per distinct
+	// neighbour, against scores of a neighbour already met from another
+	// node, served from the per-search memo.
+	RankerInferences int
+	RankerMemoHits   int
 	// BatchesOpened, GammaSteps and the neighbor tallies come from
 	// np_route: opened batches, γ-trajectory length, and neighbors ranked
 	// vs. opened (1 - Opened/Ranked is the prune rate).
@@ -395,11 +401,19 @@ func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOpti
 	}
 
 	initSpan := trace.StartSpan("initial")
-	// The query's compressed GNN-graph is shared by every learned
-	// component this search touches; building it here means the selector
-	// and each ranking call reuse one encoding instead of rebuilding it.
-	var qcg *cg.Compressed
+	// The query's compressed GNN-graph and one inference workspace are
+	// shared by every learned component this search touches: the selector
+	// and each ranking call reuse one encoding instead of rebuilding it,
+	// and draw their temporaries from slabs the first few calls have grown
+	// instead of allocating. The workspace dies with the search: keeping
+	// idle ones on a free list was measured (no faster on syn_hung, ~1 MB
+	// more settled RSS behind lanserve) and left out.
+	var (
+		qcg *cg.Compressed
+		ws  *cg.Workspace
+	)
 	if so.Initial == LANIS || so.Initial == LANISBasic || so.Routing == LANRoute {
+		ws = cg.NewWorkspace()
 		cgStart := time.Now()
 		qcg = e.Store.Query(q)
 		cgTime := time.Since(cgStart)
@@ -419,6 +433,7 @@ func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOpti
 			Seed: e.Opts.Seed, Predictions: &stats.ISPredictions,
 			Exhaustive: so.Initial == LANISBasic,
 			QueryCG:    qcg,
+			WS:         ws,
 		}
 		before := tm.Elapsed()
 		entry = sel.Select(ctx, graphs, q, cache)
@@ -472,9 +487,10 @@ func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOpti
 		fillRouteStats(&stats, s)
 	default: // LANRoute
 		// The route layer counts ranking invocations (route.Stats.
-		// RankerCalls), the same quantity the oracle path reports, so the
-		// model ranker no longer keeps its own per-neighbor tally.
-		inner := e.Mrk.Ranker(graphs, q, qcg, nil)
+		// RankerCalls), the same quantity the oracle path reports; the
+		// model ranker counts what they cost it: inferences and memo hits.
+		var scored models.RankerStats
+		inner := e.Mrk.Ranker(ws, graphs, q, qcg, &scored)
 		ranker := route.RankerFunc(func(node int, neighbors []int, d float64) [][]int {
 			rs := time.Now()
 			b := inner.Batches(node, neighbors, d)
@@ -486,6 +502,7 @@ func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOpti
 		var s route.Stats
 		res, s, err = route.RouteContext(ctx, e.Index.PG, cache, ranker, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize, Pool: pool})
 		fillRouteStats(&stats, s)
+		stats.RankerInferences, stats.RankerMemoHits = scored.Inferences, scored.MemoHits
 	}
 	stats.NDC = cache.NDC()
 	stats.RouteNDC = stats.NDC - stats.InitNDC

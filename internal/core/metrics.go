@@ -22,6 +22,8 @@ func recordQuery(stats *QueryStats) {
 	}
 	m.BatchesOpened.Add(uint64(stats.BatchesOpened))
 	m.RankerCalls.Add(uint64(stats.RankerCalls))
+	m.RankerInferences.Add(uint64(stats.RankerInferences))
+	m.RankerMemoHits.Add(uint64(stats.RankerMemoHits))
 	m.DistCacheHits.Add(uint64(stats.DistCacheHits))
 	// Every distance computation is by definition a memo miss.
 	m.DistCacheMisses.Add(uint64(stats.NDC))

@@ -66,11 +66,21 @@ func TestSearchStatsConsistency(t *testing.T) {
 				if stats.BatchesOpened <= 0 {
 					t.Errorf("%s: np_route opened no batches: %+v", name, stats)
 				}
+				// Every M_rk score is an inference or a memo hit, and only
+				// ranked neighbours are scored; the oracle scores nothing.
+				scores := stats.RankerInferences + stats.RankerMemoHits
+				if rt == LANRoute && (stats.RankerInferences <= 0 || scores > stats.RankedNeighbors) {
+					t.Errorf("%s: %d inferences + %d memo hits for %d ranked neighbours", name, stats.RankerInferences, stats.RankerMemoHits, stats.RankedNeighbors)
+				}
+				if rt == OracleRoute && scores != 0 {
+					t.Errorf("%s: oracle routing counted %d M_rk scores", name, scores)
+				}
 			case BaselineRoute:
 				if stats.RankerCalls != 0 {
 					t.Errorf("%s: baseline made %d ranker calls; want 0", name, stats.RankerCalls)
 				}
-				if stats.RankedNeighbors != 0 || stats.BatchesOpened != 0 || stats.GammaSteps != 0 {
+				if stats.RankedNeighbors != 0 || stats.BatchesOpened != 0 || stats.GammaSteps != 0 ||
+					stats.RankerInferences != 0 || stats.RankerMemoHits != 0 {
 					t.Errorf("%s: baseline filled np_route-only fields: %+v", name, stats)
 				}
 			}
@@ -252,5 +262,29 @@ func TestConcurrentTracedQueriesNoBleed(t *testing.T) {
 		if tr.Entry != solo.Entry {
 			t.Errorf("query %d: entry %d != solo entry %d", i, tr.Entry, solo.Entry)
 		}
+	}
+}
+
+// TestRecordQueryExportsRankerCounters: a search's M_rk attribution —
+// inferences run and memo hits — reaches the registry as the two
+// lan_ranker_*_total counters, by exactly the amounts in its QueryStats.
+func TestRecordQueryExportsRankerCounters(t *testing.T) {
+	eng, _, _, test := buildEngine(t)
+	m := obs.Query()
+	inf, hits := m.RankerInferences.Value(), m.RankerMemoHits.Value()
+	var wantInf, wantHits uint64
+	for _, q := range test {
+		_, stats := eng.Search(q, SearchOptions{K: 5, Beam: 12, Initial: LANIS, Routing: LANRoute})
+		wantInf += uint64(stats.RankerInferences)
+		wantHits += uint64(stats.RankerMemoHits)
+	}
+	if wantHits == 0 {
+		t.Fatalf("no search met a neighbour twice (%d inferences): the memo has no subject here", wantInf)
+	}
+	if got := m.RankerInferences.Value() - inf; got != wantInf {
+		t.Errorf("lan_ranker_inferences_total moved by %d; searches ran %d", got, wantInf)
+	}
+	if got := m.RankerMemoHits.Value() - hits; got != wantHits {
+		t.Errorf("lan_ranker_memo_hits_total moved by %d; searches hit %d", got, wantHits)
 	}
 }

@@ -75,11 +75,10 @@ func (m *ClusterModel) NearestCentroid(g *graph.Graph) int {
 	return best
 }
 
-// predictValue returns the predicted |C ∩ N_Q| for cluster c as an
-// autograd value (training path).
-func (m *ClusterModel) predictValue(c int, qemb []float64) *autograd.Value {
+// features appends M_c's head input for cluster c to in: centroid, query
+// embedding, |c-q| and c⊙q.
+func (m *ClusterModel) features(in []float64, c int, qemb []float64) []float64 {
 	cen := m.clusters.Centroids[c]
-	in := make([]float64, 0, 4*m.embedder.Dim())
 	in = append(in, cen...)
 	in = append(in, qemb...)
 	for i := range cen {
@@ -92,15 +91,26 @@ func (m *ClusterModel) predictValue(c int, qemb []float64) *autograd.Value {
 	for i := range cen {
 		in = append(in, cen[i]*qemb[i])
 	}
+	return in
+}
+
+// predictValue returns the predicted |C ∩ N_Q| for cluster c as an
+// autograd value (training path).
+func (m *ClusterModel) predictValue(c int, qemb []float64) *autograd.Value {
+	in := m.features(make([]float64, 0, 4*m.embedder.Dim()), c, qemb)
 	return m.head.Apply(autograd.Const(mat.FromSlice(1, len(in), in)))
 }
 
-// Predict returns the predicted intersection size for every cluster.
+// Predict returns the predicted intersection size for every cluster
+// (tape-free: one input and one scratch buffer for all clusters; the
+// values equal predictValue's bit for bit, as MLP.Infer equals Apply).
 func (m *ClusterModel) Predict(q *graph.Graph) []float64 {
 	qemb := m.embedder.Embed(q)
+	width := 4 * m.embedder.Dim()
+	buf := make([]float64, width+2*m.head.Width())
 	out := make([]float64, m.clusters.K())
 	for c := range out {
-		out[c] = m.predictValue(c, qemb).Data.At(0, 0)
+		out[c] = m.head.Infer(m.features(buf[:0], c, qemb), buf[width:])[0]
 	}
 	return out
 }
@@ -189,6 +199,9 @@ type InitialSelector struct {
 	// QueryCG, when set, is the query's precomputed compressed GNN-graph
 	// (the engine builds it once per search); nil makes Select build it.
 	QueryCG *cg.Compressed
+	// WS, when set, is the search's inference workspace; nil makes Select
+	// run on one of its own.
+	WS *cg.Workspace
 }
 
 // selectFetchBatch bounds how many candidate graphs Select materializes
@@ -235,17 +248,21 @@ func (s *InitialSelector) Select(ctx context.Context, store pg.GraphStore, q *gr
 	if qc == nil {
 		qc = s.Mnh.QueryCG(q)
 	}
+	ws := s.WS
+	if ws == nil {
+		ws = cg.NewWorkspace()
+	}
+	s.Mnh.Bind(ws, qc)
 	var predicted []int
-	var fetched []*graph.Graph
 	bestProb, bestG := -1.0, -1
 	for start := 0; start < len(candidates); start += selectFetchBatch {
 		end := start + selectFetchBatch
 		if end > len(candidates) {
 			end = len(candidates)
 		}
-		fetched = store.FetchGraphs(candidates[start:end], fetched[:0])
+		ws.Graphs = store.FetchGraphs(candidates[start:end], ws.Graphs[:0])
 		for i, g := range candidates[start:end] {
-			p := s.Mnh.ProbCG(fetched[i], qc)
+			p := s.Mnh.ProbCG(ws, ws.Graphs[i])
 			if s.Predictions != nil {
 				*s.Predictions++
 			}

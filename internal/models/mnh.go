@@ -6,7 +6,6 @@ import (
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
-	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 )
 
@@ -50,24 +49,38 @@ func (m *NeighborhoodModel) logit(g, q *graph.Graph) *autograd.Value {
 // many ProbCG calls in one search.
 func (m *NeighborhoodModel) QueryCG(q *graph.Graph) *cg.Compressed { return m.store.Query(q) }
 
-// ProbCG is Prob with the query CG precomputed — the initial selector
-// evaluates one query against hundreds of candidates, so the query side
-// is encoded once per search instead of once per candidate. Tape-free
-// inference path (values identical to the training path).
-func (m *NeighborhoodModel) ProbCG(g *graph.Graph, qc *cg.Compressed) float64 {
-	cross := m.cross.Infer(m.store.For(g), qc)
-	feat := headFeatureVec(cross, m.Cfg.Dim)
-	in := mat.GetScratch(1, len(feat))
-	copy(in.Data, feat)
-	logit := m.head.Infer(in)
-	mat.PutScratch(in)
-	return sigmoid(logit.At(0, 0))
+// Bind points ws at (M_nh's cross model, qc) for the ProbCG calls that
+// follow — the initial selector evaluates one query against hundreds of
+// candidates, so the query side is prepared once per search instead of
+// once per candidate.
+func (m *NeighborhoodModel) Bind(ws *cg.Workspace, qc *cg.Compressed) { ws.Bind(m.cross, qc) }
+
+// ProbCG returns the predicted probability that g lies in N_Q of the
+// query ws is bound to. Tape-free and, on a warm workspace,
+// allocation-free; the head's input is h_G || h_Q plus the squared
+// difference (h_G - h_Q)^2 — the twin of headFeatures: a-b and the
+// elementwise square match the autograd ops bit for bit — so the value is
+// identical to the training path's.
+func (m *NeighborhoodModel) ProbCG(ws *cg.Workspace, g *graph.Graph) float64 {
+	dim := m.Cfg.Dim
+	buf := ws.Floats(3*dim + 2*m.head.Width())
+	feat, scratch := buf[:3*dim], buf[3*dim:]
+	ws.Cross(feat[:2*dim], m.store.For(g))
+	for i := 0; i < dim; i++ {
+		d := feat[i] - feat[dim+i]
+		feat[2*dim+i] = d * d
+	}
+	p := sigmoid(m.head.Infer(feat, scratch)[0])
+	ws.PopFloats(len(buf))
+	return p
 }
 
 // Prob returns the predicted probability that G is in N_Q (tape-free
-// inference path).
+// inference path, on a workspace of its own).
 func (m *NeighborhoodModel) Prob(g, q *graph.Graph) float64 {
-	return m.ProbCG(g, m.QueryCG(q))
+	ws := cg.NewWorkspace()
+	m.Bind(ws, m.QueryCG(q))
+	return m.ProbCG(ws, g)
 }
 
 // Predict reports whether G is predicted to be in N_Q (threshold 0.5).
@@ -131,10 +144,12 @@ func (m *NeighborhoodModel) Train(db graph.Database, table *DistanceTable, examp
 // predicted-neighborhood size.
 func (m *NeighborhoodModel) Precision(db graph.Database, table *DistanceTable, gammaStar float64) (precision, avgPredicted float64) {
 	var tp, fp, predicted int
+	ws := cg.NewWorkspace()
 	for qi, q := range table.Queries {
 		row := table.D[qi]
+		m.Bind(ws, m.QueryCG(q))
 		for g := range db {
-			if m.Predict(db[g], q) {
+			if m.ProbCG(ws, db[g]) >= 0.5 {
 				predicted++
 				if row[g] <= gammaStar {
 					tp++

@@ -105,7 +105,7 @@ type CGStore struct {
 	Layers int
 	Vocab  *cg.Vocab
 
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	byID  map[int]*cg.Compressed
 	bound int // max cached entries (0 = unbounded)
 	useCG bool
@@ -147,9 +147,12 @@ func (s *CGStore) For(g *graph.Graph) *cg.Compressed {
 	if g.ID < 0 {
 		return s.build(g)
 	}
-	s.mu.Lock()
+	// Hits — every lookup of a search once the cache is warm — share the
+	// lock; only a miss's insert (and the wholesale drop at the bound)
+	// excludes other searches.
+	s.mu.RLock()
 	c, ok := s.byID[g.ID]
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if ok {
 		return c
 	}
@@ -248,19 +251,6 @@ func headFeatures(cross *autograd.Value, dim int) *autograd.Value {
 	hq := autograd.GatherCols(cross, dim, 2*dim)
 	diff := autograd.Add(hg, autograd.Scale(hq, -1))
 	return autograd.ConcatCols(cross, autograd.Mul(diff, diff))
-}
-
-// headFeatureVec is headFeatures on raw floats (the tape-free inference
-// twin; identical values since a-b, (-1)*b and elementwise square match
-// the autograd ops bit for bit).
-func headFeatureVec(cross []float64, dim int) []float64 {
-	out := make([]float64, 0, len(cross)+dim)
-	out = append(out, cross...)
-	for i := 0; i < dim; i++ {
-		d := cross[i] - cross[dim+i]
-		out = append(out, d*d)
-	}
-	return out
 }
 
 // sigmoid is the scalar logistic function.

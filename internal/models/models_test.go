@@ -6,6 +6,7 @@ import (
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/cluster"
 	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/pg"
@@ -24,7 +25,7 @@ type fixture struct {
 	queries []*graph.Graph
 }
 
-func newFixture(t *testing.T, scale float64, queries int) *fixture {
+func newFixture(t testing.TB, scale float64, queries int) *fixture {
 	t.Helper()
 	spec := dataset.AIDS(scale)
 	db := spec.Generate()
@@ -171,8 +172,8 @@ func TestNeighborRankerRankerAdapter(t *testing.T) {
 	f := newFixture(t, 0.002, 3)
 	cfg := Config{Layers: 2, Dim: 6, BatchPercent: 25, GammaStar: f.gamma, Seed: 2}
 	r := NewNeighborRanker(cfg, f.store)
-	calls := 0
-	rk := r.Ranker(pg.NewRAMStore(f.db), f.queries[0], nil, &calls)
+	var rs RankerStats
+	rk := r.Ranker(cg.NewWorkspace(), pg.NewRAMStore(f.db), f.queries[0], nil, &rs)
 
 	neighbors := f.index.PG.Neighbors(0)
 	if len(neighbors) < 2 {
@@ -180,13 +181,13 @@ func TestNeighborRankerRankerAdapter(t *testing.T) {
 	}
 	// Outside the neighborhood: single batch, no model calls.
 	batches := rk.Batches(0, neighbors, f.gamma+100)
-	if len(batches) != 1 || calls != 0 {
-		t.Fatalf("outside-N_Q batches = %v, calls = %d", batches, calls)
+	if len(batches) != 1 || rs != (RankerStats{}) {
+		t.Fatalf("outside-N_Q batches = %v, stats = %+v", batches, rs)
 	}
-	// Inside: y%% batches, one model call per neighbor.
+	// Inside: y%% batches, one inference per (distinct) neighbor.
 	batches = rk.Batches(0, neighbors, 0)
-	if calls != len(neighbors) {
-		t.Fatalf("calls = %d; want %d", calls, len(neighbors))
+	if rs.Inferences != len(neighbors) || rs.MemoHits != 0 {
+		t.Fatalf("stats = %+v; want %d inferences, no memo hit", rs, len(neighbors))
 	}
 	total := 0
 	for _, b := range batches {
@@ -294,6 +295,15 @@ func TestClusterModelPipeline(t *testing.T) {
 	}
 	if err := mc.Train(f.table, exs, TrainOptions{Epochs: 30, LR: 0.01}); err != nil {
 		t.Fatalf("Train: %v", err)
+	}
+	// The tape-free Predict is the training path's forward, bit for bit.
+	for _, q := range f.queries[:3] {
+		qemb := emb.Embed(q)
+		for c, got := range mc.Predict(q) {
+			if want := mc.predictValue(c, qemb).Data.At(0, 0); got != want {
+				t.Fatalf("Predict[%d] = %v; training path %v", c, got, want)
+			}
+		}
 	}
 	// The trained model should usually put the best cluster (largest true
 	// intersection) into its predicted top half.

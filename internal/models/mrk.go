@@ -6,7 +6,6 @@ import (
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
-	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 	"github.com/lansearch/lan/internal/order"
 	"github.com/lansearch/lan/internal/pg"
@@ -92,7 +91,8 @@ func (r *NeighborRanker) logits(q, neighbor, node *graph.Graph) []*autograd.Valu
 // Score returns the summed head probability for one neighbor — a monotone
 // proxy for its predicted rank (higher means predicted closer to Q).
 func (r *NeighborRanker) Score(q, neighbor, node *graph.Graph) float64 {
-	return r.scoreWithNodeEmbedding(r.store.For(q), neighbor, r.nodeEmbedding(node))
+	sc := r.bind(cg.NewWorkspace(), r.store.For(q), nil)
+	return sc.score(neighbor.ID, neighbor, r.nodeEmbedding(node))
 }
 
 // PrecomputeNodeEmbeddings embeds every database graph with the node
@@ -174,66 +174,124 @@ func (r *NeighborRanker) nodeEmbeddingByID(store pg.GraphStore, id int, buf *[]f
 	return r.node.Embed(r.store.For(store.Graph(id)))
 }
 
-// scoreWithNodeEmbedding scores a neighbor given the query's compressed
-// GNN-graph and the current node's embedding (the router ranks many
-// neighbors of one node for one query, so both are computed once per
-// ranking call — and qc once per search). Tape-free inference path; the
-// values match the autograd path bit for bit because MLP.Infer shares
-// Apply's kernels.
-func (r *NeighborRanker) scoreWithNodeEmbedding(qc *cg.Compressed, neighbor *graph.Graph, nodeEmb []float64) float64 {
-	cross := r.cross.Infer(r.store.For(neighbor), qc)
-	in := mat.GetScratch(1, len(cross)+len(nodeEmb))
-	copy(in.Data, cross)
-	copy(in.Data[len(cross):], nodeEmb)
-	s := 0.0
-	for _, h := range r.heads {
-		out := h.Infer(in)
-		s += sigmoid(out.At(0, 0))
+// RankerStats counts what M_rk paid for one search's neighbour scores:
+// every score either runs the cross-graph network or is served from the
+// per-search memo.
+type RankerStats struct {
+	// Inferences is the number of cross-graph inferences run (one per
+	// distinct neighbour scored).
+	Inferences int
+	// MemoHits is the number of scores of a neighbour met before, from
+	// another current node, that skipped the inference.
+	MemoHits int
+}
+
+// scorer is M_rk bound to one query on one workspace — the one path by
+// which a neighbour score is computed. A score is
+//
+//	Σ_heads sigmoid(out_h(ReLU(hidden_h(h_{G′,Q} || h_G))))
+//
+// and of its inputs only h_G depends on the current node G, while the
+// cross embedding h_{G′,Q} is nearly all of its cost. The scorer therefore
+// runs the cross network once per distinct neighbour G′ and keeps the
+// embedding in the workspace's memo; scoring G′ again from another node
+// runs only the heads. The heads see the same floats either way, so
+// memoised scores equal unmemoised ones bit for bit
+// (TestRankerMemoBitIdentical).
+type scorer struct {
+	r     *NeighborRanker
+	ws    *cg.Workspace
+	stats *RankerStats // nil when nobody counts
+}
+
+// bind points ws at (M_rk's cross model, qc) and starts an empty memo.
+func (r *NeighborRanker) bind(ws *cg.Workspace, qc *cg.Compressed, stats *RankerStats) scorer {
+	ws.Bind(r.cross, qc)
+	ws.StartMemo(2 * r.Cfg.Dim)
+	return scorer{r: r, ws: ws, stats: stats}
+}
+
+// score returns the summed head probability of neighbour id (whose graph
+// is g) seen from the node whose embedding is nodeEmb.
+func (s scorer) score(id int, g *graph.Graph, nodeEmb []float64) float64 {
+	r, ws := s.r, s.ws
+	cross, hit := ws.MemoRow(id)
+	if !hit {
+		ws.Cross(cross, r.store.For(g))
 	}
-	mat.PutScratch(in)
-	return s
+	if s.stats != nil {
+		if hit {
+			s.stats.MemoHits++
+		} else {
+			s.stats.Inferences++
+		}
+	}
+	// The heads' input row h_{G′,Q} || h_G, then MLP.Infer's scratch (the
+	// heads share one shape).
+	buf := ws.Floats(len(cross) + len(nodeEmb) + 2*r.heads[0].Width())
+	in := buf[:len(cross)+len(nodeEmb)]
+	copy(in, cross)
+	copy(in[len(cross):], nodeEmb)
+	p := 0.0
+	for _, h := range r.heads {
+		p += sigmoid(h.Infer(in, buf[len(in):])[0])
+	}
+	ws.PopFloats(len(buf))
+	return p
 }
 
 // Ranker adapts M_rk to the router: inside N_Q (dCurrent <= GammaStar)
 // neighbors are ordered by predicted score and cut into y% batches;
 // outside, a single batch disables pruning, per the paper's Sec. IV-C.
-// qc is the query's compressed GNN-graph, built once per search (nil
-// falls back to building it here). Calls counts model invocations for the
-// time-breakdown experiments. Candidate graphs come through store, with
-// each ranking call's neighbors fetched as one batch; the returned Ranker
-// closes over per-query scratch and must not be shared across searches.
-func (r *NeighborRanker) Ranker(store pg.GraphStore, q *graph.Graph, qc *cg.Compressed, calls *int) route.Ranker {
+// ws is the search's workspace: scores, the memo, the fetch buffer and
+// the returned batches (which the router keeps until the search ends) all
+// live there, so a ranking call allocates nothing once ws is warm; the
+// Ranker must not outlive the search or be shared with another. qc is the
+// query's compressed GNN-graph, built once per search (nil falls back to
+// building it here). stats, when non-nil, counts inferences and memo hits.
+// Candidate graphs come through store, each ranking call's neighbors
+// fetched as one batch.
+func (r *NeighborRanker) Ranker(ws *cg.Workspace, store pg.GraphStore, q *graph.Graph, qc *cg.Compressed, stats *RankerStats) route.Ranker {
 	if qc == nil {
 		qc = r.store.Query(q)
 	}
-	var fetched []*graph.Graph
-	var embBuf []float64
-	return route.RankerFunc(func(node int, neighbors []int, dCurrent float64) [][]int {
-		if dCurrent > r.Cfg.GammaStar || len(neighbors) <= 1 {
-			return route.SplitBatches(append([]int(nil), neighbors...), 100)
+	return &searchRanker{sc: r.bind(ws, qc, stats), store: store}
+}
+
+// searchRanker is one search's route.Ranker over M_rk.
+type searchRanker struct {
+	sc    scorer
+	store pg.GraphStore
+}
+
+// Batches implements route.Ranker.
+func (k *searchRanker) Batches(node int, neighbors []int, dCurrent float64) [][]int {
+	if len(neighbors) == 0 {
+		return nil
+	}
+	r, ws := k.sc.r, k.sc.ws
+	ranked := ws.Ints(len(neighbors))
+	copy(ranked, neighbors)
+	if dCurrent > r.Cfg.GammaStar || len(neighbors) == 1 {
+		return route.AppendBatches(ws.Batches(1), ranked, 100)
+	}
+	nodeEmb := r.nodeEmbeddingByID(k.store, node, &ws.Emb)
+	ws.Graphs = k.store.FetchGraphs(neighbors, ws.Graphs[:0])
+	scores := ws.Floats(len(neighbors))
+	for i, nb := range neighbors {
+		scores[i] = k.sc.score(nb, ws.Graphs[i], nodeEmb)
+	}
+	// Insertion sort, stable like the sort.SliceStable it replaces (and
+	// step for step the same below that one's 20-element block size);
+	// scores tie-break by id, so the order is total either way.
+	for i := 1; i < len(ranked); i++ {
+		for j := i; j > 0 && order.ByScoreThenID(scores[j], ranked[j], scores[j-1], ranked[j-1]); j-- {
+			scores[j], scores[j-1] = scores[j-1], scores[j]
+			ranked[j], ranked[j-1] = ranked[j-1], ranked[j]
 		}
-		type scored struct {
-			id    int
-			score float64
-		}
-		nodeEmb := r.nodeEmbeddingByID(store, node, &embBuf)
-		fetched = store.FetchGraphs(neighbors, fetched[:0])
-		ss := make([]scored, len(neighbors))
-		for i, nb := range neighbors {
-			ss[i] = scored{id: nb, score: r.scoreWithNodeEmbedding(qc, fetched[i], nodeEmb)}
-			if calls != nil {
-				*calls++
-			}
-		}
-		sort.SliceStable(ss, func(i, j int) bool {
-			return order.ByScoreThenID(ss[i].score, ss[i].id, ss[j].score, ss[j].id)
-		})
-		ranked := make([]int, len(ss))
-		for i, s := range ss {
-			ranked[i] = s.id
-		}
-		return route.SplitBatches(ranked, r.Cfg.BatchPercent)
-	})
+	}
+	ws.PopFloats(len(scores))
+	return route.AppendBatches(ws.Batches(r.Cfg.Heads()), ranked, r.Cfg.BatchPercent)
 }
 
 // RankExample is one M_rk training example: rank the neighbors of PG node
@@ -323,6 +381,7 @@ func (r *NeighborRanker) RankAccuracy(db graph.Database, table *DistanceTable, e
 		return 0
 	}
 	hit, total := 0, 0
+	ws := cg.NewWorkspace()
 	for _, ex := range examples {
 		q := table.Queries[ex.Qi]
 		n := len(ex.Neighbors)
@@ -334,9 +393,11 @@ func (r *NeighborRanker) RankAccuracy(db graph.Database, table *DistanceTable, e
 			j     int
 			score float64
 		}
+		sc := r.bind(ws, r.store.For(q), nil)
+		nodeEmb := r.nodeEmbedding(db[ex.Node])
 		ss := make([]scored, n)
 		for j, nb := range ex.Neighbors {
-			ss[j] = scored{j: j, score: r.Score(q, db[nb], db[ex.Node])}
+			ss[j] = scored{j: j, score: sc.score(nb, db[nb], nodeEmb)}
 		}
 		sort.SliceStable(ss, func(a, b int) bool { return ss[a].score > ss[b].score })
 		pred := make(map[int]bool, cut)

@@ -1,0 +1,236 @@
+package models
+
+import (
+	"math"
+	"sort"
+
+	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/cg"
+	"github.com/lansearch/lan/internal/mat"
+	"github.com/lansearch/lan/internal/nn"
+	"github.com/lansearch/lan/internal/order"
+	"github.com/lansearch/lan/internal/pg"
+	"github.com/lansearch/lan/internal/route"
+)
+
+// The inference path of M_rk and M_nh as it stood before the workspace:
+// the matrix-kernel cross network (the same oracle as
+// internal/cg/reference_test.go, repeated here because test files do not
+// cross packages), MLP heads on mat.MulInto, one head input per score and
+// a ranker that scores every neighbour from scratch on every call. The
+// identity tests pin the workspace path to it with ==, and
+// BenchmarkRankerCallReference is the "before" of BenchmarkRankerCall.
+
+func refCrossInfer(m *cg.CrossModel, cgG, cgQ *cg.Compressed) []float64 {
+	hg := refInferInput(cgG, m.Cfg.Vocab.Size())
+	hq := refInferInput(cgQ, m.Cfg.Vocab.Size())
+	for l := 1; l <= m.Cfg.Layers; l++ {
+		w := m.W[l-1].Data
+		a1 := m.A1[l-1].Data
+		a2 := m.A2[l-1].Data
+		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
+		szG, szQ := cgG.Levels[l-1].Size, cgQ.Levels[l-1].Size
+
+		kg1 := mat.Mul(hg, a1)
+		kg2 := mat.Mul(hg, a2)
+		kq1 := mat.Mul(hq, a1)
+		kq2 := mat.Mul(hq, a2)
+
+		muG := refInferAttention(kg1, kq2, hq, szQ)
+		muQ := refInferAttention(kq1, kg2, hg, szG)
+
+		hg = refInferLayer(hg, muG, lvG, w)
+		hq = refInferLayer(hq, muQ, lvQ, w)
+	}
+	outG := refWeightedMean(hg, cgG.Levels[m.Cfg.Layers].Size)
+	outQ := refWeightedMean(hq, cgQ.Levels[m.Cfg.Layers].Size)
+	return append(outG, outQ...)
+}
+
+func refInferInput(c *cg.Compressed, vocabSize int) *mat.Matrix {
+	lv := c.Levels[0]
+	h := mat.New(len(lv.Feature), vocabSize)
+	for i, f := range lv.Feature {
+		h.Set(i, f, 1)
+	}
+	return h
+}
+
+func refInferAttention(selfKey, otherKey *mat.Matrix, other *mat.Matrix, otherSize []float64) *mat.Matrix {
+	n := selfKey.Rows
+	mo := otherKey.Rows
+	mu := mat.New(n, other.Cols)
+	logw := make([]float64, mo)
+	for j, s := range otherSize {
+		logw[j] = math.Log(s)
+	}
+	scores := make([]float64, mo)
+	for i := 0; i < n; i++ {
+		base := selfKey.At(i, 0)
+		maxScore := math.Inf(-1)
+		for j := 0; j < mo; j++ {
+			scores[j] = base + otherKey.At(j, 0) + logw[j]
+			if scores[j] > maxScore {
+				maxScore = scores[j]
+			}
+		}
+		sum := 0.0
+		for j := range scores {
+			scores[j] = math.Exp(scores[j] - maxScore)
+			sum += scores[j]
+		}
+		murow := mu.Row(i)
+		for j := 0; j < mo; j++ {
+			alpha := scores[j] / sum
+			if alpha == 0 {
+				continue
+			}
+			orow := other.Row(j)
+			for k, v := range orow {
+				murow[k] += alpha * v
+			}
+		}
+	}
+	return mu
+}
+
+func refInferLayer(prev, mu *mat.Matrix, lv cg.Level, w *mat.Matrix) *mat.Matrix {
+	n := len(lv.In)
+	pre := mat.New(n, prev.Cols)
+	for i := 0; i < n; i++ {
+		row := pre.Row(i)
+		for _, e := range lv.In[i] {
+			src := prev.Row(e.Row)
+			for k, v := range src {
+				row[k] += e.W * v
+			}
+		}
+		murow := mu.Row(lv.Parent[i])
+		for k, v := range murow {
+			row[k] += v
+		}
+	}
+	out := mat.Mul(pre, w)
+	for i, v := range out.Data {
+		if v < 0 {
+			out.Data[i] = 0
+		}
+	}
+	return out
+}
+
+func refWeightedMean(h *mat.Matrix, sizes []float64) []float64 {
+	out := make([]float64, h.Cols)
+	total := 0.0
+	for i, s := range sizes {
+		total += s
+		row := h.Row(i)
+		for k, v := range row {
+			out[k] += s * v
+		}
+	}
+	for k := range out {
+		out[k] /= total
+	}
+	return out
+}
+
+// refMLPInfer runs an MLP on x (N x sizes[0]) with the matrix kernels and
+// pooled scratch for the hidden activations.
+func refMLPInfer(m *nn.MLP, x *mat.Matrix) *mat.Matrix {
+	cur := x
+	for i, l := range m.Layers {
+		var next *mat.Matrix
+		if i == len(m.Layers)-1 {
+			next = mat.New(cur.Rows, l.W.Data.Cols)
+		} else {
+			next = mat.GetScratch(cur.Rows, l.W.Data.Cols)
+		}
+		mat.MulInto(next, cur, l.W.Data)
+		bias := l.B.Data.Row(0)
+		for r := 0; r < next.Rows; r++ {
+			row := next.Row(r)
+			for j, b := range bias {
+				row[j] += b
+			}
+		}
+		if i < len(m.Layers)-1 {
+			for j, v := range next.Data {
+				if v < 0 {
+					next.Data[j] = 0
+				}
+			}
+		}
+		if cur != x {
+			mat.PutScratch(cur)
+		}
+		cur = next
+	}
+	return cur
+}
+
+func refHeadFeatureVec(cross []float64, dim int) []float64 {
+	out := make([]float64, 0, len(cross)+dim)
+	out = append(out, cross...)
+	for i := 0; i < dim; i++ {
+		d := cross[i] - cross[dim+i]
+		out = append(out, d*d)
+	}
+	return out
+}
+
+// refProbCG is M_nh's membership probability on the matrix kernels.
+func refProbCG(m *NeighborhoodModel, g *graph.Graph, qc *cg.Compressed) float64 {
+	cross := refCrossInfer(m.cross, m.store.For(g), qc)
+	feat := refHeadFeatureVec(cross, m.Cfg.Dim)
+	in := mat.GetScratch(1, len(feat))
+	copy(in.Data, feat)
+	logit := refMLPInfer(m.head, in)
+	mat.PutScratch(in)
+	return sigmoid(logit.At(0, 0))
+}
+
+// refScore is M_rk's neighbour score on the matrix kernels: the cross
+// network and every head's full forward, for every call.
+func refScore(r *NeighborRanker, qc *cg.Compressed, neighbor *graph.Graph, nodeEmb []float64) float64 {
+	cross := refCrossInfer(r.cross, r.store.For(neighbor), qc)
+	in := mat.GetScratch(1, len(cross)+len(nodeEmb))
+	copy(in.Data, cross)
+	copy(in.Data[len(cross):], nodeEmb)
+	s := 0.0
+	for _, h := range r.heads {
+		out := refMLPInfer(h, in)
+		s += sigmoid(out.At(0, 0))
+	}
+	mat.PutScratch(in)
+	return s
+}
+
+// refRanker is the router adapter without a memo or a workspace.
+func refRanker(r *NeighborRanker, store pg.GraphStore, qc *cg.Compressed) route.Ranker {
+	var fetched []*graph.Graph
+	var embBuf []float64
+	return route.RankerFunc(func(node int, neighbors []int, dCurrent float64) [][]int {
+		if dCurrent > r.Cfg.GammaStar || len(neighbors) <= 1 {
+			return route.SplitBatches(append([]int(nil), neighbors...), 100)
+		}
+		type scored struct {
+			id    int
+			score float64
+		}
+		nodeEmb := r.nodeEmbeddingByID(store, node, &embBuf)
+		fetched = store.FetchGraphs(neighbors, fetched[:0])
+		ss := make([]scored, len(neighbors))
+		for i, nb := range neighbors {
+			ss[i] = scored{id: nb, score: refScore(r, qc, fetched[i], nodeEmb)}
+		}
+		sort.SliceStable(ss, func(i, j int) bool {
+			return order.ByScoreThenID(ss[i].score, ss[i].id, ss[j].score, ss[j].id)
+		})
+		ranked := make([]int, len(ss))
+		for i, s := range ss {
+			ranked[i] = s.id
+		}
+		return route.SplitBatches(ranked, r.Cfg.BatchPercent)
+	})
+}

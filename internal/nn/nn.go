@@ -162,38 +162,59 @@ func (m *MLP) Apply(x *autograd.Value) *autograd.Value {
 	return x
 }
 
-// Infer runs the MLP on x (N x sizes[0]) without building an autograd
-// tape, using pooled scratch for the hidden activations. The arithmetic
-// (kernel, accumulation order, bias broadcast, ReLU) matches Apply
-// exactly, so Infer(x) equals Apply(Const(x)).Data bit for bit. x is not
-// modified; the returned matrix is freshly allocated and owned by the
-// caller.
-func (m *MLP) Infer(x *mat.Matrix) *mat.Matrix {
+// accumulate adds x*W to dst (len out): dst[j] += x[k]*W[k][j], one pass
+// over ascending k — from a zeroed dst, the float operations of mat.Mul on
+// a one-row operand in the same order, as a plain row loop instead of the
+// tiled kernel these few-dozen-wide operands gain nothing from.
+//
+//lan:hotpath
+func (l *Linear) accumulate(dst, x []float64) {
+	w, out := l.W.Data.Data, len(dst)
+	for k, a := range x {
+		for j, b := range w[k*out:][:out] {
+			dst[j] += a * b
+		}
+	}
+}
+
+// Width returns the widest layer output — the scratch Infer needs is
+// twice that.
+func (m *MLP) Width() int {
+	w := 0
+	for _, l := range m.Layers {
+		if c := l.W.Data.Cols; c > w {
+			w = c
+		}
+	}
+	return w
+}
+
+// Infer runs the MLP on one input row without building an autograd tape
+// and without allocating: activations ping-pong between the halves of
+// buf (at least 2*Width() floats), and the returned output row aliases
+// buf. The arithmetic (accumulation order, bias after the product, ReLU)
+// matches Apply exactly, so Infer(x) equals Apply(Const(x)).Data bit for
+// bit. x is not modified.
+//
+//lan:hotpath
+func (m *MLP) Infer(x, buf []float64) []float64 {
+	half := len(buf) / 2
 	cur := x
 	for i, l := range m.Layers {
-		var next *mat.Matrix
-		if i == len(m.Layers)-1 {
-			next = mat.New(cur.Rows, l.W.Data.Cols)
-		} else {
-			next = mat.GetScratch(cur.Rows, l.W.Data.Cols)
+		next := buf[(i%2)*half:][:l.W.Data.Cols]
+		for j := range next {
+			next[j] = 0
 		}
-		mat.MulInto(next, cur, l.W.Data)
-		bias := l.B.Data.Row(0)
-		for r := 0; r < next.Rows; r++ {
-			row := next.Row(r)
-			for j, b := range bias {
-				row[j] += b
-			}
+		l.accumulate(next, cur)
+		for j, b := range l.B.Data.Data {
+			next[j] += b
 		}
 		if i < len(m.Layers)-1 {
-			for j, v := range next.Data {
+			for j, v := range next {
 				if v < 0 {
-					next.Data[j] = 0
+					next[j] = 0
 				}
 			}
-		}
-		if cur != x {
-			mat.PutScratch(cur)
 		}
 		cur = next
 	}

@@ -145,13 +145,21 @@ func TestMLPInferMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := NewParams()
 	m := NewMLP(p, "mlp", []int{5, 8, 3, 1}, rng)
+	if m.Width() != 8 {
+		t.Fatalf("Width = %d; want 8", m.Width())
+	}
+	buf := make([]float64, 2*m.Width())
 	for trial := 0; trial < 10; trial++ {
-		x := mat.Randn(1+rng.Intn(4), 5, 1, rng)
+		x := mat.Randn(1, 5, 1, rng)
 		want := m.Apply(autograd.Const(x)).Data
-		got := m.Infer(x)
-		if mat.MaxAbsDiff(got, want) != 0 {
-			t.Fatalf("Infer not bit-identical to Apply (diff %g)", mat.MaxAbsDiff(got, want))
+		got := m.Infer(x.Data, buf)
+		if len(got) != 1 || got[0] != want.At(0, 0) {
+			t.Fatalf("Infer = %v; Apply = %v (must be bit-identical)", got, want.Data)
 		}
+	}
+	x := mat.Randn(1, 5, 1, rng).Data
+	if n := testing.AllocsPerRun(50, func() { m.Infer(x, buf) }); n != 0 {
+		t.Fatalf("Infer allocates %v objects per call", n)
 	}
 }
 

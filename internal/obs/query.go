@@ -28,6 +28,12 @@ type QueryMetrics struct {
 	// BatchesOpened and RankerCalls meter the learned ranker's work.
 	BatchesOpened *Counter
 	RankerCalls   *Counter
+	// RankerInferences and RankerMemoHits split M_rk's neighbour scores:
+	// cross-graph inferences run against scores served from the
+	// per-search memo; hits/(hits+inferences) is the share of scores that
+	// skipped the network.
+	RankerInferences *Counter
+	RankerMemoHits   *Counter
 	// DistCacheHits/Misses meter the per-query distance memo; the hit
 	// ratio is hits/(hits+misses).
 	DistCacheHits   *Counter
@@ -63,6 +69,10 @@ func Query() *QueryMetrics {
 				"Neighbor batches whose distances were computed during routing."),
 			RankerCalls: r.Counter("lan_route_ranker_calls_total",
 				"Per-node neighbor-ranking invocations during routing (learned or oracle)."),
+			RankerInferences: r.Counter("lan_ranker_inferences_total",
+				"Cross-graph inferences M_rk ran: one per distinct neighbor scored in a search."),
+			RankerMemoHits: r.Counter("lan_ranker_memo_hits_total",
+				"M_rk neighbor scores served from the per-search memo without running the cross-graph network."),
 			DistCacheHits: r.Counter("lan_distcache_hits_total",
 				"Per-query distance-memo lookups served without a GED call."),
 			DistCacheMisses: r.Counter("lan_distcache_misses_total",

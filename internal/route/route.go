@@ -76,26 +76,32 @@ func (o *OracleRanker) Batches(node int, neighbors []int, dCurrent float64) [][]
 // SplitBatches partitions an already-ranked neighbor list into batches of
 // percent% each (at least one neighbor per batch).
 func SplitBatches(ranked []int, percent int) [][]int {
+	return AppendBatches(nil, ranked, percent)
+}
+
+// AppendBatches is SplitBatches appending to dst: a caller that hands in
+// room for ceil(100/percent) batches gets its batch list without an
+// allocation.
+func AppendBatches(dst [][]int, ranked []int, percent int) [][]int {
 	if percent <= 0 || percent > 100 {
 		percent = 20
 	}
 	n := len(ranked)
 	if n == 0 {
-		return nil
+		return dst
 	}
 	size := (n*percent + 99) / 100
 	if size < 1 {
 		size = 1
 	}
-	var batches [][]int
 	for i := 0; i < n; i += size {
 		end := i + size
 		if end > n {
 			end = n
 		}
-		batches = append(batches, ranked[i:end])
+		dst = append(dst, ranked[i:end])
 	}
-	return batches
+	return dst
 }
 
 // Config holds np_route's parameters.

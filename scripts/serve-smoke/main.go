@@ -283,6 +283,8 @@ func checks(base string, q *graph.Graph) error {
 		"lan_route_gamma_steps_count",
 		"lan_distcache_hits_total",
 		"lan_ged_arena_reused_total",
+		"lan_ranker_inferences_total",
+		"lan_ranker_memo_hits_total",
 		"lan_process_goroutines",
 		"lan_process_uptime_seconds",
 		"lan_build_info{",
