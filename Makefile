@@ -47,7 +47,7 @@ race:
 # theirs — BenchmarkCrossInfer, BenchmarkRankerCall —, parallel vs
 # sequential PG build, pool resize, root package ablations) plus the end-to-end
 # lan-bench run, which writes a BENCH_<timestamp>.json summary with build
-# and query speedups and latency percentiles; see DESIGN.md "Performance
+# speedups and latency percentiles; see DESIGN.md "Performance
 # architecture".
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models .

@@ -8,6 +8,7 @@ package lan
 // are built once and shared.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -75,7 +76,7 @@ func benchSearch(b *testing.B, env *experiments.Env, is core.InitialStrategy, rt
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(env.Test)
-		res, stats := env.Engine.Search(env.Test[qi], core.SearchOptions{
+		res, stats, _ := env.Engine.Search(context.Background(), env.Test[qi], core.SearchOptions{
 			K: p.K, Beam: p.Beams[len(p.Beams)-1], Initial: is, Routing: rt,
 		})
 		recall += dataset.Recall(res, env.Truth[qi].Results)
@@ -115,7 +116,7 @@ func BenchmarkFig5L2route(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qi := i % len(env.Test)
 		cache := pg.NewDistCache(p.QueryMetric, env.DB, env.Test[qi])
-		res, stats := env.L2.Search(env.Test[qi], cache, p.K, 3*p.Beams[len(p.Beams)-1], 3*p.Beams[len(p.Beams)-1])
+		res, stats, _ := env.L2.Search(context.Background(), env.Test[qi], cache, p.K, 3*p.Beams[len(p.Beams)-1], 3*p.Beams[len(p.Beams)-1])
 		recall += dataset.Recall(res, env.Truth[qi].Results)
 		ndc += float64(stats.NDC)
 	}
@@ -207,7 +208,7 @@ func BenchmarkFig10WithoutCG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(env.Test)
-		eng.Search(env.Test[qi], core.SearchOptions{
+		eng.Search(context.Background(), env.Test[qi], core.SearchOptions{
 			K: p.K, Beam: p.Beams[len(p.Beams)-1], Initial: core.LANIS, Routing: core.LANRoute,
 		})
 	}
@@ -223,7 +224,7 @@ func BenchmarkFig11Breakdown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qi := i % len(env.Test)
-		_, stats := eng.Search(env.Test[qi], core.SearchOptions{
+		_, stats, _ := eng.Search(context.Background(), env.Test[qi], core.SearchOptions{
 			K: p.K, Beam: p.Beams[len(p.Beams)-1], Initial: core.LANIS, Routing: core.LANRoute,
 		})
 		model += stats.ModelTime.Seconds()
@@ -350,9 +351,9 @@ func benchOracleY(b *testing.B, y int) {
 		qi := i % len(env.Test)
 		q := env.Test[qi]
 		cache := pg.NewDistCache(p.QueryMetric, env.DB, q)
-		entry := env.Engine.Index.EntryPoint(cache)
+		entry := env.Engine.Index.EntryPoint(context.Background(), cache)
 		oracle := &route.OracleRanker{Cache: cache, BatchPercent: y, RankMetric: ged.MetricFunc(ged.Hungarian)}
-		_, stats := route.Route(env.Engine.Index.PG, cache, oracle, entry, route.Config{K: p.K, Beam: p.Beams[len(p.Beams)-1]})
+		_, stats, _ := route.Route(context.Background(), env.Engine.Index.PG, cache, oracle, entry, route.Config{K: p.K, Beam: p.Beams[len(p.Beams)-1]})
 		ndc += float64(stats.NDC)
 	}
 	b.ReportMetric(ndc/float64(b.N), "NDC/query")
@@ -372,9 +373,9 @@ func benchStepSize(b *testing.B, ds float64) {
 		qi := i % len(env.Test)
 		q := env.Test[qi]
 		cache := pg.NewDistCache(p.QueryMetric, env.DB, q)
-		entry := env.Engine.Index.EntryPoint(cache)
+		entry := env.Engine.Index.EntryPoint(context.Background(), cache)
 		oracle := &route.OracleRanker{Cache: cache, BatchPercent: 20, RankMetric: ged.MetricFunc(ged.Hungarian)}
-		_, stats := route.Route(env.Engine.Index.PG, cache, oracle, entry, route.Config{K: p.K, Beam: p.Beams[len(p.Beams)-1], StepSize: ds})
+		_, stats, _ := route.Route(context.Background(), env.Engine.Index.PG, cache, oracle, entry, route.Config{K: p.K, Beam: p.Beams[len(p.Beams)-1], StepSize: ds})
 		ndc += float64(stats.NDC)
 	}
 	b.ReportMetric(ndc/float64(b.N), "NDC/query")

@@ -61,7 +61,6 @@ func main() {
 	flag.IntVar(&p.Dim, "dim", p.Dim, "embedding dimension")
 	flag.IntVar(&p.TrainEpochs, "epochs", p.TrainEpochs, "training epochs")
 	flag.IntVar(&p.Workers, "workers", p.Workers, "index-build worker goroutines (0 = NumCPU; results are identical for every setting)")
-	flag.IntVar(&p.QueryWorkers, "query-workers", p.QueryWorkers, "query-path distance workers for the parallel benchmark leg (0 = NumCPU; results are identical for every setting)")
 	flag.Int64Var(&p.Seed, "seed", p.Seed, "seed")
 	flag.Parse()
 

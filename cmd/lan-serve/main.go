@@ -46,7 +46,6 @@ func main() {
 		dbPath    = flag.String("db", "", "database file (graph text format, or .json)")
 		idxPath   = flag.String("index", "", "trained index snapshot from lan-train")
 		workers   = flag.Int("workers", 0, "concurrent searches (default GOMAXPROCS)")
-		qWorkers  = flag.Int("query-workers", 1, "distance-evaluation goroutines per query (1 = sequential; raise only when -workers is below the core count — results are identical either way)")
 		queue     = flag.Int("queue", 64, "admission queue depth beyond -workers; overflow gets 429")
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request deadline ceiling")
 		cacheSz   = flag.Int("cache", 1024, "result-cache entries (negative disables)")
@@ -88,7 +87,7 @@ func main() {
 	// Workers also bounds the snapshot-load fan-out: snapshots without
 	// precomputed node embeddings recompute them across this many
 	// goroutines.
-	idx, err := lanio.OpenIndex(*idxPath, db, lan.Options{Workers: *workers, QueryWorkers: *qWorkers, Store: *storeTier})
+	idx, err := lanio.OpenIndex(*idxPath, db, lan.Options{Workers: *workers, Store: *storeTier})
 	if err != nil {
 		fatal(logger, "open index", "err", err.Error())
 	}

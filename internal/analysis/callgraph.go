@@ -23,7 +23,7 @@ const hotPathMarker = "//lan:hotpath"
 // FuncNode is one module function or method in the call graph. Function
 // literals do not get nodes of their own: their bodies — calls, panics,
 // context creations — are attributed to the enclosing declaration, which
-// matches how the invariants are stated ("BeamSearchPooled must not leak
+// matches how the invariants are stated ("ShardedIndex.SearchContext must not leak
 // goroutines" covers the closures it spawns).
 type FuncNode struct {
 	// Key is the stable cross-package identifier, "pkgpath.Name" for

@@ -6,7 +6,7 @@ import "go/types"
 // evaluations are the expensive, cancellable unit of work in this system
 // (a single exact GED can run for seconds), so the determinism-and-
 // cancellation contract says: any function that can transitively trigger a
-// distance evaluation or hand work to the query worker pool must be
+// distance evaluation or hand work to the distance worker pool must be
 // reachable by the caller's context.Context — either as a parameter or via
 // a context-carrying struct (the router pattern, where the per-query
 // struct holds ctx so that a dozen small methods do not each take it).
@@ -148,13 +148,12 @@ func runCtxProp(p *GlobalPass) {
 }
 
 // isCtxWrapper reports the convenience-wrapper idiom: the body directly
-// calls a context-taking sibling named <Name>Context or <Name>Pooled (the
-// repo's two-step convention: Search -> SearchContext -> SearchPooled),
-// which is where the real contextful implementation lives.
+// calls a context-taking sibling named <Name>Context (the public lan
+// package's Search -> SearchContext pairs), which is where the real
+// contextful implementation lives.
 func isCtxWrapper(n *FuncNode) bool {
 	for _, c := range n.Calls {
-		name := c.Callee.Name()
-		if name != n.Name()+"Context" && name != n.Name()+"Pooled" {
+		if c.Callee.Name() != n.Name()+"Context" {
 			continue
 		}
 		sig, ok := c.Callee.Type().(*types.Signature)

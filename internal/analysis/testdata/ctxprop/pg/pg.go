@@ -25,7 +25,7 @@ func (c *DistCache) Prefetch(ctx context.Context, ids []int) {
 	}
 }
 
-// WorkerPool mirrors the query worker pool; submit is a ctxprop sink.
+// WorkerPool mirrors the index-build worker pool; submit is a ctxprop sink.
 type WorkerPool struct{ ch chan func() }
 
 func (p *WorkerPool) submit(f func()) { p.ch <- f }

@@ -66,15 +66,6 @@ type Options struct {
 	// built index and embeddings are identical across worker counts.
 	Workers int
 
-	// QueryWorkers bounds the per-query pool that evaluates routing-stage
-	// GED calls concurrently: the HNSW-descent prefetch, the baseline
-	// beam's neighbor expansion and np_route's batch openings. 0 or 1 is
-	// sequential (the default — servers running many queries concurrently
-	// should keep it). Results, NDC and routing trajectories are
-	// bit-identical across every setting: distances are pure functions
-	// prefetched in parallel but merged in fixed candidate order.
-	QueryWorkers int
-
 	Seed int64
 }
 
@@ -352,31 +343,14 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	return e, nil
 }
 
-// Search answers one k-ANN query.
-func (e *Engine) Search(q *graph.Graph, so SearchOptions) ([]pg.Result, QueryStats) {
-	res, stats, _ := e.SearchContext(context.Background(), q, so)
-	return res, stats
-}
-
-// SearchContext is Search with cancellation: the context is threaded into
-// the routing stage, which checks it before every distance computation, so
-// an expired deadline or a canceled request stops the query within one GED
+// Search answers one k-ANN query. A query pays its distances one call
+// after another on the calling goroutine, and the context is checked
+// before each of them — in initial selection and in routing alike — so an
+// expired deadline or a canceled request stops the query within one GED
 // call. On cancellation it returns ctx.Err() with the statistics
 // accumulated so far (Total is still stamped, so the caller can meter
 // abandoned work).
-func (e *Engine) SearchContext(ctx context.Context, q *graph.Graph, so SearchOptions) ([]pg.Result, QueryStats, error) {
-	// The pool is strictly per query — created here, drained before
-	// returning — so an engine holds no goroutines between queries.
-	pool := pg.NewWorkerPool(e.Opts.QueryWorkers)
-	defer pool.Close()
-	return e.SearchPooled(ctx, q, so, pool)
-}
-
-// SearchPooled is SearchContext evaluating routing-stage distances through
-// the given worker pool (nil = sequential). Callers that run many searches
-// in one request — the sharded fan-out — share one bounded pool this way
-// instead of multiplying per-shard pools.
-func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOptions, pool *pg.WorkerPool) ([]pg.Result, QueryStats, error) {
+func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) ([]pg.Result, QueryStats, error) {
 	start := time.Now()
 	if so.K <= 0 {
 		so.K = 1
@@ -439,7 +413,7 @@ func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOpti
 		entry = sel.Select(ctx, graphs, q, cache)
 		distInModels = tm.Elapsed() - before
 	case HNSWIS:
-		entry = e.Index.EntryPointPooled(ctx, cache, pool)
+		entry = e.Index.EntryPoint(ctx, cache)
 		distInModels = tm.Elapsed()
 	case RandIS:
 		entry = pseudoRandomEntry(q, len(e.DB))
@@ -473,7 +447,7 @@ func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOpti
 	switch so.Routing {
 	case BaselineRoute:
 		var s pg.Stats
-		res, s, err = pg.BeamSearchPooled(ctx, e.Index.PG, cache, entry, so.K, so.Beam, pool)
+		res, s, err = pg.BeamSearch(ctx, e.Index.PG, cache, entry, so.K, so.Beam)
 		stats.Explored = s.Explored
 	case OracleRoute:
 		oracle := &route.OracleRanker{
@@ -483,7 +457,7 @@ func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOpti
 			RankMetric: e.Opts.BuildMetric,
 		}
 		var s route.Stats
-		res, s, err = route.RouteContext(ctx, e.Index.PG, cache, oracle, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize, Pool: pool})
+		res, s, err = route.Route(ctx, e.Index.PG, cache, oracle, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize})
 		fillRouteStats(&stats, s)
 	default: // LANRoute
 		// The route layer counts ranking invocations (route.Stats.
@@ -500,7 +474,7 @@ func (e *Engine) SearchPooled(ctx context.Context, q *graph.Graph, so SearchOpti
 			return b
 		})
 		var s route.Stats
-		res, s, err = route.RouteContext(ctx, e.Index.PG, cache, ranker, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize, Pool: pool})
+		res, s, err = route.Route(ctx, e.Index.PG, cache, ranker, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize})
 		fillRouteStats(&stats, s)
 		stats.RankerInferences, stats.RankerMemoHits = scored.Inferences, scored.MemoHits
 	}

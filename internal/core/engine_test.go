@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestSearchAllStrategiesReturnResults(t *testing.T) {
 	q := test[0]
 	for _, is := range []InitialStrategy{LANIS, HNSWIS, RandIS} {
 		for _, rt := range []RoutingStrategy{LANRoute, BaselineRoute, OracleRoute} {
-			res, stats := eng.Search(q, SearchOptions{K: 5, Beam: 12, Initial: is, Routing: rt})
+			res, stats, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12, Initial: is, Routing: rt})
 			if len(res) != 5 {
 				t.Fatalf("is=%d rt=%d: %d results", is, rt, len(res))
 			}
@@ -95,7 +96,7 @@ func TestSearchRecallAgainstBruteForce(t *testing.T) {
 	var recall float64
 	for _, q := range test {
 		truth := dataset.BruteForceKNN(db, q, eng.Opts.QueryMetric, 5)
-		res, _ := eng.Search(q, SearchOptions{K: 5, Beam: 20})
+		res, _, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 20})
 		recall += dataset.Recall(res, truth)
 	}
 	recall /= float64(len(test))
@@ -112,9 +113,9 @@ func TestRoutingNDCOrdering(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
 	var lanNDC, oracleNDC, baseNDC int
 	for _, q := range test {
-		_, s1 := eng.Search(q, SearchOptions{K: 5, Beam: 16, Initial: HNSWIS, Routing: LANRoute})
-		_, s2 := eng.Search(q, SearchOptions{K: 5, Beam: 16, Initial: HNSWIS, Routing: BaselineRoute})
-		_, s3 := eng.Search(q, SearchOptions{K: 5, Beam: 16, Initial: HNSWIS, Routing: OracleRoute})
+		_, s1, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 16, Initial: HNSWIS, Routing: LANRoute})
+		_, s2, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 16, Initial: HNSWIS, Routing: BaselineRoute})
+		_, s3, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 16, Initial: HNSWIS, Routing: OracleRoute})
 		lanNDC += s1.NDC
 		baseNDC += s2.NDC
 		oracleNDC += s3.NDC
@@ -135,8 +136,8 @@ func TestLANISBeatsRandIS(t *testing.T) {
 	var lanRecall, randRecall float64
 	for _, q := range test {
 		truth := dataset.BruteForceKNN(db, q, eng.Opts.QueryMetric, 5)
-		r1, _ := eng.Search(q, SearchOptions{K: 5, Beam: 16, Initial: LANIS, Routing: LANRoute})
-		r2, _ := eng.Search(q, SearchOptions{K: 5, Beam: 16, Initial: RandIS, Routing: LANRoute})
+		r1, _, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 16, Initial: LANIS, Routing: LANRoute})
+		r2, _, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 16, Initial: RandIS, Routing: LANRoute})
 		lanRecall += dataset.Recall(r1, truth)
 		randRecall += dataset.Recall(r2, truth)
 	}
@@ -148,7 +149,7 @@ func TestLANISBeatsRandIS(t *testing.T) {
 
 func TestModelTimeAccounting(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
-	_, stats := eng.Search(test[1], SearchOptions{K: 5, Beam: 12, Initial: LANIS, Routing: LANRoute})
+	_, stats, _ := eng.Search(context.Background(), test[1], SearchOptions{K: 5, Beam: 12, Initial: LANIS, Routing: LANRoute})
 	if stats.ModelTime <= 0 {
 		t.Fatalf("no model time recorded: %+v", stats)
 	}
@@ -166,8 +167,8 @@ func TestModelTimeAccounting(t *testing.T) {
 func TestSearchDeterministic(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
 	q := test[2]
-	r1, _ := eng.Search(q, SearchOptions{K: 5, Beam: 12})
-	r2, _ := eng.Search(q, SearchOptions{K: 5, Beam: 12})
+	r1, _, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12})
+	r2, _, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12})
 	if len(r1) != len(r2) {
 		t.Fatalf("different result counts")
 	}
@@ -226,8 +227,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Loaded engine must answer queries identically.
 	for _, q := range test[:3] {
-		want, _ := eng.Search(q, SearchOptions{K: 5, Beam: 12})
-		got, _ := loaded.Search(q, SearchOptions{K: 5, Beam: 12})
+		want, _, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12})
+		got, _, _ := loaded.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12})
 		if len(want) != len(got) {
 			t.Fatalf("result count differs")
 		}
@@ -269,8 +270,8 @@ func TestBasicISMatchesOptimizedQualityWithMorePredictions(t *testing.T) {
 	}
 	var optPreds, basicPreds int
 	for _, q := range test[:nq] {
-		_, s1 := eng.Search(q, SearchOptions{K: 5, Beam: 12, Initial: LANIS, Routing: LANRoute})
-		_, s2 := eng.Search(q, SearchOptions{K: 5, Beam: 12, Initial: LANISBasic, Routing: LANRoute})
+		_, s1, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12, Initial: LANIS, Routing: LANRoute})
+		_, s2, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12, Initial: LANISBasic, Routing: LANRoute})
 		optPreds += s1.ISPredictions
 		basicPreds += s2.ISPredictions
 	}
@@ -286,7 +287,7 @@ func TestBasicISMatchesOptimizedQualityWithMorePredictions(t *testing.T) {
 func TestConcurrentSearchesAreConsistent(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
 	q := test[0]
-	want, _ := eng.Search(q, SearchOptions{K: 5, Beam: 12})
+	want, _, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12})
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -294,7 +295,7 @@ func TestConcurrentSearchesAreConsistent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _ := eng.Search(q, SearchOptions{K: 5, Beam: 12})
+			got, _, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12})
 			if len(got) != len(want) {
 				errs <- "length mismatch"
 				return

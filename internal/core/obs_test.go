@@ -30,7 +30,7 @@ func TestSearchStatsConsistency(t *testing.T) {
 	q := test[0]
 	for _, is := range []InitialStrategy{HNSWIS, LANIS} {
 		for _, rt := range []RoutingStrategy{LANRoute, BaselineRoute, OracleRoute} {
-			_, stats := eng.Search(q, SearchOptions{K: 5, Beam: 12, Initial: is, Routing: rt})
+			_, stats, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12, Initial: is, Routing: rt})
 			name := is.String() + "/" + rt.String()
 
 			if stats.NDC <= 0 || stats.Total <= 0 {
@@ -90,10 +90,10 @@ func TestSearchStatsConsistency(t *testing.T) {
 
 // searchTraced runs one search with a fresh trace attached and returns
 // everything the bit-identity checks compare.
-func searchTraced(t *testing.T, eng *Engine, q *graph.Graph, so SearchOptions, pool *pg.WorkerPool) ([]pg.Result, QueryStats, *obs.Trace) {
+func searchTraced(t *testing.T, eng *Engine, q *graph.Graph, so SearchOptions) ([]pg.Result, QueryStats, *obs.Trace) {
 	t.Helper()
 	tr := obs.NewTrace("t")
-	res, stats, err := eng.SearchPooled(obs.With(context.Background(), tr), q, so, pool)
+	res, stats, err := eng.Search(obs.With(context.Background(), tr), q, so)
 	if err != nil {
 		t.Fatalf("traced search: %v", err)
 	}
@@ -101,49 +101,33 @@ func searchTraced(t *testing.T, eng *Engine, q *graph.Graph, so SearchOptions, p
 }
 
 // TestTracingBitIdentity pins the observability contract: attaching a
-// trace must not change results, NDC or the routing trajectory, for every
-// routing strategy and worker count; and the trajectory itself must be
-// identical across worker counts.
+// trace must not change results or NDC, for every routing strategy, and
+// the trace's totals must agree with the stats of the search it rode on.
 func TestTracingBitIdentity(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
 	q := test[0]
-	pool := pg.NewWorkerPool(3)
-	defer pool.Close()
 
 	for _, rt := range []RoutingStrategy{LANRoute, BaselineRoute, OracleRoute} {
 		so := SearchOptions{K: 3, Beam: 8, Initial: HNSWIS, Routing: rt}
-		wantRes, wantStats, err := eng.SearchPooled(context.Background(), q, so, nil)
+		wantRes, wantStats, err := eng.Search(context.Background(), q, so)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		var prevSteps []obs.TraceStep
-		var prevGammas []float64
-		for wi, p := range []*pg.WorkerPool{nil, pool} {
-			res, stats, tr := searchTraced(t, eng, q, so, p)
-			if !reflect.DeepEqual(res, wantRes) {
-				t.Errorf("rt=%s workers=%d: tracing changed results: %v vs %v", so.Routing.String(), wi, res, wantRes)
-			}
-			if stats.NDC != wantStats.NDC || stats.Explored != wantStats.Explored {
-				t.Errorf("rt=%s workers=%d: tracing changed cost: NDC %d/%d Explored %d/%d",
-					so.Routing.String(), wi, stats.NDC, wantStats.NDC, stats.Explored, wantStats.Explored)
-			}
-			if tr.NDC != stats.NDC || tr.Results != len(res) {
-				t.Errorf("rt=%s workers=%d: trace totals %d/%d disagree with stats %d/%d",
-					so.Routing.String(), wi, tr.NDC, tr.Results, stats.NDC, len(res))
-			}
-			if len(tr.Steps) == 0 {
-				t.Fatalf("rt=%s workers=%d: trace recorded no steps", so.Routing.String(), wi)
-			}
-			if wi > 0 {
-				if !reflect.DeepEqual(tr.Steps, prevSteps) {
-					t.Errorf("rt=%s: trajectory differs across worker counts:\n%v\nvs\n%v", so.Routing.String(), tr.Steps, prevSteps)
-				}
-				if !reflect.DeepEqual(tr.Gammas, prevGammas) {
-					t.Errorf("rt=%s: γ trajectory differs across worker counts: %v vs %v", so.Routing.String(), tr.Gammas, prevGammas)
-				}
-			}
-			prevSteps, prevGammas = tr.Steps, tr.Gammas
+		res, stats, tr := searchTraced(t, eng, q, so)
+		if !reflect.DeepEqual(res, wantRes) {
+			t.Errorf("rt=%s: tracing changed results: %v vs %v", so.Routing.String(), res, wantRes)
+		}
+		if stats.NDC != wantStats.NDC || stats.Explored != wantStats.Explored {
+			t.Errorf("rt=%s: tracing changed cost: NDC %d/%d Explored %d/%d",
+				so.Routing.String(), stats.NDC, wantStats.NDC, stats.Explored, wantStats.Explored)
+		}
+		if tr.NDC != stats.NDC || tr.Results != len(res) {
+			t.Errorf("rt=%s: trace totals %d/%d disagree with stats %d/%d",
+				so.Routing.String(), tr.NDC, tr.Results, stats.NDC, len(res))
+		}
+		if len(tr.Steps) == 0 {
+			t.Fatalf("rt=%s: trace recorded no steps", so.Routing.String())
 		}
 	}
 }
@@ -171,7 +155,7 @@ func TestGoldenTrace(t *testing.T) {
 
 	tr := obs.NewTrace("golden")
 	ctx := obs.With(context.Background(), tr)
-	if _, _, err := eng.SearchPooled(ctx, test[0], SearchOptions{K: 3, Beam: 8, Initial: LANIS, Routing: LANRoute}, nil); err != nil {
+	if _, _, err := eng.Search(ctx, test[0], SearchOptions{K: 3, Beam: 8, Initial: LANIS, Routing: LANRoute}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -215,14 +199,12 @@ func zeroSpanTimes(spans []*obs.Span) {
 }
 
 // TestConcurrentTracedQueriesNoBleed runs traced searches for distinct
-// queries concurrently over one shared worker pool and checks every trace
-// against a solo rerun of its query: identical step sequence, identical γ
+// queries concurrently and checks every trace against a solo rerun of its
+// query: identical step sequence, identical γ
 // trajectory, totals matching that query's own stats. Run under -race
 // this also proves the recording path is data-race free.
 func TestConcurrentTracedQueriesNoBleed(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
-	pool := pg.NewWorkerPool(4)
-	defer pool.Close()
 	so := SearchOptions{K: 3, Beam: 8, Initial: HNSWIS, Routing: LANRoute}
 
 	type run struct {
@@ -236,7 +218,7 @@ func TestConcurrentTracedQueriesNoBleed(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			tr := obs.NewTrace("q")
-			_, stats, err := eng.SearchPooled(obs.With(context.Background(), tr), test[i], so, pool)
+			_, stats, err := eng.Search(obs.With(context.Background(), tr), test[i], so)
 			if err == nil {
 				runs[i] = run{stats: stats, trace: tr}
 			}
@@ -252,7 +234,7 @@ func TestConcurrentTracedQueriesNoBleed(t *testing.T) {
 		if tr.NDC != runs[i].stats.NDC {
 			t.Errorf("query %d: trace NDC %d != stats NDC %d", i, tr.NDC, runs[i].stats.NDC)
 		}
-		_, _, solo := searchTraced(t, eng, test[i], so, nil)
+		_, _, solo := searchTraced(t, eng, test[i], so)
 		if !reflect.DeepEqual(tr.Steps, solo.Steps) {
 			t.Errorf("query %d: concurrent trace steps diverge from solo run (cross-query bleed?)", i)
 		}
@@ -274,7 +256,7 @@ func TestRecordQueryExportsRankerCounters(t *testing.T) {
 	inf, hits := m.RankerInferences.Value(), m.RankerMemoHits.Value()
 	var wantInf, wantHits uint64
 	for _, q := range test {
-		_, stats := eng.Search(q, SearchOptions{K: 5, Beam: 12, Initial: LANIS, Routing: LANRoute})
+		_, stats, _ := eng.Search(context.Background(), q, SearchOptions{K: 5, Beam: 12, Initial: LANIS, Routing: LANRoute})
 		wantInf += uint64(stats.RankerInferences)
 		wantHits += uint64(stats.RankerMemoHits)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/obs"
-	"github.com/lansearch/lan/internal/pg"
 )
 
 // saveV3 writes the fixture engine as a v3 snapshot and returns its path.
@@ -50,8 +49,7 @@ func comparableStats(s QueryStats) QueryStats {
 // full-precision snapshot answers every query bit-identically on the RAM
 // and mmap tiers — results (ids and exact distances), the whole NDC and
 // routing accounting, and the routing trajectory (entry node, explored
-// steps, γ trajectory) — at every worker count and under every
-// initial/routing strategy. Run under -race in CI, this doubles as the
+// steps, γ trajectory) — under every initial/routing strategy. Run under -race in CI, this doubles as the
 // concurrency-safety check of the mmap fetch path.
 func TestSnapshotV3MMapBitIdentity(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
@@ -66,7 +64,6 @@ func TestSnapshotV3MMapBitIdentity(t *testing.T) {
 		t.Fatal("ram engine still fetches from the snapshot store")
 	}
 
-	workerCounts := []int{1, 2, 4}
 	strategies := []struct {
 		is InitialStrategy
 		rt RoutingStrategy
@@ -79,46 +76,37 @@ func TestSnapshotV3MMapBitIdentity(t *testing.T) {
 		{LANISBasic, LANRoute},
 	}
 	if testing.Short() {
-		workerCounts = []int{1, 2}
 		strategies = strategies[:2]
 	}
 
-	for _, workers := range workerCounts {
-		pool := pg.NewWorkerPool(workers)
-		for _, st := range strategies {
-			so := SearchOptions{K: 5, Beam: 10, Initial: st.is, Routing: st.rt}
-			for qi, q := range test {
-				ramTrace, mmTrace := obs.NewTrace("ram"), obs.NewTrace("mmap")
-				ramRes, ramStats, err := ram.SearchPooled(obs.With(context.Background(), ramTrace), q, so, pool)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mmRes, mmStats, err := mm.SearchPooled(obs.With(context.Background(), mmTrace), q, so, pool)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tag := func() string {
-					return st.is.String() + "/" + st.rt.String()
-				}
-				if !reflect.DeepEqual(ramRes, mmRes) {
-					t.Fatalf("workers=%d %s query %d: results diverge\nram:  %v\nmmap: %v",
-						workers, tag(), qi, ramRes, mmRes)
-				}
-				if a, b := comparableStats(ramStats), comparableStats(mmStats); a != b {
-					t.Fatalf("workers=%d %s query %d: stats diverge\nram:  %+v\nmmap: %+v",
-						workers, tag(), qi, a, b)
-				}
-				if ramTrace.Entry != mmTrace.Entry ||
-					!reflect.DeepEqual(ramTrace.Steps, mmTrace.Steps) ||
-					!reflect.DeepEqual(ramTrace.Gammas, mmTrace.Gammas) {
-					t.Fatalf("workers=%d %s query %d: routing trajectories diverge\nram:  entry=%d steps=%v gammas=%v\nmmap: entry=%d steps=%v gammas=%v",
-						workers, tag(), qi,
-						ramTrace.Entry, ramTrace.Steps, ramTrace.Gammas,
-						mmTrace.Entry, mmTrace.Steps, mmTrace.Gammas)
-				}
+	for _, st := range strategies {
+		so := SearchOptions{K: 5, Beam: 10, Initial: st.is, Routing: st.rt}
+		for qi, q := range test {
+			ramTrace, mmTrace := obs.NewTrace("ram"), obs.NewTrace("mmap")
+			ramRes, ramStats, err := ram.Search(obs.With(context.Background(), ramTrace), q, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mmRes, mmStats, err := mm.Search(obs.With(context.Background(), mmTrace), q, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := st.is.String() + "/" + st.rt.String()
+			if !reflect.DeepEqual(ramRes, mmRes) {
+				t.Fatalf("%s query %d: results diverge\nram:  %v\nmmap: %v", tag, qi, ramRes, mmRes)
+			}
+			if a, b := comparableStats(ramStats), comparableStats(mmStats); a != b {
+				t.Fatalf("%s query %d: stats diverge\nram:  %+v\nmmap: %+v", tag, qi, a, b)
+			}
+			if ramTrace.Entry != mmTrace.Entry ||
+				!reflect.DeepEqual(ramTrace.Steps, mmTrace.Steps) ||
+				!reflect.DeepEqual(ramTrace.Gammas, mmTrace.Gammas) {
+				t.Fatalf("%s query %d: routing trajectories diverge\nram:  entry=%d steps=%v gammas=%v\nmmap: entry=%d steps=%v gammas=%v",
+					tag, qi,
+					ramTrace.Entry, ramTrace.Steps, ramTrace.Gammas,
+					mmTrace.Entry, mmTrace.Steps, mmTrace.Gammas)
 			}
 		}
-		pool.Close()
 	}
 }
 
@@ -129,8 +117,8 @@ func TestSnapshotV3RAMMatchesOriginal(t *testing.T) {
 	ram := openV3Tier(t, saveV3(t, eng, lanstore.QuantF64), false)
 	so := SearchOptions{K: 5, Beam: 10}
 	for qi, q := range test {
-		wantRes, wantStats := eng.Search(q, so)
-		gotRes, gotStats := ram.Search(q, so)
+		wantRes, wantStats, _ := eng.Search(context.Background(), q, so)
+		gotRes, gotStats, _ := ram.Search(context.Background(), q, so)
 		if !reflect.DeepEqual(wantRes, gotRes) {
 			t.Fatalf("query %d: results differ from the engine that wrote the snapshot", qi)
 		}
@@ -157,8 +145,8 @@ func TestSnapshotV3QuantizedDistancesExact(t *testing.T) {
 
 		var overlap, n float64
 		for qi, q := range test {
-			ramRes, ramStats := ram.Search(q, so)
-			mmRes, mmStats := mm.Search(q, so)
+			ramRes, ramStats, _ := ram.Search(context.Background(), q, so)
+			mmRes, mmStats, _ := mm.Search(context.Background(), q, so)
 			if !reflect.DeepEqual(ramRes, mmRes) || comparableStats(ramStats) != comparableStats(mmStats) {
 				t.Fatalf("%s query %d: tiers diverge at the same quantization", quant, qi)
 			}
@@ -168,7 +156,7 @@ func TestSnapshotV3QuantizedDistancesExact(t *testing.T) {
 						quant, qi, r.ID, r.Dist, exact)
 				}
 			}
-			f64Res, _ := f64Ram.Search(q, so)
+			f64Res, _, _ := f64Ram.Search(context.Background(), q, so)
 			ids := make(map[int]bool, len(ramRes))
 			for _, r := range ramRes {
 				ids[r.ID] = true

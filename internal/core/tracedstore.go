@@ -13,7 +13,7 @@ import (
 // FetchGraphs is intercepted: the per-id Graph accessor sits on the
 // per-distance hot path and passes through to the embedded store, so a
 // traced query pays one span per candidate batch, not one per distance.
-// Installed by SearchPooled only when the context carries a trace; the
+// Installed by Search only when the context carries a trace; the
 // disabled path keeps the store's direct calls.
 type tracedStore struct {
 	pg.GraphStore

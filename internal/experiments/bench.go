@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -59,29 +58,6 @@ type BuildPoint struct {
 	Speedup           float64 `json:"speedup"`
 	// Identical reports whether the parallel build produced exactly the
 	// sequential index (adjacency, upper layers, levels and entry point).
-	Identical bool `json:"identical"`
-}
-
-// QueryPoint is one dataset's query-path speedup measurement: the same
-// test workload answered twice — distances evaluated sequentially, then
-// through the per-query worker pool — with a bit-identity check over
-// every query's results, NDC and exploration count.
-type QueryPoint struct {
-	Dataset         string  `json:"dataset"`
-	Graphs          int     `json:"graphs"`
-	Queries         int     `json:"queries"`
-	Beam            int     `json:"beam"`
-	QueryWorkers    int     `json:"query_workers"`
-	SequentialP50us float64 `json:"sequential_p50_us"`
-	SequentialP99us float64 `json:"sequential_p99_us"`
-	SequentialQPS   float64 `json:"sequential_qps"`
-	ParallelP50us   float64 `json:"parallel_p50_us"`
-	ParallelP99us   float64 `json:"parallel_p99_us"`
-	ParallelQPS     float64 `json:"parallel_qps"`
-	Speedup         float64 `json:"speedup"`
-	// Identical reports whether the parallel run reproduced the
-	// sequential run exactly: per-query answer lists, NDC and explored
-	// node counts.
 	Identical bool `json:"identical"`
 }
 
@@ -163,9 +139,9 @@ type RoutingMetrics struct {
 }
 
 // BenchReport is the full JSON document: the protocol knobs that shaped
-// the run plus one point per (dataset, beam), one build-speedup point and
-// one query-speedup point per dataset. GeneratedAt is stamped by the
-// caller (lan-bench) at write time.
+// the run plus one point per (dataset, beam) and one build-speedup point
+// per dataset. GeneratedAt is stamped by the caller (lan-bench) at write
+// time.
 type BenchReport struct {
 	GeneratedAt string  `json:"generated_at,omitempty"`
 	Scale       float64 `json:"scale"`
@@ -180,7 +156,6 @@ type BenchReport struct {
 	Store        string        `json:"store,omitempty"`
 	Points       []BenchPoint  `json:"points"`
 	Builds       []BuildPoint  `json:"builds"`
-	QueryPoints  []QueryPoint  `json:"query_points"`
 	MutatePoints []MutatePoint `json:"mutate_points"`
 	// StorePoints carries the storage-tier scalability sweep (-exp scal)
 	// when it ran in the same process: per (size, quantization) cell,
@@ -244,11 +219,6 @@ func Bench(p Protocol, cache *EnvCache) (*BenchReport, error) {
 			rep.Points = append(rep.Points, benchPoint(env, beam))
 		}
 		rep.Builds = append(rep.Builds, buildPoint(env))
-		if len(p.Beams) > 0 {
-			// The widest beam is where routing evaluates the most
-			// distances per step, i.e. where the pool has work to share.
-			rep.QueryPoints = append(rep.QueryPoints, queryPoint(env, p.Beams[len(p.Beams)-1]))
-		}
 		mp, err := mutatePoint(env)
 		if err != nil {
 			return nil, err
@@ -314,8 +284,8 @@ func mutatePoint(env *Env) (MutatePoint, error) {
 	snap := x.Snapshot()
 	var batch, incr float64
 	for i, q := range env.Test {
-		bres, _ := env.Engine.Search(q, so)
-		ires, _ := snap.Engine.Search(q, so)
+		bres, _ := search(env.Engine, nil, q, so)
+		ires, _ := search(snap.Engine, nil, q, so)
 		batch += dataset.Recall(bres, env.Truth[i].Results)
 		incr += dataset.Recall(ires, env.Truth[i].Results)
 	}
@@ -361,32 +331,26 @@ func tracePoint(env *Env, beam int) (TracePoint, error) {
 	}
 	// Warm up once (see benchPoint) so one-time setup skews neither leg.
 	if len(env.Test) > 0 {
-		env.Engine.Search(env.Test[0], so)
+		search(env.Engine, nil, env.Test[0], so)
 	}
 
-	run := func(traced bool, exp *obs.Exporter) ([]outcome, []float64, error) {
+	run := func(traced bool, exp *obs.Exporter) ([]outcome, []float64) {
 		outs := make([]outcome, len(env.Test))
 		lat := make([]float64, len(env.Test)) // microseconds
 		for i, q := range env.Test {
-			//lint:allow ctxprop bench harness entry point; experiment queries run to completion by design
-			ctx := context.Background()
 			var t *obs.Trace
 			if traced {
 				t = obs.NewTrace(fmt.Sprintf("%s-%d", env.Spec.Name, i))
-				ctx = obs.With(ctx, t)
 			}
 			start := time.Now()
-			res, stats, err := env.Engine.SearchPooled(ctx, q, so, nil)
+			res, stats := search(env.Engine, t, q, so)
 			lat[i] = float64(time.Since(start).Microseconds())
-			if err != nil {
-				return nil, nil, fmt.Errorf("experiments: %s trace leg: %w", env.Spec.Name, err)
-			}
 			if exp != nil {
 				exp.Submit(t)
 			}
 			outs[i] = outcome{res: res, ndc: stats.NDC}
 		}
-		return outs, lat, nil
+		return outs, lat
 	}
 
 	// Per-query distance work is deterministic, so the run-to-run spread at
@@ -424,11 +388,7 @@ func tracePoint(env *Env, beam int) (TracePoint, error) {
 				e = exp // export once; later reps only measure
 			}
 			runtime.GC()
-			out, lat, err := run(traced, e)
-			if err != nil {
-				exp.Close()
-				return TracePoint{}, err
-			}
+			out, lat := run(traced, e)
 			if ref == nil {
 				ref = out
 			} else if !reflect.DeepEqual(out, ref) {
@@ -487,11 +447,7 @@ func TraceSamples(p Protocol, cache *EnvCache, w io.Writer) error {
 			continue
 		}
 		t := obs.NewTrace(spec.Name)
-		ctx := obs.With(context.Background(), t) //lint:allow ctxprop bench harness entry point; experiment queries run to completion by design
-		so := core.SearchOptions{K: p.K, Beam: p.Beams[len(p.Beams)-1], Initial: core.LANIS, Routing: core.LANRoute}
-		if _, _, err := env.Engine.SearchPooled(ctx, env.Test[0], so, nil); err != nil {
-			return err
-		}
+		search(env.Engine, t, env.Test[0], core.SearchOptions{K: p.K, Beam: p.Beams[len(p.Beams)-1], Initial: core.LANIS, Routing: core.LANRoute})
 		data, err := t.JSON()
 		if err != nil {
 			return err
@@ -507,14 +463,6 @@ func TraceSamples(p Protocol, cache *EnvCache, w io.Writer) error {
 func (p Protocol) workers() int {
 	if p.Workers > 0 {
 		return p.Workers
-	}
-	return runtime.NumCPU()
-}
-
-// queryWorkers resolves the protocol's effective query-path worker count.
-func (p Protocol) queryWorkers() int {
-	if p.QueryWorkers > 0 {
-		return p.QueryWorkers
 	}
 	return runtime.NumCPU()
 }
@@ -555,80 +503,15 @@ func buildPoint(env *Env) BuildPoint {
 	return bp
 }
 
-// queryPoint answers the dataset's test workload twice — routing-stage
-// distances evaluated sequentially, then through a shared worker pool —
-// and reports both latency profiles plus a bit-identity comparison of
-// every query's answers, NDC and exploration count.
-func queryPoint(env *Env, beam int) QueryPoint {
-	p := env.Protocol
-	so := core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute}
-	// Floor the parallel leg at two workers: on a single-core machine the
-	// protocol default resolves to 1, which would compare the sequential
-	// path against itself and verify nothing about the pool.
-	workers := maxInt(p.queryWorkers(), 2)
-	pool := pg.NewWorkerPool(workers)
-	defer pool.Close()
-
-	type outcome struct {
-		res      []pg.Result
-		ndc      int
-		explored int
-	}
-	run := func(pool *pg.WorkerPool) ([]outcome, []float64, float64) {
-		if len(env.Test) > 0 { // warm up one-time setup (see benchPoint)
-			//lint:allow ctxprop bench harness entry point; warm-up query runs to completion by design
-			env.Engine.SearchPooled(context.Background(), env.Test[0], so, pool)
-		}
-		outs := make([]outcome, len(env.Test))
-		lat := make([]float64, len(env.Test)) // microseconds
-		var total float64
-		for i, q := range env.Test {
-			start := time.Now()
-			//lint:allow ctxprop bench harness entry point; timed queries run to completion by design
-			res, stats, _ := env.Engine.SearchPooled(context.Background(), q, so, pool)
-			elapsed := time.Since(start)
-			lat[i] = float64(elapsed.Microseconds())
-			total += elapsed.Seconds()
-			outs[i] = outcome{res: res, ndc: stats.NDC, explored: stats.Explored}
-		}
-		return outs, lat, total
-	}
-
-	seqOut, seqLat, seqTotal := run(nil)
-	parOut, parLat, parTotal := run(pool)
-
-	qp := QueryPoint{
-		Dataset: env.Spec.Name, Graphs: len(env.DB), Queries: len(env.Test),
-		Beam: beam, QueryWorkers: workers,
-		SequentialP50us: percentile(seqLat, 0.5),
-		SequentialP99us: percentile(seqLat, 0.99),
-		ParallelP50us:   percentile(parLat, 0.5),
-		ParallelP99us:   percentile(parLat, 0.99),
-		Identical:       reflect.DeepEqual(seqOut, parOut),
-	}
-	n := float64(len(env.Test))
-	if seqTotal > 0 {
-		qp.SequentialQPS = n / seqTotal
-	}
-	if parTotal > 0 {
-		qp.ParallelQPS = n / parTotal
-	}
-	if parTotal > 0 && seqTotal > 0 {
-		qp.Speedup = seqTotal / parTotal
-	}
-	return qp
-}
-
 func benchPoint(env *Env, beam int) BenchPoint {
 	p := env.Protocol
 	// Warm up before the timed loop: the first search pays one-time setup
 	// (scratch-pool population, lazily built compressed GNN-graphs for the
 	// query side) that would otherwise land in the first latency sample
 	// and skew the percentiles of small workloads.
+	so := core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute}
 	if len(env.Test) > 0 {
-		env.Engine.Search(env.Test[0], core.SearchOptions{
-			K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute,
-		})
+		search(env.Engine, nil, env.Test[0], so)
 	}
 	latencies := make([]float64, len(env.Test)) // microseconds
 	ndcs := make([]float64, len(env.Test))
@@ -637,9 +520,7 @@ func benchPoint(env *Env, beam int) BenchPoint {
 	var pruned int
 	for i, q := range env.Test {
 		start := time.Now()
-		res, stats := env.Engine.Search(q, core.SearchOptions{
-			K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute,
-		})
+		res, stats := search(env.Engine, nil, q, so)
 		elapsed := time.Since(start)
 		latencies[i] = float64(elapsed.Microseconds())
 		ndcs[i] = float64(stats.NDC)

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"github.com/lansearch/lan/internal/l2route"
 	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/models"
+	"github.com/lansearch/lan/internal/obs"
 	"github.com/lansearch/lan/internal/pg"
 )
 
@@ -54,11 +56,6 @@ type Protocol struct {
 	// The built index is bit-identical for every setting, so benchmark
 	// numbers stay comparable across worker counts.
 	Workers int
-	// QueryWorkers bounds the per-query distance-evaluation pool used by
-	// the parallel query-path benchmark leg (0 means runtime.NumCPU).
-	// Search results, NDC and routing trajectories are bit-identical for
-	// every setting; only wall time changes.
-	QueryWorkers int
 	// Seed drives everything.
 	Seed int64
 	// Datasets, when non-empty, restricts Specs() to the named datasets
@@ -212,7 +209,7 @@ func (e *Env) reopenMMap() error {
 	p := e.Protocol
 	eng, _, store, err := core.OpenSnapshotV3(path, core.Options{
 		BuildMetric: p.buildMetric(), QueryMetric: p.QueryMetric,
-		Workers: p.Workers, QueryWorkers: p.QueryWorkers,
+		Workers: p.Workers,
 	}, true)
 	if err != nil {
 		return err
@@ -253,10 +250,20 @@ func (e *Env) measure(method string, beam int, search func(q *graph.Graph) ([]pg
 	}
 }
 
+// search answers one harness query on eng, recording into t when it is
+// non-nil. Experiment queries run to completion, so there is no caller
+// context to forward, and cancellation is the only error Engine.Search
+// returns — hence none here.
+func search(eng *core.Engine, t *obs.Trace, q *graph.Graph, so core.SearchOptions) ([]pg.Result, core.QueryStats) {
+	//lint:allow ctxprop bench harness entry point; experiment queries run to completion by design
+	res, stats, _ := eng.Search(obs.With(context.Background(), t), q, so)
+	return res, stats
+}
+
 // searchWith adapts an Engine strategy pair into a measure callback.
 func (e *Env) searchWith(is core.InitialStrategy, rt core.RoutingStrategy, beam int) func(q *graph.Graph) ([]pg.Result, core.QueryStats) {
 	return func(q *graph.Graph) ([]pg.Result, core.QueryStats) {
-		return e.Engine.Search(q, core.SearchOptions{K: e.Protocol.K, Beam: beam, Initial: is, Routing: rt})
+		return search(e.Engine, nil, q, core.SearchOptions{K: e.Protocol.K, Beam: beam, Initial: is, Routing: rt})
 	}
 }
 

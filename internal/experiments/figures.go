@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -40,7 +41,10 @@ func Fig5(e *Env) []Point {
 		pts = append(pts, e.measure("L2route", beam, func(q *graph.Graph) ([]pg.Result, core.QueryStats) {
 			start := time.Now()
 			cache := pg.NewDistCache(e.Protocol.QueryMetric, e.DB, q)
-			res, s := e.L2.Search(q, cache, e.Protocol.K, verify, verify)
+			// As in search: no caller context, and cancellation is the
+			// only error.
+			//lint:allow ctxprop bench harness entry point; experiment queries run to completion by design
+			res, s, _ := e.L2.Search(context.Background(), q, cache, e.Protocol.K, verify, verify)
 			return res, core.QueryStats{NDC: s.NDC, Explored: s.Explored, Total: time.Since(start)}
 		}))
 	}
@@ -160,7 +164,7 @@ func Fig10(env *Env) ([]Point, error) {
 	for _, beam := range p.Beams {
 		beam := beam
 		pts = append(pts, env.measure("LAN-noCG", beam, func(q *graph.Graph) ([]pg.Result, core.QueryStats) {
-			return rawEng.Search(q, core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute})
+			return search(rawEng, nil, q, core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute})
 		}))
 	}
 	return pts, nil
@@ -195,7 +199,7 @@ func Fig11(p Protocol, spec dataset.Spec) (Fig11Row, error) {
 	var model, dist, total time.Duration
 	beam := p.Beams[len(p.Beams)/2]
 	for _, q := range test {
-		_, s := eng.Search(q, core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute})
+		_, s := search(eng, nil, q, core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute})
 		model += s.ModelTime
 		dist += s.DistTime
 		total += s.Total

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -215,7 +214,7 @@ func storeLeg(p Protocol, path string, mmap bool, queries []*graph.Graph, beam i
 	openStart := time.Now()
 	eng, _, store, err := core.OpenSnapshotV3(path, core.Options{
 		BuildMetric: p.buildMetric(), QueryMetric: p.QueryMetric,
-		Workers: p.Workers, QueryWorkers: p.QueryWorkers,
+		Workers: p.Workers,
 	}, mmap)
 	if err != nil {
 		return nil, err
@@ -226,11 +225,7 @@ func storeLeg(p Protocol, path string, mmap bool, queries []*graph.Graph, beam i
 	outs := make([]storeOutcome, len(queries))
 	start := time.Now()
 	for i, q := range queries {
-		//lint:allow ctxprop bench harness entry point; sweep queries run to completion by design
-		res, stats, err := eng.SearchPooled(context.Background(), q, so, nil)
-		if err != nil {
-			return nil, err
-		}
+		res, stats := search(eng, nil, q, so)
 		outs[i] = storeOutcome{res: res, ndc: stats.NDC, explored: stats.Explored}
 	}
 	if elapsed := time.Since(start).Seconds(); elapsed > 0 {

@@ -198,27 +198,12 @@ func (x *Index) connectComponents() {
 
 // Search answers a k-ANN query: beam search in embedding space (free — no
 // GED), then verify the top `verify` vector candidates with true GEDs
-// charged to cache, returning the best k by GED.
-func (x *Index) Search(q *graph.Graph, cache *pg.DistCache, k, beam, verify int) ([]pg.Result, pg.Stats) {
-	res, stats, _ := x.SearchContext(context.Background(), q, cache, k, beam, verify)
-	return res, stats
-}
-
-// SearchContext is Search with cancellation: the vector-space beam search
-// checks the context per explored node and the GED verification stage —
-// where the wall time actually goes — checks it before every distance
-// computation, so an expired deadline stops the query within one GED call.
-func (x *Index) SearchContext(ctx context.Context, q *graph.Graph, cache *pg.DistCache, k, beam, verify int) ([]pg.Result, pg.Stats, error) {
-	return x.SearchPooled(ctx, q, cache, k, beam, verify, nil)
-}
-
-// SearchPooled is SearchContext with the GED verification stage's
-// distances prefetched through pool. Every one of the verify candidates is
-// evaluated unconditionally, so the verified set, its order and the NDC
-// are identical to the sequential run for any pool (see
-// pg.DistCache.Prefetch). With a non-nil pool, cancellation is checked
-// once before the verification batch rather than per distance.
-func (x *Index) SearchPooled(ctx context.Context, q *graph.Graph, cache *pg.DistCache, k, beam, verify int, pool *pg.WorkerPool) ([]pg.Result, pg.Stats, error) {
+// charged to cache, returning the best k by GED. The vector-space beam
+// search checks the context per explored node and the GED verification
+// stage — where the wall time actually goes — checks it before every
+// distance computation, so an expired deadline stops the query within one
+// GED call.
+func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache, k, beam, verify int) ([]pg.Result, pg.Stats, error) {
 	if verify < k {
 		verify = k
 	}
@@ -269,16 +254,6 @@ func (x *Index) SearchPooled(ctx context.Context, q *graph.Graph, cache *pg.Dist
 	ndcBefore := cache.NDC()
 	if verify > len(results) {
 		verify = len(results)
-	}
-	if pool != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, pg.Stats{NDC: cache.NDC(), Explored: len(visited)}, err
-		}
-		ids := make([]int, verify)
-		for i, c := range results[:verify] {
-			ids[i] = c.id
-		}
-		cache.Prefetch(ids, pool)
 	}
 	verified := make([]pg.Result, 0, verify)
 	for _, c := range results[:verify] {

@@ -1,6 +1,7 @@
 package l2route
 
 import (
+	"context"
 	"testing"
 
 	"github.com/lansearch/lan/ged"
@@ -95,12 +96,12 @@ func TestSearchEndToEndRecall(t *testing.T) {
 		truth := dataset.BruteForceKNN(db, q, metric, 5)
 
 		c1 := pg.NewDistCache(metric, db, q)
-		got1, s1 := idx.Search(q, c1, 5, 10, 10)
+		got1, s1, _ := idx.Search(context.Background(), q, c1, 5, 10, 10)
 		rSmall += dataset.Recall(got1, truth)
 		ndcSmall += float64(s1.NDC)
 
 		c2 := pg.NewDistCache(metric, db, q)
-		got2, s2 := idx.Search(q, c2, 5, 80, 80)
+		got2, s2, _ := idx.Search(context.Background(), q, c2, 5, 80, 80)
 		rLarge += dataset.Recall(got2, truth)
 		ndcLarge += float64(s2.NDC)
 	}
@@ -124,7 +125,7 @@ func TestSearchResultsSortedByGED(t *testing.T) {
 	idx := BuildIndex(db, enc, 4)
 	q := dataset.Workload(db, dataset.AIDS(0.001), 1, 9)[0]
 	c := pg.NewDistCache(metric, db, q)
-	res, _ := idx.Search(q, c, 5, 20, 15)
+	res, _, _ := idx.Search(context.Background(), q, c, 5, 20, 15)
 	for i := 1; i < len(res); i++ {
 		if res[i-1].Dist > res[i].Dist {
 			t.Fatalf("unsorted results: %v", res)

@@ -201,7 +201,7 @@ func TestNeighborRankerRankerAdapter(t *testing.T) {
 	}
 	// The adapter must work inside np_route end to end.
 	cache := pg.NewDistCache(f.metric, f.db, f.queries[0])
-	res, stats := route.Route(f.index.PG, cache, rk, 0, route.Config{K: 3, Beam: 8})
+	res, stats, _ := route.Route(context.Background(), f.index.PG, cache, rk, 0, route.Config{K: 3, Beam: 8})
 	if len(res) == 0 || stats.NDC == 0 {
 		t.Fatalf("np_route with learned ranker returned nothing: %v %+v", res, stats)
 	}

@@ -1,6 +1,7 @@
 package mutable
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -105,7 +106,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	q := test[0]
 
 	pinned := x.Snapshot()
-	wantRes, wantStats := pinned.Engine.Search(q, core.SearchOptions{K: 3, Beam: 10})
+	wantRes, wantStats, _ := pinned.Engine.Search(context.Background(), q, core.SearchOptions{K: 3, Beam: 10})
 
 	// Land a burst of writes and let the optimizer rewire.
 	for _, g := range test {
@@ -125,7 +126,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if pinned.Epoch != 0 || pinned.Live != len(db) || len(pinned.Engine.DB) != len(db) {
 		t.Fatalf("pinned snapshot drifted: epoch %d, live %d, db %d", pinned.Epoch, pinned.Live, len(pinned.Engine.DB))
 	}
-	gotRes, gotStats := pinned.Engine.Search(q, core.SearchOptions{K: 3, Beam: 10})
+	gotRes, gotStats, _ := pinned.Engine.Search(context.Background(), q, core.SearchOptions{K: 3, Beam: 10})
 	if len(gotRes) != len(wantRes) {
 		t.Fatalf("pinned search changed arity: %d vs %d", len(gotRes), len(wantRes))
 	}
@@ -143,7 +144,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if cur.Epoch == 0 || cur.Live != len(db)+len(test)-3 {
 		t.Fatalf("current snapshot: epoch %d, live %d", cur.Epoch, cur.Live)
 	}
-	res, _ := cur.Engine.Search(q, core.SearchOptions{K: 5, Beam: 12})
+	res, _, _ := cur.Engine.Search(context.Background(), q, core.SearchOptions{K: 5, Beam: 12})
 	for _, r := range res {
 		if r.ID < 3 {
 			t.Fatalf("deleted graph %d surfaced in results: %+v", r.ID, res)
@@ -248,7 +249,7 @@ func TestCloseIdempotentAndRejectsWrites(t *testing.T) {
 	if snap == nil || snap.Live == 0 {
 		t.Fatal("closed index lost its read view")
 	}
-	if res, _ := snap.Engine.Search(test[0], core.SearchOptions{K: 3, Beam: 10}); len(res) == 0 {
+	if res, _, _ := snap.Engine.Search(context.Background(), test[0], core.SearchOptions{K: 3, Beam: 10}); len(res) == 0 {
 		t.Fatal("closed index stopped answering reads")
 	}
 }

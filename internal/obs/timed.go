@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sync/atomic"
 	"time"
 
 	"github.com/lansearch/lan/ged"
@@ -9,13 +8,12 @@ import (
 )
 
 // TimedMetric wraps a ged.Metric and accumulates wall time spent in
-// Distance. The counter is atomic because a query-worker pool calls
-// Distance from several goroutines at once (pg.DistCache.Prefetch);
-// Prefetch's merge barrier ensures every worker's contribution lands
-// before the search reads the total.
+// Distance. One TimedMetric serves one search, which pays its distances
+// one call after another on its own goroutine; it is not safe for
+// concurrent use.
 type TimedMetric struct {
 	M       ged.Metric
-	elapsed atomic.Int64 // nanoseconds
+	elapsed time.Duration
 }
 
 // NewTimedMetric wraps m.
@@ -25,11 +23,9 @@ func NewTimedMetric(m ged.Metric) *TimedMetric { return &TimedMetric{M: m} }
 func (t *TimedMetric) Distance(a, b *graph.Graph) float64 {
 	start := time.Now()
 	d := t.M.Distance(a, b)
-	t.elapsed.Add(int64(time.Since(start)))
+	t.elapsed += time.Since(start)
 	return d
 }
 
 // Elapsed returns the accumulated Distance wall time.
-func (t *TimedMetric) Elapsed() time.Duration {
-	return time.Duration(t.elapsed.Load())
-}
+func (t *TimedMetric) Elapsed() time.Duration { return t.elapsed }

@@ -304,11 +304,12 @@ func (h *HNSW) layerNeighbors(l int) func(int) []int {
 }
 
 // greedyStep runs greedy search to the local optimum on layer l from ep.
-// Each step's neighbor distances are prefetched through pool (the build
-// pool during construction, a per-query pool at search time). A cancelled
-// ctx stops the descent at the current node: the result is still a valid
-// entry point (just a worse one), and the caller's own ctx check decides
-// whether the search proceeds.
+// Index construction hands in its pool and has each step's neighbor
+// distances prefetched through it; a query passes nil and pays them one
+// at a time, checking ctx before each, so no GED call starts after a
+// cancel. A cancelled ctx stops the descent at the current node: the
+// result is still a valid entry point (just a worse one), and the
+// caller's own ctx check decides whether the search proceeds.
 func (h *HNSW) greedyStep(ctx context.Context, l, ep int, c *DistCache, pool *WorkerPool) int {
 	neighbors := h.layerNeighbors(l)
 	for {
@@ -318,8 +319,13 @@ func (h *HNSW) greedyStep(ctx context.Context, l, ep int, c *DistCache, pool *Wo
 		best := ep
 		bd := c.Dist(ep)
 		ns := neighbors(ep)
-		c.Prefetch(ns, pool)
+		if pool != nil {
+			c.Prefetch(ns, pool)
+		}
 		for _, nb := range ns {
+			if ctx.Err() != nil {
+				return ep
+			}
 			if d := c.Dist(nb); d < bd {
 				best, bd = nb, d
 			}
@@ -419,21 +425,14 @@ func (h *HNSW) shrink(u int, ns []int, cap int) (kept, dropped []int) {
 
 // EntryPoint implements HNSW's initial node selection (HNSW_IS): greedy
 // descent from the top layer down to layer 1, charging its distance
-// computations to c. The returned node seeds the layer-0 routing.
-func (h *HNSW) EntryPoint(c *DistCache) int {
-	return h.EntryPointPooled(context.Background(), c, nil)
-}
-
-// EntryPointPooled is EntryPoint with cancellation and with each descent
-// step's neighbor distances prefetched through pool. The descent — and
-// the charged NDC — is identical to the sequential EntryPoint for any
-// pool (see DistCache.Prefetch). On cancellation the descent stops early
-// and the current node is returned; the caller's ctx check decides what
-// happens next.
-func (h *HNSW) EntryPointPooled(ctx context.Context, c *DistCache, pool *WorkerPool) int {
+// computations to c. The returned node seeds the layer-0 routing. The
+// context is checked before every distance computation; on cancellation
+// the descent stops within one GED call and the current node is returned —
+// the caller's ctx check decides what happens next.
+func (h *HNSW) EntryPoint(ctx context.Context, c *DistCache) int {
 	ep := h.Entry
 	for l := h.Level[h.Entry]; l >= 1; l-- {
-		ep = h.greedyStep(ctx, l, ep, c, pool)
+		ep = h.greedyStep(ctx, l, ep, c, nil)
 	}
 	return ep
 }

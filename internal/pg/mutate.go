@@ -25,9 +25,6 @@ type Mutator struct {
 	// EfConstruction is the candidate-beam width for incremental inserts
 	// (same role as BuildConfig.EfConstruction).
 	EfConstruction int
-	// Pool, when non-nil, fans candidate-beam distance prefetches out
-	// (DistCache.Prefetch); edits are bit-identical for any pool.
-	Pool *WorkerPool
 }
 
 // NewMutator prepares h for incremental mutation. Indexes restored by
@@ -95,14 +92,14 @@ func (mu *Mutator) Insert(id, level int) {
 	ep := h.Entry
 	top := h.Level[h.Entry]
 	for l := top; l > level; l-- {
-		ep = h.greedyStep(context.Background(), l, ep, c, mu.Pool) //lint:allow ctxprop write application is atomic by design; cancelling mid-edit would leave a half-wired vertex
+		ep = h.greedyStep(context.Background(), l, ep, c, nil) //lint:allow ctxprop write application is atomic by design; cancelling mid-edit would leave a half-wired vertex
 	}
 	start := level
 	if start > top {
 		start = top
 	}
 	for l := start; l >= 0; l-- {
-		results := searchLayer(c, h.layerNeighbors(l), ep, mu.EfConstruction, mu.Pool)
+		results := searchLayer(c, h.layerNeighbors(l), ep, mu.EfConstruction, nil)
 		for _, r := range h.selectNeighbors(c, results, h.maxDegree(l)) {
 			mu.connect(l, id, r.ID)
 		}
@@ -148,7 +145,6 @@ func (mu *Mutator) Reselect(u int) int {
 		}
 	}
 	c := NewDistCache(h.buildMetric, h.PG.DB, h.PG.DB[u])
-	c.Prefetch(candIDs, mu.Pool)
 	cands := make([]Candidate, len(candIDs))
 	for i, v := range candIDs {
 		cands[i] = Candidate{ID: v, Dist: c.Dist(v)}

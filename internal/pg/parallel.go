@@ -3,9 +3,10 @@ package pg
 import "sync"
 
 // WorkerPool is a fixed set of goroutines that evaluate closures for the
-// duration of one index build or one query. Spawning goroutines per
-// candidate batch would churn the scheduler at every insertion or batch
-// opening; the pool amortizes that over the whole unit of work.
+// duration of one index build. Spawning goroutines per candidate batch
+// would churn the scheduler at every insertion; the pool amortizes that
+// over the whole build. Queries do not use one: they pay their distances
+// one call after another (DESIGN.md, "Performance architecture").
 //
 // A nil *WorkerPool is valid everywhere one is accepted and means
 // "evaluate sequentially on the calling goroutine".

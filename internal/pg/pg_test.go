@@ -1,6 +1,7 @@
 package pg
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -130,8 +131,8 @@ func TestBeamSearchFindsPlantedNeighbors(t *testing.T) {
 	for i := 0; i < queries; i++ {
 		q := gen.Mutate(db[(i*10)%len(db)], 1, labels)
 		c := NewDistCache(metric, db, q)
-		entry := h.EntryPoint(c)
-		got, stats := BeamSearch(h.PG, c, entry, 10, 40)
+		entry := h.EntryPoint(context.Background(), c)
+		got, stats, _ := BeamSearch(context.Background(), h.PG, c, entry, 10, 40)
 		if len(got) != 10 {
 			t.Fatalf("query %d: %d results", i, len(got))
 		}
@@ -155,9 +156,9 @@ func TestBeamSearchLargerBeamHigherRecallOrEqualNDC(t *testing.T) {
 	q := gen.Mutate(db[3], 2, labels)
 
 	c1 := NewDistCache(metric, db, q)
-	_, s1 := BeamSearch(h.PG, c1, 0, 5, 2)
+	_, s1, _ := BeamSearch(context.Background(), h.PG, c1, 0, 5, 2)
 	c2 := NewDistCache(metric, db, q)
-	_, s2 := BeamSearch(h.PG, c2, 0, 5, 30)
+	_, s2, _ := BeamSearch(context.Background(), h.PG, c2, 0, 5, 30)
 	if s2.NDC < s1.NDC {
 		t.Fatalf("wider beam used fewer NDC: %d < %d", s2.NDC, s1.NDC)
 	}
@@ -168,7 +169,7 @@ func TestBeamSearchResultsSortedAndUnique(t *testing.T) {
 	h := buildTestIndex(t, db)
 	q := graph.NewGenerator(9).MoleculeLike(10, 1, []string{"C", "N"}, 0.3)
 	c := NewDistCache(ged.MetricFunc(ged.Hungarian), db, q)
-	got, _ := BeamSearch(h.PG, c, 0, 8, 16)
+	got, _, _ := BeamSearch(context.Background(), h.PG, c, 0, 8, 16)
 	seen := make(map[int]bool)
 	for i, r := range got {
 		if seen[r.ID] {
@@ -283,7 +284,7 @@ func TestEntryPointDescendsToNearbyNode(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q := gen.Mutate(db[rng.Intn(len(db))], 2, labels)
 		c := NewDistCache(metric, db, q)
-		ep := h.EntryPoint(c)
+		ep := h.EntryPoint(context.Background(), c)
 		entrySum += c.Dist(ep)
 		randSum += c.Dist(rng.Intn(len(db)))
 	}

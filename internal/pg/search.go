@@ -254,27 +254,11 @@ func (p *Pool) TopKAlive(k int, dead []bool) []Result {
 // graph. It starts at entry, explores the unexplored pool node closest to
 // the query, computes distances for all its PG neighbors, and keeps the
 // best b candidates, stopping when every pool member is explored. It
-// returns the k best along with search statistics.
-func BeamSearch(p *PG, c *DistCache, entry, k, b int) ([]Result, Stats) {
-	res, stats, _ := BeamSearchContext(context.Background(), p, c, entry, k, b)
-	return res, stats
-}
-
-// BeamSearchContext is BeamSearch with cancellation: the context is checked
-// between distance computations (the expensive unit of work), so an expired
-// deadline stops the routing within one GED call. On cancellation it returns
-// ctx.Err() along with the statistics accumulated so far.
-func BeamSearchContext(ctx context.Context, p *PG, c *DistCache, entry, k, b int) ([]Result, Stats, error) {
-	return BeamSearchPooled(ctx, p, c, entry, k, b, nil)
-}
-
-// BeamSearchPooled is BeamSearchContext with each expansion's neighbor
-// distances prefetched through pool. All of an expanded node's neighbors
-// are needed before the pool resize, so there is no early exit to preserve:
-// the routing trajectory, results and NDC are identical to the sequential
-// run for any pool (see DistCache.Prefetch). With a non-nil pool,
-// cancellation is checked per expansion rather than per distance.
-func BeamSearchPooled(ctx context.Context, p *PG, c *DistCache, entry, k, b int, pool *WorkerPool) ([]Result, Stats, error) {
+// returns the k best along with search statistics. The context is checked
+// before every distance computation (the expensive unit of work), so an
+// expired deadline stops the routing within one GED call; on cancellation
+// it returns ctx.Err() along with the statistics accumulated so far.
+func BeamSearch(ctx context.Context, p *PG, c *DistCache, entry, k, b int) ([]Result, Stats, error) {
 	trace := obs.From(ctx)
 	w := NewPool()
 	w.TrackAlive(k, p.Dead)
@@ -291,18 +275,11 @@ func BeamSearchPooled(ctx context.Context, p *PG, c *DistCache, entry, k, b int,
 		}
 		ns := p.Neighbors(cur.ID)
 		ndcBefore := c.NDC()
-		if pool != nil {
-			c.Prefetch(ns, pool)
-			for _, nb := range ns {
-				w.Add(nb, c.Dist(nb))
+		for _, nb := range ns {
+			if err := ctx.Err(); err != nil {
+				return nil, Stats{NDC: c.NDC(), Explored: explored}, err
 			}
-		} else {
-			for _, nb := range ns {
-				if err := ctx.Err(); err != nil {
-					return nil, Stats{NDC: c.NDC(), Explored: explored}, err
-				}
-				w.Add(nb, c.Dist(nb))
-			}
+			w.Add(nb, c.Dist(nb))
 		}
 		w.MarkExplored(cur.ID)
 		explored++

@@ -113,13 +113,6 @@ type Config struct {
 	// StepSize is d_s, the threshold increment between supersteps
 	// (default 1 — GED is integral under unit costs).
 	StepSize float64
-	// Pool, when non-nil, evaluates each opened batch's distances
-	// concurrently. Algorithm 3 computes every distance of a batch before
-	// the gamma check, so prefetching a whole batch leaves the routing
-	// trajectory, results and NDC bit-identical to the sequential run (see
-	// pg.DistCache.Prefetch). With a pool, cancellation is checked per
-	// batch rather than per distance.
-	Pool *pg.WorkerPool
 }
 
 func (c *Config) defaults() {
@@ -222,16 +215,8 @@ func (r *router) farthestOpened(s *nodeState) (float64, bool) {
 
 // openBatch computes distances for batch j of s and adds its members to W.
 // It returns true when the batch contains a member with d >= gamma (the
-// caller must stop opening) or the query is canceled. Every member's
-// distance is needed regardless of where the threshold is hit, so the
-// batch is prefetched as a whole when a pool is configured.
+// caller must stop opening) or the query is canceled.
 func (r *router) openBatch(s *nodeState, j int, gamma float64) bool {
-	if r.cfg.Pool != nil {
-		if r.canceled() {
-			return true
-		}
-		r.cache.Prefetch(s.batches[j], r.cfg.Pool)
-	}
 	hitThreshold := false
 	for _, id := range s.batches[j] {
 		if r.canceled() {
@@ -319,17 +304,11 @@ func (r *router) markExplored(id int, gamma float64) {
 }
 
 // Route runs np_route (Algorithm 2) from the given entry node and returns
-// the k-ANNs with routing statistics.
-func Route(p *pg.PG, cache *pg.DistCache, ranker Ranker, entry int, cfg Config) ([]pg.Result, Stats) {
-	res, stats, _ := RouteContext(context.Background(), p, cache, ranker, entry, cfg)
-	return res, stats
-}
-
-// RouteContext is Route with cancellation: the context is checked before
-// every distance computation, so an expired deadline stops the routing
-// within one GED call. On cancellation it returns ctx.Err() along with the
+// the k-ANNs with routing statistics. The context is checked before every
+// distance computation, so an expired deadline stops the routing within
+// one GED call; on cancellation it returns ctx.Err() along with the
 // statistics accumulated so far.
-func RouteContext(ctx context.Context, p *pg.PG, cache *pg.DistCache, ranker Ranker, entry int, cfg Config) ([]pg.Result, Stats, error) {
+func Route(ctx context.Context, p *pg.PG, cache *pg.DistCache, ranker Ranker, entry int, cfg Config) ([]pg.Result, Stats, error) {
 	cfg.defaults()
 	r := &router{
 		ctx: ctx, pg: p, cache: cache, ranker: ranker, cfg: cfg,
@@ -361,7 +340,9 @@ func RouteContext(ctx context.Context, p *pg.PG, cache *pg.DistCache, ranker Ran
 			r.allQualiNeigh(id, gamma)
 		}
 		r.w.Resize(cfg.Beam)
-		if r.w.AllExplored() || r.canceled() {
+		// canceled first: a cancel that lands inside the query's last
+		// distance computation must still end the search with ctx.Err().
+		if r.canceled() || r.w.AllExplored() {
 			break
 		}
 		for {

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"github.com/lansearch/lan/ged"
@@ -83,11 +85,11 @@ func TestTheorem1OracleEquivalence(t *testing.T) {
 				entry := (qi * 7) % len(db)
 
 				cBase := pg.NewDistCache(metric, db, q)
-				wantRes, wantStats := pg.BeamSearch(h.PG, cBase, entry, cfg.k, cfg.b)
+				wantRes, wantStats, _ := pg.BeamSearch(context.Background(), h.PG, cBase, entry, cfg.k, cfg.b)
 
 				cNp := pg.NewDistCache(metric, db, q)
 				oracle := &OracleRanker{Cache: cNp, BatchPercent: 20}
-				gotRes, gotStats := Route(h.PG, cNp, oracle, entry, Config{K: cfg.k, Beam: cfg.b})
+				gotRes, gotStats, _ := Route(context.Background(), h.PG, cNp, oracle, entry, Config{K: cfg.k, Beam: cfg.b})
 
 				if !resultsNoWorse(gotRes, wantRes) {
 					t.Fatalf("seed %d query %d k=%d b=%d: np results worse than baseline\n np: %v\n bs: %v",
@@ -128,9 +130,9 @@ func TestNpRouteSavesNDCOnAverage(t *testing.T) {
 		q := gen.Mutate(db[(qi*11)%len(db)], 1, labels)
 		entry := (qi * 5) % len(db)
 		cb := pg.NewDistCache(metric, db, q)
-		_, sb := pg.BeamSearch(h.PG, cb, entry, 5, 12)
+		_, sb, _ := pg.BeamSearch(context.Background(), h.PG, cb, entry, 5, 12)
 		cn := pg.NewDistCache(metric, db, q)
-		_, sn := Route(h.PG, cn, &OracleRanker{Cache: cn, BatchPercent: 20}, entry, Config{K: 5, Beam: 12})
+		_, sn, _ := Route(context.Background(), h.PG, cn, &OracleRanker{Cache: cn, BatchPercent: 20}, entry, Config{K: 5, Beam: 12})
 		baseNDC += sb.NDC
 		npNDC += sn.NDC
 	}
@@ -210,7 +212,7 @@ func TestRouteSingleNodeDB(t *testing.T) {
 	p := &pg.PG{DB: db, Adj: [][]int{nil}}
 	q := graph.NewGenerator(2).MoleculeLike(5, 0, []string{"A", "B"}, 0.3)
 	c := pg.NewDistCache(ged.MetricFunc(ged.VJ), db, q)
-	res, stats := Route(p, c, &OracleRanker{Cache: c}, 0, Config{K: 3, Beam: 4})
+	res, stats, _ := Route(context.Background(), p, c, &OracleRanker{Cache: c}, 0, Config{K: 3, Beam: 4})
 	if len(res) != 1 || res[0].ID != 0 {
 		t.Fatalf("res = %v", res)
 	}
@@ -238,7 +240,7 @@ func TestRouteStatsPopulated(t *testing.T) {
 	h := buildIndex(t, db, 9)
 	q := graph.NewGenerator(11).Mutate(db[4], 2, []string{"C", "N", "O", "S"})
 	c := pg.NewDistCache(metric, db, q)
-	_, stats := Route(h.PG, c, &OracleRanker{Cache: c, BatchPercent: 20}, 0, Config{K: 5, Beam: 10})
+	_, stats, _ := Route(context.Background(), h.PG, c, &OracleRanker{Cache: c, BatchPercent: 20}, 0, Config{K: 5, Beam: 10})
 	if stats.NDC <= 0 || stats.Explored <= 0 || stats.RankerCalls <= 0 || stats.BatchesOpened <= 0 {
 		t.Fatalf("stats not populated: %+v", stats)
 	}
@@ -260,15 +262,70 @@ func TestFullExplorationRankerMatchesBaselineExactly(t *testing.T) {
 		entry := qi % len(db)
 
 		cb := pg.NewDistCache(metric, db, q)
-		wantRes, _ := pg.BeamSearch(h.PG, cb, entry, 5, 10)
+		wantRes, _, _ := pg.BeamSearch(context.Background(), h.PG, cb, entry, 5, 10)
 
 		cn := pg.NewDistCache(metric, db, q)
 		all := RankerFunc(func(node int, neighbors []int, d float64) [][]int {
 			return SplitBatches(append([]int(nil), neighbors...), 100)
 		})
-		gotRes, _ := Route(h.PG, cn, all, entry, Config{K: 5, Beam: 10})
+		gotRes, _, _ := Route(context.Background(), h.PG, cn, all, entry, Config{K: 5, Beam: 10})
 		if !sameResults(gotRes, wantRes) {
 			t.Fatalf("query %d: 100%%-batch np_route != baseline\n np: %v\n bs: %v", qi, gotRes, wantRes)
+		}
+	}
+}
+
+// cancelInside is a metric that cancels a context from inside its n-th
+// distance computation (n = 0: never) and counts the ones begun.
+type cancelInside struct {
+	ged.Metric
+	calls, n int
+	cancel   context.CancelFunc
+}
+
+func (m *cancelInside) Distance(a, b *graph.Graph) float64 {
+	m.calls++
+	if m.calls == m.n {
+		m.cancel()
+	}
+	return m.Metric.Distance(a, b)
+}
+
+// TestRouteCancelInsideEveryDistance: wherever in np_route a cancel
+// lands — the entry distance, a stage-1 batch, a stage-2 re-qualification
+// sweep, the very last computation of the query — Route returns ctx.Err()
+// without starting another distance computation.
+func TestRouteCancelInsideEveryDistance(t *testing.T) {
+	plain := ged.MetricFunc(ged.Hungarian)
+	db := clusteredDB(3, 6, 8)
+	h := buildIndex(t, db, 3)
+	gen := graph.NewGenerator(103)
+	labels := []string{"C", "N", "O", "S"}
+	for qi := 0; qi < 8; qi++ {
+		q := gen.Mutate(db[(qi*13)%len(db)], 1+qi%3, labels)
+		run := func(n int) (int, error) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			m := &cancelInside{Metric: plain, n: n, cancel: cancel}
+			c := pg.NewDistCache(m, db, q)
+			// The oracle ranks with the plain metric, so m sees exactly
+			// the distances the router pays for.
+			oracle := &OracleRanker{Cache: c, BatchPercent: 20, RankMetric: plain}
+			_, _, err := Route(ctx, h.PG, c, oracle, (qi*7)%len(db), Config{K: 3, Beam: 6})
+			return m.calls, err
+		}
+		ndc, err := run(0)
+		if err != nil || ndc == 0 {
+			t.Fatalf("query %d: uncancelled route: %d calls, err %v", qi, ndc, err)
+		}
+		for i := 1; i <= ndc; i++ {
+			calls, err := run(i)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("query %d: cancel inside call %d/%d: err = %v; want context.Canceled", qi, i, ndc, err)
+			}
+			if calls != i {
+				t.Errorf("query %d: cancel inside call %d/%d: %d more distance computations started", qi, i, ndc, calls-i)
+			}
 		}
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/mutable"
 	"github.com/lansearch/lan/internal/obs"
-	"github.com/lansearch/lan/internal/pg"
 )
 
 // Storage tiers for opening a binary snapshot (Options.Store).
@@ -120,12 +119,13 @@ type Options struct {
 	// out across this many goroutines (default runtime.NumCPU; 1 forces
 	// sequential). The built index is bit-identical for every setting.
 	Workers int
-	// QueryWorkers bounds the per-query pool that evaluates routing-stage
-	// GED calls concurrently (neighbor expansions, np_route batch
-	// openings, HNSW descent). Default 0 (sequential) — the right setting
-	// for servers that already run many queries in parallel; raise it to
-	// cut single-query latency on idle multi-core machines. Results, NDC
-	// and routing trajectories are bit-identical for every setting.
+	// QueryWorkers sized a per-query pool that evaluated routing-stage
+	// GED calls concurrently; the pool measured 0.91–1.06× and was removed
+	// (DESIGN.md, "Performance architecture"), and a query now pays its
+	// distances one call after another. The field stays so that composite
+	// literals naming it keep compiling.
+	//
+	// Deprecated: ignored.
 	QueryWorkers int
 	// Seed makes builds reproducible.
 	Seed int64
@@ -263,11 +263,10 @@ func Build(db graph.Database, trainQueries []*graph.Graph, o Options) (*Index, e
 		UseCG:    !o.DisableCG,
 		GammaKNN: o.GammaKNN, GammaQuantile: o.GammaQuantile,
 		Clusters: o.Clusters, TopClusters: o.TopClusters, Samples: o.Samples,
-		Train:        trainOptions(o),
-		StepSize:     o.StepSize,
-		Workers:      o.Workers,
-		QueryWorkers: o.QueryWorkers,
-		Seed:         o.Seed,
+		Train:    trainOptions(o),
+		StepSize: o.StepSize,
+		Workers:  o.Workers,
+		Seed:     o.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -290,20 +289,11 @@ func (x *Index) Search(q *graph.Graph, so SearchOptions) ([]Result, Stats, error
 // query within one distance call and returns ctx.Err(). The returned
 // Stats meter the work done up to the cancellation point.
 func (x *Index) SearchContext(ctx context.Context, q *graph.Graph, so SearchOptions) ([]Result, Stats, error) {
-	pool := pg.NewWorkerPool(x.engine().Opts.QueryWorkers)
-	defer pool.Close()
-	return x.searchPooled(ctx, q, so, pool)
-}
-
-// searchPooled runs one search evaluating routing-stage distances through
-// the given worker pool (nil = sequential). The sharded fan-out uses it to
-// share a single bounded pool across all shard searches of one query.
-func (x *Index) searchPooled(ctx context.Context, q *graph.Graph, so SearchOptions, pool *pg.WorkerPool) ([]Result, Stats, error) {
-	return snapshotSearch(ctx, x.mut.Snapshot(), q, so, pool)
+	return snapshotSearch(ctx, x.mut.Snapshot(), q, so)
 }
 
 // snapshotSearch answers one query against a pinned snapshot.
-func snapshotSearch(ctx context.Context, snap *mutable.Snapshot, q *graph.Graph, so SearchOptions, pool *pg.WorkerPool) ([]Result, Stats, error) {
+func snapshotSearch(ctx context.Context, snap *mutable.Snapshot, q *graph.Graph, so SearchOptions) ([]Result, Stats, error) {
 	if q == nil || so.K <= 0 {
 		return nil, Stats{}, fmt.Errorf("lan: need a query graph and K > 0")
 	}
@@ -312,9 +302,9 @@ func snapshotSearch(ctx context.Context, snap *mutable.Snapshot, q *graph.Graph,
 	if snap.Live == 0 {
 		return nil, Stats{}, nil
 	}
-	res, stats, err := snap.Engine.SearchPooled(ctx, q, core.SearchOptions{
+	res, stats, err := snap.Engine.Search(ctx, q, core.SearchOptions{
 		K: so.K, Beam: so.Beam, Initial: so.Initial, Routing: so.Routing,
-	}, pool)
+	})
 	if err != nil {
 		return nil, stats, err
 	}
@@ -377,7 +367,7 @@ func ReadIndex(db graph.Database, r io.Reader, o Options) (*Index, error) {
 func Load(db graph.Database, r io.Reader, o Options) (*Index, error) {
 	eng, st, version, err := core.LoadWithState(db, r, core.Options{
 		BuildMetric: o.BuildMetric, QueryMetric: o.QueryMetric,
-		Workers: o.Workers, QueryWorkers: o.QueryWorkers,
+		Workers: o.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -454,7 +444,7 @@ func OpenSnapshot(path string, o Options) (*Index, error) {
 	}
 	eng, st, store, err := core.OpenSnapshotV3(path, core.Options{
 		BuildMetric: o.BuildMetric, QueryMetric: o.QueryMetric,
-		Workers: o.Workers, QueryWorkers: o.QueryWorkers,
+		Workers: o.Workers,
 	}, mmap)
 	if err != nil {
 		return nil, err
@@ -591,9 +581,7 @@ func (s *IndexSnapshot) Search(q *graph.Graph, so SearchOptions) ([]Result, Stat
 
 // SearchContext is Search with cancellation, against the pinned state.
 func (s *IndexSnapshot) SearchContext(ctx context.Context, q *graph.Graph, so SearchOptions) ([]Result, Stats, error) {
-	pool := pg.NewWorkerPool(s.snap.Engine.Opts.QueryWorkers)
-	defer pool.Close()
-	return snapshotSearch(ctx, s.snap, q, so, pool)
+	return snapshotSearch(ctx, s.snap, q, so)
 }
 
 func trainOptions(o Options) (t models.TrainOptions) {

@@ -522,9 +522,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		res   []lan.Result
 		stats lan.Stats
 	)
-	// pprof labels attribute CPU samples of this goroutine (and the
-	// query's worker-pool goroutines inheriting the context) to the query
-	// and its strategy.
+	// pprof labels attribute CPU samples of this goroutine (and of the
+	// shard goroutines a sharded index starts, which inherit them) to the
+	// query and its strategy.
 	runtimepprof.Do(obs.With(ctx, qt), runtimepprof.Labels(
 		"query_id", qid,
 		"strategy", params.Routing.String(),

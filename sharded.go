@@ -10,7 +10,6 @@ import (
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/obs"
 	"github.com/lansearch/lan/internal/order"
-	"github.com/lansearch/lan/internal/pg"
 )
 
 // ShardedIndex searches a database split into independently indexed
@@ -79,15 +78,6 @@ func BuildSharded(db graph.Database, trainQueries []*graph.Graph, so ShardedOpti
 		s.offsets = append(s.offsets, start)
 	}
 	return s, nil
-}
-
-// queryWorkers returns the QueryWorkers setting the shards were built
-// with (identical across shards — BuildSharded applies one Options).
-func (s *ShardedIndex) queryWorkers() int {
-	if len(s.shards) == 0 {
-		return 0
-	}
-	return s.shards[0].engine().Opts.QueryWorkers
 }
 
 // Len returns the total number of live (searchable) graphs across
@@ -171,13 +161,6 @@ func (s *ShardedIndex) SearchContext(ctx context.Context, q *graph.Graph, so Sea
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// One bounded distance-evaluation pool shared by every shard search of
-	// this query: per-shard pools would multiply the configured GED
-	// concurrency by the shard count. Nil (sequential per shard) unless the
-	// shards were built with QueryWorkers > 1; the shard fan-out itself
-	// still runs in parallel either way.
-	pool := pg.NewWorkerPool(s.queryWorkers())
-	defer pool.Close()
 	type shardOut struct {
 		res   []Result
 		stats Stats
@@ -214,7 +197,7 @@ func (s *ShardedIndex) SearchContext(ctx context.Context, q *graph.Graph, so Sea
 			if children != nil {
 				sctx = obs.With(ctx, children[i])
 			}
-			res, stats, err := s.shards[i].searchPooled(sctx, q, so, pool)
+			res, stats, err := s.shards[i].SearchContext(sctx, q, so)
 			if err != nil {
 				// Record the first failure with its shard id and abort the
 				// remaining fan-out; later cancellation errors from sibling
