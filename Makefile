@@ -44,8 +44,9 @@ race:
 
 # Micro-benchmarks (mat kernels, GED arena kernels beside their reference
 # twins — A*, ensemble, Hungarian, VJ, beam —, the model kernels beside
-# theirs — BenchmarkCrossInfer, BenchmarkRankerCall —, parallel vs
-# sequential PG build, pool resize, root package ablations) plus the end-to-end
+# theirs — BenchmarkCrossInfer, BenchmarkRankerCall —, one M_rk training
+# step, BenchmarkRankTrainStep, beside the ranking call it trains, parallel
+# vs sequential PG build, pool resize, root package ablations) plus the end-to-end
 # lan-bench run, which writes a BENCH_<timestamp>.json summary with build
 # speedups and latency percentiles; see DESIGN.md "Performance
 # architecture".

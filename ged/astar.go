@@ -29,6 +29,7 @@ func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) 
 	}
 	c.cands = append(c.cands[:0], root)
 	c.heap = append(c.heap[:0], 0)
+	deepest := 0 // deepest level with a generated state
 	for len(c.heap) > 0 {
 		ci := c.astarPop()
 		depth := int(c.cands[ci].depth)
@@ -38,8 +39,14 @@ func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) 
 			return s.cost, expansions, true
 		}
 		expansions++
-		if maxExpansions > 0 && expansions > maxExpansions {
-			return 0, expansions, false
+		if depth+1 > deepest {
+			deepest = depth + 1
+		}
+		// A goal is popped only after one expansion per depth still to be
+		// generated, so when those no longer fit the budget it is spent
+		// already: stop here with the count the loop would reach.
+		if maxExpansions > 0 && expansions+(c.gN-deepest) > maxExpansions {
+			return 0, maxExpansions + 1, false
 		}
 		c.rebuild(ci, &s)
 		first := len(c.cands)

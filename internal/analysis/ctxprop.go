@@ -44,13 +44,13 @@ const modulePath = "github.com/lansearch/lan"
 
 // ctxSinkKeys are the call-graph keys of the distance sinks: the GED
 // metric interface call, the per-query distance cache, and the worker-pool
-// submission that fans evaluations out. Sink functions themselves are
+// batch that fans evaluations out. Sink functions themselves are
 // exempt from reporting — they are the boundary the contract protects.
 var ctxSinkKeys = map[string]bool{
 	modulePath + "/ged.Metric.Distance":            true,
 	modulePath + "/internal/pg.DistCache.Dist":     true,
 	modulePath + "/internal/pg.DistCache.Prefetch": true,
-	modulePath + "/internal/pg.WorkerPool.submit":  true,
+	modulePath + "/internal/pg.WorkerPool.run":     true,
 }
 
 func runCtxProp(p *GlobalPass) {

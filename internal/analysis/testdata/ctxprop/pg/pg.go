@@ -25,16 +25,16 @@ func (c *DistCache) Prefetch(ctx context.Context, ids []int) {
 	}
 }
 
-// WorkerPool mirrors the index-build worker pool; submit is a ctxprop sink.
+// WorkerPool mirrors the index-build worker pool; run is a ctxprop sink.
 type WorkerPool struct{ ch chan func() }
 
-func (p *WorkerPool) submit(f func()) { p.ch <- f }
+func (p *WorkerPool) run(f func()) { p.ch <- f }
 
 // Submit is the exported contextful surface over the sink.
 func (p *WorkerPool) Submit(ctx context.Context, f func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p.submit(f)
+	p.run(f)
 	return nil
 }

@@ -63,14 +63,22 @@ func newNode(data *mat.Matrix, parents ...*Value) *Value {
 }
 
 // Backward runs reverse-mode differentiation from v, which must be a 1x1
-// scalar. Gradients accumulate into every reachable Value that requires
-// grad.
+// scalar. Gradients accumulate into every reachable leaf that requires
+// grad (a Param keeps summing over calls until ZeroGrad). An interior
+// node's gradient is scratch of one call: it is cleared first, so a second
+// Backward over a trunk shared with an earlier one adds only its own
+// gradient to the leaves instead of propagating the earlier one again.
 func Backward(v *Value) {
 	if v.Data.Rows != 1 || v.Data.Cols != 1 {
 		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: Backward on non-scalar %dx%d", v.Data.Rows, v.Data.Cols))
 	}
 	order := topo(v)
+	for _, n := range order {
+		if n.backward != nil {
+			n.ZeroGrad()
+		}
+	}
 	v.grad().Set(0, 0, 1)
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]

@@ -248,6 +248,22 @@ func TestGradAccumulatesAcrossBackwardCalls(t *testing.T) {
 	}
 }
 
+// TestBackwardTwiceOverSharedTrunk pins that two losses over one trunk,
+// back-propagated one after the other, leave the sum of their gradients
+// in the leaf: x·w → y → z → {l1, 10·l2} with x = 3 has dl1/dw = 3 and
+// d(10·l2)/dw = 30. A Backward that kept the interior gradients of the
+// first call would push them through y again and reach 39.
+func TestBackwardTwiceOverSharedTrunk(t *testing.T) {
+	x := Const(mat.FromSlice(1, 1, []float64{3}))
+	w := Param(mat.FromSlice(1, 1, []float64{1}))
+	z := ReLU(MatMul(x, w))
+	Backward(Sum(z))
+	Backward(Scale(Sum(z), 10))
+	if got := w.Grad.At(0, 0); got != 33 {
+		t.Fatalf("w.Grad = %v after two Backward calls over one trunk, want 3 + 30 = 33", got)
+	}
+}
+
 func TestSoftmaxRowsNumericallyStable(t *testing.T) {
 	a := Const(mat.FromSlice(1, 3, []float64{1000, 1001, 1002}))
 	out := SoftmaxRows(a)

@@ -1,0 +1,105 @@
+package core
+
+import (
+	"context"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"github.com/lansearch/lan/internal/dataset"
+	"github.com/lansearch/lan/internal/models"
+	"github.com/lansearch/lan/internal/nn"
+)
+
+// paramsDiff names the first parameter on which two registries differ in
+// name, shape or any weight (==), or returns "" when they are identical.
+func paramsDiff(a, b *nn.Params) string {
+	if !reflect.DeepEqual(a.Names(), b.Names()) {
+		return "parameter names"
+	}
+	av, bv := a.All(), b.All()
+	for i, name := range a.Names() {
+		if !reflect.DeepEqual(av[i].Data, bv[i].Data) {
+			return name
+		}
+	}
+	return ""
+}
+
+// TestBuildIdenticalAcrossWorkers pins that Workers only decides what
+// runs beside what: one worker trains M_rk, then M_nh, k-means and M_c on
+// the caller; two or more train M_rk on a goroutine of its own beside the
+// other three (and fan the PG build, the distance table and the embedding
+// precompute out) — and the engine comes out the same, weight for weight.
+// Under -race this is also the test that sees both branches log through
+// one Train.Logf.
+func TestBuildIdenticalAcrossWorkers(t *testing.T) {
+	spec := dataset.AIDS(0.001)
+	db := spec.Generate()
+	queries := dataset.Workload(db, spec, 26, 5)
+	train, test := queries[:6], queries[6:]
+
+	build := func(workers int) (*Engine, int64) {
+		var logged atomic.Int64
+		eng, err := Build(db, train, Options{
+			M: 5, Dim: 8, GammaKNN: 5, UseCG: true, Workers: workers, Seed: 1,
+			Train: models.TrainOptions{Epochs: 2, LR: 0.01,
+				Logf: func(string, ...interface{}) { logged.Add(1) }},
+		})
+		if err != nil {
+			t.Fatalf("Build(Workers: %d): %v", workers, err)
+		}
+		return eng, logged.Load()
+	}
+
+	want, wantLogged := build(1)
+	if wantLogged != 3*2 {
+		t.Fatalf("sequential build logged %d epochs, want 2 for each of three models", wantLogged)
+	}
+	for _, workers := range []int{2, 4} {
+		got, logged := build(workers)
+		if logged != wantLogged {
+			t.Errorf("Workers %d: %d epochs logged, %d with one worker", workers, logged, wantLogged)
+		}
+		if !reflect.DeepEqual(got.Index.PG.Adj, want.Index.PG.Adj) || !reflect.DeepEqual(got.Index.Upper, want.Index.Upper) ||
+			!reflect.DeepEqual(got.Index.Level, want.Index.Level) || got.Index.Entry != want.Index.Entry {
+			t.Errorf("Workers %d: proximity graph differs from the one-worker build", workers)
+		}
+		if got.GammaStar != want.GammaStar {
+			t.Errorf("Workers %d: gamma* %v, %v with one worker", workers, got.GammaStar, want.GammaStar)
+		}
+		for _, m := range []struct {
+			name      string
+			got, want *nn.Params
+		}{
+			{"M_rk", got.Mrk.Params, want.Mrk.Params},
+			{"M_nh", got.Mnh.Params, want.Mnh.Params},
+			{"M_c", got.Mc.Params, want.Mc.Params},
+		} {
+			if diff := paramsDiff(m.got, m.want); diff != "" {
+				t.Errorf("Workers %d: %s differs from the one-worker build at %s", workers, m.name, diff)
+			}
+		}
+		if !reflect.DeepEqual(got.Mrk.NodeEmbeddings(), want.Mrk.NodeEmbeddings()) {
+			t.Errorf("Workers %d: node embeddings differ from the one-worker build", workers)
+		}
+		if !reflect.DeepEqual(got.Mc.Clusters(), want.Mc.Clusters()) {
+			t.Errorf("Workers %d: clustering differs from the one-worker build", workers)
+		}
+		so := SearchOptions{K: 5, Beam: 8, Initial: LANIS, Routing: LANRoute}
+		for qi, q := range test {
+			gotRes, gotStats, err := got.Search(context.Background(), q, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRes, wantStats, err := want.Search(context.Background(), q, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotRes, wantRes) || gotStats.NDC != wantStats.NDC {
+				t.Errorf("Workers %d, query %d: results %v (NDC %d), one worker %v (NDC %d)",
+					workers, qi, gotRes, gotStats.NDC, wantRes, wantStats.NDC)
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"github.com/lansearch/lan/ged"
@@ -61,9 +62,10 @@ type Options struct {
 	// Routing.
 	StepSize float64 // d_s (default 1)
 
-	// Workers bounds the index-build worker pool and the node-embedding
-	// precompute fan-out (default runtime.NumCPU() inside pg/cg). The
-	// built index and embeddings are identical across worker counts.
+	// Workers bounds the index-build worker pool, the distance-table and
+	// node-embedding fan-outs, and with more than one lets Build train
+	// M_rk beside M_nh and M_c (default runtime.NumCPU()). The built index,
+	// models and embeddings are identical across worker counts.
 	Workers int
 
 	Seed int64
@@ -264,6 +266,12 @@ type Engine struct {
 // returns a ready Engine. Training requires at least a handful of queries;
 // the heavy lifting (index construction, the distance table) is exactly
 // the offline cost the paper describes.
+//
+// The build is a dependency graph: PG → distance table → γ* and the two
+// training sets → {M_rk, node embeddings} beside {M_nh, k-means, M_c}.
+// The two branches share no Params and no RNG (both shuffles are drawn
+// before they start), so with Workers > 1 they run on two goroutines and
+// the engine is bit-identical to a Workers = 1 build.
 func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engine, error) {
 	if err := db.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -273,16 +281,20 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	}
 	opts.defaults(len(db))
 	buildStart := time.Now()
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
 
 	idx, err := pg.Build(db, pg.BuildConfig{
 		M: opts.M, EfConstruction: opts.EfConstruction,
-		Metric: opts.BuildMetric, Seed: opts.Seed, Workers: opts.Workers,
+		Metric: opts.BuildMetric, Seed: opts.Seed, Workers: workers,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	table := models.ComputeDistanceTable(db, trainQueries, opts.QueryMetric)
+	table := models.ComputeDistanceTable(db, trainQueries, opts.QueryMetric, workers)
 	gammaStar := models.CalibrateGammaStar(table, opts.GammaKNN, opts.GammaQuantile)
 
 	store := models.NewCGStore(db, opts.Layers, opts.UseCG)
@@ -293,50 +305,64 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 
 	e := &Engine{DB: db, Index: idx, Opts: opts, Graphs: pg.NewRAMStore(db), Store: store, GammaStar: gammaStar}
 
-	// M_rk. The training set is shuffled and capped: neighborhoods of all
+	// Both training sets are shuffled and capped: neighborhoods of all
 	// training queries overlap heavily, and a bounded sample keeps offline
-	// training time proportional to model size rather than |D| x |Q|.
-	e.Mrk = models.NewNeighborRanker(mcfg, store)
+	// training time proportional to model size rather than |D| x |Q|. M_nh's
+	// negatives are downsampled first.
 	rankSet := models.BuildRankTrainingSet(idx.PG, table, gammaStar)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x9e37))
 	rng.Shuffle(len(rankSet), func(i, j int) { rankSet[i], rankSet[j] = rankSet[j], rankSet[i] })
 	if cap := opts.MaxRankExamples; cap > 0 && len(rankSet) > cap {
 		rankSet = rankSet[:cap]
 	}
-	if len(rankSet) > 0 {
-		if err := e.Mrk.Train(db, table, rankSet, opts.Train); err != nil {
-			return nil, err
-		}
-	}
-	// Embed the whole database once (batched) so routing never pays the
-	// current-node encoding at query time.
-	e.Mrk.PrecomputeNodeEmbeddings(db, opts.Workers)
-
-	// M_nh with negative downsampling, shuffled and capped like M_rk.
-	e.Mnh = models.NewNeighborhoodModel(mcfg, store)
 	memberSet := models.BuildMembershipTrainingSet(table, gammaStar, 2, opts.Seed)
 	rng.Shuffle(len(memberSet), func(i, j int) { memberSet[i], memberSet[j] = memberSet[j], memberSet[i] })
 	if cap := opts.MaxMembershipExamples; len(memberSet) > cap {
 		memberSet = memberSet[:cap]
 	}
-	if len(memberSet) > 0 {
-		if err := e.Mnh.Train(db, table, memberSet, opts.Train); err != nil {
-			return nil, err
-		}
-	}
 
-	// Clustering + M_c.
-	emb := cluster.NewFeatureEmbedder(db)
-	points := make([][]float64, len(db))
-	for i, g := range db {
-		points[i] = emb.Embed(g)
+	trainRouting := func() error {
+		e.Mrk = models.NewNeighborRanker(mcfg, store)
+		if len(rankSet) > 0 {
+			if err := e.Mrk.Train(db, table, rankSet, opts.Train); err != nil {
+				return err
+			}
+		}
+		// Embed the whole database once (batched) so routing never pays the
+		// current-node encoding at query time.
+		e.Mrk.PrecomputeNodeEmbeddings(db, workers)
+		return nil
 	}
-	km, err := cluster.FitKMeans(points, opts.Clusters, 40, opts.Seed)
+	trainInitial := func() error {
+		e.Mnh = models.NewNeighborhoodModel(mcfg, store)
+		if len(memberSet) > 0 {
+			if err := e.Mnh.Train(db, table, memberSet, opts.Train); err != nil {
+				return err
+			}
+		}
+		emb := cluster.NewFeatureEmbedder(db)
+		points := make([][]float64, len(db))
+		for i, g := range db {
+			points[i] = emb.Embed(g)
+		}
+		km, err := cluster.FitKMeans(points, opts.Clusters, 40, opts.Seed)
+		if err != nil {
+			return err
+		}
+		e.Mc = models.NewClusterModel(mcfg, emb, km)
+		return e.Mc.Train(table, models.BuildClusterTrainingSet(table, km, gammaStar), opts.Train)
+	}
+	routing := make(chan error, 1)
+	if workers > 1 {
+		go func() { routing <- trainRouting() }()
+	} else {
+		routing <- trainRouting()
+	}
+	err = trainInitial()
+	if rerr := <-routing; rerr != nil {
+		err = rerr
+	}
 	if err != nil {
-		return nil, err
-	}
-	e.Mc = models.NewClusterModel(mcfg, emb, km)
-	if err := e.Mc.Train(table, models.BuildClusterTrainingSet(table, km, gammaStar), opts.Train); err != nil {
 		return nil, err
 	}
 	recordBuild(len(db), time.Since(buildStart))

@@ -93,7 +93,7 @@ type Fig8Row struct {
 // Fig8 evaluates the initial-node prediction precision on the held-out
 // test queries (the paper reports > 0.7 on all datasets).
 func Fig8(e *Env) Fig8Row {
-	table := models.ComputeDistanceTable(e.DB, e.Test, e.Engine.Opts.QueryMetric)
+	table := models.ComputeDistanceTable(e.DB, e.Test, e.Engine.Opts.QueryMetric, e.Engine.Opts.Workers)
 	prec, avg := e.Engine.Mnh.Precision(e.DB, table, e.Engine.GammaStar)
 	return Fig8Row{Dataset: e.Spec.Name, Precision: prec, AvgPredicted: avg}
 }

@@ -77,7 +77,10 @@ type TrainOptions struct {
 	LRDecay     float64 // multiplicative decay applied every DecayEvery epochs
 	DecayEvery  int
 	WeightDecay float64
-	// Quiet suppresses progress logging.
+	// Logf, when set, receives one progress line per epoch. core.Build
+	// trains M_rk beside M_nh and M_c when it has more than one worker, so
+	// Logf can be called from two goroutines at once and must be safe for
+	// that (log.Printf and testing.T.Logf are).
 	Logf func(format string, args ...interface{})
 }
 
@@ -187,23 +190,37 @@ type DistanceTable struct {
 }
 
 // ComputeDistanceTable evaluates metric between every query and every
-// database graph, in parallel.
-func ComputeDistanceTable(db graph.Database, queries []*graph.Graph, metric ged.Metric) *DistanceTable {
+// database graph, one query's row at a time on up to workers goroutines
+// (<= 0 means runtime.NumCPU, as in pg.Build); workers == 1 computes every
+// row on the caller.
+func ComputeDistanceTable(db graph.Database, queries []*graph.Graph, metric ged.Metric, workers int) *DistanceTable {
 	t := &DistanceTable{Queries: queries, D: make([][]float64, len(queries))}
+	fill := func(i int) {
+		row := make([]float64, len(db))
+		for j, g := range db {
+			row[j] = metric.Distance(g, queries[i])
+		}
+		t.D[i] = row
+	}
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers == 1 {
+		for i := range queries {
+			fill(i)
+		}
+		return t
+	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, q := range queries {
+	sem := make(chan struct{}, workers)
+	for i := range queries {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, q *graph.Graph) {
+		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			row := make([]float64, len(db))
-			for j, g := range db {
-				row[j] = metric.Distance(g, q)
-			}
-			t.D[i] = row
-		}(i, q)
+			fill(i)
+		}(i)
 	}
 	wg.Wait()
 	return t

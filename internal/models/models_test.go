@@ -35,7 +35,7 @@ func newFixture(t testing.TB, scale float64, queries int) *fixture {
 	}
 	metric := ged.MetricFunc(ged.Hungarian)
 	qs := dataset.Workload(db, spec, queries, 17)
-	table := ComputeDistanceTable(db, qs, metric)
+	table := ComputeDistanceTable(db, qs, metric, 2)
 	gamma := CalibrateGammaStar(table, 10, 0.9)
 	return &fixture{
 		spec: spec, db: db, index: idx, metric: metric,

@@ -75,19 +75,6 @@ func NewNeighborRanker(cfg Config, store *CGStore) *NeighborRanker {
 
 func headName(i int) string { return "mrk.head" + string(rune('0'+i)) }
 
-// logits runs the full forward pass for one (Q, G', G) triple and returns
-// one logit per head.
-func (r *NeighborRanker) logits(q, neighbor, node *graph.Graph) []*autograd.Value {
-	hgq := crossEncode(r.cross, r.store, neighbor, q)
-	hg := r.node.Forward(r.store.For(node))
-	in := autograd.ConcatCols(hgq, hg)
-	out := make([]*autograd.Value, len(r.heads))
-	for i, h := range r.heads {
-		out[i] = h.Apply(in)
-	}
-	return out
-}
-
 // Score returns the summed head probability for one neighbor — a monotone
 // proxy for its predicted rank (higher means predicted closer to Q).
 func (r *NeighborRanker) Score(q, neighbor, node *graph.Graph) float64 {
@@ -341,34 +328,60 @@ func BuildRankTrainingSet(p *pg.PG, table *DistanceTable, gammaStar float64) []R
 	return out
 }
 
-// Train fits the ranker heads with binary cross-entropy per head: head i's
-// positive class is "true rank within the top (i+1)*y%".
+// headTarget is head i's label for a neighbour of 0-based true rank
+// among n: 1 inside the top (i+1)*y%, which always holds the closest one.
+func (r *NeighborRanker) headTarget(i, rank, n int) float64 {
+	cut := (i + 1) * r.Cfg.BatchPercent * n / 100
+	if cut < 1 {
+		cut = 1
+	}
+	if rank < cut {
+		return 1
+	}
+	return 0
+}
+
+// rankLoss builds the one tape of a rank example and returns the scalar
+// its training step differentiates: the sum over (neighbour, head) of the
+// head's binary cross-entropy against headTarget. The current node is
+// encoded once, each neighbour's cross embedding once, and every head
+// reads that one h_{G′,Q} || h_G — so one Backward over the tape gives the
+// shared encoders the gradient of the whole sum.
+func (r *NeighborRanker) rankLoss(db graph.Database, table *DistanceTable, ex RankExample) *autograd.Value {
+	qc := r.store.For(table.Queries[ex.Qi])
+	hg := r.node.Forward(r.store.For(db[ex.Node]))
+	n := len(ex.Neighbors)
+	var loss *autograd.Value
+	for j, nb := range ex.Neighbors {
+		in := autograd.ConcatCols(r.cross.Forward(r.store.For(db[nb]), qc), hg)
+		for i, h := range r.heads {
+			l := autograd.BCEWithLogits(h.Apply(in), binaryTargets(r.headTarget(i, ex.Ranks[j], n)))
+			if loss == nil {
+				loss = l
+			} else {
+				loss = autograd.Add(loss, l)
+			}
+		}
+	}
+	return loss
+}
+
+// trainStep accumulates one example's gradient into Params with a single
+// backward pass and returns its mean loss per (neighbour, head).
+func (r *NeighborRanker) trainStep(db graph.Database, table *DistanceTable, ex RankExample) float64 {
+	loss := r.rankLoss(db, table, ex)
+	autograd.Backward(loss)
+	return loss.Data.At(0, 0) / float64(len(ex.Neighbors)*len(r.heads))
+}
+
+// Train fits the shared encoders and the ranker heads on examples, one
+// Adam step per example (see rankLoss for the loss).
 func (r *NeighborRanker) Train(db graph.Database, table *DistanceTable, examples []RankExample, opts TrainOptions) error {
 	if len(examples) == 0 {
 		return errf("empty M_rk training set")
 	}
 	trainLoop(r.Params, len(examples), opts, r.Cfg.Seed, func(idx int) float64 {
-		ex := examples[idx]
-		q := table.Queries[ex.Qi]
-		n := len(ex.Neighbors)
-		total := 0.0
-		for j, nb := range ex.Neighbors {
-			logits := r.logits(q, db[nb], db[ex.Node])
-			for i, logit := range logits {
-				cut := (i + 1) * r.Cfg.BatchPercent * n / 100
-				if cut < 1 {
-					cut = 1
-				}
-				y := 0.0
-				if ex.Ranks[j] < cut {
-					y = 1
-				}
-				loss := autograd.BCEWithLogits(logit, binaryTargets(y))
-				autograd.Backward(loss)
-				total += loss.Data.At(0, 0)
-			}
-		}
-		return total / float64(n*len(r.heads))
+		return r.trainStep(db, table, examples[idx])
 	})
 	return nil
 }

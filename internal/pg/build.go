@@ -399,8 +399,10 @@ func (h *HNSW) removeDirected(l, u, v int) {
 // heuristic as insertion; it returns the kept set sorted by id plus the
 // dropped nodes.
 func (h *HNSW) shrink(u int, ns []int, cap int) (kept, dropped []int) {
+	// No prefetch: every distance from u to a neighbor was paid when that
+	// edge was made, so during a build these are all hits in the build
+	// metric's memo and not worth waking a helper for.
 	c := NewDistCache(h.buildMetric, h.PG.DB, h.PG.DB[u])
-	c.Prefetch(ns, h.pool)
 	cands := make([]Candidate, len(ns))
 	for i, v := range ns {
 		cands[i] = Candidate{ID: v, Dist: c.Dist(v)}

@@ -8,7 +8,6 @@ package pg
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
@@ -147,16 +146,9 @@ func (c *DistCache) Prefetch(ids []int, pool *WorkerPool) {
 		return
 	}
 	out := make([]float64, len(pending))
-	var wg sync.WaitGroup
-	wg.Add(len(pending))
-	for i := range pending {
-		i := i
-		pool.submit(func() {
-			defer wg.Done()
-			out[i] = c.Metric.Distance(graphs[i], c.Q)
-		})
-	}
-	wg.Wait()
+	pool.run(len(pending), func(i int) {
+		out[i] = c.Metric.Distance(graphs[i], c.Q)
+	})
 	for i, id := range pending {
 		c.memo[id] = out[i]
 		c.ndc++

@@ -115,8 +115,10 @@ type Options struct {
 	// StepSize is the routing threshold increment d_s (default 1).
 	StepSize float64
 	// Workers bounds the concurrency of offline index construction: the
-	// proximity-graph build pool and the node-embedding precompute fan
-	// out across this many goroutines (default runtime.NumCPU; 1 forces
+	// proximity-graph build pool, the training distance table and the
+	// node-embedding precompute fan out across this many goroutines, and
+	// with more than one the routing model trains beside the
+	// initial-selection models (default runtime.NumCPU; 1 forces
 	// sequential). The built index is bit-identical for every setting.
 	Workers int
 	// QueryWorkers sized a per-query pool that evaluated routing-stage
