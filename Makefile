@@ -43,7 +43,8 @@ race:
 	$(GO) test -race -short ./...
 
 # Micro-benchmarks (mat kernels, GED arena kernels beside their reference
-# twins — A*, ensemble, Hungarian, VJ, beam —, the model kernels beside
+# twins — A*, ensemble, Hungarian, VJ, beam — and BenchmarkEnsembleMembers,
+# the split of one ensemble call by member, the model kernels beside
 # theirs — BenchmarkCrossInfer, BenchmarkRankerCall —, one M_rk training
 # step, BenchmarkRankTrainStep, beside the ranking call it trains, parallel
 # vs sequential PG build, pool resize, root package ablations) plus the end-to-end

@@ -61,13 +61,18 @@ type pairCtx struct {
 	phiA, phiB   []int32
 	usedA, usedB []uint64
 
-	// Assignment scratch: the flat (n1+n2)^2 cost matrix and the solvers'
-	// working vectors (see assignment.go).
-	cost       []float64
-	fa, fb, fc []float64
-	ia, ib, ic []int32
-	assign     []int32
-	mark       []bool
+	// Assignment scratch: the n1 x n2 Riesen–Bunke instance in compact form
+	// — cost holds the substitution block, the deletion vector and the
+	// insertion vector back to back, sub/del/ins are views into it (see
+	// bipartite.go) — and the solvers' working vectors (assignment.go).
+	n1, n2        int
+	cost          []float64
+	sub, del, ins []float64
+	fa, fb        []float64
+	ia, ib, ic    []int32
+	assign        []int32
+	mark          []bool
+	lvl           []uint64
 	// solves counts assignment problems solved since load: what the
 	// ensemble is held to (two per fallback, none when A* finishes).
 	solves int
@@ -75,7 +80,7 @@ type pairCtx struct {
 
 // maxPooledArenaBytes caps what one pooled arena may pin. Budgeted calls
 // on the corpus' working sizes stay far below it (a budget-30 A* on
-// 26-node pairs holds ~35 KB of candidates, the 52x52 cost matrix 22 KB);
+// 26-node pairs holds ~35 KB of candidates, the 26x26 cost block 5 KB);
 // an unbudgeted Exact can grow the candidate list to millions of records,
 // and that arena is left to the collector instead of the pool.
 const maxPooledArenaBytes = 1 << 20

@@ -1,115 +1,107 @@
 package ged
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
-// infCost marks an infeasible assignment cell.
-const infCost = 1e9
+// The assignment problem behind both bipartite bounds is square, of side
+// n = n1+n2, and most of it is padding (sizeCosts has the layout):
+//
+//	            columns [0, n2)           columns [n2, n)
+//	row i       sub[i][j]                 del[i] at n2+i, infeasible elsewhere
+//	row n1+k    ins[k] at k,              0
+//	            infeasible elsewhere
+//
+// Deleting every node of one graph and inserting every node of the other is
+// a perfect matching on finite cells, so an optimal solver never assigns an
+// infeasible cell, and a cell that is never assigned decides nothing. The
+// solvers below therefore look only at a row's finite cells: n2+1 of them
+// in a node row, n1+1 in a padding row. They are the textbook algorithms,
+// phase for phase and tie for tie — refSolveHungarian and refSolveJV in
+// reference_test.go, which run on the dense matrix, return the same
+// assignment array on every instance — but each phase is written as what it
+// is on this matrix, a shortest-augmenting-path search (augment).
+//
+// The row -> column assignment is left in c.assign[:n], columns -> rows in
+// c.ia[:n] (-1 while free) and the column potentials in c.fa[:n].
 
-// The solvers work on the arena's flat row-major n x n matrix c.cost[:n*n]
-// and leave the row -> column assignment in c.assign[:n]. Their working
-// vectors are the arena's fa/fb/fc, ia/ib/ic and mark scratch.
+// startSolve sizes the solvers' vectors for the instance in the arena and
+// empties the matching; the potentials start at zero.
+func (c *pairCtx) startSolve() {
+	c.solves++
+	n := c.n1 + c.n2
+	c.assign, c.ia, c.ic = grow(c.assign, n), grow(c.ia, n), grow(c.ic, n)
+	c.fa, c.fb = grow(c.fa, n), grow(c.fb, n)
+	c.mark, c.lvl = grow(c.mark, n), grow(c.lvl, (n+63)/64)
+	for j := range c.assign {
+		c.assign[j], c.ia[j] = -1, -1
+	}
+	clear(c.fa)
+}
 
-// solveHungarian solves the square min-cost assignment problem with the
-// O(n^3) potentials formulation of the Hungarian algorithm (Kuhn–Munkres).
+// solveHungarian solves the instance with the potentials formulation of the
+// Hungarian algorithm (Kuhn–Munkres): starting from the empty matching and
+// zero potentials, one shortest augmenting path per row, in row order.
 //
 //lan:hotpath
-func (c *pairCtx) solveHungarian(n int) {
-	c.solves++
-	cost := c.cost[:n*n]
-	c.assign = grow(c.assign, n)
-	// 1-indexed potentials formulation.
-	c.fa, c.fb, c.fc = grow(c.fa, n+1), grow(c.fb, n+1), grow(c.fc, n+1)
-	c.ia, c.ib, c.mark = grow(c.ia, n+1), grow(c.ib, n+1), grow(c.mark, n+1)
-	u, v, minv := c.fa, c.fb, c.fc
-	p := c.ia   // p[j]: row matched to column j (0 = none)
-	way := c.ib // way[j]: previous column on the alternating path
-	used := c.mark
-	clear(u)
-	clear(v)
-	clear(p)
-	clear(way)
-	for i := int32(1); i <= int32(n); i++ {
-		p[0] = i
-		j0 := int32(0)
-		clear(used)
-		for j := range minv {
-			minv[j] = math.Inf(1)
-		}
-		for {
-			used[j0] = true
-			i0 := p[j0]
-			delta := math.Inf(1)
-			j1 := int32(0)
-			// Columns 1..n as 0-based views, so the scan runs without
-			// bounds checks.
-			row, ui0 := cost[int(i0-1)*n:int(i0)*n], u[i0]
-			vs, minvs, useds, ways := v[1:n+1], minv[1:n+1], used[1:n+1], way[1:n+1]
-			for j, cij := range row {
-				if useds[j] {
-					continue
-				}
-				cur := cij - ui0 - vs[j]
-				if cur < minvs[j] {
-					minvs[j] = cur
-					ways[j] = j0
-				}
-				if minvs[j] < delta {
-					delta = minvs[j]
-					j1 = int32(j + 1)
-				}
-			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
-			if p[j0] == 0 {
-				break
-			}
-		}
-		for j0 != 0 {
-			j1 := way[j0]
-			p[j0] = p[j1]
-			j0 = j1
-		}
-	}
-	for j := 1; j <= n; j++ {
-		if p[j] > 0 {
-			c.assign[p[j]-1] = int32(j - 1)
-		}
+func (c *pairCtx) solveHungarian() {
+	c.startSolve()
+	for f := 0; f < c.n1+c.n2; f++ {
+		c.augment(int32(f))
 	}
 }
 
-// solveJV solves the square min-cost assignment problem with the
-// Jonker–Volgenant algorithm: column reduction, augmenting row reduction,
-// then shortest augmenting paths for the remaining free rows.
+// twoMin keeps the two smallest values offered to it, each with the first
+// column that attained it.
+type twoMin struct {
+	u1, u2 float64
+	j1, j2 int32
+}
+
+func (m *twoMin) offer(r float64, j int) {
+	if r < m.u1 {
+		m.u2, m.j2 = m.u1, m.j1
+		m.u1, m.j1 = r, int32(j)
+	} else if r < m.u2 {
+		m.u2, m.j2 = r, int32(j)
+	}
+}
+
+// solveJV solves the instance with the Jonker–Volgenant algorithm: column
+// reduction, augmenting row reduction, then shortest augmenting paths for
+// the remaining free rows.
 //
 //lan:hotpath
-func (c *pairCtx) solveJV(n int) {
-	c.solves++
-	cost := c.cost[:n*n]
-	c.assign, c.ia, c.fa = grow(c.assign, n), grow(c.ia, n), grow(c.fa, n)
-	rowsol := c.assign // rowsol[i]: column assigned to row i
-	colsol := c.ia     // colsol[j]: row assigned to column j
-	v := c.fa          // column potentials
-	for i := range rowsol {
-		rowsol[i] = -1
-		colsol[i] = -1
-	}
+func (c *pairCtx) solveJV() {
+	c.startSolve()
+	n1, n2 := c.n1, c.n2
+	n := n1 + n2
+	sub, del, ins := c.sub, c.del, c.ins
+	rowsol, colsol, v := c.assign, c.ia, c.fa
 
-	// Column reduction: assign each column to its minimal row when free.
+	// Column reduction, last column first: a column's potential is its
+	// minimum, and it goes to the first row attaining it when that row is
+	// free. A padding column holds its node's deletion cost and a zero in
+	// every padding row; a node column its substitution costs and, below
+	// them, its insertion cost.
 	for j := n - 1; j >= 0; j-- {
-		imin := 0
-		for i := 1; i < n; i++ {
-			if cost[i*n+j] < cost[imin*n+j] {
-				imin = i
+		var imin int
+		var vmin float64
+		if j >= n2 {
+			imin, vmin = j-n2, del[j-n2]
+			if n2 > 0 && 0 < vmin {
+				imin, vmin = n1, 0
+			}
+		} else {
+			imin, vmin = n1+j, ins[j]
+			for i := n1 - 1; i >= 0; i-- {
+				if cij := sub[i*n2+j]; !(vmin < cij) {
+					imin, vmin = i, cij
+				}
 			}
 		}
-		v[j] = cost[imin*n+j]
+		v[j] = vmin
 		if rowsol[imin] == -1 {
 			rowsol[imin] = int32(j)
 			colsol[j] = int32(imin)
@@ -120,17 +112,17 @@ func (c *pairCtx) solveJV(n int) {
 	// the original LAP formulation: take the best column, adjusting its
 	// potential by the gap to the second-best; a bumped row is retried
 	// immediately when the potential strictly decreased, otherwise it is
-	// deferred to the next pass.
-	c.ib, c.ic = grow(c.ib, n)[:0], grow(c.ic, n)[:0]
+	// deferred to the next pass. A free row has two finite cells at least:
+	// with either graph empty the column reduction assigns every row.
+	c.ib = grow(c.ib, n)[:0]
 	for i := 0; i < n; i++ {
 		if rowsol[i] == -1 {
 			c.ib = append(c.ib, int32(i))
 		}
 	}
-	// retryBudget caps the immediate-retry ping-pong, which can fail to
-	// make progress under floating-point ties; rows beyond the budget are
-	// deferred to the exact augmentation phase below, which is correct for
-	// any dual-feasible warm start.
+	// retryBudget caps the immediate-retry ping-pong; rows beyond the
+	// budget are deferred to the exact augmentation phase below, which is
+	// correct for any dual-feasible warm start.
 	retryBudget := 20*n + 100
 	for pass := 0; pass < 2; pass++ {
 		// c.ib is this pass's free list, c.ic collects the next one.
@@ -141,30 +133,31 @@ func (c *pairCtx) solveJV(n int) {
 		for k < prevLen {
 			i := free[k]
 			k++
-			// Two smallest reduced costs in row i.
-			j1, j2 := int32(-1), int32(-1)
-			u1, u2 := math.Inf(1), math.Inf(1)
-			for j, cij := range cost[int(i)*n : int(i+1)*n] {
-				r := cij - v[j]
-				if r < u1 {
-					u2, j2 = u1, j1
-					u1, j1 = r, int32(j)
-				} else if r < u2 {
-					u2, j2 = r, int32(j)
+			// Two smallest reduced costs in row i, columns ascending.
+			m := twoMin{u1: math.Inf(1), u2: math.Inf(1), j1: -1, j2: -1}
+			if int(i) < n1 {
+				for j, cij := range sub[int(i)*n2 : (int(i)+1)*n2] {
+					m.offer(cij-v[j], j)
+				}
+				m.offer(del[i]-v[n2+int(i)], n2+int(i))
+			} else {
+				m.offer(ins[int(i)-n1]-v[int(i)-n1], int(i)-n1)
+				for j := n2; j < n; j++ {
+					m.offer(-v[j], j)
 				}
 			}
-			i0 := colsol[j1]
-			if u1 < u2 {
-				v[j1] -= u2 - u1
-			} else if i0 >= 0 && j2 >= 0 {
-				j1 = j2
+			j1, i0 := m.j1, colsol[m.j1]
+			if m.u1 < m.u2 {
+				v[j1] -= m.u2 - m.u1
+			} else if i0 >= 0 && m.j2 >= 0 {
+				j1 = m.j2
 				i0 = colsol[j1]
 			}
 			rowsol[i] = j1
 			colsol[j1] = i
 			if i0 >= 0 {
 				rowsol[i0] = -1
-				if u1 < u2 && retryBudget > 0 {
+				if m.u1 < m.u2 && retryBudget > 0 {
 					// Strict potential decrease: retry the bumped row now.
 					retryBudget--
 					k--
@@ -177,65 +170,165 @@ func (c *pairCtx) solveJV(n int) {
 		c.ib, c.ic = c.ic, c.ib
 	}
 
-	// Shortest augmenting path for each remaining free row (Dijkstra on
-	// reduced costs).
-	c.fb, c.ic, c.mark = grow(c.fb, n), grow(c.ic, n), grow(c.mark, n)
-	d, pred, done := c.fb[:n], c.ic[:n], c.mark[:n]
-	v = v[:n]
+	// The rows still free are in c.ib; augment takes c.ic for its own use.
+	c.ic = grow(c.ic, n)
 	for _, f := range c.ib {
-		clear(done)
-		// jmin is the unscanned column with minimal d (the first among
-		// equals); every pass over the columns that changes d finds the
-		// next one as it goes.
-		jmin, dmin := -1, 0.0
-		for j, cfj := range cost[int(f)*n : int(f+1)*n] {
-			d[j] = cfj - v[j]
-			pred[j] = f
-			if jmin == -1 || d[j] < dmin {
-				jmin, dmin = j, d[j]
-			}
-		}
-		endj := int32(-1)
-		var mu float64
-		for {
-			done[jmin] = true
-			mu = dmin
-			if colsol[jmin] == -1 {
-				endj = int32(jmin)
-				break
-			}
-			// Relax through the row currently owning jmin.
-			i := colsol[jmin]
-			row := cost[int(i)*n : int(i+1)*n]
-			own := row[jmin] - v[jmin]
-			jmin = -1
-			for j, cij := range row {
+		c.augment(f)
+	}
+}
+
+// cell returns the cost of a finite cell of the square matrix.
+func (c *pairCtx) cell(i, j int) float64 {
+	switch {
+	case i < c.n1 && j < c.n2:
+		return c.sub[i*c.n2+j]
+	case i < c.n1:
+		return c.del[i]
+	case j < c.n2:
+		return c.ins[j]
+	}
+	return 0
+}
+
+// joinLevel puts unscanned column j, whose distance d is not above level,
+// into the level set and returns the level: d itself when it undercuts the
+// level, which then starts over with j alone.
+func joinLevel(lvl []uint64, j int, d, level float64) float64 {
+	if d < level {
+		clear(lvl)
+		level = d
+	}
+	lvl[j>>6] |= 1 << (j & 63)
+	return level
+}
+
+// augment grows the matching by free row f along a shortest augmenting
+// path: Dijkstra from f to the nearest free column over the reduced costs
+// cost[i][j] − u[i] − v[j], then the potential update that keeps them
+// non-negative, then the flip. The row potentials are implicit: a matched
+// row's assigned cell is tight, u[i] = cost[i][rowsol[i]] − v[rowsol[i]],
+// and a free row's is zero. Among the unscanned columns at the smallest
+// distance the lowest is scanned next, as the dense solvers' argmin loops
+// have it. Four things are done differently from those loops, none of which
+// changes the outcome of a comparison:
+//
+//   - only the finite cells of the row that enters the tree are relaxed;
+//   - distances are absolute and the potentials are settled once, after the
+//     search (column j moves by dist[j] − dist[end]), where the dense
+//     Hungarian lowered every entry by the step after each scan — the cells
+//     being multiples of ½, both orders of summing are exact and equal;
+//   - the unscanned columns that sit at the current distance level are kept
+//     in a bitset, so the next column is the lowest set bit and the argmin
+//     scan over all columns runs once per level, not once per column. Levels
+//     only rise while the reduced costs are non-negative; joinLevel keeps
+//     the set right even if one did not;
+//   - a padding row offers every padding column base − v[j], so it is
+//     passed over unless its base is below that of every padding row before
+//     it in this search.
+//
+//lan:hotpath
+func (c *pairCtx) augment(f int32) {
+	n1, n2 := c.n1, c.n2
+	n := n1 + n2
+	sub, v, dist := c.sub, c.fa[:n], c.fb[:n]
+	rowsol, colsol, pred := c.assign[:n], c.ia[:n], c.ic[:n]
+	done, lvl := c.mark[:n], c.lvl[:(n+63)/64]
+	inf := math.Inf(1)
+	for j := range dist {
+		dist[j] = inf
+	}
+	clear(done)
+	clear(lvl)
+
+	// Row i enters the tree offering column j the distance
+	// base + cost[i][j] − v[j]; level is the distance of the columns in lvl.
+	i, base, level, padBase := f, 0.0, 0.0, inf
+	end := 0
+	for {
+		// The row's diagonal cell (j1, c1) comes after its block.
+		var j1 int
+		var c1 float64
+		if int(i) < n1 {
+			for j, cij := range sub[int(i)*n2 : (int(i)+1)*n2] {
 				if done[j] {
 					continue
 				}
-				if nd := mu + cij - v[j] - own; nd < d[j] {
-					d[j] = nd
-					pred[j] = i
+				if d := base + cij - v[j]; d < dist[j] {
+					dist[j], pred[j] = d, i
+					if !(level < d) {
+						level = joinLevel(lvl, j, d, level)
+					}
 				}
-				if jmin == -1 || d[j] < dmin {
-					jmin, dmin = j, d[j]
+			}
+			j1, c1 = n2+int(i), c.del[i]
+		} else {
+			if base < padBase {
+				padBase = base
+				for j := n2; j < n; j++ {
+					if done[j] {
+						continue
+					}
+					if d := base - v[j]; d < dist[j] {
+						dist[j], pred[j] = d, i
+						if !(level < d) {
+							level = joinLevel(lvl, j, d, level)
+						}
+					}
 				}
+			}
+			j1, c1 = int(i)-n1, c.ins[int(i)-n1]
+		}
+		if d := base + c1 - v[j1]; !done[j1] && d < dist[j1] {
+			dist[j1], pred[j1] = d, i
+			if !(level < d) {
+				level = joinLevel(lvl, j1, d, level)
 			}
 		}
-		// Update potentials for scanned columns.
-		for j := 0; j < n; j++ {
-			if done[j] {
-				v[j] += d[j] - mu
+
+		// Scan the lowest column of the level set; when the set is empty,
+		// the next level is the smallest distance among the unscanned.
+		j := lowestBit(lvl)
+		if j < 0 {
+			level = inf
+			for j, d := range dist {
+				if !done[j] && !(level < d) {
+					level = joinLevel(lvl, j, d, level)
+				}
 			}
+			j = lowestBit(lvl)
 		}
-		// Augment along the path.
-		for {
-			i := pred[endj]
-			colsol[endj] = i
-			endj, rowsol[i] = rowsol[i], endj
-			if i == f {
-				break
-			}
+		lvl[j>>6] &^= 1 << (j & 63)
+		done[j] = true
+		if colsol[j] < 0 {
+			end = j
+			break
+		}
+		i = colsol[j]
+		base = dist[j] - (c.cell(int(i), j) - v[j])
+	}
+
+	for j, d := range dist {
+		if done[j] {
+			v[j] += d - dist[end]
 		}
 	}
+	for j := int32(end); ; {
+		i := pred[j]
+		colsol[j] = i
+		j, rowsol[i] = rowsol[i], j
+		if i == f {
+			return
+		}
+	}
+}
+
+// lowestBit returns the index of the lowest set bit of the set, or -1 when
+// it is empty.
+func lowestBit(set []uint64) int {
+	for w, word := range set {
+		if word != 0 {
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }

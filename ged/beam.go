@@ -219,14 +219,20 @@ func (c *pairCtx) heuristicOf(depth int, nc *searchCand) float64 {
 // truncate — and materializes them, in that order, into the B arenas as
 // the next frontier.
 func (c *pairCtx) keepBest(w, u int) {
-	// Max-heap of at most w candidate indices, worst on top: push each
-	// candidate and evict the worst beyond capacity. O(C log w).
+	// Max-heap of at most w candidate indices, worst on top. Candidates
+	// arrive in creation order, so once the heap is full a newcomer ranks
+	// after every kept candidate it ties with on f: it enters only when the
+	// root is worse, and then takes the root's place. O(C log w) at most,
+	// one comparison for the rejected majority.
 	c.heap = c.heap[:0]
 	for i := range c.cands {
-		c.heap = append(c.heap, int32(i))
-		c.siftUp(len(c.heap) - 1)
-		if len(c.heap) > w {
-			c.popWorst()
+		switch {
+		case len(c.heap) < w:
+			c.heap = append(c.heap, int32(i))
+			c.siftUp(len(c.heap) - 1)
+		case c.worse(c.heap[0], int32(i)):
+			c.heap[0] = int32(i)
+			c.siftDown(0)
 		}
 	}
 	// Drain the heap back-to-front: popping the worst repeatedly yields
@@ -299,12 +305,4 @@ func (c *pairCtx) siftDown(i int) {
 		c.heap[i], c.heap[worst] = c.heap[worst], c.heap[i]
 		i = worst
 	}
-}
-
-// popWorst removes the heap root (the worst kept candidate).
-func (c *pairCtx) popWorst() {
-	n := len(c.heap) - 1
-	c.heap[0] = c.heap[n]
-	c.heap = c.heap[:n]
-	c.siftDown(0)
 }

@@ -3,46 +3,67 @@ package ged
 // The bipartite heuristics reduce GED to a square (n1+n2)x(n1+n2)
 // assignment problem in the style of Riesen & Bunke: the top-left block
 // holds substitution costs, the top-right diagonal deletion costs, the
-// bottom-left diagonal insertion costs and the bottom-right block zeros.
-// Solving the assignment yields a node mapping whose induced edit cost
-// (mappingCost) is an upper bound of the exact GED. The matrix is built
-// flat into the arena from interned label ids, with rows standing for the
-// caller's first graph whichever way acquire oriented the pair: the
-// assignment a solver settles on among equal-cost ones depends on it.
+// bottom-left diagonal insertion costs and the bottom-right block zeros;
+// every other cell is infeasible. Solving the assignment yields a node
+// mapping whose induced edit cost (mappingCost) is an upper bound of the
+// exact GED. Only the cells that carry information are stored — the n1 x n2
+// substitution block and the two diagonals as vectors — built into the
+// arena from interned label ids, with rows standing for the caller's first
+// graph whichever way acquire oriented the pair: the assignment a solver
+// settles on among equal-cost ones depends on it.
 
 // hungarian returns the Riesen–Bunke bound of the loaded pair: the
 // structural cost model solved with the Hungarian algorithm.
 func (c *pairCtx) hungarian() float64 {
-	c.solveHungarian(c.fillCosts(true))
+	c.fillCosts(true)
+	c.solveHungarian()
 	return c.assignedCost()
 }
 
 // vj returns the VJ bound of the loaded pair: plain label costs solved
 // with Jonker–Volgenant.
 func (c *pairCtx) vj() float64 {
-	c.solveJV(c.fillCosts(false))
+	c.fillCosts(false)
+	c.solveJV()
 	return c.assignedCost()
 }
 
-// fillCosts builds the square cost matrix into c.cost and returns its
-// side n1+n2. Substitution costs the label mismatch; with structural set
-// (Riesen–Bunke) it adds half the incident-edge count difference, and a
-// deletion or insertion charges the node plus half its incident edges —
-// each unmatched incident edge is shared by two nodes. Without it (the VJ
-// baseline) the matrix holds label costs only.
+// sizeCosts makes room for an n1 x n2 instance: sub is the row-major
+// substitution block, del[i] the cost of deleting row i's node (cell
+// (i, n2+i) of the square matrix), ins[k] that of inserting column k's
+// (cell (n1+k, k)).
+func (c *pairCtx) sizeCosts(n1, n2 int) {
+	c.n1, c.n2 = n1, n2
+	c.cost = grow(c.cost, n1*n2+n1+n2)
+	c.sub, c.del, c.ins = c.cost[:n1*n2], c.cost[n1*n2:n1*n2+n1], c.cost[n1*n2+n1:]
+}
+
+// fillCosts builds the instance of the loaded pair. Substitution costs the
+// label mismatch; with structural set (Riesen–Bunke) it adds half the
+// incident-edge count difference, and a deletion or insertion charges the
+// node plus half its incident edges — each unmatched incident edge is
+// shared by two nodes. Without it (the VJ baseline) the cells hold label
+// costs only.
+//
+// Every cell is a small multiple of ½ (TestCostCellsAreHalfIntegers), so
+// the solvers' sums and differences are exact and any two algebraically
+// equal ways of computing a potential give the same float: that is what
+// makes the solvers in assignment.go bit-identical to the dense reference
+// ones. A cost model with other values would leave them correct, but no
+// longer guaranteed to break ties between equal-cost assignments the way
+// the reference does.
 //
 //lan:hotpath
-func (c *pairCtx) fillCosts(structural bool) int {
+func (c *pairCtx) fillCosts(structural bool) {
 	a, b, aLab, bLab := c.g, c.h, c.gLab, c.hLab
 	if c.swapped {
 		a, b, aLab, bLab = b, a, bLab, aLab
 	}
 	n1, n2 := a.N(), b.N()
-	n := n1 + n2
-	c.cost = grow(c.cost, n*n)
+	c.sizeCosts(n1, n2)
 	for i := 0; i < n1; i++ {
-		row := c.cost[i*n : (i+1)*n]
-		for j := 0; j < n2; j++ {
+		row := c.sub[i*n2 : (i+1)*n2]
+		for j := range row {
 			v := 0.0
 			if aLab[i] != bLab[j] {
 				v = 1
@@ -56,26 +77,17 @@ func (c *pairCtx) fillCosts(structural bool) int {
 			}
 			row[j] = v
 		}
-		for j := n2; j < n; j++ {
-			row[j] = infCost
-		}
-		row[n2+i] = 1
+		c.del[i] = 1
 		if structural {
-			row[n2+i] += float64(a.Degree(i)) / 2
+			c.del[i] += float64(a.Degree(i)) / 2
 		}
 	}
-	for i := 0; i < n2; i++ {
-		row := c.cost[(n1+i)*n : (n1+i+1)*n]
-		for j := 0; j < n2; j++ {
-			row[j] = infCost
-		}
-		row[i] = 1
+	for k := range c.ins {
+		c.ins[k] = 1
 		if structural {
-			row[i] += float64(b.Degree(i)) / 2
+			c.ins[k] += float64(b.Degree(k)) / 2
 		}
-		clear(row[n2:]) // bottom-right block: padding against padding
 	}
-	return n
 }
 
 // assignedCost converts the assignment over the padded square matrix

@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/lansearch/lan/graph"
@@ -77,6 +78,54 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 			if ub < exact {
 				t.Fatalf("%s = %v < exact %v", name, ub, exact)
 			}
+		}
+	})
+}
+
+// fuzzInstance decodes an assignment instance that no pair of graphs need
+// produce: sides of at most 40 (either may be empty), substitution cells in
+// {0, ½, …, 4}, deletion and insertion cells in {1, 1½, …, 5}. The cell
+// bytes are read round and round, so a short input still fills a large
+// instance — with a repeating pattern, which is where the ties are.
+func fuzzInstance(n1, n2 uint8, cells []byte) instance {
+	in := instance{n1: int(n1 % 41), n2: int(n2 % 41)}
+	next := 0
+	half := func() float64 {
+		if len(cells) == 0 {
+			return 0
+		}
+		b := cells[next%len(cells)]
+		next++
+		return float64(b%9) / 2
+	}
+	for i := 0; i < in.n1*in.n2; i++ {
+		in.sub = append(in.sub, half())
+	}
+	for i := 0; i < in.n1; i++ {
+		in.del = append(in.del, 1+half())
+	}
+	for k := 0; k < in.n2; k++ {
+		in.ins = append(in.ins, 1+half())
+	}
+	return in
+}
+
+// FuzzAssignmentMatchesReference holds both solvers to the dense reference
+// ones on arbitrary instances of the padded shape: the whole assignment
+// array, padding rows included, must be the reference's.
+func FuzzAssignmentMatchesReference(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{})
+	f.Add(uint8(3), uint8(0), []byte{1, 2, 3})
+	f.Add(uint8(0), uint8(4), []byte{7})
+	f.Add(uint8(5), uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 2})
+	f.Fuzz(func(t *testing.T, n1, n2 uint8, cells []byte) {
+		in := fuzzInstance(n1, n2, cells)
+		m := in.dense()
+		if got, want := solveHungarian(in), refSolveHungarian(m); !slices.Equal(got, want) {
+			t.Fatalf("%dx%d: hungarian %v; reference %v", in.n1, in.n2, got, want)
+		}
+		if got, want := solveJV(in), refSolveJV(m); !slices.Equal(got, want) {
+			t.Fatalf("%dx%d: jv %v; reference %v", in.n1, in.n2, got, want)
 		}
 	})
 }

@@ -18,12 +18,12 @@
 //
 // Every kernel — A*, beam search, both assignment solvers and the mapping
 // cost — runs on one pooled per-pair arena (pairCtx, arena.go): labels
-// interned to dense ids, h's adjacency as a bitset, flat cost matrices and
-// index heaps, all reused across calls, so a distance call allocates
-// nothing in steady state. An Ensemble distance loads the pair once for
-// all of its members. The kernels they replaced live on in
-// reference_test.go, where the identity tests and the fuzzer hold the
-// arena kernels to them bit for bit.
+// interned to dense ids, h's adjacency as a bitset, the assignment
+// instances in compact form and index heaps, all reused across calls, so a
+// distance call allocates nothing in steady state. An Ensemble distance
+// loads the pair once for all of its members. The kernels they replaced
+// live on in reference_test.go, where the identity tests and the fuzzers
+// hold the arena kernels to them bit for bit.
 package ged
 
 import (
@@ -190,13 +190,14 @@ func (e Ensemble) distanceOn(c *pairCtx) float64 {
 	if w <= 0 {
 		w = 16
 	}
-	d := c.vj()
+	d, best := c.vj(), 0
 	if d2 := c.hungarian(); d2 < d {
-		d = d2
+		d, best = d2, 1
 	}
 	if d3 := c.beam(w); d3 < d {
-		d = d3
+		d, best = d3, 2
 	}
+	ensembleBest[best].Add(1)
 	return d
 }
 

@@ -2,6 +2,7 @@ package ged
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -60,6 +61,26 @@ func kernelCorpus() [][2]*graph.Graph {
 	return append(pairs, synPairs(30)...)
 }
 
+// bipartiteCorpus adds the sizes the kernel corpus does not reach (its
+// largest square matrix has 60 columns): sides past 64 and past 128
+// columns, where the solvers' level set spans two and three words, and a
+// single node against many. The empty-side pairs come with beamCorpus.
+func bipartiteCorpus() [][2]*graph.Graph {
+	pairs := kernelCorpus()
+	gen := graph.NewGenerator(4217)
+	labels := simLabels(6)
+	for _, n := range []int{33, 47, 70} {
+		g := gen.MoleculeLike(n, 3, labels, 0.3)
+		pairs = append(pairs,
+			[2]*graph.Graph{g, gen.Mutate(g, 6, labels)},
+			[2]*graph.Graph{g, gen.RandomConnected(n+9, 2*n, labels, 0.2)})
+	}
+	for _, k := range []int{1, 2, 9, 66} {
+		pairs = append(pairs, [2]*graph.Graph{path("L01"), gen.RandomConnected(k, 2*k, labels, 0.2)})
+	}
+	return pairs
+}
+
 // arenaAStar runs the arena kernel the way Exact does, additionally
 // reporting the expansion count and the mapping.
 func arenaAStar(g, h *graph.Graph, budget int) (d float64, phi []int, expansions int, ok bool) {
@@ -107,26 +128,27 @@ func TestAStarKernelMatchesReference(t *testing.T) {
 }
 
 func TestBipartiteKernelsMatchReference(t *testing.T) {
-	for i, pair := range kernelCorpus() {
+	for i, pair := range bipartiteCorpus() {
 		for _, p := range [][2]*graph.Graph{pair, {pair[1], pair[0]}} {
 			g, h := p[0], p[1]
 			c := acquire(g, h)
 			for _, k := range []struct {
 				name       string
 				structural bool
-				solve      func(*pairCtx, int)
+				solve      func(*pairCtx)
 				costs      func(g, h *graph.Graph) [][]float64
 				refSolve   func([][]float64) []int
 			}{
 				{"hungarian", true, (*pairCtx).solveHungarian, refRiesenBunkeCosts, refSolveHungarian},
 				{"vj", false, (*pairCtx).solveJV, refLabelCosts, refSolveJV},
 			} {
-				n := c.fillCosts(k.structural)
+				c.fillCosts(k.structural)
+				n := c.n1 + c.n2
 				m := k.costs(g, h)
-				if n != len(m) || !slices.Equal(c.cost[:n*n], slices.Concat(m...)) {
+				if n != len(m) || !slices.Equal(slices.Concat(c.denseCosts()...), slices.Concat(m...)) {
 					t.Fatalf("pair %d %s: cost matrix differs from the reference", i, k.name)
 				}
-				k.solve(c, n)
+				k.solve(c)
 				want := k.refSolve(m)
 				for r, col := range c.assign[:n] {
 					if int(col) != want[r] {
@@ -147,6 +169,28 @@ func TestBipartiteKernelsMatchReference(t *testing.T) {
 				t.Fatalf("pair %d: VJ %v; reference %v", i, got, want)
 			}
 		}
+	}
+}
+
+// TestCostCellsAreHalfIntegers pins the premise the solvers' identity with
+// the dense reference rests on (see fillCosts): every cell of both cost
+// models is a small multiple of ½, so every sum and difference of cells
+// and potentials is exact in a float64.
+func TestCostCellsAreHalfIntegers(t *testing.T) {
+	for i, pair := range bipartiteCorpus() {
+		c := acquire(pair[0], pair[1])
+		for _, structural := range []bool{false, true} {
+			c.fillCosts(structural)
+			if len(c.cost) != c.n1*c.n2+c.n1+c.n2 {
+				t.Fatalf("pair %d: %d cells for a %dx%d instance", i, len(c.cost), c.n1, c.n2)
+			}
+			for k, v := range c.cost {
+				if twice := 2 * v; twice != math.Trunc(twice) || twice < 0 || twice >= 1<<20 {
+					t.Fatalf("pair %d structural=%v: cell %d is %v", i, structural, k, v)
+				}
+			}
+		}
+		release(c)
 	}
 }
 
@@ -190,6 +234,43 @@ func TestEnsembleSolvesEachBoundOnce(t *testing.T) {
 		t.Fatalf("finished ensemble call solved %d assignment problems; want 0", c.solves)
 	}
 	release(c)
+}
+
+// TestEnsembleStatsNameTheMember: a fallback call is counted once, for the
+// first member in protocol order whose bound is the minimum; a call whose
+// A* finishes is counted for none.
+func TestEnsembleStatsNameTheMember(t *testing.T) {
+	e := Ensemble{ExactBudget: 30, BeamWidth: 4}
+	var want [3]uint64
+	stats := func() [3]uint64 {
+		vj, hungarian, beam := EnsembleStats()
+		return [3]uint64{vj, hungarian, beam}
+	}
+	before := stats()
+	for _, p := range kernelCorpus() {
+		g, h := p[0], p[1]
+		e.Distance(g, h)
+		if _, ok := Exact(g, h, e.ExactBudget); ok {
+			continue
+		}
+		bounds := [3]float64{VJ(g, h), Hungarian(g, h), Beam(g, h, e.BeamWidth)}
+		best := 0
+		for m, d := range bounds {
+			if d < bounds[best] {
+				best = m
+			}
+		}
+		want[best]++
+	}
+	after := stats()
+	for m, name := range []string{"vj", "hungarian", "beam"} {
+		if got := after[m] - before[m]; got != want[m] {
+			t.Errorf("%s: counted best on %d calls; want %d (all members: %v)", name, got, want[m], want)
+		}
+	}
+	if want[0] == 0 || want[1] == 0 || want[2] == 0 {
+		t.Fatalf("the corpus does not make every member best once: %v", want)
+	}
 }
 
 func TestEnsembleDeterministicUnderConcurrency(t *testing.T) {
@@ -344,4 +425,50 @@ func BenchmarkVJFlat(b *testing.B) {
 
 func BenchmarkVJReference(b *testing.B) {
 	benchPairs(b, func(g, h *graph.Graph) { refVJ(g, h) })
+}
+
+// BenchmarkEnsembleMembers splits an ensemble call that exhausts its A*
+// budget into its stages, each timed alone, so the shares of a call are
+// read where they are true (the benchmark's ged.astar_us_per_call times
+// public Exact, which pays a Hungarian bound on exhaustion). load runs on
+// one arena; the members run on arenas loaded and prepared beforehand, one
+// per pair, and leave them as they found them.
+func BenchmarkEnsembleMembers(b *testing.B) {
+	for _, family := range []struct {
+		name  string
+		pairs [][2]*graph.Graph
+	}{{"aids", aidsPairs(9)}, {"syn", synPairs(9)}} {
+		arenas := make([]*pairCtx, len(family.pairs))
+		for i, p := range family.pairs {
+			arenas[i] = acquire(p[0], p[1])
+			arenas[i].prepSearch()
+		}
+		b.Run(family.name+"/load", func(b *testing.B) {
+			c := &pairCtx{labelID: make(map[string]int32)}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := family.pairs[i%len(family.pairs)]
+				c.load(p[0], p[1])
+			}
+		})
+		for _, member := range []struct {
+			name string
+			run  func(*pairCtx)
+		}{
+			{"prepSearch+astar(30)", func(c *pairCtx) { c.prepSearch(); c.astar(30) }},
+			{"vj", func(c *pairCtx) { c.vj() }},
+			{"hungarian", func(c *pairCtx) { c.hungarian() }},
+			{"beam(4)", func(c *pairCtx) { c.beam(4) }},
+		} {
+			b.Run(family.name+"/"+member.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					member.run(arenas[i%len(arenas)])
+				}
+			})
+		}
+		for _, c := range arenas {
+			release(c)
+		}
+	}
 }

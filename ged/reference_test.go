@@ -316,6 +316,9 @@ func invertMapping(phi []int, n int) []int {
 	return inv
 }
 
+// infCost marks an infeasible cell of the dense padded matrix.
+const infCost = 1e9
+
 // refSolveHungarian solves the square min-cost assignment problem with the
 // O(n^3) potentials formulation of the Hungarian algorithm (Kuhn–Munkres).
 // cost must be square; the result maps each row to its assigned column.

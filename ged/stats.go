@@ -20,6 +20,11 @@ var (
 	astarExhausted atomic.Uint64
 )
 
+// ensembleBest counts the Ensemble.Distance calls that fell back to the
+// approximations by the member whose bound they returned: VJ, Hungarian,
+// beam, in protocol order.
+var ensembleBest [3]atomic.Uint64
+
 // ArenaStats reports the kernel arena pool's behaviour since process
 // start: how many invocations reused a pooled arena and how many had to
 // allocate one. Safe for concurrent use; values are monotonic.
@@ -39,4 +44,13 @@ func ArenaStats() (reused, allocated uint64) {
 // start. Safe for concurrent use; values are monotonic.
 func AStarStats() (finished, exhausted uint64) {
 	return astarFinished.Load(), astarExhausted.Load()
+}
+
+// EnsembleStats reports, for the Ensemble.Distance calls whose A* did not
+// finish (or was not attempted), how many returned the bound of each
+// member: the first in protocol order — VJ, Hungarian, beam — among those
+// that attained the minimum. Safe for concurrent use; values are monotonic
+// since process start.
+func EnsembleStats() (vj, hungarian, beam uint64) {
+	return ensembleBest[0].Load(), ensembleBest[1].Load(), ensembleBest[2].Load()
 }

@@ -15,7 +15,7 @@ const obsPkgPath = "github.com/lansearch/lan/internal/obs"
 
 // MetricName enforces the repo's metric naming convention at every
 // obs.Registry registration site (Counter, CounterVec, CounterFunc,
-// Gauge, GaugeFunc, Histogram, Info):
+// CounterVecFunc, Gauge, GaugeFunc, Histogram, Info):
 //
 //   - the name is a compile-time string constant — dynamic names defeat
 //     both this check and dashboard greppability;
@@ -33,9 +33,9 @@ const obsPkgPath = "github.com/lansearch/lan/internal/obs"
 // the module is registered but can never move — it silently exports a
 // frozen zero, which reads as "nothing happened" on a dashboard when the
 // truth is "nothing was instrumented". Callback-driven families
-// (CounterFunc, GaugeFunc, Info) are exempt: registration alone makes them
-// live. A registration whose result is discarded outright is dead on
-// arrival.
+// (CounterFunc, CounterVecFunc, GaugeFunc, Info) are exempt: registration
+// alone makes them live. A registration whose result is discarded outright
+// is dead on arrival.
 var MetricName = &Analyzer{
 	Name:      "metricname",
 	Doc:       "enforces lan_<subsystem>_<name>_<unit> metric names, one registration site per family, and no dead families",
@@ -48,11 +48,11 @@ var metricNameRE = regexp.MustCompile(`^lan[a-z0-9]*(_[a-z0-9]+)+$`)
 // registryCounterMethods are the obs.Registry methods that register
 // counter families; the remaining registryMethods register non-counters.
 var registryCounterMethods = map[string]bool{
-	"Counter": true, "CounterVec": true, "CounterFunc": true,
+	"Counter": true, "CounterVec": true, "CounterFunc": true, "CounterVecFunc": true,
 }
 
 var registryMethods = map[string]bool{
-	"Counter": true, "CounterVec": true, "CounterFunc": true,
+	"Counter": true, "CounterVec": true, "CounterFunc": true, "CounterVecFunc": true,
 	"Gauge": true, "GaugeFunc": true, "Histogram": true, "Info": true,
 }
 

@@ -132,3 +132,14 @@ func rankerFamily(r *obs.Registry) {
 	hits.Inc()
 	bad.Inc()
 }
+
+// gedFamily mirrors lan_ged_ensemble_best_total: a callback-driven family
+// partitioned by a label is named like any counter, and registering it is
+// what makes it live — there is no handle to go dead.
+func gedFamily(r *obs.Registry) {
+	members := []string{"vj", "hungarian", "beam"}
+	r.CounterVecFunc("lan_ged_ensemble_best_total", "Fallback calls by best member.", "member", members,
+		func(i int) uint64 { return 0 })
+	r.CounterVecFunc("lan_ged_ensemble_best", "Counter without _total.", "member", members, // want "must end in _total"
+		func(i int) uint64 { return 0 })
+}

@@ -90,6 +90,13 @@ func Query() *QueryMetrics {
 		r.CounterFunc("lan_ged_astar_exhausted_total",
 			"Ensemble distances whose A* ran out of budget and fell back to the approximations.",
 			func() uint64 { _, exhausted := ged.AStarStats(); return exhausted })
+		r.CounterVecFunc("lan_ged_ensemble_best_total",
+			"Ensemble distances that fell back to the approximations, by the member whose bound was returned (the first in protocol order among equals).",
+			"member", []string{"vj", "hungarian", "beam"},
+			func(i int) uint64 {
+				vj, hungarian, beam := ged.EnsembleStats()
+				return [...]uint64{vj, hungarian, beam}[i]
+			})
 	})
 	return queryMetrics
 }

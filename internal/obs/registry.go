@@ -90,6 +90,14 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(name, &counterFunc{h: help, fn: fn})
 }
 
+// CounterVecFunc registers a counter family partitioned by one label whose
+// values are fixed at registration and whose counts are read from fn at
+// exposition time: fn(i) is the count of values[i] (for families
+// maintained elsewhere, e.g. package ged's per-member ensemble statistics).
+func (r *Registry) CounterVecFunc(name, help, label string, values []string, fn func(i int) uint64) {
+	r.register(name, &counterVecFunc{h: help, label: label, values: values, fn: fn})
+}
+
 // Gauge registers (or returns the existing) integer gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, &Gauge{h: help}).(*Gauge)
@@ -223,6 +231,21 @@ func (c *counterFunc) help() string { return c.h }
 func (c *counterFunc) kind() string { return "counter" }
 func (c *counterFunc) write(w io.Writer, name string) {
 	fmt.Fprintf(w, "%s %d\n", name, c.fn())
+}
+
+type counterVecFunc struct {
+	h      string
+	label  string
+	values []string
+	fn     func(i int) uint64
+}
+
+func (c *counterVecFunc) help() string { return c.h }
+func (c *counterVecFunc) kind() string { return "counter" }
+func (c *counterVecFunc) write(w io.Writer, name string) {
+	for i, value := range c.values {
+		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, c.label, value, c.fn(i))
+	}
 }
 
 // Gauge is an integer gauge.

@@ -16,6 +16,8 @@ func TestRegistryRendering(t *testing.T) {
 	v.With("429").Inc()
 	v.With("504").Inc()
 	r.CounterFunc("lan_test_pulls_total", "Pulls.", func() uint64 { return 7 })
+	r.CounterVecFunc("lan_test_wins_total", "Wins by member.", "member", []string{"b", "a"},
+		func(i int) uint64 { return uint64(10 + i) })
 	g := r.Gauge("lan_test_depth", "Depth.")
 	g.Set(5)
 	g.Inc()
@@ -38,6 +40,7 @@ func TestRegistryRendering(t *testing.T) {
 		`lan_test_errors_total{code="429"} 1`,
 		`lan_test_errors_total{code="504"} 1`,
 		"lan_test_pulls_total 7",
+		"# TYPE lan_test_wins_total counter\nlan_test_wins_total{member=\"b\"} 10\nlan_test_wins_total{member=\"a\"} 11\n",
 		"# TYPE lan_test_depth gauge\nlan_test_depth 3\n",
 		"lan_test_ratio 0.25",
 		`lan_test_build_info{version="v1",rev="abc"} 1`,

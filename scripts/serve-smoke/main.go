@@ -283,6 +283,9 @@ func checks(base string, q *graph.Graph) error {
 		"lan_route_gamma_steps_count",
 		"lan_distcache_hits_total",
 		"lan_ged_arena_reused_total",
+		`lan_ged_ensemble_best_total{member="vj"}`,
+		`lan_ged_ensemble_best_total{member="hungarian"}`,
+		`lan_ged_ensemble_best_total{member="beam"}`,
 		"lan_ranker_inferences_total",
 		"lan_ranker_memo_hits_total",
 		"lan_process_goroutines",
