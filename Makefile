@@ -45,8 +45,10 @@ race:
 # Micro-benchmarks (mat kernels, GED arena kernels beside their reference
 # twins — A*, ensemble, Hungarian, VJ, beam — and BenchmarkEnsembleMembers,
 # the split of one ensemble call by member, the model kernels beside
-# theirs — BenchmarkCrossInfer, BenchmarkRankerCall —, one M_rk training
-# step, BenchmarkRankTrainStep, beside the ranking call it trains, parallel
+# theirs — BenchmarkCrossInfer, BenchmarkRankerCall/{aids,syn} (syn is the
+# shape models.us_per_ranker_call is measured at on syn_hung),
+# BenchmarkHeads/{miss,hit} (the heads' share of one score) —, one M_rk
+# training step, BenchmarkRankTrainStep, beside the ranking call it trains, parallel
 # vs sequential PG build, pool resize, root package ablations) plus the end-to-end
 # lan-bench run, which writes a BENCH_<timestamp>.json summary with build
 # speedups and latency percentiles; see DESIGN.md "Performance

@@ -13,6 +13,11 @@
 // attention is keyed on previous-level embeddings, computed once per
 // previous-level group and shared by all its refinements — this preserves
 // the complexity bound of Theorem 3.
+//
+// A second note: the attention score a1·h_i + a2·h_j + log|g_j| has no
+// non-linearity around it, so the softmax over j cancels the a1·h_i term —
+// every group of one side receives the same cross message and A1 is a dead
+// parameter (TestCrossAttentionIgnoresA1; DESIGN.md "Deviations" 7).
 package cg
 
 import (

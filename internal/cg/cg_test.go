@@ -146,6 +146,60 @@ func newTestModel(t *testing.T, db graph.Database, layers, dim int) (*CrossModel
 	return m, vocab
 }
 
+// TestCrossAttentionIgnoresA1 pins a fidelity finding, not a requirement
+// (DESIGN.md "Deviations"): the attention score of group i over the other
+// side's group j is a1·h_i + a2·h_j + log|g_j| with no non-linearity
+// around it, and the softmax over j cancels every term that does not
+// depend on j. So every group of one side receives the same cross message
+// and A1 is a dead parameter: redrawing it moves no embedding beyond
+// rounding, and its gradient is rounding noise beside A2's. A change that
+// gives the attention a non-linearity (GAT's LeakyReLU, GMN's dot product)
+// must fail this test and delete it.
+func TestCrossAttentionIgnoresA1(t *testing.T) {
+	db := testDB(31, 8)
+	m, vocab := newTestModel(t, db, 2, 8)
+	cs := make([]*Compressed, len(db))
+	for i, g := range db {
+		cs[i] = Build(g, 2, vocab)
+	}
+	embed := func() (out [][]float64) {
+		for _, g := range cs {
+			for _, q := range cs {
+				out = append(out, m.Infer(g, q), m.Forward(g, q).Data.Data)
+			}
+		}
+		return out
+	}
+	before := embed()
+
+	loss := autograd.SumSquares(m.Forward(cs[0], cs[1]))
+	autograd.Backward(loss)
+	maxAbs := func(vs []*autograd.Value) float64 {
+		worst := 0.0
+		for _, v := range vs {
+			for _, g := range v.Grad.Data {
+				worst = math.Max(worst, math.Abs(g))
+			}
+		}
+		return worst
+	}
+	if g1, g2 := maxAbs(m.A1), maxAbs(m.A2); g2 < 1e-6 || g1 > 1e-9*g2 {
+		t.Fatalf("max |dL/dA1| = %g beside max |dL/dA2| = %g: A1 is no longer dead (or A2 no longer alive)", g1, g2)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for _, a1 := range m.A1 {
+		copy(a1.Data.Data, mat.Randn(a1.Data.Rows, 1, 3, rng).Data)
+	}
+	for i, after := range embed() {
+		for k, v := range after {
+			if d := math.Abs(v - before[i][k]); d > 1e-12 {
+				t.Fatalf("embedding %d moved by %g at column %d after redrawing every A1", i, d, k)
+			}
+		}
+	}
+}
+
 func TestTheorem2CompressedEqualsRaw(t *testing.T) {
 	db := testDB(5, 8)
 	m, vocab := newTestModel(t, db, 3, 8)

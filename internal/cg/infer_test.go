@@ -158,34 +158,45 @@ func TestWorkspaceSlabsGrowByReplacement(t *testing.T) {
 	}
 }
 
+// TestWorkspaceMemo at a toy width, at h_{G′,Q}'s (2·Dim = 32) and at the
+// width M_rk keeps (heads × Hidden = 160).
 func TestWorkspaceMemo(t *testing.T) {
-	ws := NewWorkspace()
-	ws.StartMemo(3)
-	for id := 0; id < 100; id++ {
-		row, hit := ws.MemoRow(id * 7)
-		if hit || len(row) != 3 {
-			t.Fatalf("first MemoRow(%d) = len %d, hit %v", id*7, len(row), hit)
+	for _, width := range []int{3, 32, 160} {
+		ws := NewWorkspace()
+		ws.StartMemo(width)
+		first := make([][]float64, 100)
+		for id := range first {
+			row, hit := ws.MemoRow(id * 7)
+			if hit || len(row) != width {
+				t.Fatalf("width %d: first MemoRow(%d) = len %d, hit %v", width, id*7, len(row), hit)
+			}
+			row[0], row[width-1] = float64(id), float64(id)+0.5
+			first[id] = row
 		}
-		row[0], row[1], row[2] = float64(id), float64(id)+0.25, float64(id)+0.5
-	}
-	for id := 99; id >= 0; id-- { // rows survived the table's growth
-		row, hit := ws.MemoRow(id * 7)
-		if !hit || row[0] != float64(id) || row[2] != float64(id)+0.5 {
-			t.Fatalf("MemoRow(%d) = %v, hit %v", id*7, row, hit)
+		for id := 99; id >= 0; id-- { // rows survived the table's growth, where they were
+			row, hit := ws.MemoRow(id * 7)
+			if !hit || &row[0] != &first[id][0] || row[0] != float64(id) || row[width-1] != float64(id)+0.5 {
+				t.Fatalf("width %d: MemoRow(%d) = %v, hit %v", width, id*7, row, hit)
+			}
 		}
-	}
-	chunks := len(ws.rows)
-	ws.Ints(8)
-	ws.Reset()
-	if row, hit := ws.MemoRow(7); hit || len(row) != 3 {
-		t.Fatalf("memo survived Reset: len %d, hit %v", len(row), hit)
-	}
-	if len(ws.rows) != chunks || ws.ints.off != 0 {
-		t.Fatalf("Reset dropped the memo's chunks (%d -> %d) or kept the id slab's offset (%d)", chunks, len(ws.rows), ws.ints.off)
-	}
-	ws.StartMemo(2)
-	if row, hit := ws.MemoRow(7); hit || len(row) != 2 {
-		t.Fatalf("memo survived a width change: len %d, hit %v", len(row), hit)
+		chunks := len(ws.rows)
+		for i, c := range ws.rows {
+			if len(c) == 0 || 8*len(c) > 16<<10 {
+				t.Fatalf("width %d: chunk %d of %d holds %d bytes; want at most 16 KB", width, i, chunks, 8*len(c))
+			}
+		}
+		ws.Ints(8)
+		ws.Reset()
+		if row, hit := ws.MemoRow(7); hit || len(row) != width {
+			t.Fatalf("width %d: memo survived Reset: len %d, hit %v", width, len(row), hit)
+		}
+		if len(ws.rows) != chunks || ws.ints.off != 0 {
+			t.Fatalf("width %d: Reset dropped the memo's chunks (%d -> %d) or kept the id slab's offset (%d)", width, chunks, len(ws.rows), ws.ints.off)
+		}
+		ws.StartMemo(width - 1)
+		if row, hit := ws.MemoRow(7); hit || len(row) != width-1 || len(ws.rows) != 1 {
+			t.Fatalf("width %d: memo survived a width change: len %d, hit %v, %d chunks", width, len(row), hit, len(ws.rows))
+		}
 	}
 }
 

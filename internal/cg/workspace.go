@@ -27,10 +27,10 @@ type Workspace struct {
 	ints    bump[int]     // search lifetime: ranked neighbour ids
 	batches bump[[]int]   // search lifetime: batch headers over ints
 
-	// The memo: the id that maps to slot s owns row s%memoChunkRows of
-	// chunk s/memoChunkRows. Chunks are added as rows are needed, so the
-	// table holds what the search needed, to within a chunk, and a row
-	// never moves.
+	// The memo: the id that maps to slot s owns row s%n of chunk s/n, n the
+	// rows of its width that fit a chunk. Chunks are added as rows are
+	// needed, so the table holds what the search needed, to within a chunk,
+	// and a row never moves.
 	slot  map[int]int32
 	rows  [][]float64
 	width int
@@ -106,8 +106,11 @@ func (ws *Workspace) Batches(n int) [][]int {
 	return ws.batches.take(n)[:0]
 }
 
-// memoChunkRows is the number of memo rows allocated at a time.
-const memoChunkRows = 64
+// memoChunkFloats is the size of a memo chunk (16 KB; one row when a row
+// is wider): chunks are sized by bytes, not rows, so a wide row does not
+// make a search of a few dozen neighbours allocate several times what it
+// fills.
+const memoChunkFloats = 2048
 
 // StartMemo empties the memo and sets its row width. Chunks of the same
 // width are reused; a different width drops them.
@@ -122,13 +125,14 @@ func (ws *Workspace) StartMemo(width int) {
 // new row's contents are unspecified and the caller fills it. Rows stay
 // valid until the next StartMemo.
 func (ws *Workspace) MemoRow(id int) (row []float64, hit bool) {
+	n := max(1, memoChunkFloats/max(1, ws.width))
 	s, hit := ws.slot[id]
 	if !hit {
 		s = int32(len(ws.slot))
 		ws.slot[id] = s
-		if int(s)/memoChunkRows == len(ws.rows) {
-			ws.rows = append(ws.rows, make([]float64, memoChunkRows*ws.width))
+		if int(s)/n == len(ws.rows) {
+			ws.rows = append(ws.rows, make([]float64, n*ws.width))
 		}
 	}
-	return ws.rows[int(s)/memoChunkRows][int(s)%memoChunkRows*ws.width:][:ws.width], hit
+	return ws.rows[int(s)/n][int(s)%n*ws.width:][:ws.width], hit
 }

@@ -211,7 +211,8 @@ type QueryStats struct {
 	// RankerInferences and RankerMemoHits split M_rk's neighbour scores
 	// (LANRoute only): cross-graph inferences run, one per distinct
 	// neighbour, against scores of a neighbour already met from another
-	// node, served from the per-search memo.
+	// node, which resume from the per-search memo past the network and the
+	// cross columns of the heads' first layer.
 	RankerInferences int
 	RankerMemoHits   int
 	// BatchesOpened, GammaSteps and the neighbor tallies come from

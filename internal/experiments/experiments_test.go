@@ -73,7 +73,17 @@ func TestFig5Through7Shapes(t *testing.T) {
 
 func TestFig12SpeedupShape(t *testing.T) {
 	p := tinyProtocol()
+	// A call times ~0.1 s of wall clock per variant on cores the sibling
+	// packages' tests share, and noise only ever adds: each variant's time
+	// is the fastest of five calls (the argument of benchmark/passes.go's
+	// fastest).
 	row := Fig12(p, dataset.AIDS(p.Scale), 16)
+	for rep := 1; rep < 5; rep++ {
+		r := Fig12(p, dataset.AIDS(p.Scale), 16)
+		row.RawPerPair = min(row.RawPerPair, r.RawPerPair)
+		row.CGPerPair = min(row.CGPerPair, r.CGPerPair)
+		row.HAGPerPair = min(row.HAGPerPair, r.HAGPerPair)
+	}
 	if row.CGPerPair <= 0 || row.RawPerPair <= 0 || row.HAGPerPair <= 0 {
 		t.Fatalf("degenerate timings: %+v", row)
 	}
@@ -83,12 +93,13 @@ func TestFig12SpeedupShape(t *testing.T) {
 		t.Fatalf("CG cost %d >= raw %d", row.CGCost, row.RawCost)
 	}
 	// Wall-clock CG speedup should be visible (>1x) on molecule graphs.
-	if row.CGSpeedup <= 1 {
-		t.Fatalf("no CG speedup: %+v", row)
+	cgSpeedup := row.RawPerPair.Seconds() / row.CGPerPair.Seconds()
+	if cgSpeedup <= 1 {
+		t.Fatalf("no CG speedup (%0.2fx): %+v", cgSpeedup, row)
 	}
 	// HAG cannot approach CG's speedup (it keeps all matmul rows).
-	if row.HAGSpeedup >= row.CGSpeedup {
-		t.Fatalf("HAG (%0.2fx) >= CG (%0.2fx)", row.HAGSpeedup, row.CGSpeedup)
+	if hagSpeedup := row.RawPerPair.Seconds() / row.HAGPerPair.Seconds(); hagSpeedup >= cgSpeedup {
+		t.Fatalf("HAG (%0.2fx) >= CG (%0.2fx)", hagSpeedup, cgSpeedup)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/lansearch/lan/internal/cg"
+	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/pg"
 )
 
@@ -24,10 +25,31 @@ type rankFixture struct {
 	walk []int
 }
 
-func newRankFixture(tb testing.TB) *rankFixture {
+// rankShape is what a ranking call's cost depends on: the graphs, the
+// proximity graph's degree and the models' width.
+type rankShape struct {
+	name   string
+	spec   dataset.Spec
+	m, dim int
+}
+
+var (
+	// aidsShape is the identity tests' fixture: 26-node molecules, heads
+	// 24 -> 16 -> 1.
+	aidsShape = rankShape{"aids", dataset.AIDS(0.002), 5, 8}
+	// synShape is the benchmark's syn_hung index at a third of its
+	// database: 10-node graphs, M = 6, Dim 16, heads 48 -> 32 -> 1.
+	synShape = rankShape{"syn", dataset.SYN(0.0002), 6, 16}
+
+	rankShapes = []rankShape{aidsShape, synShape}
+)
+
+func newRankFixture(tb testing.TB) *rankFixture { return newRankFixtureOf(tb, aidsShape) }
+
+func newRankFixtureOf(tb testing.TB, shape rankShape) *rankFixture {
 	tb.Helper()
-	f := newFixture(tb, 0.002, 2)
-	cfg := Config{Layers: 2, Dim: 8, BatchPercent: 20, GammaStar: f.gamma, Seed: 5}
+	f := newFixtureOf(tb, shape.spec, shape.m, 2)
+	cfg := Config{Layers: 2, Dim: shape.dim, BatchPercent: 20, GammaStar: f.gamma, Seed: 5}
 	rf := &rankFixture{
 		fixture: f,
 		mrk:     NewNeighborRanker(cfg, f.store),
@@ -199,30 +221,84 @@ var benchBatches [][]int
 // BenchmarkRankerCall is one ranking call of a search in steady state:
 // the walk's nodes in turn on one workspace, the memo restarted every lap
 // (so a lap pays each distinct neighbour's inference once, as a search
-// does).
+// does). The syn case is the shape models.us_per_ranker_call is measured
+// at on the benchmark's syn_hung.
 func BenchmarkRankerCall(b *testing.B) {
-	rf := newRankFixture(b)
-	ws := cg.NewWorkspace()
-	rk := rf.mrk.Ranker(ws, rf.store, rf.queries[0], rf.qc, nil).(*searchRanker)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%len(rf.walk) == 0 {
-			ws.Reset()
-			rk.sc = rf.mrk.bind(ws, rf.qc, nil)
-		}
-		node := rf.walk[i%len(rf.walk)]
-		benchBatches = rk.Batches(node, rf.index.PG.Neighbors(node), 0)
+	for _, shape := range rankShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rf := newRankFixtureOf(b, shape)
+			ws := cg.NewWorkspace()
+			rk := rf.mrk.Ranker(ws, rf.store, rf.queries[0], rf.qc, nil).(*searchRanker)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%len(rf.walk) == 0 {
+					ws.Reset()
+					rk.sc = rf.mrk.bind(ws, rf.qc, nil)
+				}
+				node := rf.walk[i%len(rf.walk)]
+				benchBatches = rk.Batches(node, rf.index.PG.Neighbors(node), 0)
+			}
+		})
 	}
 }
 
 func BenchmarkRankerCallReference(b *testing.B) {
-	rf := newRankFixture(b)
-	rk := refRanker(rf.mrk, rf.store, rf.qc)
+	for _, shape := range rankShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rf := newRankFixtureOf(b, shape)
+			rk := refRanker(rf.mrk, rf.store, rf.qc)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				node := rf.walk[i%len(rf.walk)]
+				benchBatches = rk.Batches(node, rf.index.PG.Neighbors(node), 0)
+			}
+		})
+	}
+}
+
+var benchScore float64
+
+// headsBench is the heads' share of one score at the syn shape, the cross
+// network excluded: the neighbour's cross embedding is computed before the
+// clock starts.
+func headsBench(b *testing.B) (rf *rankFixture, cross, nodeEmb []float64) {
+	rf = newRankFixtureOf(b, synShape)
+	cross = rf.mrk.cross.Infer(rf.mrk.store.For(rf.db[1]), rf.qc)
+	return rf, cross, rf.mrk.nodeEmbedding(rf.db[0])
+}
+
+// BenchmarkHeads: miss is the first score of a neighbour (the heads' whole
+// first layer: the prefix into the memo row, then resumed), hit every later
+// one (resumed from the row).
+func BenchmarkHeads(b *testing.B) {
+	rf, cross, nodeEmb := headsBench(b)
+	sc := rf.mrk.bind(cg.NewWorkspace(), rf.qc, nil)
+	prefix, _ := sc.ws.MemoRow(1)
+	sc.headPrefixes(prefix, cross)
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sc.headPrefixes(prefix, cross)
+			benchScore = sc.headSum(prefix, nodeEmb)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchScore = sc.headSum(prefix, nodeEmb)
+		}
+	})
+}
+
+// BenchmarkHeadsReference is what every score, first or n-th, paid for its
+// heads before the workspace.
+func BenchmarkHeadsReference(b *testing.B) {
+	rf, cross, nodeEmb := headsBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		node := rf.walk[i%len(rf.walk)]
-		benchBatches = rk.Batches(node, rf.index.PG.Neighbors(node), 0)
+		benchScore = refHeadSum(rf.mrk, cross, nodeEmb)
 	}
 }

@@ -2,6 +2,8 @@ package models
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/lansearch/lan/ged"
@@ -27,9 +29,14 @@ type fixture struct {
 
 func newFixture(t testing.TB, scale float64, queries int) *fixture {
 	t.Helper()
-	spec := dataset.AIDS(scale)
+	return newFixtureOf(t, dataset.AIDS(scale), 5, queries)
+}
+
+// newFixtureOf is newFixture over any dataset and proximity-graph degree.
+func newFixtureOf(t testing.TB, spec dataset.Spec, m, queries int) *fixture {
+	t.Helper()
 	db := spec.Generate()
-	idx, err := pg.Build(db, pg.BuildConfig{M: 5, EfConstruction: 12, Seed: 3})
+	idx, err := pg.Build(db, pg.BuildConfig{M: m, EfConstruction: 12, Seed: 3})
 	if err != nil {
 		t.Fatalf("pg.Build: %v", err)
 	}
@@ -204,6 +211,35 @@ func TestNeighborRankerRankerAdapter(t *testing.T) {
 	res, stats, _ := route.Route(context.Background(), f.index.PG, cache, rk, 0, route.Config{K: 3, Beam: 8})
 	if len(res) == 0 || stats.NDC == 0 {
 		t.Fatalf("np_route with learned ranker returned nothing: %v %+v", res, stats)
+	}
+
+	// Tied scores — heads saturated alike; here zeroed, so every score is
+	// 5·sigmoid(0) — rank by ascending id, in the router's batches and in
+	// RankAccuracy alike.
+	for _, h := range r.heads {
+		for _, l := range h.Layers {
+			clear(l.W.Data.Data)
+			clear(l.B.Data.Data)
+		}
+	}
+	asc := append([]int(nil), neighbors...)
+	sort.Ints(asc)
+	var flat []int
+	for _, b := range r.Ranker(cg.NewWorkspace(), pg.NewRAMStore(f.db), f.queries[0], nil, nil).Batches(0, neighbors, 0) {
+		flat = append(flat, b...)
+	}
+	if !reflect.DeepEqual(flat, asc) {
+		t.Fatalf("tied scores ranked %v; want ascending ids %v", flat, asc)
+	}
+	// An example listing the neighbours by descending id whose true order
+	// is ascending id: the router's order gets its whole top y% right, an
+	// order that left ties as listed none of it.
+	ex := RankExample{Qi: 0, Node: 0, Neighbors: make([]int, len(asc)), Ranks: make([]int, len(asc))}
+	for j := range asc {
+		ex.Neighbors[j], ex.Ranks[j] = asc[len(asc)-1-j], len(asc)-1-j
+	}
+	if acc := r.RankAccuracy(f.db, f.table, []RankExample{ex}); acc != 1 {
+		t.Fatalf("RankAccuracy on tied scores = %v; want 1 (ties rank by id, as in the router)", acc)
 	}
 }
 

@@ -162,14 +162,15 @@ func (r *NeighborRanker) nodeEmbeddingByID(store pg.GraphStore, id int, buf *[]f
 }
 
 // RankerStats counts what M_rk paid for one search's neighbour scores:
-// every score either runs the cross-graph network or is served from the
-// per-search memo.
+// every score either runs the cross-graph network and the cross columns of
+// the heads' first layer, or finds both in the per-search memo.
 type RankerStats struct {
 	// Inferences is the number of cross-graph inferences run (one per
 	// distinct neighbour scored).
 	Inferences int
 	// MemoHits is the number of scores of a neighbour met before, from
-	// another current node, that skipped the inference.
+	// another current node, that skipped the inference and the two thirds
+	// of every head's first layer that read its result.
 	MemoHits int
 }
 
@@ -179,32 +180,42 @@ type RankerStats struct {
 //	Σ_heads sigmoid(out_h(ReLU(hidden_h(h_{G′,Q} || h_G))))
 //
 // and of its inputs only h_G depends on the current node G, while the
-// cross embedding h_{G′,Q} is nearly all of its cost. The scorer therefore
-// runs the cross network once per distinct neighbour G′ and keeps the
-// embedding in the workspace's memo; scoring G′ again from another node
-// runs only the heads. The heads see the same floats either way, so
-// memoised scores equal unmemoised ones bit for bit
-// (TestRankerMemoBitIdentical).
+// cross embedding h_{G′,Q} is most of its cost and its 2·Dim columns come
+// first in every head's input. The scorer therefore runs the cross network
+// once per distinct neighbour G′ and keeps in the workspace's memo not the
+// embedding but what each head's first layer makes of it — the sum over
+// the cross columns, heads × Hidden floats (nn.MLP.InferPrefix). A score,
+// the first for G′ or the n-th from another node, resumes every head from
+// its prefix with the Dim columns of h_G: the float operations of the
+// whole forward in the same order, so memoised scores equal unmemoised
+// ones bit for bit (TestRankerMemoBitIdentical).
 type scorer struct {
 	r     *NeighborRanker
 	ws    *cg.Workspace
 	stats *RankerStats // nil when nobody counts
+	// hidden and width are the heads' first-layer and widest outputs (the
+	// heads share one shape).
+	hidden, width int
 }
 
 // bind points ws at (M_rk's cross model, qc) and starts an empty memo.
 func (r *NeighborRanker) bind(ws *cg.Workspace, qc *cg.Compressed, stats *RankerStats) scorer {
 	ws.Bind(r.cross, qc)
-	ws.StartMemo(2 * r.Cfg.Dim)
-	return scorer{r: r, ws: ws, stats: stats}
+	hidden := r.heads[0].Layers[0].W.Data.Cols
+	ws.StartMemo(len(r.heads) * hidden)
+	return scorer{r: r, ws: ws, stats: stats, hidden: hidden, width: r.heads[0].Width()}
 }
 
 // score returns the summed head probability of neighbour id (whose graph
 // is g) seen from the node whose embedding is nodeEmb.
 func (s scorer) score(id int, g *graph.Graph, nodeEmb []float64) float64 {
 	r, ws := s.r, s.ws
-	cross, hit := ws.MemoRow(id)
+	prefix, hit := ws.MemoRow(id)
 	if !hit {
+		cross := ws.Floats(2 * r.Cfg.Dim)
 		ws.Cross(cross, r.store.For(g))
+		s.headPrefixes(prefix, cross)
+		ws.PopFloats(len(cross))
 	}
 	if s.stats != nil {
 		if hit {
@@ -213,17 +224,26 @@ func (s scorer) score(id int, g *graph.Graph, nodeEmb []float64) float64 {
 			s.stats.Inferences++
 		}
 	}
-	// The heads' input row h_{G′,Q} || h_G, then MLP.Infer's scratch (the
-	// heads share one shape).
-	buf := ws.Floats(len(cross) + len(nodeEmb) + 2*r.heads[0].Width())
-	in := buf[:len(cross)+len(nodeEmb)]
-	copy(in, cross)
-	copy(in[len(cross):], nodeEmb)
-	p := 0.0
-	for _, h := range r.heads {
-		p += sigmoid(h.Infer(in, buf[len(in):])[0])
+	return s.headSum(prefix, nodeEmb)
+}
+
+// headPrefixes fills a memo row from a neighbour's cross embedding: head
+// after head, the first layer's sum over the cross columns.
+func (s scorer) headPrefixes(prefix, cross []float64) {
+	for i, h := range s.r.heads {
+		h.InferPrefix(prefix[i*s.hidden:][:s.hidden], cross)
 	}
-	ws.PopFloats(len(buf))
+}
+
+// headSum resumes every head from its prefix with nodeEmb and sums the
+// probabilities.
+func (s scorer) headSum(prefix, nodeEmb []float64) float64 {
+	buf := s.ws.Floats(2 * s.width)
+	p := 0.0
+	for i, h := range s.r.heads {
+		p += sigmoid(h.InferFrom(prefix[i*s.hidden:][:s.hidden], nodeEmb, buf)[0])
+	}
+	s.ws.PopFloats(len(buf))
 	return p
 }
 
@@ -268,17 +288,23 @@ func (k *searchRanker) Batches(node int, neighbors []int, dCurrent float64) [][]
 	for i, nb := range neighbors {
 		scores[i] = k.sc.score(nb, ws.Graphs[i], nodeEmb)
 	}
-	// Insertion sort, stable like the sort.SliceStable it replaces (and
-	// step for step the same below that one's 20-element block size);
-	// scores tie-break by id, so the order is total either way.
-	for i := 1; i < len(ranked); i++ {
-		for j := i; j > 0 && order.ByScoreThenID(scores[j], ranked[j], scores[j-1], ranked[j-1]); j-- {
-			scores[j], scores[j-1] = scores[j-1], scores[j]
-			ranked[j], ranked[j-1] = ranked[j-1], ranked[j]
-		}
-	}
+	sortByScoreThenID(scores, ranked)
 	ws.PopFloats(len(scores))
 	return route.AppendBatches(ws.Batches(r.Cfg.Heads()), ranked, r.Cfg.BatchPercent)
+}
+
+// sortByScoreThenID puts ids, and scores with them, in the order the
+// router opens them in: descending score, ties by ascending id. Insertion
+// sort, stable like the sort.SliceStable it replaces (and step for step
+// the same below that one's 20-element block size); scores tie-break by
+// id, so the order is total either way.
+func sortByScoreThenID(scores []float64, ids []int) {
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && order.ByScoreThenID(scores[j], ids[j], scores[j-1], ids[j-1]); j-- {
+			scores[j], scores[j-1] = scores[j-1], scores[j]
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+		}
+	}
 }
 
 // RankExample is one M_rk training example: rank the neighbors of PG node
@@ -388,7 +414,8 @@ func (r *NeighborRanker) Train(db graph.Database, table *DistanceTable, examples
 
 // RankAccuracy measures, over examples, the fraction of top-y% neighbors
 // (by truth) that the model also places in its top y% — the metric that
-// determines pruning safety.
+// determines pruning safety. The model's order is the one the router cuts
+// into batches: the same scores under the same comparator, ties included.
 func (r *NeighborRanker) RankAccuracy(db graph.Database, table *DistanceTable, examples []RankExample) float64 {
 	if len(examples) == 0 {
 		return 0
@@ -402,25 +429,22 @@ func (r *NeighborRanker) RankAccuracy(db graph.Database, table *DistanceTable, e
 		if cut < 1 {
 			cut = 1
 		}
-		type scored struct {
-			j     int
-			score float64
-		}
 		sc := r.bind(ws, r.store.For(q), nil)
 		nodeEmb := r.nodeEmbedding(db[ex.Node])
-		ss := make([]scored, n)
+		ranked := append([]int(nil), ex.Neighbors...)
+		scores := make([]float64, n)
 		for j, nb := range ex.Neighbors {
-			ss[j] = scored{j: j, score: sc.score(nb, db[nb], nodeEmb)}
+			scores[j] = sc.score(nb, db[nb], nodeEmb)
 		}
-		sort.SliceStable(ss, func(a, b int) bool { return ss[a].score > ss[b].score })
+		sortByScoreThenID(scores, ranked)
 		pred := make(map[int]bool, cut)
-		for _, s := range ss[:cut] {
-			pred[s.j] = true
+		for _, nb := range ranked[:cut] {
+			pred[nb] = true
 		}
-		for j := range ex.Neighbors {
+		for j, nb := range ex.Neighbors {
 			if ex.Ranks[j] < cut {
 				total++
-				if pred[j] {
+				if pred[nb] {
 					hit++
 				}
 			}

@@ -193,7 +193,11 @@ func refProbCG(m *NeighborhoodModel, g *graph.Graph, qc *cg.Compressed) float64 
 // refScore is M_rk's neighbour score on the matrix kernels: the cross
 // network and every head's full forward, for every call.
 func refScore(r *NeighborRanker, qc *cg.Compressed, neighbor *graph.Graph, nodeEmb []float64) float64 {
-	cross := refCrossInfer(r.cross, r.store.For(neighbor), qc)
+	return refHeadSum(r, refCrossInfer(r.cross, r.store.For(neighbor), qc), nodeEmb)
+}
+
+// refHeadSum is the heads' part of refScore.
+func refHeadSum(r *NeighborRanker, cross, nodeEmb []float64) float64 {
 	in := mat.GetScratch(1, len(cross)+len(nodeEmb))
 	copy(in.Data, cross)
 	copy(in.Data[len(cross):], nodeEmb)

@@ -162,16 +162,34 @@ func (m *MLP) Apply(x *autograd.Value) *autograd.Value {
 	return x
 }
 
-// accumulate adds x*W to dst (len out): dst[j] += x[k]*W[k][j], one pass
-// over ascending k — from a zeroed dst, the float operations of mat.Mul on
-// a one-row operand in the same order, as a plain row loop instead of the
-// tiled kernel these few-dozen-wide operands gain nothing from.
+// accumulate adds x*W[k0:k0+len(x)] to dst (len out): dst[j] +=
+// x[i]*W[k0+i][j] over ascending i — from a zeroed dst and k0 = 0, the
+// float operations of mat.Mul on a one-row operand in the same order, as a
+// plain row loop instead of the tiled kernel these few-dozen-wide operands
+// gain nothing from. Four rows of W go through one pass over dst: every
+// dst[j] still receives its terms one at a time in ascending order, so the
+// blocking changes no float, only how often dst is loaded and stored.
 //
 //lan:hotpath
-func (l *Linear) accumulate(dst, x []float64) {
-	w, out := l.W.Data.Data, len(dst)
-	for k, a := range x {
-		for j, b := range w[k*out:][:out] {
+func (l *Linear) accumulate(dst, x []float64, k0 int) {
+	out := len(dst)
+	w := l.W.Data.Data[k0*out:]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		a0, a1, a2, a3 := x[i], x[i+1], x[i+2], x[i+3]
+		r0, r1 := w[i*out:][:out], w[(i+1)*out:][:out]
+		r2, r3 := w[(i+2)*out:][:out], w[(i+3)*out:][:out]
+		for j, d := range dst {
+			d += a0 * r0[j]
+			d += a1 * r1[j]
+			d += a2 * r2[j]
+			d += a3 * r3[j]
+			dst[j] = d
+		}
+	}
+	for ; i < len(x); i++ {
+		a := x[i]
+		for j, b := range w[i*out:][:out] {
 			dst[j] += a * b
 		}
 	}
@@ -197,15 +215,44 @@ func (m *MLP) Width() int {
 // bit. x is not modified.
 //
 //lan:hotpath
-func (m *MLP) Infer(x, buf []float64) []float64 {
+func (m *MLP) Infer(x, buf []float64) []float64 { return m.InferFrom(nil, x, buf) }
+
+// InferPrefix writes into dst (one float per first-layer output) the first
+// layer's sum over the leading len(x) input columns: from zero, ascending,
+// no bias — literally the first len(x) steps of Infer on any input that
+// starts with x. InferFrom finishes it.
+//
+//lan:hotpath
+func (m *MLP) InferPrefix(dst, x []float64) {
+	for j := range dst {
+		dst[j] = 0
+	}
+	m.Layers[0].accumulate(dst, x, 0)
+}
+
+// InferFrom is Infer split at an input column: rest holds the trailing
+// input columns and prefix what InferPrefix made of the ones before them
+// (not read, and may be nil, when rest is the whole input). The first
+// layer's sum resumes from prefix where InferPrefix stopped, so
+// InferFrom(InferPrefix(x[:c]), x[c:]) equals Infer(x) bit for bit at every
+// c. Neither prefix nor rest is modified; buf is as for Infer.
+//
+//lan:hotpath
+func (m *MLP) InferFrom(prefix, rest, buf []float64) []float64 {
 	half := len(buf) / 2
-	cur := x
+	cur := rest
 	for i, l := range m.Layers {
 		next := buf[(i%2)*half:][:l.W.Data.Cols]
-		for j := range next {
-			next[j] = 0
+		// Layers past the first always see their whole input.
+		k0 := l.W.Data.Rows - len(cur)
+		if k0 == 0 {
+			for j := range next {
+				next[j] = 0
+			}
+		} else {
+			copy(next, prefix)
 		}
-		l.accumulate(next, cur)
+		l.accumulate(next, cur, k0)
 		for j, b := range l.B.Data.Data {
 			next[j] += b
 		}

@@ -141,26 +141,133 @@ func TestMLPRegressionWithMSE(t *testing.T) {
 	}
 }
 
+// inferWidths are the input widths the identity tests run: below, at and
+// above the four rows accumulate takes per pass (so its scalar tail sees 0
+// to 3 rows), and the 24- and 48-wide inputs of M_rk's heads at Dim 8 and
+// 16.
+var inferWidths = []int{1, 3, 4, 5, 8, 24, 48}
+
+var negZero = math.Copysign(0, -1)
+
 func TestMLPInferMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p := NewParams()
-	m := NewMLP(p, "mlp", []int{5, 8, 3, 1}, rng)
-	if m.Width() != 8 {
-		t.Fatalf("Width = %d; want 8", m.Width())
-	}
-	buf := make([]float64, 2*m.Width())
-	for trial := 0; trial < 10; trial++ {
-		x := mat.Randn(1, 5, 1, rng)
-		want := m.Apply(autograd.Const(x)).Data
-		got := m.Infer(x.Data, buf)
-		if len(got) != 1 || got[0] != want.At(0, 0) {
-			t.Fatalf("Infer = %v; Apply = %v (must be bit-identical)", got, want.Data)
+	for _, in := range inferWidths {
+		m := NewMLP(NewParams(), "mlp", []int{in, 8, 3, 1}, rng)
+		if m.Width() != 8 {
+			t.Fatalf("in %d: Width = %d; want 8", in, m.Width())
+		}
+		buf := make([]float64, 2*m.Width())
+		for trial := 0; trial < 10; trial++ {
+			x := mat.Randn(1, in, 1, rng)
+			want := m.Apply(autograd.Const(x)).Data
+			got := m.Infer(x.Data, buf)
+			if len(got) != 1 || got[0] != want.At(0, 0) {
+				t.Fatalf("in %d: Infer = %v; Apply = %v (must be bit-identical)", in, got, want.Data)
+			}
+		}
+		x := mat.Randn(1, in, 1, rng).Data
+		if n := testing.AllocsPerRun(50, func() { m.Infer(x, buf) }); n != 0 {
+			t.Fatalf("in %d: Infer allocates %v objects per call", in, n)
 		}
 	}
-	x := mat.Randn(1, 5, 1, rng).Data
-	if n := testing.AllocsPerRun(50, func() { m.Infer(x, buf) }); n != 0 {
-		t.Fatalf("Infer allocates %v objects per call", n)
+}
+
+// checkSplit holds m, at every column c its input can be split at, to
+// InferFrom(InferPrefix(x[:c]), x[c:]) == Infer(x) == Apply(Const(x)), bit
+// pattern for bit pattern (so -0 does not pass for +0).
+func checkSplit(t *testing.T, m *MLP, x []float64) {
+	t.Helper()
+	want := m.Apply(autograd.Const(mat.FromSlice(1, len(x), append([]float64(nil), x...)))).Data.Data
+	buf := make([]float64, 2*m.Width())
+	prefix := make([]float64, m.Layers[0].W.Data.Cols)
+	same := func(got []float64) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				return false
+			}
+		}
+		return true
 	}
+	if got := m.Infer(x, buf); !same(got) {
+		t.Fatalf("in %d, %d layers: Infer = %v; Apply = %v", len(x), len(m.Layers), got, want)
+	}
+	for c := 0; c <= len(x); c++ {
+		m.InferPrefix(prefix, x[:c])
+		if got := m.InferFrom(prefix, x[c:], buf); !same(got) {
+			t.Fatalf("in %d, %d layers, split at %d: InferFrom = %v; Apply = %v", len(x), len(m.Layers), c, got, want)
+		}
+	}
+}
+
+// TestMLPInferSplitMatchesInfer: the split is the whole, on shapes M_rk's
+// fixtures do not reach — every split column of every width, a one-layer
+// MLP (no ReLU after the resumed layer, three outputs) and a three-layer
+// one, inputs with +0, -0 and negatives among them.
+func TestMLPInferSplitMatchesInfer(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, in := range inferWidths {
+		for _, sizes := range [][]int{{in, 3}, {in, 8, 3, 1}} {
+			m := NewMLP(NewParams(), "mlp", sizes, rng)
+			for trial := 0; trial < 6; trial++ {
+				x := mat.Randn(1, in, 1, rng).Data
+				for k := range x {
+					switch (k + trial) % 5 {
+					case 0:
+						x[k] = 0
+					case 1:
+						x[k] = negZero
+					}
+				}
+				if trial == 0 {
+					for k := range x {
+						x[k] = negZero // an all -0 input: every product is a signed zero
+					}
+				}
+				checkSplit(t, m, x)
+			}
+		}
+	}
+	m := NewMLP(NewParams(), "mlp", []int{48, 32, 1}, rng)
+	x := mat.Randn(1, 48, 1, rng).Data
+	buf := make([]float64, 2*m.Width())
+	prefix := make([]float64, 32)
+	if n := testing.AllocsPerRun(50, func() {
+		m.InferPrefix(prefix, x[:32])
+		m.InferFrom(prefix, x[32:], buf)
+	}); n != 0 {
+		t.Fatalf("InferPrefix + InferFrom allocate %v objects per call", n)
+	}
+}
+
+// FuzzMLPInferSplitMatchesInfer runs checkSplit on arbitrary shapes and
+// inputs. shape picks the input width (1-48), one layer or three and the
+// weights' seed; every byte of data is one input: 0x00 is +0, 0x80 is -0,
+// anything else int8(b)/32. Missing bytes read as +0, so every input
+// decodes; all values are finite, as embeddings are.
+func FuzzMLPInferSplitMatchesInfer(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0x80, 0x00, 0x7f, 0x81, 0x80}, uint16(4|1<<6))
+	f.Fuzz(func(t *testing.T, data []byte, shape uint16) {
+		in := 1 + int(shape&63)%48
+		sizes := []int{in, 1 + int(shape>>7)%9}
+		if shape&64 != 0 {
+			sizes = []int{in, 1 + int(shape>>7)%9, 3, 1}
+		}
+		m := NewMLP(NewParams(), "mlp", sizes, rand.New(rand.NewSource(int64(shape))))
+		x := make([]float64, in)
+		for k := range x {
+			if k >= len(data) {
+				break
+			}
+			if x[k] = float64(int8(data[k])) / 32; data[k] == 0x80 {
+				x[k] = negZero
+			}
+		}
+		checkSplit(t, m, x)
+	})
 }
 
 func TestAdamWeightDecayShrinksUnusedParams(t *testing.T) {

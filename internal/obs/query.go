@@ -70,9 +70,9 @@ func Query() *QueryMetrics {
 			RankerCalls: r.Counter("lan_route_ranker_calls_total",
 				"Per-node neighbor-ranking invocations during routing (learned or oracle)."),
 			RankerInferences: r.Counter("lan_ranker_inferences_total",
-				"Cross-graph inferences M_rk ran: one per distinct neighbor scored in a search."),
+				"Cross-graph inferences M_rk ran, each with the cross columns of its heads' first layer: one per distinct neighbor scored in a search."),
 			RankerMemoHits: r.Counter("lan_ranker_memo_hits_total",
-				"M_rk neighbor scores served from the per-search memo without running the cross-graph network."),
+				"M_rk neighbor scores resumed from the per-search memo: neither the cross-graph network nor the cross two thirds of the heads' first layer ran."),
 			DistCacheHits: r.Counter("lan_distcache_hits_total",
 				"Per-query distance-memo lookups served without a GED call."),
 			DistCacheMisses: r.Counter("lan_distcache_misses_total",
