@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	lan-search -db aids.txt -index aids.lan -queries test-queries.txt -k 10 -beam 32
+//	lan-search -index aids.lansnap -queries test-queries.txt -k 10 -beam 32
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/lansearch/lan"
-	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/lanio"
 )
 
@@ -22,30 +21,21 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lan-search: ")
 	var (
-		dbPath  = flag.String("db", "", "database file")
-		idxPath = flag.String("index", "", "trained index snapshot from lan-train")
+		idxPath = flag.String("index", "", "index snapshot from lan-train")
 		qPath   = flag.String("queries", "", "query file")
 		k       = flag.Int("k", 10, "neighbors per query")
 		beam    = flag.Int("beam", 0, "candidate pool size (default k)")
 		routing = flag.String("routing", "lan", "routing: lan, baseline, oracle")
 		initial = flag.String("initial", "lan", "initial node: lan, hnsw, rand")
 		trace   = flag.Bool("trace", false, "print a per-query routing trace (JSON, one line per query) to stderr")
-		store   = flag.String("store", "mmap", "storage tier for binary snapshots: ram or mmap (JSON indexes are always ram)")
+		store   = flag.String("store", "mmap", "storage tier: mmap (serve off the mapped file) or ram (materialize it)")
 	)
 	flag.Parse()
 	if *idxPath == "" || *qPath == "" {
-		log.Fatal("need -index and -queries (-db too unless the index is a binary snapshot)")
+		log.Fatal("need -index and -queries")
 	}
 
-	var db graph.Database
-	if *dbPath != "" {
-		var err error
-		db, err = lanio.ReadDatabase(*dbPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	idx, err := lanio.OpenIndex(*idxPath, db, lan.Options{Store: *store})
+	idx, err := lan.OpenSnapshot(*idxPath, lan.Options{Store: *store})
 	if err != nil {
 		log.Fatal(err)
 	}

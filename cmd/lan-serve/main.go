@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	lan-serve -db aids.txt -index aids.lan -addr :8080
+//	lan-serve -index aids.lansnap -addr :8080
 //	curl -d '{"query":{"labels":["C","O"],"edges":[[0,1]]},"k":5}' localhost:8080/search
 //	curl localhost:8080/metrics
 //	curl localhost:8080/debug/trace/last
 //
-// The database and index files come from lan-gen and lan-train. On
+// The index file comes from lan-train and carries its database. On
 // SIGINT/SIGTERM the server stops accepting work (/readyz turns 503),
 // drains in-flight connections and exits within -shutdown-grace.
 package main
@@ -28,8 +28,6 @@ import (
 	"time"
 
 	"github.com/lansearch/lan"
-	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/lanio"
 	"github.com/lansearch/lan/lanserve"
 )
 
@@ -43,8 +41,7 @@ func fatal(logger *slog.Logger, msg string, args ...any) {
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		dbPath    = flag.String("db", "", "database file (graph text format, or .json)")
-		idxPath   = flag.String("index", "", "trained index snapshot from lan-train")
+		idxPath   = flag.String("index", "", "index snapshot from lan-train")
 		workers   = flag.Int("workers", 0, "concurrent searches (default GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "admission queue depth beyond -workers; overflow gets 429")
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request deadline ceiling")
@@ -55,39 +52,24 @@ func main() {
 		quietLog  = flag.Bool("quiet", false, "suppress per-request error logging")
 		traceN    = flag.Int("trace-ring", 8, "per-query traces kept for /debug/trace/last (negative disables tracing)")
 		slowQ     = flag.Duration("slow-query", 0, "log the full trace of queries at least this slow (0 disables)")
-		writable  = flag.Bool("writable", false, "enable POST /insert and /delete (streaming writes against the served index)")
-		storeTier = flag.String("store", "mmap", "storage tier for binary snapshots: ram or mmap (JSON indexes are always ram)")
+		writable  = flag.Bool("writable", false, "enable POST /insert and /delete (streaming writes against the served index; needs -store ram)")
+		storeTier = flag.String("store", "mmap", "storage tier: mmap (serve off the mapped file, read-only) or ram (materialize it)")
 		traceDir  = flag.String("trace-dir", "", "export sampled query traces as JSONL segments into this directory (empty disables)")
 		traceRate = flag.Float64("trace-sample", 1.0, "fraction of queries exported to -trace-dir (slow queries always export)")
 	)
 	flag.Parse()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "lan-serve")
 	if *idxPath == "" {
-		fatal(logger, "need -index (-db too unless the index is a binary snapshot)")
+		fatal(logger, "need -index")
 	}
 	if *writable && *storeTier == lan.StoreMMap {
 		// Catch the conflict at startup instead of serving an endpoint
-		// whose every request would fail with ErrReadOnly. A binary
-		// snapshot can still be served writable via -store ram; JSON
-		// indexes are unaffected (always RAM-resident).
-		if snap, err := lan.IsSnapshotFile(*idxPath); err == nil && snap {
-			fatal(logger, "-writable needs a RAM-resident index; pass -store ram (mmap-backed indexes are read-only)")
-		}
+		// whose every request would fail with ErrReadOnly.
+		fatal(logger, "-writable needs a RAM-resident index; pass -store ram (mmap-backed indexes are read-only)")
 	}
 
-	var db graph.Database
-	if *dbPath != "" {
-		var err error
-		db, err = lanio.ReadDatabase(*dbPath)
-		if err != nil {
-			fatal(logger, "read database", "err", err.Error())
-		}
-	}
 	start := time.Now()
-	// Workers also bounds the snapshot-load fan-out: snapshots without
-	// precomputed node embeddings recompute them across this many
-	// goroutines.
-	idx, err := lanio.OpenIndex(*idxPath, db, lan.Options{Workers: *workers, Store: *storeTier})
+	idx, err := lan.OpenSnapshot(*idxPath, lan.Options{Workers: *workers, Store: *storeTier})
 	if err != nil {
 		fatal(logger, "open index", "err", err.Error())
 	}

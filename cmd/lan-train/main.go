@@ -1,15 +1,13 @@
 // Command lan-train builds and trains a LAN index over a graph database
-// file and writes the trained index snapshot to disk.
+// file and writes it to disk as a self-contained .lansnap snapshot — the
+// database travels inside, so lan-search and lan-serve need nothing else.
 //
 // Usage:
 //
-//	lan-train -db aids.txt -queries aids-queries.txt -out aids.lan -dim 16 -epochs 10
+//	lan-train -db aids.txt -queries aids-queries.txt -out aids.lansnap -dim 16 -epochs 10
 //
-// A .lansnap output path writes the self-contained binary snapshot
-// instead of the JSON index — the format lan-search/lan-serve can open
-// with -store mmap (no -db needed) — with -precision selecting the
-// stored embedding precision (f64, f32, int8; final distances are exact
-// under every setting).
+// -precision selects the stored embedding precision (f64, f32, int8; final
+// distances are exact under every setting).
 package main
 
 import (
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/lansearch/lan"
@@ -31,8 +28,8 @@ func main() {
 	var (
 		dbPath  = flag.String("db", "", "database file (graph text format)")
 		qPath   = flag.String("queries", "", "training query workload file")
-		outPath = flag.String("out", "index.lan", "output index snapshot (.lansnap writes the self-contained binary format)")
-		prec    = flag.String("precision", "f64", "embedding precision in .lansnap output: f64, f32 or int8 (final distances stay exact)")
+		outPath = flag.String("out", "index.lansnap", "output index snapshot")
+		prec    = flag.String("precision", "f64", "stored embedding precision: f64, f32 or int8 (final distances stay exact)")
 		dim     = flag.Int("dim", 16, "embedding dimension")
 		m       = flag.Int("m", 8, "proximity graph degree parameter")
 		epochs  = flag.Int("epochs", 10, "training epochs")
@@ -69,20 +66,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "built index over %d graphs in %s (gamma* = %.0f)\n",
 		idx.Len(), time.Since(start).Round(time.Millisecond), idx.GammaStar())
 
-	if strings.HasSuffix(*outPath, ".lansnap") {
-		if err := idx.SaveSnapshot(*outPath, lan.SnapshotOptions{Precision: *prec}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (binary snapshot, %s embeddings)\n", *outPath, *prec)
-		return
-	}
-	f, err := os.Create(*outPath)
-	if err != nil {
+	if err := idx.SaveSnapshot(*outPath, lan.SnapshotOptions{Precision: *prec}); err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := idx.Save(f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", *outPath)
+	fmt.Fprintf(os.Stderr, "wrote %s (%s embeddings)\n", *outPath, *prec)
 }

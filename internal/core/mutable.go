@@ -8,7 +8,7 @@ import (
 
 // MutationState is the write-path state a mutated engine carries beyond
 // its immutable snapshot: the current epoch and per-graph validity
-// stamps. It travels with version-2 persisted snapshots.
+// stamps. It travels in the metadata of a saved snapshot.
 type MutationState struct {
 	// Epoch is the number of applied mutations (0 = never mutated).
 	Epoch uint64

@@ -7,35 +7,40 @@ import (
 	"io"
 
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/cluster"
+	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/pg"
 )
 
-// snapshot is the JSON wire form of a built engine (without the database
-// itself, which callers store separately, and without metrics, which are
-// code).
+// snapshot is the metadata section of a .lansnap file — the one persisted
+// form of an index. lanstore lays the database, the base-layer adjacency
+// and M_rk's node embeddings out in sections of their own; everything else
+// a built engine needs travels here as JSON.
 type snapshot struct {
 	Version   int     `json:"version"`
 	GammaStar float64 `json:"gamma_star"`
 
-	// Index.
-	Adj   [][]int         `json:"adj"`
+	// The HNSW above the base layer.
 	Upper []map[int][]int `json:"upper"`
 	Level []int           `json:"level"`
 	Entry int             `json:"entry"`
 
-	// Options needed to rebuild model shapes.
-	M            int     `json:"m"`
-	Layers       int     `json:"layers"`
-	Dim          int     `json:"dim"`
-	BatchPercent int     `json:"batch_percent"`
-	Hidden       int     `json:"hidden"`
-	UseCG        bool    `json:"use_cg"`
-	TopClusters  int     `json:"top_clusters"`
-	Samples      int     `json:"samples"`
-	StepSize     float64 `json:"step_size"`
-	Seed         int64   `json:"seed"`
+	// Options that shape the models, and those the write path of a
+	// reopened index must share with the build. EfConstruction is absent
+	// from files written before it was persisted and then defaults to 2M.
+	M              int     `json:"m"`
+	EfConstruction int     `json:"ef_construction"`
+	Layers         int     `json:"layers"`
+	Dim            int     `json:"dim"`
+	BatchPercent   int     `json:"batch_percent"`
+	Hidden         int     `json:"hidden"`
+	UseCG          bool    `json:"use_cg"`
+	TopClusters    int     `json:"top_clusters"`
+	Samples        int     `json:"samples"`
+	StepSize       float64 `json:"step_size"`
+	Seed           int64   `json:"seed"`
 
 	// Clustering.
 	Centroids [][]float64 `json:"centroids"`
@@ -46,54 +51,61 @@ type snapshot struct {
 	MnhParams json.RawMessage `json:"mnh_params"`
 	McParams  json.RawMessage `json:"mc_params"`
 
-	// MrkNodeEmb holds M_rk's precomputed database embeddings. Optional:
-	// snapshots written before this field (or with it stripped) load fine
-	// — the embeddings are recomputed from the parameters at Load.
-	MrkNodeEmb [][]float64 `json:"mrk_node_emb,omitempty"`
-
-	// Mutation state (format version 2). An engine that was never
-	// mutated serializes as version 1 without these fields, so
-	// pre-mutation readers keep loading it.
+	// Mutation state of an index that received writes; a never-mutated
+	// one omits it.
 	Epoch uint64   `json:"epoch,omitempty"`
 	Born  []uint64 `json:"born,omitempty"`
 	Died  []uint64 `json:"died,omitempty"`
 }
 
-// maxSnapshotVersion is the newest snapshot format this build can read:
-// 1 is the original immutable form, 2 adds mutation state (epoch +
-// per-graph validity stamps).
-const maxSnapshotVersion = 2
+// snapshotVersion is the metadata version of the .lansnap format. Versions
+// 1 and 2 were free-standing JSON index files; their readers are gone.
+const snapshotVersion = 3
 
-// Save serializes everything needed to answer queries later: the
-// proximity graph, the calibration, the clustering, and all trained model
-// parameters. The database and the GED metrics are re-supplied at Load.
-func (e *Engine) Save(w io.Writer) error { return e.SaveWithState(w, nil) }
+// maxShape bounds every shape field of the metadata: far above any real
+// index (the paper's embedding dimension is 128), and small enough that
+// validate's weight counts cannot overflow.
+const maxShape = 1 << 16
 
-// SaveWithState is Save carrying the mutable index's write-path state.
-// A nil st (or one that never mutated: epoch 0) writes the version-1
-// form, byte-compatible with pre-mutation readers; otherwise the
-// snapshot is version 2 and includes the epoch and validity stamps.
-func (e *Engine) SaveWithState(w io.Writer, st *MutationState) error {
+// mmapCGCacheBound caps the compressed-GNN-graph cache of an
+// mmap-opened engine. CGs are memos of deterministic per-graph builds,
+// so the bound only trades CPU for memory — results never change — and
+// it is what keeps resident memory sublinear in database size.
+const mmapCGCacheBound = 4096
+
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", lanstore.ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
+// SaveSnapshotV3 writes the engine as a version-3 binary snapshot:
+// self-contained (database included — nothing is re-supplied at open),
+// mmap-able, with the M_rk node-embedding table stored at the given
+// quantization. st carries the write-path state of a mutated index (nil
+// for one that never was). The engine must be RAM-resident; re-saving an
+// mmap-opened engine is not supported.
+func SaveSnapshotV3(path string, e *Engine, st *MutationState, quant lanstore.Quant) error {
+	if _, mm := e.Graphs.(*lanstore.Store); mm {
+		return fmt.Errorf("core: cannot re-save an mmap-opened engine as a snapshot (open with the ram store to materialize it first)")
+	}
 	s := snapshot{
-		Version:   1,
+		Version:   snapshotVersion,
 		GammaStar: e.GammaStar,
-		Adj:       e.Index.PG.Adj,
 		Upper:     e.Index.Upper,
 		Level:     e.Index.Level,
 		Entry:     e.Index.Entry,
-		M:         e.Opts.M,
-		Layers:    e.Opts.Layers, Dim: e.Opts.Dim,
+
+		M: e.Opts.M, EfConstruction: e.Opts.EfConstruction,
+		Layers: e.Opts.Layers, Dim: e.Opts.Dim,
 		BatchPercent: e.Opts.BatchPercent, Hidden: e.Opts.Hidden,
 		UseCG:       e.Opts.UseCG,
 		TopClusters: e.Opts.TopClusters, Samples: e.Opts.Samples,
-		StepSize:   e.Opts.StepSize,
-		Seed:       e.Opts.Seed,
-		Centroids:  e.Mc.Clusters().Centroids,
-		Assign:     e.Mc.Clusters().Assign,
-		MrkNodeEmb: e.Mrk.NodeEmbeddings(),
+		StepSize: e.Opts.StepSize,
+		Seed:     e.Opts.Seed,
+
+		Centroids: e.Mc.Clusters().Centroids,
+		Assign:    e.Mc.Clusters().Assign,
 	}
 	if st != nil && st.Epoch > 0 {
-		s.Version = 2
 		s.Epoch = st.Epoch
 		s.Born = st.Born
 		s.Died = st.Died
@@ -108,10 +120,20 @@ func (e *Engine) SaveWithState(w io.Writer, st *MutationState) error {
 	if s.McParams, err = marshalParams(e.Mc.Params); err != nil {
 		return err
 	}
-	return json.NewEncoder(w).Encode(s)
+	meta, err := json.Marshal(&s)
+	if err != nil {
+		return fmt.Errorf("core: snapshot meta: %w", err)
+	}
+	return lanstore.Write(path, &lanstore.SnapshotData{
+		Meta:  meta,
+		DB:    e.DB,
+		Adj:   e.Index.PG.Adj,
+		Emb:   e.Mrk.NodeEmbeddings(),
+		Quant: quant,
+	})
 }
 
-func marshalParams(p paramsSaver) (json.RawMessage, error) {
+func marshalParams(p interface{ Save(io.Writer) error }) (json.RawMessage, error) {
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		return nil, err
@@ -119,51 +141,189 @@ func marshalParams(p paramsSaver) (json.RawMessage, error) {
 	return json.RawMessage(buf.Bytes()), nil
 }
 
-type paramsSaver interface {
-	Save(io.Writer) error
-	Load(io.Reader) error
-}
-
-// Load reconstructs a saved engine over db. opts supplies the metrics
-// (and may override UseCG); all shape options come from the snapshot.
-func Load(db graph.Database, r io.Reader, opts Options) (*Engine, error) {
-	e, _, _, err := LoadWithState(db, r, opts)
-	return e, err
-}
-
-// LoadWithState is Load that also returns the snapshot's mutation state
-// (nil for version-1 snapshots, which predate the write path) and the
-// format version it was stored at. Unknown future versions are rejected
-// with a clear error instead of a garbage decode.
-func LoadWithState(db graph.Database, r io.Reader, opts Options) (*Engine, *MutationState, int, error) {
-	if err := db.Validate(); err != nil {
-		return nil, nil, 0, fmt.Errorf("core: load: %w", err)
+// OpenSnapshotV3 opens a version-3 binary snapshot. opts supplies the
+// metrics and the worker count; every shape option comes from the file.
+//
+// With mmap true the database stays on disk: searches fetch candidate
+// graphs segment-at-a-time through the store, the adjacency is aliased
+// from the mapping, M_rk reads its node embeddings row-by-row, and
+// Engine.DB is a length-only husk of nil entries. The returned store
+// backs the engine — the caller owns closing it, after which the engine
+// must not be used. Resident memory stays far below database size; the
+// engine is read-only.
+//
+// With mmap false the snapshot is fully verified and materialized into
+// RAM (the store is closed before returning, and the returned store is
+// nil): the engine is then indistinguishable from the one that was saved,
+// writable included.
+//
+// A file that is not a snapshot, is of a newer format or fails validation
+// returns an error matching lanstore.ErrNotSnapshot, ErrFutureVersion or
+// ErrCorrupt.
+func OpenSnapshotV3(path string, opts Options, mmap bool) (*Engine, *MutationState, *lanstore.Store, error) {
+	store, err := lanstore.Open(path)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	e, st, err := openV3(store, opts, mmap)
+	if err != nil {
+		store.Close()
+		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if !mmap {
+		store.Close()
+		return e, st, nil, nil
+	}
+	return e, st, store, nil
+}
+
+func openV3(store *lanstore.Store, opts Options, mmap bool) (*Engine, *MutationState, error) {
 	var s snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, nil, 0, fmt.Errorf("core: load: %w", err)
+	if err := json.Unmarshal(store.Meta(), &s); err != nil {
+		return nil, nil, corruptf("snapshot meta: %v", err)
 	}
-	if s.Version < 1 || s.Version > maxSnapshotVersion {
-		return nil, nil, 0, fmt.Errorf("core: unsupported snapshot version %d (this build reads versions 1-%d)", s.Version, maxSnapshotVersion)
+	n := store.Len()
+	if err := s.validate(n, len(store.Labels())); err != nil {
+		return nil, nil, err
 	}
 	var st *MutationState
-	if s.Version >= 2 {
-		if len(s.Born) != len(s.Adj) || len(s.Died) != len(s.Adj) {
-			return nil, nil, 0, fmt.Errorf("core: load: %d/%d validity stamps for %d graphs", len(s.Born), len(s.Died), len(s.Adj))
-		}
+	if s.Epoch > 0 {
 		st = &MutationState{Epoch: s.Epoch, Born: s.Born, Died: s.Died}
 	}
-	e, err := assembleEngine(db, &s, s.Adj, opts, assembly{})
-	if err != nil {
-		return nil, nil, 0, err
+
+	if !mmap {
+		// RAM mode: verify everything (including the payload sections the
+		// mmap path defers), then decode into ordinary heap structures.
+		if err := store.VerifyPayload(); err != nil {
+			return nil, nil, err
+		}
+		db, err := store.DecodeAll()
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := db.Validate(); err != nil {
+			return nil, nil, corruptf("%v", err)
+		}
+		asm := assembly{}
+		if store.NodeEmbeddingCount() == n {
+			asm.nodeEmb = store.EmbeddingsFloat64()
+		}
+		e, err := assembleEngine(db, &s, store.AdjacencyCopy(), opts, asm)
+		if err != nil {
+			return nil, nil, err
+		}
+		return e, st, nil
 	}
-	return e, st, s.Version, nil
+
+	// mmap mode: the database is a husk — only its length is real. The
+	// vocabulary comes from the snapshot's label table (identical to what
+	// a database scan would build: both are the sorted distinct labels),
+	// so no assembly step touches graph bytes beyond what queries page in.
+	db := make(graph.Database, n)
+	vocab := cg.NewVocabFromLabels(store.Labels())
+	cgs := models.NewCGStoreVocab(vocab, s.Layers, s.UseCG)
+	cgs.SetCacheBound(mmapCGCacheBound)
+	asm := assembly{
+		graphs:   store,
+		cgs:      cgs,
+		embedder: cluster.NewFeatureEmbedderVocab(vocab),
+		huskDB:   true,
+	}
+	if store.NodeEmbeddingCount() == n {
+		// The RAM path checks the row width in SetNodeEmbeddings; rows read
+		// through the store would otherwise be trusted until the first
+		// ranked neighbour.
+		if dim := len(store.NodeEmbedding(0, nil)); dim != s.Dim {
+			return nil, nil, corruptf("node embeddings have dim %d, models %d", dim, s.Dim)
+		}
+		asm.embSrc = store
+	}
+	e, err := assembleEngine(db, &s, store.Adjacency(), opts, asm)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, st, nil
 }
 
-// assembly carries the storage-dependent pieces of engine assembly. The
-// JSON loader derives everything from the RAM database (zero value); the
-// v3 snapshot loader substitutes vocab-built caches and — in mmap mode —
-// an external graph store and embedding source over a husk database.
+// validate checks everything assembly indexes by or sizes from the
+// metadata against the snapshot's graph count n and label count vocab.
+// The section checksums only detect rot; this is what stands between a
+// crafted file and an index-out-of-range or a terabyte allocation.
+func (s *snapshot) validate(n, vocab int) error {
+	if s.Version != snapshotVersion {
+		return corruptf("binary snapshot carries metadata version %d, want %d", s.Version, snapshotVersion)
+	}
+	for _, f := range []struct {
+		name     string
+		v, floor int
+	}{
+		{"m", s.M, 1}, {"ef_construction", s.EfConstruction, 0},
+		{"layers", s.Layers, 1}, {"dim", s.Dim, 1}, {"hidden", s.Hidden, 1},
+	} {
+		if f.v < f.floor || f.v > maxShape {
+			return corruptf("%s = %d outside [%d, %d]", f.name, f.v, f.floor, maxShape)
+		}
+	}
+	// A weight costs its blob at least a digit and a separator, so shapes
+	// the parameter blobs cannot hold are refused before a model is sized
+	// from them. Counted, as lower bounds: the W matrices of the encoders
+	// (cg.NewCrossModel, cg.NewGINModel) and the first layer of every head —
+	// by far most of each model. Should a model outgrow its count here,
+	// every round-trip test fails at once: its own snapshots stop opening.
+	bp := s.BatchPercent
+	if bp <= 0 || bp > 100 {
+		bp = 20 // models.Config's own clamp
+	}
+	heads := models.Config{BatchPercent: bp}.Heads()
+	dim, hidden := int64(s.Dim), int64(s.Hidden)
+	encoder := int64(vocab)*dim + int64(s.Layers-1)*dim*dim
+	head := 3 * dim * hidden
+	if 2*(2*encoder+int64(heads)*head) > int64(len(s.MrkParams)) ||
+		2*(encoder+head) > int64(len(s.MnhParams)) || 2*hidden > int64(len(s.McParams)) {
+		return corruptf("model shape (layers %d, dim %d, hidden %d) exceeds the stored parameters", s.Layers, s.Dim, s.Hidden)
+	}
+
+	if len(s.Level) != n || len(s.Assign) != n {
+		return corruptf("%d levels and %d cluster assignments for %d graphs", len(s.Level), len(s.Assign), n)
+	}
+	for i, c := range s.Assign {
+		if c < 0 || c >= len(s.Centroids) {
+			return corruptf("graph %d assigned to cluster %d of %d", i, c, len(s.Centroids))
+		}
+	}
+	if s.Entry < 0 || s.Entry >= n {
+		return corruptf("entry node %d of %d graphs", s.Entry, n)
+	}
+	for i, l := range s.Level {
+		if l < 0 || l > len(s.Upper) {
+			return corruptf("graph %d on level %d of %d", i, l, len(s.Upper))
+		}
+	}
+	for l, layer := range s.Upper {
+		if layer == nil {
+			return corruptf("layer %d is null", l+1)
+		}
+		for u, ns := range layer {
+			if u < 0 || u >= n {
+				return corruptf("layer %d holds node %d of %d graphs", l+1, u, n)
+			}
+			for _, v := range ns {
+				if v < 0 || v >= n {
+					return corruptf("layer %d: node %d has neighbor %d of %d graphs", l+1, u, v, n)
+				}
+			}
+		}
+	}
+	if s.Epoch > 0 && (len(s.Born) != n || len(s.Died) != n) {
+		return corruptf("%d/%d validity stamps for %d graphs", len(s.Born), len(s.Died), n)
+	}
+	return nil
+}
+
+// assembly carries the storage-dependent pieces of engine assembly: the
+// RAM path derives everything from the decoded database (zero value plus
+// nodeEmb); the mmap path substitutes vocab-built caches, an external
+// graph store and an embedding source over a husk database.
 type assembly struct {
 	// graphs overrides the candidate-fetch tier (nil → RAMStore over db).
 	graphs pg.GraphStore
@@ -171,24 +331,21 @@ type assembly struct {
 	cgs *models.CGStore
 	// embedder overrides M_c's feature embedder (nil → scan db).
 	embedder cluster.Embedder
-	// nodeEmb supplies the M_rk table when the snapshot metadata carries
-	// none (the v3 RAM path decodes it from the embedding section).
+	// nodeEmb is the M_rk table decoded from the embedding section (the
+	// RAM path).
 	nodeEmb [][]float64
-	// embSrc serves the M_rk table externally (the v3 mmap path).
+	// embSrc serves the M_rk table externally (the mmap path).
 	embSrc models.NodeEmbeddingSource
 	// huskDB marks db as a length-only husk of nil entries (mmap mode):
 	// assembly must not dereference entries or fall back to db scans.
 	huskDB bool
 }
 
-// assembleEngine rebuilds a ready engine from decoded snapshot metadata,
-// the base-layer adjacency and the storage-dependent inputs in asm — the
-// shared back half of the JSON and v3 loaders.
+// assembleEngine rebuilds a ready engine from validated snapshot
+// metadata, the base-layer adjacency and the storage-dependent inputs in
+// asm — the shared back half of the two tiers.
 func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, asm assembly) (*Engine, error) {
-	if len(adj) != len(db) {
-		return nil, fmt.Errorf("core: snapshot indexes %d graphs, database has %d", len(adj), len(db))
-	}
-	opts.M = s.M
+	opts.M, opts.EfConstruction = s.M, s.EfConstruction
 	opts.Layers, opts.Dim = s.Layers, s.Dim
 	opts.BatchPercent, opts.Hidden = s.BatchPercent, s.Hidden
 	opts.UseCG = s.UseCG
@@ -204,7 +361,7 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, a
 		Entry: s.Entry,
 	}
 	if err := idx.PG.Validate(); err != nil {
-		return nil, fmt.Errorf("core: load: %w", err)
+		return nil, corruptf("%v", err)
 	}
 
 	store := asm.cgs
@@ -222,17 +379,13 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, a
 	e := &Engine{DB: db, Index: idx, Opts: opts, Graphs: graphs, Store: store, GammaStar: s.GammaStar}
 
 	e.Mrk = models.NewNeighborRanker(mcfg, store)
-	if err := e.Mrk.Params.Load(bytesReader(s.MrkParams)); err != nil {
-		return nil, err
+	if err := e.Mrk.Params.Load(bytes.NewReader(s.MrkParams)); err != nil {
+		return nil, corruptf("%v", err)
 	}
 	switch {
-	case s.MrkNodeEmb != nil:
-		if err := e.Mrk.SetNodeEmbeddings(s.MrkNodeEmb, len(db)); err != nil {
-			return nil, err
-		}
 	case asm.nodeEmb != nil:
 		if err := e.Mrk.SetNodeEmbeddings(asm.nodeEmb, len(db)); err != nil {
-			return nil, err
+			return nil, corruptf("%v", err)
 		}
 	case asm.embSrc != nil:
 		e.Mrk.SetNodeEmbeddingSource(asm.embSrc)
@@ -240,23 +393,26 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, a
 		e.Mrk.PrecomputeNodeEmbeddings(db, opts.Workers)
 	}
 	e.Mnh = models.NewNeighborhoodModel(mcfg, store)
-	if err := e.Mnh.Params.Load(bytesReader(s.MnhParams)); err != nil {
-		return nil, err
+	if err := e.Mnh.Params.Load(bytes.NewReader(s.MnhParams)); err != nil {
+		return nil, corruptf("%v", err)
 	}
 
-	km := &cluster.KMeans{Centroids: s.Centroids, Assign: s.Assign, Members: make([][]int, len(s.Centroids))}
-	for i, c := range s.Assign {
-		km.Members[c] = append(km.Members[c], i)
-	}
 	emb := asm.embedder
 	if emb == nil {
 		emb = cluster.NewFeatureEmbedder(db)
 	}
+	km := &cluster.KMeans{Centroids: s.Centroids, Assign: s.Assign, Members: make([][]int, len(s.Centroids))}
+	for c, cen := range s.Centroids {
+		if len(cen) != emb.Dim() {
+			return nil, corruptf("centroid %d has dim %d, the feature embedding %d", c, len(cen), emb.Dim())
+		}
+	}
+	for i, c := range s.Assign {
+		km.Members[c] = append(km.Members[c], i)
+	}
 	e.Mc = models.NewClusterModel(mcfg, emb, km)
-	if err := e.Mc.Params.Load(bytesReader(s.McParams)); err != nil {
-		return nil, err
+	if err := e.Mc.Params.Load(bytes.NewReader(s.McParams)); err != nil {
+		return nil, corruptf("%v", err)
 	}
 	return e, nil
 }
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }

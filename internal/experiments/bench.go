@@ -258,7 +258,7 @@ func mutatePoint(env *Env) (MutatePoint, error) {
 	if err != nil {
 		return MutatePoint{}, fmt.Errorf("experiments: %s prefix build: %w", env.Spec.Name, err)
 	}
-	x, err := mutable.New(eng, nil, 0)
+	x, err := mutable.New(eng, nil)
 	if err != nil {
 		return MutatePoint{}, err
 	}

@@ -53,9 +53,10 @@ const (
 // Named error classes. Callers match with errors.Is; every failure is
 // wrapped with file-specific detail.
 var (
-	// ErrNotSnapshot marks a file without the LANSNAP magic — lanio uses
-	// it to fall back to the JSON index format.
-	ErrNotSnapshot = errors.New("lanstore: not a binary snapshot (no LANSNAP magic)")
+	// ErrNotSnapshot marks a file without the LANSNAP magic. The JSON
+	// index files of format versions 1 and 2 land here: their readers were
+	// removed, and the one way forward is to rebuild the index.
+	ErrNotSnapshot = errors.New("lanstore: not a .lansnap snapshot (no LANSNAP magic; the JSON index formats v1/v2 were removed — rebuild the index with lan-train)")
 	// ErrFutureVersion marks a LANSNAP file whose version this build does
 	// not read.
 	ErrFutureVersion = errors.New("lanstore: snapshot format is newer than this build")
@@ -139,8 +140,10 @@ func embRowBytes(code, dim int) int {
 	}
 }
 
-// Write serializes d to path in snapshot format v3, atomically (temp file
-// + rename in path's directory).
+// Write serializes d to path in snapshot format v3, atomically and
+// durably: the bytes land under a temporary name in path's directory, are
+// synced, renamed into place, and the directory entry is synced after
+// them — a crash leaves the old file or the new one, never a torn one.
 func Write(path string, d *SnapshotData) error {
 	if len(d.DB) == 0 {
 		return fmt.Errorf("lanstore: write: empty database")
@@ -202,7 +205,8 @@ func Write(path string, d *SnapshotData) error {
 		out = append(out, sec...)
 	}
 
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".lansnap-*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".lansnap-*")
 	if err != nil {
 		return err
 	}
@@ -211,10 +215,24 @@ func Write(path string, d *SnapshotData) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	// The rename is durable once the directory is. Best effort: some
+	// platforms and filesystems cannot open or sync a directory, and the
+	// snapshot itself is already complete under its final name.
+	if df, err := os.Open(dir); err == nil {
+		_ = df.Sync()
+		df.Close()
+	}
+	return nil
 }
 
 func align8(v uint64) uint64 { return (v + 7) &^ 7 }

@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/metrics"
 	"testing"
 
 	"github.com/lansearch/lan/internal/dataset"
+	"github.com/lansearch/lan/internal/obs"
 )
 
 func testData(t *testing.T) *SnapshotData {
@@ -235,5 +237,94 @@ func TestCorruptionDetected(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: got %v, want ErrCorrupt", probe, err)
 		}
+	}
+}
+
+// tinyData is a snapshot small enough to sweep exhaustively.
+func tinyData(t *testing.T, quant Quant) *SnapshotData {
+	t.Helper()
+	db := dataset.Spec{Name: "TINY", Kind: dataset.KindMolecule, Graphs: 6, AvgNodes: 4,
+		AvgEdges: 4, NumLabels: 2, LabelSkew: 0.3, ClusterSize: 3, MaxMutations: 2, Seed: 5}.Generate()
+	adj := make([][]int, len(db))
+	emb := make([][]float64, len(db))
+	for i := range db {
+		prev, next := (i+len(db)-1)%len(db), (i+1)%len(db)
+		adj[i] = []int{prev, next}
+		insertionSort(adj[i])
+		emb[i] = []float64{float64(i), -0.5}
+	}
+	return &SnapshotData{Meta: []byte(`{}`), DB: db, Adj: adj, Emb: emb, Quant: quant}
+}
+
+// TestOpenHeaderSweep sets every byte of the header to every value. The
+// scalar fields and the section table sit outside every checksum, so each
+// of those 47,104 files must either be refused by name or be a snapshot
+// whose every accessor returns — no panic, and nothing allocated that a
+// file of a few hundred bytes could not justify. Before the scalar fields
+// were bounded by the file length, a graph count or an embedding
+// dimension with a high bit set passed the section-size checks by
+// wrap-around and the store panicked on first use.
+func TestOpenHeaderSweep(t *testing.T) {
+	const allocBound = 8 << 20
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocated := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	for _, quant := range []Quant{QuantF64, QuantF32, QuantInt8} {
+		path := filepath.Join(t.TempDir(), "tiny.lansnap")
+		if err := Write(path, tinyData(t, quant)); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened := 0
+		for off := 0; off < headerSize; off++ {
+			for v := 0; v < 256; v++ {
+				data := append([]byte(nil), raw...)
+				data[off] = byte(v)
+				before := allocated()
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s: header byte %d = %#02x: panic: %v", quant, off, v, r)
+						}
+					}()
+					s := &Store{data: data, m: obs.Store()}
+					if err := s.init(); err != nil {
+						if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFutureVersion) && !errors.Is(err, ErrNotSnapshot) {
+							t.Fatalf("%s: header byte %d = %#02x: unnamed error %v", quant, off, v, err)
+						}
+						return
+					}
+					opened++
+					// Errors are fine from here on (a section offset moved
+					// onto other bytes decodes as garbage); panics are not.
+					var buf []float64
+					for id := 0; id < s.Len(); id++ {
+						_, _ = s.decodeGraph(id)
+						if s.NodeEmbeddingCount() > 0 {
+							buf = s.NodeEmbedding(id, buf)
+						}
+					}
+					_ = s.Adjacency()
+					if s.VerifyPayload() == nil {
+						_, _ = s.DecodeAll()
+						_ = s.EmbeddingsFloat64()
+					}
+				}()
+				if got := allocated() - before; got > allocBound {
+					t.Fatalf("%s: header byte %d = %#02x: %d bytes allocated", quant, off, v, got)
+				}
+			}
+		}
+		// The unchanged value of each byte, the checksum bytes of the
+		// unverified sections and the padding all still open.
+		if opened < headerSize {
+			t.Fatalf("%s: only %d of the swept files opened; the sweep is not reaching the accessors", quant, opened)
+		}
+		t.Logf("%s: %d-byte snapshot, %d of %d header variants open", quant, len(raw), opened, 256*headerSize)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
-	"os"
 
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/obs"
@@ -33,26 +31,6 @@ type Store struct {
 	emb    []byte
 
 	m *obs.StoreMetrics
-}
-
-// IsSnapshot reports whether path starts with the LANSNAP magic prefix
-// — i.e. is a binary snapshot of some version (possibly one this build
-// cannot read). Tools sniff this to pick the binary or the JSON loader.
-func IsSnapshot(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	buf := make([]byte, len(magicPrefix))
-	n, err := io.ReadFull(f, buf)
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return string(buf[:n]) == magicPrefix, nil
 }
 
 // Open maps the v3 snapshot at path and validates its structure: magic
@@ -97,24 +75,32 @@ func (s *Store) init() error {
 		p += 8
 		return v
 	}
-	h.nGraphs = int(get())
-	h.embDim = int(get())
-	h.embCode = int(get())
-	h.adjStride = int(get())
+	nGraphs, embDim, embCode, adjStride := get(), get(), get(), get()
 	for i := range h.sections {
 		h.sections[i].off = get()
 		h.sections[i].length = get()
 		h.sections[i].crc = get()
 	}
-	if h.nGraphs <= 0 {
-		return corruptf("header declares %d graphs", h.nGraphs)
+	// The scalar fields are outside every checksum, and the section sizes
+	// below are products of them: bound each by what a file of this length
+	// could hold before multiplying, so no product can wrap around into a
+	// match. A graph costs a boundary and an adjacency row of at least
+	// eight bytes each, an embedding coordinate at least one byte (and a
+	// row of them, at most 8·dim+8 bytes, must fit an int).
+	size := uint64(len(data))
+	if nGraphs == 0 || nGraphs > size/8 {
+		return corruptf("header declares %d graphs in a file of %d bytes", nGraphs, size)
 	}
-	if h.embCode != embF64 && h.embCode != embF32 && h.embCode != embInt8 {
-		return corruptf("unknown embedding encoding %d", h.embCode)
+	if embCode != embF64 && embCode != embF32 && embCode != embInt8 {
+		return corruptf("unknown embedding encoding %d", embCode)
 	}
-	if h.adjStride < 1 {
-		return corruptf("adjacency stride %d", h.adjStride)
+	if adjStride == 0 || adjStride > size/8 {
+		return corruptf("adjacency stride %d in a file of %d bytes", adjStride, size)
 	}
+	if embDim > size || embDim > math.MaxInt/8-1 {
+		return corruptf("embedding dimension %d in a file of %d bytes", embDim, size)
+	}
+	h.nGraphs, h.embDim, h.embCode, h.adjStride = int(nGraphs), int(embDim), int(embCode), int(adjStride)
 	for i, sec := range h.sections {
 		if sec.off < uint64(headerSize) || sec.off > uint64(len(data)) ||
 			sec.length > uint64(len(data))-sec.off {
@@ -154,8 +140,8 @@ func (s *Store) init() error {
 		return corruptf("graph segments end at %d, blob is %d bytes", s.offs[h.nGraphs], len(s.blob))
 	}
 
-	if got, want := h.sections[secAdj].length, uint64(8*h.adjStride*h.nGraphs); got != want {
-		return corruptf("adjacency section is %d bytes, want %d", got, want)
+	if got, row := h.sections[secAdj].length, 8*adjStride; got/row != nGraphs || got%row != 0 {
+		return corruptf("adjacency section is %d bytes, want %d rows of %d", got, nGraphs, row)
 	}
 	rows := aliasInts(s.section(secAdj))
 	s.adj = make([][]int, h.nGraphs)
@@ -168,10 +154,13 @@ func (s *Store) init() error {
 		s.adj[i] = row[1 : 1+deg]
 	}
 
-	if h.embDim > 0 {
-		if got, want := h.sections[secEmb].length, uint64(embRowBytes(h.embCode, h.embDim)*h.nGraphs); got != want {
-			return corruptf("embedding section is %d bytes, want %d", got, want)
+	// No embeddings is dimension 0 and an empty section, and only that.
+	if got := h.sections[secEmb].length; embDim == 0 {
+		if got != 0 {
+			return corruptf("embedding section is %d bytes at dimension 0", got)
 		}
+	} else if row := uint64(embRowBytes(h.embCode, h.embDim)); got/row != nGraphs || got%row != 0 {
+		return corruptf("embedding section is %d bytes, want %d rows of %d", got, nGraphs, row)
 	}
 	return nil
 }
@@ -183,7 +172,7 @@ func (s *Store) section(i int) []byte {
 
 func decodeLabels(b []byte) ([]string, error) {
 	n, p := binary.Uvarint(b)
-	if p <= 0 {
+	if p <= 0 || n > uint64(len(b)) { // a label costs at least its length byte
 		return nil, corruptf("bad label count")
 	}
 	labels := make([]string, 0, n)
@@ -323,7 +312,7 @@ func (s *Store) decodeGraph(id int) (*graph.Graph, error) {
 		return v, true
 	}
 	n64, ok := next()
-	if !ok {
+	if !ok || n64 > uint64(len(seg))/2 { // a node costs a label id and a degree
 		return nil, corruptf("graph %d: bad node count", id)
 	}
 	n := int(n64)
@@ -338,7 +327,7 @@ func (s *Store) decodeGraph(id int) (*graph.Graph, error) {
 	adj := make([][]int, n)
 	for u := 0; u < n; u++ {
 		deg, ok := next()
-		if !ok || deg > uint64(n) {
+		if !ok || deg > uint64(n) || deg > uint64(len(seg)-p) {
 			return nil, corruptf("graph %d: bad degree for node %d", id, u)
 		}
 		ns := make([]int, deg)

@@ -43,7 +43,7 @@ func smallEngine(t *testing.T) (*core.Engine, graph.Database, []*graph.Graph) {
 func newIndex(t *testing.T) (*Index, graph.Database, []*graph.Graph) {
 	t.Helper()
 	eng, db, test := smallEngine(t)
-	x, err := New(eng, nil, 0)
+	x, err := New(eng, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -261,19 +261,19 @@ func TestNewValidatesMutationState(t *testing.T) {
 		Born:  make([]uint64, len(db)-1), // wrong length
 		Died:  make([]uint64, len(db)),
 	}
-	if _, err := New(eng, st, 2); err == nil {
+	if _, err := New(eng, st); err == nil {
 		t.Fatal("mismatched validity stamps accepted")
 	}
 
 	st.Born = make([]uint64, len(db))
 	st.Died[0] = 1
-	x, err := New(eng, st, 2)
+	x, err := New(eng, st)
 	if err != nil {
 		t.Fatalf("New with state: %v", err)
 	}
 	defer x.Close()
-	if x.Epoch() != 2 || x.Len() != len(db)-1 || x.LoadedVersion() != 2 {
-		t.Fatalf("restored: epoch %d, len %d, version %d", x.Epoch(), x.Len(), x.LoadedVersion())
+	if x.Epoch() != 2 || x.Len() != len(db)-1 {
+		t.Fatalf("restored: epoch %d, len %d", x.Epoch(), x.Len())
 	}
 	if err := x.Delete(0); err == nil {
 		t.Fatal("restored tombstone came back alive")

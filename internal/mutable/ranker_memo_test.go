@@ -67,7 +67,7 @@ func TestRankerMemoBitIdenticalAcrossTiers(t *testing.T) {
 	}
 	checkRankerMemo(t, "mmap", mm, test[0], mm.Index.Entry)
 
-	x, err := New(eng, nil, 0)
+	x, err := New(eng, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

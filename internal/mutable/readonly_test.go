@@ -12,7 +12,7 @@ import (
 // starts on an index that cannot accept writes).
 func TestReadOnlyRejectsWrites(t *testing.T) {
 	eng, db, test := smallEngine(t)
-	x, err := NewReadOnly(eng, nil, 0)
+	x, err := NewReadOnly(eng, nil)
 	if err != nil {
 		t.Fatalf("NewReadOnly: %v", err)
 	}

@@ -27,11 +27,11 @@ type Mutator struct {
 	EfConstruction int
 }
 
-// NewMutator prepares h for incremental mutation. Indexes restored by
-// core.Load carry no build metric or degree parameter (batch
-// construction is over), so the mutator re-arms them: metric and m must
-// match the values the index was built with for edits to preserve its
-// geometry.
+// NewMutator prepares h for incremental mutation. Indexes reopened from
+// a snapshot carry no build metric or degree parameter (batch
+// construction is over), so the mutator re-arms them: metric, m and
+// efConstruction must match the values the index was built with for
+// edits to preserve its geometry.
 func NewMutator(h *HNSW, metric ged.Metric, m, efConstruction int) *Mutator {
 	if h.buildMetric == nil {
 		if metric == nil {
