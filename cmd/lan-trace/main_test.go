@@ -72,7 +72,7 @@ func TestReadFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadFileBareJSONL reads the lan-bench -trace format: trace JSON
+// TestReadFileBareJSONL reads the lan-search -trace format: trace JSON
 // lines with no segment header.
 func TestReadFileBareJSONL(t *testing.T) {
 	tr := obs.NewTrace("bare")

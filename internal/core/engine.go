@@ -280,6 +280,9 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	if len(trainQueries) == 0 {
 		return nil, fmt.Errorf("core: no training queries")
 	}
+	if err := route.CheckStepSize(opts.StepSize); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	opts.defaults(len(db))
 	buildStart := time.Now()
 	workers := opts.Workers

@@ -12,6 +12,7 @@ import (
 	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/pg"
+	"github.com/lansearch/lan/internal/route"
 )
 
 // snapshot is the metadata section of a .lansnap file — the one persisted
@@ -259,10 +260,16 @@ func (s *snapshot) validate(n, vocab int) error {
 	}{
 		{"m", s.M, 1}, {"ef_construction", s.EfConstruction, 0},
 		{"layers", s.Layers, 1}, {"dim", s.Dim, 1}, {"hidden", s.Hidden, 1},
+		{"top_clusters", s.TopClusters, 0}, {"samples", s.Samples, 0},
 	} {
 		if f.v < f.floor || f.v > maxShape {
 			return corruptf("%s = %d outside [%d, %d]", f.name, f.v, f.floor, maxShape)
 		}
+	}
+	// Not the opener's safety but the query's: a step that γ absorbs opens
+	// fine and then routes forever.
+	if err := route.CheckStepSize(s.StepSize); err != nil {
+		return corruptf("step_size: %v", err)
 	}
 	// A weight costs its blob at least a digit and a separator, so shapes
 	// the parameter blobs cannot hold are refused before a model is sized

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -338,6 +339,9 @@ func TestLoadErrors(t *testing.T) {
 		{"layers beyond the stored parameters", set("layers", "60000")},
 		{"m negative", set("m", "-1")},
 		{"ef_construction negative", set("ef_construction", "-1")},
+		{"step_size that γ absorbs", set("step_size", "1e-300")},
+		{"top_clusters 1<<31-1", set("top_clusters", "2147483647")},
+		{"samples negative", set("samples", "-1")},
 		{"one head per percent, parameters for five", set("batch_percent", "1")},
 		{"parameters of an unknown tensor", set("mrk_params", `[{"name":"nope","rows":1,"cols":9999,"data":`+ints(9999, 0)+`}]`)},
 		{"centroid of the wrong width", set("centroids", "[[1,2]]", "assign", ints(n, 0))},
@@ -445,6 +449,19 @@ func FuzzOpenSnapshot(f *testing.F) {
 	f.Add(uint8(2), uint32(1<<16), []byte{16 + 7, 0, 0x40})
 	f.Add(uint8(0), uint32(200), []byte{})
 	f.Add(uint8(len(seeds)), uint32(1<<16), []byte("LANSNAP3"))
+	// A metadata edit that reaches validate once the checksums are made
+	// good again: a step_size below the floor, written over the field and
+	// the seed that follows it.
+	const was, now = `"step_size":1,"seed":1`, `"step_size":1e-300    `
+	at := bytes.Index(seeds[0], []byte(was))
+	if at < 0 || len(was) != len(now) {
+		f.Fatalf("seed snapshot's metadata has no %s", was)
+	}
+	var stepSize []byte
+	for i := range now {
+		stepSize = append(stepSize, byte(at+i), byte((at+i)>>8), now[i])
+	}
+	f.Add(uint8(0), uint32(1<<16), stepSize)
 
 	f.Fuzz(func(t *testing.T, seed uint8, keep uint32, edits []byte) {
 		data := edits

@@ -9,6 +9,7 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -170,46 +171,36 @@ func Workload(db graph.Database, spec Spec, n int, seed int64) []*graph.Graph {
 }
 
 // QuerySpec pins one workload query: the database member it perturbs,
-// the number of edit operations, and a private generator seed. A stored
-// list of specs regenerates the exact same query graphs run after run —
-// independent of each other and of any later change to how Workload
-// samples — which is what keeps benchmark numbers comparable across
-// commits (see testdata/bench_queries.json and scripts/bench-diff).
+// the number of edit operations, and a private generator seed, so each
+// query regenerates the same graph independently of the others and of
+// how Workload samples — how the benchmark draws its query pools
+// (benchmark/workload.go).
 type QuerySpec struct {
 	Base int   `json:"base"`
 	Ops  int   `json:"ops"`
 	Seed int64 `json:"seed"`
 }
 
-// SampleQuerySpecs draws n query specs with Workload's base-id and
-// op-count distributions, giving each query its own derived seed so it
-// can be regenerated in isolation.
-func SampleQuerySpecs(dbLen, n int, seed int64) []QuerySpec {
-	rng := rand.New(rand.NewSource(seed ^ 0xabcd))
-	out := make([]QuerySpec, n)
-	for i := range out {
-		out[i] = QuerySpec{
-			Base: rng.Intn(dbLen),
-			Ops:  rng.Intn(3),
-			Seed: seed + int64(uint64(0x9e3779b97f4a7c15)*uint64(i+1)),
-		}
-	}
-	return out
-}
+// FixedWorkload's refusals: a spec that does not fit the database it is
+// materialized over.
+var (
+	ErrQueryBase = errors.New("dataset: query base id out of range")
+	ErrQueryOps  = errors.New("dataset: negative query op count")
+)
 
-// FixedWorkload materializes a pinned query set over db (ID -1, like
-// Workload). It fails when a base id is out of range — the specs were
-// pinned against a different dataset size — so callers can fall back to
-// fresh sampling instead of silently benchmarking the wrong queries.
+// FixedWorkload materializes query specs over db (ID -1, like Workload).
+// It fails when a base id is out of range — the specs were drawn against
+// a different dataset size — instead of silently answering the wrong
+// queries.
 func FixedWorkload(db graph.Database, spec Spec, qs []QuerySpec) ([]*graph.Graph, error) {
 	labels := spec.Labels()
 	out := make([]*graph.Graph, len(qs))
 	for i, q := range qs {
 		if q.Base < 0 || q.Base >= len(db) {
-			return nil, fmt.Errorf("dataset: fixed query %d: base id %d out of range for %d graphs (query set pinned at a different scale?)", i, q.Base, len(db))
+			return nil, fmt.Errorf("%w: query %d has base %d, database has %d graphs", ErrQueryBase, i, q.Base, len(db))
 		}
 		if q.Ops < 0 {
-			return nil, fmt.Errorf("dataset: fixed query %d: negative op count", i)
+			return nil, fmt.Errorf("%w: query %d has %d", ErrQueryOps, i, q.Ops)
 		}
 		gen := graph.NewGenerator(q.Seed)
 		out[i] = gen.Mutate(db[q.Base], q.Ops, labels)

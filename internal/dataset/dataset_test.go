@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -103,6 +104,72 @@ func TestWorkloadAndSplit(t *testing.T) {
 	train, val, test := Split(queries)
 	if len(train) != 24 || len(val) != 8 || len(test) != 8 {
 		t.Fatalf("split = %d/%d/%d", len(train), len(val), len(test))
+	}
+}
+
+// The benchmark draws every query pool through FixedWorkload
+// (benchmark/workload.go): a spec must regenerate its query alone.
+func TestFixedWorkload(t *testing.T) {
+	spec := AIDS(0.003)
+	db := spec.Generate()
+	labels := spec.Labels()
+	specs := []QuerySpec{
+		{Base: 0, Ops: 0, Seed: 11},
+		{Base: len(db) - 1, Ops: 2, Seed: 12},
+		{Base: 3, Ops: 1, Seed: 13},
+		{Base: 3, Ops: 1, Seed: 14},
+	}
+	first, err := FixedWorkload(db, spec, specs)
+	if err != nil {
+		t.Fatalf("FixedWorkload: %v", err)
+	}
+	again, err := FixedWorkload(db, spec, specs)
+	if err != nil {
+		t.Fatalf("FixedWorkload, second call: %v", err)
+	}
+	reversed := make([]QuerySpec, len(specs))
+	for i, s := range specs {
+		reversed[len(specs)-1-i] = s
+	}
+	back, err := FixedWorkload(db, spec, reversed)
+	if err != nil {
+		t.Fatalf("FixedWorkload, reversed: %v", err)
+	}
+	for i, s := range specs {
+		q := first[i]
+		if q.ID != -1 {
+			t.Fatalf("query %d has database ID %d", i, q.ID)
+		}
+		if err := q.Validate(); err != nil {
+			t.Fatalf("query %d invalid: %v", i, err)
+		}
+		if !q.Equal(again[i]) {
+			t.Fatalf("query %d differs between two calls", i)
+		}
+		if !q.Equal(back[len(specs)-1-i]) {
+			t.Fatalf("query %d depends on its position in the list", i)
+		}
+		if want := graph.NewGenerator(s.Seed).Mutate(db[s.Base], s.Ops, labels); !q.Equal(want) {
+			t.Fatalf("query %d is not NewGenerator(%d).Mutate(db[%d], %d, labels)", i, s.Seed, s.Base, s.Ops)
+		}
+	}
+	if !first[0].Equal(db[0]) {
+		t.Fatal("zero ops changed the base graph")
+	}
+
+	for _, c := range []struct {
+		name string
+		spec QuerySpec
+		want error
+	}{
+		{"base past the end", QuerySpec{Base: len(db), Seed: 1}, ErrQueryBase},
+		{"negative base", QuerySpec{Base: -1, Seed: 1}, ErrQueryBase},
+		{"negative ops", QuerySpec{Base: 0, Ops: -1, Seed: 1}, ErrQueryOps},
+	} {
+		got, err := FixedWorkload(db, spec, []QuerySpec{specs[0], c.spec})
+		if !errors.Is(err, c.want) || got != nil {
+			t.Errorf("%s: got %d queries, err %v; want %v", c.name, len(got), err, c.want)
+		}
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -21,9 +19,7 @@ import (
 	"github.com/lansearch/lan/internal/core"
 	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/l2route"
-	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/models"
-	"github.com/lansearch/lan/internal/obs"
 	"github.com/lansearch/lan/internal/pg"
 )
 
@@ -61,27 +57,6 @@ type Protocol struct {
 	// Datasets, when non-empty, restricts Specs() to the named datasets
 	// (case-insensitive prefixes: "aids", "linux", "pubchem", "syn").
 	Datasets []string
-	// QuerySets pins per-dataset query workloads (keyed by spec name).
-	// When a dataset has an entry, the workload is regenerated from the
-	// pinned specs instead of sampled fresh — the default lan-bench mode,
-	// so numbers stay comparable across commits. A set whose base ids do
-	// not fit the generated database (different -scale) falls back to
-	// sampling.
-	QuerySets map[string][]dataset.QuerySpec
-	// Store selects the storage tier query measurements run on: "" or
-	// lan's StoreRAM keep the built engine; "mmap" saves a binary
-	// snapshot and reopens it memory-mapped, so every figure and bench
-	// point exercises the on-disk fetch path.
-	Store string
-	// TraceDir, when set, enables the trace-overhead benchmark leg: the
-	// bench workload is answered once untraced and once with per-query
-	// traces exported as JSONL segments under TraceDir, and the p50
-	// regression is reported (BenchReport.TracePoints).
-	TraceDir string
-	// TraceSample is the exporter's sampling fraction for the traced leg
-	// (0 defaults to 1: export everything — the worst case the overhead
-	// gate should measure).
-	TraceSample float64
 }
 
 // DefaultProtocol returns a laptop-sized configuration.
@@ -138,16 +113,13 @@ type Env struct {
 	// BuildTime is the wall time spent constructing and training the LAN
 	// engine and the L2route baseline (ground-truth computation excluded).
 	BuildTime time.Duration
-	// Store backs Engine when the protocol runs on the mmap tier
-	// (Protocol.Store); nil on the default RAM tier.
-	Store *lanstore.Store
 }
 
 // NewEnv generates the dataset, builds and trains the LAN engine and the
 // L2route baseline, and computes the test ground truth.
 func NewEnv(p Protocol, spec dataset.Spec) (*Env, error) {
 	db := spec.Generate()
-	queries := envWorkload(p, db, spec)
+	queries := dataset.Workload(db, spec, p.Queries, p.Seed+7)
 	train, _, test := dataset.Split(queries)
 
 	buildStart := time.Now()
@@ -172,51 +144,8 @@ func NewEnv(p Protocol, spec dataset.Spec) (*Env, error) {
 	buildTime := time.Since(buildStart)
 
 	env := &Env{Protocol: p, Spec: spec, DB: db, Engine: eng, L2: l2, Train: train, Test: test, BuildTime: buildTime}
-	if p.Store == "mmap" {
-		if err := env.reopenMMap(); err != nil {
-			return nil, err
-		}
-	}
 	env.Truth = dataset.ComputeGroundTruth(db, test, p.QueryMetric, p.K)
 	return env, nil
-}
-
-// envWorkload draws the dataset's query workload: the pinned query set
-// when the protocol carries one that fits the generated database, else
-// Workload's fresh sampling.
-func envWorkload(p Protocol, db graph.Database, spec dataset.Spec) []*graph.Graph {
-	if qs, ok := p.QuerySets[spec.Name]; ok && len(qs) > 0 {
-		if fixed, err := dataset.FixedWorkload(db, spec, qs); err == nil {
-			return fixed
-		}
-	}
-	return dataset.Workload(db, spec, p.Queries, p.Seed+7)
-}
-
-// reopenMMap swaps the freshly built RAM engine for one serving the same
-// index off a memory-mapped binary snapshot, so every measurement in
-// this environment exercises the on-disk candidate-fetch path. The
-// snapshot lands in a temporary directory that lives for the process.
-func (e *Env) reopenMMap() error {
-	dir, err := os.MkdirTemp("", "lan-bench-store-*")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, e.Spec.Name+".lansnap")
-	if err := core.SaveSnapshotV3(path, e.Engine, nil, lanstore.QuantF64); err != nil {
-		return err
-	}
-	p := e.Protocol
-	eng, _, store, err := core.OpenSnapshotV3(path, core.Options{
-		BuildMetric: p.buildMetric(), QueryMetric: p.QueryMetric,
-		Workers: p.Workers,
-	}, true)
-	if err != nil {
-		return err
-	}
-	e.Engine = eng
-	e.Store = store
-	return nil
 }
 
 // Point is one (recall, QPS) measurement of a method at one beam setting.
@@ -250,20 +179,19 @@ func (e *Env) measure(method string, beam int, search func(q *graph.Graph) ([]pg
 	}
 }
 
-// search answers one harness query on eng, recording into t when it is
-// non-nil. Experiment queries run to completion, so there is no caller
-// context to forward, and cancellation is the only error Engine.Search
-// returns — hence none here.
-func search(eng *core.Engine, t *obs.Trace, q *graph.Graph, so core.SearchOptions) ([]pg.Result, core.QueryStats) {
+// search answers one harness query on eng. Experiment queries run to
+// completion, so there is no caller context to forward, and cancellation
+// is the only error Engine.Search returns — hence none here.
+func search(eng *core.Engine, q *graph.Graph, so core.SearchOptions) ([]pg.Result, core.QueryStats) {
 	//lint:allow ctxprop bench harness entry point; experiment queries run to completion by design
-	res, stats, _ := eng.Search(obs.With(context.Background(), t), q, so)
+	res, stats, _ := eng.Search(context.Background(), q, so)
 	return res, stats
 }
 
 // searchWith adapts an Engine strategy pair into a measure callback.
 func (e *Env) searchWith(is core.InitialStrategy, rt core.RoutingStrategy, beam int) func(q *graph.Graph) ([]pg.Result, core.QueryStats) {
 	return func(q *graph.Graph) ([]pg.Result, core.QueryStats) {
-		return search(e.Engine, nil, q, core.SearchOptions{K: e.Protocol.K, Beam: beam, Initial: is, Routing: rt})
+		return search(e.Engine, q, core.SearchOptions{K: e.Protocol.K, Beam: beam, Initial: is, Routing: rt})
 	}
 }
 
@@ -284,11 +212,4 @@ func (p Protocol) buildMetric() ged.Metric {
 		return p.BuildMetric
 	}
 	return ged.Ensemble{BeamWidth: 2}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -120,93 +120,9 @@ func TestRunTable1AndFig12(t *testing.T) {
 	}
 }
 
-func TestPercentileNearestRank(t *testing.T) {
-	xs := []float64{50, 10, 40, 20, 30} // unsorted on purpose
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 10}, {0.2, 10}, {0.5, 30}, {0.9, 50}, {0.99, 50}, {1, 50},
-	}
-	for _, c := range cases {
-		if got := percentile(xs, c.q); got != c.want {
-			t.Errorf("percentile(%v) = %v; want %v", c.q, got, c.want)
-		}
-	}
-	if xs[0] != 50 {
-		t.Fatal("percentile mutated its input")
-	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Fatalf("percentile(nil) = %v", got)
-	}
-	if got := mean([]float64{1, 2, 6}); got != 3 {
-		t.Fatalf("mean = %v", got)
-	}
-}
-
-func TestBenchReportShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping in -short mode: builds a full environment")
-	}
-	p := tinyProtocol()
-	p.Datasets = []string{"aids"}
-	rep, err := Bench(p, NewEnvCache())
-	if err != nil {
-		t.Fatalf("Bench: %v", err)
-	}
-	if len(rep.Points) != len(p.Beams) {
-		t.Fatalf("%d points; want %d", len(rep.Points), len(p.Beams))
-	}
-	for _, pt := range rep.Points {
-		if !strings.HasPrefix(pt.Dataset, "AIDS") || pt.K != p.K || pt.Graphs <= 0 || pt.Queries <= 0 {
-			t.Fatalf("bad point identity: %+v", pt)
-		}
-		if pt.RecallAtK < 0 || pt.RecallAtK > 1 {
-			t.Fatalf("recall out of range: %+v", pt)
-		}
-		if pt.NDCMean <= 0 || pt.NDCMedian <= 0 || pt.QPS <= 0 || pt.BuildSeconds <= 0 {
-			t.Fatalf("degenerate point: %+v", pt)
-		}
-		if pt.LatencyP50us > pt.LatencyP90us || pt.LatencyP90us > pt.LatencyP99us {
-			t.Fatalf("latency percentiles out of order: %+v", pt)
-		}
-	}
-	if len(rep.Builds) != 1 {
-		t.Fatalf("%d build points; want 1", len(rep.Builds))
-	}
-	bp := rep.Builds[0]
-	if !strings.HasPrefix(bp.Dataset, "AIDS") || bp.Graphs <= 0 || bp.Workers <= 0 {
-		t.Fatalf("bad build point identity: %+v", bp)
-	}
-	if bp.SequentialSeconds <= 0 || bp.ParallelSeconds <= 0 {
-		t.Fatalf("degenerate build point: %+v", bp)
-	}
-	if !bp.Identical {
-		t.Fatalf("parallel build diverged from sequential: %+v", bp)
-	}
-	if len(rep.MutatePoints) != 1 {
-		t.Fatalf("%d mutate points; want 1", len(rep.MutatePoints))
-	}
-	mp := rep.MutatePoints[0]
-	if !strings.HasPrefix(mp.Dataset, "AIDS") || mp.Inserts <= 0 || mp.Deletes <= 0 {
-		t.Fatalf("bad mutate point identity: %+v", mp)
-	}
-	if mp.InsertP50us > mp.InsertP99us || mp.DeleteP50us > mp.DeleteP99us {
-		t.Fatalf("apply latency percentiles out of order: %+v", mp)
-	}
-	if mp.FinalEpoch == 0 {
-		t.Fatalf("mutate point never advanced the epoch: %+v", mp)
-	}
-	if mp.IncrementalRecall < 0 || mp.IncrementalRecall > 1 || mp.BatchRecall < 0 || mp.BatchRecall > 1 {
-		t.Fatalf("recall out of range: %+v", mp)
-	}
-	if rep.Mutation.InsertsTotal == 0 || rep.Mutation.ApplyCount == 0 {
-		t.Fatalf("mutation metrics empty: %+v", rep.Mutation)
-	}
-}
-
 func TestNamesListed(t *testing.T) {
 	names := Names()
-	if len(names) != 11 || names[0] != "tab1" || names[len(names)-1] != "all" {
+	if len(names) != 10 || names[0] != "tab1" || names[len(names)-1] != "all" {
 		t.Fatalf("Names = %v", names)
 	}
 }

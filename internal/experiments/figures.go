@@ -164,7 +164,7 @@ func Fig10(env *Env) ([]Point, error) {
 	for _, beam := range p.Beams {
 		beam := beam
 		pts = append(pts, env.measure("LAN-noCG", beam, func(q *graph.Graph) ([]pg.Result, core.QueryStats) {
-			return search(rawEng, nil, q, core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute})
+			return search(rawEng, q, core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute})
 		}))
 	}
 	return pts, nil
@@ -199,7 +199,7 @@ func Fig11(p Protocol, spec dataset.Spec) (Fig11Row, error) {
 	var model, dist, total time.Duration
 	beam := p.Beams[len(p.Beams)/2]
 	for _, q := range test {
-		_, s := search(eng, nil, q, core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute})
+		_, s := search(eng, q, core.SearchOptions{K: p.K, Beam: beam, Initial: core.LANIS, Routing: core.LANRoute})
 		model += s.ModelTime
 		dist += s.DistTime
 		total += s.Total

@@ -11,33 +11,21 @@ import (
 
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// EnvCache memoizes environments per spec name so that running several
-// figures plus the bench summary in one process (e.g. -exp all) builds
-// and trains each dataset's engine once.
-type EnvCache struct {
-	byName map[string]*Env
-	// storePoints accumulates StoreSweep results run through this cache,
-	// so a later Bench() folds them into the report without re-running
-	// the sweep.
-	storePoints []StorePoint
-}
+// envCache memoizes environments per spec name so that running several
+// figures in one Run (-exp all) builds and trains each dataset's engine
+// once.
+type envCache map[string]*Env
 
-// NewEnvCache returns an empty cache for sharing across RunCached/Bench.
-func NewEnvCache() *EnvCache { return &EnvCache{} }
-
-// Get returns the memoized environment for spec, building it on first use.
-func (c *EnvCache) Get(p Protocol, spec dataset.Spec) (*Env, error) {
-	if c.byName == nil {
-		c.byName = make(map[string]*Env)
-	}
-	if env, ok := c.byName[spec.Name]; ok {
+// get returns the memoized environment for spec, building it on first use.
+func (c envCache) get(p Protocol, spec dataset.Spec) (*Env, error) {
+	if env, ok := c[spec.Name]; ok {
 		return env, nil
 	}
 	env, err := NewEnv(p, spec)
 	if err != nil {
 		return nil, err
 	}
-	c.byName[spec.Name] = env
+	c[spec.Name] = env
 	return env, nil
 }
 
@@ -45,22 +33,16 @@ func (c *EnvCache) Get(p Protocol, spec dataset.Spec) (*Env, error) {
 // are tab1 and fig5..fig12; "all" runs everything (sharing dataset
 // environments across figures).
 func Run(w io.Writer, name string, p Protocol) error {
-	return RunCached(w, name, p, NewEnvCache())
+	return run(w, name, p, envCache{})
 }
 
-// RunCached is Run with a caller-owned environment cache, so follow-up
-// work (another experiment, a Bench summary) reuses the trained engines.
-func RunCached(w io.Writer, name string, p Protocol, cache *EnvCache) error {
-	return run(w, name, p, cache)
-}
-
-func run(w io.Writer, name string, p Protocol, cache *EnvCache) error {
+func run(w io.Writer, name string, p Protocol, cache envCache) error {
 	switch name {
 	case "tab1":
 		Table1(w, p)
 	case "fig5", "fig6", "fig7":
 		for _, spec := range p.Specs() {
-			env, err := cache.Get(p, spec)
+			env, err := cache.get(p, spec)
 			if err != nil {
 				return err
 			}
@@ -79,7 +61,7 @@ func run(w io.Writer, name string, p Protocol, cache *EnvCache) error {
 		fmt.Fprintf(w, "Fig 8: accuracy of initial node prediction (M_nh)\n")
 		fmt.Fprintf(w, "  %-12s %10s %14s\n", "dataset", "precision", "avg |N̂_Q|")
 		for _, spec := range p.Specs() {
-			env, err := cache.Get(p, spec)
+			env, err := cache.get(p, spec)
 			if err != nil {
 				return err
 			}
@@ -101,7 +83,7 @@ func run(w io.Writer, name string, p Protocol, cache *EnvCache) error {
 		}
 	case "fig10":
 		for _, spec := range p.Specs() {
-			env, err := cache.Get(p, spec)
+			env, err := cache.get(p, spec)
 			if err != nil {
 				return err
 			}
@@ -133,10 +115,6 @@ func run(w io.Writer, name string, p Protocol, cache *EnvCache) error {
 				row.HAGPerPair.Round(time.Microsecond),
 				row.CGSpeedup, row.HAGSpeedup)
 		}
-	case "scal":
-		if _, err := StoreSweep(p, cache, w); err != nil {
-			return err
-		}
 	case "all":
 		for _, n := range Names() {
 			if n == "all" {
@@ -155,7 +133,7 @@ func run(w io.Writer, name string, p Protocol, cache *EnvCache) error {
 
 // Names lists the runnable experiment ids.
 func Names() []string {
-	return []string{"tab1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "scal", "all"}
+	return []string{"tab1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "all"}
 }
 
 func figTitle(name string) string {
@@ -170,5 +148,3 @@ func figTitle(name string) string {
 		return name
 	}
 }
-
-var _ = dataset.Spec{} // keep the dataset import for doc references

@@ -39,6 +39,7 @@ import (
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/mutable"
 	"github.com/lansearch/lan/internal/obs"
+	"github.com/lansearch/lan/internal/route"
 )
 
 // Storage tiers for opening a binary snapshot (Options.Store).
@@ -67,6 +68,11 @@ var (
 	ErrFutureVersion = lanstore.ErrFutureVersion
 	ErrCorrupt       = lanstore.ErrCorrupt
 )
+
+// ErrStepSize is returned by Build for an Options.StepSize that is not
+// finite, or positive but so small that routing would not end (or above
+// 65536); zero keeps meaning the default.
+var ErrStepSize = route.ErrStepSize
 
 // Options configure Build. The zero value is usable.
 type Options struct {
@@ -108,7 +114,8 @@ type Options struct {
 	// the paper's x0.96-every-5-epochs decay).
 	Epochs int
 	LR     float64
-	// StepSize is the routing threshold increment d_s (default 1).
+	// StepSize is the routing threshold increment d_s (default 1; Build
+	// returns ErrStepSize for a positive one outside [2⁻¹⁰, 2¹⁶]).
 	StepSize float64
 	// Workers bounds the concurrency of offline index construction: the
 	// proximity-graph build pool, the training distance table and the
@@ -320,7 +327,7 @@ type SnapshotOptions struct {
 	// to the in-memory index), "f32" (half the space) or "int8" (an
 	// eighth). Quantization only perturbs the learned neighbor ranking —
 	// every distance in the results is still an exact float64 GED — so
-	// recall degrades gracefully; measure it with lan-bench before
+	// recall degrades gracefully; measure it on your own queries before
 	// shipping int8.
 	Precision string
 }
