@@ -47,8 +47,9 @@ race:
 # the split of one ensemble call by member, the model kernels beside
 # theirs — BenchmarkCrossInfer, BenchmarkRankerCall/{aids,syn} (syn is the
 # shape models.us_per_ranker_call is measured at on syn_hung),
-# BenchmarkHeads/{miss,hit} (the heads' share of one score) —, one M_rk
-# training step, BenchmarkRankTrainStep, beside the ranking call it trains, parallel
+# BenchmarkHeads/{miss,hit} (the heads' share of one score) —, one training
+# step on a warm tape, BenchmarkRankTrainStep (M_rk, beside the ranking call
+# it trains) and BenchmarkMembershipTrainStep (M_nh), parallel
 # vs sequential PG build, pool resize, root package ablations); see DESIGN.md
 # "Performance architecture". End-to-end numbers come from `go run
 # ./benchmark` (benchmark/README.md), not from here.

@@ -15,6 +15,7 @@ import (
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/core"
 	"github.com/lansearch/lan/internal/dataset"
@@ -252,10 +253,12 @@ func BenchmarkFig12RawCrossLearning(b *testing.B) {
 	for i := 0; i+1 < len(gs); i += 2 {
 		pairs = append(pairs, [2]*cg.Compressed{cg.BuildRaw(gs[i], 2, vocab), cg.BuildRaw(gs[i+1], 2, vocab)})
 	}
+	tape := autograd.NewTape()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		model.Forward(p[0], p[1])
+		tape.Reset()
+		model.Forward(tape, p[0], p[1])
 	}
 }
 
@@ -265,10 +268,12 @@ func BenchmarkFig12CGCrossLearning(b *testing.B) {
 	for i := 0; i+1 < len(gs); i += 2 {
 		pairs = append(pairs, [2]*cg.Compressed{cg.Build(gs[i], 2, vocab), cg.Build(gs[i+1], 2, vocab)})
 	}
+	tape := autograd.NewTape()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		model.Forward(p[0], p[1])
+		tape.Reset()
+		model.Forward(tape, p[0], p[1])
 	}
 }
 
@@ -281,10 +286,12 @@ func BenchmarkFig12HAGCrossLearning(b *testing.B) {
 			cg.BuildHAG(cg.BuildRaw(gs[i+1], 2, vocab), 16),
 		})
 	}
+	tape := autograd.NewTape()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		cg.ForwardCross(model, p[0], p[1])
+		tape.Reset()
+		cg.ForwardCross(tape, model, p[0], p[1])
 	}
 }
 

@@ -152,7 +152,7 @@ func (c *matDimChecker) matFunc(e ast.Expr) string {
 // checkCall reports provable dimension inconsistencies of one call.
 func (c *matDimChecker) checkCall(call *ast.CallExpr) {
 	switch c.matFunc(call.Fun) {
-	case "New", "Randn", "GetScratch":
+	case "New", "Randn":
 		if len(call.Args) < 2 {
 			return
 		}
@@ -292,7 +292,7 @@ func (c *matDimChecker) callShape(call *ast.CallExpr) (matShape, bool) {
 		return c.exprShape(call.Args[i])
 	}
 	switch name {
-	case "New", "Randn", "FromSlice", "GetScratch":
+	case "New", "Randn", "FromSlice":
 		if len(call.Args) < 2 {
 			return matShape{}, false
 		}

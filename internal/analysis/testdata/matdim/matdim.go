@@ -87,12 +87,6 @@ func badMulIntoDst() *mat.Matrix {
 	return mat.MulInto(dst, a, mat.New(3, 5)) // want "destination 2x4 for a 2x5 product"
 }
 
-func okMulIntoScratch() *mat.Matrix {
-	dst := mat.GetScratch(2, 5)
-	a := mat.New(2, 3)
-	return mat.MulInto(dst, a, mat.New(3, 5))
-}
-
 func badMulTInto() *mat.Matrix {
 	dst := mat.New(2, 5)
 	a := mat.New(2, 3)
@@ -103,10 +97,6 @@ func badTMulIntoDst() *mat.Matrix {
 	dst := mat.New(3, 3)
 	a := mat.New(2, 3)
 	return mat.TMulInto(dst, a, mat.New(2, 4)) // want "destination 3x3 for a 3x4 product"
-}
-
-func negativeScratch() *mat.Matrix {
-	return mat.GetScratch(-1, 2) // want "negative dimension"
 }
 
 func unknownIntoNotFlagged(dst *mat.Matrix) *mat.Matrix {

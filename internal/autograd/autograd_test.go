@@ -28,21 +28,29 @@ func numGrad(leaf *mat.Matrix, f func() float64) *mat.Matrix {
 
 // checkGrad builds the graph with build (which must return the scalar
 // loss), runs Backward, and compares each leaf's analytic gradient with
-// finite differences.
-func checkGrad(t *testing.T, name string, leaves []*Value, build func() *Value) {
+// finite differences. Every build runs on one tape, reset in between with
+// its slab poisoned, so an op that reads a float it did not write this
+// time turns the loss into NaN.
+func checkGrad(t *testing.T, name string, leaves []*Value, build func(tp *Tape) *Value) {
 	t.Helper()
 	for _, leaf := range leaves {
 		leaf.ZeroGrad()
 	}
-	loss := build()
-	Backward(loss)
+	tp := NewTape()
+	tp.poison = true
+	rebuild := func() *Value {
+		tp.Reset()
+		return build(tp)
+	}
+	tp.Backward(rebuild())
 	for li, leaf := range leaves {
-		want := numGrad(leaf.Data, func() float64 { return build().Data.At(0, 0) })
 		if leaf.Grad == nil {
 			t.Fatalf("%s: leaf %d has nil grad", name, li)
 		}
-		if d := mat.MaxAbsDiff(leaf.Grad, want); d > 1e-4 {
-			t.Fatalf("%s: leaf %d grad mismatch %v\n got %v\nwant %v", name, li, d, leaf.Grad, want)
+		got := leaf.Grad.Clone()
+		want := numGrad(leaf.Data, func() float64 { return rebuild().Data.At(0, 0) })
+		if d := mat.MaxAbsDiff(got, want); !(d <= 1e-4) {
+			t.Fatalf("%s: leaf %d grad mismatch %v\n got %v\nwant %v", name, li, d, got, want)
 		}
 	}
 }
@@ -55,8 +63,8 @@ func TestGradMatMulChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randVal(rng, 3, 4)
 	b := randVal(rng, 4, 2)
-	checkGrad(t, "matmul", []*Value{a, b}, func() *Value {
-		return Sum(MatMul(a, b))
+	checkGrad(t, "matmul", []*Value{a, b}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(a, b))
 	})
 }
 
@@ -64,19 +72,8 @@ func TestGradAddScaleReLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randVal(rng, 3, 3)
 	b := randVal(rng, 3, 3)
-	checkGrad(t, "add-scale-relu", []*Value{a, b}, func() *Value {
-		return Sum(ReLU(Scale(Add(a, b), 1.5)))
-	})
-}
-
-func TestGradSigmoidTanh(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randVal(rng, 2, 5)
-	checkGrad(t, "sigmoid", []*Value{a}, func() *Value {
-		return Sum(Sigmoid(a))
-	})
-	checkGrad(t, "tanh", []*Value{a}, func() *Value {
-		return Sum(Tanh(a))
+	checkGrad(t, "add-scale-relu", []*Value{a, b}, func(tp *Tape) *Value {
+		return tp.Sum(tp.ReLU(tp.Scale(tp.Add(a, b), 1.5)))
 	})
 }
 
@@ -84,8 +81,8 @@ func TestGradSoftmaxRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randVal(rng, 3, 4)
 	w := mat.Randn(4, 2, 1, rng) // project so the loss depends nonuniformly
-	checkGrad(t, "softmax", []*Value{a}, func() *Value {
-		return Sum(MatMul(SoftmaxRows(a), Const(w)))
+	checkGrad(t, "softmax", []*Value{a}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.SoftmaxRows(a), tp.Const(w)))
 	})
 }
 
@@ -94,8 +91,8 @@ func TestGradConcatCols(t *testing.T) {
 	a := randVal(rng, 3, 2)
 	b := randVal(rng, 3, 3)
 	w := mat.Randn(5, 1, 1, rng)
-	checkGrad(t, "concat", []*Value{a, b}, func() *Value {
-		return Sum(MatMul(ConcatCols(a, b), Const(w)))
+	checkGrad(t, "concat", []*Value{a, b}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.ConcatCols(a, b), tp.Const(w)))
 	})
 }
 
@@ -104,8 +101,8 @@ func TestGradOuterSum(t *testing.T) {
 	a := randVal(rng, 4, 1)
 	b := randVal(rng, 1, 3)
 	w := mat.Randn(3, 1, 1, rng)
-	checkGrad(t, "outersum", []*Value{a, b}, func() *Value {
-		return Sum(MatMul(SoftmaxRows(OuterSum(a, b)), Const(w)))
+	checkGrad(t, "outersum", []*Value{a, b}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.SoftmaxRows(tp.OuterSum(a, b)), tp.Const(w)))
 	})
 }
 
@@ -113,8 +110,8 @@ func TestGradAddRowBroadcast(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randVal(rng, 4, 3)
 	b := randVal(rng, 1, 3)
-	checkGrad(t, "rowbroadcast", []*Value{a, b}, func() *Value {
-		return Sum(ReLU(AddRowBroadcast(a, b)))
+	checkGrad(t, "rowbroadcast", []*Value{a, b}, func(tp *Tape) *Value {
+		return tp.Sum(tp.ReLU(tp.AddRowBroadcast(a, b)))
 	})
 }
 
@@ -123,8 +120,8 @@ func TestGradWeightedMeanRows(t *testing.T) {
 	a := randVal(rng, 4, 3)
 	w := []float64{1, 3, 2, 1}
 	proj := mat.Randn(3, 1, 1, rng)
-	checkGrad(t, "wmean", []*Value{a}, func() *Value {
-		return Sum(MatMul(WeightedMeanRows(a, w), Const(proj)))
+	checkGrad(t, "wmean", []*Value{a}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.WeightedMeanRows(a, w), tp.Const(proj)))
 	})
 }
 
@@ -133,8 +130,8 @@ func TestGradGatherRows(t *testing.T) {
 	a := randVal(rng, 4, 3)
 	idx := []int{2, 0, 2, 1} // repeated row: gradients must accumulate
 	proj := mat.Randn(3, 1, 1, rng)
-	checkGrad(t, "gather", []*Value{a}, func() *Value {
-		return Sum(MatMul(GatherRows(a, idx), Const(proj)))
+	checkGrad(t, "gather", []*Value{a}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.GatherRows(a, idx), tp.Const(proj)))
 	})
 }
 
@@ -142,34 +139,34 @@ func TestGradMulElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := randVal(rng, 3, 3)
 	b := randVal(rng, 3, 3)
-	checkGrad(t, "mul", []*Value{a, b}, func() *Value {
-		return Sum(Mul(a, b))
+	checkGrad(t, "mul", []*Value{a, b}, func(tp *Tape) *Value {
+		return tp.Sum(tp.Mul(a, b))
 	})
 }
 
 func TestGradSumSquares(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randVal(rng, 2, 3)
-	checkGrad(t, "sumsquares", []*Value{a}, func() *Value {
-		return SumSquares(a)
+	checkGrad(t, "sumsquares", []*Value{a}, func(tp *Tape) *Value {
+		return tp.SumSquares(a)
 	})
 }
 
 func TestGradBCEWithLogits(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randVal(rng, 5, 1)
-	targets := mat.FromSlice(5, 1, []float64{1, 0, 1, 1, 0})
-	checkGrad(t, "bce", []*Value{a}, func() *Value {
-		return BCEWithLogits(a, targets)
+	targets := []float64{1, 0, 1, 1, 0}
+	checkGrad(t, "bce", []*Value{a}, func(tp *Tape) *Value {
+		return tp.BCEWithLogits(a, targets)
 	})
 }
 
 func TestGradMSE(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randVal(rng, 4, 1)
-	targets := mat.Randn(4, 1, 1, rng)
-	checkGrad(t, "mse", []*Value{a}, func() *Value {
-		return MSE(a, targets)
+	targets := mat.Randn(4, 1, 1, rng).Data
+	checkGrad(t, "mse", []*Value{a}, func(tp *Tape) *Value {
+		return tp.MSE(a, targets)
 	})
 }
 
@@ -177,10 +174,10 @@ func TestGradDiamondReuse(t *testing.T) {
 	// A value used by two paths must receive the sum of both gradients.
 	rng := rand.New(rand.NewSource(14))
 	a := randVal(rng, 2, 2)
-	checkGrad(t, "diamond", []*Value{a}, func() *Value {
-		left := ReLU(a)
-		right := Sigmoid(a)
-		return Sum(Add(left, right))
+	checkGrad(t, "diamond", []*Value{a}, func(tp *Tape) *Value {
+		left := tp.ReLU(a)
+		right := tp.Mul(a, a)
+		return tp.Sum(tp.Add(left, right))
 	})
 }
 
@@ -192,15 +189,15 @@ func TestGradDeepComposite(t *testing.T) {
 	a1 := randVal(rng, 3, 1)
 	a2 := randVal(rng, 3, 1)
 	w := randVal(rng, 3, 2)
-	targets := mat.FromSlice(4, 1, []float64{1, 0, 0, 1})
+	targets := []float64{1, 0, 0, 1}
 	proj := mat.Randn(2, 1, 1, rng)
-	checkGrad(t, "composite", []*Value{hg, hq, a1, a2, w}, func() *Value {
-		scores := OuterSum(MatMul(hg, a1), Transpose(MatMul(hq, a2)))
-		alpha := SoftmaxRows(scores)
-		mu := MatMul(alpha, hq)
-		h := ReLU(MatMul(Add(hg, mu), w))
-		logits := MatMul(h, Const(proj))
-		return BCEWithLogits(logits, targets)
+	checkGrad(t, "composite", []*Value{hg, hq, a1, a2, w}, func(tp *Tape) *Value {
+		scores := tp.OuterSum(tp.MatMul(hg, a1), tp.Transpose(tp.MatMul(hq, a2)))
+		alpha := tp.SoftmaxRows(scores)
+		mu := tp.MatMul(alpha, hq)
+		h := tp.ReLU(tp.MatMul(tp.Add(hg, mu), w))
+		logits := tp.MatMul(h, tp.Const(proj))
+		return tp.BCEWithLogits(logits, targets)
 	})
 }
 
@@ -210,15 +207,16 @@ func TestBackwardPanicsOnNonScalar(t *testing.T) {
 			t.Fatal("no panic on non-scalar Backward")
 		}
 	}()
-	Backward(Param(mat.New(2, 2)))
+	NewTape().Backward(Param(mat.New(2, 2)))
 }
 
 func TestConstGetsNoGrad(t *testing.T) {
+	tp := NewTape()
 	rng := rand.New(rand.NewSource(16))
-	c := Const(mat.Randn(2, 2, 1, rng))
+	c := tp.Const(mat.Randn(2, 2, 1, rng))
 	p := randVal(rng, 2, 2)
-	loss := Sum(Mul(c, p))
-	Backward(loss)
+	loss := tp.Sum(tp.Mul(c, p))
+	tp.Backward(loss)
 	if c.Grad != nil {
 		t.Fatalf("const received gradient")
 	}
@@ -231,13 +229,14 @@ func TestConstGetsNoGrad(t *testing.T) {
 }
 
 func TestGradAccumulatesAcrossBackwardCalls(t *testing.T) {
+	tp := NewTape()
 	rng := rand.New(rand.NewSource(17))
 	p := randVal(rng, 2, 2)
-	loss1 := Sum(p)
-	Backward(loss1)
+	loss1 := tp.Sum(p)
+	tp.Backward(loss1)
 	first := p.Grad.Clone()
-	loss2 := Sum(p)
-	Backward(loss2)
+	loss2 := tp.Sum(p)
+	tp.Backward(loss2)
 	want := mat.Scale(first, 2)
 	if mat.MaxAbsDiff(p.Grad, want) > 1e-12 {
 		t.Fatalf("grads did not accumulate: %v vs %v", p.Grad, want)
@@ -254,19 +253,21 @@ func TestGradAccumulatesAcrossBackwardCalls(t *testing.T) {
 // d(10·l2)/dw = 30. A Backward that kept the interior gradients of the
 // first call would push them through y again and reach 39.
 func TestBackwardTwiceOverSharedTrunk(t *testing.T) {
-	x := Const(mat.FromSlice(1, 1, []float64{3}))
+	tp := NewTape()
+	x := tp.Const(mat.FromSlice(1, 1, []float64{3}))
 	w := Param(mat.FromSlice(1, 1, []float64{1}))
-	z := ReLU(MatMul(x, w))
-	Backward(Sum(z))
-	Backward(Scale(Sum(z), 10))
+	z := tp.ReLU(tp.MatMul(x, w))
+	tp.Backward(tp.Sum(z))
+	tp.Backward(tp.Scale(tp.Sum(z), 10))
 	if got := w.Grad.At(0, 0); got != 33 {
 		t.Fatalf("w.Grad = %v after two Backward calls over one trunk, want 3 + 30 = 33", got)
 	}
 }
 
 func TestSoftmaxRowsNumericallyStable(t *testing.T) {
-	a := Const(mat.FromSlice(1, 3, []float64{1000, 1001, 1002}))
-	out := SoftmaxRows(a)
+	tp := NewTape()
+	a := tp.Const(mat.FromSlice(1, 3, []float64{1000, 1001, 1002}))
+	out := tp.SoftmaxRows(a)
 	sum := 0.0
 	for _, v := range out.Data.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -283,8 +284,8 @@ func TestGradGatherCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	a := randVal(rng, 3, 5)
 	proj := mat.Randn(2, 1, 1, rng)
-	checkGrad(t, "gathercols", []*Value{a}, func() *Value {
-		return Sum(MatMul(GatherCols(a, 1, 3), Const(proj)))
+	checkGrad(t, "gathercols", []*Value{a}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.GatherCols(a, 1, 3), tp.Const(proj)))
 	})
 }
 
@@ -293,8 +294,8 @@ func TestGradConcatRows(t *testing.T) {
 	a := randVal(rng, 2, 3)
 	b := randVal(rng, 4, 3)
 	proj := mat.Randn(3, 1, 1, rng)
-	checkGrad(t, "concatrows", []*Value{a, b}, func() *Value {
-		return Sum(MatMul(ConcatRows(a, b), Const(proj)))
+	checkGrad(t, "concatrows", []*Value{a, b}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.ConcatRows(a, b), tp.Const(proj)))
 	})
 }
 
@@ -307,8 +308,8 @@ func TestGradLinearCombRows(t *testing.T) {
 		{{Row: 0, W: 1}, {Row: 1, W: 1}, {Row: 3, W: 0.5}},
 	}
 	proj := mat.Randn(3, 1, 1, rng)
-	checkGrad(t, "lincomb", []*Value{a}, func() *Value {
-		return Sum(MatMul(LinearCombRows(a, combos), Const(proj)))
+	checkGrad(t, "lincomb", []*Value{a}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.LinearCombRows(a, combos), tp.Const(proj)))
 	})
 }
 
@@ -316,7 +317,163 @@ func TestGradTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := randVal(rng, 3, 2)
 	proj := mat.Randn(3, 1, 1, rng)
-	checkGrad(t, "transpose", []*Value{a}, func() *Value {
-		return Sum(MatMul(Transpose(a), Const(proj)))
+	checkGrad(t, "transpose", []*Value{a}, func(tp *Tape) *Value {
+		return tp.Sum(tp.MatMul(tp.Transpose(a), tp.Const(proj)))
 	})
+}
+
+// denseOneHot is the matrix a OneHot stands for.
+func denseOneHot(feat []int, cols int) *mat.Matrix {
+	m := mat.New(len(feat), cols)
+	for i, f := range feat {
+		m.Set(i, f, 1)
+	}
+	return m
+}
+
+// TestOneHotMatchesDense holds every op that accepts a OneHot to the
+// result and the gradients of the same op on the dense one-hot matrix,
+// with ==: skipping the zero terms must not move a bit. The weights hold a
+// negative zero, the one value a bare look-up would copy where the dense
+// sum from +0 gives +0.
+func TestOneHotMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	feat := []int{2, 0, 2, 4, 1}
+	const vocab = 5
+	w := randVal(rng, vocab, 3)
+	w.Data.Set(2, 1, math.Copysign(0, -1))
+	s := randVal(rng, 4, len(feat)) // left operand of a product with the one-hot on the right
+	combos := [][]Lin{{{Row: 0, W: 1}, {Row: 3, W: 2}}, {{Row: 2, W: -1}}, {{Row: 1, W: 1}, {Row: 4, W: 1}, {Row: 0, W: 0.5}}}
+	bottom := mat.Randn(2, vocab, 1, rng)
+	proj := mat.Randn(vocab, 1, 1, rng)
+
+	run := func(hot bool) (vals [][]float64, grads []*mat.Matrix) {
+		tp := NewTape()
+		w.Grad, s.Grad = nil, nil
+		var h *Value
+		if hot {
+			h = tp.OneHot(feat, vocab)
+		} else {
+			h = tp.Const(denseOneHot(feat, vocab))
+		}
+		left := tp.MatMul(h, w)                  // 5x3
+		right := tp.MatMul(tp.SoftmaxRows(s), h) // 4x5
+		comb := tp.MatMul(tp.LinearCombRows(h, combos), w)
+		stack := tp.MatMul(tp.ConcatRows(h, tp.Const(bottom)), w)
+		loss := tp.Add(tp.Add(tp.SumSquares(left), tp.SumSquares(tp.MatMul(right, tp.Const(proj)))),
+			tp.Add(tp.SumSquares(comb), tp.SumSquares(stack)))
+		tp.Backward(loss)
+		for _, v := range []*Value{left, right, comb, stack, loss} {
+			vals = append(vals, append([]float64(nil), v.Data.Data...))
+		}
+		return vals, []*mat.Matrix{w.Grad, s.Grad}
+	}
+	wantVals, wantGrads := run(false)
+	gotVals, gotGrads := run(true)
+	for i := range wantVals {
+		for j, want := range wantVals[i] {
+			if got := gotVals[i][j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("value %d[%d] = %v on the one-hot, %v on the dense matrix", i, j, got, want)
+			}
+		}
+	}
+	for i := range wantGrads {
+		for j, want := range wantGrads[i].Data {
+			if got := gotGrads[i].Data[j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("gradient %d[%d] = %v on the one-hot, %v on the dense matrix", i, j, got, want)
+			}
+		}
+	}
+}
+
+// everyOp records a graph through every op of the package over the given
+// parameters, sized by n, and returns its scalar loss.
+func everyOp(tp *Tape, n int, w1, w2, a1 *Value, rng *rand.Rand) *Value {
+	feat := make([]int, n)
+	idx := make([]int, n)
+	sizes := make([]float64, n)
+	combos := make([][]Lin, n)
+	for i := range feat {
+		feat[i], idx[i], sizes[i] = rng.Intn(w1.Data.Rows), rng.Intn(n), float64(1+rng.Intn(3))
+		combos[i] = []Lin{{Row: rng.Intn(n), W: 1}, {Row: rng.Intn(n), W: 0.5}}
+	}
+	hot := tp.OneHot(feat, w1.Data.Rows)
+	h := tp.ReLU(tp.MatMul(tp.LinearCombRows(hot, combos), w1)) // n x d
+	key := tp.MatMul(h, a1)                                     // n x 1
+	scores := tp.AddRowBroadcast(tp.OuterSum(key, tp.Transpose(key)), tp.Const(&mat.Matrix{Rows: 1, Cols: n, Data: sizes}))
+	mu := tp.MatMul(tp.SoftmaxRows(scores), h)
+	h = tp.ReLU(tp.MatMul(tp.Add(tp.LinearCombRows(h, combos), tp.GatherRows(mu, idx)), w2))
+	h = tp.ConcatRows(h, tp.Scale(h, -0.5))
+	out := tp.WeightedMeanRows(h, append(sizes, sizes...)) // 1 x d
+	d := out.Data.Cols
+	half := tp.GatherCols(out, 0, d/2)
+	feats := tp.ConcatCols(out, tp.Mul(half, half))
+	targets := make([]float64, feats.Data.Cols)
+	targets[0] = 1
+	return tp.Add(tp.Add(tp.BCEWithLogits(feats, targets), tp.MSE(feats, targets)), tp.Add(tp.Sum(feats), tp.SumSquares(feats)))
+}
+
+// TestResetLeavesNoStaleFloat runs one graph through every op on a fresh
+// tape and on a tape that has already recorded a larger and a smaller
+// graph, its slab filled with NaN at every Reset: loss and gradients must
+// be the same bits, so no op reads a float it has not written since the
+// reset, and none depends on fresh memory being zero.
+func TestResetLeavesNoStaleFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	w1, w2, a1 := randVal(rng, 6, 4), randVal(rng, 4, 4), randVal(rng, 4, 1)
+	params := []*Value{w1, w2, a1}
+	run := func(tp *Tape, n int) (float64, []*mat.Matrix) {
+		tp.Reset()
+		var grads []*mat.Matrix
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+		loss := everyOp(tp, n, w1, w2, a1, rand.New(rand.NewSource(int64(n))))
+		tp.Backward(loss)
+		for _, p := range params {
+			grads = append(grads, p.Grad.Clone())
+		}
+		return loss.Data.At(0, 0), grads
+	}
+	wantLoss, wantGrads := run(NewTape(), 7)
+
+	reused := NewTape()
+	reused.poison = true
+	run(reused, 19)
+	run(reused, 3)
+	gotLoss, gotGrads := run(reused, 7)
+	if math.IsNaN(wantLoss) || gotLoss != wantLoss {
+		t.Fatalf("loss %v on the reused tape, %v on a fresh one", gotLoss, wantLoss)
+	}
+	for k := range wantGrads {
+		for i, want := range wantGrads[k].Data {
+			if got := gotGrads[k].Data[i]; got != want {
+				t.Fatalf("parameter %d[%d]: gradient %v on the reused tape, %v on a fresh one", k, i, got, want)
+			}
+		}
+	}
+	if reused.used == 0 || len(reused.slab) == 0 {
+		t.Fatal("the reused tape recorded nothing")
+	}
+}
+
+// TestTapeStepAllocs pins what the tape is for: once it has seen an
+// example of a size, recording and differentiating another allocates
+// nothing.
+func TestTapeStepAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	w1, w2, a1 := randVal(rng, 6, 4), randVal(rng, 4, 4), randVal(rng, 4, 1)
+	tp := NewTape()
+	feat := []int{1, 0, 5, 2}
+	combos := [][]Lin{{{Row: 0, W: 1}}, {{Row: 1, W: 1}, {Row: 3, W: 2}}, {{Row: 2, W: 1}}}
+	step := func() {
+		tp.Reset()
+		h := tp.ReLU(tp.MatMul(tp.LinearCombRows(tp.OneHot(feat, 6), combos), w1))
+		h = tp.ReLU(tp.MatMul(tp.Add(h, tp.Scale(h, 2)), w2))
+		tp.Backward(tp.BCEWithLogits(tp.MatMul(h, a1), []float64{1, 0, 1}))
+	}
+	step()
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Fatalf("%v allocations per warm step, want 0", n)
+	}
 }

@@ -156,6 +156,7 @@ func newTestModel(t *testing.T, db graph.Database, layers, dim int) (*CrossModel
 // gives the attention a non-linearity (GAT's LeakyReLU, GMN's dot product)
 // must fail this test and delete it.
 func TestCrossAttentionIgnoresA1(t *testing.T) {
+	tape := autograd.NewTape()
 	db := testDB(31, 8)
 	m, vocab := newTestModel(t, db, 2, 8)
 	cs := make([]*Compressed, len(db))
@@ -165,15 +166,15 @@ func TestCrossAttentionIgnoresA1(t *testing.T) {
 	embed := func() (out [][]float64) {
 		for _, g := range cs {
 			for _, q := range cs {
-				out = append(out, m.Infer(g, q), m.Forward(g, q).Data.Data)
+				out = append(out, m.Infer(g, q), m.Forward(tape, g, q).Data.Data)
 			}
 		}
 		return out
 	}
 	before := embed()
 
-	loss := autograd.SumSquares(m.Forward(cs[0], cs[1]))
-	autograd.Backward(loss)
+	loss := tape.SumSquares(m.Forward(tape, cs[0], cs[1]))
+	tape.Backward(loss)
 	maxAbs := func(vs []*autograd.Value) float64 {
 		worst := 0.0
 		for _, v := range vs {
@@ -201,13 +202,14 @@ func TestCrossAttentionIgnoresA1(t *testing.T) {
 }
 
 func TestTheorem2CompressedEqualsRaw(t *testing.T) {
+	tape := autograd.NewTape()
 	db := testDB(5, 8)
 	m, vocab := newTestModel(t, db, 3, 8)
 	for i := 0; i < len(db); i++ {
 		for j := i + 1; j < len(db); j++ {
 			g, q := db[i], db[j]
-			raw := m.Forward(BuildRaw(g, 3, vocab), BuildRaw(q, 3, vocab))
-			comp := m.Forward(Build(g, 3, vocab), Build(q, 3, vocab))
+			raw := m.Forward(tape, BuildRaw(g, 3, vocab), BuildRaw(q, 3, vocab))
+			comp := m.Forward(tape, Build(g, 3, vocab), Build(q, 3, vocab))
 			if d := mat.MaxAbsDiff(raw.Data, comp.Data); d > 1e-9 {
 				t.Fatalf("pair (%d,%d): |raw - compressed| = %v", i, j, d)
 			}
@@ -216,40 +218,43 @@ func TestTheorem2CompressedEqualsRaw(t *testing.T) {
 }
 
 func TestTheorem2MixedInputs(t *testing.T) {
+	tape := autograd.NewTape()
 	// Raw G with compressed Q must still match (the two sides are
 	// independent groupings of the same computation).
 	db := testDB(6, 4)
 	m, vocab := newTestModel(t, db, 2, 6)
 	g, q := db[0], db[1]
-	a := m.Forward(BuildRaw(g, 2, vocab), Build(q, 2, vocab))
-	b := m.Forward(Build(g, 2, vocab), BuildRaw(q, 2, vocab))
+	a := m.Forward(tape, BuildRaw(g, 2, vocab), Build(q, 2, vocab))
+	b := m.Forward(tape, Build(g, 2, vocab), BuildRaw(q, 2, vocab))
 	if d := mat.MaxAbsDiff(a.Data, b.Data); d > 1e-9 {
 		t.Fatalf("mixed inputs diverge: %v", d)
 	}
 }
 
 func TestForwardShapeAndDeterminism(t *testing.T) {
+	tape := autograd.NewTape()
 	db := testDB(7, 3)
 	m, vocab := newTestModel(t, db, 2, 5)
 	c0, c1 := Build(db[0], 2, vocab), Build(db[1], 2, vocab)
-	out := m.Forward(c0, c1)
+	out := m.Forward(tape, c0, c1)
 	if out.Data.Rows != 1 || out.Data.Cols != 10 {
 		t.Fatalf("cross embedding shape %dx%d; want 1x10", out.Data.Rows, out.Data.Cols)
 	}
-	out2 := m.Forward(c0, c1)
+	out2 := m.Forward(tape, c0, c1)
 	if mat.MaxAbsDiff(out.Data, out2.Data) != 0 {
 		t.Fatalf("forward not deterministic")
 	}
 }
 
 func TestCrossModelGradientsFlow(t *testing.T) {
+	tape := autograd.NewTape()
 	db := testDB(8, 2)
 	vocab := NewVocab(db)
 	p := nn.NewParams()
 	m := NewCrossModel(p, "m", Config{Layers: 2, Dim: 4, Vocab: vocab}, rand.New(rand.NewSource(1)))
-	out := m.Forward(Build(db[0], 2, vocab), Build(db[1], 2, vocab))
-	loss := autograd.SumSquares(out)
-	autograd.Backward(loss)
+	out := m.Forward(tape, Build(db[0], 2, vocab), Build(db[1], 2, vocab))
+	loss := tape.SumSquares(out)
+	tape.Backward(loss)
 	for _, name := range p.Names() {
 		v := p.Get(name)
 		if v.Grad == nil {
@@ -263,6 +268,7 @@ func TestCrossModelGradientsFlow(t *testing.T) {
 }
 
 func TestCrossModelTrainsToSeparateClasses(t *testing.T) {
+	tape := autograd.NewTape()
 	// Tiny end-to-end learnability check: classify whether Q is a mutation
 	// of G (positive) or an unrelated graph (negative).
 	gen := graph.NewGenerator(42)
@@ -276,7 +282,7 @@ func TestCrossModelTrainsToSeparateClasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewCrossModel(p, "m", Config{Layers: 2, Dim: 8, Vocab: vocab}, rng)
 	head := nn.NewMLP(p, "head", []int{16, 8, 1}, rng)
-	opt := nn.NewAdam(0.01)
+	opt := nn.NewAdam(p, 0.01)
 
 	type pair struct {
 		a, b *Compressed
@@ -297,13 +303,13 @@ func TestCrossModelTrainsToSeparateClasses(t *testing.T) {
 		p.ZeroGrad()
 		total := 0.0
 		for _, pr := range pairs {
-			emb := m.Forward(pr.a, pr.b)
-			logit := head.Apply(emb)
-			l := autograd.BCEWithLogits(logit, mat.FromSlice(1, 1, []float64{pr.y}))
-			autograd.Backward(l)
+			emb := m.Forward(tape, pr.a, pr.b)
+			logit := head.Apply(tape, emb)
+			l := tape.BCEWithLogits(logit, []float64{pr.y})
+			tape.Backward(l)
 			total += l.Data.At(0, 0)
 		}
-		opt.Step(p)
+		opt.Step()
 		loss = total / float64(len(pairs))
 	}
 	if loss > 0.45 {
@@ -362,14 +368,15 @@ func TestGINModelEmbedding(t *testing.T) {
 }
 
 func TestHAGEquivalenceAndSavings(t *testing.T) {
+	tape := autograd.NewTape()
 	db := testDB(11, 6)
 	m, vocab := newTestModel(t, db, 2, 6)
 	for i := 0; i+1 < len(db); i += 2 {
 		g, q := db[i], db[i+1]
 		rawG, rawQ := BuildRaw(g, 2, vocab), BuildRaw(q, 2, vocab)
 		hg, hq := BuildHAG(rawG, 8), BuildHAG(rawQ, 8)
-		want := m.Forward(rawG, rawQ)
-		got := ForwardCross(m, hg, hq)
+		want := m.Forward(tape, rawG, rawQ)
+		got := ForwardCross(tape, m, hg, hq)
 		if d := mat.MaxAbsDiff(want.Data, got.Data); d > 1e-9 {
 			t.Fatalf("pair %d: HAG forward differs by %v", i, d)
 		}
@@ -437,12 +444,13 @@ func TestConfigValidation(t *testing.T) {
 // the inference kernel in the same order, the only difference being terms
 // that are exactly zero, so the test compares with ==.
 func TestInferMatchesForward(t *testing.T) {
+	tape := autograd.NewTape()
 	db := testDB(21, 8)
 	m, vocab := newTestModel(t, db, 3, 8)
 	for i := 0; i+1 < len(db); i += 2 {
 		for name, build := range map[string]func(*graph.Graph, int, *Vocab) *Compressed{"compressed": Build, "raw": BuildRaw} {
 			cgG, cgQ := build(db[i], 3, vocab), build(db[i+1], 3, vocab)
-			want := m.Forward(cgG, cgQ).Data.Data
+			want := m.Forward(tape, cgG, cgQ).Data.Data
 			got := m.Infer(cgG, cgQ)
 			if len(got) != len(want) {
 				t.Fatalf("pair %d %s: dim %d vs %d", i, name, len(got), len(want))
@@ -486,16 +494,17 @@ func TestBatchEmbedMatchesEmbed(t *testing.T) {
 }
 
 func TestGINEmbedMatchesForward(t *testing.T) {
+	tape := autograd.NewTape()
 	db := testDB(23, 6)
 	vocab := NewVocab(db)
 	p := nn.NewParams()
 	m := NewGINModel(p, "gin", Config{Layers: 3, Dim: 7, Vocab: vocab}, rand.New(rand.NewSource(2)))
 	for _, g := range db {
 		c := Build(g, 3, vocab)
-		want := m.Forward(c).Data.Data
+		want := m.Forward(tape, c).Data.Data
 		got := m.Embed(c)
 		for j := range want {
-			if math.Abs(got[j]-want[j]) > 1e-9 {
+			if got[j] != want[j] {
 				t.Fatalf("graph %d: Embed[%d]=%v Forward=%v", g.ID, j, got[j], want[j])
 			}
 		}

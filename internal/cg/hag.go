@@ -127,47 +127,27 @@ func (h *HAG) AggEdges() int {
 
 // Aggregate computes layer l's aggregation t over prev (the previous
 // level's embeddings) honoring the plan's auxiliary nodes.
-func (h *HAG) Aggregate(l int, prev *autograd.Value) *autograd.Value {
+func (h *HAG) Aggregate(t *autograd.Tape, l int, prev *autograd.Value) *autograd.Value {
 	full := prev
-	if len(h.Aux[l]) > 0 {
-		// Aux combos may reference earlier aux rows, so extend one at a
-		// time.
-		for _, combo := range h.Aux[l] {
-			auxRow := autograd.LinearCombRows(full, [][]autograd.Lin{combo})
-			full = autograd.ConcatRows(full, auxRow)
-		}
+	// Aux combos may reference earlier aux rows, so extend one at a time.
+	for _, combo := range h.Aux[l] {
+		auxRow := t.LinearCombRows(full, [][]autograd.Lin{combo})
+		full = t.ConcatRows(full, auxRow)
 	}
-	return autograd.LinearCombRows(full, h.In[l])
+	return t.LinearCombRows(full, h.In[l])
 }
 
 // ForwardCross runs the cross-graph model m over two HAG plans; the result
 // equals m.Forward over the underlying raw GNN-graphs.
-func ForwardCross(m *CrossModel, hg, hq *HAG) *autograd.Value {
+func ForwardCross(t *autograd.Tape, m *CrossModel, hg, hq *HAG) *autograd.Value {
 	cgG, cgQ := hg.Base, hq.Base
-	vg := inputFeatures(cgG, m.Cfg.Vocab.Size())
-	vq := inputFeatures(cgQ, m.Cfg.Vocab.Size())
+	vg := inputFeatures(t, cgG, m.Cfg.Vocab.Size())
+	vq := inputFeatures(t, cgQ, m.Cfg.Vocab.Size())
 	for l := 1; l <= m.Cfg.Layers; l++ {
-		w, a1, a2 := m.W[l-1], m.A1[l-1], m.A2[l-1]
-		logG, logQ := cgG.Levels[l-1].LogSize, cgQ.Levels[l-1].LogSize
-
-		kg1 := autograd.MatMul(vg, a1)
-		kg2 := autograd.Transpose(autograd.MatMul(vg, a2))
-		kq1 := autograd.MatMul(vq, a1)
-		kq2 := autograd.Transpose(autograd.MatMul(vq, a2))
-
-		scoresG := autograd.AddRowBroadcast(autograd.OuterSum(kg1, kq2), logSizeRow(logQ))
-		muGprev := autograd.MatMul(autograd.SoftmaxRows(scoresG), vq)
-		scoresQ := autograd.AddRowBroadcast(autograd.OuterSum(kq1, kg2), logSizeRow(logG))
-		muQprev := autograd.MatMul(autograd.SoftmaxRows(scoresQ), vg)
-
-		tG := hg.Aggregate(l, vg)
-		tQ := hq.Aggregate(l, vq)
-		preG := autograd.Add(tG, autograd.GatherRows(muGprev, cgG.Levels[l].Parent))
-		preQ := autograd.Add(tQ, autograd.GatherRows(muQprev, cgQ.Levels[l].Parent))
-		vg = autograd.ReLU(autograd.MatMul(preG, w))
-		vq = autograd.ReLU(autograd.MatMul(preQ, w))
+		muGprev, muQprev := m.attend(t, l, vg, vq, cgG, cgQ)
+		tG := hg.Aggregate(t, l, vg)
+		tQ := hq.Aggregate(t, l, vq)
+		vg, vq = m.transform(t, l, tG, tQ, muGprev, muQprev, cgG.Levels[l].Parent, cgQ.Levels[l].Parent)
 	}
-	outG := autograd.WeightedMeanRows(vg, cgG.Levels[m.Cfg.Layers].Size)
-	outQ := autograd.WeightedMeanRows(vq, cgQ.Levels[m.Cfg.Layers].Size)
-	return autograd.ConcatCols(outG, outQ)
+	return m.readout(t, vg, vq, cgG, cgQ)
 }

@@ -55,63 +55,76 @@ func NewCrossModel(p *nn.Params, prefix string, cfg Config, rng *rand.Rand) *Cro
 	return m
 }
 
-// inputFeatures builds the constant level-0 one-hot feature matrix of c.
-func inputFeatures(c *Compressed, vocabSize int) *autograd.Value {
-	lv := c.Levels[0]
-	m := mat.New(len(lv.Feature), vocabSize)
-	for i, f := range lv.Feature {
-		m.Set(i, f, 1)
-	}
-	return autograd.Const(m)
+// inputFeatures is the constant level-0 one-hot feature matrix of c, kept
+// as feature indices: the ops that read it (MatMul, LinearCombRows) look
+// rows up instead of multiplying by zeros, as inference does.
+func inputFeatures(t *autograd.Tape, c *Compressed, vocabSize int) *autograd.Value {
+	return t.OneHot(c.Levels[0].Feature, vocabSize)
 }
 
 // logSizeRow wraps a level's LogSize as the constant 1xN row that folds
 // the |q| weights of Eq. 10 into a plain softmax. The slice is shared, not
 // copied: constants are never written.
-func logSizeRow(logSize []float64) *autograd.Value {
-	return autograd.Const(&mat.Matrix{Rows: 1, Cols: len(logSize), Data: logSize})
+func logSizeRow(t *autograd.Tape, logSize []float64) *autograd.Value {
+	return t.Const(&mat.Matrix{Rows: 1, Cols: len(logSize), Data: logSize})
 }
 
 // Forward computes the cross-graph embedding h_G || h_Q (1 x 2*Dim) of two
-// compressed (or raw) GNN-graphs. Theorem 2: the result is identical for
-// Build(g) and BuildRaw(g) inputs.
-func (m *CrossModel) Forward(cgG, cgQ *Compressed) *autograd.Value {
+// compressed (or raw) GNN-graphs, recording on t. Theorem 2: the result is
+// identical for Build(g) and BuildRaw(g) inputs.
+func (m *CrossModel) Forward(t *autograd.Tape, cgG, cgQ *Compressed) *autograd.Value {
 	if cgG.Depth() < m.Cfg.Layers || cgQ.Depth() < m.Cfg.Layers {
 		panic(fmt.Sprintf("cg: CG depth %d/%d < model layers %d", cgG.Depth(), cgQ.Depth(), m.Cfg.Layers))
 	}
-	hg := inputFeatures(cgG, m.Cfg.Vocab.Size())
-	hq := inputFeatures(cgQ, m.Cfg.Vocab.Size())
+	hg := inputFeatures(t, cgG, m.Cfg.Vocab.Size())
+	hq := inputFeatures(t, cgQ, m.Cfg.Vocab.Size())
 	for l := 1; l <= m.Cfg.Layers; l++ {
-		w, a1, a2 := m.W[l-1], m.A1[l-1], m.A2[l-1]
-		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
-		logG, logQ := cgG.Levels[l-1].LogSize, cgQ.Levels[l-1].LogSize
-
-		// Attention both ways over previous-level groups (Eq. 9-10 with
-		// group-size weights folded into the softmax as log terms).
-		kg1 := autograd.MatMul(hg, a1)
-		kg2 := autograd.Transpose(autograd.MatMul(hg, a2))
-		kq1 := autograd.MatMul(hq, a1)
-		kq2 := autograd.Transpose(autograd.MatMul(hq, a2))
-
-		scoresG := autograd.AddRowBroadcast(autograd.OuterSum(kg1, kq2), logSizeRow(logQ))
-		muGprev := autograd.MatMul(autograd.SoftmaxRows(scoresG), hq)
-		scoresQ := autograd.AddRowBroadcast(autograd.OuterSum(kq1, kg2), logSizeRow(logG))
-		muQprev := autograd.MatMul(autograd.SoftmaxRows(scoresQ), hg)
+		muGprev, muQprev := m.attend(t, l, hg, hq, cgG, cgQ)
 
 		// Aggregate (Eq. 8), add the cross message of the parent group,
 		// transform, activate (Eq. 7).
-		tG := autograd.LinearCombRows(hg, lvG.In)
-		tQ := autograd.LinearCombRows(hq, lvQ.In)
-		preG := autograd.Add(tG, autograd.GatherRows(muGprev, lvG.Parent))
-		preQ := autograd.Add(tQ, autograd.GatherRows(muQprev, lvQ.Parent))
-		hg = autograd.ReLU(autograd.MatMul(preG, w))
-		hq = autograd.ReLU(autograd.MatMul(preQ, w))
+		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
+		tG := t.LinearCombRows(hg, lvG.In)
+		tQ := t.LinearCombRows(hq, lvQ.In)
+		hg, hq = m.transform(t, l, tG, tQ, muGprev, muQprev, lvG.Parent, lvQ.Parent)
 	}
-	// Weighted mean readout over the last level (group sizes restore the
-	// per-node mean of Definition 1).
-	outG := autograd.WeightedMeanRows(hg, cgG.Levels[m.Cfg.Layers].Size)
-	outQ := autograd.WeightedMeanRows(hq, cgQ.Levels[m.Cfg.Layers].Size)
-	return autograd.ConcatCols(outG, outQ)
+	return m.readout(t, hg, hq, cgG, cgQ)
+}
+
+// attend computes layer l's cross messages, one row per previous-level
+// group of each side: attention both ways over the other side's groups
+// (Eq. 9-10 with group-size weights folded into the softmax as log terms).
+func (m *CrossModel) attend(t *autograd.Tape, l int, hg, hq *autograd.Value, cgG, cgQ *Compressed) (muG, muQ *autograd.Value) {
+	a1, a2 := m.A1[l-1], m.A2[l-1]
+	logG, logQ := cgG.Levels[l-1].LogSize, cgQ.Levels[l-1].LogSize
+
+	kg1 := t.MatMul(hg, a1)
+	kg2 := t.Transpose(t.MatMul(hg, a2))
+	kq1 := t.MatMul(hq, a1)
+	kq2 := t.Transpose(t.MatMul(hq, a2))
+
+	scoresG := t.AddRowBroadcast(t.OuterSum(kg1, kq2), logSizeRow(t, logQ))
+	muG = t.MatMul(t.SoftmaxRows(scoresG), hq)
+	scoresQ := t.AddRowBroadcast(t.OuterSum(kq1, kg2), logSizeRow(t, logG))
+	muQ = t.MatMul(t.SoftmaxRows(scoresQ), hg)
+	return muG, muQ
+}
+
+// transform finishes layer l from each side's aggregation: add the cross
+// message of the parent group, multiply by W, activate (Eq. 7).
+func (m *CrossModel) transform(t *autograd.Tape, l int, tG, tQ, muG, muQ *autograd.Value, parentG, parentQ []int) (hg, hq *autograd.Value) {
+	w := m.W[l-1]
+	preG := t.Add(tG, t.GatherRows(muG, parentG))
+	preQ := t.Add(tQ, t.GatherRows(muQ, parentQ))
+	return t.ReLU(t.MatMul(preG, w)), t.ReLU(t.MatMul(preQ, w))
+}
+
+// readout is the weighted mean over the last level of both sides (group
+// sizes restore the per-node mean of Definition 1), side by side.
+func (m *CrossModel) readout(t *autograd.Tape, hg, hq *autograd.Value, cgG, cgQ *Compressed) *autograd.Value {
+	outG := t.WeightedMeanRows(hg, cgG.Levels[m.Cfg.Layers].Size)
+	outQ := t.WeightedMeanRows(hq, cgQ.Levels[m.Cfg.Layers].Size)
+	return t.ConcatCols(outG, outQ)
 }
 
 // GINModel is a plain GIN encoder (Sec. III-C, Eq. 1) over compressed (or
@@ -137,14 +150,14 @@ func NewGINModel(p *nn.Params, prefix string, cfg Config, rng *rand.Rand) *GINMo
 	return m
 }
 
-// Forward computes the graph embedding h_G (1 x Dim).
-func (m *GINModel) Forward(c *Compressed) *autograd.Value {
-	h := inputFeatures(c, m.Cfg.Vocab.Size())
+// Forward computes the graph embedding h_G (1 x Dim), recording on t.
+func (m *GINModel) Forward(t *autograd.Tape, c *Compressed) *autograd.Value {
+	h := inputFeatures(t, c, m.Cfg.Vocab.Size())
 	for l := 1; l <= m.Cfg.Layers; l++ {
-		t := autograd.LinearCombRows(h, c.Levels[l].In)
-		h = autograd.ReLU(autograd.MatMul(t, m.W[l-1]))
+		agg := t.LinearCombRows(h, c.Levels[l].In)
+		h = t.ReLU(t.MatMul(agg, m.W[l-1]))
 	}
-	return autograd.WeightedMeanRows(h, c.Levels[m.Cfg.Layers].Size)
+	return t.WeightedMeanRows(h, c.Levels[m.Cfg.Layers].Size)
 }
 
 // inferInput builds the one-hot level-0 feature matrix of c for the

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -100,6 +102,44 @@ func TestBuildIdenticalAcrossWorkers(t *testing.T) {
 				t.Errorf("Workers %d, query %d: results %v (NDC %d), one worker %v (NDC %d)",
 					workers, qi, gotRes, gotStats.NDC, wantRes, wantStats.NDC)
 			}
+		}
+	}
+}
+
+// TestBuildRecoversRankerPanic injects a panic into M_rk's training — the
+// branch Build runs on a goroutine of its own, where nothing could catch
+// it — through the one piece of caller code that runs there, Train.Logf,
+// and requires the build to fail with an error naming the branch, on the
+// caller (Workers 1) and on the goroutine (Workers 2) alike. Build
+// returning at all shows the goroutine ended: it waits for it.
+func TestBuildRecoversRankerPanic(t *testing.T) {
+	spec := dataset.AIDS(0.001)
+	db := spec.Generate()
+	train := dataset.Workload(db, spec, 6, 5)
+	inRankerTraining := func() bool {
+		pcs := make([]uintptr, 32)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+		for {
+			f, more := frames.Next()
+			if strings.HasSuffix(f.Function, "(*NeighborRanker).Train") {
+				return true
+			}
+			if !more {
+				return false
+			}
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		eng, err := Build(db, train, Options{
+			M: 5, Dim: 8, GammaKNN: 5, UseCG: true, Workers: workers, Seed: 1,
+			Train: models.TrainOptions{Epochs: 1, LR: 0.01, Logf: func(string, ...interface{}) {
+				if inRankerTraining() {
+					panic("injected")
+				}
+			}},
+		})
+		if eng != nil || err == nil || !strings.HasPrefix(err.Error(), "core: training M_rk: panic: injected") {
+			t.Errorf("Workers %d: Build = %v, %v; want a nil engine and an error starting \"core: training M_rk: panic: injected\"", workers, eng, err)
 		}
 	}
 }

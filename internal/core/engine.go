@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"github.com/lansearch/lan/ged"
@@ -272,7 +273,8 @@ type Engine struct {
 // training sets → {M_rk, node embeddings} beside {M_nh, k-means, M_c}.
 // The two branches share no Params and no RNG (both shuffles are drawn
 // before they start), so with Workers > 1 they run on two goroutines and
-// the engine is bit-identical to a Workers = 1 build.
+// the engine is bit-identical to a Workers = 1 build. A panic on M_rk's
+// branch comes back as an error naming it.
 func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engine, error) {
 	if err := db.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -325,7 +327,17 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 		memberSet = memberSet[:cap]
 	}
 
-	trainRouting := func() error {
+	// With Workers > 1 this branch runs on a goroutine of its own, where a
+	// panic — the shape checks in autograd and mat panic by contract, and
+	// Train.Logf is the caller's code — would kill the process instead of
+	// unwinding into Build's caller. It fails the build instead, whatever
+	// the worker count.
+	trainRouting := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("core: training M_rk: panic: %v\n%s", r, debug.Stack())
+			}
+		}()
 		e.Mrk = models.NewNeighborRanker(mcfg, store)
 		if len(rankSet) > 0 {
 			if err := e.Mrk.Train(db, table, rankSet, opts.Train); err != nil {

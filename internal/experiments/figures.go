@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/core"
 	"github.com/lansearch/lan/internal/dataset"
@@ -269,9 +270,10 @@ func Fig12(p Protocol, spec dataset.Spec, pairs int) Fig12Row {
 		}
 		return best / time.Duration(pairs)
 	}
-	raw := timeIt(func(t trio) { model.Forward(t.rawG, t.rawQ) })
-	comp := timeIt(func(t trio) { model.Forward(t.cgG, t.cgQ) })
-	hag := timeIt(func(t trio) { cg.ForwardCross(model, t.hagG, t.hagQ) })
+	tape := autograd.NewTape()
+	raw := timeIt(func(t trio) { tape.Reset(); model.Forward(tape, t.rawG, t.rawQ) })
+	comp := timeIt(func(t trio) { tape.Reset(); model.Forward(tape, t.cgG, t.cgQ) })
+	hag := timeIt(func(t trio) { tape.Reset(); cg.ForwardCross(tape, model, t.hagG, t.hagQ) })
 
 	return Fig12Row{
 		Dataset:    spec.Name,

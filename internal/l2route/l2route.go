@@ -21,7 +21,6 @@ import (
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
-	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 	"github.com/lansearch/lan/internal/obs"
 	"github.com/lansearch/lan/internal/order"
@@ -49,14 +48,14 @@ func NewEncoder(db graph.Database, layers, dim int, seed int64) *Encoder {
 	}
 }
 
-// forward returns the embedding as an autograd value.
-func (e *Encoder) forward(g *graph.Graph) *autograd.Value {
-	return e.gin.Forward(cg.Build(g, e.layers, e.vocab))
+// forward records the embedding of g on t.
+func (e *Encoder) forward(t *autograd.Tape, g *graph.Graph) *autograd.Value {
+	return e.gin.Forward(t, cg.Build(g, e.layers, e.vocab))
 }
 
 // Embed returns the embedding vector of g.
 func (e *Encoder) Embed(g *graph.Graph) []float64 {
-	return append([]float64(nil), e.forward(g).Data.Data...)
+	return e.gin.Embed(cg.Build(g, e.layers, e.vocab))
 }
 
 // Pair is one siamese training example: two graphs and their GED.
@@ -70,21 +69,23 @@ func (e *Encoder) Train(pairs []Pair, epochs int, lr float64) error {
 	if len(pairs) == 0 {
 		return fmt.Errorf("l2route: no training pairs")
 	}
-	opt := nn.NewAdam(lr)
+	opt := nn.NewAdam(e.Params, lr)
 	rng := rand.New(rand.NewSource(31))
 	order := rng.Perm(len(pairs))
+	t := autograd.NewTape()
 	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, idx := range order {
 			p := pairs[idx]
 			e.Params.ZeroGrad()
-			ea := e.forward(p.A)
-			eb := e.forward(p.B)
-			diff := autograd.Add(ea, autograd.Scale(eb, -1))
-			sq := autograd.SumSquares(diff)
-			loss := autograd.MSE(sq, mat.FromSlice(1, 1, []float64{p.D}))
-			autograd.Backward(loss)
-			opt.Step(e.Params)
+			t.Reset()
+			ea := e.forward(t, p.A)
+			eb := e.forward(t, p.B)
+			diff := t.Add(ea, t.Scale(eb, -1))
+			sq := t.SumSquares(diff)
+			loss := t.MSE(sq, []float64{p.D})
+			t.Backward(loss)
+			opt.Step()
 		}
 	}
 	return nil

@@ -142,9 +142,8 @@ func Mul(m, o *Matrix) *Matrix {
 }
 
 // MulInto computes m * o into dst (which must be m.Rows x o.Cols and
-// must not alias m or o) and returns dst. Reusing a destination — e.g.
-// one drawn from GetScratch — avoids the per-call allocation of Mul on
-// hot paths.
+// must not alias m or o) and returns dst. Reusing a destination avoids
+// the per-call allocation of Mul on hot paths.
 //
 //lan:hotpath
 func MulInto(dst, m, o *Matrix) *Matrix {
@@ -185,7 +184,24 @@ func mulRange(dst, m, o *Matrix, i0, i1 int) {
 			for i := i0; i < i1; i++ {
 				mrow := m.Row(i)
 				drow := dst.Row(i)[j0:j1]
-				for k := k0; k < k1; k++ {
+				k := k0
+				// Four rows of o per pass over drow: every drow[j] still
+				// receives its terms one at a time in ascending k, so the
+				// blocking changes no float, only how often drow is loaded
+				// and stored.
+				for ; k+4 <= k1; k += 4 {
+					a0, a1, a2, a3 := mrow[k], mrow[k+1], mrow[k+2], mrow[k+3]
+					b0, b1 := o.Row(k)[j0:j1], o.Row(k + 1)[j0:j1]
+					b2, b3 := o.Row(k + 2)[j0:j1], o.Row(k + 3)[j0:j1]
+					for j, d := range drow {
+						d += a0 * b0[j]
+						d += a1 * b1[j]
+						d += a2 * b2[j]
+						d += a3 * b3[j]
+						drow[j] = d
+					}
+				}
+				for ; k < k1; k++ {
 					a := mrow[k]
 					brow := o.Row(k)[j0:j1]
 					for j, b := range brow {
@@ -236,7 +252,22 @@ func mulTRange(dst, m, o *Matrix, i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			mrow := m.Row(i)
 			drow := dst.Row(i)
-			for j := j0; j < j1; j++ {
+			j := j0
+			// Four dot products at a time: each is still summed from zero
+			// over ascending k, but the four chains of dependent additions
+			// overlap instead of waiting on one another.
+			for ; j+4 <= j1; j += 4 {
+				o0, o1, o2, o3 := o.Row(j), o.Row(j+1), o.Row(j+2), o.Row(j+3)
+				s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+				for k, a := range mrow {
+					s0 += a * o0[k]
+					s1 += a * o1[k]
+					s2 += a * o2[k]
+					s3 += a * o3[k]
+				}
+				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+			}
+			for ; j < j1; j++ {
 				orow := o.Row(j)
 				s := 0.0
 				for k, a := range mrow {
@@ -301,40 +332,6 @@ func tMulRange(dst, m, o *Matrix, i0, i1 int) {
 				drow[j] += a * b
 			}
 		}
-	}
-}
-
-// scratchPool recycles buffers for the Into-style kernels: the autograd
-// backward rules and the tape-free inference paths need a temporary per
-// call, and at thousands of calls per query the allocations become a
-// measurable garbage-collector cost.
-var scratchPool = sync.Pool{New: func() interface{} { return new(Matrix) }}
-
-// GetScratch returns a zeroed rows x cols matrix drawn from the shared
-// scratch pool. Return it with PutScratch when done; the caller must not
-// retain the matrix (or slices of its Data) afterwards.
-func GetScratch(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
-		panic(fmt.Sprintf("mat: negative shape %dx%d", rows, cols))
-	}
-	m := scratchPool.Get().(*Matrix)
-	n := rows * cols
-	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
-	}
-	m.Data = m.Data[:n]
-	m.Rows, m.Cols = rows, cols
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	return m
-}
-
-// PutScratch returns a matrix obtained from GetScratch to the pool.
-func PutScratch(m *Matrix) {
-	if m != nil {
-		scratchPool.Put(m)
 	}
 }
 

@@ -139,9 +139,10 @@ func naiveMul(m, o *Matrix) *Matrix {
 
 func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Shapes straddling the tile boundaries, including a parallel-sized
-	// product (work > parallelMinWork) so the goroutine split is covered.
-	shapes := [][3]int{{1, 1, 1}, {3, 5, 4}, {17, 129, 31}, {130, 257, 129}, {96, 96, 96}}
+	// Shapes straddling the tile boundaries and leaving every tail (0-3)
+	// after the kernels' blocks of four, including a parallel-sized product
+	// (work > parallelMinWork) so the goroutine split is covered.
+	shapes := [][3]int{{1, 1, 1}, {3, 5, 4}, {5, 7, 6}, {4, 6, 7}, {17, 129, 31}, {130, 257, 129}, {96, 96, 96}}
 	if !testing.Short() {
 		shapes = append(shapes, [3]int{120, 300, 160}) // 120*300*160 > parallelMinWork
 	}
@@ -187,7 +188,6 @@ func TestIntoShapePanics(t *testing.T) {
 		func() { MulInto(New(2, 3), New(2, 4), New(3, 3)) },  // inner mismatch
 		func() { MulTInto(New(2, 2), New(2, 3), New(4, 3)) }, // dst cols wrong
 		func() { TMulInto(New(2, 2), New(4, 3), New(4, 2)) }, // dst rows wrong
-		func() { GetScratch(-1, 2) },
 	}
 	for i, f := range cases {
 		func() {
@@ -199,29 +199,6 @@ func TestIntoShapePanics(t *testing.T) {
 			f()
 		}()
 	}
-}
-
-func TestScratchIsZeroedAndResized(t *testing.T) {
-	m := GetScratch(3, 4)
-	for i := range m.Data {
-		m.Data[i] = float64(i + 1)
-	}
-	PutScratch(m)
-	for trial := 0; trial < 4; trial++ {
-		s := GetScratch(2, 3)
-		if s.Rows != 2 || s.Cols != 3 || len(s.Data) != 6 {
-			t.Fatalf("GetScratch shape %dx%d len %d", s.Rows, s.Cols, len(s.Data))
-		}
-		if s.Norm2() != 0 {
-			t.Fatalf("GetScratch returned dirty buffer %v", s.Data)
-		}
-		PutScratch(s)
-	}
-	big := GetScratch(10, 10) // larger than anything pooled so far
-	if len(big.Data) != 100 || big.Norm2() != 0 {
-		t.Fatalf("GetScratch growth broken")
-	}
-	PutScratch(big)
 }
 
 func TestZeroAndClone(t *testing.T) {

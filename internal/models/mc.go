@@ -94,11 +94,11 @@ func (m *ClusterModel) features(in []float64, c int, qemb []float64) []float64 {
 	return in
 }
 
-// predictValue returns the predicted |C ∩ N_Q| for cluster c as an
-// autograd value (training path).
-func (m *ClusterModel) predictValue(c int, qemb []float64) *autograd.Value {
+// predictValue records the predicted |C ∩ N_Q| for cluster c on t (the
+// training path).
+func (m *ClusterModel) predictValue(t *autograd.Tape, c int, qemb []float64) *autograd.Value {
 	in := m.features(make([]float64, 0, 4*m.embedder.Dim()), c, qemb)
-	return m.head.Apply(autograd.Const(mat.FromSlice(1, len(in), in)))
+	return m.head.Apply(t, t.Const(&mat.Matrix{Rows: 1, Cols: len(in), Data: in}))
 }
 
 // Predict returns the predicted intersection size for every cluster
@@ -160,13 +160,13 @@ func (m *ClusterModel) Train(table *DistanceTable, examples []ClusterExample, op
 	if len(examples) == 0 {
 		return errf("empty M_c training set")
 	}
-	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(idx int) float64 {
+	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(t *autograd.Tape, idx int) float64 {
 		ex := examples[idx]
 		qemb := m.embedder.Embed(table.Queries[ex.Qi])
 		total := 0.0
 		for c, truth := range ex.Intersections {
-			loss := autograd.MSE(m.predictValue(c, qemb), mat.FromSlice(1, 1, []float64{truth}))
-			autograd.Backward(loss)
+			loss := t.MSE(m.predictValue(t, c, qemb), []float64{truth})
+			t.Backward(loss)
 			total += loss.Data.At(0, 0)
 		}
 		return total / float64(len(ex.Intersections))

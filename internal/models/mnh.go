@@ -38,11 +38,23 @@ func NewNeighborhoodModel(cfg Config, store *CGStore) *NeighborhoodModel {
 	}
 }
 
-// logit returns the raw membership logit for (G, Q). The head sees
+// logit records the raw membership logit for (G, Q) on t. The head sees
 // h_G || h_Q plus the squared difference (h_G - h_Q)^2, which makes the
 // closeness signal directly available.
-func (m *NeighborhoodModel) logit(g, q *graph.Graph) *autograd.Value {
-	return m.head.Apply(headFeatures(crossEncode(m.cross, m.store, g, q), m.Cfg.Dim))
+func (m *NeighborhoodModel) logit(t *autograd.Tape, g *graph.Graph, qc *cg.Compressed) *autograd.Value {
+	return m.head.Apply(t, headFeatures(t, m.cross.Forward(t, m.store.For(g), qc), m.Cfg.Dim))
+}
+
+// trainStep accumulates one example's gradient into Params and returns its
+// loss.
+func (m *NeighborhoodModel) trainStep(t *autograd.Tape, td trainData, ex MembershipExample) float64 {
+	y := 0.0
+	if ex.InNQ {
+		y = 1
+	}
+	loss := t.BCEWithLogits(m.logit(t, td.db[ex.G], td.queries[ex.Qi]), []float64{y})
+	t.Backward(loss)
+	return loss.Data.At(0, 0)
 }
 
 // QueryCG builds the query's compressed GNN-graph once, for reuse across
@@ -126,15 +138,9 @@ func (m *NeighborhoodModel) Train(db graph.Database, table *DistanceTable, examp
 	if len(examples) == 0 {
 		return errf("empty M_nh training set")
 	}
-	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(idx int) float64 {
-		ex := examples[idx]
-		y := 0.0
-		if ex.InNQ {
-			y = 1
-		}
-		loss := autograd.BCEWithLogits(m.logit(db[ex.G], table.Queries[ex.Qi]), binaryTargets(y))
-		autograd.Backward(loss)
-		return loss.Data.At(0, 0)
+	td := m.store.trainData(db, table)
+	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(t *autograd.Tape, idx int) float64 {
+		return m.trainStep(t, td, examples[idx])
 	})
 	return nil
 }

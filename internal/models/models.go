@@ -31,7 +31,6 @@ import (
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
-	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 )
 
@@ -254,47 +253,60 @@ func CalibrateGammaStar(t *DistanceTable, knn int, quantile float64) float64 {
 	return kth[qi]
 }
 
-// crossEncode runs the shared cross-graph encoder and returns h_{G,Q}
-// with gradients (the training path).
-func crossEncode(m *cg.CrossModel, store *CGStore, g, q *graph.Graph) *autograd.Value {
-	return m.Forward(store.For(g), store.For(q))
+// trainData is what a training step reads besides its example: the
+// database, and every training query's compressed GNN-graph — built once
+// per Train, where CGStore.For would rebuild a free-standing query's on
+// every example — indexed like DistanceTable.Queries.
+type trainData struct {
+	db      graph.Database
+	queries []*cg.Compressed
+}
+
+func (s *CGStore) trainData(db graph.Database, table *DistanceTable) trainData {
+	td := trainData{db: db, queries: make([]*cg.Compressed, len(table.Queries))}
+	for i, q := range table.Queries {
+		td.queries[i] = s.Query(q)
+	}
+	return td
 }
 
 // headFeatures augments a cross embedding h_G || h_Q (1 x 2*dim) with the
 // squared elementwise difference (h_G - h_Q)^2, giving classifier heads a
 // direct closeness signal.
-func headFeatures(cross *autograd.Value, dim int) *autograd.Value {
-	hg := autograd.GatherCols(cross, 0, dim)
-	hq := autograd.GatherCols(cross, dim, 2*dim)
-	diff := autograd.Add(hg, autograd.Scale(hq, -1))
-	return autograd.ConcatCols(cross, autograd.Mul(diff, diff))
+func headFeatures(t *autograd.Tape, cross *autograd.Value, dim int) *autograd.Value {
+	hg := t.GatherCols(cross, 0, dim)
+	hq := t.GatherCols(cross, dim, 2*dim)
+	diff := t.Add(hg, t.Scale(hq, -1))
+	return t.ConcatCols(cross, t.Mul(diff, diff))
 }
 
 // sigmoid is the scalar logistic function.
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// binaryTargets wraps a single {0,1} label as a 1x1 matrix.
-func binaryTargets(y float64) *mat.Matrix { return mat.FromSlice(1, 1, []float64{y}) }
-
 // newRNG seeds a model-local RNG.
 func newRNG(seed int64, salt int64) *rand.Rand { return rand.New(rand.NewSource(seed ^ salt)) }
 
 // trainLoop runs a generic epoch loop over example indices, shuffling each
-// epoch and applying Adam with the paper's decay schedule.
+// epoch and applying Adam with the paper's decay schedule. step records one
+// example's graph on the tape it is handed, back-propagates it and returns
+// the loss; the tape is the loop's own, reset before every step and dropped
+// when the loop returns.
 func trainLoop(params *nn.Params, n int, opts TrainOptions, seed int64,
-	step func(idx int) float64) {
+	step func(t *autograd.Tape, idx int) float64) {
 	opts.defaults()
-	opt := nn.NewAdam(opts.LR)
+	opt := nn.NewAdam(params, opts.LR)
 	opt.WeightDecay = opts.WeightDecay
 	rng := newRNG(seed, 0x7ea1)
 	order := rng.Perm(n)
+	tape := autograd.NewTape()
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		total := 0.0
 		for _, idx := range order {
 			params.ZeroGrad()
-			total += step(idx)
-			opt.Step(params)
+			tape.Reset()
+			total += step(tape, idx)
+			opt.Step()
 		}
 		if (epoch+1)%opts.DecayEvery == 0 {
 			opt.DecayLR(opts.LRDecay)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/cluster"
 	"github.com/lansearch/lan/internal/dataset"
@@ -333,10 +334,11 @@ func TestClusterModelPipeline(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	// The tape-free Predict is the training path's forward, bit for bit.
+	tape := autograd.NewTape()
 	for _, q := range f.queries[:3] {
 		qemb := emb.Embed(q)
 		for c, got := range mc.Predict(q) {
-			if want := mc.predictValue(c, qemb).Data.At(0, 0); got != want {
+			if want := mc.predictValue(tape, c, qemb).Data.At(0, 0); got != want {
 				t.Fatalf("Predict[%d] = %v; training path %v", c, got, want)
 			}
 		}

@@ -367,25 +367,25 @@ func (r *NeighborRanker) headTarget(i, rank, n int) float64 {
 	return 0
 }
 
-// rankLoss builds the one tape of a rank example and returns the scalar
-// its training step differentiates: the sum over (neighbour, head) of the
+// rankLoss records a rank example's graph on t and returns the scalar its
+// training step differentiates: the sum over (neighbour, head) of the
 // head's binary cross-entropy against headTarget. The current node is
 // encoded once, each neighbour's cross embedding once, and every head
 // reads that one h_{G′,Q} || h_G — so one Backward over the tape gives the
 // shared encoders the gradient of the whole sum.
-func (r *NeighborRanker) rankLoss(db graph.Database, table *DistanceTable, ex RankExample) *autograd.Value {
-	qc := r.store.For(table.Queries[ex.Qi])
-	hg := r.node.Forward(r.store.For(db[ex.Node]))
+func (r *NeighborRanker) rankLoss(t *autograd.Tape, td trainData, ex RankExample) *autograd.Value {
+	qc := td.queries[ex.Qi]
+	hg := r.node.Forward(t, r.store.For(td.db[ex.Node]))
 	n := len(ex.Neighbors)
 	var loss *autograd.Value
 	for j, nb := range ex.Neighbors {
-		in := autograd.ConcatCols(r.cross.Forward(r.store.For(db[nb]), qc), hg)
+		in := t.ConcatCols(r.cross.Forward(t, r.store.For(td.db[nb]), qc), hg)
 		for i, h := range r.heads {
-			l := autograd.BCEWithLogits(h.Apply(in), binaryTargets(r.headTarget(i, ex.Ranks[j], n)))
+			l := t.BCEWithLogits(h.Apply(t, in), []float64{r.headTarget(i, ex.Ranks[j], n)})
 			if loss == nil {
 				loss = l
 			} else {
-				loss = autograd.Add(loss, l)
+				loss = t.Add(loss, l)
 			}
 		}
 	}
@@ -394,9 +394,9 @@ func (r *NeighborRanker) rankLoss(db graph.Database, table *DistanceTable, ex Ra
 
 // trainStep accumulates one example's gradient into Params with a single
 // backward pass and returns its mean loss per (neighbour, head).
-func (r *NeighborRanker) trainStep(db graph.Database, table *DistanceTable, ex RankExample) float64 {
-	loss := r.rankLoss(db, table, ex)
-	autograd.Backward(loss)
+func (r *NeighborRanker) trainStep(t *autograd.Tape, td trainData, ex RankExample) float64 {
+	loss := r.rankLoss(t, td, ex)
+	t.Backward(loss)
 	return loss.Data.At(0, 0) / float64(len(ex.Neighbors)*len(r.heads))
 }
 
@@ -406,8 +406,9 @@ func (r *NeighborRanker) Train(db graph.Database, table *DistanceTable, examples
 	if len(examples) == 0 {
 		return errf("empty M_rk training set")
 	}
-	trainLoop(r.Params, len(examples), opts, r.Cfg.Seed, func(idx int) float64 {
-		return r.trainStep(db, table, examples[idx])
+	td := r.store.trainData(db, table)
+	trainLoop(r.Params, len(examples), opts, r.Cfg.Seed, func(t *autograd.Tape, idx int) float64 {
+		return r.trainStep(t, td, examples[idx])
 	})
 	return nil
 }

@@ -135,18 +135,11 @@ func refWeightedMean(h *mat.Matrix, sizes []float64) []float64 {
 	return out
 }
 
-// refMLPInfer runs an MLP on x (N x sizes[0]) with the matrix kernels and
-// pooled scratch for the hidden activations.
+// refMLPInfer runs an MLP on x (N x sizes[0]) with the matrix kernels.
 func refMLPInfer(m *nn.MLP, x *mat.Matrix) *mat.Matrix {
 	cur := x
 	for i, l := range m.Layers {
-		var next *mat.Matrix
-		if i == len(m.Layers)-1 {
-			next = mat.New(cur.Rows, l.W.Data.Cols)
-		} else {
-			next = mat.GetScratch(cur.Rows, l.W.Data.Cols)
-		}
-		mat.MulInto(next, cur, l.W.Data)
+		next := mat.Mul(cur, l.W.Data)
 		bias := l.B.Data.Row(0)
 		for r := 0; r < next.Rows; r++ {
 			row := next.Row(r)
@@ -160,9 +153,6 @@ func refMLPInfer(m *nn.MLP, x *mat.Matrix) *mat.Matrix {
 					next.Data[j] = 0
 				}
 			}
-		}
-		if cur != x {
-			mat.PutScratch(cur)
 		}
 		cur = next
 	}
@@ -183,11 +173,7 @@ func refHeadFeatureVec(cross []float64, dim int) []float64 {
 func refProbCG(m *NeighborhoodModel, g *graph.Graph, qc *cg.Compressed) float64 {
 	cross := refCrossInfer(m.cross, m.store.For(g), qc)
 	feat := refHeadFeatureVec(cross, m.Cfg.Dim)
-	in := mat.GetScratch(1, len(feat))
-	copy(in.Data, feat)
-	logit := refMLPInfer(m.head, in)
-	mat.PutScratch(in)
-	return sigmoid(logit.At(0, 0))
+	return sigmoid(refMLPInfer(m.head, mat.FromSlice(1, len(feat), feat)).At(0, 0))
 }
 
 // refScore is M_rk's neighbour score on the matrix kernels: the cross
@@ -198,15 +184,12 @@ func refScore(r *NeighborRanker, qc *cg.Compressed, neighbor *graph.Graph, nodeE
 
 // refHeadSum is the heads' part of refScore.
 func refHeadSum(r *NeighborRanker, cross, nodeEmb []float64) float64 {
-	in := mat.GetScratch(1, len(cross)+len(nodeEmb))
-	copy(in.Data, cross)
-	copy(in.Data[len(cross):], nodeEmb)
+	in := mat.FromSlice(1, len(cross)+len(nodeEmb), append(append([]float64(nil), cross...), nodeEmb...))
 	s := 0.0
 	for _, h := range r.heads {
 		out := refMLPInfer(h, in)
 		s += sigmoid(out.At(0, 0))
 	}
-	mat.PutScratch(in)
 	return s
 }
 

@@ -20,43 +20,40 @@ import (
 // their parameters so optimizers and serializers can walk them.
 type Params struct {
 	names  []string
-	values map[string]*autograd.Value
+	all    []*autograd.Value // registration order, parallel to names
+	byName map[string]*autograd.Value
 }
 
 // NewParams returns an empty registry.
 func NewParams() *Params {
-	return &Params{values: make(map[string]*autograd.Value)}
+	return &Params{byName: make(map[string]*autograd.Value)}
 }
 
 // Add registers a new trainable parameter under name and returns it.
 func (p *Params) Add(name string, m *mat.Matrix) *autograd.Value {
-	if _, ok := p.values[name]; ok {
+	if _, ok := p.byName[name]; ok {
 		panic(fmt.Sprintf("nn: duplicate parameter %q", name))
 	}
 	v := autograd.Param(m)
 	p.names = append(p.names, name)
-	p.values[name] = v
+	p.all = append(p.all, v)
+	p.byName[name] = v
 	return v
 }
 
 // Get returns the parameter registered under name, or nil.
-func (p *Params) Get(name string) *autograd.Value { return p.values[name] }
+func (p *Params) Get(name string) *autograd.Value { return p.byName[name] }
 
 // Names returns the registered names in registration order.
 func (p *Params) Names() []string { return append([]string(nil), p.names...) }
 
-// All returns the parameters in registration order.
-func (p *Params) All() []*autograd.Value {
-	out := make([]*autograd.Value, len(p.names))
-	for i, n := range p.names {
-		out[i] = p.values[n]
-	}
-	return out
-}
+// All returns the parameters in registration order. The slice is the
+// registry's own: callers must not modify it.
+func (p *Params) All() []*autograd.Value { return p.all }
 
 // ZeroGrad clears every parameter gradient.
 func (p *Params) ZeroGrad() {
-	for _, v := range p.values {
+	for _, v := range p.all {
 		v.ZeroGrad()
 	}
 }
@@ -64,7 +61,7 @@ func (p *Params) ZeroGrad() {
 // Count returns the total number of scalar parameters.
 func (p *Params) Count() int {
 	n := 0
-	for _, v := range p.values {
+	for _, v := range p.all {
 		n += len(v.Data.Data)
 	}
 	return n
@@ -84,7 +81,7 @@ func (p *Params) Save(w io.Writer) error {
 	names := append([]string(nil), p.names...)
 	sort.Strings(names)
 	for _, n := range names {
-		v := p.values[n]
+		v := p.byName[n]
 		wire = append(wire, paramWire{Name: n, Rows: v.Data.Rows, Cols: v.Data.Cols, Data: v.Data.Data})
 	}
 	return json.NewEncoder(w).Encode(wire)
@@ -98,7 +95,7 @@ func (p *Params) Load(r io.Reader) error {
 		return err
 	}
 	for _, pw := range wire {
-		v, ok := p.values[pw.Name]
+		v, ok := p.byName[pw.Name]
 		if !ok {
 			return fmt.Errorf("nn: unknown parameter %q", pw.Name)
 		}
@@ -127,9 +124,9 @@ func NewLinear(p *Params, prefix string, in, out int, rng *rand.Rand) *Linear {
 	}
 }
 
-// Apply computes x*W + b.
-func (l *Linear) Apply(x *autograd.Value) *autograd.Value {
-	return autograd.AddRowBroadcast(autograd.MatMul(x, l.W), l.B)
+// Apply computes x*W + b on t.
+func (l *Linear) Apply(t *autograd.Tape, x *autograd.Value) *autograd.Value {
+	return t.AddRowBroadcast(t.MatMul(x, l.W), l.B)
 }
 
 // MLP is a multilayer perceptron with ReLU activations between layers and
@@ -151,12 +148,12 @@ func NewMLP(p *Params, prefix string, sizes []int, rng *rand.Rand) *MLP {
 	return m
 }
 
-// Apply runs the MLP on x (N x sizes[0]).
-func (m *MLP) Apply(x *autograd.Value) *autograd.Value {
+// Apply runs the MLP on x (N x sizes[0]), recording on t.
+func (m *MLP) Apply(t *autograd.Tape, x *autograd.Value) *autograd.Value {
 	for i, l := range m.Layers {
-		x = l.Apply(x)
+		x = l.Apply(t, x)
 		if i < len(m.Layers)-1 {
-			x = autograd.ReLU(x)
+			x = t.ReLU(x)
 		}
 	}
 	return x
@@ -211,7 +208,7 @@ func (m *MLP) Width() int {
 // and without allocating: activations ping-pong between the halves of
 // buf (at least 2*Width() floats), and the returned output row aliases
 // buf. The arithmetic (accumulation order, bias after the product, ReLU)
-// matches Apply exactly, so Infer(x) equals Apply(Const(x)).Data bit for
+// matches Apply exactly, so Infer(x) equals Apply(t, t.Const(x)).Data bit for
 // bit. x is not modified.
 //
 //lan:hotpath
@@ -268,7 +265,8 @@ func (m *MLP) InferFrom(prefix, rest, buf []float64) []float64 {
 	return cur
 }
 
-// Adam is the Adam optimizer with decoupled L2 weight decay.
+// Adam is the Adam optimizer with decoupled L2 weight decay over one
+// parameter registry.
 type Adam struct {
 	LR          float64
 	Beta1       float64
@@ -276,44 +274,44 @@ type Adam struct {
 	Eps         float64
 	WeightDecay float64
 
-	t int
-	m map[*autograd.Value]*mat.Matrix
-	v map[*autograd.Value]*mat.Matrix
+	params *Params
+	t      int
+	// m[i] and v[i] are the moment estimates of params.All()[i], nil until
+	// that parameter first arrives at a Step with a gradient.
+	m, v [][]float64
 }
 
-// NewAdam returns an Adam optimizer with the usual defaults
+// NewAdam returns an Adam optimizer for params with the usual defaults
 // (beta1=0.9, beta2=0.999, eps=1e-8).
-func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*autograd.Value]*mat.Matrix),
-		v: make(map[*autograd.Value]*mat.Matrix),
-	}
+func NewAdam(params *Params, lr float64) *Adam {
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
 }
 
 // Step applies one Adam update to every parameter with a gradient, then
 // leaves gradients untouched (callers ZeroGrad between steps).
-func (a *Adam) Step(params *Params) {
+func (a *Adam) Step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range params.All() {
+	all := a.params.All()
+	for len(a.m) < len(all) {
+		a.m, a.v = append(a.m, nil), append(a.v, nil)
+	}
+	for k, p := range all {
 		if p.Grad == nil {
 			continue
 		}
-		m, ok := a.m[p]
-		if !ok {
-			m = mat.New(p.Data.Rows, p.Data.Cols)
-			a.m[p] = m
-			a.v[p] = mat.New(p.Data.Rows, p.Data.Cols)
+		if a.m[k] == nil {
+			a.m[k] = make([]float64, len(p.Data.Data))
+			a.v[k] = make([]float64, len(p.Data.Data))
 		}
-		v := a.v[p]
+		m, v, w := a.m[k], a.v[k], p.Data.Data
 		for i, g := range p.Grad.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-			mh := m.Data[i] / bc1
-			vh := v.Data[i] / bc2
-			p.Data.Data[i] -= a.LR * (mh/(math.Sqrt(vh)+a.Eps) + a.WeightDecay*p.Data.Data[i])
+			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
+			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			mh := m[i] / bc1
+			vh := v[i] / bc2
+			w[i] -= a.LR * (mh/(math.Sqrt(vh)+a.Eps) + a.WeightDecay*w[i])
 		}
 	}
 }

@@ -76,8 +76,8 @@ func TestLinearShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := NewParams()
 	l := NewLinear(p, "l", 4, 3, rng)
-	x := autograd.Const(mat.Randn(5, 4, 1, rng))
-	y := l.Apply(x)
+	tape := autograd.NewTape()
+	y := l.Apply(tape, tape.Const(mat.Randn(5, 4, 1, rng)))
 	if y.Data.Rows != 5 || y.Data.Cols != 3 {
 		t.Fatalf("Linear output %dx%d; want 5x3", y.Data.Rows, y.Data.Cols)
 	}
@@ -89,21 +89,23 @@ func TestMLPLearnsXOR(t *testing.T) {
 	m := NewMLP(p, "xor", []int{2, 8, 1}, rng)
 	x := mat.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
 	y := mat.FromSlice(4, 1, []float64{0, 1, 1, 0})
-	opt := NewAdam(0.05)
+	opt := NewAdam(p, 0.05)
+	tape := autograd.NewTape()
 	var loss float64
 	for epoch := 0; epoch < 400; epoch++ {
 		p.ZeroGrad()
-		logits := m.Apply(autograd.Const(x))
-		l := autograd.BCEWithLogits(logits, y)
-		autograd.Backward(l)
-		opt.Step(p)
+		tape.Reset()
+		logits := m.Apply(tape, tape.Const(x))
+		l := tape.BCEWithLogits(logits, y.Data)
+		tape.Backward(l)
+		opt.Step()
 		loss = l.Data.At(0, 0)
 	}
 	if loss > 0.1 {
 		t.Fatalf("XOR did not converge: loss %v", loss)
 	}
 	// Predictions on the training set must be correct.
-	logits := m.Apply(autograd.Const(x))
+	logits := m.Apply(tape, tape.Const(x))
 	for i := 0; i < 4; i++ {
 		pred := logits.Data.At(i, 0) > 0
 		want := y.At(i, 0) > 0.5
@@ -126,14 +128,16 @@ func TestMLPRegressionWithMSE(t *testing.T) {
 		x.Set(i, 0, xv)
 		y.Set(i, 0, xv*xv)
 	}
-	opt := NewAdam(0.01)
+	opt := NewAdam(p, 0.01)
+	tape := autograd.NewTape()
 	var loss float64
 	for epoch := 0; epoch < 600; epoch++ {
 		p.ZeroGrad()
-		pred := m.Apply(autograd.Const(x))
-		l := autograd.MSE(pred, y)
-		autograd.Backward(l)
-		opt.Step(p)
+		tape.Reset()
+		pred := m.Apply(tape, tape.Const(x))
+		l := tape.MSE(pred, y.Data)
+		tape.Backward(l)
+		opt.Step()
 		loss = l.Data.At(0, 0)
 	}
 	if loss > 0.01 {
@@ -159,7 +163,8 @@ func TestMLPInferMatchesApply(t *testing.T) {
 		buf := make([]float64, 2*m.Width())
 		for trial := 0; trial < 10; trial++ {
 			x := mat.Randn(1, in, 1, rng)
-			want := m.Apply(autograd.Const(x)).Data
+			tape := autograd.NewTape()
+			want := m.Apply(tape, tape.Const(x)).Data
 			got := m.Infer(x.Data, buf)
 			if len(got) != 1 || got[0] != want.At(0, 0) {
 				t.Fatalf("in %d: Infer = %v; Apply = %v (must be bit-identical)", in, got, want.Data)
@@ -177,7 +182,8 @@ func TestMLPInferMatchesApply(t *testing.T) {
 // pattern for bit pattern (so -0 does not pass for +0).
 func checkSplit(t *testing.T, m *MLP, x []float64) {
 	t.Helper()
-	want := m.Apply(autograd.Const(mat.FromSlice(1, len(x), append([]float64(nil), x...)))).Data.Data
+	tape := autograd.NewTape()
+	want := m.Apply(tape, tape.Const(mat.FromSlice(1, len(x), append([]float64(nil), x...)))).Data.Data
 	buf := make([]float64, 2*m.Width())
 	prefix := make([]float64, m.Layers[0].W.Data.Cols)
 	same := func(got []float64) bool {
@@ -273,13 +279,13 @@ func FuzzMLPInferSplitMatchesInfer(f *testing.F) {
 func TestAdamWeightDecayShrinksUnusedParams(t *testing.T) {
 	p := NewParams()
 	w := p.Add("w", mat.FromSlice(1, 1, []float64{10}))
-	opt := NewAdam(0.1)
+	opt := NewAdam(p, 0.1)
 	opt.WeightDecay = 0.1
 	for i := 0; i < 50; i++ {
 		p.ZeroGrad()
 		// Zero gradient: only decay acts.
 		w.Grad = mat.New(1, 1)
-		opt.Step(p)
+		opt.Step()
 	}
 	if v := math.Abs(w.Data.At(0, 0)); v >= 10 {
 		t.Fatalf("weight decay had no effect: %v", v)
@@ -289,14 +295,14 @@ func TestAdamWeightDecayShrinksUnusedParams(t *testing.T) {
 func TestAdamSkipsParamsWithoutGrad(t *testing.T) {
 	p := NewParams()
 	w := p.Add("w", mat.FromSlice(1, 1, []float64{5}))
-	NewAdam(0.5).Step(p)
+	NewAdam(p, 0.5).Step()
 	if w.Data.At(0, 0) != 5 {
 		t.Fatalf("param without grad was updated")
 	}
 }
 
 func TestDecayLR(t *testing.T) {
-	opt := NewAdam(0.005)
+	opt := NewAdam(NewParams(), 0.005)
 	opt.DecayLR(0.96)
 	if math.Abs(opt.LR-0.0048) > 1e-12 {
 		t.Fatalf("LR = %v", opt.LR)
@@ -310,4 +316,35 @@ func TestMLPPanicsOnBadSizes(t *testing.T) {
 		}
 	}()
 	NewMLP(NewParams(), "bad", []int{3}, rand.New(rand.NewSource(0)))
+}
+
+// TestAdamStateFollowsRegistrationOrder pins the optimizer's state to the
+// registry it was made for, index by index: a parameter registered after
+// the optimizer was made gets moments of its own at its first Step with a
+// gradient (under that step's bias correction, as the pointer-keyed maps
+// gave it), and a parameter without a gradient rests.
+func TestAdamStateFollowsRegistrationOrder(t *testing.T) {
+	p := NewParams()
+	a := p.Add("a", mat.FromSlice(1, 2, []float64{1, -2}))
+	opt := NewAdam(p, 0.1)
+	grad := func() *mat.Matrix { return mat.FromSlice(1, 2, []float64{0.5, -0.25}) }
+	a.Grad = grad()
+	opt.Step()
+	rested := a.Data.Clone()
+	if rested.At(0, 0) == 1 {
+		t.Fatal("a did not move at its first step")
+	}
+
+	b := p.Add("b", mat.FromSlice(1, 2, []float64{1, -2}))
+	a.Grad, b.Grad = nil, grad()
+	opt.Step()
+	if mat.MaxAbsDiff(a.Data, rested) != 0 {
+		t.Fatalf("a moved to %v without a gradient", a.Data)
+	}
+	// Fresh moments under step 2's bias correction (1-β² in place of 1-β).
+	m, v := (1-opt.Beta1)*0.5, (1-opt.Beta2)*0.25
+	want := 1 - opt.LR*((m/(1-opt.Beta1*opt.Beta1))/(math.Sqrt(v/(1-opt.Beta2*opt.Beta2))+opt.Eps))
+	if got := b.Data.At(0, 0); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("b[0] = %v after its first step, want %v", got, want)
+	}
 }
