@@ -165,7 +165,8 @@ type RoutingStrategy int
 const (
 	// LANRoute is np_route with the learned ranker M_rk.
 	LANRoute RoutingStrategy = iota
-	// BaselineRoute is Algorithm 1 (exhaustive neighbor exploration).
+	// BaselineRoute is Algorithm 1 (exhaustive neighbor exploration):
+	// np_route with no ranker, every neighbor in one batch.
 	BaselineRoute
 	// OracleRoute is np_route with the oracle ranker (upper bound).
 	OracleRoute
@@ -192,11 +193,10 @@ type SearchOptions struct {
 }
 
 // QueryStats breaks down one query's cost (Fig. 11's accounting). Every
-// routing strategy fills every field the strategy can meaningfully
-// produce: NDC, the per-stage splits and wall times, Explored and the
-// distance-cache accounting are populated on all paths; RankerCalls,
-// BatchesOpened, GammaSteps and the neighbor tallies stay zero only for
-// BaselineRoute, which has no ranker (see TestSearchStatsConsistency).
+// routing strategy runs the same np_route loop and fills the same fields;
+// BaselineRoute has no ranker, so its RankerCalls and M_rk tallies stay
+// zero and it opens every neighbor it ranks, one batch per explored node
+// (see TestSearchStatsConsistency).
 type QueryStats struct {
 	NDC int
 	// InitNDC/RouteNDC split NDC by pipeline stage: distance computations
@@ -205,8 +205,7 @@ type QueryStats struct {
 	RouteNDC int
 	Explored int
 	// RankerCalls counts neighbor-ranking invocations (one per explored
-	// node on the np_route paths), the same quantity for the learned and
-	// the oracle ranker.
+	// node), the same quantity for the learned and the oracle ranker.
 	RankerCalls   int
 	ISPredictions int
 	// RankerInferences and RankerMemoHits split M_rk's neighbour scores
@@ -218,7 +217,8 @@ type QueryStats struct {
 	RankerMemoHits   int
 	// BatchesOpened, GammaSteps and the neighbor tallies come from
 	// np_route: opened batches, γ-trajectory length, and neighbors ranked
-	// vs. opened (1 - Opened/Ranked is the prune rate).
+	// (or, without a ranker, batched) vs. opened (1 - Opened/Ranked is the
+	// prune rate).
 	BatchesOpened   int
 	GammaSteps      int
 	RankedNeighbors int
@@ -482,32 +482,26 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 	// Routing.
 	routeStart := time.Now()
 	routeSpan := trace.StartSpan("routing")
+	// The strategies differ only in the ranker: none (Algorithm 1), the
+	// oracle, or M_rk. The route layer counts ranking invocations
+	// (route.Stats.RankerCalls), the same quantity for the oracle and M_rk;
+	// the model ranker counts what they cost it: inferences and memo hits.
 	var (
-		res []pg.Result
-		err error
+		ranker route.Ranker
+		scored models.RankerStats
 	)
 	switch so.Routing {
-	case BaselineRoute:
-		var s pg.Stats
-		res, s, err = pg.BeamSearch(ctx, e.Index.PG, cache, entry, so.K, so.Beam)
-		stats.Explored = s.Explored
+	case BaselineRoute: // nil ranker
 	case OracleRoute:
-		oracle := &route.OracleRanker{
+		ranker = &route.OracleRanker{
 			Cache: cache, BatchPercent: e.Opts.BatchPercent,
 			// Rank with the cheap build metric so the oracle's
 			// hypothetically-free ranking does not pay the query metric.
 			RankMetric: e.Opts.BuildMetric,
 		}
-		var s route.Stats
-		res, s, err = route.Route(ctx, e.Index.PG, cache, oracle, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize})
-		fillRouteStats(&stats, s)
 	default: // LANRoute
-		// The route layer counts ranking invocations (route.Stats.
-		// RankerCalls), the same quantity the oracle path reports; the
-		// model ranker counts what they cost it: inferences and memo hits.
-		var scored models.RankerStats
 		inner := e.Mrk.Ranker(ws, graphs, q, qcg, &scored)
-		ranker := route.RankerFunc(func(node int, neighbors []int, d float64) [][]int {
+		ranker = route.RankerFunc(func(node int, neighbors []int, d float64) [][]int {
 			rs := time.Now()
 			b := inner.Batches(node, neighbors, d)
 			rd := time.Since(rs)
@@ -515,11 +509,10 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 			trace.RecordSpan("embed", rs, rd, 0, len(neighbors))
 			return b
 		})
-		var s route.Stats
-		res, s, err = route.Route(ctx, e.Index.PG, cache, ranker, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize})
-		fillRouteStats(&stats, s)
-		stats.RankerInferences, stats.RankerMemoHits = scored.Inferences, scored.MemoHits
 	}
+	res, s, err := route.Route(ctx, e.Index.PG, cache, ranker, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize})
+	fillRouteStats(&stats, s)
+	stats.RankerInferences, stats.RankerMemoHits = scored.Inferences, scored.MemoHits
 	stats.NDC = cache.NDC()
 	stats.RouteNDC = stats.NDC - stats.InitNDC
 	stats.RouteTime = time.Since(routeStart)

@@ -21,10 +21,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
 // TestSearchStatsConsistency pins that every routing strategy populates
 // QueryStats the same way: the per-stage NDC split always sums to the
-// total, ranker accounting follows the strategy (np_route paths rank,
-// the baseline does not), and the neighbor tallies stay ordered. This is
-// the regression test for the historical inconsistency where only some
-// strategies filled the routing fields.
+// total, ranker accounting follows the strategy (the oracle and M_rk
+// rank, the baseline's one batch per node does not), and the neighbor
+// tallies stay ordered. This is the regression test for the historical
+// inconsistency where only some strategies filled the routing fields.
 func TestSearchStatsConsistency(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
 	q := test[0]
@@ -76,12 +76,16 @@ func TestSearchStatsConsistency(t *testing.T) {
 					t.Errorf("%s: oracle routing counted %d M_rk scores", name, scores)
 				}
 			case BaselineRoute:
-				if stats.RankerCalls != 0 {
-					t.Errorf("%s: baseline made %d ranker calls; want 0", name, stats.RankerCalls)
+				// np_route without a ranker: one batch per explored node,
+				// every neighbor opened, nothing pruned, nothing scored.
+				if stats.RankerCalls != 0 || stats.RankerInferences != 0 || stats.RankerMemoHits != 0 {
+					t.Errorf("%s: baseline ranked: %+v", name, stats)
 				}
-				if stats.RankedNeighbors != 0 || stats.BatchesOpened != 0 || stats.GammaSteps != 0 ||
-					stats.RankerInferences != 0 || stats.RankerMemoHits != 0 {
-					t.Errorf("%s: baseline filled np_route-only fields: %+v", name, stats)
+				if stats.RankedNeighbors <= 0 || stats.OpenedNeighbors != stats.RankedNeighbors || stats.PruneRate() != 0 {
+					t.Errorf("%s: baseline opened %d of %d neighbors; want all, > 0", name, stats.OpenedNeighbors, stats.RankedNeighbors)
+				}
+				if stats.BatchesOpened != stats.Explored || stats.GammaSteps < 1 {
+					t.Errorf("%s: baseline opened %d batches for %d explored nodes in %d γ steps", name, stats.BatchesOpened, stats.Explored, stats.GammaSteps)
 				}
 			}
 		}

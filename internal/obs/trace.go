@@ -58,8 +58,7 @@ type Trace struct {
 // expanded, its distance to the query, how many neighbors the ranker saw
 // vs. how many had their distance computed (opened), the threshold in
 // force (γ in np_route's superstep phase, the current node's distance in
-// the greedy phase, -1 where no threshold applies) and the cumulative NDC
-// after the step.
+// the greedy phase) and the cumulative NDC after the step.
 type TraceStep struct {
 	Node   int     `json:"node"`
 	Dist   float64 `json:"dist"`

@@ -40,7 +40,7 @@ func (p *Pool) sortResize(b int) {
 // fillPool populates a pool the way one beam exploration step does: the
 // surviving b candidates plus one expanded node's neighbor fan-in.
 func fillPool(rng *rand.Rand, b, extra int) *Pool {
-	p := NewPool()
+	p := NewPool(b, nil)
 	for len(p.items) < b+extra {
 		id := rng.Intn(10 * (b + extra))
 		p.Add(id, float64(rng.Intn(12)))

@@ -1,6 +1,7 @@
 package pg
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/lansearch/lan/graph"
@@ -218,44 +219,40 @@ func TestTrackAliveSurvivesBeamEviction(t *testing.T) {
 	for id := 0; id < 8; id++ {
 		dead[id] = true // 0..7 tombstoned, 8 and 9 live
 	}
-	p := NewPool()
-	p.TrackAlive(2, dead)
+	p := NewPool(2, dead)
 	p.Add(8, 50)
 	p.Add(9, 60)
 	for id := 0; id < 8; id++ {
 		p.Add(id, float64(id)) // much closer, all dead
 	}
 	p.Resize(4) // beam now holds only dead candidates
-	got := p.TopKAlive(2, dead)
+	got := p.TopKAlive()
 	if len(got) != 2 || got[0] != (Result{ID: 8, Dist: 50}) || got[1] != (Result{ID: 9, Dist: 60}) {
 		t.Fatalf("TopKAlive after eviction = %+v; want live 8, 9", got)
 	}
 	// Re-adding an evicted live candidate must not duplicate it.
 	p.Add(8, 50)
-	if got := p.TopKAlive(2, dead); len(got) != 2 || got[0].ID != 8 || got[1].ID != 9 {
+	if got := p.TopKAlive(); len(got) != 2 || got[0].ID != 8 || got[1].ID != 9 {
 		t.Fatalf("TopKAlive after re-add = %+v", got)
 	}
 }
 
 func TestTopKAliveFiltersTombstones(t *testing.T) {
-	p := NewPool()
-	for id, d := range []float64{5, 1, 3, 2, 4} {
+	dists := []float64{5, 1, 3, 2, 4}
+	dead := []bool{false, true, false, false, false} // kill the closest
+	p := NewPool(2, dead)
+	for id, d := range dists {
 		p.Add(id, d)
 	}
-	dead := []bool{false, true, false, false, false} // kill the closest
-	got := p.TopKAlive(2, dead)
-	if len(got) != 2 || got[0].ID != 3 || got[1].ID != 2 {
+	if got := p.TopKAlive(); len(got) != 2 || got[0].ID != 3 || got[1].ID != 2 {
 		t.Fatalf("TopKAlive = %+v; want ids 3, 2", got)
 	}
-	// nil dead must be byte-for-byte the plain top-k path.
-	plain := p.TopKAlive(2, nil)
-	want := topK(p.items, 2)
-	if len(plain) != len(want) {
-		t.Fatalf("nil-dead TopKAlive diverges from TopK: %+v vs %+v", plain, want)
+	// nil dead must be byte-for-byte the plain top-k of W.
+	plain := NewPool(2, nil)
+	for id, d := range dists {
+		plain.Add(id, d)
 	}
-	for i := range want {
-		if plain[i] != want[i] {
-			t.Fatalf("nil-dead TopKAlive diverges at %d: %+v vs %+v", i, plain[i], want[i])
-		}
+	if got, want := plain.TopKAlive(), topK(plain.items, 2); !slices.Equal(got, want) || len(want) != 2 {
+		t.Fatalf("nil-dead TopKAlive = %+v; want top-k %+v", got, want)
 	}
 }

@@ -1,8 +1,8 @@
 // Package pg implements proximity-graph indexes over a graph database in
 // the GED metric space: a flat navigable-small-world graph (the PG the
 // paper routes on), the hierarchical HNSW baseline with its descent-based
-// initial node selection, and the baseline greedy beam routing of
-// Algorithm 1 with the paper's exact tie-breaking rules.
+// initial node selection, and the candidate pool W that routing
+// (internal/route) keeps, with the paper's exact tie-breaking rules.
 package pg
 
 import (

@@ -2,6 +2,7 @@ package pg
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -34,34 +35,6 @@ func buildTestIndex(t *testing.T, db graph.Database) *HNSW {
 		t.Fatalf("Build: %v", err)
 	}
 	return h
-}
-
-func bruteForceKNN(metric ged.Metric, db graph.Database, q *graph.Graph, k int) []Result {
-	res := make([]Result, len(db))
-	for i, g := range db {
-		res[i] = Result{ID: i, Dist: metric.Distance(g, q)}
-	}
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].Dist != res[j].Dist {
-			return res[i].Dist < res[j].Dist
-		}
-		return res[i].ID < res[j].ID
-	})
-	return res[:k]
-}
-
-func recallAt(got, want []Result) float64 {
-	wantSet := make(map[int]bool, len(want))
-	for _, r := range want {
-		wantSet[r.ID] = true
-	}
-	hit := 0
-	for _, r := range got {
-		if wantSet[r.ID] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(want))
 }
 
 func TestBuildValidatesAndConnects(t *testing.T) {
@@ -119,69 +92,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestBeamSearchFindsPlantedNeighbors(t *testing.T) {
-	db := clusteredDB(2, 10, 10)
-	h := buildTestIndex(t, db)
-	gen := graph.NewGenerator(77)
-	labels := []string{"C", "N", "O", "S"}
-	metric := ged.MetricFunc(ged.Hungarian)
-
-	recallSum := 0.0
-	queries := 10
-	for i := 0; i < queries; i++ {
-		q := gen.Mutate(db[(i*10)%len(db)], 1, labels)
-		c := NewDistCache(metric, db, q)
-		entry := h.EntryPoint(context.Background(), c)
-		got, stats, _ := BeamSearch(context.Background(), h.PG, c, entry, 10, 40)
-		if len(got) != 10 {
-			t.Fatalf("query %d: %d results", i, len(got))
-		}
-		if stats.NDC <= 0 || stats.Explored <= 0 {
-			t.Fatalf("query %d: empty stats %+v", i, stats)
-		}
-		want := bruteForceKNN(metric, db, q, 10)
-		recallSum += recallAt(got, want)
-	}
-	if avg := recallSum / float64(queries); avg < 0.8 {
-		t.Fatalf("avg recall@10 = %v; want >= 0.8", avg)
-	}
-}
-
-func TestBeamSearchLargerBeamHigherRecallOrEqualNDC(t *testing.T) {
-	db := clusteredDB(3, 8, 8)
-	h := buildTestIndex(t, db)
-	gen := graph.NewGenerator(5)
-	labels := []string{"C", "N", "O", "S"}
-	metric := ged.MetricFunc(ged.Hungarian)
-	q := gen.Mutate(db[3], 2, labels)
-
-	c1 := NewDistCache(metric, db, q)
-	_, s1, _ := BeamSearch(context.Background(), h.PG, c1, 0, 5, 2)
-	c2 := NewDistCache(metric, db, q)
-	_, s2, _ := BeamSearch(context.Background(), h.PG, c2, 0, 5, 30)
-	if s2.NDC < s1.NDC {
-		t.Fatalf("wider beam used fewer NDC: %d < %d", s2.NDC, s1.NDC)
-	}
-}
-
-func TestBeamSearchResultsSortedAndUnique(t *testing.T) {
-	db := clusteredDB(4, 6, 6)
-	h := buildTestIndex(t, db)
-	q := graph.NewGenerator(9).MoleculeLike(10, 1, []string{"C", "N"}, 0.3)
-	c := NewDistCache(ged.MetricFunc(ged.Hungarian), db, q)
-	got, _, _ := BeamSearch(context.Background(), h.PG, c, 0, 8, 16)
-	seen := make(map[int]bool)
-	for i, r := range got {
-		if seen[r.ID] {
-			t.Fatalf("duplicate result %d", r.ID)
-		}
-		seen[r.ID] = true
-		if i > 0 && got[i-1].Dist > r.Dist {
-			t.Fatalf("results not sorted: %v", got)
-		}
-	}
-}
-
 func TestDistCacheCountsOnce(t *testing.T) {
 	db := clusteredDB(5, 2, 3)
 	calls := 0
@@ -203,7 +113,7 @@ func TestDistCacheCountsOnce(t *testing.T) {
 }
 
 func TestPoolTieBreaking(t *testing.T) {
-	p := NewPool()
+	p := NewPool(3, nil)
 	// byPriority ranks the pool's items under the resize order (Resize
 	// itself only partitions, it no longer promises sorted items).
 	byPriority := func() []Candidate {
@@ -245,7 +155,7 @@ func TestPoolTieBreaking(t *testing.T) {
 }
 
 func TestPoolNextUnexplored(t *testing.T) {
-	p := NewPool()
+	p := NewPool(1, nil)
 	if _, ok := p.NextUnexplored(); ok {
 		t.Fatal("empty pool returned a candidate")
 	}
@@ -268,6 +178,25 @@ func TestPoolNextUnexplored(t *testing.T) {
 	p.MarkExplored(2)
 	if !p.AllExplored() {
 		t.Fatal("AllExplored false after exploring everything")
+	}
+}
+
+func TestPoolCutoff(t *testing.T) {
+	p := NewPool(1, nil)
+	p.Add(4, 2.0)
+	p.Add(6, 5.0)
+	if c := p.Cutoff(3); !math.IsInf(c, 1) {
+		t.Fatalf("Cutoff of a pool short of b = %v; want +Inf", c)
+	}
+	p.Add(1, 3.0)
+	if c := p.Cutoff(3); c != 5.0 {
+		t.Fatalf("Cutoff of a full pool = %v; want its worst distance 5", c)
+	}
+	// Anything farther than the cutoff is gone after Resize(b).
+	p.Add(8, 6.0)
+	p.Resize(3)
+	if p.inW[8] {
+		t.Fatal("candidate past the cutoff survived Resize")
 	}
 }
 

@@ -1,10 +1,9 @@
 package pg
 
 import (
-	"context"
+	"math"
 	"sort"
 
-	"github.com/lansearch/lan/internal/obs"
 	"github.com/lansearch/lan/internal/order"
 )
 
@@ -15,8 +14,8 @@ type Candidate struct {
 	Dist float64
 }
 
-// Pool is the candidate priority pool W shared by the baseline routing
-// (Algorithm 1) and np_route (Algorithm 2), with the paper's tie-breaking:
+// Pool is the candidate priority pool W of np_route (Algorithm 2, and
+// Algorithm 1 as its one-batch case), with the paper's tie-breaking:
 // ascending distance; on ties an unexplored node outranks an explored one,
 // two explored nodes rank by recency of exploration, and two unexplored
 // nodes rank by smaller id. Exploration state is remembered for the whole
@@ -29,32 +28,22 @@ type Pool struct {
 	exploredSeq map[int]int
 	seq         int
 
-	// Survivor tracking (TrackAlive): on indexes with tombstones, the
-	// best surviveK live candidates ever added are kept here, immune to
-	// Resize evictions. Soft-deleted vertices route like any other and
-	// compete for beam slots, so a neighborhood dense with tombstones
-	// could otherwise crowd every live answer out of W before the final
-	// alive filter runs.
-	surviveK  int
+	// k is the number of answers TopKAlive returns. On indexes with
+	// tombstones (dead non-nil) the best k live candidates ever added are
+	// kept in survivors, immune to Resize evictions. Soft-deleted vertices
+	// route like any other and compete for beam slots, so a neighborhood
+	// dense with tombstones could otherwise crowd every live answer out of
+	// W before the answers are read.
+	k         int
 	dead      []bool
 	survivors []Candidate
 }
 
-// NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{inW: make(map[int]bool), exploredSeq: make(map[int]int)}
-}
-
-// TrackAlive arms survivor tracking for a query against an index with
-// tombstones: every live candidate added from now on competes for a slot
-// in a k-sized result accumulator that Resize cannot evict from. Must be
-// called before the first Add. A nil dead disarms (no overhead, and
-// TopKAlive stays bit-identical to TopK).
-func (p *Pool) TrackAlive(k int, dead []bool) {
-	if dead == nil || k <= 0 {
-		return
-	}
-	p.surviveK, p.dead = k, dead
+// NewPool returns an empty pool for a query that wants k answers from an
+// index whose tombstones are dead (nil on immutable indexes: no survivor
+// tracking, no overhead).
+func NewPool(k int, dead []bool) *Pool {
+	return &Pool{inW: make(map[int]bool), exploredSeq: make(map[int]int), k: k, dead: dead}
 }
 
 // Add inserts id into W unless already present.
@@ -64,7 +53,7 @@ func (p *Pool) Add(id int, dist float64) {
 	}
 	p.inW[id] = true
 	p.items = append(p.items, Candidate{ID: id, Dist: dist})
-	if p.surviveK > 0 && (id >= len(p.dead) || !p.dead[id]) {
+	if p.dead != nil && (id >= len(p.dead) || !p.dead[id]) {
 		p.addSurvivor(Candidate{ID: id, Dist: dist})
 	}
 }
@@ -81,10 +70,10 @@ func (p *Pool) addSurvivor(c Candidate) {
 	if pos < len(p.survivors) && p.survivors[pos].ID == c.ID {
 		return
 	}
-	if pos >= p.surviveK {
+	if pos >= p.k {
 		return
 	}
-	if len(p.survivors) < p.surviveK {
+	if len(p.survivors) < p.k {
 		p.survivors = append(p.survivors, Candidate{})
 	}
 	copy(p.survivors[pos+1:], p.survivors[pos:])
@@ -221,74 +210,32 @@ func (p *Pool) AllExplored() bool {
 	return !ok
 }
 
-// TopK returns the k best candidates by (distance, id).
-func (p *Pool) TopK(k int) []Result {
-	return topK(p.items, k)
-}
-
-// TopKAlive is TopK restricted to nodes not marked in dead: soft-deleted
-// vertices route like any other but never surface as answers. A nil dead
-// filters nothing, so the result is bit-identical to TopK on immutable
-// indexes. When TrackAlive armed survivor tracking, the answer comes from
-// the accumulator, which has seen every live candidate the query ever
-// evaluated — including ones tombstone-heavy neighborhoods pushed out of
-// the beam.
-func (p *Pool) TopKAlive(k int, dead []bool) []Result {
-	if dead == nil {
-		return topK(p.items, k)
+// Cutoff returns the largest distance in W when W holds at least b
+// candidates, +Inf otherwise. Until members leave W, a candidate farther
+// than the cutoff has b better ones beside it and cannot survive the next
+// Resize(b), so adding it changes nothing.
+func (p *Pool) Cutoff(b int) float64 {
+	if len(p.items) < b {
+		return math.Inf(1)
 	}
-	if p.surviveK > 0 {
-		return topK(p.survivors, k)
-	}
-	alive := make([]Candidate, 0, len(p.items))
+	worst := math.Inf(-1)
 	for _, c := range p.items {
-		if c.ID < len(dead) && dead[c.ID] {
-			continue
-		}
-		alive = append(alive, c)
+		worst = math.Max(worst, c.Dist)
 	}
-	return topK(alive, k)
+	return worst
 }
 
-// BeamSearch is Algorithm 1: the baseline greedy routing on the proximity
-// graph. It starts at entry, explores the unexplored pool node closest to
-// the query, computes distances for all its PG neighbors, and keeps the
-// best b candidates, stopping when every pool member is explored. It
-// returns the k best along with search statistics. The context is checked
-// before every distance computation (the expensive unit of work), so an
-// expired deadline stops the routing within one GED call; on cancellation
-// it returns ctx.Err() along with the statistics accumulated so far.
-func BeamSearch(ctx context.Context, p *PG, c *DistCache, entry, k, b int) ([]Result, Stats, error) {
-	trace := obs.From(ctx)
-	w := NewPool()
-	w.TrackAlive(k, p.Dead)
-	w.Add(entry, c.Dist(entry))
-	trace.SetEntry(entry)
-	explored := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, Stats{NDC: c.NDC(), Explored: explored}, err
-		}
-		cur, ok := w.NextUnexplored()
-		if !ok {
-			break
-		}
-		ns := p.Neighbors(cur.ID)
-		ndcBefore := c.NDC()
-		for _, nb := range ns {
-			if err := ctx.Err(); err != nil {
-				return nil, Stats{NDC: c.NDC(), Explored: explored}, err
-			}
-			w.Add(nb, c.Dist(nb))
-		}
-		w.MarkExplored(cur.ID)
-		explored++
-		// Algorithm 1 opens every neighbor, so ranked == opened-candidates;
-		// -1 marks "no pruning threshold in force".
-		trace.Step(cur.ID, cur.Dist, len(ns), c.NDC()-ndcBefore, -1, c.NDC())
-		w.Resize(b)
+// TopKAlive returns the k best candidates by (distance, id) that are not
+// marked dead: soft-deleted vertices route like any other but never
+// surface as answers. On indexes with tombstones the answer comes from the
+// survivor accumulator, which has seen every live candidate the query ever
+// evaluated — including ones tombstone-heavy neighborhoods pushed out of
+// the beam; a nil dead reads W itself.
+func (p *Pool) TopKAlive() []Result {
+	if p.dead != nil {
+		return topK(p.survivors, p.k)
 	}
-	return w.TopKAlive(k, p.Dead), Stats{NDC: c.NDC(), Explored: explored}, nil
+	return topK(p.items, p.k)
 }
 
 // searchLayer is the standard ef-search used during index construction:

@@ -3,9 +3,10 @@
 // step the current node's PG-neighbors are ranked into batches of y% each
 // by a Ranker — an oracle or a learned model — and batches are opened
 // lazily under a growing GED threshold, so distances to unpromising
-// neighbors are never computed. With an oracle ranker the search results
-// provably equal the baseline beam search while NDC never increases
-// (Lemma 1, Theorem 1).
+// neighbors are never computed. Without a ranker every neighbor is one
+// batch and Route is the baseline beam search (Algorithm 1); with an
+// oracle ranker the search results provably equal the baseline's while
+// NDC never increases (Lemma 1, Theorem 1).
 package route
 
 import (
@@ -187,7 +188,7 @@ type router struct {
 	ctx    context.Context
 	pg     *pg.PG
 	cache  *pg.DistCache
-	ranker Ranker
+	ranker Ranker // nil: Algorithm 1, every neighbor in one batch
 	cfg    Config
 
 	w        *pg.Pool
@@ -212,14 +213,21 @@ func (r *router) canceled() bool {
 	return false
 }
 
-// state lazily ranks and batches the neighbors of node id.
+// state lazily ranks and batches the neighbors of node id; without a
+// ranker they form one batch.
 func (r *router) state(id int, dCurrent float64) *nodeState {
 	if s, ok := r.states[id]; ok {
 		return s
 	}
 	neighbors := r.pg.Neighbors(id)
-	s := &nodeState{batches: r.ranker.Batches(id, neighbors, dCurrent)}
-	r.stats.RankerCalls++
+	s := &nodeState{}
+	switch {
+	case r.ranker != nil:
+		s.batches = r.ranker.Batches(id, neighbors, dCurrent)
+		r.stats.RankerCalls++
+	case len(neighbors) > 0:
+		s.batches = [][]int{neighbors}
+	}
 	r.stats.Ranked += len(neighbors)
 	r.states[id] = s
 	return s
@@ -261,6 +269,16 @@ func (r *router) openBatch(s *nodeState, j int, gamma float64) bool {
 	return hitThreshold
 }
 
+// openBelow opens the unopened batches of s in order, stopping after the
+// first one that reaches gamma — the tail Algorithms 3 and 4 share.
+func (r *router) openBelow(s *nodeState, gamma float64) {
+	for j := s.opened; j < len(s.batches); j++ {
+		if r.openBatch(s, j, gamma) {
+			return
+		}
+	}
+}
+
 // rankExpl is Algorithm 4: open further batches of node id while the
 // farthest already-known opened neighbor is still below gamma, stopping
 // after the first batch that reaches it.
@@ -272,17 +290,15 @@ func (r *router) rankExpl(id int, gamma, dCurrent float64) {
 	if far, ok := r.farthestOpened(s); ok && far >= gamma {
 		return
 	}
-	for j := s.opened; j < len(s.batches); j++ {
-		if r.openBatch(s, j, gamma) {
-			return
-		}
-	}
+	r.openBelow(s, gamma)
 }
 
 // allQualiNeigh is Algorithm 3: make sure every neighbor of explored node
 // id with distance below gamma is in W — re-adding known members of opened
-// batches and opening new batches as needed.
-func (r *router) allQualiNeigh(id int, gamma float64) {
+// batches and opening new batches as needed. A known member farther than
+// cutoff (the pool's Cutoff when the sweep began) would be evicted by the
+// sweep's Resize, so it is not re-added.
+func (r *router) allQualiNeigh(id int, gamma, cutoff float64) {
 	if r.canceled() {
 		return
 	}
@@ -291,7 +307,9 @@ func (r *router) allQualiNeigh(id int, gamma float64) {
 		hit := false
 		for _, nb := range s.batches[j] {
 			d := r.cache.Dist(nb) // known: batch was opened
-			r.w.Add(nb, d)
+			if d <= cutoff {
+				r.w.Add(nb, d)
+			}
 			if d >= gamma {
 				hit = true
 			}
@@ -300,11 +318,7 @@ func (r *router) allQualiNeigh(id int, gamma float64) {
 			return
 		}
 	}
-	for j := s.opened; j < len(s.batches); j++ {
-		if r.openBatch(s, j, gamma) {
-			return
-		}
-	}
+	r.openBelow(s, gamma)
 }
 
 // markExplored stamps a node as explored in both the pool and the order
@@ -331,19 +345,20 @@ func (r *router) markExplored(id int, gamma float64) {
 }
 
 // Route runs np_route (Algorithm 2) from the given entry node and returns
-// the k-ANNs with routing statistics. The context is checked before every
-// distance computation, so an expired deadline stops the routing within
-// one GED call; on cancellation it returns ctx.Err() along with the
+// the k-ANNs with routing statistics. A nil ranker puts every neighbor in
+// one batch: that is Algorithm 1, the baseline, with no ranker call
+// counted and every ranked neighbor opened. The context is checked before
+// every distance computation, so an expired deadline stops the routing
+// within one GED call; on cancellation it returns ctx.Err() along with the
 // statistics accumulated so far.
 func Route(ctx context.Context, p *pg.PG, cache *pg.DistCache, ranker Ranker, entry int, cfg Config) ([]pg.Result, Stats, error) {
 	cfg.defaults()
 	r := &router{
 		ctx: ctx, pg: p, cache: cache, ranker: ranker, cfg: cfg,
-		w: pg.NewPool(), states: make(map[int]*nodeState),
+		w: pg.NewPool(cfg.K, p.Dead), states: make(map[int]*nodeState),
 		trace: obs.From(ctx),
 	}
 	r.trace.SetEntry(entry)
-	r.w.TrackAlive(cfg.K, p.Dead)
 
 	// Stage 1 (Lines 1-12): greedy descent without backtracking until the
 	// first local optimum.
@@ -363,8 +378,12 @@ func Route(ctx context.Context, p *pg.PG, cache *pg.DistCache, ranker Ranker, en
 	for r.err == nil {
 		r.stats.GammaSteps++
 		r.trace.Gamma(gamma)
-		for _, id := range append([]int(nil), r.explored...) {
-			r.allQualiNeigh(id, gamma)
+		// The sweep only adds to W and never explores: r.explored does not
+		// grow under it, and the members behind the cutoff stay in W until
+		// the Resize below.
+		cutoff := r.w.Cutoff(cfg.Beam)
+		for _, id := range r.explored {
+			r.allQualiNeigh(id, gamma, cutoff)
 		}
 		r.w.Resize(cfg.Beam)
 		// canceled first: a cancel that lands inside the query's last
@@ -391,5 +410,5 @@ func Route(ctx context.Context, p *pg.PG, cache *pg.DistCache, ranker Ranker, en
 	// Tombstoned vertices routed like any other; they are dropped only
 	// here, at result assembly (nil Dead on immutable indexes filters
 	// nothing).
-	return r.w.TopKAlive(cfg.K, p.Dead), r.stats, nil
+	return r.w.TopKAlive(), r.stats, nil
 }

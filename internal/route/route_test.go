@@ -3,12 +3,17 @@ package route
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/obs"
+	"github.com/lansearch/lan/internal/order"
 	"github.com/lansearch/lan/internal/pg"
 )
 
@@ -61,63 +66,88 @@ func resultsNoWorse(got, want []pg.Result) bool {
 	return true
 }
 
-// TestTheorem1OracleEquivalence is the paper's central correctness claim:
-// with an oracle ranker and the same entry and beam, np_route matches the
-// baseline's results while saving distance computations.
-//
-// Tie caveat: Theorem 1 implicitly assumes distinct distances. With
-// integer GEDs ties are common, and the Algorithm-3 re-qualification sweep
-// re-adds tied unexplored nodes that the baseline evicted permanently (the
-// paper's own tie-break ranks unexplored above explored at equal
-// distance), so np_route can explore a few extra nodes — and then returns
-// results at least as good as the baseline's. We therefore assert: results
-// are never worse at any rank, identical on a large majority of queries,
-// and aggregate NDC strictly drops.
-func TestTheorem1OracleEquivalence(t *testing.T) {
-	metric := ged.MetricFunc(ged.Hungarian)
-	var totalBase, totalNp, queries, identical int
+// eachFixtureRouting calls f for the 108 routings of the Theorem 1
+// fixture: 6 indexes × 6 queries × 3 (k, b) settings, each with its own
+// entry node.
+func eachFixtureRouting(t *testing.T, f func(name string, h *pg.HNSW, db graph.Database, q *graph.Graph, entry int, cfg Config)) {
+	t.Helper()
+	labels := []string{"C", "N", "O", "S"}
 	for seed := int64(0); seed < 6; seed++ {
 		db := clusteredDB(seed, 8, 8)
 		h := buildIndex(t, db, seed)
 		gen := graph.NewGenerator(seed + 100)
-		labels := []string{"C", "N", "O", "S"}
 		for qi := 0; qi < 6; qi++ {
 			q := gen.Mutate(db[(qi*13)%len(db)], 1+qi%3, labels)
-			for _, cfg := range []struct{ k, b int }{{1, 4}, {5, 10}, {10, 25}} {
-				entry := (qi * 7) % len(db)
-
-				cBase := pg.NewDistCache(metric, db, q)
-				wantRes, wantStats, _ := pg.BeamSearch(context.Background(), h.PG, cBase, entry, cfg.k, cfg.b)
-
-				cNp := pg.NewDistCache(metric, db, q)
-				oracle := &OracleRanker{Cache: cNp, BatchPercent: 20}
-				gotRes, gotStats, _ := Route(context.Background(), h.PG, cNp, oracle, entry, Config{K: cfg.k, Beam: cfg.b})
-
-				if !resultsNoWorse(gotRes, wantRes) {
-					t.Fatalf("seed %d query %d k=%d b=%d: np results worse than baseline\n np: %v\n bs: %v",
-						seed, qi, cfg.k, cfg.b, gotRes, wantRes)
-				}
-				if sameResults(gotRes, wantRes) {
-					identical++
-				}
-				if gotStats.NDC > wantStats.NDC+wantStats.NDC/4+5 {
-					t.Fatalf("seed %d query %d k=%d b=%d: NDC %d far above baseline %d",
-						seed, qi, cfg.k, cfg.b, gotStats.NDC, wantStats.NDC)
-				}
-				totalBase += wantStats.NDC
-				totalNp += gotStats.NDC
-				queries++
+			for _, kb := range []struct{ k, b int }{{1, 4}, {5, 10}, {10, 25}} {
+				name := fmt.Sprintf("seed %d query %d k=%d b=%d", seed, qi, kb.k, kb.b)
+				f(name, h, db, q, (qi*7)%len(db), Config{K: kb.k, Beam: kb.b})
 			}
 		}
 	}
+}
+
+// TestTheorem1OracleEquivalence is the paper's central correctness claim
+// (Theorem 1 and Lemma 1): with an oracle ranker and the same entry and
+// beam, np_route returns the baseline's results and never pays more
+// distances. The baseline is Route with a nil ranker — the same loop with
+// every neighbor in one batch — so the claim holds on every query, ties
+// included (DESIGN.md deviation 2).
+func TestTheorem1OracleEquivalence(t *testing.T) {
+	metric := ged.MetricFunc(ged.Hungarian)
+	var totalBase, totalNp, queries int
+	eachFixtureRouting(t, func(name string, h *pg.HNSW, db graph.Database, q *graph.Graph, entry int, cfg Config) {
+		cBase := pg.NewDistCache(metric, db, q)
+		wantRes, wantStats, err := Route(context.Background(), h.PG, cBase, nil, entry, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cNp := pg.NewDistCache(metric, db, q)
+		oracle := &OracleRanker{Cache: cNp, BatchPercent: 20}
+		gotRes, gotStats, err := Route(context.Background(), h.PG, cNp, oracle, entry, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResults(gotRes, wantRes) {
+			t.Fatalf("%s: oracle results differ from the baseline's\n np: %v\n bs: %v", name, gotRes, wantRes)
+		}
+		if gotStats.NDC > wantStats.NDC {
+			t.Fatalf("%s: oracle NDC %d above baseline %d", name, gotStats.NDC, wantStats.NDC)
+		}
+		totalBase += wantStats.NDC
+		totalNp += gotStats.NDC
+		queries++
+	})
 	if totalNp >= totalBase {
 		t.Fatalf("aggregate NDC not reduced: np %d >= baseline %d", totalNp, totalBase)
 	}
-	if float64(identical) < 0.7*float64(queries) {
-		t.Fatalf("only %d/%d queries returned identical results", identical, queries)
-	}
-	t.Logf("identical results on %d/%d queries; aggregate NDC baseline %d vs np %d (%.2fx)",
-		identical, queries, totalBase, totalNp, float64(totalBase)/float64(totalNp))
+	t.Logf("identical results and NDC <= baseline on %d/%d queries; aggregate NDC baseline %d vs np %d (%.2fx)",
+		queries, queries, totalBase, totalNp, float64(totalBase)/float64(totalNp))
+}
+
+// TestBaselineNeverWorseThanReference holds Route with a nil ranker to
+// Algorithm 1 as pg.BeamSearch ran it (refBeamSearch): at every rank its
+// answer is at least as close. The sweep's tie re-adds can only add
+// exploration, so the loops may differ, but never to the baseline's loss.
+func TestBaselineNeverWorseThanReference(t *testing.T) {
+	metric := ged.MetricFunc(ged.Hungarian)
+	var refNDC, ndc, queries, identical int
+	eachFixtureRouting(t, func(name string, h *pg.HNSW, db graph.Database, q *graph.Graph, entry int, cfg Config) {
+		wantRes, wantStats := refBeamSearch(h.PG, pg.NewDistCache(metric, db, q), entry, cfg.K, cfg.Beam)
+		gotRes, gotStats, err := Route(context.Background(), h.PG, pg.NewDistCache(metric, db, q), nil, entry, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsNoWorse(gotRes, wantRes) {
+			t.Fatalf("%s: results worse than Algorithm 1's\n route: %v\n ref:   %v", name, gotRes, wantRes)
+		}
+		if sameResults(gotRes, wantRes) {
+			identical++
+		}
+		refNDC += wantStats.NDC
+		ndc += gotStats.NDC
+		queries++
+	})
+	t.Logf("identical results on %d/%d queries; aggregate NDC reference %d vs nil ranker %d", identical, queries, refNDC, ndc)
 }
 
 func TestNpRouteSavesNDCOnAverage(t *testing.T) {
@@ -132,7 +162,7 @@ func TestNpRouteSavesNDCOnAverage(t *testing.T) {
 		q := gen.Mutate(db[(qi*11)%len(db)], 1, labels)
 		entry := (qi * 5) % len(db)
 		cb := pg.NewDistCache(metric, db, q)
-		_, sb, _ := pg.BeamSearch(context.Background(), h.PG, cb, entry, 5, 12)
+		_, sb, _ := Route(context.Background(), h.PG, cb, nil, entry, Config{K: 5, Beam: 12})
 		cn := pg.NewDistCache(metric, db, q)
 		_, sn, _ := Route(context.Background(), h.PG, cn, &OracleRanker{Cache: cn, BatchPercent: 20}, entry, Config{K: 5, Beam: 12})
 		baseNDC += sb.NDC
@@ -142,6 +172,94 @@ func TestNpRouteSavesNDCOnAverage(t *testing.T) {
 		t.Fatalf("np_route saved nothing: %d >= %d", npNDC, baseNDC)
 	}
 	t.Logf("NDC: baseline %d, np_route %d (%.2fx reduction)", baseNDC, npNDC, float64(baseNDC)/float64(npNDC))
+}
+
+func bruteForceKNN(metric ged.Metric, db graph.Database, q *graph.Graph, k int) []pg.Result {
+	res := make([]pg.Result, len(db))
+	for i, g := range db {
+		res[i] = pg.Result{ID: i, Dist: metric.Distance(g, q)}
+	}
+	sort.Slice(res, func(i, j int) bool {
+		return order.ByDistThenID(res[i].Dist, res[i].ID, res[j].Dist, res[j].ID)
+	})
+	return res[:k]
+}
+
+func recallAt(got, want []pg.Result) float64 {
+	wantSet := make(map[int]bool, len(want))
+	for _, r := range want {
+		wantSet[r.ID] = true
+	}
+	hit := 0
+	for _, r := range got {
+		if wantSet[r.ID] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(want))
+}
+
+func TestBeamSearchFindsPlantedNeighbors(t *testing.T) {
+	db := clusteredDB(2, 10, 10)
+	h := buildIndex(t, db, 1)
+	gen := graph.NewGenerator(77)
+	labels := []string{"C", "N", "O", "S"}
+	metric := ged.MetricFunc(ged.Hungarian)
+
+	recallSum := 0.0
+	queries := 10
+	for i := 0; i < queries; i++ {
+		q := gen.Mutate(db[(i*10)%len(db)], 1, labels)
+		c := pg.NewDistCache(metric, db, q)
+		entry := h.EntryPoint(context.Background(), c)
+		got, stats, _ := Route(context.Background(), h.PG, c, nil, entry, Config{K: 10, Beam: 40})
+		if len(got) != 10 {
+			t.Fatalf("query %d: %d results", i, len(got))
+		}
+		if stats.NDC <= 0 || stats.Explored <= 0 {
+			t.Fatalf("query %d: empty stats %+v", i, stats)
+		}
+		recallSum += recallAt(got, bruteForceKNN(metric, db, q, 10))
+	}
+	if avg := recallSum / float64(queries); avg < 0.8 {
+		t.Fatalf("avg recall@10 = %v; want >= 0.8", avg)
+	}
+}
+
+func TestBeamSearchLargerBeamHigherRecallOrEqualNDC(t *testing.T) {
+	db := clusteredDB(3, 8, 8)
+	h := buildIndex(t, db, 1)
+	q := graph.NewGenerator(5).Mutate(db[3], 2, []string{"C", "N", "O", "S"})
+	metric := ged.MetricFunc(ged.Hungarian)
+
+	c1 := pg.NewDistCache(metric, db, q)
+	_, s1, _ := Route(context.Background(), h.PG, c1, nil, 0, Config{K: 5, Beam: 5})
+	c2 := pg.NewDistCache(metric, db, q)
+	_, s2, _ := Route(context.Background(), h.PG, c2, nil, 0, Config{K: 5, Beam: 30})
+	if s2.NDC < s1.NDC {
+		t.Fatalf("wider beam used fewer NDC: %d < %d", s2.NDC, s1.NDC)
+	}
+}
+
+func TestBeamSearchResultsSortedAndUnique(t *testing.T) {
+	db := clusteredDB(4, 6, 6)
+	h := buildIndex(t, db, 1)
+	q := graph.NewGenerator(9).MoleculeLike(10, 1, []string{"C", "N"}, 0.3)
+	c := pg.NewDistCache(ged.MetricFunc(ged.Hungarian), db, q)
+	got, _, _ := Route(context.Background(), h.PG, c, nil, 0, Config{K: 8, Beam: 16})
+	if len(got) != 8 {
+		t.Fatalf("%d results; want 8", len(got))
+	}
+	seen := make(map[int]bool)
+	for i, r := range got {
+		if seen[r.ID] {
+			t.Fatalf("duplicate result %d", r.ID)
+		}
+		seen[r.ID] = true
+		if i > 0 && got[i-1].Dist > r.Dist {
+			t.Fatalf("results not sorted: %v", got)
+		}
+	}
 }
 
 func TestSplitBatches(t *testing.T) {
@@ -251,28 +369,47 @@ func TestRouteStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestFullExplorationRankerMatchesBaselineExactly uses a single 100% batch:
-// np_route degenerates to the baseline and NDC must be equal, not just <=.
+// TestFullExplorationRankerMatchesBaselineExactly: a ranker that puts every
+// neighbor in one 100% batch is the nil ranker's Algorithm 1 bit for bit —
+// results, statistics, cache hits, every trace step and γ — except that it
+// counts its ranker calls.
 func TestFullExplorationRankerMatchesBaselineExactly(t *testing.T) {
 	metric := ged.MetricFunc(ged.Hungarian)
 	db := clusteredDB(21, 6, 8)
 	h := buildIndex(t, db, 21)
 	gen := graph.NewGenerator(3)
 	labels := []string{"C", "N", "O", "S"}
+	all := RankerFunc(func(node int, neighbors []int, d float64) [][]int {
+		return SplitBatches(append([]int(nil), neighbors...), 100)
+	})
 	for qi := 0; qi < 5; qi++ {
 		q := gen.Mutate(db[qi*7%len(db)], 2, labels)
-		entry := qi % len(db)
+		run := func(ranker Ranker) ([]pg.Result, Stats, int, *obs.Trace) {
+			tr := obs.NewTrace("q")
+			c := pg.NewDistCache(metric, db, q)
+			res, st, err := Route(obs.With(context.Background(), tr), h.PG, c, ranker, qi%len(db), Config{K: 5, Beam: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, st, c.Hits(), tr
+		}
+		wantRes, wantStats, wantHits, wantTr := run(nil)
+		gotRes, gotStats, gotHits, gotTr := run(all)
 
-		cb := pg.NewDistCache(metric, db, q)
-		wantRes, _, _ := pg.BeamSearch(context.Background(), h.PG, cb, entry, 5, 10)
-
-		cn := pg.NewDistCache(metric, db, q)
-		all := RankerFunc(func(node int, neighbors []int, d float64) [][]int {
-			return SplitBatches(append([]int(nil), neighbors...), 100)
-		})
-		gotRes, _, _ := Route(context.Background(), h.PG, cn, all, entry, Config{K: 5, Beam: 10})
-		if !sameResults(gotRes, wantRes) {
-			t.Fatalf("query %d: 100%%-batch np_route != baseline\n np: %v\n bs: %v", qi, gotRes, wantRes)
+		if wantStats.RankerCalls != 0 || wantStats.Ranked != wantStats.Opened || wantStats.Opened == 0 ||
+			wantStats.BatchesOpened != wantStats.Explored || wantStats.GammaSteps < 1 {
+			t.Errorf("query %d: nil ranker is not one opened batch per explored node: %+v", qi, wantStats)
+		}
+		if gotStats.RankerCalls != gotStats.Explored {
+			t.Errorf("query %d: 100%% ranker called %d times for %d explored nodes", qi, gotStats.RankerCalls, gotStats.Explored)
+		}
+		gotStats.RankerCalls = 0
+		if !sameResults(gotRes, wantRes) || gotStats != wantStats || gotHits != wantHits {
+			t.Fatalf("query %d: 100%%-batch np_route != nil ranker\n np: %v %+v hits %d\n nil: %v %+v hits %d",
+				qi, gotRes, gotStats, gotHits, wantRes, wantStats, wantHits)
+		}
+		if !reflect.DeepEqual(gotTr.Steps, wantTr.Steps) || !reflect.DeepEqual(gotTr.Gammas, wantTr.Gammas) {
+			t.Fatalf("query %d: traces differ\n np:  %v %v\n nil: %v %v", qi, gotTr.Steps, gotTr.Gammas, wantTr.Steps, wantTr.Gammas)
 		}
 	}
 }
@@ -296,7 +433,8 @@ func (m *cancelInside) Distance(a, b *graph.Graph) float64 {
 // TestRouteCancelInsideEveryDistance: wherever in np_route a cancel
 // lands — the entry distance, a stage-1 batch, a stage-2 re-qualification
 // sweep, the very last computation of the query — Route returns ctx.Err()
-// without starting another distance computation.
+// without starting another distance computation, with the oracle ranker
+// and without a ranker (Algorithm 1).
 func TestRouteCancelInsideEveryDistance(t *testing.T) {
 	plain := ged.MetricFunc(ged.Hungarian)
 	db := clusteredDB(3, 6, 8)
@@ -305,28 +443,33 @@ func TestRouteCancelInsideEveryDistance(t *testing.T) {
 	labels := []string{"C", "N", "O", "S"}
 	for qi := 0; qi < 8; qi++ {
 		q := gen.Mutate(db[(qi*13)%len(db)], 1+qi%3, labels)
-		run := func(n int) (int, error) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			m := &cancelInside{Metric: plain, n: n, cancel: cancel}
-			c := pg.NewDistCache(m, db, q)
-			// The oracle ranks with the plain metric, so m sees exactly
-			// the distances the router pays for.
-			oracle := &OracleRanker{Cache: c, BatchPercent: 20, RankMetric: plain}
-			_, _, err := Route(ctx, h.PG, c, oracle, (qi*7)%len(db), Config{K: 3, Beam: 6})
-			return m.calls, err
-		}
-		ndc, err := run(0)
-		if err != nil || ndc == 0 {
-			t.Fatalf("query %d: uncancelled route: %d calls, err %v", qi, ndc, err)
-		}
-		for i := 1; i <= ndc; i++ {
-			calls, err := run(i)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("query %d: cancel inside call %d/%d: err = %v; want context.Canceled", qi, i, ndc, err)
+		for _, oracle := range []bool{true, false} {
+			run := func(n int) (int, error) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				m := &cancelInside{Metric: plain, n: n, cancel: cancel}
+				c := pg.NewDistCache(m, db, q)
+				var ranker Ranker // nil: Algorithm 1
+				if oracle {
+					// The oracle ranks with the plain metric, so m sees
+					// exactly the distances the router pays for.
+					ranker = &OracleRanker{Cache: c, BatchPercent: 20, RankMetric: plain}
+				}
+				_, _, err := Route(ctx, h.PG, c, ranker, (qi*7)%len(db), Config{K: 3, Beam: 6})
+				return m.calls, err
 			}
-			if calls != i {
-				t.Errorf("query %d: cancel inside call %d/%d: %d more distance computations started", qi, i, ndc, calls-i)
+			ndc, err := run(0)
+			if err != nil || ndc == 0 {
+				t.Fatalf("query %d oracle=%v: uncancelled route: %d calls, err %v", qi, oracle, ndc, err)
+			}
+			for i := 1; i <= ndc; i++ {
+				calls, err := run(i)
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("query %d oracle=%v: cancel inside call %d/%d: err = %v; want context.Canceled", qi, oracle, i, ndc, err)
+				}
+				if calls != i {
+					t.Errorf("query %d oracle=%v: cancel inside call %d/%d: %d more distance computations started", qi, oracle, i, ndc, calls-i)
+				}
 			}
 		}
 	}

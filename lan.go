@@ -173,7 +173,8 @@ type RoutingStrategy = core.RoutingStrategy
 const (
 	// LANRoute is np_route with the learned ranker M_rk.
 	LANRoute = core.LANRoute
-	// BaselineRoute explores every neighbor (Algorithm 1).
+	// BaselineRoute explores every neighbor (Algorithm 1): np_route with
+	// no ranker, so it shares the other strategies' loop and statistics.
 	BaselineRoute = core.BaselineRoute
 	// OracleRoute is np_route with a true-distance oracle ranker.
 	OracleRoute = core.OracleRoute
