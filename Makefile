@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix lint-baseline test race bench bench-smoke experiments examples serve-smoke store-smoke mutate-smoke clean
+.PHONY: all build vet lint lint-fix test race bench bench-smoke experiments examples serve-smoke store-smoke mutate-smoke clean
 
 all: build vet lint test
 
@@ -16,10 +16,9 @@ vet:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Repo-specific invariants (context propagation, hot-path allocations,
-# atomic-field hygiene, goroutine leaks, float equality, global rand,
-# library panics, matrix dimensions, metric naming); see DESIGN.md
-# "Static analysis & determinism policy".
+# Repo-specific invariants (float equality, global rand, panics in public
+# packages, metric naming); see DESIGN.md "Static analysis & determinism
+# policy".
 lint:
 	$(GO) run ./cmd/lan-lint ./...
 
@@ -28,11 +27,6 @@ lint:
 lint-fix:
 	gofmt -w .
 	$(GO) run ./cmd/lan-lint -counts ./...
-
-# Golden-file check: lan-lint output must match the committed (empty)
-# baseline in scripts/lint-baseline.txt.
-lint-baseline:
-	scripts/lint-baseline
 
 test:
 	$(GO) test ./...

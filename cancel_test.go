@@ -235,3 +235,44 @@ func TestShardedCancelNoGoroutineLeak(t *testing.T) {
 	// count returns to its starting point.
 	settleGoroutines(t, before)
 }
+
+// TestNoGoroutineLeak checks that every goroutine the library starts has
+// exited once the call that started it returns, or once Close does for the
+// long-lived ones. Build with two workers covers the proximity-graph build
+// pool, the compressed-graph batch, the model fan-outs and core.Build's
+// training goroutine. Then come the ground-truth fan-out, the optimizer
+// that Insert starts, a traced search, and the trace exporter's writer.
+func TestNoGoroutineLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	spec := dataset.AIDS(0.002)
+	db := spec.Generate()
+	queries := dataset.Workload(db, spec, 8, 3)
+	idx, err := Build(db, queries, Options{M: 4, Dim: 6, GammaKNN: 5, Epochs: 1, Seed: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, before)
+
+	dataset.ComputeGroundTruth(db, queries[:2], ged.MetricFunc(ged.Hungarian), 3)
+	settleGoroutines(t, before)
+
+	if _, err := idx.Insert(queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := NewTraceExporter(TraceExportConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTrace("leak")
+	if _, _, err := idx.SearchContext(WithTrace(context.Background(), tr), queries[1], SearchOptions{K: 3, Beam: 8}); err != nil {
+		t.Fatal(err)
+	}
+	exp.Submit(tr)
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, before)
+}

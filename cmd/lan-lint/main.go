@@ -1,12 +1,13 @@
 // Command lan-lint runs the project's static-analysis suite (package
-// internal/analysis) over the given package patterns and exits nonzero
-// when any finding survives the //lint:allow suppressions. It enforces
-// the determinism and robustness invariants LAN's exactness claims rest
-// on; see DESIGN.md, "Static analysis & determinism policy".
+// internal/analysis: floatcmp, globalrand, libpanic, metricname) over the
+// given package patterns and exits nonzero when any finding survives the
+// allow-comment suppressions. It enforces the determinism invariants LAN's
+// exactness claims rest on, no panics in public packages, and the metric
+// naming convention; see DESIGN.md, "Static analysis & determinism policy".
 //
 // Usage:
 //
-//	lan-lint [-run ctxprop,hotalloc,...] [-json] [-counts] [packages...]
+//	lan-lint [-run floatcmp,globalrand,...] [-json] [-counts] [packages...]
 //
 // With no package arguments it analyzes ./... — including this command
 // and the analysis package themselves, so the lint is self-hosting.

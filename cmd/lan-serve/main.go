@@ -111,7 +111,6 @@ func main() {
 		// flushed before exit.
 		defer func() {
 			if err := exp.Close(); err != nil {
-				//lint:allow slogqid exporter shutdown is not query-scoped
 				logger.Warn("trace exporter close", "err", err.Error())
 			}
 		}()

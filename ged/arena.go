@@ -134,7 +134,7 @@ func acquireAsGiven(g, h *graph.Graph) *pairCtx {
 	p.mu.Unlock()
 	if c == nil {
 		arenaNews.Add(1)
-		//lint:allow hotalloc pool miss: one arena per concurrent caller, then reused for the life of the process
+		// A pool miss: one arena per concurrent caller, then reused for the life of the process.
 		c = &pairCtx{labelID: make(map[string]int32)}
 	}
 	c.load(g, h)
@@ -282,7 +282,7 @@ func isUsed(used []uint64, w int) bool { return used[w/64]&(1<<(w%64)) != 0 }
 // suffices (contents are unspecified).
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		//lint:allow hotalloc amortized arena growth; zero allocations once the pooled arena reaches working size
+		// Amortized growth: nothing allocates once the pooled arena reaches working size.
 		return make([]T, n)
 	}
 	return s[:n]

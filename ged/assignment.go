@@ -43,8 +43,6 @@ func (c *pairCtx) startSolve() {
 // solveHungarian solves the instance with the potentials formulation of the
 // Hungarian algorithm (Kuhn–Munkres): starting from the empty matching and
 // zero potentials, one shortest augmenting path per row, in row order.
-//
-//lan:hotpath
 func (c *pairCtx) solveHungarian() {
 	c.startSolve()
 	for f := 0; f < c.n1+c.n2; f++ {
@@ -71,8 +69,6 @@ func (m *twoMin) offer(r float64, j int) {
 // solveJV solves the instance with the Jonker–Volgenant algorithm: column
 // reduction, augmenting row reduction, then shortest augmenting paths for
 // the remaining free rows.
-//
-//lan:hotpath
 func (c *pairCtx) solveJV() {
 	c.startSolve()
 	n1, n2 := c.n1, c.n2
@@ -225,8 +221,6 @@ func joinLevel(lvl []uint64, j int, d, level float64) float64 {
 //   - a padding row offers every padding column base − v[j], so it is
 //     passed over unless its base is below that of every padding row before
 //     it in this search.
-//
-//lan:hotpath
 func (c *pairCtx) augment(f int32) {
 	n1, n2 := c.n1, c.n2
 	n := n1 + n2

@@ -16,8 +16,6 @@ const notProcessed = -2
 // comparisons (astarPush, astarPop), so the pop order among equal-f states
 // — and with it which pairs finish inside a budget — is that of the
 // container/heap implementation this kernel replaced.
-//
-//lan:hotpath
 func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) {
 	s := c.rootState()
 	root := searchCand{parent: -1, remEdges: c.hM}

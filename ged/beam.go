@@ -53,8 +53,6 @@ type searchCand struct {
 // Ties on f are broken by state creation order — the order a stable sort
 // of the enumerated children keeps — so the kept frontier is a
 // deterministic function of the input pair, not of sort internals.
-//
-//lan:hotpath
 func (c *pairCtx) beam(w int) float64 {
 	if w <= 0 {
 		w = 8

@@ -52,8 +52,6 @@ func (c *pairCtx) sizeCosts(n1, n2 int) {
 // ones. A cost model with other values would leave them correct, but no
 // longer guaranteed to break ties between equal-cost assignments the way
 // the reference does.
-//
-//lan:hotpath
 func (c *pairCtx) fillCosts(structural bool) {
 	a, b, aLab, bLab := c.g, c.h, c.gLab, c.hLab
 	if c.swapped {

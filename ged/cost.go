@@ -25,8 +25,6 @@ func mappingCost(g, h *graph.Graph, phi []int) float64 {
 
 // mappingCost is the edit cost of mapping the loaded g into the loaded h
 // by phi, counted rather than accumulated: every term is a unit cost.
-//
-//lan:hotpath
 func (c *pairCtx) mappingCost(phi []int32) float64 {
 	mapped, relabels, matched := 0, 0, 0
 	for u, w := range phi {

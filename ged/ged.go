@@ -165,8 +165,6 @@ type Ensemble struct {
 }
 
 // Distance implements Metric.
-//
-//lan:hotpath
 func (e Ensemble) Distance(g, h *graph.Graph) float64 {
 	c := acquire(g, h)
 	d := e.distanceOn(c)

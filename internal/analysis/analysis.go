@@ -1,12 +1,15 @@
 // Package analysis is a small, stdlib-only static-analysis framework plus
-// the project-specific analyzers that enforce LAN's correctness invariants
-// (see DESIGN.md, "Static analysis & determinism policy"). It exists
-// because the repo's headline claims — Lemma 1/Theorem 1 exactness of the
-// pruned routing and Theorem 2 bit-identity of compressed embeddings —
-// collapse if float equality, global randomness or shape bugs silently
-// perturb results. The framework mirrors the shape of golang.org/x/tools'
-// go/analysis but is built purely on go/ast, go/parser and go/types, per
-// the repo's toolchain-only rule.
+// the four project-specific analyzers lan-lint runs (see DESIGN.md,
+// "Static analysis & determinism policy"). floatcmp and globalrand guard
+// determinism: Lemma 1/Theorem 1 exactness of the pruned routing and
+// Theorem 2 bit-identity of compressed embeddings collapse if float
+// equality or global randomness silently perturbs results. libpanic keeps
+// panics out of the public packages, and metricname keeps metric names and
+// families consistent. Invariants that a test, go vet or a -race run
+// already pins (allocation-free kernels, context propagation, goroutine
+// exits, atomic hygiene) are left to those. The framework mirrors the
+// shape of golang.org/x/tools' go/analysis but is built purely on go/ast,
+// go/parser and go/types, per the repo's toolchain-only rule.
 //
 // Suppressions: a finding is silenced by a comment of the form
 //
@@ -19,9 +22,8 @@
 //
 // Analyzers come in two shapes: per-package ones (Run) see one
 // type-checked package at a time, and module-wide ones (RunGlobal) see
-// every loaded package plus the cross-package call graph built by
-// BuildCallGraph, which the shared-identity loader (load.go) makes
-// possible without golang.org/x/tools.
+// every loaded package at once, which the shared-identity loader (load.go)
+// makes possible without golang.org/x/tools.
 package analysis
 
 import (
@@ -35,9 +37,9 @@ import (
 
 // Analyzer is one named check. Per-package analyzers set Run, which
 // inspects one type-checked package via its Pass; module-wide analyzers
-// set RunGlobal, which sees every loaded package plus the call graph. An
-// analyzer may set both (metricname: per-package naming rules plus the
-// global dead-family sweep).
+// set RunGlobal, which sees every loaded package. An analyzer may set both
+// (metricname: per-package naming rules plus the global dead-family
+// sweep).
 type Analyzer struct {
 	// Name is the identifier used in findings and //lint:allow comments.
 	Name string
@@ -52,10 +54,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		AtomicField, CtxProp, FloatCmp, GlobalRand, GoLeak,
-		HotAlloc, LibPanic, MatDim, MetricName, SlogQID,
-	}
+	return []*Analyzer{FloatCmp, GlobalRand, LibPanic, MetricName}
 }
 
 // frameworkName is the pseudo-analyzer name attached to findings about the
@@ -126,18 +125,6 @@ func (p *Pass) IsInternal() bool {
 // public API surface: a non-main package outside internal/.
 func (p *Pass) IsPublicLibrary() bool { return !p.IsCommand() && !p.IsInternal() }
 
-// IsCommand reports whether the package is a main package.
-func (p *Package) IsCommand() bool { return p.Types.Name() == "main" }
-
-// IsInternal reports whether the package lives under an internal/ tree.
-func (p *Package) IsInternal() bool {
-	return strings.Contains(p.Path, "/internal/") || strings.HasSuffix(p.Path, "/internal")
-}
-
-// IsPublicLibrary reports whether the package is part of the importable
-// public API surface: a non-main package outside internal/.
-func (p *Package) IsPublicLibrary() bool { return !p.IsCommand() && !p.IsInternal() }
-
 // Reportf records a finding at pos unless an applicable //lint:allow
 // comment suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -158,8 +145,6 @@ type GlobalPass struct {
 	Analyzer *Analyzer
 	// Pkgs are all loaded packages in dependency order.
 	Pkgs []*Package
-	// Graph is the module call graph over Pkgs.
-	Graph *CallGraph
 
 	suppress suppressionIndex
 	findings *[]Finding
@@ -180,9 +165,8 @@ func (p *GlobalPass) Reportf(pkg *Package, pos token.Pos, format string, args ..
 }
 
 // Run executes the given analyzers over the loaded packages and returns
-// all findings sorted by position. Module-wide analyzers run once against
-// a call graph built over all packages; per-package analyzers run per
-// package. Run also audits every //lint:allow comment: one that names an
+// all findings sorted by position. Module-wide analyzers run once over all
+// packages; per-package analyzers run per package. Run also audits every //lint:allow comment: one that names an
 // unknown analyzer or omits the reason text is reported as a
 // non-suppressible "framework" finding.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
@@ -210,18 +194,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			a.Run(pass)
 		}
 	}
-	var graph *CallGraph
 	for _, a := range analyzers {
 		if a.RunGlobal == nil {
 			continue
 		}
-		if graph == nil {
-			graph = BuildCallGraph(pkgs)
-		}
 		a.RunGlobal(&GlobalPass{
 			Analyzer: a,
 			Pkgs:     pkgs,
-			Graph:    graph,
 			suppress: suppress,
 			findings: &findings,
 		})

@@ -26,16 +26,11 @@ func TestFixtures(t *testing.T) {
 		analyzer *Analyzer
 		fixture  string
 	}{
-		{AtomicField, "atomicfield"},
 		{FloatCmp, "floatcmp"},
 		{GlobalRand, "globalrand"},
 		{GlobalRand, "globalrand_main"},
-		{GoLeak, "goleak"},
-		{HotAlloc, "hotalloc"},
 		{LibPanic, "libpanic"},
-		{MatDim, "matdim"},
 		{MetricName, "metricname"},
-		{SlogQID, "lanserveslog"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -46,30 +41,10 @@ func TestFixtures(t *testing.T) {
 
 func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
-	dir := filepath.Join("testdata", fixture)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		t.Fatalf("no fixture files in %s", dir)
-	}
-
-	fset := token.NewFileSet()
-	pkg, err := checkPackage(fset, fixtureImporter(t, fset), "fixture/"+fixture, dir, names)
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
+	pkg := loadFixture(t, fixture)
 	findings := Run([]*Package{pkg}, []*Analyzer{a})
 
-	wants := fixtureWants(t, fset, pkg)
+	wants := fixtureWants(t, pkg)
 	seen := make(map[int]bool)
 	for _, f := range findings {
 		want, ok := wants[f.Pos.Line]
@@ -89,9 +64,37 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	}
 }
 
-// fixtureWants extracts `// want "substr"` annotations, keyed by line.
-func fixtureWants(t *testing.T, fset *token.FileSet, pkg *Package) map[int]string {
+// loadFixture type-checks the Go files of testdata/<fixture> as one
+// package.
+func loadFixture(t *testing.T, fixture string) *Package {
 	t.Helper()
+	dir := filepath.Join("testdata", fixture)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("reading fixture dir: %v", err)
+	}
+	var names []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	if len(names) == 0 {
+		t.Fatalf("no fixture files in %s", dir)
+	}
+	fset := token.NewFileSet()
+	pkg, err := checkPackage(fset, fixtureImporter(t, fset), "fixture/"+fixture, dir, names)
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	return pkg
+}
+
+// fixtureWants extracts `// want "substr"` annotations, keyed by line.
+func fixtureWants(t *testing.T, pkg *Package) map[int]string {
+	t.Helper()
+	fset := pkg.Fset
 	wants := make(map[int]string)
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -113,7 +116,7 @@ func fixtureWants(t *testing.T, fset *token.FileSet, pkg *Package) map[int]strin
 }
 
 // fixtureExports caches the export-data lookup shared by all fixture
-// loads; the fixtures only import the stdlib and internal/mat.
+// loads; the fixtures only import the stdlib and internal/obs.
 var fixtureExports struct {
 	once sync.Once
 	m    map[string]string
@@ -125,7 +128,7 @@ func fixtureImporter(t *testing.T, fset *token.FileSet) types.Importer {
 	fixtureExports.once.Do(func() {
 		cmd := exec.Command("go", "list", "-deps", "-export", "-f",
 			"{{if .Export}}{{.ImportPath}} {{.Export}}{{end}}",
-			"context", "fmt", "log/slog", "math/rand", "sort", "sync", "sync/atomic", matPkgPath, obsPkgPath)
+			"fmt", "math/rand", "sort", obsPkgPath)
 		out, err := cmd.Output()
 		if err != nil {
 			fixtureExports.err = fmt.Errorf("go list -export: %v", err)
@@ -150,54 +153,48 @@ func fixtureImporter(t *testing.T, fset *token.FileSet) types.Importer {
 	})
 }
 
-// loadSource type-checks a single import-free source string as a package.
-func loadSource(t *testing.T, path, src string) *Package {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "src.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	pkg, err := checkPackage(fset, nil, path, dir, []string{"src.go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg
-}
-
 // TestSuppressionRequiresMatchingName pins that an allow comment for one
 // analyzer does not silence another, and that a matching one does.
 func TestSuppressionRequiresMatchingName(t *testing.T) {
-	const src = `package fixture
-
-func pair() (float64, float64) { return 1, 2 }
-
-func wrongName() bool {
-	a, b := pair()
-	//lint:allow libpanic wrong name on purpose
-	return a == b
+	runFixture(t, FloatCmp, "suppression")
 }
 
-func rightName() bool {
-	a, b := pair()
-	//lint:allow floatcmp suppressed on purpose
-	return a == b
-}
-`
-	pkg := loadSource(t, "fixture/suppression", src)
-	findings := Run([]*Package{pkg}, []*Analyzer{FloatCmp})
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want exactly the wrong-name one: %v", len(findings), findings)
+// TestAllowCommentAudit pins the framework findings for malformed allow
+// comments: bare, unknown-analyzer and reason-less forms are reported and
+// cannot vouch for themselves.
+func TestAllowCommentAudit(t *testing.T) {
+	findings := Run([]*Package{loadFixture(t, "allowaudit")}, []*Analyzer{FloatCmp})
+
+	var framework, floatcmp []Finding
+	for _, f := range findings {
+		switch f.Analyzer {
+		case frameworkName:
+			framework = append(framework, f)
+		case FloatCmp.Name:
+			floatcmp = append(floatcmp, f)
+		}
 	}
-	if got := findings[0].Pos.Line; got != 8 {
-		t.Errorf("finding at line %d, want line 8 (the mismatched allow)", got)
+	wantSubstrs := []string{"bare //lint:allow", "unknown analyzer", "has no reason"}
+	if len(framework) != len(wantSubstrs) {
+		t.Fatalf("got %d framework findings, want %d: %v", len(framework), len(wantSubstrs), framework)
+	}
+	for i, want := range wantSubstrs {
+		if !strings.Contains(framework[i].Message, want) {
+			t.Errorf("framework finding %d = %q, want substring %q", i, framework[i].Message, want)
+		}
+	}
+	// The bare and unknown-name allows suppress nothing, and the
+	// reason-less one still names floatcmp, so only the float comparisons
+	// under the two malformed allows surface.
+	if len(floatcmp) != 2 {
+		t.Errorf("got %d floatcmp findings, want 2 (under the bare and unknown-name allows): %v", len(floatcmp), floatcmp)
 	}
 }
 
 // TestByName covers analyzer selection.
 func TestByName(t *testing.T) {
-	as, err := ByName("floatcmp, matdim")
-	if err != nil || len(as) != 2 || as[0] != FloatCmp || as[1] != MatDim {
+	as, err := ByName("floatcmp, metricname")
+	if err != nil || len(as) != 2 || as[0] != FloatCmp || as[1] != MetricName {
 		t.Fatalf("ByName = %v, %v", as, err)
 	}
 	if _, err := ByName("nosuch"); err == nil {

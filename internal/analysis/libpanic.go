@@ -6,57 +6,25 @@ import (
 	"strings"
 )
 
-// LibPanic enforces the no-panic contract in two layers.
+// LibPanic flags panic calls in the importable public packages (the root
+// lan package, ged, graph, lanio, lanserve — everything outside internal/
+// that is not a command). A panic in a public code path turns a caller's
+// bad input into a process abort, which is hostile for a library; such
+// sites must return errors instead.
 //
-// Per package: panic calls in the importable public packages (the root
-// lan package, ged, graph, lanio — everything outside internal/ that is
-// not a command) are flagged unconditionally. A panic in a public code
-// path turns a caller's bad input into a process abort, which is hostile
-// for a library; such sites must return errors instead.
-//
-// Module-wide: the call graph extends the contract to "no panic reachable
-// from the query path". Roots are the exported context-taking Search*/
-// Route* entry points; traversal follows static and interface (CHA)
-// edges, so a panic inside an internal package — where per-function
-// panics are otherwise the documented numpy-style shape-check contract —
-// is still reported when a query can actually hit it.
+// Internal packages are out of scope: there a panic is the documented
+// numpy-style shape-check contract (mat, autograd) or a corruption abort
+// (lanstore), lanserve turns a panic under a request into a 500, and
+// core.Build recovers one from the ranker's training goroutine.
 //
 // Escape hatches: functions named Must* follow the stdlib convention of
 // documented panicking wrappers, and deliberate invariant checks
 // ("impossible unless the index is corrupt") may carry
 // //lint:allow libpanic with a justification at the panic site.
 var LibPanic = &Analyzer{
-	Name:      "libpanic",
-	Doc:       "flags panic(...) in public packages and any panic reachable from the Search*/Route* query path",
-	Run:       runLibPanic,
-	RunGlobal: runLibPanicGlobal,
-}
-
-// runLibPanicGlobal walks the call graph from the query-path roots and
-// reports every reachable panic site.
-func runLibPanicGlobal(p *GlobalPass) {
-	g := p.Graph
-	var roots []*FuncNode
-	for _, n := range g.SortedNodes() {
-		if !n.Obj.Exported() || n.CtxParam == nil {
-			continue
-		}
-		if strings.Contains(n.Name(), "Search") || strings.Contains(n.Name(), "Route") {
-			roots = append(roots, n)
-		}
-	}
-	reach := g.ReachableFrom(roots, true)
-	for _, n := range g.SortedNodes() {
-		root := reach[n]
-		if root == nil || strings.HasPrefix(n.Name(), "Must") {
-			continue
-		}
-		for _, pos := range n.Panics {
-			p.Reportf(n.Pkg, pos,
-				"panic in %s is reachable from the query path (%s); return an error, or justify with //lint:allow libpanic",
-				n.Name(), root.Name())
-		}
-	}
+	Name: "libpanic",
+	Doc:  "flags panic(...) in public (non-internal, non-main) packages",
+	Run:  runLibPanic,
 }
 
 func runLibPanic(pass *Pass) {

@@ -42,9 +42,9 @@ type listedPackage struct {
 // dependency rather than its export data; standard-library imports come
 // from compiler export data produced by `go list -export`. Source-checking
 // the whole module under one importer gives every type and object a single
-// identity across packages — the property the call-graph layer
-// (callgraph.go) and the module-wide analyzers rely on to match a function
-// or struct field seen from two different packages. Only non-test Go files
+// identity across packages — the property metricname's module-wide
+// dead-family sweep relies on to match a variable or struct field seen from
+// two different packages. Only non-test Go files
 // are loaded: the analyzers enforce library invariants, and tests
 // legitimately use panics, exact float expectations and ad-hoc RNG
 // seeding.
@@ -106,10 +106,10 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 // *types.Package recorded by Load (dependency order guarantees it exists
 // by the time a dependent asks for it) and everything else — the standard
 // library — from export data. Returning the same *types.Package for every
-// importer of a module package is what keeps object identity: a *types.Func
-// or struct-field *types.Var observed from two different packages is one
-// pointer, so the call graph and the module-wide analyzers can use plain
-// map keys instead of fragile name matching.
+// importer of a module package is what keeps object identity: a package
+// variable or struct-field *types.Var observed from two different packages
+// is one pointer, so the module-wide analyzers can use plain map keys
+// instead of fragile name matching.
 type moduleImporter struct {
 	export  types.Importer
 	checked map[string]*types.Package

@@ -128,91 +128,6 @@ func stringConstant(info *types.Info, e ast.Expr) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// slogEmitMethods are the log/slog emission calls SlogQID checks; With,
-// WithGroup and handler plumbing are construction, not emission.
-var slogEmitMethods = map[string]bool{
-	"Debug": true, "Info": true, "Warn": true, "Error": true,
-	"DebugContext": true, "InfoContext": true, "WarnContext": true, "ErrorContext": true,
-	"Log": true, "LogAttrs": true,
-}
-
-// slogQueryIDAttr is the attribute every serve-path log record must carry
-// so logs join against traces, exemplars and /debug/trace/<id>.
-const slogQueryIDAttr = "query_id"
-
-// SlogQID rides with MetricName as the second observability-contract
-// analyzer: on the serve path (packages whose import path contains
-// "lanserve"), every log/slog emission must carry a query_id attribute.
-// A slow-query warning or search failure that cannot be joined to its
-// trace and exemplar is an observability dead end — the operator sees
-// "something was slow" with no handle to pull. Non-query log sites
-// (startup, metrics exposition, shutdown) opt out with
-// //lint:allow slogqid <reason>.
-var SlogQID = &Analyzer{
-	Name: "slogqid",
-	Doc:  "serve-path slog calls must carry the query_id attribute so logs join traces and exemplars",
-	Run:  runSlogQID,
-}
-
-func runSlogQID(pass *Pass) {
-	if !strings.Contains(pass.Path, "lanserve") {
-		return
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !slogEmitMethods[sel.Sel.Name] || !isSlogEmitter(pass.Info, sel) {
-				return true
-			}
-			hasQID := false
-			for _, arg := range call.Args {
-				ast.Inspect(arg, func(m ast.Node) bool {
-					if e, ok := m.(ast.Expr); ok {
-						if s, isConst := stringConstant(pass.Info, e); isConst && s == slogQueryIDAttr {
-							hasQID = true
-						}
-					}
-					return !hasQID
-				})
-				if hasQID {
-					break
-				}
-			}
-			if !hasQID {
-				pass.Reportf(call.Pos(), "slog %s on the serve path omits the %s attribute (logs must join traces and exemplars)", sel.Sel.Name, slogQueryIDAttr)
-			}
-			return true
-		})
-	}
-}
-
-// isSlogEmitter reports whether sel selects off the log/slog package
-// itself or a value of type (*)slog.Logger; unrelated types that happen
-// to have Info/Warn/... methods are not emitters.
-func isSlogEmitter(info *types.Info, sel *ast.SelectorExpr) bool {
-	if id, ok := sel.X.(*ast.Ident); ok && usesPackage(info, id, "log/slog") {
-		return true
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Logger" && obj.Pkg() != nil && obj.Pkg().Path() == "log/slog"
-}
-
 // deadCheckedMethods are the hand-driven registration methods subject to
 // the dead-family sweep.
 var deadCheckedMethods = map[string]bool{

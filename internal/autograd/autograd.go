@@ -226,7 +226,6 @@ func (t *Tape) OneHot(feat []int, cols int) *Value {
 // the order the trained weights were pinned under.
 func (t *Tape) Backward(v *Value) {
 	if v.Data.Rows != 1 || v.Data.Cols != 1 {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: Backward on non-scalar %dx%d", v.Data.Rows, v.Data.Cols))
 	}
 	t.calls++
@@ -270,7 +269,6 @@ func (t *Tape) scratch(rows, cols int) *mat.Matrix {
 func dense(op string, vs ...*Value) {
 	for _, v := range vs {
 		if v.hot != nil {
-			//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 			panic("autograd: " + op + " on a OneHot operand")
 		}
 	}
@@ -279,7 +277,6 @@ func dense(op string, vs ...*Value) {
 // MatMul returns a * b. Either operand (not both) may be a OneHot.
 func (t *Tape) MatMul(a, b *Value) *Value {
 	if a.Data.Cols != b.Data.Rows || (a.hot != nil && b.hot != nil) {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: MatMul %dx%d * %dx%d", a.Data.Rows, a.Data.Cols, b.Data.Rows, b.Data.Cols))
 	}
 	out := t.result(opMatMul, a.Data.Rows, b.Data.Cols, a, b)
@@ -365,7 +362,6 @@ func (v *Value) backAdd() {
 func (t *Tape) AddRowBroadcast(a, b *Value) *Value {
 	dense("AddRowBroadcast", a, b)
 	if b.Data.Rows != 1 || b.Data.Cols != a.Data.Cols {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: AddRowBroadcast %dx%d + %dx%d", a.Data.Rows, a.Data.Cols, b.Data.Rows, b.Data.Cols))
 	}
 	out := t.result(opAddRowBroadcast, a.Data.Rows, a.Data.Cols, a, b)
@@ -393,7 +389,6 @@ func (v *Value) backAddRowBroadcast() {
 func (t *Tape) OuterSum(a, b *Value) *Value {
 	dense("OuterSum", a, b)
 	if a.Data.Cols != 1 || b.Data.Rows != 1 {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: OuterSum wants Rx1 and 1xC, got %dx%d and %dx%d", a.Data.Rows, a.Data.Cols, b.Data.Rows, b.Data.Cols))
 	}
 	out := t.result(opOuterSum, a.Data.Rows, b.Data.Cols, a, b)
@@ -536,7 +531,6 @@ func (v *Value) backTranspose() {
 func (t *Tape) ConcatCols(a, b *Value) *Value {
 	dense("ConcatCols", a, b)
 	if a.Data.Rows != b.Data.Rows {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: ConcatCols rows %d vs %d", a.Data.Rows, b.Data.Rows))
 	}
 	ca := a.Data.Cols
@@ -573,7 +567,6 @@ func (v *Value) backConcatCols() {
 func (t *Tape) ConcatRows(a, b *Value) *Value {
 	dense("ConcatRows", b)
 	if a.Data.Cols != b.Data.Cols {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: ConcatRows cols %d vs %d", a.Data.Cols, b.Data.Cols))
 	}
 	ra, cols := a.Data.Rows, a.Data.Cols
@@ -617,7 +610,6 @@ func (v *Value) backConcatRows() {
 func (t *Tape) WeightedMeanRows(a *Value, w []float64) *Value {
 	dense("WeightedMeanRows", a)
 	if len(w) != a.Data.Rows {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: WeightedMeanRows %d weights for %d rows", len(w), a.Data.Rows))
 	}
 	total := 0.0
@@ -625,7 +617,6 @@ func (t *Tape) WeightedMeanRows(a *Value, w []float64) *Value {
 		total += wi
 	}
 	if total == 0 {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic("autograd: WeightedMeanRows zero total weight")
 	}
 	out := t.result(opWeightedMeanRows, 1, a.Data.Cols, a, nil)
@@ -727,7 +718,6 @@ func (v *Value) backMul() {
 func (t *Tape) GatherCols(a *Value, from, to int) *Value {
 	dense("GatherCols", a)
 	if from < 0 || to > a.Data.Cols || from >= to {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: GatherCols [%d, %d) of %d cols", from, to, a.Data.Cols))
 	}
 	out := t.result(opGatherCols, a.Data.Rows, to-from, a, nil)
@@ -826,7 +816,6 @@ func (t *Tape) loss(op opCode, pred *Value, targets []float64, value float64) *V
 func checkTargets(op string, pred *Value, targets []float64) {
 	dense(op, pred)
 	if len(targets) != len(pred.Data.Data) {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("autograd: %s %d targets for %dx%d", op, len(targets), pred.Data.Rows, pred.Data.Cols))
 	}
 }

@@ -73,8 +73,6 @@ func crossFloats(m *CrossModel, g, q *Compressed) int {
 // cross is the kernel behind Cross: L rounds of two-way attention over
 // the previous level's groups and a GIN layer on each side, then the
 // size-weighted mean readout of both.
-//
-//lan:hotpath
 func (ws *Workspace) cross(dst []float64, g *Compressed) {
 	m, q := ws.m, ws.q
 	base := ws.f.off

@@ -42,8 +42,8 @@ type Workspace struct {
 }
 
 // bump is a slab handed out front to back. reserve may replace the slab
-// (allocating); take never allocates, which is what lets the kernels that
-// call it carry //lan:hotpath.
+// (allocating); take never allocates, which is what keeps the kernels that
+// call it allocation-free (TestCrossAllocs, TestInferAllocs).
 type bump[T any] struct {
 	buf []T
 	off int

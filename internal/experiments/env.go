@@ -183,7 +183,6 @@ func (e *Env) measure(method string, beam int, search func(q *graph.Graph) ([]pg
 // completion, so there is no caller context to forward, and cancellation
 // is the only error Engine.Search returns — hence none here.
 func search(eng *core.Engine, q *graph.Graph, so core.SearchOptions) ([]pg.Result, core.QueryStats) {
-	//lint:allow ctxprop bench harness entry point; experiment queries run to completion by design
 	res, stats, _ := eng.Search(context.Background(), q, so)
 	return res, stats
 }

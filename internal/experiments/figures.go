@@ -44,7 +44,6 @@ func Fig5(e *Env) []Point {
 			cache := pg.NewDistCache(e.Protocol.QueryMetric, e.DB, q)
 			// As in search: no caller context, and cancellation is the
 			// only error.
-			//lint:allow ctxprop bench harness entry point; experiment queries run to completion by design
 			res, s, _ := e.L2.Search(context.Background(), q, cache, e.Protocol.K, verify, verify)
 			return res, core.QueryStats{NDC: s.NDC, Explored: s.Explored, Total: time.Since(start)}
 		}))

@@ -54,8 +54,6 @@ func aliasUint64s(b []byte) []uint64 {
 
 // aliasFloat64s reinterprets b as []float64 without copying, or returns
 // nil when the platform cannot alias (callers then decode into scratch).
-//
-//lan:hotpath
 func aliasFloat64s(b []byte) []float64 {
 	if !canAlias || !aligned8(b) {
 		return nil

@@ -152,6 +152,14 @@ func TestRoundTrip(t *testing.T) {
 					}
 				}
 			}
+			// A row read into a buffer that already fits it allocates
+			// nothing: M_rk fetches one per neighbour it scores.
+			buf = make([]float64, 0, len(d.Emb[0]))
+			for i := range d.Emb {
+				if n := testing.AllocsPerRun(10, func() { s.NodeEmbedding(i, buf[:0]) }); n != 0 {
+					t.Fatalf("NodeEmbedding(%d) allocates %v times per call, want 0", i, n)
+				}
+			}
 			mat := s.EmbeddingsFloat64()
 			if quant == QuantF64 && !reflect.DeepEqual(mat, d.Emb) {
 				t.Fatal("EmbeddingsFloat64 not exact in f64 mode")

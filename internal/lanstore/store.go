@@ -261,8 +261,6 @@ func (s *Store) AdjacencyCopy() [][]int {
 func (s *Store) Len() int { return s.h.nGraphs }
 
 // graphSegment returns the raw varint segment of graph id.
-//
-//lan:hotpath
 func (s *Store) graphSegment(id int) []byte {
 	return s.blob[s.offs[id]:s.offs[id+1]]
 }
@@ -277,7 +275,7 @@ func (s *Store) Graph(id int) *graph.Graph {
 		// changed or rotted underneath the mapping. There is no error
 		// channel in the fetch path, and serving a wrong graph would
 		// silently corrupt results.
-		panic(err) //lint:allow libpanic decode failure on a validated snapshot means on-disk corruption; wrong results would be worse than an abort
+		panic(err)
 	}
 	return g
 }
@@ -380,8 +378,6 @@ func (s *Store) NodeEmbeddingCount() int {
 // straight out of the mapping when the platform allows; quantized rows
 // dequantize into buf (grown with the amortized self-growth append, so
 // steady-state reads stay allocation-free).
-//
-//lan:hotpath
 func (s *Store) NodeEmbedding(id int, buf []float64) []float64 {
 	s.m.EmbeddingReads.Inc()
 	dim := s.h.embDim

@@ -21,7 +21,6 @@ type Matrix struct {
 // New returns a zero matrix of the given shape.
 func New(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: negative shape %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
@@ -30,7 +29,6 @@ func New(rows, cols int) *Matrix {
 // FromSlice builds a matrix from a row-major slice, which is copied.
 func FromSlice(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: %d values for %dx%d", len(data), rows, cols))
 	}
 	m := New(rows, cols)
@@ -78,7 +76,6 @@ func (m *Matrix) SameShapeOrPanic(o *Matrix) { m.shapeCheck(o, "shape") }
 
 func (m *Matrix) shapeCheck(o *Matrix, op string) {
 	if !m.SameShape(o) {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
@@ -123,7 +120,7 @@ func parallelRows(dst, m, o *Matrix, rows, work int, kernel rangeKernel) {
 			i1 = rows
 		}
 		wg.Add(1)
-		//lint:allow hotalloc goroutine fan-out runs only above parallelMinWork, where the kernel's work amortizes the closure
+		// The fan-out runs only above parallelMinWork, where the kernel's work amortizes the closure.
 		go func(i0, i1 int) {
 			defer wg.Done()
 			kernel(dst, m, o, i0, i1)
@@ -135,7 +132,6 @@ func parallelRows(dst, m, o *Matrix, rows, work int, kernel rangeKernel) {
 // Mul returns the matrix product m * o.
 func Mul(m, o *Matrix) *Matrix {
 	if m.Cols != o.Rows {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	return MulInto(New(m.Rows, o.Cols), m, o)
@@ -144,15 +140,11 @@ func Mul(m, o *Matrix) *Matrix {
 // MulInto computes m * o into dst (which must be m.Rows x o.Cols and
 // must not alias m or o) and returns dst. Reusing a destination avoids
 // the per-call allocation of Mul on hot paths.
-//
-//lan:hotpath
 func MulInto(dst, m, o *Matrix) *Matrix {
 	if m.Cols != o.Rows {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	if dst.Rows != m.Rows || dst.Cols != o.Cols {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: mul into %dx%d destination for %dx%d product", dst.Rows, dst.Cols, m.Rows, o.Cols))
 	}
 	parallelRows(dst, m, o, m.Rows, m.Rows*m.Cols*o.Cols, mulRange)
@@ -162,8 +154,6 @@ func MulInto(dst, m, o *Matrix) *Matrix {
 // mulRange computes rows [i0, i1) of dst = m * o, tiled over the inner
 // dimension and the destination columns. Dense inputs take no
 // per-element branch (zero-skip lives only in the sparse-aware TMul).
-//
-//lan:hotpath
 func mulRange(dst, m, o *Matrix, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		row := dst.Row(i)
@@ -216,7 +206,6 @@ func mulRange(dst, m, o *Matrix, i0, i1 int) {
 // MulT returns m * oᵀ.
 func MulT(m, o *Matrix) *Matrix {
 	if m.Cols != o.Cols {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: mulT shape mismatch %dx%d * (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	return MulTInto(New(m.Rows, o.Rows), m, o)
@@ -224,15 +213,11 @@ func MulT(m, o *Matrix) *Matrix {
 
 // MulTInto computes m * oᵀ into dst (which must be m.Rows x o.Rows and
 // must not alias m or o) and returns dst.
-//
-//lan:hotpath
 func MulTInto(dst, m, o *Matrix) *Matrix {
 	if m.Cols != o.Cols {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: mulT shape mismatch %dx%d * (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	if dst.Rows != m.Rows || dst.Cols != o.Rows {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: mulT into %dx%d destination for %dx%d product", dst.Rows, dst.Cols, m.Rows, o.Rows))
 	}
 	parallelRows(dst, m, o, m.Rows, m.Rows*m.Cols*o.Rows, mulTRange)
@@ -241,8 +226,6 @@ func MulTInto(dst, m, o *Matrix) *Matrix {
 
 // mulTRange computes rows [i0, i1) of dst = m * oᵀ as dot products,
 // tiled over o's rows so a tile of them stays cached across the range.
-//
-//lan:hotpath
 func mulTRange(dst, m, o *Matrix, i0, i1 int) {
 	for j0 := 0; j0 < o.Rows; j0 += tileJ {
 		j1 := j0 + tileJ
@@ -282,7 +265,6 @@ func mulTRange(dst, m, o *Matrix, i0, i1 int) {
 // TMul returns mᵀ * o.
 func TMul(m, o *Matrix) *Matrix {
 	if m.Rows != o.Rows {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: tmul shape mismatch (%dx%d)ᵀ * %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	return TMulInto(New(m.Cols, o.Cols), m, o)
@@ -293,15 +275,11 @@ func TMul(m, o *Matrix) *Matrix {
 // left operand is routinely sparse (one-hot GNN inputs, ReLU-masked
 // activations and their gradients), where skipping zero rows saves far
 // more than the branch costs.
-//
-//lan:hotpath
 func TMulInto(dst, m, o *Matrix) *Matrix {
 	if m.Rows != o.Rows {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: tmul shape mismatch (%dx%d)ᵀ * %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	if dst.Rows != m.Cols || dst.Cols != o.Cols {
-		//lint:allow libpanic documented numpy-style shape-check contract; unreachable for well-formed models
 		panic(fmt.Sprintf("mat: tmul into %dx%d destination for %dx%d product", dst.Rows, dst.Cols, m.Cols, o.Cols))
 	}
 	parallelRows(dst, m, o, m.Cols, m.Rows*m.Cols*o.Cols, tMulRange)
@@ -311,8 +289,6 @@ func TMulInto(dst, m, o *Matrix) *Matrix {
 // tMulRange computes rows [i0, i1) of dst = mᵀ * o (i indexes m's
 // columns). k stays the outer ascending loop, so per-element accumulation
 // order matches the naive kernel exactly.
-//
-//lan:hotpath
 func tMulRange(dst, m, o *Matrix, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		row := dst.Row(i)

@@ -166,8 +166,6 @@ func (m *MLP) Apply(t *autograd.Tape, x *autograd.Value) *autograd.Value {
 // gain nothing from. Four rows of W go through one pass over dst: every
 // dst[j] still receives its terms one at a time in ascending order, so the
 // blocking changes no float, only how often dst is loaded and stored.
-//
-//lan:hotpath
 func (l *Linear) accumulate(dst, x []float64, k0 int) {
 	out := len(dst)
 	w := l.W.Data.Data[k0*out:]
@@ -210,16 +208,12 @@ func (m *MLP) Width() int {
 // buf. The arithmetic (accumulation order, bias after the product, ReLU)
 // matches Apply exactly, so Infer(x) equals Apply(t, t.Const(x)).Data bit for
 // bit. x is not modified.
-//
-//lan:hotpath
 func (m *MLP) Infer(x, buf []float64) []float64 { return m.InferFrom(nil, x, buf) }
 
 // InferPrefix writes into dst (one float per first-layer output) the first
 // layer's sum over the leading len(x) input columns: from zero, ascending,
 // no bias — literally the first len(x) steps of Infer on any input that
 // starts with x. InferFrom finishes it.
-//
-//lan:hotpath
 func (m *MLP) InferPrefix(dst, x []float64) {
 	for j := range dst {
 		dst[j] = 0
@@ -233,8 +227,6 @@ func (m *MLP) InferPrefix(dst, x []float64) {
 // layer's sum resumes from prefix where InferPrefix stopped, so
 // InferFrom(InferPrefix(x[:c]), x[c:]) equals Infer(x) bit for bit at every
 // c. Neither prefix nor rest is modified; buf is as for Infer.
-//
-//lan:hotpath
 func (m *MLP) InferFrom(prefix, rest, buf []float64) []float64 {
 	half := len(buf) / 2
 	cur := rest

@@ -63,7 +63,6 @@ func (r *Registry) register(name string, c collector) collector {
 	defer r.mu.Unlock()
 	if old, ok := r.collectors[name]; ok {
 		if old.kind() != c.kind() {
-			//lint:allow libpanic kind-mismatch re-registration is a programmer error; idempotent same-kind path documented above
 			panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, c.kind(), old.kind()))
 		}
 		return old

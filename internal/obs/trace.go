@@ -117,8 +117,6 @@ func With(ctx context.Context, t *Trace) context.Context {
 // From returns the trace attached to ctx, or nil when tracing is
 // disabled. Stages extract the trace once at entry and nil-check it per
 // record, which is the whole per-query overhead when tracing is off.
-//
-//lan:hotpath
 func From(ctx context.Context) *Trace {
 	t, _ := ctx.Value(traceKey{}).(*Trace)
 	return t
@@ -145,8 +143,6 @@ func (t *Trace) SetEntry(node int) {
 }
 
 // Step records one exploration step. Nil-safe.
-//
-//lan:hotpath
 func (t *Trace) Step(node int, dist float64, ranked, opened int, gamma float64, ndc int) {
 	if t == nil {
 		return
@@ -157,8 +153,6 @@ func (t *Trace) Step(node int, dist float64, ranked, opened int, gamma float64, 
 }
 
 // Gamma appends one value of the γ-threshold trajectory. Nil-safe.
-//
-//lan:hotpath
 func (t *Trace) Gamma(g float64) {
 	if t == nil {
 		return

@@ -77,6 +77,27 @@ func TestResizeMatchesSortReference(t *testing.T) {
 	}
 }
 
+// TestResizeAllocs pins that Resize, which runs after every exploration
+// step, allocates nothing: refilling a warmed pool with the same candidates
+// and shrinking it back must not touch the heap.
+func TestResizeAllocs(t *testing.T) {
+	const b = 16
+	p := fillPool(rand.New(rand.NewSource(3)), b, 12)
+	full := append([]Candidate(nil), p.items...)
+	refill := func() {
+		p.items = append(p.items[:0], full...)
+		for _, c := range full {
+			p.inW[c.ID] = true
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { refill(); p.Resize(b) }); n != 0 {
+		t.Fatalf("refill+Resize allocates %v times, want 0", n)
+	}
+	if len(p.items) != b || len(p.inW) != b {
+		t.Fatalf("Resize kept %d items, %d members; want %d", len(p.items), len(p.inW), b)
+	}
+}
+
 // Resize benchmarks at serving beam widths: each iteration rebuilds the
 // pool state one exploration step sees (b survivors + a neighbor fan-in of
 // 2M=12) and shrinks it back to b.

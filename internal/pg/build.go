@@ -221,7 +221,7 @@ func (h *HNSW) insert(i, level, efConstruction int) {
 	// Index construction is offline and deliberately uncancellable until
 	// the mutable index lands; the query path gets a real ctx instead.
 	for l := top; l > level; l-- {
-		ep = h.greedyStep(context.Background(), l, ep, c, h.pool) //lint:allow ctxprop offline build descent; uncancellable by design until the mutable index lands
+		ep = h.greedyStep(context.Background(), l, ep, c, h.pool) // offline build descent, not cancellable
 	}
 
 	// Ef-search and connect on each layer from min(level, top) down to 0.

@@ -92,7 +92,7 @@ func (mu *Mutator) Insert(id, level int) {
 	ep := h.Entry
 	top := h.Level[h.Entry]
 	for l := top; l > level; l-- {
-		ep = h.greedyStep(context.Background(), l, ep, c, nil) //lint:allow ctxprop write application is atomic by design; cancelling mid-edit would leave a half-wired vertex
+		ep = h.greedyStep(context.Background(), l, ep, c, nil) // write application is atomic: cancelling mid-edit would leave a half-wired vertex
 	}
 	start := level
 	if start > top {

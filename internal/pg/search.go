@@ -115,8 +115,6 @@ func (p *Pool) less(a, b Candidate) bool {
 // to the full sort this used to do — Resize runs after every exploration
 // step, and no reader depends on the internal item order (Best,
 // NextUnexplored and TopK impose their own).
-//
-//lan:hotpath
 func (p *Pool) Resize(b int) {
 	if len(p.items) <= b {
 		return

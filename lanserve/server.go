@@ -116,7 +116,7 @@ type Config struct {
 	SlowQuery time.Duration
 	// Logger, when set, receives structured records for failed requests,
 	// recovered panics and slow queries; query-scoped records always carry
-	// a query_id attribute (enforced by lan-lint). Nil means silent.
+	// a query_id attribute (TestErrorBodiesCarryQueryID). Nil means silent.
 	Logger *slog.Logger
 	// Exporter, when set, receives every executed search's trace for
 	// asynchronous JSONL export (the exporter applies its own sampling and
@@ -262,9 +262,10 @@ func (s *Server) BeginDrain() { s.ready.Store(false) }
 
 // recovered is the panic-to-500 middleware. Handler panics are recovered,
 // counted, and answered with a JSON 500 — one bad request must not abort
-// the process serving everyone else. (The lan library itself returns
-// errors rather than panicking — the lan-lint libpanic policy — so this is
-// defense in depth, not a license.)
+// the process serving everyone else. (The public lan packages return
+// errors rather than panicking — lan-lint's libpanic — and a panic from an
+// internal package means a bug, so this is defense in depth, not a
+// license.)
 func (s *Server) recovered(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -272,7 +273,6 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 				s.metrics.Panic()
 				s.metrics.Error(http.StatusInternalServerError)
 				// A panic can escape any endpoint, before a query id exists.
-				//lint:allow slogqid panic recovery covers non-query endpoints
 				s.log.Error("panic recovered", "path", r.URL.Path, "panic", fmt.Sprint(v))
 				writeJSONError(w, http.StatusInternalServerError, "internal error")
 			}
@@ -688,7 +688,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	id, err := s.cfg.Writer.Insert(req.Graph)
 	if err != nil {
 		s.metrics.Error(http.StatusBadRequest)
-		//lint:allow slogqid write path has no query id
 		s.log.Warn("insert failed", "err", err.Error())
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
@@ -718,7 +717,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		// "no graph with id" and double deletes are caller mistakes, not
 		// server faults.
 		s.metrics.Error(http.StatusBadRequest)
-		//lint:allow slogqid write path has no query id
 		s.log.Warn("delete failed", "err", err.Error())
 		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
@@ -744,7 +742,6 @@ func (s *Server) recordWrite(op string, id int, epoch uint64, took time.Duration
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := s.metrics.WriteTo(w); err != nil {
-		//lint:allow slogqid metrics exposition is not query-scoped
 		s.log.Warn("metrics write failed", "err", err.Error())
 		return
 	}
@@ -752,7 +749,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// follow the server's own; names are disjoint, so concatenation is a
 	// valid exposition.
 	if _, err := obs.Default().WriteTo(w); err != nil {
-		//lint:allow slogqid metrics exposition is not query-scoped
 		s.log.Warn("metrics write failed", "err", err.Error())
 	}
 }
@@ -791,7 +787,6 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	if t == nil && s.exporter != nil {
 		exported, err := obs.LookupExported(s.exporter.Dir(), id)
 		if err != nil {
-			//lint:allow slogqid trace lookup failures name the target id, not a live query
 			s.log.Warn("trace lookup failed", "trace_id", id, "err", err.Error())
 			writeJSONError(w, http.StatusInternalServerError, "trace lookup failed")
 			return

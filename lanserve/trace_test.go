@@ -1,13 +1,16 @@
 package lanserve
 
 import (
+	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/lansearch/lan"
 	"github.com/lansearch/lan/internal/obs"
 )
 
@@ -46,36 +49,76 @@ func TestSearchExportsTraces(t *testing.T) {
 
 // TestErrorBodiesCarryQueryID pins the error contract: refused and failed
 // searches name their query id in the JSON body so clients can quote it
-// back at the server's logs and traces.
+// back at the server's logs and traces. The log_records case reads the
+// server's JSON log and checks the records of a failed and of a slow
+// search carry that same id.
 func TestErrorBodiesCarryQueryID(t *testing.T) {
-	s := newTestServer(t, Config{})
-	rec := doSearch(s, testQueryJSON(t, `,"routing":"warp"`))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	var er errorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.QueryID == "" || !strings.HasPrefix(er.QueryID, "q") {
-		t.Fatalf("400 body missing query_id: %s", rec.Body)
-	}
-
-	// 504: deadline expired during search.
-	slow := newTestServer(t, Config{
-		Index: &fakeSearcher{delay: 200 * time.Millisecond, n: 10},
+	t.Run("log_records", func(t *testing.T) {
+		var logs bytes.Buffer
+		s := newTestServer(t, Config{
+			Index: &fakeSearcher{
+				results: []lan.Result{{ID: 3, Dist: 1}},
+				stats:   lan.Stats{NDC: 5, Total: time.Millisecond},
+				n:       50,
+			},
+			Logger:    slog.New(slog.NewJSONHandler(&logs, nil)),
+			SlowQuery: time.Nanosecond,
+		})
+		rec := doSearch(s, testQueryJSON(t, `,"routing":"warp"`))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("status = %d", rec.Code)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.QueryID == "" || !strings.HasPrefix(er.QueryID, "q") {
+			t.Fatalf("400 body missing query_id: %s", rec.Body)
+		}
+		if rec := doSearch(s, testQueryJSON(t, "")); rec.Code != http.StatusOK {
+			t.Fatalf("slow search = %d body=%s", rec.Code, rec.Body)
+		}
+		type record struct {
+			Msg     string `json:"msg"`
+			QueryID string `json:"query_id"`
+			Trace   struct {
+				QueryID string `json:"query_id"`
+			} `json:"trace"`
+		}
+		records := make(map[string]record)
+		for dec := json.NewDecoder(&logs); dec.More(); {
+			var r record
+			if err := dec.Decode(&r); err != nil {
+				t.Fatal(err)
+			}
+			records[r.Msg] = r
+		}
+		if got := records["search failed"].QueryID; got != er.QueryID {
+			t.Errorf("search failed record has query_id %q; the 400 body says %q", got, er.QueryID)
+		}
+		// Query ids are sequential per server: the slow search came next.
+		if r := records["slow query"]; r.QueryID != "q2" || r.Trace.QueryID != "q2" {
+			t.Errorf("slow query record has query_id %q, trace %q; want q2 for both", r.QueryID, r.Trace.QueryID)
+		}
 	})
-	rec = doSearch(slow, testQueryJSON(t, `,"timeout_ms":1`))
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d; want 504", rec.Code)
-	}
-	er = errorResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.QueryID == "" {
-		t.Fatalf("504 body missing query_id: %s", rec.Body)
-	}
+
+	t.Run("deadline", func(t *testing.T) {
+		// 504: deadline expired during search.
+		slow := newTestServer(t, Config{
+			Index: &fakeSearcher{delay: 200 * time.Millisecond, n: 10},
+		})
+		rec := doSearch(slow, testQueryJSON(t, `,"timeout_ms":1`))
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("status = %d; want 504", rec.Code)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.QueryID == "" {
+			t.Fatalf("504 body missing query_id: %s", rec.Body)
+		}
+	})
 }
 
 // TestDebugTraceByID resolves a query's trace from the ring and, when the

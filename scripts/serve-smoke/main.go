@@ -84,7 +84,7 @@ func run() error {
 	addrRe := regexp.MustCompile(`listening on (\S+:\d+)`)
 	addrCh := make(chan string, 1)
 	logDone := make(chan struct{})
-	//lint:allow goleak exits at scanner EOF when the child process closes its stderr pipe
+	// Exits at scanner EOF, when the child process closes its stderr pipe.
 	go func() {
 		defer close(logDone)
 		sc := bufio.NewScanner(stderr)

@@ -115,7 +115,7 @@ func serveAndSearch(bin, snapPath, store string, queries []*graph.Graph) ([][]se
 
 	addrRe := regexp.MustCompile(`listening on (\S+:\d+)`)
 	addrCh := make(chan string, 1)
-	//lint:allow goleak exits at scanner EOF when the child process closes its stderr pipe
+	// Exits at scanner EOF, when the child process closes its stderr pipe.
 	go func() {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
