@@ -31,8 +31,8 @@ lint-fix:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrent paths (sharded search, distance-table and
-# ground-truth fan-outs) on the fast test subset.
+# Race-detect the concurrent paths (the parallel build, distance-table and
+# ground-truth fan-outs, searches beside writes) on the fast test subset.
 race:
 	$(GO) test -race -short ./...
 

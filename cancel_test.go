@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -68,19 +67,17 @@ func (m *probeMetric) Distance(a, b *graph.Graph) float64 {
 }
 
 var cancelFixture struct {
-	once    sync.Once
-	idx     *Index
-	sharded *ShardedIndex
-	metric  *probeMetric
-	query   *graph.Graph
-	err     error
+	once   sync.Once
+	idx    *Index
+	metric *probeMetric
+	query  *graph.Graph
+	err    error
 }
 
-// cancelIndexes builds a three-shard index over a tiny database, driven by
-// a probeMetric. The plain-Index cancellation paths are exercised through
-// shard 0 (a *Index over a third of the database) so the fixture pays for
-// one build; kept -short-fast so the race-mode CI leg covers these tests.
-func cancelIndexes(t *testing.T) (*Index, *ShardedIndex, *probeMetric, *graph.Graph) {
+// cancelIndex builds an index over the first third of a tiny database,
+// driven by a probeMetric; kept -short-fast so the race-mode CI leg covers
+// these tests.
+func cancelIndex(t *testing.T) (*Index, *probeMetric, *graph.Graph) {
 	t.Helper()
 	f := &cancelFixture
 	f.once.Do(func() {
@@ -88,37 +85,23 @@ func cancelIndexes(t *testing.T) (*Index, *ShardedIndex, *probeMetric, *graph.Gr
 		db := spec.Generate()
 		queries := dataset.Workload(db, spec, 12, 3)
 		f.metric = &probeMetric{inner: ged.MetricFunc(ged.Hungarian)}
-		f.sharded, f.err = BuildSharded(db, queries, ShardedOptions{
-			ShardSize: (len(db) + 2) / 3,
-			Parallel:  2,
-			Options:   Options{M: 4, Dim: 6, GammaKNN: 5, Epochs: 1, Seed: 1, QueryMetric: f.metric},
-		})
-		if f.err != nil {
-			return
-		}
-		f.idx = f.sharded.shards[0]
+		f.idx, f.err = Build(db[:(len(db)+2)/3], queries,
+			Options{M: 4, Dim: 6, GammaKNN: 5, Epochs: 1, Seed: 1, QueryMetric: f.metric})
 		f.query = queries[0]
 	})
 	if f.err != nil {
 		t.Fatalf("building cancel fixture: %v", f.err)
 	}
-	return f.idx, f.sharded, f.metric, f.query
+	return f.idx, f.metric, f.query
 }
 
 func TestSearchContextPreCanceled(t *testing.T) {
-	idx, sharded, _, q := cancelIndexes(t)
+	idx, _, q := cancelIndex(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	if _, _, err := idx.SearchContext(ctx, q, SearchOptions{K: 3, Beam: 8}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Index err = %v; want context.Canceled", err)
-	}
-	_, _, err := sharded.SearchContext(ctx, q, SearchOptions{K: 3, Beam: 8})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ShardedIndex err = %v; want context.Canceled", err)
-	}
-	if !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("sharded error %q does not identify the failing shard", err)
+		t.Fatalf("err = %v; want context.Canceled", err)
 	}
 }
 
@@ -136,68 +119,52 @@ func settleGoroutines(t *testing.T, before int) {
 }
 
 // TestCancelPointSweep is the cancellation rule as a property: for every
-// strategy pair, on one index and on the sharded fan-out, and for every i
-// up to the query's NDC, cancelling from inside the i-th distance
-// computation makes the search return context.Canceled having started
-// exactly i computations — none begins after the cancel — with every
-// goroutine it spawned gone, and the index answers the next query as
-// before.
+// strategy pair, and for every i up to the query's NDC, cancelling from
+// inside the i-th distance computation makes the search return
+// context.Canceled having started exactly i computations — none begins
+// after the cancel — with every goroutine it spawned gone, and the index
+// answers the next query as before.
 func TestCancelPointSweep(t *testing.T) {
-	idx, sharded, metric, q := cancelIndexes(t)
-	// One shard after another: "the i-th call" is then one point of the
-	// fan-out, and the count after a cancel is exact rather than racing
-	// the other shards' in-flight calls.
-	defer func(p int) { sharded.parallel = p }(sharded.parallel)
-	sharded.parallel = 1
-
-	type searcher interface {
-		SearchContext(context.Context, *graph.Graph, SearchOptions) ([]Result, Stats, error)
-	}
+	idx, metric, q := cancelIndex(t)
 	before := runtime.NumGoroutine()
-	for _, target := range []struct {
-		name string
-		s    searcher
-	}{{"index", idx}, {"sharded", sharded}} {
-		name, s := target.name, target.s
-		for _, is := range []InitialStrategy{LANIS, HNSWIS, RandIS} {
-			for _, rt := range []RoutingStrategy{LANRoute, BaselineRoute, OracleRoute} {
-				so := SearchOptions{K: 2, Beam: 3, Initial: is, Routing: rt}
-				tag := name + " " + is.String() + "/" + rt.String()
-				uncancelled := func() []Result {
-					metric.watch(0, nil)
-					res, stats, err := s.SearchContext(context.Background(), q, so)
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					if n := metric.seen(); n == 0 || n != stats.NDC {
-						t.Fatalf("%s: metric saw %d calls, stats.NDC = %d", tag, n, stats.NDC)
-					}
-					return res
+	for _, is := range []InitialStrategy{LANIS, HNSWIS, RandIS} {
+		for _, rt := range []RoutingStrategy{LANRoute, BaselineRoute, OracleRoute} {
+			so := SearchOptions{K: 2, Beam: 3, Initial: is, Routing: rt}
+			tag := is.String() + "/" + rt.String()
+			uncancelled := func() []Result {
+				metric.watch(0, nil)
+				res, stats, err := idx.SearchContext(context.Background(), q, so)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
-				want := uncancelled()
-				for i, ndc := 1, metric.seen(); i <= ndc; i++ {
-					ctx, cancel := context.WithCancel(context.Background())
-					metric.watch(i, cancel)
-					_, _, err := s.SearchContext(ctx, q, so)
-					cancel()
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("%s: cancel inside call %d/%d: err = %v; want context.Canceled", tag, i, ndc, err)
-					}
-					if n := metric.seen(); n != i {
-						t.Fatalf("%s: cancel inside call %d/%d: %d more distance computations started", tag, i, ndc, n-i)
-					}
-					settleGoroutines(t, before)
+				if n := metric.seen(); n == 0 || n != stats.NDC {
+					t.Fatalf("%s: metric saw %d calls, stats.NDC = %d", tag, n, stats.NDC)
 				}
-				if got := uncancelled(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: answer after the sweep %v; want %v", tag, got, want)
+				return res
+			}
+			want := uncancelled()
+			for i, ndc := 1, metric.seen(); i <= ndc; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				metric.watch(i, cancel)
+				_, _, err := idx.SearchContext(ctx, q, so)
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: cancel inside call %d/%d: err = %v; want context.Canceled", tag, i, ndc, err)
 				}
+				if n := metric.seen(); n != i {
+					t.Fatalf("%s: cancel inside call %d/%d: %d more distance computations started", tag, i, ndc, n-i)
+				}
+				settleGoroutines(t, before)
+			}
+			if got := uncancelled(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: answer after the sweep %v; want %v", tag, got, want)
 			}
 		}
 	}
 }
 
 func TestSearchContextDeadline(t *testing.T) {
-	idx, _, metric, q := cancelIndexes(t)
+	idx, metric, q := cancelIndex(t)
 	metric.slow(2 * time.Millisecond)
 	defer metric.slow(0)
 
@@ -207,33 +174,6 @@ func TestSearchContextDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v; want context.DeadlineExceeded", err)
 	}
-}
-
-// TestShardedCancelNoGoroutineLeak cancels a sharded fan-out mid-flight and
-// verifies every shard goroutine exits: SearchContext must not return while
-// workers it spawned are still running.
-func TestShardedCancelNoGoroutineLeak(t *testing.T) {
-	_, sharded, metric, q := cancelIndexes(t)
-	metric.slow(500 * time.Microsecond)
-	defer metric.slow(0)
-
-	before := runtime.NumGoroutine()
-	for i := 0; i < 4; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(2 * time.Millisecond)
-			cancel()
-		}()
-		_, _, err := sharded.SearchContext(ctx, q, SearchOptions{K: 3, Beam: 32})
-		cancel()
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("iteration %d: err = %v", i, err)
-		}
-	}
-
-	// Allow the cancel-timer goroutines above to wind down, then insist the
-	// count returns to its starting point.
-	settleGoroutines(t, before)
 }
 
 // TestNoGoroutineLeak checks that every goroutine the library starts has

@@ -151,9 +151,6 @@ func summarize(w io.Writer, traces []*obs.Trace, stats obs.ReplayStats, slowest 
 			openedFrac = append(openedFrac, float64(opened)/float64(ranked))
 		}
 		walk(t.Spans)
-		for _, sh := range t.Shards {
-			walk(sh.Spans)
-		}
 	}
 
 	fmt.Fprintf(w, "total:   us %s   ndc %s\n", pcts(totalUS, "%.0f"), pcts(totalNDC, "%.0f"))
@@ -184,10 +181,6 @@ func summarize(w io.Writer, traces []*obs.Trace, stats obs.ReplayStats, slowest 
 			fmt.Fprintf(w, "  %s  total=%dus  ndc=%d  steps=%d  results=%d\n",
 				t.QueryID, t.TotalUS, t.NDC, len(t.Steps), t.Results)
 			printSpans(w, t.Spans, "    ")
-			for i, sh := range t.Shards {
-				fmt.Fprintf(w, "    shard %d (%s):\n", i, sh.QueryID)
-				printSpans(w, sh.Spans, "      ")
-			}
 		}
 	}
 	return nil

@@ -5,9 +5,6 @@
 // Usage:
 //
 //	lan-train -db aids.txt -queries aids-queries.txt -out aids.lansnap -dim 16 -epochs 10
-//
-// -precision selects the stored embedding precision (f64, f32, int8; final
-// distances are exact under every setting).
 package main
 
 import (
@@ -18,7 +15,6 @@ import (
 	"time"
 
 	"github.com/lansearch/lan"
-	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/lanio"
 )
 
@@ -29,7 +25,6 @@ func main() {
 		dbPath  = flag.String("db", "", "database file (graph text format)")
 		qPath   = flag.String("queries", "", "training query workload file")
 		outPath = flag.String("out", "index.lansnap", "output index snapshot")
-		prec    = flag.String("precision", "f64", "stored embedding precision: f64, f32 or int8 (final distances stay exact)")
 		dim     = flag.Int("dim", 16, "embedding dimension")
 		m       = flag.Int("m", 8, "proximity graph degree parameter")
 		epochs  = flag.Int("epochs", 10, "training epochs")
@@ -46,14 +41,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	queriesDB, err := lanio.ReadDatabase(*qPath)
+	queries, err := lanio.ReadQueries(*qPath)
 	if err != nil {
 		log.Fatal(err)
-	}
-	queries := make([]*graph.Graph, len(queriesDB))
-	for i, q := range queriesDB {
-		q.ID = -1
-		queries[i] = q
 	}
 
 	start := time.Now()
@@ -66,8 +56,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "built index over %d graphs in %s (gamma* = %.0f)\n",
 		idx.Len(), time.Since(start).Round(time.Millisecond), idx.GammaStar())
 
-	if err := idx.SaveSnapshot(*outPath, lan.SnapshotOptions{Precision: *prec}); err != nil {
+	if err := idx.SaveSnapshot(*outPath, lan.SnapshotOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%s embeddings)\n", *outPath, *prec)
+	fmt.Fprintf(os.Stderr, "wrote %s\n", *outPath)
 }

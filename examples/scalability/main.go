@@ -44,7 +44,6 @@ func main() {
 		// Shard and index each shard independently (this is also how the
 		// index parallelizes across machines).
 		var indexes []*lan.Index
-		var shards []graph.Database
 		for start := 0; start < len(db); start += shardSize {
 			end := start + shardSize
 			if end > len(db) {
@@ -64,7 +63,6 @@ func main() {
 				log.Fatal(err)
 			}
 			indexes = append(indexes, idx)
-			shards = append(shards, shard)
 		}
 
 		// One query, searched on every shard sequentially; answers merged.
@@ -97,7 +95,6 @@ func main() {
 			return all[i].id < all[j].id
 		})
 		elapsed := time.Since(start)
-		_ = shards
 		fmt.Printf("%8d %8d %14s %10.0f\n", scale, len(indexes), elapsed.Round(time.Microsecond), all[0].dist)
 	}
 	fmt.Println("\nquery time grows linearly with the shard count — the paper's Fig. 9 behavior.")

@@ -80,11 +80,11 @@ func corruptf(format string, args ...any) error {
 
 // SaveSnapshotV3 writes the engine as a version-3 binary snapshot:
 // self-contained (database included — nothing is re-supplied at open),
-// mmap-able, with the M_rk node-embedding table stored at the given
-// quantization. st carries the write-path state of a mutated index (nil
-// for one that never was). The engine must be RAM-resident; re-saving an
-// mmap-opened engine is not supported.
-func SaveSnapshotV3(path string, e *Engine, st *MutationState, quant lanstore.Quant) error {
+// mmap-able, with the M_rk node-embedding table stored as float64. st
+// carries the write-path state of a mutated index (nil for one that never
+// was). The engine must be RAM-resident; re-saving an mmap-opened engine
+// is not supported.
+func SaveSnapshotV3(path string, e *Engine, st *MutationState) error {
 	if _, mm := e.Graphs.(*lanstore.Store); mm {
 		return fmt.Errorf("core: cannot re-save an mmap-opened engine as a snapshot (open with the ram store to materialize it first)")
 	}
@@ -126,11 +126,10 @@ func SaveSnapshotV3(path string, e *Engine, st *MutationState, quant lanstore.Qu
 		return fmt.Errorf("core: snapshot meta: %w", err)
 	}
 	return lanstore.Write(path, &lanstore.SnapshotData{
-		Meta:  meta,
-		DB:    e.DB,
-		Adj:   e.Index.PG.Adj,
-		Emb:   e.Mrk.NodeEmbeddings(),
-		Quant: quant,
+		Meta: meta,
+		DB:   e.DB,
+		Adj:  e.Index.PG.Adj,
+		Emb:  e.Mrk.NodeEmbeddings(),
 	})
 }
 

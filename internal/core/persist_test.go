@@ -21,11 +21,11 @@ import (
 )
 
 // saveV3 writes the fixture engine as a v3 snapshot and returns its path.
-func saveV3(t *testing.T, e *Engine, quant lanstore.Quant) string {
+func saveV3(t *testing.T, e *Engine) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "idx.lansnap")
-	if err := SaveSnapshotV3(path, e, nil, quant); err != nil {
-		t.Fatalf("SaveSnapshotV3(%s): %v", quant, err)
+	if err := SaveSnapshotV3(path, e, nil); err != nil {
+		t.Fatalf("SaveSnapshotV3: %v", err)
 	}
 	return path
 }
@@ -54,14 +54,14 @@ func comparableStats(s QueryStats) QueryStats {
 }
 
 // TestSnapshotV3MMapBitIdentity pins the storage-tier contract: a
-// full-precision snapshot answers every query bit-identically on the RAM
+// snapshot answers every query bit-identically on the RAM
 // and mmap tiers — results (ids and exact distances), the whole NDC and
 // routing accounting, and the routing trajectory (entry node, explored
 // steps, γ trajectory) — under every initial/routing strategy. Run under -race in CI, this doubles as the
 // concurrency-safety check of the mmap fetch path.
 func TestSnapshotV3MMapBitIdentity(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
-	path := saveV3(t, eng, lanstore.QuantF64)
+	path := saveV3(t, eng)
 	ram := openV3Tier(t, path, false)
 	mm := openV3Tier(t, path, true)
 
@@ -122,7 +122,7 @@ func TestSnapshotV3MMapBitIdentity(t *testing.T) {
 // reproduces the engine that wrote it: same answers, same NDC.
 func TestSnapshotV3RAMMatchesOriginal(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
-	ram := openV3Tier(t, saveV3(t, eng, lanstore.QuantF64), false)
+	ram := openV3Tier(t, saveV3(t, eng), false)
 	so := SearchOptions{K: 5, Beam: 10}
 	for qi, q := range test {
 		wantRes, wantStats, _ := eng.Search(context.Background(), q, so)
@@ -136,61 +136,13 @@ func TestSnapshotV3RAMMatchesOriginal(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3QuantizedDistancesExact pins the quantization semantics:
-// storing M_rk's embeddings at reduced precision may only perturb the
-// learned neighbor ranking — every distance in the results must still be
-// the exact float64 GED, on both tiers, and both tiers must agree with
-// each other bit-for-bit (they decode the same stored embeddings).
-func TestSnapshotV3QuantizedDistancesExact(t *testing.T) {
-	eng, _, db, test := buildEngine(t)
-	so := SearchOptions{K: 5, Beam: 10}
-
-	f64Ram := openV3Tier(t, saveV3(t, eng, lanstore.QuantF64), false)
-	for _, quant := range []lanstore.Quant{lanstore.QuantF32, lanstore.QuantInt8} {
-		path := saveV3(t, eng, quant)
-		ram := openV3Tier(t, path, false)
-		mm := openV3Tier(t, path, true)
-
-		var overlap, n float64
-		for qi, q := range test {
-			ramRes, ramStats, _ := ram.Search(context.Background(), q, so)
-			mmRes, mmStats, _ := mm.Search(context.Background(), q, so)
-			if !reflect.DeepEqual(ramRes, mmRes) || comparableStats(ramStats) != comparableStats(mmStats) {
-				t.Fatalf("%s query %d: tiers diverge at the same quantization", quant, qi)
-			}
-			for _, r := range ramRes {
-				if exact := ram.Opts.QueryMetric.Distance(db[r.ID], q); r.Dist != exact {
-					t.Fatalf("%s query %d: result %d carries dist %v; exact GED is %v",
-						quant, qi, r.ID, r.Dist, exact)
-				}
-			}
-			f64Res, _, _ := f64Ram.Search(context.Background(), q, so)
-			ids := make(map[int]bool, len(ramRes))
-			for _, r := range ramRes {
-				ids[r.ID] = true
-			}
-			for _, r := range f64Res {
-				if ids[r.ID] {
-					overlap++
-				}
-				n++
-			}
-		}
-		if eps := 1 - overlap/n; eps > 0.5 {
-			t.Fatalf("%s: recall epsilon vs full precision = %.3f; quantization should only nudge the ranking", quant, eps)
-		} else {
-			t.Logf("%s: recall epsilon vs full precision = %.3f", quant, eps)
-		}
-	}
-}
-
 // TestSaveSnapshotV3RejectsHuskEngine: an engine serving off an mmap
 // store has no materialized database to serialize; re-saving it must be
 // a named error, not a snapshot full of nil graphs.
 func TestSaveSnapshotV3RejectsHuskEngine(t *testing.T) {
 	eng, _, _, _ := buildEngine(t)
-	mm := openV3Tier(t, saveV3(t, eng, lanstore.QuantF64), true)
-	err := SaveSnapshotV3(filepath.Join(t.TempDir(), "again.lansnap"), mm, nil, lanstore.QuantF64)
+	mm := openV3Tier(t, saveV3(t, eng), true)
+	err := SaveSnapshotV3(filepath.Join(t.TempDir(), "again.lansnap"), mm, nil)
 	if err == nil {
 		t.Fatal("re-saving an mmap-backed engine succeeded")
 	}
@@ -241,7 +193,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			TopClusters: o.TopClusters, Samples: o.Samples, StepSize: o.StepSize, Seed: o.Seed,
 		}
 	}
-	path := saveV3(t, eng, lanstore.QuantF64)
+	path := saveV3(t, eng)
 	for _, mmap := range []bool{false, true} {
 		got := openV3Tier(t, path, mmap)
 		if a, b := persisted(got), persisted(eng); !reflect.DeepEqual(a, b) {
@@ -263,7 +215,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // savedMeta returns the metadata section SaveSnapshotV3 writes for eng.
 func savedMeta(t *testing.T, eng *Engine) []byte {
 	t.Helper()
-	store, err := lanstore.Open(saveV3(t, eng, lanstore.QuantF64))
+	store, err := lanstore.Open(saveV3(t, eng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,13 +361,12 @@ func restamp(data []byte) {
 // engine or one of the three named errors — never a panic, and never an
 // allocation the file's own size does not justify.
 //
-// The fuzzed value is not the file but what is done to one: which of the
-// f64/f32/int8 snapshots of a small engine to start from, byte overwrites
-// as (offset lo, offset hi, value) triples, and a length to cut it to. The
-// engine minimizes every input that finds new coverage, for up to a
-// minute apiece, and on whole files of kilobytes a run spends all its
-// time there; triples minimize in no time. One seed value past the
-// snapshots takes the bytes as the whole file.
+// The fuzzed value is not the file but what is done to one: the snapshot
+// of a small engine, byte overwrites as (offset lo, offset hi, value)
+// triples, and a length to cut it to. The engine minimizes every input
+// that finds new coverage, for up to a minute apiece, and on whole files
+// of kilobytes a run spends all its time there; triples minimize in no
+// time. An odd seed value takes the bytes as the whole file.
 func FuzzOpenSnapshot(f *testing.F) {
 	db := tinySpec.Generate()
 	train, _, _ := dataset.Split(dataset.Workload(db, tinySpec, 8, 3))
@@ -426,34 +377,33 @@ func FuzzOpenSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatalf("Build: %v", err)
 	}
-	var seeds [][]byte
-	for _, quant := range []lanstore.Quant{lanstore.QuantF64, lanstore.QuantF32, lanstore.QuantInt8} {
-		path := filepath.Join(f.TempDir(), "seed.lansnap")
-		if err := SaveSnapshotV3(path, eng, nil, quant); err != nil {
-			f.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if len(raw) > 1<<16 {
-			f.Fatalf("seed snapshot is %d bytes; the edit offsets are 16 bits", len(raw))
-		}
-		f.Add(uint8(len(seeds)), uint32(len(raw)), []byte{})
-		seeds = append(seeds, raw)
+	path := filepath.Join(f.TempDir(), "seed.lansnap")
+	if err := SaveSnapshotV3(path, eng, nil); err != nil {
+		f.Fatal(err)
 	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(raw) > 1<<16 {
+		f.Fatalf("seed snapshot is %d bytes; the edit offsets are 16 bits", len(raw))
+	}
+	f.Add(uint8(0), uint32(len(raw)), []byte{})
 	// The header fields that opened and then panicked before they were
 	// bounded: a graph count and an embedding dimension with a high bit set.
 	f.Add(uint8(0), uint32(1<<16), []byte{8 + 7, 0, 0x20})
-	f.Add(uint8(1), uint32(1<<16), []byte{16 + 7, 0, 0x80})
-	f.Add(uint8(2), uint32(1<<16), []byte{16 + 7, 0, 0x40})
+	f.Add(uint8(0), uint32(1<<16), []byte{16 + 7, 0, 0x80})
+	f.Add(uint8(0), uint32(1<<16), []byte{16 + 7, 0, 0x40})
 	f.Add(uint8(0), uint32(200), []byte{})
-	f.Add(uint8(len(seeds)), uint32(1<<16), []byte("LANSNAP3"))
+	f.Add(uint8(1), uint32(1<<16), []byte("LANSNAP3"))
+	// The embedding encodings that were removed: f32 and int8.
+	f.Add(uint8(0), uint32(1<<16), []byte{24, 0, 1})
+	f.Add(uint8(0), uint32(1<<16), []byte{24, 0, 2})
 	// A metadata edit that reaches validate once the checksums are made
 	// good again: a step_size below the floor, written over the field and
 	// the seed that follows it.
 	const was, now = `"step_size":1,"seed":1`, `"step_size":1e-300    `
-	at := bytes.Index(seeds[0], []byte(was))
+	at := bytes.Index(raw, []byte(was))
 	if at < 0 || len(was) != len(now) {
 		f.Fatalf("seed snapshot's metadata has no %s", was)
 	}
@@ -465,8 +415,8 @@ func FuzzOpenSnapshot(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, seed uint8, keep uint32, edits []byte) {
 		data := edits
-		if i := int(seed) % (len(seeds) + 1); i < len(seeds) {
-			data = append([]byte(nil), seeds[i]...)
+		if seed%2 == 0 {
+			data = append([]byte(nil), raw...)
 			for ; len(edits) >= 3; edits = edits[3:] {
 				data[(int(edits[0])|int(edits[1])<<8)%len(data)] = edits[2]
 			}

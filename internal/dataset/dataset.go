@@ -1,6 +1,6 @@
 // Package dataset generates the synthetic stand-ins for the paper's
-// benchmark datasets (Table I) and the query workloads, ground truths and
-// shards the experiments need. The real AIDS/LINUX/PUBCHEM extracts are
+// benchmark datasets (Table I) and the query workloads and ground truths
+// the experiments need. The real AIDS/LINUX/PUBCHEM extracts are
 // proprietary, so each simulator matches the published statistics — graph
 // count (down-scaled by a configurable factor), average node and edge
 // counts, label alphabet size and skew — and plants cluster structure by
@@ -280,27 +280,4 @@ func Recall(got, truth []pg.Result) float64 {
 		hits = len(truth)
 	}
 	return float64(hits) / float64(len(truth))
-}
-
-// Shards splits db into m near-equal contiguous sub-databases with
-// re-assigned dense IDs (cloning the member graphs), following the
-// paper's scalability protocol of sequential search over equal shards.
-func Shards(db graph.Database, m int) []graph.Database {
-	if m < 1 {
-		m = 1
-	}
-	out := make([]graph.Database, 0, m)
-	per := (len(db) + m - 1) / m
-	for start := 0; start < len(db); start += per {
-		end := start + per
-		if end > len(db) {
-			end = len(db)
-		}
-		part := make([]*graph.Graph, 0, end-start)
-		for _, g := range db[start:end] {
-			part = append(part, g.Clone())
-		}
-		out = append(out, graph.NewDatabase(part))
-	}
-	return out
 }

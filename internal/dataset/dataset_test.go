@@ -224,36 +224,6 @@ func TestComputeGroundTruthParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestShards(t *testing.T) {
-	db := SYN(0.00005).Generate()
-	shards := Shards(db, 4)
-	if len(shards) != 4 {
-		t.Fatalf("%d shards", len(shards))
-	}
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-		for i, g := range s {
-			if g.ID != i {
-				t.Fatalf("shard graph has ID %d at position %d", g.ID, i)
-			}
-		}
-	}
-	if total != len(db) {
-		t.Fatalf("shards hold %d graphs; want %d", total, len(db))
-	}
-	// Original db IDs untouched (clones were used).
-	for i, g := range db {
-		if g.ID != i {
-			t.Fatalf("original db mutated at %d", i)
-		}
-	}
-	// Degenerate m.
-	if got := Shards(db, 0); len(got) != 1 {
-		t.Fatalf("Shards(db, 0) = %d shards", len(got))
-	}
-}
-
 func TestLabelsAlphabet(t *testing.T) {
 	s := PubChem(1)
 	labels := s.Labels()

@@ -73,7 +73,7 @@ func run(w io.Writer, name string, p Protocol, cache envCache) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "Fig 9: scalability on SYN (sequential equal shards)\n")
+		fmt.Fprintf(w, "Fig 9: scalability on SYN (one index per fraction)\n")
 		fmt.Fprintf(w, "  %-9s %8s %14s %10s %14s %10s\n", "fraction", "graphs", "t(lowBeam)", "recall", "t(highBeam)", "recall")
 		for _, r := range rows {
 			fmt.Fprintf(w, "  %-9.0f%% %7d %14s %10.3f %14s %10.3f\n",

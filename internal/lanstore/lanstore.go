@@ -10,7 +10,7 @@
 //	adj      fixed-stride int64 rows: [degree, neighbors..., 0 pad]
 //	offs     (n+1) uint64 graph-segment boundaries into blob
 //	blob     per-graph varint segments: nodes, label ids, delta adjacency
-//	emb      M_rk node-embedding rows: float64, float32 or int8+scale
+//	emb      M_rk node-embedding rows: float64
 //
 // All integers are little-endian; the adj, offs and emb sections start
 // 8-byte aligned so a little-endian 64-bit reader can alias them in
@@ -28,26 +28,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"github.com/lansearch/lan/graph"
-)
-
-// Quant selects the on-disk precision of the embedding section.
-type Quant string
-
-const (
-	// QuantF64 stores embeddings bit-exact; searches over the snapshot
-	// are bit-identical to the RAM engine.
-	QuantF64 Quant = "f64"
-	// QuantF32 rounds embedding coordinates to float32 (half the space;
-	// perturbs only M_rk ranking scores, never final distances).
-	QuantF32 Quant = "f32"
-	// QuantInt8 stores each embedding row as int8 codes with a per-row
-	// float32 scale and offset (about 1/8 the space of f64).
-	QuantInt8 Quant = "int8"
 )
 
 // Named error classes. Callers match with errors.Is; every failure is
@@ -70,9 +56,10 @@ const (
 	// snapshot version; the byte after it is the format digit.
 	magicPrefix = "LANSNAP"
 
-	embF64  = 0
-	embF32  = 1
-	embInt8 = 2
+	// embF64 is the header's embedding-encoding field: float64 rows, the
+	// one encoding. Codes 1 (float32) and 2 (int8 with a per-row scale)
+	// were removed; the opener refuses them by name.
+	embF64 = 0
 
 	// Section indices into the header table.
 	secMeta   = 0
@@ -91,7 +78,6 @@ const (
 type header struct {
 	nGraphs   int
 	embDim    int
-	embCode   int
 	adjStride int
 	sections  [nSections]struct{ off, length, crc uint64 }
 }
@@ -112,32 +98,6 @@ type SnapshotData struct {
 	Adj [][]int
 	// Emb holds the M_rk node-embedding table (may be nil).
 	Emb [][]float64
-	// Quant selects the embedding precision (default QuantF64).
-	Quant Quant
-}
-
-func embCodeOf(q Quant) (int, error) {
-	switch q {
-	case "", QuantF64:
-		return embF64, nil
-	case QuantF32:
-		return embF32, nil
-	case QuantInt8:
-		return embInt8, nil
-	}
-	return 0, fmt.Errorf("lanstore: unknown quantization %q (want f64, f32 or int8)", q)
-}
-
-// embRowBytes returns the on-disk stride of one embedding row.
-func embRowBytes(code, dim int) int {
-	switch code {
-	case embF32:
-		return 4 * dim
-	case embInt8:
-		return 8 + dim // float32 scale + float32 offset + dim codes
-	default:
-		return 8 * dim
-	}
 }
 
 // Write serializes d to path in snapshot format v3, atomically and
@@ -154,10 +114,6 @@ func Write(path string, d *SnapshotData) error {
 	if len(d.Emb) != 0 && len(d.Emb) != len(d.DB) {
 		return fmt.Errorf("lanstore: write: %d embedding rows for %d graphs", len(d.Emb), len(d.DB))
 	}
-	code, err := embCodeOf(d.Quant)
-	if err != nil {
-		return err
-	}
 
 	labels, labelIdx := labelTable(d.DB)
 	blob, offs, err := encodeGraphs(d.DB, labelIdx)
@@ -167,7 +123,6 @@ func Write(path string, d *SnapshotData) error {
 
 	var h header
 	h.nGraphs = len(d.DB)
-	h.embCode = code
 	if len(d.Emb) > 0 {
 		h.embDim = len(d.Emb[0])
 	}
@@ -184,7 +139,7 @@ func Write(path string, d *SnapshotData) error {
 		secAdj:    encodeAdj(d.Adj, h.adjStride),
 		secOffs:   encodeOffs(offs),
 		secBlob:   blob,
-		secEmb:    encodeEmb(d.Emb, code, h.embDim),
+		secEmb:    encodeEmb(d.Emb, h.embDim),
 	}
 
 	off := uint64(headerSize)
@@ -319,46 +274,16 @@ func encodeOffs(offs []uint64) []byte {
 	return buf
 }
 
-func encodeEmb(emb [][]float64, code, dim int) []byte {
+func encodeEmb(emb [][]float64, dim int) []byte {
 	if len(emb) == 0 || dim == 0 {
 		return nil
 	}
-	stride := embRowBytes(code, dim)
+	stride := 8 * dim
 	buf := make([]byte, stride*len(emb))
 	for i, row := range emb {
 		dst := buf[stride*i : stride*(i+1)]
-		switch code {
-		case embF32:
-			for j, v := range row {
-				binary.LittleEndian.PutUint32(dst[4*j:], float32bits(v))
-			}
-		case embInt8:
-			lo, hi := row[0], row[0]
-			for _, v := range row[1:] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			scale := (hi - lo) / 255
-			binary.LittleEndian.PutUint32(dst, float32bits(scale))
-			binary.LittleEndian.PutUint32(dst[4:], float32bits(lo))
-			for j, v := range row {
-				q := 0
-				if scale > 0 {
-					q = int((v-lo)/scale + 0.5)
-				}
-				if q > 255 {
-					q = 255
-				}
-				dst[8+j] = byte(q)
-			}
-		default:
-			for j, v := range row {
-				binary.LittleEndian.PutUint64(dst[8*j:], float64bits(v))
-			}
+		for j, v := range row {
+			binary.LittleEndian.PutUint64(dst[8*j:], math.Float64bits(v))
 		}
 	}
 	return buf
@@ -374,7 +299,7 @@ func encodeHeader(h *header) []byte {
 	}
 	put(uint64(h.nGraphs))
 	put(uint64(h.embDim))
-	put(uint64(h.embCode))
+	put(embF64)
 	put(uint64(h.adjStride))
 	for _, s := range h.sections {
 		put(s.off)

@@ -1,11 +1,13 @@
 package lanstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime/metrics"
+	"strings"
 	"testing"
 
 	"github.com/lansearch/lan/internal/dataset"
@@ -74,97 +76,101 @@ func writeOpen(t *testing.T, d *SnapshotData) *Store {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, quant := range []Quant{QuantF64, QuantF32, QuantInt8} {
-		t.Run(string(quant), func(t *testing.T) {
-			d := testData(t)
-			d.Quant = quant
-			s := writeOpen(t, d)
+	// f64 is the one embedding encoding the format writes.
+	t.Run("f64", testRoundTripF64)
+}
 
-			if got := string(s.Meta()); got != string(d.Meta) {
-				t.Fatalf("meta %q != %q", got, d.Meta)
-			}
-			if s.Len() != len(d.DB) {
-				t.Fatalf("len %d != %d", s.Len(), len(d.DB))
-			}
-			if s.Quant() != quant {
-				t.Fatalf("quant %q != %q", s.Quant(), quant)
-			}
-			if err := s.VerifyPayload(); err != nil {
-				t.Fatalf("payload: %v", err)
-			}
+func testRoundTripF64(t *testing.T) {
+	d := testData(t)
+	s := writeOpen(t, d)
 
-			// Graphs decode exactly (labels + adjacency + edge count).
-			for i, want := range d.DB {
-				got := s.Graph(i)
-				if !got.Equal(want) || got.ID != want.ID {
-					t.Fatalf("graph %d decode mismatch: %v vs %v", i, got, want)
-				}
-			}
-			db2, err := s.DecodeAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db2.Validate(); err != nil {
-				t.Fatal(err)
-			}
+	if got := string(s.Meta()); got != string(d.Meta) {
+		t.Fatalf("meta %q != %q", got, d.Meta)
+	}
+	if s.Len() != len(d.DB) {
+		t.Fatalf("len %d != %d", s.Len(), len(d.DB))
+	}
+	if err := s.VerifyPayload(); err != nil {
+		t.Fatalf("payload: %v", err)
+	}
 
-			// Adjacency round-trips.
-			adj := s.Adjacency()
-			for i, want := range d.Adj {
-				got := adj[i]
-				if len(got) != len(want) {
-					t.Fatalf("adj %d: %v != %v", i, got, want)
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("adj %d: %v != %v", i, got, want)
-					}
-				}
-			}
-			if !reflect.DeepEqual(s.AdjacencyCopy(), d.Adj) {
-				t.Fatal("AdjacencyCopy mismatch")
-			}
+	// Graphs decode exactly (labels + adjacency + edge count).
+	for i, want := range d.DB {
+		got := s.Graph(i)
+		if !got.Equal(want) || got.ID != want.ID {
+			t.Fatalf("graph %d decode mismatch: %v vs %v", i, got, want)
+		}
+	}
+	db2, err := s.DecodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.Validate(); err != nil {
+		t.Fatal(err)
+	}
 
-			// Embeddings: f64 exact; quantized within encoding error.
-			tol := 0.0
-			switch quant {
-			case QuantF32:
-				tol = 1e-5
-			case QuantInt8:
-				tol = 1.0 // (hi-lo)/255 * safety; rows here span ~45
+	// Adjacency round-trips.
+	adj := s.Adjacency()
+	for i, want := range d.Adj {
+		got := adj[i]
+		if len(got) != len(want) {
+			t.Fatalf("adj %d: %v != %v", i, got, want)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("adj %d: %v != %v", i, got, want)
 			}
-			var buf []float64
-			for i, want := range d.Emb {
-				buf = s.NodeEmbedding(i, buf)
-				if len(buf) != len(want) {
-					t.Fatalf("emb %d: dim %d != %d", i, len(buf), len(want))
-				}
-				for j := range want {
-					diff := buf[j] - want[j]
-					if diff < 0 {
-						diff = -diff
-					}
-					if quant == QuantF64 && diff != 0 {
-						t.Fatalf("emb %d[%d]: %v != %v (must be exact)", i, j, buf[j], want[j])
-					}
-					if diff > tol {
-						t.Fatalf("emb %d[%d]: %v vs %v beyond tol %v", i, j, buf[j], want[j], tol)
-					}
-				}
-			}
-			// A row read into a buffer that already fits it allocates
-			// nothing: M_rk fetches one per neighbour it scores.
-			buf = make([]float64, 0, len(d.Emb[0]))
-			for i := range d.Emb {
-				if n := testing.AllocsPerRun(10, func() { s.NodeEmbedding(i, buf[:0]) }); n != 0 {
-					t.Fatalf("NodeEmbedding(%d) allocates %v times per call, want 0", i, n)
-				}
-			}
-			mat := s.EmbeddingsFloat64()
-			if quant == QuantF64 && !reflect.DeepEqual(mat, d.Emb) {
-				t.Fatal("EmbeddingsFloat64 not exact in f64 mode")
-			}
-		})
+		}
+	}
+	if !reflect.DeepEqual(s.AdjacencyCopy(), d.Adj) {
+		t.Fatal("AdjacencyCopy mismatch")
+	}
+
+	// Embeddings come back bit-exact.
+	var buf []float64
+	for i, want := range d.Emb {
+		if buf = s.NodeEmbedding(i, buf); !reflect.DeepEqual(buf, want) {
+			t.Fatalf("emb %d: %v != %v (must be exact)", i, buf, want)
+		}
+	}
+	// A row read into a buffer that already fits it allocates nothing:
+	// M_rk fetches one per neighbour it scores.
+	buf = make([]float64, 0, len(d.Emb[0]))
+	for i := range d.Emb {
+		if n := testing.AllocsPerRun(10, func() { s.NodeEmbedding(i, buf[:0]) }); n != 0 {
+			t.Fatalf("NodeEmbedding(%d) allocates %v times per call, want 0", i, n)
+		}
+	}
+	if !reflect.DeepEqual(s.EmbeddingsFloat64(), d.Emb) {
+		t.Fatal("EmbeddingsFloat64 not exact")
+	}
+}
+
+// TestOpenRefusesRemovedEncodings: the header field that named the f32
+// and int8 embedding encodings stays in the format, and a file carrying
+// either code is refused by an error that says to rebuild.
+func TestOpenRefusesRemovedEncodings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.lan")
+	if err := Write(path, testData(t)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const codeAt = len(magic) + 16 // after the graph count and the dimension
+	if got := binary.LittleEndian.Uint64(raw[codeAt:]); got != embF64 {
+		t.Fatalf("writer stored embedding encoding %d; want %d", got, embF64)
+	}
+	for _, code := range []uint64{1, 2} {
+		binary.LittleEndian.PutUint64(raw[codeAt:], code)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("encoding %d: got %v, want ErrCorrupt saying to rebuild", code, err)
+		}
 	}
 }
 
@@ -249,7 +255,7 @@ func TestCorruptionDetected(t *testing.T) {
 }
 
 // tinyData is a snapshot small enough to sweep exhaustively.
-func tinyData(t *testing.T, quant Quant) *SnapshotData {
+func tinyData(t *testing.T) *SnapshotData {
 	t.Helper()
 	db := dataset.Spec{Name: "TINY", Kind: dataset.KindMolecule, Graphs: 6, AvgNodes: 4,
 		AvgEdges: 4, NumLabels: 2, LabelSkew: 0.3, ClusterSize: 3, MaxMutations: 2, Seed: 5}.Generate()
@@ -261,7 +267,7 @@ func tinyData(t *testing.T, quant Quant) *SnapshotData {
 		insertionSort(adj[i])
 		emb[i] = []float64{float64(i), -0.5}
 	}
-	return &SnapshotData{Meta: []byte(`{}`), DB: db, Adj: adj, Emb: emb, Quant: quant}
+	return &SnapshotData{Meta: []byte(`{}`), DB: db, Adj: adj, Emb: emb}
 }
 
 // TestOpenHeaderSweep sets every byte of the header to every value. The
@@ -279,60 +285,58 @@ func TestOpenHeaderSweep(t *testing.T) {
 		metrics.Read(sample)
 		return sample[0].Value.Uint64()
 	}
-	for _, quant := range []Quant{QuantF64, QuantF32, QuantInt8} {
-		path := filepath.Join(t.TempDir(), "tiny.lansnap")
-		if err := Write(path, tinyData(t, quant)); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opened := 0
-		for off := 0; off < headerSize; off++ {
-			for v := 0; v < 256; v++ {
-				data := append([]byte(nil), raw...)
-				data[off] = byte(v)
-				before := allocated()
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							t.Fatalf("%s: header byte %d = %#02x: panic: %v", quant, off, v, r)
-						}
-					}()
-					s := &Store{data: data, m: obs.Store()}
-					if err := s.init(); err != nil {
-						if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFutureVersion) && !errors.Is(err, ErrNotSnapshot) {
-							t.Fatalf("%s: header byte %d = %#02x: unnamed error %v", quant, off, v, err)
-						}
-						return
-					}
-					opened++
-					// Errors are fine from here on (a section offset moved
-					// onto other bytes decodes as garbage); panics are not.
-					var buf []float64
-					for id := 0; id < s.Len(); id++ {
-						_, _ = s.decodeGraph(id)
-						if s.NodeEmbeddingCount() > 0 {
-							buf = s.NodeEmbedding(id, buf)
-						}
-					}
-					_ = s.Adjacency()
-					if s.VerifyPayload() == nil {
-						_, _ = s.DecodeAll()
-						_ = s.EmbeddingsFloat64()
+	path := filepath.Join(t.TempDir(), "tiny.lansnap")
+	if err := Write(path, tinyData(t)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := 0
+	for off := 0; off < headerSize; off++ {
+		for v := 0; v < 256; v++ {
+			data := append([]byte(nil), raw...)
+			data[off] = byte(v)
+			before := allocated()
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("header byte %d = %#02x: panic: %v", off, v, r)
 					}
 				}()
-				if got := allocated() - before; got > allocBound {
-					t.Fatalf("%s: header byte %d = %#02x: %d bytes allocated", quant, off, v, got)
+				s := &Store{data: data, m: obs.Store()}
+				if err := s.init(); err != nil {
+					if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFutureVersion) && !errors.Is(err, ErrNotSnapshot) {
+						t.Fatalf("header byte %d = %#02x: unnamed error %v", off, v, err)
+					}
+					return
 				}
+				opened++
+				// Errors are fine from here on (a section offset moved
+				// onto other bytes decodes as garbage); panics are not.
+				var buf []float64
+				for id := 0; id < s.Len(); id++ {
+					_, _ = s.decodeGraph(id)
+					if s.NodeEmbeddingCount() > 0 {
+						buf = s.NodeEmbedding(id, buf)
+					}
+				}
+				_ = s.Adjacency()
+				if s.VerifyPayload() == nil {
+					_, _ = s.DecodeAll()
+					_ = s.EmbeddingsFloat64()
+				}
+			}()
+			if got := allocated() - before; got > allocBound {
+				t.Fatalf("header byte %d = %#02x: %d bytes allocated", off, v, got)
 			}
 		}
-		// The unchanged value of each byte, the checksum bytes of the
-		// unverified sections and the padding all still open.
-		if opened < headerSize {
-			t.Fatalf("%s: only %d of the swept files opened; the sweep is not reaching the accessors", quant, opened)
-		}
-		t.Logf("%s: %d-byte snapshot, %d of %d header variants open", quant, len(raw), opened, 256*headerSize)
 	}
+	// The unchanged value of each byte, the checksum bytes of the
+	// unverified sections and the padding all still open.
+	if opened < headerSize {
+		t.Fatalf("only %d of the swept files opened; the sweep is not reaching the accessors", opened)
+	}
+	t.Logf("%d-byte snapshot, %d of %d header variants open", len(raw), opened, 256*headerSize)
 }

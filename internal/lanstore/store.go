@@ -10,9 +10,6 @@ import (
 	"github.com/lansearch/lan/internal/obs"
 )
 
-func float32bits(v float64) uint32 { return math.Float32bits(float32(v)) }
-func float64bits(v float64) uint64 { return math.Float64bits(v) }
-
 // Store is an open v3 snapshot: a read-only view over the mapped (or, on
 // platforms without mmap, fully read) file. It implements pg.GraphStore —
 // candidate fetches decode graph segments on demand — and serves the
@@ -85,13 +82,17 @@ func (s *Store) init() error {
 	// below are products of them: bound each by what a file of this length
 	// could hold before multiplying, so no product can wrap around into a
 	// match. A graph costs a boundary and an adjacency row of at least
-	// eight bytes each, an embedding coordinate at least one byte (and a
-	// row of them, at most 8·dim+8 bytes, must fit an int).
+	// eight bytes each, an embedding coordinate eight bytes (and a row of
+	// them must fit an int).
 	size := uint64(len(data))
 	if nGraphs == 0 || nGraphs > size/8 {
 		return corruptf("header declares %d graphs in a file of %d bytes", nGraphs, size)
 	}
-	if embCode != embF64 && embCode != embF32 && embCode != embInt8 {
+	switch embCode {
+	case embF64:
+	case 1, 2:
+		return corruptf("embedding encoding %d (f32/int8) was removed; rebuild the index with lan-train", embCode)
+	default:
 		return corruptf("unknown embedding encoding %d", embCode)
 	}
 	if adjStride == 0 || adjStride > size/8 {
@@ -100,7 +101,7 @@ func (s *Store) init() error {
 	if embDim > size || embDim > math.MaxInt/8-1 {
 		return corruptf("embedding dimension %d in a file of %d bytes", embDim, size)
 	}
-	h.nGraphs, h.embDim, h.embCode, h.adjStride = int(nGraphs), int(embDim), int(embCode), int(adjStride)
+	h.nGraphs, h.embDim, h.adjStride = int(nGraphs), int(embDim), int(adjStride)
 	for i, sec := range h.sections {
 		if sec.off < uint64(headerSize) || sec.off > uint64(len(data)) ||
 			sec.length > uint64(len(data))-sec.off {
@@ -159,7 +160,7 @@ func (s *Store) init() error {
 		if got != 0 {
 			return corruptf("embedding section is %d bytes at dimension 0", got)
 		}
-	} else if row := uint64(embRowBytes(h.embCode, h.embDim)); got/row != nGraphs || got%row != 0 {
+	} else if row := 8 * embDim; got/row != nGraphs || got%row != 0 {
 		return corruptf("embedding section is %d bytes, want %d rows of %d", got, nGraphs, row)
 	}
 	return nil
@@ -226,18 +227,6 @@ func (s *Store) Meta() []byte { return s.meta }
 // Labels returns the snapshot's sorted distinct node labels — the
 // persisted vocabulary.
 func (s *Store) Labels() []string { return s.labels }
-
-// Quant reports the embedding precision the snapshot was written with.
-func (s *Store) Quant() Quant {
-	switch s.h.embCode {
-	case embF32:
-		return QuantF32
-	case embInt8:
-		return QuantInt8
-	default:
-		return QuantF64
-	}
-}
 
 // MappedBytes returns the size of the underlying file view.
 func (s *Store) MappedBytes() int { return len(s.data) }
@@ -374,40 +363,22 @@ func (s *Store) NodeEmbeddingCount() int {
 }
 
 // NodeEmbedding implements models.NodeEmbeddingSource: it serves the
-// M_rk embedding row of graph id. Full-precision rows are aliased
-// straight out of the mapping when the platform allows; quantized rows
-// dequantize into buf (grown with the amortized self-growth append, so
-// steady-state reads stay allocation-free).
+// M_rk embedding row of graph id, aliased straight out of the mapping
+// when the platform allows and otherwise decoded into buf (grown with the
+// amortized self-growth append, so steady-state reads stay
+// allocation-free).
 func (s *Store) NodeEmbedding(id int, buf []float64) []float64 {
 	s.m.EmbeddingReads.Inc()
 	dim := s.h.embDim
-	stride := embRowBytes(s.h.embCode, dim)
-	row := s.emb[stride*id : stride*(id+1)]
-	switch s.h.embCode {
-	case embF32:
-		buf = buf[:0]
-		for j := 0; j < dim; j++ {
-			buf = append(buf, float64(math.Float32frombits(binary.LittleEndian.Uint32(row[4*j:]))))
-		}
-		return buf
-	case embInt8:
-		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(row)))
-		lo := float64(math.Float32frombits(binary.LittleEndian.Uint32(row[4:])))
-		buf = buf[:0]
-		for j := 0; j < dim; j++ {
-			buf = append(buf, lo+scale*float64(row[8+j]))
-		}
-		return buf
-	default:
-		if f := aliasFloat64s(row); f != nil {
-			return f
-		}
-		buf = buf[:0]
-		for j := 0; j < dim; j++ {
-			buf = append(buf, math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:])))
-		}
-		return buf
+	row := s.emb[8*dim*id : 8*dim*(id+1)]
+	if f := aliasFloat64s(row); f != nil {
+		return f
 	}
+	buf = buf[:0]
+	for j := 0; j < dim; j++ {
+		buf = append(buf, math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:])))
+	}
+	return buf
 }
 
 // EmbeddingsFloat64 decodes the whole embedding table onto the heap —
@@ -418,7 +389,7 @@ func (s *Store) EmbeddingsFloat64() [][]float64 {
 	}
 	out := make([][]float64, s.h.nGraphs)
 	for i := range out {
-		// Copy: the f64 path may return rows aliased into the mapping,
+		// Copy: NodeEmbedding may return rows aliased into the mapping,
 		// and materialized tables must survive Close.
 		out[i] = append([]float64(nil), s.NodeEmbedding(i, nil)...)
 	}

@@ -54,7 +54,7 @@ func TestRankerMemoBitIdenticalAcrossTiers(t *testing.T) {
 	checkRankerMemo(t, "ram", eng, test[0], eng.Index.Entry)
 
 	path := filepath.Join(t.TempDir(), "memo.lansnap")
-	if err := core.SaveSnapshotV3(path, eng, nil, lanstore.QuantF64); err != nil {
+	if err := core.SaveSnapshotV3(path, eng, nil); err != nil {
 		t.Fatalf("SaveSnapshotV3: %v", err)
 	}
 	mm, _, store, err := core.OpenSnapshotV3(path, core.Options{}, true)

@@ -29,9 +29,6 @@ func fullTrace(id string) *Trace {
 	tr.RecordSpan("embed", time.Now(), 120*time.Microsecond, 0, 6)
 	tr.EndSpan(routing, 3)
 	tr.Event("insert", 7, 3)
-	shard := NewTrace(id + "-s0")
-	shard.SetEntry(1)
-	tr.AddShard(shard)
 	tr.Finalize(5, 5, 4*time.Millisecond)
 	return tr
 }

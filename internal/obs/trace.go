@@ -16,9 +16,10 @@ import (
 // on a nil *Trace and does nothing there, which is the disabled-tracing
 // fast path (pinned at zero allocations by TestTraceDisabledZeroAlloc).
 //
-// Recording methods are mutex-guarded so a sharded fan-out or a pooled
-// distance stage can share one trace without racing; a single-shard query
-// records from its own goroutine only and never contends.
+// Recording methods and JSON are mutex-guarded: a Trace is public, so a
+// caller may hand one to concurrent searches, or render it while a search
+// still records into it, without racing. A query records from its own
+// goroutine only and never contends.
 type Trace struct {
 	QueryID string `json:"query_id"`
 	Initial string `json:"initial,omitempty"`
@@ -34,9 +35,6 @@ type Trace struct {
 	// Spans is the span forest of the query's pipeline stages in execution
 	// order; child spans attribute time within their parent stage.
 	Spans []*Span `json:"spans,omitempty"`
-	// Shards holds the per-shard sub-traces of a sharded search, in shard
-	// order.
-	Shards []*Trace `json:"shards,omitempty"`
 	// Events are write-path events (insert/delete/compact) when the trace
 	// belongs to a mutation rather than a query.
 	Events []TraceEvent `json:"events,omitempty"`
@@ -241,16 +239,6 @@ func (t *Trace) Event(kind string, id int, epoch uint64) {
 	}
 	t.mu.Lock()
 	t.Events = append(t.Events, TraceEvent{Kind: kind, ID: id, Epoch: epoch})
-	t.mu.Unlock()
-}
-
-// AddShard appends one shard's sub-trace. Nil-safe (on either side).
-func (t *Trace) AddShard(shard *Trace) {
-	if t == nil || shard == nil {
-		return
-	}
-	t.mu.Lock()
-	t.Shards = append(t.Shards, shard)
 	t.mu.Unlock()
 }
 

@@ -21,8 +21,6 @@ func TestTraceRecordingAndJSON(t *testing.T) {
 	routing := tr.StartSpan("routing")
 	tr.RecordSpan("store_fetch", time.Time{}, 120*time.Microsecond, 0, 6)
 	tr.EndSpan(routing, 3)
-	shard := NewTrace("shard-0")
-	tr.AddShard(shard)
 	tr.Finalize(5, 5, 4*time.Millisecond)
 
 	data, err := tr.JSON()
@@ -56,9 +54,6 @@ func TestTraceRecordingAndJSON(t *testing.T) {
 			t.Errorf("store_fetch child lost: %+v", got.Spans[1].Children)
 		}
 	}
-	if len(got.Shards) != 1 || got.Shards[0].QueryID != "shard-0" {
-		t.Errorf("shards lost: %+v", got.Shards)
-	}
 	if got.NDC != 5 || got.Results != 5 || got.TotalUS != 4000 {
 		t.Errorf("totals lost: %+v", &got)
 	}
@@ -74,7 +69,6 @@ func TestTraceNilSafety(t *testing.T) {
 	tr.RecordSpan("y", time.Now(), 0, 0, 0)
 	tr.EndSpan(sp, 0)
 	tr.EndSpan(NewTrace("t2").StartSpan("z"), 0) // nil trace, live span
-	tr.AddShard(NewTrace("s"))
 	tr.Finalize(0, 0, 0)
 	data, err := tr.JSON()
 	if err != nil || string(data) != "null" {

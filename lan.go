@@ -62,7 +62,8 @@ var ErrReadOnly = mutable.ErrReadOnly
 // all (which includes the JSON index files of format versions 1 and 2,
 // whose readers were removed — rebuild such an index with lan-train), was
 // written by a newer format version than this build reads, or fails
-// structural validation / checksums.
+// structural validation / checksums (which includes the f32 and int8
+// embedding encodings, also removed — rebuild with lan-train).
 var (
 	ErrNotSnapshot   = lanstore.ErrNotSnapshot
 	ErrFutureVersion = lanstore.ErrFutureVersion
@@ -303,8 +304,8 @@ func snapshotSearch(ctx context.Context, snap *mutable.Snapshot, q *graph.Graph,
 	if q == nil || so.K <= 0 {
 		return nil, Stats{}, fmt.Errorf("lan: need a query graph and K > 0")
 	}
-	// Every member tombstoned (a shard drained by deletes, say): there is
-	// nothing to return and no entry node worth routing from.
+	// Every member tombstoned: there is nothing to return and no entry
+	// node worth routing from.
 	if snap.Live == 0 {
 		return nil, Stats{}, nil
 	}
@@ -321,29 +322,10 @@ func snapshotSearch(ctx context.Context, snap *mutable.Snapshot, q *graph.Graph,
 	return out, stats, nil
 }
 
-// SnapshotOptions configure SaveSnapshot.
-type SnapshotOptions struct {
-	// Precision selects how M_rk's node-embedding table is stored:
-	// "f64" (the default — searches over the snapshot are bit-identical
-	// to the in-memory index), "f32" (half the space) or "int8" (an
-	// eighth). Quantization only perturbs the learned neighbor ranking —
-	// every distance in the results is still an exact float64 GED — so
-	// recall degrades gracefully; measure it on your own queries before
-	// shipping int8.
-	Precision string
-}
-
-func quantOf(precision string) (lanstore.Quant, error) {
-	switch precision {
-	case "", "f64":
-		return lanstore.QuantF64, nil
-	case "f32":
-		return lanstore.QuantF32, nil
-	case "int8":
-		return lanstore.QuantInt8, nil
-	}
-	return "", fmt.Errorf("lan: unknown embedding precision %q (want f64, f32 or int8)", precision)
-}
+// SnapshotOptions configure SaveSnapshot; it has no fields. A snapshot
+// stores M_rk's node embeddings as float64, so searches over it are
+// bit-identical to the index that wrote it.
+type SnapshotOptions struct{}
 
 // SaveSnapshot writes the index to path as a .lansnap file, the one
 // persisted form of an index: self-contained (the database travels inside
@@ -354,13 +336,9 @@ func quantOf(precision string) (lanstore.Quant, error) {
 // one consistent point-in-time state: writes landing concurrently are
 // either fully included or fully absent. An index opened with the mmap
 // store cannot be re-saved; open with StoreRAM to materialize it first.
-func (x *Index) SaveSnapshot(path string, so SnapshotOptions) error {
-	quant, err := quantOf(so.Precision)
-	if err != nil {
-		return err
-	}
+func (x *Index) SaveSnapshot(path string, _ SnapshotOptions) error {
 	snap := x.mut.Snapshot()
-	return core.SaveSnapshotV3(path, snap.Engine, snap.State(), quant)
+	return core.SaveSnapshotV3(path, snap.Engine, snap.State())
 }
 
 // OpenSnapshot opens a snapshot written by SaveSnapshot. The database is
@@ -373,8 +351,8 @@ func (x *Index) SaveSnapshot(path string, so SnapshotOptions) error {
 // Options.Store selects the tier: StoreMMap (default) serves queries
 // off the mapping with resident memory far below database size and
 // returns a read-only index; StoreRAM verifies and materializes
-// everything, returning a writable index. With full-precision embeddings
-// both tiers return bit-identical results, stats and routing trajectories.
+// everything, returning a writable index. Both tiers return bit-identical
+// results, stats and routing trajectories.
 //
 // Call Close when done: for an mmap index it releases the mapping, and
 // the index must not be searched afterwards.

@@ -7,6 +7,7 @@ import (
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
+	"github.com/lansearch/lan/internal/pg"
 )
 
 // buildMutableIndex is a cheap fixture for the write-path tests: small
@@ -222,54 +223,40 @@ func TestIncrementalBuildRecallMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestShardedEmptyShardSkipped drains one shard completely with deletes
-// and checks the fan-out keeps answering from the surviving shards
-// instead of erroring on the empty one.
-func TestShardedEmptyShardSkipped(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping in -short mode: builds a multi-shard index")
-	}
+// TestDeleteEveryGraph drains an index completely with deletes: it keeps
+// answering, with no results and no error, instead of routing from an
+// entry node that is gone.
+func TestDeleteEveryGraph(t *testing.T) {
 	spec := dataset.AIDS(0.002)
 	db := spec.Generate()
-	queries := dataset.Workload(db, spec, 12, 3)
-	train, _, test := dataset.Split(queries)
-	half := (len(db) + 1) / 2
-	s, err := BuildSharded(db, train, ShardedOptions{
-		ShardSize: half,
-		Options:   Options{M: 4, Dim: 6, GammaKNN: 5, Epochs: 1, Seed: 6},
-	})
+	queries := dataset.Workload(db, spec, 8, 3)
+	part := db[:20]
+	idx, err := Build(part, queries, Options{M: 4, Dim: 6, GammaKNN: 5, Epochs: 1, Seed: 6})
 	if err != nil {
-		t.Fatalf("BuildSharded: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	defer s.Close()
-	if s.Shards() != 2 {
-		t.Fatalf("fixture wants 2 shards, got %d", s.Shards())
-	}
+	defer idx.Close()
 
-	for id := 0; id < half; id++ {
-		if err := s.Delete(id); err != nil {
+	for id := range part {
+		if err := idx.Delete(id); err != nil {
 			t.Fatalf("Delete(%d): %v", id, err)
 		}
 	}
-	if got, want := s.Len(), len(db)-half; got != want {
-		t.Fatalf("Len = %d; want %d", got, want)
+	if idx.Len() != 0 || idx.Epoch() == 0 {
+		t.Fatalf("after deleting every graph: Len = %d, Epoch = %d; want 0 and > 0", idx.Len(), idx.Epoch())
 	}
-	if s.Epoch() == 0 {
-		t.Fatal("deletes left the sharded epoch at 0")
+	for qi, q := range queries {
+		res, _, err := idx.Search(q, SearchOptions{K: 3, Beam: 12})
+		if err != nil || len(res) != 0 {
+			t.Fatalf("query %d against an empty index: res = %v, err = %v; want none and nil", qi, res, err)
+		}
 	}
+}
 
-	for qi, q := range test {
-		res, stats, err := s.Search(q, SearchOptions{K: 3, Beam: 12})
-		if err != nil {
-			t.Fatalf("query %d against a half-empty index: %v", qi, err)
-		}
-		if len(res) == 0 || stats.NDC <= 0 {
-			t.Fatalf("query %d: empty answer %v %+v", qi, res, stats)
-		}
-		for _, r := range res {
-			if r.ID < half {
-				t.Fatalf("query %d surfaced id %d from the drained shard", qi, r.ID)
-			}
-		}
+func toPGResults(res []Result) []pg.Result {
+	out := make([]pg.Result, len(res))
+	for i, r := range res {
+		out[i] = pg.Result{ID: r.ID, Dist: r.Dist}
 	}
+	return out
 }

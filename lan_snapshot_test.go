@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
 )
 
@@ -95,36 +94,6 @@ func TestSnapshotMMapIsReadOnly(t *testing.T) {
 	defer ram.Close()
 	if _, err := ram.Insert(test[0]); err != nil {
 		t.Fatalf("Insert on ram-materialized index: %v", err)
-	}
-}
-
-func TestSnapshotPrecisionOptions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping in -short mode: builds a full index end to end")
-	}
-	idx, _, test := buildSmallIndex(t)
-	if err := idx.SaveSnapshot(filepath.Join(t.TempDir(), "x.lansnap"), SnapshotOptions{Precision: "f16"}); err == nil {
-		t.Fatal("unknown precision accepted")
-	}
-	for _, prec := range []string{"f32", "int8"} {
-		path := snapshotPath(t, idx, SnapshotOptions{Precision: prec})
-		opened, err := OpenSnapshot(path, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", prec, err)
-		}
-		res, _, err := opened.Search(test[0], SearchOptions{K: 3, Beam: 8})
-		if err != nil || len(res) != 3 {
-			t.Fatalf("%s: res=%v err=%v", prec, res, err)
-		}
-		// Quantization perturbs only the learned ranking: result distances
-		// stay exact float64 GEDs of the returned graphs under the default
-		// query metric.
-		for _, r := range res {
-			if exact := ged.Hungarian(opened.Graph(r.ID), test[0]); r.Dist != exact {
-				t.Fatalf("%s: result %d dist %v != exact GED %v", prec, r.ID, r.Dist, exact)
-			}
-		}
-		opened.Close()
 	}
 }
 

@@ -61,7 +61,7 @@ func newMetrics() *Metrics {
 
 		// 10us..10s in doublings: sub-millisecond resolution for cache hits
 		// and tiny-index queries at the low end, heavy ensemble-GED queries
-		// on large shards at the high end.
+		// on large indexes at the high end.
 		latency: r.Histogram("lanserve_request_seconds", "Search request wall time in seconds.", obs.ExpBuckets(1e-5, 2, 21)),
 		ndc:     r.Histogram("lanserve_query_ndc", "GED computations (NDC) per executed query.", obs.ExpBuckets(1, 2, 14)),
 		steps:   r.Histogram("lanserve_query_routing_steps", "Routing steps (explored PG nodes) per executed query.", obs.ExpBuckets(1, 2, 12)),

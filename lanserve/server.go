@@ -1,7 +1,7 @@
 // Package lanserve is the query-serving subsystem: a stdlib-only HTTP/JSON
-// server over a built LAN index (flat or sharded) with admission control,
-// per-request deadlines, an LRU result cache keyed by the query's canonical
-// WL hash, and first-class observability. The paper's contribution is
+// server over a built LAN index with admission control, per-request
+// deadlines, an LRU result cache keyed by the query's canonical WL hash,
+// and first-class observability. The paper's contribution is
 // cutting expensive GED calls during routing; the serving layer meters
 // exactly that — NDC, routing steps and pruning rate are exported per query
 // on /metrics alongside the usual request/error/latency signals.
@@ -48,10 +48,10 @@ const (
 	statusGatewayTimeout  = http.StatusGatewayTimeout
 )
 
-// Searcher is the index the server fronts. Both *lan.Index and
-// *lan.ShardedIndex implement it. Implementations must be safe for
-// concurrent SearchContext calls (the defaults are). An index that also
-// exposes Epoch() uint64 (both defaults do) may mutate between queries:
+// Searcher is the index the server fronts; *lan.Index implements it.
+// Implementations must be safe for concurrent SearchContext calls
+// (*lan.Index is). An index that also exposes Epoch() uint64 (*lan.Index
+// does) may mutate between queries:
 // the result cache folds the epoch into its keys, so entries computed
 // against a superseded index version are never served again and simply
 // age out of the LRU. An index without Epoch must stay immutable for the
@@ -523,8 +523,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		stats lan.Stats
 	)
 	// pprof labels attribute CPU samples of this goroutine (and of the
-	// shard goroutines a sharded index starts, which inherit them) to the
-	// query and its strategy.
+	// goroutines the search starts, which inherit them) to the query and
+	// its strategy.
 	runtimepprof.Do(obs.With(ctx, qt), runtimepprof.Labels(
 		"query_id", qid,
 		"strategy", params.Routing.String(),
