@@ -464,35 +464,6 @@ func TestInferMatchesForward(t *testing.T) {
 	}
 }
 
-func TestBatchEmbedMatchesEmbed(t *testing.T) {
-	// More graphs than one batch chunk, so the chunked path is exercised.
-	db := testDB(31, batchChunk+9)
-	vocab := NewVocab(db)
-	p := nn.NewParams()
-	m := NewGINModel(p, "gin", Config{Layers: 2, Dim: 6, Vocab: vocab}, rand.New(rand.NewSource(5)))
-	cs := make([]*Compressed, len(db))
-	for i, g := range db {
-		cs[i] = Build(g, 2, vocab)
-	}
-	for _, workers := range []int{1, 4} {
-		got := m.BatchEmbed(cs, workers)
-		if len(got) != len(cs) {
-			t.Fatalf("workers=%d: %d embeddings for %d graphs", workers, len(got), len(cs))
-		}
-		for i, c := range cs {
-			want := m.Embed(c)
-			for j := range want {
-				if got[i][j] != want[j] {
-					t.Fatalf("workers=%d graph %d: BatchEmbed[%d]=%v Embed=%v", workers, i, j, got[i][j], want[j])
-				}
-			}
-		}
-	}
-	if out := m.BatchEmbed(nil, 2); len(out) != 0 {
-		t.Fatalf("BatchEmbed(nil) = %v", out)
-	}
-}
-
 func TestGINEmbedMatchesForward(t *testing.T) {
 	tape := autograd.NewTape()
 	db := testDB(23, 6)

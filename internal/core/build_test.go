@@ -7,7 +7,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/lansearch/lan/ged"
+	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/nn"
@@ -140,6 +143,56 @@ func TestBuildRecoversRankerPanic(t *testing.T) {
 		})
 		if eng != nil || err == nil || !strings.HasPrefix(err.Error(), "core: training M_rk: panic: injected") {
 			t.Errorf("Workers %d: Build = %v, %v; want a nil engine and an error starting \"core: training M_rk: panic: injected\"", workers, eng, err)
+		}
+	}
+}
+
+// panicOnCall returns a Hungarian metric that panics on its nth call, on
+// whichever goroutine makes it.
+func panicOnCall(n int64) ged.Metric {
+	var calls atomic.Int64
+	return ged.MetricFunc(func(g, h *graph.Graph) float64 {
+		if calls.Add(1) == n {
+			panic("injected")
+		}
+		return ged.Hungarian(g, h)
+	})
+}
+
+// TestBuildRecoversMetricPanic makes the build metric, and then the query
+// metric, panic on its 50th call: inside the PG build and inside the
+// distance table, on the caller at Workers 1 and on whichever of the
+// caller and the pool's helper draws that call at Workers 2. Build must
+// return an error naming the step, and every goroutine it started must
+// have ended by then.
+func TestBuildRecoversMetricPanic(t *testing.T) {
+	spec := dataset.AIDS(0.001)
+	db := spec.Generate()
+	train := dataset.Workload(db, spec, 6, 5)
+	for _, c := range []struct {
+		name, want string
+		opts       func(*Options)
+	}{
+		{"BuildMetric", "core: building the proximity graph: panic: injected", func(o *Options) { o.BuildMetric = panicOnCall(50) }},
+		{"QueryMetric", "core: distance table: panic: injected", func(o *Options) { o.QueryMetric = panicOnCall(50) }},
+	} {
+		for _, workers := range []int{1, 2} {
+			base := runtime.NumGoroutine()
+			opts := Options{M: 5, Dim: 8, GammaKNN: 5, UseCG: true, Workers: workers, Seed: 1,
+				Train: models.TrainOptions{Epochs: 1, LR: 0.01}}
+			c.opts(&opts)
+			eng, err := Build(db, train, opts)
+			if eng != nil || err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Errorf("%s, Workers %d: Build = %v, %v; want a nil engine and an error starting %q", c.name, workers, eng, err, c.want)
+			}
+			// A helper that has signalled Close is gone a moment later.
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Errorf("%s, Workers %d: %d goroutines before Build, %d after", c.name, workers, base, n)
+			}
 		}
 	}
 }

@@ -273,8 +273,10 @@ type Engine struct {
 // training sets → {M_rk, node embeddings} beside {M_nh, k-means, M_c}.
 // The two branches share no Params and no RNG (both shuffles are drawn
 // before they start), so with Workers > 1 they run on two goroutines and
-// the engine is bit-identical to a Workers = 1 build. A panic on M_rk's
-// branch comes back as an error naming it.
+// the engine is bit-identical to a Workers = 1 build. A panic in the PG
+// build, the distance table or on M_rk's branch comes back as an error
+// naming the step, whether it was raised on the caller or on a helper of
+// their pg.WorkerPool.
 func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engine, error) {
 	if err := db.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -292,15 +294,25 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 		workers = runtime.NumCPU()
 	}
 
-	idx, err := pg.Build(db, pg.BuildConfig{
-		M: opts.M, EfConstruction: opts.EfConstruction,
-		Metric: opts.BuildMetric, Seed: opts.Seed, Workers: workers,
+	var idx *pg.HNSW
+	err := recovered("building the proximity graph", func() (err error) {
+		idx, err = pg.Build(db, pg.BuildConfig{
+			M: opts.M, EfConstruction: opts.EfConstruction,
+			Metric: opts.BuildMetric, Seed: opts.Seed, Workers: workers,
+		})
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	table := models.ComputeDistanceTable(db, trainQueries, opts.QueryMetric, workers)
+	var table *models.DistanceTable
+	if err := recovered("distance table", func() error {
+		table = models.ComputeDistanceTable(db, trainQueries, opts.QueryMetric, workers)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	gammaStar := models.CalibrateGammaStar(table, opts.GammaKNN, opts.GammaQuantile)
 
 	store := models.NewCGStore(db, opts.Layers, opts.UseCG)
@@ -332,22 +344,19 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	// Train.Logf is the caller's code — would kill the process instead of
 	// unwinding into Build's caller. It fails the build instead, whatever
 	// the worker count.
-	trainRouting := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("core: training M_rk: panic: %v\n%s", r, debug.Stack())
+	trainRouting := func() error {
+		return recovered("training M_rk", func() error {
+			e.Mrk = models.NewNeighborRanker(mcfg, store)
+			if len(rankSet) > 0 {
+				if err := e.Mrk.Train(db, table, rankSet, opts.Train); err != nil {
+					return err
+				}
 			}
-		}()
-		e.Mrk = models.NewNeighborRanker(mcfg, store)
-		if len(rankSet) > 0 {
-			if err := e.Mrk.Train(db, table, rankSet, opts.Train); err != nil {
-				return err
-			}
-		}
-		// Embed the whole database once (batched) so routing never pays the
-		// current-node encoding at query time.
-		e.Mrk.PrecomputeNodeEmbeddings(db, workers)
-		return nil
+			// Embed the whole database once so routing never pays the
+			// current-node encoding at query time.
+			e.Mrk.PrecomputeNodeEmbeddings(db, workers)
+			return nil
+		})
 	}
 	trainInitial := func() error {
 		e.Mnh = models.NewNeighborhoodModel(mcfg, store)
@@ -383,6 +392,18 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	}
 	recordBuild(len(db), time.Since(buildStart))
 	return e, nil
+}
+
+// recovered runs step and turns a panic inside it — raised on the caller,
+// or raised again there by a pg.WorkerPool whose helper panicked — into an
+// error naming what was being built.
+func recovered(what string, step func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: %s: panic: %v\n%s", what, r, debug.Stack())
+		}
+	}()
+	return step()
 }
 
 // Search answers one k-ANN query. A query pays its distances one call

@@ -12,10 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
@@ -224,22 +222,15 @@ type GroundTruth struct {
 }
 
 // ComputeGroundTruth brute-forces the k-NNs of every query under metric,
-// in parallel. This is the paper's ground-truth protocol when metric is a
-// ged.Ensemble.
+// one query per call on a pg.WorkerPool of runtime.NumCPU workers. This is
+// the paper's ground-truth protocol when metric is a ged.Ensemble.
 func ComputeGroundTruth(db graph.Database, queries []*graph.Graph, metric ged.Metric, k int) []GroundTruth {
 	out := make([]GroundTruth, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, q := range queries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, q *graph.Graph) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = GroundTruth{Query: q, Results: BruteForceKNN(db, q, metric, k)}
-		}(i, q)
-	}
-	wg.Wait()
+	pool := pg.NewWorkerPool(0)
+	defer pool.Close()
+	pool.Run(len(queries), func(i int) {
+		out[i] = GroundTruth{Query: queries[i], Results: BruteForceKNN(db, queries[i], metric, k)}
+	})
 	return out
 }
 

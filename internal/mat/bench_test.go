@@ -7,9 +7,9 @@ import (
 )
 
 // Benchmarks for the product kernels at the sizes the GNNs actually see:
-// tiny cross-encoder heads (16), mid-size layer matmuls (64), and the
-// batched-embedding stacks (256). MulInto is benchmarked with a reused
-// destination to show the allocation-free steady state.
+// tiny cross-encoder heads (16), mid-size layer matmuls (64), and a large
+// product past the row-split threshold (256). MulInto is benchmarked with
+// a reused destination to show the allocation-free steady state.
 
 var benchSizes = []int{16, 64, 256}
 

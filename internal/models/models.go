@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -32,6 +31,7 @@ import (
 	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/nn"
+	"github.com/lansearch/lan/internal/pg"
 )
 
 // Config shapes all three models.
@@ -189,39 +189,20 @@ type DistanceTable struct {
 }
 
 // ComputeDistanceTable evaluates metric between every query and every
-// database graph, one query's row at a time on up to workers goroutines
+// database graph, one query's row per call on a pg.WorkerPool of workers
 // (<= 0 means runtime.NumCPU, as in pg.Build); workers == 1 computes every
 // row on the caller.
 func ComputeDistanceTable(db graph.Database, queries []*graph.Graph, metric ged.Metric, workers int) *DistanceTable {
 	t := &DistanceTable{Queries: queries, D: make([][]float64, len(queries))}
-	fill := func(i int) {
+	pool := pg.NewWorkerPool(workers)
+	defer pool.Close()
+	pool.Run(len(queries), func(i int) {
 		row := make([]float64, len(db))
 		for j, g := range db {
 			row[j] = metric.Distance(g, queries[i])
 		}
 		t.D[i] = row
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers == 1 {
-		for i := range queries {
-			fill(i)
-		}
-		return t
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range queries {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fill(i)
-		}(i)
-	}
-	wg.Wait()
+	})
 	return t
 }
 

@@ -83,15 +83,16 @@ func (r *NeighborRanker) Score(q, neighbor, node *graph.Graph) float64 {
 }
 
 // PrecomputeNodeEmbeddings embeds every database graph with the node
-// encoder once (batched across workers goroutines) so the router never
-// pays h_G at query time. Call after training; SetNodeEmbeddings restores
-// the same state from a snapshot.
+// encoder once — EmbedGraph per graph, fanned over a pg.WorkerPool of
+// workers (<= 0 means runtime.NumCPU) — so the router never pays h_G at
+// query time. Call after training; SetNodeEmbeddings restores the same
+// state from a snapshot.
 func (r *NeighborRanker) PrecomputeNodeEmbeddings(db graph.Database, workers int) {
-	cs := make([]*cg.Compressed, len(db))
-	for i, g := range db {
-		cs[i] = r.store.For(g)
-	}
-	r.nodeEmbs = r.node.BatchEmbed(cs, workers)
+	embs := make([][]float64, len(db))
+	pool := pg.NewWorkerPool(workers)
+	defer pool.Close()
+	pool.Run(len(db), func(i int) { embs[i] = r.EmbedGraph(db[i]) })
+	r.nodeEmbs = embs
 }
 
 // NodeEmbeddings returns the precomputed database embeddings (nil if
@@ -124,8 +125,9 @@ func (r *NeighborRanker) WithNodeEmbeddings(embs [][]float64) *NeighborRanker {
 	return &view
 }
 
-// EmbedGraph encodes one graph with the node encoder — the per-insert
-// counterpart of PrecomputeNodeEmbeddings.
+// EmbedGraph encodes one graph with the node encoder: what
+// PrecomputeNodeEmbeddings runs for every database graph and the write
+// path for every inserted one.
 func (r *NeighborRanker) EmbedGraph(g *graph.Graph) []float64 {
 	return r.node.Embed(r.store.For(g))
 }

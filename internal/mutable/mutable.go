@@ -11,8 +11,9 @@
 // land concurrently. The writer maintains this with a copy-on-write
 // discipline: publication hands out fresh copies of every outer
 // structure (adjacency headers, layer maps, validity arrays, model-side
-// tables), and pg.Mutator never edits a neighbor slice in place, so the
-// inner slices a snapshot captured stay frozen too.
+// tables), and the HNSW's write methods (Insert, Reselect, Detach) never
+// edit a neighbor slice in place, so the inner slices a snapshot captured
+// stay frozen too.
 //
 // Ids are append-only and never reused: an insert takes the next id, a
 // delete leaves a tombstoned husk behind, and Compact only strips the
@@ -41,7 +42,6 @@ import (
 type Index struct {
 	mu  sync.Mutex
 	eng *core.Engine // writer-owned; snapshots get views
-	mut *pg.Mutator
 
 	epoch uint64
 	dead  []bool
@@ -120,7 +120,7 @@ func makeIndex(eng *core.Engine, st *core.MutationState, readonly bool) (*Index,
 			}
 		}
 	}
-	x.mut = pg.NewMutator(eng.Index, eng.Opts.BuildMetric, eng.Opts.M, eng.Opts.EfConstruction)
+	eng.Index.Arm(eng.Opts.BuildMetric, eng.Opts.M, eng.Opts.EfConstruction)
 	x.mu.Lock()
 	x.publishLocked()
 	x.mu.Unlock()
@@ -148,7 +148,7 @@ func (x *Index) Total() int { return len(x.snap.Load().Engine.DB) }
 func (s *Snapshot) State() *core.MutationState { return s.state }
 
 // Insert adds g to the index and returns its id. The graph is cloned,
-// wired into every HNSW layer through the incremental mutator, embedded
+// wired into every HNSW layer through HNSW.Insert, embedded
 // into M_rk's node table and assigned to its nearest cluster; the
 // surrounding neighborhood is queued for background edge optimization.
 func (x *Index) Insert(g *graph.Graph) (int, error) {
@@ -174,7 +174,7 @@ func (x *Index) Insert(g *graph.Graph) (int, error) {
 	clone.ID = id
 	x.eng.DB = append(x.eng.DB, clone)
 	// The index routes over the same database slice; re-point its header
-	// so the mutator sees the appended graph (append may reallocate).
+	// so Insert sees the appended graph (append may reallocate).
 	x.eng.Index.PG.DB = x.eng.DB
 	x.dead = append(x.dead, false)
 	x.born = append(x.born, x.epoch+1)
@@ -184,7 +184,7 @@ func (x *Index) Insert(g *graph.Graph) (int, error) {
 	// Writes are applied under the index lock and are not cancellable
 	// mid-edit: a half-wired vertex is worse than a briefly-blocked
 	// caller.
-	x.mut.Insert(id, level)
+	x.eng.Index.Insert(id, level)
 
 	x.eng.Mrk.AppendNodeEmbedding(x.eng.Mrk.EmbedGraph(clone))
 	x.assignClusterLocked(clone, id)
@@ -270,7 +270,7 @@ func (x *Index) Compact() (int, error) {
 			continue
 		}
 		// See Insert for why write application is uncancellable.
-		x.mut.Detach(id, alive)
+		x.eng.Index.Detach(id, alive)
 		for _, v := range adj[id] {
 			x.enqueueChurnLocked(v)
 		}
@@ -331,7 +331,8 @@ func (x *Index) assignClusterLocked(g *graph.Graph, id int) {
 // publishLocked snapshots the writer state into a fresh immutable view
 // and swaps it in. Every outer structure is copied (headers pinned to
 // their current length); inner neighbor slices are shared but frozen —
-// pg.Mutator replaces them wholesale instead of editing in place.
+// the HNSW's write methods replace them wholesale instead of editing in
+// place.
 func (x *Index) publishLocked() {
 	h := x.eng.Index
 	n := len(x.eng.DB)

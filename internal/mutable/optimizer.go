@@ -92,7 +92,7 @@ func (x *Index) optimizePassLocked() bool {
 			continue
 		}
 		// See Insert for why write application is uncancellable.
-		budget -= x.mut.Reselect(u)
+		budget -= x.eng.Index.Reselect(u)
 		rewired = true
 	}
 	if rewired {

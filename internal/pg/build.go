@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"github.com/lansearch/lan/ged"
@@ -47,9 +46,6 @@ func (c *BuildConfig) defaults() {
 	if c.Metric == nil {
 		c.Metric = ged.MetricFunc(ged.Hungarian)
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
 }
 
 // HNSW is a hierarchical navigable small world index: PG holds the dense
@@ -65,19 +61,24 @@ type HNSW struct {
 	// Entry is the entry node at the top layer.
 	Entry int
 
-	m           int
-	buildMetric ged.Metric
-	// pool fans distance prefetches out during construction; nil outside
-	// Build (and when Workers == 1), making every prefetch sequential.
+	m int
+	// efConstruction is Insert's candidate-beam width: the build's
+	// BuildConfig.EfConstruction, or what Arm gives a reopened index.
+	efConstruction int
+	buildMetric    ged.Metric
+	// pool fans Insert's distance prefetches out; nil outside Build (and
+	// when Workers == 1), making every prefetch sequential.
 	pool *WorkerPool
 }
 
 // MaxLevel returns the highest populated layer.
 func (h *HNSW) MaxLevel() int { return len(h.Upper) }
 
-// Build constructs an HNSW index over db. Distances between database
-// members are memoized, so the build performs each pairwise GED at most
-// once. Candidate-beam distances are evaluated across cfg.Workers
+// Build constructs an HNSW index over db by inserting its graphs in id
+// order through Insert, the same copy-on-write insertion the write path
+// uses, each at a level drawn from the build's RNG. Distances between
+// database members are memoized, so the build performs each pairwise GED
+// at most once. Candidate-beam distances are evaluated across cfg.Workers
 // goroutines; the result is bit-identical to a Workers=1 build.
 func Build(db graph.Database, cfg BuildConfig) (*HNSW, error) {
 	cfg.defaults()
@@ -91,33 +92,20 @@ func Build(db graph.Database, cfg BuildConfig) (*HNSW, error) {
 	mL := 1 / math.Log(float64(cfg.M))
 
 	h := &HNSW{
-		PG:          &PG{DB: db, Adj: make([][]int, len(db))},
-		Level:       make([]int, len(db)),
-		Entry:       0,
-		m:           cfg.M,
-		buildMetric: ged.NewCounter(cfg.Metric), // memoizes by (ID, ID)
+		PG:             &PG{DB: db, Adj: make([][]int, len(db))},
+		Level:          make([]int, len(db)),
+		m:              cfg.M,
+		efConstruction: cfg.EfConstruction,
+		buildMetric:    ged.NewCounter(cfg.Metric), // memoizes by (ID, ID)
+		pool:           NewWorkerPool(cfg.Workers),
 	}
-	if cfg.Workers > 1 {
-		h.pool = NewWorkerPool(cfg.Workers)
-		defer func() {
-			h.pool.Close()
-			h.pool = nil
-		}()
-	}
+	defer func() {
+		h.pool.Close()
+		h.pool = nil
+	}()
 
 	for i := range db {
-		level := int(-math.Log(1-rng.Float64()) * mL)
-		h.Level[i] = level
-		for len(h.Upper) < level {
-			h.Upper = append(h.Upper, make(map[int][]int))
-		}
-		if i == 0 {
-			continue
-		}
-		h.insert(i, level, cfg.EfConstruction)
-		if level > h.Level[h.Entry] {
-			h.Entry = i
-		}
+		h.Insert(i, int(-math.Log(1-rng.Float64())*mL))
 	}
 	h.repairConnectivity(rng)
 	return h, nil
@@ -211,35 +199,6 @@ func insertSorted(ns []int, v int) []int {
 	return ns
 }
 
-// insert adds node i (already assigned its level) to all of its layers.
-func (h *HNSW) insert(i, level, efConstruction int) {
-	c := NewDistCache(h.buildMetric, h.PG.DB, h.PG.DB[i])
-	ep := h.Entry
-	top := h.Level[h.Entry]
-
-	// Greedy descent through the layers above the new node's level.
-	// Index construction is offline and deliberately uncancellable until
-	// the mutable index lands; the query path gets a real ctx instead.
-	for l := top; l > level; l-- {
-		ep = h.greedyStep(context.Background(), l, ep, c, h.pool) // offline build descent, not cancellable
-	}
-
-	// Ef-search and connect on each layer from min(level, top) down to 0.
-	start := level
-	if start > top {
-		start = top
-	}
-	for l := start; l >= 0; l-- {
-		results := searchLayer(c, h.layerNeighbors(l), ep, efConstruction, h.pool)
-		for _, r := range h.selectNeighbors(c, results, h.maxDegree(l)) {
-			h.connect(l, i, r.ID)
-		}
-		if len(results) > 0 {
-			ep = results[0].ID
-		}
-	}
-}
-
 // selectNeighbors is the HNSW neighbor-selection heuristic (Malkov &
 // Yashunin, Alg. 4): walk the candidates in ascending distance from the
 // base point and keep one only if it is closer to the base than to every
@@ -304,8 +263,8 @@ func (h *HNSW) layerNeighbors(l int) func(int) []int {
 }
 
 // greedyStep runs greedy search to the local optimum on layer l from ep.
-// Index construction hands in its pool and has each step's neighbor
-// distances prefetched through it; a query passes nil and pays them one
+// Insert hands in h.pool, so during Build each step's neighbor distances
+// are prefetched through it; a query passes nil and pays them one
 // at a time, checking ctx before each, so no GED call starts after a
 // cancel. A cancelled ctx stops the descent at the current node: the
 // result is still a valid entry point (just a worse one), and the
@@ -334,64 +293,6 @@ func (h *HNSW) greedyStep(ctx context.Context, l, ep int, c *DistCache, pool *Wo
 			return ep
 		}
 		ep = best
-	}
-}
-
-// connect adds the undirected edge (a, b) on layer l, shrinking either
-// endpoint back to the degree cap by dropping the farthest neighbors.
-func (h *HNSW) connect(l, a, b int) {
-	if a == b {
-		return
-	}
-	h.addDirected(l, a, b)
-	h.addDirected(l, b, a)
-}
-
-func (h *HNSW) addDirected(l, u, v int) {
-	var ns []int
-	if l == 0 {
-		ns = h.PG.Adj[u]
-	} else {
-		ns = h.Upper[l-1][u]
-	}
-	pos := sort.SearchInts(ns, v)
-	if pos < len(ns) && ns[pos] == v {
-		return
-	}
-	ns = append(ns, 0)
-	copy(ns[pos+1:], ns[pos:])
-	ns[pos] = v
-	var dropped []int
-	if cap := h.maxDegree(l); len(ns) > cap {
-		ns, dropped = h.shrink(u, ns, cap)
-	}
-	if l == 0 {
-		h.PG.Adj[u] = ns
-	} else {
-		h.Upper[l-1][u] = ns
-	}
-	// The PG is undirected: pruning u's side must drop the reverse edges.
-	for _, w := range dropped {
-		h.removeDirected(l, w, u)
-	}
-}
-
-func (h *HNSW) removeDirected(l, u, v int) {
-	var ns []int
-	if l == 0 {
-		ns = h.PG.Adj[u]
-	} else {
-		ns = h.Upper[l-1][u]
-	}
-	pos := sort.SearchInts(ns, v)
-	if pos >= len(ns) || ns[pos] != v {
-		return
-	}
-	ns = append(ns[:pos], ns[pos+1:]...)
-	if l == 0 {
-		h.PG.Adj[u] = ns
-	} else {
-		h.Upper[l-1][u] = ns
 	}
 }
 

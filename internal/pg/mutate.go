@@ -9,30 +9,26 @@ import (
 	"github.com/lansearch/lan/internal/order"
 )
 
-// Mutator applies incremental writes to a built HNSW under a
-// copy-on-write discipline: every edge edit builds a fresh neighbor
-// slice and assigns it into the writer-owned adjacency, never touching
-// a slice in place. Published snapshots hold their own copies of the
-// outer Adj slice (and cloned Upper maps), so a reader that captured
-// the index before an edit keeps seeing the exact pre-edit neighbor
-// lists — the mutable package's epoch-pinned reads rely on this.
+// The write methods below — Insert, Reselect, Detach and the edge edits
+// under them — edit a built HNSW under a copy-on-write discipline: every
+// edge edit builds a fresh neighbor slice and assigns it into the
+// writer-owned adjacency, never touching a slice in place. Published
+// snapshots hold their own copies of the outer Adj slice (and cloned
+// Upper maps), so a reader that captured the index before an edit keeps
+// seeing the exact pre-edit neighbor lists — the mutable package's
+// epoch-pinned reads rely on this. Build inserts through the same Insert.
 //
-// A Mutator is single-writer: the owning index serializes calls under
-// its write lock. It shares the HNSW's memoizing build metric, so
+// The write methods are single-writer: the owning index serializes calls
+// under its write lock. They share the HNSW's memoizing build metric, so
 // repeated optimizer passes over the same region get cheaper over time.
-type Mutator struct {
-	H *HNSW
-	// EfConstruction is the candidate-beam width for incremental inserts
-	// (same role as BuildConfig.EfConstruction).
-	EfConstruction int
-}
 
-// NewMutator prepares h for incremental mutation. Indexes reopened from
-// a snapshot carry no build metric or degree parameter (batch
-// construction is over), so the mutator re-arms them: metric, m and
+// Arm prepares h for incremental writes. Indexes reopened from a snapshot
+// carry no build metric, degree parameter or insertion beam (batch
+// construction is over), so Arm re-arms what is missing: metric, m and
 // efConstruction must match the values the index was built with for
-// edits to preserve its geometry.
-func NewMutator(h *HNSW, metric ged.Metric, m, efConstruction int) *Mutator {
+// edits to preserve its geometry. On an index Build returned it changes
+// nothing.
+func (h *HNSW) Arm(metric ged.Metric, m, efConstruction int) {
 	if h.buildMetric == nil {
 		if metric == nil {
 			metric = ged.MetricFunc(ged.Hungarian)
@@ -42,10 +38,12 @@ func NewMutator(h *HNSW, metric ged.Metric, m, efConstruction int) *Mutator {
 	if h.m <= 0 {
 		h.m = m
 	}
-	if efConstruction <= 0 {
-		efConstruction = 2 * h.m
+	if h.efConstruction <= 0 {
+		h.efConstruction = efConstruction
 	}
-	return &Mutator{H: h, EfConstruction: efConstruction}
+	if h.efConstruction <= 0 {
+		h.efConstruction = 2 * h.m
+	}
 }
 
 // DeterministicLevel derives the HNSW level of node id from (seed, id)
@@ -67,14 +65,15 @@ func DeterministicLevel(seed int64, id, m int) int {
 }
 
 // Insert wires node id (its graph already appended to the database, its
-// level already chosen) into every layer, mirroring batch insertion:
-// greedy descent above the node's level, then per-layer candidate-beam
-// search, diversity selection and symmetric connection. Write
+// level already chosen) into every layer: greedy descent above the node's
+// level, then per-layer candidate-beam search, diversity selection and
+// symmetric connection. It is the one insertion there is: Build calls it
+// for every graph in id order, with its worker pool prefetching the
+// distances, and the write path for every streamed graph. Write
 // application carries no context on purpose: it is atomic by design —
 // cancelling mid-edit would leave a half-wired vertex — and its cost is
 // bounded by the beam width, not by a query's unbounded search.
-func (mu *Mutator) Insert(id, level int) {
-	h := mu.H
+func (h *HNSW) Insert(id, level int) {
 	for len(h.PG.Adj) <= id {
 		h.PG.Adj = append(h.PG.Adj, nil)
 		h.Level = append(h.Level, 0)
@@ -92,16 +91,16 @@ func (mu *Mutator) Insert(id, level int) {
 	ep := h.Entry
 	top := h.Level[h.Entry]
 	for l := top; l > level; l-- {
-		ep = h.greedyStep(context.Background(), l, ep, c, nil) // write application is atomic: cancelling mid-edit would leave a half-wired vertex
+		ep = h.greedyStep(context.Background(), l, ep, c, h.pool) // write application is atomic: cancelling mid-edit would leave a half-wired vertex
 	}
 	start := level
 	if start > top {
 		start = top
 	}
 	for l := start; l >= 0; l-- {
-		results := searchLayer(c, h.layerNeighbors(l), ep, mu.EfConstruction, nil)
+		results := searchLayer(c, h.layerNeighbors(l), ep, h.efConstruction, h.pool)
 		for _, r := range h.selectNeighbors(c, results, h.maxDegree(l)) {
-			mu.connect(l, id, r.ID)
+			h.connect(l, id, r.ID)
 		}
 		if len(results) > 0 {
 			ep = results[0].ID
@@ -119,8 +118,7 @@ func (mu *Mutator) Insert(id, level int) {
 // deletes. It returns the number of distance computations charged, so
 // the caller can meter a pass against its work budget. Like Insert it
 // carries no context: a pass is atomic and budget-bounded.
-func (mu *Mutator) Reselect(u int) int {
-	h := mu.H
+func (h *HNSW) Reselect(u int) int {
 	if u < 0 || u >= len(h.PG.Adj) {
 		return 0
 	}
@@ -166,11 +164,11 @@ func (mu *Mutator) Reselect(u int) int {
 		if len(h.PG.Adj[v]) <= 1 {
 			continue
 		}
-		mu.removeDirected(0, u, v)
-		mu.removeDirected(0, v, u)
+		h.removeDirected(0, u, v)
+		h.removeDirected(0, v, u)
 	}
 	for _, s := range selected {
-		mu.connect(0, u, s.ID)
+		h.connect(0, u, s.ID)
 	}
 	return c.NDC()
 }
@@ -181,8 +179,7 @@ func (mu *Mutator) Reselect(u int) int {
 // The node remains in the database as an edgeless husk — ids never
 // shift. Like Insert it carries no context: detaching is atomic and its
 // cost is bounded by u's degree.
-func (mu *Mutator) Detach(u int, alive func(int) bool) {
-	h := mu.H
+func (h *HNSW) Detach(u int, alive func(int) bool) {
 	if u < 0 || u >= len(h.PG.Adj) {
 		return
 	}
@@ -191,7 +188,7 @@ func (mu *Mutator) Detach(u int, alive func(int) bool) {
 		top = h.MaxLevel()
 	}
 	for l := top; l >= 0; l-- {
-		ns := mu.layerAdj(l, u)
+		ns := h.layerAdj(l, u)
 		if l == 0 {
 			var live []int
 			for _, v := range ns {
@@ -201,12 +198,12 @@ func (mu *Mutator) Detach(u int, alive func(int) bool) {
 			}
 			for i, v := range live {
 				for _, w := range live[i+1:] {
-					mu.connect(0, v, w)
+					h.connect(0, v, w)
 				}
 			}
 		}
 		for _, v := range ns {
-			mu.removeDirected(l, v, u)
+			h.removeDirected(l, v, u)
 		}
 		if l == 0 {
 			h.PG.Adj[u] = nil
@@ -218,59 +215,50 @@ func (mu *Mutator) Detach(u int, alive func(int) bool) {
 
 // layerAdj returns u's neighbor slice on layer l. Callers must treat it
 // as read-only (it may be shared with published snapshots).
-func (mu *Mutator) layerAdj(l, u int) []int {
+func (h *HNSW) layerAdj(l, u int) []int {
 	if l == 0 {
-		return mu.H.PG.Adj[u]
+		return h.PG.Adj[u]
 	}
-	return mu.H.Upper[l-1][u]
+	return h.Upper[l-1][u]
 }
 
 // setAdj installs a fresh neighbor slice for u on layer l.
-func (mu *Mutator) setAdj(l, u int, ns []int) {
+func (h *HNSW) setAdj(l, u int, ns []int) {
 	if l == 0 {
-		mu.H.PG.Adj[u] = ns
+		h.PG.Adj[u] = ns
 	} else {
-		mu.H.Upper[l-1][u] = ns
+		h.Upper[l-1][u] = ns
 	}
 }
 
-// connect adds the undirected edge (a, b) on layer l — the
-// copy-on-write counterpart of HNSW.connect. Unlike batch insertion,
-// where the first endpoint is always a fresh under-capacity node,
-// mutation bridges vertices that may both be full: a's shrink can drop
-// b again before b ever links back, which would leave the half-edge
-// (b, a) dangling. The PG is undirected, so a one-sided survivor is
-// removed.
-func (mu *Mutator) connect(l, a, b int) {
+// connect adds the undirected edge (a, b) on layer l. Insert's first
+// endpoint is always a fresh under-capacity node, but Reselect and Detach
+// bridge vertices that may both be full: a's shrink can drop b again
+// before b ever links back, which would leave the half-edge (b, a)
+// dangling. The PG is undirected, so a one-sided survivor is removed.
+func (h *HNSW) connect(l, a, b int) {
 	if a == b {
 		return
 	}
-	mu.addDirected(l, a, b)
-	mu.addDirected(l, b, a)
-	ab := hasNeighbor(mu.layerAdj(l, a), b)
-	ba := hasNeighbor(mu.layerAdj(l, b), a)
+	h.addDirected(l, a, b)
+	h.addDirected(l, b, a)
+	ab := containsSorted(h.layerAdj(l, a), b)
+	ba := containsSorted(h.layerAdj(l, b), a)
 	if ab != ba {
 		if ab {
-			mu.removeDirected(l, a, b)
+			h.removeDirected(l, a, b)
 		} else {
-			mu.removeDirected(l, b, a)
+			h.removeDirected(l, b, a)
 		}
 	}
 }
 
-// hasNeighbor reports whether the sorted neighbor list ns contains v.
-func hasNeighbor(ns []int, v int) bool {
-	pos := sort.SearchInts(ns, v)
-	return pos < len(ns) && ns[pos] == v
-}
-
 // addDirected adds v to u's neighbors on layer l, shrinking u back to
-// the degree cap with the diversity heuristic. Unlike HNSW.addDirected
-// it never writes into the existing slice: the new list is always a
-// fresh allocation, so snapshots holding the old one are untouched.
-func (mu *Mutator) addDirected(l, u, v int) {
-	h := mu.H
-	ns := mu.layerAdj(l, u)
+// the degree cap with the diversity heuristic. It never writes into the
+// existing slice: the new list is always a fresh allocation, so snapshots
+// holding the old one are untouched.
+func (h *HNSW) addDirected(l, u, v int) {
+	ns := h.layerAdj(l, u)
 	pos := sort.SearchInts(ns, v)
 	if pos < len(ns) && ns[pos] == v {
 		return
@@ -283,15 +271,15 @@ func (mu *Mutator) addDirected(l, u, v int) {
 	if cap := h.maxDegree(l); len(grown) > cap {
 		grown, dropped = h.shrink(u, grown, cap) // builds fresh slices
 	}
-	mu.setAdj(l, u, grown)
+	h.setAdj(l, u, grown)
 	for _, w := range dropped {
-		mu.removeDirected(l, w, u)
+		h.removeDirected(l, w, u)
 	}
 }
 
 // removeDirected drops v from u's neighbors on layer l, copy-on-write.
-func (mu *Mutator) removeDirected(l, u, v int) {
-	ns := mu.layerAdj(l, u)
+func (h *HNSW) removeDirected(l, u, v int) {
+	ns := h.layerAdj(l, u)
 	pos := sort.SearchInts(ns, v)
 	if pos >= len(ns) || ns[pos] != v {
 		return
@@ -299,5 +287,5 @@ func (mu *Mutator) removeDirected(l, u, v int) {
 	shrunk := make([]int, 0, len(ns)-1)
 	shrunk = append(shrunk, ns[:pos]...)
 	shrunk = append(shrunk, ns[pos+1:]...)
-	mu.setAdj(l, u, shrunk)
+	h.setAdj(l, u, shrunk)
 }

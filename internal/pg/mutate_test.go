@@ -8,7 +8,7 @@ import (
 )
 
 // incrementalIndex builds an HNSW over the first built of db's graphs and
-// wires the rest in through the Mutator, returning the index and the id
+// wires the rest in through its write path, returning the index and the id
 // the incremental phase started at.
 func incrementalIndex(t *testing.T, db graph.Database, built int) (*HNSW, int) {
 	t.Helper()
@@ -17,9 +17,9 @@ func incrementalIndex(t *testing.T, db graph.Database, built int) (*HNSW, int) {
 		t.Fatalf("Build: %v", err)
 	}
 	h.PG.DB = db // the database grows first; the graph catches up per insert
-	mu := NewMutator(h, nil, 6, 16)
+	h.Arm(nil, 6, 16)
 	for id := built; id < len(db); id++ {
-		mu.Insert(id, DeterministicLevel(1, id, 6))
+		h.Insert(id, DeterministicLevel(1, id, 6))
 	}
 	return h, built
 }
@@ -114,7 +114,7 @@ func TestMutatorCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PG.DB = db
-	mu := NewMutator(h, nil, 6, 16)
+	h.Arm(nil, 6, 16)
 
 	// A reader's snapshot: the outer slice copied, the inner neighbor
 	// slices shared. COW requires those inner slices to stay frozen.
@@ -126,12 +126,12 @@ func TestMutatorCopyOnWrite(t *testing.T) {
 	}
 
 	for id := built; id < len(db); id++ {
-		mu.Insert(id, DeterministicLevel(1, id, 6))
+		h.Insert(id, DeterministicLevel(1, id, 6))
 	}
 	for u := 0; u < built/2; u++ {
-		mu.Reselect(u)
+		h.Reselect(u)
 	}
-	mu.Detach(built, func(v int) bool { return v != built })
+	h.Detach(built, func(v int) bool { return v != built })
 
 	for u := range pinned {
 		if len(pinned[u]) != len(want[u]) {
@@ -151,8 +151,7 @@ func TestMutatorDetachBridgesAndStrips(t *testing.T) {
 
 	u := h.Entry // hardest case: detach the entry vertex
 	liveNeighbors := append([]int(nil), h.PG.Adj[u]...)
-	mu := &Mutator{H: h, EfConstruction: 16}
-	mu.Detach(u, func(v int) bool { return v != u })
+	h.Detach(u, func(v int) bool { return v != u })
 
 	if len(h.PG.Adj[u]) != 0 {
 		t.Fatalf("detached node keeps base edges: %v", h.PG.Adj[u])
@@ -194,7 +193,7 @@ func TestMutatorReselectKeepsEveryoneConnected(t *testing.T) {
 
 	ndc := 0
 	for u := range h.PG.Adj {
-		ndc += (&Mutator{H: h, EfConstruction: 16}).Reselect(u)
+		ndc += h.Reselect(u)
 	}
 	if ndc <= 0 {
 		t.Fatal("Reselect charged no distance computations")

@@ -146,7 +146,7 @@ func (c *DistCache) Prefetch(ids []int, pool *WorkerPool) {
 		return
 	}
 	out := make([]float64, len(pending))
-	pool.run(len(pending), func(i int) {
+	pool.Run(len(pending), func(i int) {
 		out[i] = c.Metric.Distance(graphs[i], c.Q)
 	})
 	for i, id := range pending {
