@@ -41,15 +41,25 @@ type pairCtx struct {
 	suffixEdges []int32 // edges with both endpoints at positions >= i
 	hHist       []int32 // label histogram of h
 
-	// usedHist is the per-parent scratch histogram of used-h-node labels;
-	// children adjust it by one label around their heuristic evaluation.
-	usedHist []int32
+	// Per-parent tables, filled by prepParent before a state's children
+	// are priced: usedHist is the state's used-h-node label histogram; img
+	// is the bitset over h of the images of the deciding g node's
+	// processed, mapped neighbours; nDel and nMapped count those neighbours
+	// deleted and mapped; common is the heuristic's label-overlap sum one
+	// depth down, which each child adjusts at its own label only.
+	usedHist      []int32
+	img           []uint64
+	nDel, nMapped int32
+	common        int32
 
 	// Search state. A* keeps every generated child in cands (parent
-	// pointers index into it) and its open list in heap; beam search
-	// refills both at every depth. The kernels run one after the other, so
-	// they share the storage.
+	// pointers index into it) and its open list in heap. Beam search uses
+	// cands as its selection slots, seq for each slot's creation index at
+	// this depth and heap as the max-heap over slots, refilled at every
+	// depth. The kernels run one after the other, so they share the
+	// storage.
 	cands    []searchCand
+	seq      []int
 	heap     []int32
 	frontier []searchState
 	next     []searchState
@@ -163,7 +173,7 @@ func release(c *pairCtx) {
 func (c *pairCtx) footprint() int {
 	const candBytes, stateBytes = int(unsafe.Sizeof(searchCand{})), int(unsafe.Sizeof(searchState{}))
 	return cap(c.cands)*candBytes + (cap(c.frontier)+cap(c.next))*stateBytes +
-		8*(cap(c.cost)+cap(c.hAdj)+cap(c.usedA)+cap(c.usedB)) +
+		8*(cap(c.cost)+cap(c.hAdj)+cap(c.usedA)+cap(c.usedB)+cap(c.img)+cap(c.seq)) +
 		4*(cap(c.heap)+cap(c.suffixHist)+cap(c.phiA)+cap(c.phiB))
 }
 
@@ -261,6 +271,7 @@ func (c *pairCtx) prepSearch() {
 		c.hHist[c.hLab[x]]++
 	}
 	c.usedHist = grow(c.usedHist, L)
+	c.img = grow(c.img, c.hWords)
 }
 
 // rootState returns the empty partial mapping in arena slot A0.
@@ -275,8 +286,6 @@ func (c *pairCtx) rootState() searchState {
 	clear(c.usedHist)
 	return s
 }
-
-func isUsed(used []uint64, w int) bool { return used[w/64]&(1<<(w%64)) != 0 }
 
 // grow returns s resized to n, reusing its backing array when the capacity
 // suffices (contents are unspecified).

@@ -1,5 +1,7 @@
 package ged
 
+import "math"
+
 // notProcessed marks a g node whose mapping decision has not been made.
 const notProcessed = -2
 
@@ -11,7 +13,8 @@ const notProcessed = -2
 //
 // Children are candidate records with a parent pointer; only the states
 // actually popped (at most the budget) have their mapping rebuilt, and
-// cost, heuristic and edge counters are those of beam search's addCand.
+// cost, heuristic and edge counters come from the per-parent tables and
+// the child-cost function beam search prices its children with.
 // The open list is an index heap performing container/heap's exact
 // comparisons (astarPush, astarPop), so the pop order among equal-f states
 // — and with it which pairs finish inside a budget — is that of the
@@ -23,7 +26,7 @@ func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) 
 		root.cost = float64(c.hN) + float64(c.hM) // insert all of h
 		root.f = root.cost
 	} else {
-		root.f = c.heuristicOf(0, &root)
+		root.f = c.lowerBound(0, c.commonAt(0), 0, c.hM)
 	}
 	c.cands = append(c.cands[:0], root)
 	c.heap = append(c.heap[:0], 0)
@@ -32,7 +35,7 @@ func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) 
 		ci := c.astarPop()
 		depth := int(c.cands[ci].depth)
 		if depth == c.gN {
-			// Completion cost already folded in by addCand.
+			// Completion cost already folded in by child.
 			c.rebuild(ci, &s)
 			return s.cost, expansions, true
 		}
@@ -54,6 +57,21 @@ func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) 
 		}
 	}
 	return 0, expansions, false // unreachable for well-formed inputs
+}
+
+// expand appends to c.cands every child of s, the state of candidate pi at
+// the given depth: g node order[depth] mapped to each unused h node in
+// ascending id order, then deleted. c.usedHist must hold s's used-label
+// histogram.
+func (c *pairCtx) expand(depth int, pi int32, s *searchState) {
+	c.prepParent(depth, s)
+	for wi := 0; wi <= c.hN/64; wi++ {
+		for free := c.freeBits(s, wi); free != 0; free &= free - 1 {
+			n := len(c.cands)
+			c.cands = append(c.cands, searchCand{})
+			c.child(&c.cands[n], depth, pi, s, c.childAt(wi, free), math.Inf(1))
+		}
+	}
 }
 
 // rebuild materializes candidate ci into s by walking its parent chain,

@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"math"
 	"math/bits"
 
 	"github.com/lansearch/lan/internal/order"
@@ -25,9 +26,9 @@ type searchState struct {
 }
 
 // searchCand is a child state as assignment metadata only: which parent,
-// which h node. Beam search materializes phi/used for the top-w survivors
-// after selection, A* for the states it actually pops, so the (much
-// larger) rejected majority never pays the copy.
+// which h node. Beam search holds one per selection slot and materializes
+// phi/used for the survivors after selection, A* holds every child and
+// rebuilds the states it actually pops, so no rejected child pays the copy.
 type searchCand struct {
 	cost     float64
 	f        float64
@@ -45,14 +46,14 @@ type searchCand struct {
 // of Neuhaus, Riesen and Bunke used in the paper's ground-truth protocol.
 // Width w <= 0 defaults to 8. prepSearch must have run.
 //
-// States live in flat per-depth arenas, label histograms are dense
-// []int32 counters over interned label ids, the per-state edge statistics
-// are maintained incrementally, and the per-depth frontier truncation is a
-// partial top-w heap selection instead of a full sort.
+// States live in flat per-depth arenas, and each depth is one pass over
+// the frontier's children (selectChildren): a child is priced from its
+// parent's tables and offered to a bounded top-w heap as it is computed,
+// so only contenders are ever written.
 //
 // Ties on f are broken by state creation order — the order a stable sort
 // of the enumerated children keeps — so the kept frontier is a
-// deterministic function of the input pair, not of sort internals.
+// deterministic function of the input pair, not of heap internals.
 func (c *pairCtx) beam(w int) float64 {
 	if w <= 0 {
 		w = 8
@@ -62,18 +63,12 @@ func (c *pairCtx) beam(w int) float64 {
 		return float64(c.hN) + float64(c.hM)
 	}
 	s0 := c.rootState()
-	s0.f = c.heuristicOf(0, &searchCand{remEdges: c.hM})
+	s0.f = c.lowerBound(0, c.commonAt(0), 0, c.hM)
 	c.frontier = append(c.frontier[:0], s0)
 
 	for depth := 0; depth < c.gN; depth++ {
-		u := int(c.order[depth])
-		c.cands = c.cands[:0]
-		for pi := range c.frontier {
-			s := &c.frontier[pi]
-			c.fillUsedHist(s)
-			c.expand(depth, int32(pi), s)
-		}
-		c.keepBest(w, u)
+		c.selectChildren(depth, w)
+		c.advance(int(c.order[depth]))
 		c.frontier, c.next = c.next, c.frontier
 		c.phiA, c.phiB = c.phiB, c.phiA
 		c.usedA, c.usedB = c.usedB, c.usedA
@@ -88,101 +83,185 @@ func (c *pairCtx) beam(w int) float64 {
 	return best
 }
 
-// expand appends to c.cands every child of s, a state at the given depth:
-// g node order[depth] mapped to each unused h node in ascending id order,
-// then deleted. c.usedHist must hold s's used-label histogram.
-func (c *pairCtx) expand(depth int, pi int32, s *searchState) {
-	u := int(c.order[depth])
-	for x := 0; x < c.hN; x++ {
-		if !isUsed(s.used, x) {
-			c.addCand(depth, pi, s, u, int32(x))
+// selectChildren streams every child of every frontier state at the given
+// depth, in creation order, through a max-heap of at most w slots under
+// (f ascending, creation index ascending), worst on top. Once the heap is
+// full a child enters only if its f is below the root's — on a tie it
+// ranks after every kept child, having been created later — and then
+// takes the root's slot. The heuristic is non-negative, so a child whose
+// cost alone is not below the root's f is rejected before its heuristic
+// is computed; a rejected child writes nothing. The slots are sized by the
+// children this depth has, never by w.
+func (c *pairCtx) selectChildren(depth, w int) {
+	n := 0
+	for i := range c.frontier {
+		n += c.hN - int(c.frontier[i].usedN) + 1
+	}
+	slots := min(w, n)
+	c.cands = grow(c.cands, slots)
+	c.seq = grow(c.seq, slots)
+	c.heap = grow(c.heap, slots)[:0]
+	bound := math.Inf(1) // the root's f once every slot is taken
+	seq := 0
+	var nc searchCand
+	for pi := range c.frontier {
+		s := &c.frontier[pi]
+		c.fillUsedHist(s)
+		c.prepParent(depth, s)
+		for wi := 0; wi <= c.hN/64; wi++ {
+			for free := c.freeBits(s, wi); free != 0; free &= free - 1 {
+				seq++
+				if !c.child(&nc, depth, int32(pi), s, c.childAt(wi, free), bound) {
+					continue
+				}
+				if k := len(c.heap); k < slots {
+					c.cands[k], c.seq[k] = nc, seq
+					c.heap = append(c.heap, int32(k))
+					c.siftUp(k)
+					if k+1 < slots {
+						continue
+					}
+				} else {
+					r := c.heap[0]
+					c.cands[r], c.seq[r] = nc, seq
+					c.siftDown(0)
+				}
+				bound = c.cands[c.heap[0]].f
+			}
 		}
 	}
-	c.addCand(depth, pi, s, u, unmapped)
+}
+
+// freeBits returns word wi of the bitset of s's children: its unused h
+// nodes, and bit hN, which stands for deleting the g node being decided.
+// The set bits, words ascending, are the children in creation order.
+func (c *pairCtx) freeBits(s *searchState, wi int) uint64 {
+	free := ^uint64(0)
+	if wi < len(s.used) {
+		free = ^s.used[wi]
+	}
+	if rest := c.hN - 64*wi; rest < 63 {
+		free &= 1<<(rest+1) - 1
+	}
+	return free
+}
+
+// childAt returns the child the lowest set bit of freeBits' word wi
+// stands for: an h node, or unmapped.
+func (c *pairCtx) childAt(wi int, free uint64) int32 {
+	if i := 64*wi + bits.TrailingZeros64(free); i < c.hN {
+		return int32(i)
+	}
+	return unmapped
 }
 
 // fillUsedHist recomputes the used-h-label histogram of parent s into the
 // scratch buffer.
 func (c *pairCtx) fillUsedHist(s *searchState) {
-	for l := 0; l < c.nLabels; l++ {
-		c.usedHist[l] = 0
-	}
-	for u := 0; u < c.gN; u++ {
-		if x := s.phi[u]; x >= 0 {
-			c.usedHist[c.hLab[x]]++
+	clear(c.usedHist)
+	for wi, used := range s.used {
+		for ; used != 0; used &= used - 1 {
+			c.usedHist[c.hLab[64*wi+bits.TrailingZeros64(used)]]++
 		}
 	}
 }
 
-// addCand appends the child of s that maps g node u to h node w (or
-// deletes u when w == unmapped), computing its cost and f without
-// materializing the child's mapping.
-func (c *pairCtx) addCand(depth int, pi int32, s *searchState, u int, w int32) {
-	cost := 0.0
-	var usedNbr, unusedNbr int32
-	if w == unmapped {
-		cost = 1 // node deletion
-		for _, j := range c.g.Neighbors(u) {
-			if s.phi[j] != notProcessed {
-				cost++ // incident edge to a processed node is deleted
-			}
+// prepParent fills the tables every child of s, a state at the given
+// depth, shares: the images in h of g node order[depth]'s processed,
+// mapped neighbours as a bitset (c.img), how many of its neighbours are
+// already deleted and already mapped (c.nDel, c.nMapped), and the
+// heuristic's label-overlap sum at depth+1 under s's used-label histogram
+// (c.common), which c.usedHist must hold.
+func (c *pairCtx) prepParent(depth int, s *searchState) {
+	clear(c.img)
+	c.nDel, c.nMapped = 0, 0
+	for _, j := range c.g.Neighbors(int(c.order[depth])) {
+		switch pj := s.phi[j]; {
+		case pj == unmapped:
+			c.nDel++
+		case pj >= 0:
+			c.nMapped++
+			c.img[pj/64] |= 1 << (pj % 64)
 		}
+	}
+	if depth+1 < c.gN {
+		c.common = c.commonAt(depth + 1)
+	}
+}
+
+// child prices the child of s — a state at the given depth and frontier
+// or candidate index pi — that maps g node u = order[depth] to h node x,
+// or deletes u when x == unmapped, and reports whether its f is below
+// bound, writing it to *nc only then. The heuristic is non-negative, so a
+// child whose cost alone is not below bound is rejected before its
+// heuristic is computed. prepParent must have run for s.
+//
+// Deleting u deletes it and its edges to every processed neighbour.
+// Mapping it relabels on a label mismatch; an edge to a deleted neighbour
+// is deleted; an edge to a mapped neighbour survives iff x is adjacent to
+// the neighbour's image — matched of them, one popcount against c.img,
+// since images are distinct — and is deleted otherwise; and every h edge
+// from x to a used node that no g edge matches is inserted. At the last
+// depth the forced insertions are folded into the cost so that f is
+// exact; elsewhere f adds the heuristic, whose label-overlap sum is the
+// parent's c.common less one when x's label was one the unprocessed g
+// nodes could still have matched. Every cost is an integer, so each float
+// sum here is exact.
+func (c *pairCtx) child(nc *searchCand, depth int, pi int32, s *searchState, x int32, bound float64) bool {
+	var d, usedNbr, unusedNbr int32
+	if x == unmapped {
+		d = 1 + c.nDel + c.nMapped
 	} else {
-		if c.gLab[u] != c.hLab[w] {
-			cost++ // relabel
-		}
-		matched := int32(0)
-		for _, j := range c.g.Neighbors(u) {
-			switch pj := s.phi[j]; {
-			case pj == notProcessed:
-				// decided later
-			case pj == unmapped:
-				cost++ // g edge to a deleted node: deletion
-			case c.hasEdgeH(w, pj):
-				matched++
-			default:
-				cost++ // g edge with no h counterpart: deletion
-			}
-		}
-		for i, row := range c.hAdj[int(w)*c.hWords : (int(w)+1)*c.hWords] {
+		var matched int32
+		for i, row := range c.hAdj[int(x)*c.hWords : (int(x)+1)*c.hWords] {
+			matched += int32(bits.OnesCount64(row & c.img[i]))
 			usedNbr += int32(bits.OnesCount64(row & s.used[i]))
 			unusedNbr += int32(bits.OnesCount64(row &^ s.used[i]))
 		}
-		// h edges from w to already-used nodes that are not matched by a g
-		// edge must be inserted.
-		cost += float64(usedNbr - matched)
+		if c.gLab[c.order[depth]] != c.hLab[x] {
+			d = 1
+		}
+		d += c.nDel + (c.nMapped - matched) + (usedNbr - matched)
+	}
+	cost := s.cost + float64(d)
+	if !(cost < bound) {
+		return false
 	}
 
-	nc := searchCand{
-		cost: s.cost + cost, parent: pi, w: w, depth: int32(depth + 1),
-		usedN: s.usedN, bothUsed: s.bothUsed, remEdges: s.remEdges,
+	usedN, bothUsed, remEdges := s.usedN, s.bothUsed, s.remEdges
+	if x >= 0 {
+		usedN++
+		bothUsed += usedNbr
+		remEdges -= unusedNbr
 	}
-	if w >= 0 {
-		nc.usedN++
-		nc.bothUsed += usedNbr
-		nc.remEdges -= unusedNbr
-	}
+	var f float64
 	if depth+1 == c.gN {
-		// Terminal: fold in the forced insertions so that f is exact.
-		nc.cost += float64(int32(c.hN)-nc.usedN) + float64(c.hM-nc.bothUsed)
-		nc.f = nc.cost
-	} else if w >= 0 {
-		// The child's used-label histogram is the parent's plus w's label.
-		c.usedHist[c.hLab[w]]++
-		nc.f = nc.cost + c.heuristicOf(depth+1, &nc)
-		c.usedHist[c.hLab[w]]--
+		cost += float64(int32(c.hN)-usedN) + float64(c.hM-bothUsed)
+		f = cost
 	} else {
-		nc.f = nc.cost + c.heuristicOf(depth+1, &nc)
+		common := c.common
+		if x >= 0 {
+			l := c.hLab[x]
+			if c.hHist[l]-c.usedHist[l] <= c.suffixHist[(depth+1)*c.nLabels+int(l)] {
+				common--
+			}
+		}
+		f = cost + c.lowerBound(depth+1, common, usedN, remEdges)
 	}
-	c.cands = append(c.cands, nc)
+	if !(f < bound) {
+		return false
+	}
+	*nc = searchCand{
+		cost: cost, f: f, parent: pi, w: x, depth: int32(depth + 1),
+		usedN: usedN, bothUsed: bothUsed, remEdges: remEdges,
+	}
+	return true
 }
 
-// heuristicOf is the admissible lower bound on the remaining edit cost of
-// a candidate at the given depth: the label-multiset bound between
-// unprocessed g nodes and unused h nodes plus the gap between the
-// remaining-remaining edge counts on both sides. c.usedHist must hold the
-// candidate's used-label histogram.
-func (c *pairCtx) heuristicOf(depth int, nc *searchCand) float64 {
+// commonAt is the label-overlap sum of the heuristic at the given depth:
+// label by label, how many of the unprocessed g nodes the unused h nodes
+// can match, under the used-label histogram in c.usedHist.
+func (c *pairCtx) commonAt(depth int) int32 {
 	common := int32(0)
 	row := c.suffixHist[depth*c.nLabels : (depth+1)*c.nLabels]
 	for l, sfx := range row {
@@ -192,8 +271,17 @@ func (c *pairCtx) heuristicOf(depth int, nc *searchCand) float64 {
 			common += sfx
 		}
 	}
+	return common
+}
+
+// lowerBound is the admissible lower bound on the remaining edit cost of a
+// state at the given depth with usedN used h nodes and remEdges h edges
+// between unused ones: the label-multiset bound between unprocessed g
+// nodes and unused h nodes, from its label-overlap sum common, plus the
+// gap between the remaining-remaining edge counts on both sides.
+func (c *pairCtx) lowerBound(depth int, common, usedN, remEdges int32) float64 {
 	remG := int32(c.gN - depth)
-	remH := int32(c.hN) - nc.usedN
+	remH := int32(c.hN) - usedN
 	small, big := remG, remH
 	if remH < remG {
 		small, big = remH, remG
@@ -203,7 +291,7 @@ func (c *pairCtx) heuristicOf(depth int, nc *searchCand) float64 {
 	}
 	lb := float64(big-small) + float64(small-common)
 
-	eg, eh := c.suffixEdges[depth], nc.remEdges
+	eg, eh := c.suffixEdges[depth], remEdges
 	if eg > eh {
 		lb += float64(eg - eh)
 	} else {
@@ -212,29 +300,12 @@ func (c *pairCtx) heuristicOf(depth int, nc *searchCand) float64 {
 	return lb
 }
 
-// keepBest selects the top-w candidates under (f ascending, creation index
-// ascending) — the deterministic refinement of the old full-sort-and-
-// truncate — and materializes them, in that order, into the B arenas as
-// the next frontier.
-func (c *pairCtx) keepBest(w, u int) {
-	// Max-heap of at most w candidate indices, worst on top. Candidates
-	// arrive in creation order, so once the heap is full a newcomer ranks
-	// after every kept candidate it ties with on f: it enters only when the
-	// root is worse, and then takes the root's place. O(C log w) at most,
-	// one comparison for the rejected majority.
-	c.heap = c.heap[:0]
-	for i := range c.cands {
-		switch {
-		case len(c.heap) < w:
-			c.heap = append(c.heap, int32(i))
-			c.siftUp(len(c.heap) - 1)
-		case c.worse(c.heap[0], int32(i)):
-			c.heap[0] = int32(i)
-			c.siftDown(0)
-		}
-	}
-	// Drain the heap back-to-front: popping the worst repeatedly yields
-	// ascending (f, index) order.
+// advance drains the selection heap into ascending (f, creation index)
+// order and materializes those children, in that order, into the B arenas
+// as the next frontier; u is the g node this depth decided.
+func (c *pairCtx) advance(u int) {
+	// Popping the worst repeatedly, back to front, leaves the heap array
+	// sorted ascending.
 	n := len(c.heap)
 	sorted := c.heap
 	for i := n - 1; i > 0; i-- {
@@ -247,8 +318,8 @@ func (c *pairCtx) keepBest(w, u int) {
 	c.phiB = grow(c.phiB, n*c.gN)
 	c.usedB = grow(c.usedB, n*c.hWords)
 	c.next = c.next[:0]
-	for si, ci := range sorted {
-		nc := &c.cands[ci]
+	for si, slot := range sorted {
+		nc := &c.cands[slot]
 		parent := &c.frontier[nc.parent]
 		phi := c.phiB[si*c.gN : (si+1)*c.gN]
 		copy(phi, parent.phi)
@@ -266,13 +337,13 @@ func (c *pairCtx) keepBest(w, u int) {
 	}
 }
 
-// worse reports whether candidate a ranks strictly after candidate b under
-// (f ascending, creation index ascending).
+// worse reports whether the child in slot a ranks strictly after the one
+// in slot b under (f ascending, creation index ascending).
 func (c *pairCtx) worse(a, b int32) bool {
 	if cmp := order.Cmp(c.cands[a].f, c.cands[b].f); cmp != 0 {
 		return cmp > 0
 	}
-	return a > b
+	return c.seq[a] > c.seq[b]
 }
 
 func (c *pairCtx) siftUp(i int) {

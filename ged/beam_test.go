@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -83,23 +84,52 @@ func beamCorpus() [][2]*graph.Graph {
 }
 
 func TestBeamKernelMatchesReference(t *testing.T) {
-	widths := []int{1, 2, 3, 8, 32}
-	for i, pair := range beamCorpus() {
-		g, h := pair[0], pair[1]
-		for _, w := range widths {
-			got := Beam(g, h, w)
-			want := referenceBeam(g, h, w)
-			if got != want {
-				t.Fatalf("pair %d (|g|=%d |h|=%d) w=%d: arena kernel %v != reference %v",
-					i, g.N(), h.N(), w, got, want)
-			}
-			// The reverse orientation exercises the internal swap branch;
-			// it must agree with the reference in that same orientation
-			// (beam search itself is only symmetric for unequal sizes).
-			if rev, wantRev := Beam(h, g, w), referenceBeam(h, g, w); rev != wantRev {
-				t.Fatalf("pair %d w=%d: Beam(h,g)=%v != reference %v", i, w, rev, wantRev)
+	for _, corpus := range []struct {
+		pairs  [][2]*graph.Graph
+		widths []int
+	}{
+		{beamCorpus(), []int{1, 2, 3, 8, 32}},
+		{twoWordPairs(), []int{1, 4, 8}},
+	} {
+		for i, pair := range corpus.pairs {
+			g, h := pair[0], pair[1]
+			for _, w := range corpus.widths {
+				got := Beam(g, h, w)
+				want := referenceBeam(g, h, w)
+				if got != want {
+					t.Fatalf("pair %d (|g|=%d |h|=%d) w=%d: arena kernel %v != reference %v",
+						i, g.N(), h.N(), w, got, want)
+				}
+				// The reverse orientation exercises the internal swap branch;
+				// it must agree with the reference in that same orientation
+				// (beam search itself is only symmetric for unequal sizes).
+				if rev, wantRev := Beam(h, g, w), referenceBeam(h, g, w); rev != wantRev {
+					t.Fatalf("pair %d w=%d: Beam(h,g)=%v != reference %v", i, w, rev, wantRev)
+				}
 			}
 		}
+	}
+}
+
+// TestBeamKernelHugeWidth: the selection slots are sized by the children a
+// depth has, never by the width, so a beam wider than any frontier — an
+// exhaustive search — matches the reference and, on a warm arena,
+// allocates nothing.
+func TestBeamKernelHugeWidth(t *testing.T) {
+	const w = math.MaxInt32
+	for i, pair := range beamCorpus() {
+		g, h := pair[0], pair[1]
+		if g.N() > 6 || h.N() > 6 {
+			continue // every partial mapping is a state: keep the reference quick
+		}
+		if got, want := Beam(g, h, w), referenceBeam(g, h, w); got != want {
+			t.Fatalf("pair %d (|g|=%d |h|=%d): arena kernel %v != reference %v", i, g.N(), h.N(), got, want)
+		}
+	}
+	g, h := cycle("A", "B", "C", "D"), cycle("A", "B", "C", "D")
+	Beam(g, h, w) // warm the arena pool
+	if allocs := testing.AllocsPerRun(20, func() { Beam(g, h, w) }); allocs != 0 {
+		t.Fatalf("Beam(g, h, MaxInt32) allocates %.1f/op on a warm arena; want 0", allocs)
 	}
 }
 

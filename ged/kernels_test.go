@@ -81,6 +81,20 @@ func bipartiteCorpus() [][2]*graph.Graph {
 	return pairs
 }
 
+// twoWordPairs are bipartiteCorpus's pairs with a side past 64 nodes (the
+// 70- and 79-node pairs, and one node against 66), where the search
+// kernels' bitsets over h — adjacency rows, the used set, the images of a
+// node's mapped neighbours — span two words.
+func twoWordPairs() [][2]*graph.Graph {
+	var pairs [][2]*graph.Graph
+	for _, p := range bipartiteCorpus() {
+		if max(p[0].N(), p[1].N()) > 64 {
+			pairs = append(pairs, p)
+		}
+	}
+	return pairs
+}
+
 // arenaAStar runs the arena kernel the way Exact does, additionally
 // reporting the expansion count and the mapping.
 func arenaAStar(g, h *graph.Graph, budget int) (d float64, phi []int, expansions int, ok bool) {
@@ -95,13 +109,16 @@ func arenaAStar(g, h *graph.Graph, budget int) (d float64, phi []int, expansions
 }
 
 func TestAStarKernelMatchesReference(t *testing.T) {
-	for i, pair := range kernelCorpus() {
+	for i, pair := range append(kernelCorpus(), twoWordPairs()...) {
 		// Both argument orders, so the g.N() > h.N() swap is covered.
 		for _, p := range [][2]*graph.Graph{pair, {pair[1], pair[0]}} {
 			g, h := p[0], p[1]
 			budgets := []int{1, 30, 150}
 			if g.N() <= 9 && h.N() <= 9 {
 				budgets = append(budgets, 0)
+			}
+			if max(g.N(), h.N()) > 64 {
+				budgets = []int{1, 30}
 			}
 			for _, budget := range budgets {
 				d, phi, exp, ok := arenaAStar(g, h, budget)

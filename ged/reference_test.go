@@ -64,6 +64,8 @@ type searchCtx struct {
 	hHist map[string]int
 }
 
+func isUsed(used []uint64, w int) bool { return used[w/64]&(1<<(w%64)) != 0 }
+
 type state struct {
 	depth int     // number of g nodes processed
 	cost  float64 // g-value: edit cost accrued so far
