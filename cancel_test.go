@@ -180,8 +180,9 @@ func TestSearchContextDeadline(t *testing.T) {
 // exited once the call that started it returns, or once Close does for the
 // long-lived ones. Build with two workers covers the proximity-graph build
 // pool, the compressed-graph batch, the model fan-outs and core.Build's
-// training goroutine. Then come the ground-truth fan-out, the optimizer
-// that Insert starts, a traced search, and the trace exporter's writer.
+// training goroutine. Then come the ground-truth fan-out, an Insert — which
+// repairs its edges on the caller's goroutine and leaves none behind — a
+// traced search, and the trace exporter's writer.
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	spec := dataset.AIDS(0.002)
@@ -199,6 +200,8 @@ func TestNoGoroutineLeak(t *testing.T) {
 	if _, err := idx.Insert(queries[0]); err != nil {
 		t.Fatal(err)
 	}
+	settleGoroutines(t, before)
+
 	exp, err := NewTraceExporter(TraceExportConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

@@ -1,19 +1,23 @@
 // Package mutable gives a built LAN engine a write path: streaming
 // inserts that extend the HNSW incrementally, deletes that tombstone
-// vertices via validity epochs instead of tearing edges out, and a
-// background edge optimizer that repairs churned neighborhoods under a
-// work budget.
+// vertices via validity epochs instead of tearing edges out, and an edge
+// repair that re-selects the neighborhood each write disturbed before the
+// write returns.
 //
-// Reads never block on writes. Every applied mutation bumps the epoch
-// and publishes a fresh immutable Snapshot through an atomic pointer;
-// queries pin one snapshot and see a frozen index for their whole
-// lifetime — bit-identical results and NDC no matter how many writes
-// land concurrently. The writer maintains this with a copy-on-write
-// discipline: publication hands out fresh copies of every outer
-// structure (adjacency headers, layer maps, validity arrays, model-side
-// tables), and the HNSW's write methods (Insert, Reselect, Detach) never
-// edit a neighbor slice in place, so the inner slices a snapshot captured
-// stay frozen too.
+// Reads never block on writes. Every applied mutation — its repair
+// included — bumps the epoch once and publishes a fresh immutable
+// Snapshot through an atomic pointer; queries pin one snapshot and see a
+// frozen index for their whole lifetime — bit-identical results and NDC
+// no matter how many writes land concurrently. The writer maintains this
+// with a copy-on-write discipline: publication hands out fresh copies of
+// every outer structure (adjacency headers, layer maps, validity arrays,
+// model-side tables), and the HNSW's write methods (Insert, Reselect,
+// Detach) never edit a neighbor slice in place, so the inner slices a
+// snapshot captured stay frozen too.
+//
+// The index starts no goroutine: a write does all of its work, repair
+// included, on the caller's goroutine under the write lock, so the same
+// writes from the same engine always leave the same graph and epochs.
 //
 // Ids are append-only and never reused: an insert takes the next id, a
 // delete leaves a tombstoned husk behind, and Compact only strips the
@@ -51,16 +55,8 @@ type Index struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	// churn is the optimizer's work queue: nodes whose neighborhood an
-	// insert or delete disturbed, deduplicated.
-	churn    []int
-	inChurn  map[int]bool
-	optOn    bool
 	readonly bool
 	closed   bool
-	stop     chan struct{}
-	kick     chan struct{}
-	wg       sync.WaitGroup
 }
 
 // Snapshot is one point-in-time read view: a frozen engine plus the
@@ -89,8 +85,7 @@ func New(eng *core.Engine, st *core.MutationState) (*Index, error) {
 }
 
 // NewReadOnly is New for engines whose storage is immutable. Insert,
-// Delete and Compact return ErrReadOnly, and the background edge
-// optimizer never starts; reads are unrestricted.
+// Delete and Compact return ErrReadOnly; reads are unrestricted.
 func NewReadOnly(eng *core.Engine, st *core.MutationState) (*Index, error) {
 	return makeIndex(eng, st, true)
 }
@@ -103,7 +98,6 @@ func makeIndex(eng *core.Engine, st *core.MutationState, readonly bool) (*Index,
 		born:     make([]uint64, n),
 		died:     make([]uint64, n),
 		live:     n,
-		inChurn:  make(map[int]bool),
 		readonly: readonly,
 	}
 	if st != nil {
@@ -149,8 +143,9 @@ func (s *Snapshot) State() *core.MutationState { return s.state }
 
 // Insert adds g to the index and returns its id. The graph is cloned,
 // wired into every HNSW layer through HNSW.Insert, embedded
-// into M_rk's node table and assigned to its nearest cluster; the
-// surrounding neighborhood is queued for background edge optimization.
+// into M_rk's node table and assigned to its nearest cluster; then the new
+// vertex and its base-layer neighbors are re-selected (see repairLocked)
+// before the one snapshot of the write is published.
 func (x *Index) Insert(g *graph.Graph) (int, error) {
 	if g == nil {
 		return 0, fmt.Errorf("mutable: nil graph")
@@ -185,19 +180,14 @@ func (x *Index) Insert(g *graph.Graph) (int, error) {
 	// mid-edit: a half-wired vertex is worse than a briefly-blocked
 	// caller.
 	x.eng.Index.Insert(id, level)
+	x.repairLocked(append([]int{id}, x.eng.Index.PG.Adj[id]...))
 
 	x.eng.Mrk.AppendNodeEmbedding(x.eng.Mrk.EmbedGraph(clone))
 	x.assignClusterLocked(clone, id)
 
 	x.live++
 	x.epoch++
-	x.enqueueChurnLocked(id)
-	for _, v := range x.eng.Index.PG.Adj[id] {
-		x.enqueueChurnLocked(v)
-	}
 	x.publishLocked()
-	x.ensureOptimizerLocked()
-	x.kickLocked()
 	x.mu.Unlock()
 
 	m := obs.Mutate()
@@ -208,8 +198,9 @@ func (x *Index) Insert(g *graph.Graph) (int, error) {
 
 // Delete tombstones graph id at the next epoch. The vertex keeps its
 // edges — routing travels through it as before — but it stops appearing
-// in results from the published snapshot on. Its neighborhood is queued
-// for edge optimization and Compact can later strip the husk's edges.
+// in results from the published snapshot on. Its live neighbors are
+// re-selected (see repairLocked) before the write publishes, and Compact
+// can later strip the husk's edges.
 func (x *Index) Delete(id int) error {
 	start := time.Now()
 	x.mu.Lock()
@@ -233,12 +224,8 @@ func (x *Index) Delete(id int) error {
 	x.dead[id] = true
 	x.died[id] = x.epoch
 	x.live--
-	for _, v := range x.eng.Index.PG.Adj[id] {
-		x.enqueueChurnLocked(v)
-	}
+	x.repairLocked(x.eng.Index.PG.Adj[id])
 	x.publishLocked()
-	x.ensureOptimizerLocked()
-	x.kickLocked()
 	x.mu.Unlock()
 
 	m := obs.Mutate()
@@ -249,7 +236,8 @@ func (x *Index) Delete(id int) error {
 
 // Compact detaches tombstoned vertices from the proximity graph:
 // each husk's live neighbors are pairwise bridged so routes through it
-// survive, then its edges are stripped on every layer. Ids never shift
+// survive, then its edges are stripped on every layer. The bridging is
+// Compact's repair; nothing is re-selected after it. Ids never shift
 // — the husk rows stay — so this bounds graph size growth without
 // invalidating any id-keyed state. Returns the number of vertices
 // detached.
@@ -262,18 +250,14 @@ func (x *Index) Compact() (int, error) {
 	if x.closed {
 		return 0, fmt.Errorf("mutable: index closed")
 	}
-	adj := x.eng.Index.PG.Adj
 	alive := func(v int) bool { return !x.dead[v] }
 	detached := 0
 	for id := range x.dead {
-		if !x.dead[id] || len(adj[id]) == 0 {
+		if !x.dead[id] || len(x.eng.Index.PG.Adj[id]) == 0 {
 			continue
 		}
 		// See Insert for why write application is uncancellable.
 		x.eng.Index.Detach(id, alive)
-		for _, v := range adj[id] {
-			x.enqueueChurnLocked(v)
-		}
 		detached++
 	}
 	changed := detached > 0
@@ -283,10 +267,22 @@ func (x *Index) Compact() (int, error) {
 	if changed {
 		x.epoch++
 		x.publishLocked()
-		x.ensureOptimizerLocked()
-		x.kickLocked()
 	}
 	return detached, nil
+}
+
+// repairLocked re-runs neighbor selection (HNSW.Reselect: 2-hop
+// candidates, diversity heuristic, symmetric rewiring) around every node
+// a write disturbed, in order, skipping tombstones — they stay navigable
+// until Compact. It runs to the end under the write lock: a write returns
+// with its neighborhood repaired, never with a backlog behind it.
+func (x *Index) repairLocked(disturbed []int) {
+	for _, u := range disturbed {
+		if !x.dead[u] {
+			// See Insert for why write application is uncancellable.
+			x.eng.Index.Reselect(u)
+		}
+	}
 }
 
 // rescueEntryLocked re-points the HNSW entry at a live vertex when the
@@ -390,23 +386,11 @@ func (x *Index) publishLocked() {
 	})
 }
 
-// Close stops the background optimizer and waits for it to exit. The
-// index keeps serving reads from its last snapshot; further writes are
-// rejected. Safe to call more than once.
+// Close rejects further writes; the index keeps serving reads from its
+// last snapshot. Safe to call more than once.
 func (x *Index) Close() error {
 	x.mu.Lock()
-	if x.closed {
-		x.mu.Unlock()
-		return nil
-	}
 	x.closed = true
-	started := x.optOn
-	if started {
-		close(x.stop)
-	}
 	x.mu.Unlock()
-	if started {
-		x.wg.Wait()
-	}
 	return nil
 }

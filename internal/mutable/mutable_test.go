@@ -108,7 +108,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	pinned := x.Snapshot()
 	wantRes, wantStats, _ := pinned.Engine.Search(context.Background(), q, core.SearchOptions{K: 3, Beam: 10})
 
-	// Land a burst of writes and let the optimizer rewire.
+	// Land a burst of writes, each repairing the edges it disturbed.
 	for _, g := range test {
 		if _, err := x.Insert(g); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,6 @@ func TestSnapshotIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	x.Quiesce()
 
 	// The pinned snapshot is frozen: same epoch, same size, and queries
 	// against it are bit-identical to the pre-write run.
@@ -163,7 +162,6 @@ func TestCompactDetachesHusksAndRescuesEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	x.Quiesce()
 
 	detached, err := x.Compact()
 	if err != nil {
@@ -201,26 +199,6 @@ func TestCompactDetachesHusksAndRescuesEntry(t *testing.T) {
 	}
 	if x.Epoch() != epoch {
 		t.Fatal("no-op Compact advanced the epoch")
-	}
-}
-
-func TestQuiesceConverges(t *testing.T) {
-	x, _, test := newIndex(t)
-	for _, g := range test {
-		if _, err := x.Insert(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	x.Quiesce()
-	epoch := x.Epoch()
-	// With the churn queue drained and no new writes, further quiescing
-	// must not move the index.
-	x.Quiesce()
-	if x.Epoch() != epoch {
-		t.Fatalf("Quiesce after Quiesce advanced epoch %d -> %d", epoch, x.Epoch())
-	}
-	if err := x.eng.Index.PG.Validate(); err != nil {
-		t.Fatalf("Validate after quiesced churn: %v", err)
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 // TestReadOnlyRejectsWrites pins the read-only gate mmap-backed indexes
 // rely on: every write entry point returns ErrReadOnly before touching
 // the index, while reads — searches, snapshots, accessors — keep
-// working. Quiesce and Close stay harmless no-ops (no optimizer ever
-// starts on an index that cannot accept writes).
+// working. Close stays a harmless no-op.
 func TestReadOnlyRejectsWrites(t *testing.T) {
 	eng, db, test := smallEngine(t)
 	x, err := NewReadOnly(eng, nil)
@@ -35,7 +34,6 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 	if snap.Live != len(db) || snap.Engine == nil {
 		t.Fatalf("read view broken: %+v", snap)
 	}
-	x.Quiesce() // must not hang without an optimizer
 
 	if err := x.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -3,19 +3,16 @@ package obs
 import "sync"
 
 // MutateMetrics is the write-path family set of the mutable index:
-// streaming inserts, soft deletes and the background edge optimizer.
+// streaming inserts and soft deletes, each with the edge repair it runs
+// before it returns.
 type MutateMetrics struct {
 	// Inserts and Deletes count applied writes (a rejected write — bad
 	// id, nil graph — records nothing).
 	Inserts *Counter
 	Deletes *Counter
-	// OptimizerPasses counts budgeted edge-repair passes of the
-	// background optimizer, including those driven synchronously by
-	// Quiesce.
-	OptimizerPasses *Counter
-	// ApplySeconds observes the wall time of one applied write, snapshot
-	// publication included — the latency bound the write path promises
-	// (no full-rebuild work per op).
+	// ApplySeconds observes the wall time of one applied write, its edge
+	// repair and snapshot publication included — the latency bound the
+	// write path promises (no full-rebuild work per op).
 	ApplySeconds *Histogram
 }
 
@@ -34,10 +31,8 @@ func Mutate() *MutateMetrics {
 				"Graphs inserted into a mutable index."),
 			Deletes: r.Counter("lan_mutate_deletes_total",
 				"Graphs soft-deleted (tombstoned) in a mutable index."),
-			OptimizerPasses: r.Counter("lan_mutate_optimizer_passes_total",
-				"Budgeted edge-optimizer repair passes."),
 			ApplySeconds: r.Histogram("lan_mutate_apply_seconds",
-				"Wall time to apply one insert or delete, snapshot publication included.",
+				"Wall time to apply one insert or delete, its edge repair and snapshot publication included.",
 				ExpBuckets(1e-5, 4, 12)),
 		}
 	})

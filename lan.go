@@ -245,8 +245,9 @@ func ReadTraceSegments(dir string, fn func(*Trace) error) (TraceReplayStats, err
 // (Search/Insert/Delete from any goroutines) as long as the configured
 // metrics are concurrency-safe (the defaults are): every search pins a
 // point-in-time snapshot, so it sees a frozen index no matter how many
-// writes land mid-query. Indexes that received writes own a background
-// edge-optimizer goroutine — call Close when done with such an index.
+// writes land mid-query. A write repairs the edges it disturbed before it
+// returns, on the caller's goroutine: the index starts no goroutine of its
+// own, and the same writes always leave the same graph.
 type Index struct {
 	mut *mutable.Index
 	// store backs an mmap-opened index; Close releases the mapping. Nil
@@ -420,17 +421,19 @@ func (x *Index) Database() graph.Database { return x.engine().DB }
 // cloned and wired into the proximity graph incrementally — candidate
 // beams, the diversity heuristic and degree caps all match batch
 // construction, and the insertion level derives deterministically from
-// (Seed, id) — then queued for background edge optimization. Cost is a
-// candidate-beam search, not a rebuild; concurrent searches keep
-// serving their pinned snapshots and observe the insert on their next
-// query.
+// (Seed, id) — and the new vertex's neighborhood is re-selected before
+// Insert returns, in the one epoch the insert publishes. Cost is a
+// candidate-beam search plus that repair, not a rebuild; concurrent
+// searches keep serving their pinned snapshots and observe the insert on
+// their next query.
 func (x *Index) Insert(g *graph.Graph) (int, error) { return x.mut.Insert(g) }
 
 // Delete tombstones graph id: it vanishes from results of all
 // subsequent searches, but its vertex keeps routing traffic (soft
 // deletion via validity epochs), so recall around it does not crater.
-// The freed neighborhood is queued for background edge repair; Compact
-// reclaims heavily-deleted graphs' edges in bulk.
+// Its live neighbors are re-selected before Delete returns, in the one
+// epoch the delete publishes; Compact reclaims heavily-deleted graphs'
+// edges in bulk.
 func (x *Index) Delete(id int) error { return x.mut.Delete(id) }
 
 // Compact detaches tombstoned vertices from the proximity graph,
@@ -438,14 +441,16 @@ func (x *Index) Delete(id int) error { return x.mut.Delete(id) }
 // never shift. Returns the number of vertices detached.
 func (x *Index) Compact() (int, error) { return x.mut.Compact() }
 
-// Quiesce synchronously drains the pending edge-optimization work.
-// After it returns (absent concurrent writes), search quality matches
-// what the background optimizer would eventually converge to.
-func (x *Index) Quiesce() { x.mut.Quiesce() }
+// Quiesce drained the edge repair a background goroutine used to run
+// behind the writes. Every write now repairs before it returns, so there
+// is never anything to drain. The method stays so that callers keep
+// compiling.
+//
+// Deprecated: a no-op.
+func (x *Index) Quiesce() {}
 
-// Close stops the background edge optimizer (started lazily by the
-// first write) and waits for it to exit; writes are rejected afterwards.
-// On an index opened with the mmap store it also releases the mapping —
+// Close rejects further writes. On an index opened with the mmap store it
+// also releases the mapping —
 // such an index must not be searched after Close. For purely in-memory
 // indexes reads keep working. Safe to call more than once.
 func (x *Index) Close() error {
@@ -459,8 +464,9 @@ func (x *Index) Close() error {
 }
 
 // Epoch returns the index's mutation epoch: 0 for a never-mutated
-// index, incremented by every applied insert, delete, compaction and
-// optimizer pass. Result caches keyed by query content should fold the
+// index, incremented by exactly one for every applied insert and delete
+// (its edge repair included) and for every compaction that changes the
+// graph. Result caches keyed by query content should fold the
 // epoch into their keys — see lan-serve — so entries expire exactly
 // when the index changes.
 func (x *Index) Epoch() uint64 { return x.mut.Epoch() }

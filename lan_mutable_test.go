@@ -29,7 +29,7 @@ func buildMutableIndex(t *testing.T) (*Index, graph.Database, []*graph.Graph) {
 
 // TestMutableChurn runs searches, inserts and deletes concurrently; under
 // -race this is the data-race proof for the whole write path (COW
-// publication, epoch bumps, the background optimizer).
+// publication, epoch bumps, the edge repair inside each write).
 func TestMutableChurn(t *testing.T) {
 	idx, db, test := buildMutableIndex(t)
 
@@ -86,7 +86,6 @@ func TestMutableChurn(t *testing.T) {
 	}
 	wg.Wait()
 
-	idx.Quiesce()
 	if got, want := idx.Len(), len(db)+3*len(test)-len(db)/2; got != want {
 		t.Fatalf("Len after churn = %d; want %d", got, want)
 	}
@@ -160,8 +159,8 @@ func TestPinnedSnapshotStableUnderWrites(t *testing.T) {
 }
 
 // TestIncrementalBuildRecallMatchesBatch pins the quality contract of
-// streaming inserts: building a prefix and streaming in the rest (then
-// quiescing the optimizer) must reach at least the recall of a batch
+// streaming inserts: building a prefix and streaming in the rest must
+// reach at least the recall of a batch
 // build over the full database. Both sides route with the model-free
 // strategies so the comparison isolates proximity-graph quality.
 func TestIncrementalBuildRecallMatchesBatch(t *testing.T) {
@@ -191,7 +190,6 @@ func TestIncrementalBuildRecallMatchesBatch(t *testing.T) {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	incr.Quiesce()
 	if incr.Len() != len(db) {
 		t.Fatalf("incremental Len = %d; want %d", incr.Len(), len(db))
 	}

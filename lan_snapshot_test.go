@@ -216,18 +216,6 @@ func TestSaveSnapshotLeavesNoTempFile(t *testing.T) {
 	}
 }
 
-// quiesced applies one write and drains the optimizer behind it. A write
-// left un-quiesced races the background optimizer for the index lock, and
-// which of them wins decides the order edges are re-selected in; with the
-// queue drained after every write the sequence of passes is fixed.
-func quiesced(t *testing.T, idx *Index, write func() error) {
-	t.Helper()
-	if err := write(); err != nil {
-		t.Fatal(err)
-	}
-	idx.Quiesce()
-}
-
 // searchAll answers every query, keeping what a reopened index must
 // reproduce: the results and the NDC.
 func searchAll(t *testing.T, idx *Index, queries []*graph.Graph, so SearchOptions) ([][]Result, []int) {
@@ -265,11 +253,9 @@ func TestSnapshotMutatedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx.Quiesce()
 	if _, err := idx.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	idx.Quiesce() // no optimizer pass may move the epoch past the save
 	path := snapshotPath(t, idx, SnapshotOptions{})
 
 	so := SearchOptions{K: 4, Beam: 10}
@@ -404,10 +390,16 @@ func TestReopenedWritePathDeterministic(t *testing.T) {
 		}
 		defer x.Close()
 		for _, g := range test[:3] {
-			quiesced(t, x, func() error { _, err := x.Insert(g); return err })
+			if _, err := x.Insert(g); err != nil {
+				t.Fatal(err)
+			}
 		}
-		quiesced(t, x, func() error { return x.Delete(1) })
-		quiesced(t, x, func() error { _, err := x.Compact(); return err })
+		if err := x.Delete(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Compact(); err != nil {
+			t.Fatal(err)
+		}
 		twins[i] = x
 	}
 	a, b := twins[0], twins[1]

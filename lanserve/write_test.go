@@ -190,8 +190,8 @@ func TestWriteEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(data, &ins); err != nil {
 		t.Fatal(err)
 	}
-	if ins.ID != len(db) || ins.Epoch == 0 {
-		t.Fatalf("insert response = %+v; want id %d, epoch > 0", ins, len(db))
+	if ins.ID != len(db) || ins.Epoch != 1 {
+		t.Fatalf("insert response = %+v; want id %d, epoch 1", ins, len(db))
 	}
 
 	// The write bumped the epoch: the cached entry is orphaned and the
@@ -202,6 +202,11 @@ func TestWriteEndToEnd(t *testing.T) {
 	}
 	if len(after.Results) == 0 || after.Results[0].ID != ins.ID || after.Results[0].Dist != 0 {
 		t.Fatalf("inserted graph not the top result: %+v", after.Results)
+	}
+	// The insert repaired its edges before it returned, so nothing moves
+	// the epoch behind it: the same search is now a cache hit.
+	if !search().Cached {
+		t.Fatal("repeated post-insert query was not a cache hit")
 	}
 
 	// Delete it again: gone from results, epoch bumped once more.
@@ -219,8 +224,8 @@ func TestWriteEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(data, &del); err != nil {
 		t.Fatal(err)
 	}
-	if del.Epoch <= ins.Epoch {
-		t.Fatalf("delete epoch %d not past insert epoch %d", del.Epoch, ins.Epoch)
+	if del.Epoch != ins.Epoch+1 {
+		t.Fatalf("delete epoch %d; want insert epoch %d + 1", del.Epoch, ins.Epoch)
 	}
 	final := search()
 	if final.Cached {

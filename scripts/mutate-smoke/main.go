@@ -4,8 +4,8 @@
 // In-process, it churns a freshly built index — concurrent searchers,
 // a streaming inserter and a streaming deleter — for a few wall-seconds,
 // with one snapshot pinned before the churn whose answers must stay
-// bit-identical throughout. After the churn it quiesces the optimizer,
-// compacts the tombstones and re-checks search sanity.
+// bit-identical throughout. After the churn it compacts the tombstones and
+// re-checks search sanity.
 //
 // Over HTTP, it boots lan-serve with -store ram -writable, drives POST
 // /insert and /delete, and verifies the epoch advances, the result cache
@@ -152,7 +152,6 @@ func churnSoak(db graph.Database, queries []*graph.Graph) error {
 	if idx.Epoch() == 0 {
 		return fmt.Errorf("churn left the epoch at 0")
 	}
-	idx.Quiesce()
 	if _, err := idx.Compact(); err != nil {
 		return fmt.Errorf("compact: %w", err)
 	}
