@@ -36,7 +36,6 @@ type Value struct {
 	// the few that apply.
 	k      float64   // Scale's factor, WeightedMeanRows' total weight
 	from   int       // GatherCols' first column
-	idx    []int     // GatherRows' row indices
 	combos [][]Lin   // LinearCombRows' terms
 	w      []float64 // WeightedMeanRows' weights, the losses' targets
 	hot    []int     // OneHot's feature index per row (Data.Data is nil)
@@ -51,7 +50,6 @@ const (
 	opMatMul
 	opAdd
 	opAddRowBroadcast
-	opOuterSum
 	opScale
 	opReLU
 	opSoftmaxRows
@@ -63,7 +61,6 @@ const (
 	opSumSquares
 	opMul
 	opGatherCols
-	opGatherRows
 	opLinearCombRows
 	opBCEWithLogits
 	opMSE
@@ -379,49 +376,12 @@ func (v *Value) backAddRowBroadcast() {
 	if v.a.requiresGrad {
 		v.a.grad().AddInPlace(v.Grad)
 	}
-	if v.b.requiresGrad {
-		addRows(v.b.grad(), v.Grad)
-	}
-}
-
-// OuterSum returns the RxC matrix out[i][j] = a[i][0] + b[0][j] from a
-// column vector a (Rx1) and row vector b (1xC).
-func (t *Tape) OuterSum(a, b *Value) *Value {
-	dense("OuterSum", a, b)
-	if a.Data.Cols != 1 || b.Data.Rows != 1 {
-		panic(fmt.Sprintf("autograd: OuterSum wants Rx1 and 1xC, got %dx%d and %dx%d", a.Data.Rows, a.Data.Cols, b.Data.Rows, b.Data.Cols))
-	}
-	out := t.result(opOuterSum, a.Data.Rows, b.Data.Cols, a, b)
-	for i, ai := range a.Data.Data {
-		row := out.Data.Row(i)
-		for j, bj := range b.Data.Data {
-			row[j] = ai + bj
-		}
-	}
-	return out
-}
-
-func (v *Value) backOuterSum() {
-	if v.a.requiresGrad {
-		g := v.a.grad()
-		for i := range g.Data {
-			s := 0.0
-			for _, d := range v.Grad.Row(i) {
-				s += d
+	if v.b.requiresGrad { // every row of the gradient, top to bottom
+		g := v.b.grad()
+		for i := 0; i < v.Grad.Rows; i++ {
+			for j, d := range v.Grad.Row(i) {
+				g.Data[j] += d
 			}
-			g.Data[i] += s
-		}
-	}
-	if v.b.requiresGrad {
-		addRows(v.b.grad(), v.Grad)
-	}
-}
-
-// addRows adds every row of src, top to bottom, to the single row of g.
-func addRows(g, src *mat.Matrix) {
-	for i := 0; i < src.Rows; i++ {
-		for j, d := range src.Row(i) {
-			g.Data[j] += d
 		}
 	}
 }
@@ -738,29 +698,6 @@ func (v *Value) backGatherCols() {
 	}
 }
 
-// GatherRows returns the matrix whose i-th row is a's row idx[i]. Rows may
-// repeat; gradients scatter-add back. idx is kept, not copied, until the
-// tape is reset.
-func (t *Tape) GatherRows(a *Value, idx []int) *Value {
-	dense("GatherRows", a)
-	out := t.result(opGatherRows, len(idx), a.Data.Cols, a, nil)
-	out.idx = idx
-	for i, r := range idx {
-		copy(out.Data.Row(i), a.Data.Row(r))
-	}
-	return out
-}
-
-func (v *Value) backGatherRows() {
-	g := v.a.grad()
-	for i, r := range v.idx {
-		grow := g.Row(r)
-		for j, d := range v.Grad.Row(i) {
-			grow[j] += d
-		}
-	}
-}
-
 // Lin is one term of a row linear combination: weight W applied to source
 // row Row.
 type Lin struct {
@@ -872,8 +809,6 @@ func (v *Value) backward() {
 		v.backAdd()
 	case opAddRowBroadcast:
 		v.backAddRowBroadcast()
-	case opOuterSum:
-		v.backOuterSum()
 	case opScale:
 		v.backScale()
 	case opReLU:
@@ -896,8 +831,6 @@ func (v *Value) backward() {
 		v.backMul()
 	case opGatherCols:
 		v.backGatherCols()
-	case opGatherRows:
-		v.backGatherRows()
 	case opLinearCombRows:
 		v.backLinearCombRows()
 	case opBCEWithLogits:

@@ -96,16 +96,6 @@ func TestGradConcatCols(t *testing.T) {
 	})
 }
 
-func TestGradOuterSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randVal(rng, 4, 1)
-	b := randVal(rng, 1, 3)
-	w := mat.Randn(3, 1, 1, rng)
-	checkGrad(t, "outersum", []*Value{a, b}, func(tp *Tape) *Value {
-		return tp.Sum(tp.MatMul(tp.SoftmaxRows(tp.OuterSum(a, b)), tp.Const(w)))
-	})
-}
-
 func TestGradAddRowBroadcast(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randVal(rng, 4, 3)
@@ -122,16 +112,6 @@ func TestGradWeightedMeanRows(t *testing.T) {
 	proj := mat.Randn(3, 1, 1, rng)
 	checkGrad(t, "wmean", []*Value{a}, func(tp *Tape) *Value {
 		return tp.Sum(tp.MatMul(tp.WeightedMeanRows(a, w), tp.Const(proj)))
-	})
-}
-
-func TestGradGatherRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randVal(rng, 4, 3)
-	idx := []int{2, 0, 2, 1} // repeated row: gradients must accumulate
-	proj := mat.Randn(3, 1, 1, rng)
-	checkGrad(t, "gather", []*Value{a}, func(tp *Tape) *Value {
-		return tp.Sum(tp.MatMul(tp.GatherRows(a, idx), tp.Const(proj)))
 	})
 }
 
@@ -182,20 +162,20 @@ func TestGradDiamondReuse(t *testing.T) {
 }
 
 func TestGradDeepComposite(t *testing.T) {
-	// A miniature cross-graph-attention-shaped network.
+	// A miniature cross-graph-attention-shaped network: one attention row
+	// over the query's nodes, added to every graph node.
 	rng := rand.New(rand.NewSource(15))
 	hg := randVal(rng, 4, 3) // "graph node embeddings"
 	hq := randVal(rng, 3, 3) // "query node embeddings"
-	a1 := randVal(rng, 3, 1)
 	a2 := randVal(rng, 3, 1)
 	w := randVal(rng, 3, 2)
 	targets := []float64{1, 0, 0, 1}
 	proj := mat.Randn(2, 1, 1, rng)
-	checkGrad(t, "composite", []*Value{hg, hq, a1, a2, w}, func(tp *Tape) *Value {
-		scores := tp.OuterSum(tp.MatMul(hg, a1), tp.Transpose(tp.MatMul(hq, a2)))
-		alpha := tp.SoftmaxRows(scores)
-		mu := tp.MatMul(alpha, hq)
-		h := tp.ReLU(tp.MatMul(tp.Add(hg, mu), w))
+	logSize := &mat.Matrix{Rows: 1, Cols: 3, Data: []float64{0, math.Log(2), 0}}
+	checkGrad(t, "composite", []*Value{hg, hq, a2, w}, func(tp *Tape) *Value {
+		scores := tp.Add(tp.Transpose(tp.MatMul(hq, a2)), tp.Const(logSize))
+		mu := tp.MatMul(tp.SoftmaxRows(scores), hq)
+		h := tp.ReLU(tp.MatMul(tp.AddRowBroadcast(hg, mu), w))
 		logits := tp.MatMul(h, tp.Const(proj))
 		return tp.BCEWithLogits(logits, targets)
 	})
@@ -390,19 +370,18 @@ func TestOneHotMatchesDense(t *testing.T) {
 // parameters, sized by n, and returns its scalar loss.
 func everyOp(tp *Tape, n int, w1, w2, a1 *Value, rng *rand.Rand) *Value {
 	feat := make([]int, n)
-	idx := make([]int, n)
 	sizes := make([]float64, n)
 	combos := make([][]Lin, n)
 	for i := range feat {
-		feat[i], idx[i], sizes[i] = rng.Intn(w1.Data.Rows), rng.Intn(n), float64(1+rng.Intn(3))
+		feat[i], sizes[i] = rng.Intn(w1.Data.Rows), float64(1+rng.Intn(3))
 		combos[i] = []Lin{{Row: rng.Intn(n), W: 1}, {Row: rng.Intn(n), W: 0.5}}
 	}
 	hot := tp.OneHot(feat, w1.Data.Rows)
 	h := tp.ReLU(tp.MatMul(tp.LinearCombRows(hot, combos), w1)) // n x d
-	key := tp.MatMul(h, a1)                                     // n x 1
-	scores := tp.AddRowBroadcast(tp.OuterSum(key, tp.Transpose(key)), tp.Const(&mat.Matrix{Rows: 1, Cols: n, Data: sizes}))
-	mu := tp.MatMul(tp.SoftmaxRows(scores), h)
-	h = tp.ReLU(tp.MatMul(tp.Add(tp.LinearCombRows(h, combos), tp.GatherRows(mu, idx)), w2))
+	key := tp.Transpose(tp.MatMul(h, a1))                       // 1 x n
+	scores := tp.Add(key, tp.Const(&mat.Matrix{Rows: 1, Cols: n, Data: sizes}))
+	mu := tp.MatMul(tp.SoftmaxRows(scores), h) // 1 x d
+	h = tp.ReLU(tp.MatMul(tp.AddRowBroadcast(tp.LinearCombRows(h, combos), mu), w2))
 	h = tp.ConcatRows(h, tp.Scale(h, -0.5))
 	out := tp.WeightedMeanRows(h, append(sizes, sizes...)) // 1 x d
 	d := out.Data.Cols

@@ -16,8 +16,10 @@
 //
 // A second note: the attention score a1·h_i + a2·h_j + log|g_j| has no
 // non-linearity around it, so the softmax over j cancels the a1·h_i term —
-// every group of one side receives the same cross message and A1 is a dead
-// parameter (TestCrossAttentionIgnoresA1; DESIGN.md "Deviations" 7).
+// every group of one side receives the same cross message. Both forwards
+// compute it as what it equals, one softmax of a2·h_j + log|g_j| per side
+// per layer, and never read A1 (TestCrossModelDoesNotReadA1,
+// TestCrossAttentionMatchesPaper; DESIGN.md "Deviations" 7).
 package cg
 
 import (
@@ -120,10 +122,6 @@ type Level struct {
 	LogSize []float64
 	// Feature[i] is the label feature index of group i (level 0 only).
 	Feature []int
-	// Parent[i] is the index of the previous-level group containing
-	// group i's members (levels >= 1). Well defined because WL classes
-	// refine: equal labels at level l imply equal labels at level l-1.
-	Parent []int
 	// In[i] lists the weighted aggregation edges from previous-level
 	// groups into group i (levels >= 1), including the GIN self term.
 	In [][]autograd.Lin
@@ -199,10 +197,8 @@ func Build(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 				lv.Feature[i] = vocab.Index(g.Label(u))
 			}
 		} else {
-			lv.Parent = make([]int, ng)
 			lv.In = make([][]autograd.Lin, ng)
 			for i, u := range rep {
-				lv.Parent[i] = groupOf[l-1][u]
 				// Weighted in-edges per Algorithm 5: |N(u) ∩ group| for
 				// each previous-level group, +1 for u's own group.
 				w := make(map[int]float64)
@@ -242,10 +238,8 @@ func BuildRaw(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 			}
 			continue
 		}
-		lv.Parent = make([]int, n)
 		lv.In = make([][]autograd.Lin, n)
 		for u := 0; u < n; u++ {
-			lv.Parent[u] = u
 			ins := make([]autograd.Lin, 0, g.Degree(u)+1)
 			ins = append(ins, autograd.Lin{Row: u, W: 1})
 			for _, v := range g.Neighbors(u) {
@@ -263,8 +257,10 @@ func BuildRaw(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 type Cost struct {
 	// AggEdges is Σ_l |E_l| over both CGs: weighted-sum terms in Eq. 8.
 	AggEdges int
-	// AttnPairs is Σ_l |V_{l-1}(G*)| x |V_{l-1}(Q*)|: attention score
-	// evaluations (Eq. 10), both directions.
+	// AttnPairs is Σ_l |V_{l-1}(G*)| x |V_{l-1}(Q*)|, both directions:
+	// the attention scores of Eq. 10 as Theorem 3 counts them. The kernel
+	// pays |V_{l-1}(G*)| + |V_{l-1}(Q*)| scores per layer, because the
+	// softmax cancels the group's own term.
 	AttnPairs int
 	// MatmulRows is Σ_l (|V_l(G*)| + |V_l(Q*)|): rows multiplied by W^l,
 	// the bottleneck HAG cannot reduce.

@@ -3,6 +3,8 @@ package cg
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/lansearch/lan/graph"
@@ -146,22 +148,22 @@ func newTestModel(t *testing.T, db graph.Database, layers, dim int) (*CrossModel
 	return m, vocab
 }
 
-// TestCrossAttentionIgnoresA1 pins a fidelity finding, not a requirement
-// (DESIGN.md "Deviations"): the attention score of group i over the other
-// side's group j is a1·h_i + a2·h_j + log|g_j| with no non-linearity
-// around it, and the softmax over j cancels every term that does not
-// depend on j. So every group of one side receives the same cross message
-// and A1 is a dead parameter: redrawing it moves no embedding beyond
-// rounding, and its gradient is rounding noise beside A2's. A change that
+// TestCrossModelDoesNotReadA1 pins a fidelity finding (DESIGN.md
+// "Deviations"): the attention score of group i over the other side's
+// group j is a1·h_i + a2·h_j + log|g_j| with no non-linearity around it,
+// and the softmax over j cancels every term that does not depend on j. So
+// every group of one side receives the same cross message, and neither
+// forward reads A1: redrawing it — to other numbers or to NaN — leaves
+// Infer and Forward the same bits, and it gets no gradient. A change that
 // gives the attention a non-linearity (GAT's LeakyReLU, GMN's dot product)
 // must fail this test and delete it.
-func TestCrossAttentionIgnoresA1(t *testing.T) {
+func TestCrossModelDoesNotReadA1(t *testing.T) {
 	tape := autograd.NewTape()
 	db := testDB(31, 8)
 	m, vocab := newTestModel(t, db, 2, 8)
-	cs := make([]*Compressed, len(db))
-	for i, g := range db {
-		cs[i] = Build(g, 2, vocab)
+	var cs []*Compressed
+	for _, g := range db {
+		cs = append(cs, Build(g, 2, vocab), BuildRaw(g, 2, vocab))
 	}
 	embed := func() (out [][]float64) {
 		for _, g := range cs {
@@ -173,29 +175,148 @@ func TestCrossAttentionIgnoresA1(t *testing.T) {
 	}
 	before := embed()
 
-	loss := tape.SumSquares(m.Forward(tape, cs[0], cs[1]))
-	tape.Backward(loss)
-	maxAbs := func(vs []*autograd.Value) float64 {
-		worst := 0.0
-		for _, v := range vs {
-			for _, g := range v.Grad.Data {
-				worst = math.Max(worst, math.Abs(g))
-			}
+	tape.Backward(tape.SumSquares(m.Forward(tape, cs[0], cs[3])))
+	for l, a1 := range m.A1 {
+		if a1.Grad != nil {
+			t.Fatalf("A1 of layer %d received a gradient", l+1)
 		}
-		return worst
-	}
-	if g1, g2 := maxAbs(m.A1), maxAbs(m.A2); g2 < 1e-6 || g1 > 1e-9*g2 {
-		t.Fatalf("max |dL/dA1| = %g beside max |dL/dA2| = %g: A1 is no longer dead (or A2 no longer alive)", g1, g2)
+		if g := m.A2[l].Grad; g == nil || g.Norm2() == 0 {
+			t.Fatalf("A2 of layer %d received no gradient", l+1)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	for _, a1 := range m.A1 {
-		copy(a1.Data.Data, mat.Randn(a1.Data.Rows, 1, 3, rng).Data)
+	for _, redraw := range []string{"random", "NaN"} {
+		for _, a1 := range m.A1 {
+			for i := range a1.Data.Data {
+				a1.Data.Data[i] = 3 * rng.NormFloat64()
+				if redraw == "NaN" {
+					a1.Data.Data[i] = math.NaN()
+				}
+			}
+		}
+		for i, after := range embed() {
+			if !sameBits(after, before[i]) {
+				t.Fatalf("embedding %d changed after a %s redraw of every A1:\nbefore %v\nafter  %v", i, redraw, before[i], after)
+			}
+		}
 	}
-	for i, after := range embed() {
-		for k, v := range after {
-			if d := math.Abs(v - before[i][k]); d > 1e-12 {
-				t.Fatalf("embedding %d moved by %g at column %d after redrawing every A1", i, d, k)
+}
+
+// paperCross is Definition 1 written per node on the graphs themselves
+// (Eq. 4-6, attention keyed on the previous layer as Theorem 2 reads it):
+// every node aggregates itself and its neighbours and attends over every
+// node of the other graph with its own softmax of a1·h_u + a2·h_v; the
+// readout is the mean over nodes. It shares no code with the kernel.
+func paperCross(m *CrossModel, g, q *graph.Graph) []float64 {
+	oneHots := func(g *graph.Graph) [][]float64 {
+		h := make([][]float64, g.N())
+		for u := range h {
+			h[u] = make([]float64, m.Cfg.Vocab.Size())
+			h[u][m.Cfg.Vocab.Index(g.Label(u))] = 1
+		}
+		return h
+	}
+	hg, hq := oneHots(g), oneHots(q)
+	for l := 1; l <= m.Cfg.Layers; l++ {
+		w, a1, a2 := m.W[l-1].Data, m.A1[l-1].Data.Data, m.A2[l-1].Data.Data
+		hg, hq = paperLayer(g, hg, hq, w, a1, a2), paperLayer(q, hq, hg, w, a1, a2)
+	}
+	mean := func(h [][]float64) []float64 {
+		out := make([]float64, m.Cfg.Dim)
+		for _, row := range h {
+			for k, v := range row {
+				out[k] += v / float64(len(h))
+			}
+		}
+		return out
+	}
+	return append(mean(hg), mean(hq)...)
+}
+
+// paperLayer is one layer of paperCross for the nodes of g (embeddings h)
+// against the other graph's nodes (embeddings other).
+func paperLayer(g *graph.Graph, h, other [][]float64, w *mat.Matrix, a1, a2 []float64) [][]float64 {
+	dot := func(a, b []float64) (s float64) {
+		for k := range a {
+			s += a[k] * b[k]
+		}
+		return s
+	}
+	next := make([][]float64, len(h))
+	for u := range h {
+		pre := slices.Clone(h[u])
+		for _, v := range g.Neighbors(u) {
+			for k, x := range h[v] {
+				pre[k] += x
+			}
+		}
+		scores := make([]float64, len(other))
+		top := math.Inf(-1)
+		for v, hv := range other {
+			scores[v] = dot(a1, h[u]) + dot(a2, hv)
+			top = math.Max(top, scores[v])
+		}
+		sum := 0.0
+		for v := range scores {
+			scores[v] = math.Exp(scores[v] - top)
+			sum += scores[v]
+		}
+		for v, hv := range other {
+			for k, x := range hv {
+				pre[k] += scores[v] / sum * x
+			}
+		}
+		out := make([]float64, w.Cols)
+		for k, x := range pre {
+			for j := range out {
+				out[j] += x * w.At(k, j)
+			}
+		}
+		for j, x := range out {
+			out[j] = math.Max(x, 0)
+		}
+		next[u] = out
+	}
+	return next
+}
+
+// TestCrossAttentionMatchesPaper holds the one-message-per-side kernel to
+// the per-node softmax of Definition 1 on raw graphs, for compressed and
+// raw inputs, at every depth, on a small and an AIDS-wide vocabulary, with
+// attention weights drawn large enough that the softmax is far from
+// uniform and A1 far from zero. On compressed inputs the log|g_j| term
+// carries the group sizes: without it the kernel fails here.
+func TestCrossAttentionMatchesPaper(t *testing.T) {
+	for _, vocabSize := range []int{5, 52} {
+		vocab := vocabOf(vocabSize)
+		gs := labelledGraphs(int64(vocabSize)+40, 10, vocab)
+		for layers := 1; layers <= 3; layers++ {
+			rng := rand.New(rand.NewSource(int64(100*vocabSize + layers)))
+			m := NewCrossModel(nn.NewParams(), "m", Config{Layers: layers, Dim: 7, Vocab: vocab}, rng)
+			for l := range m.A1 {
+				for _, a := range []*autograd.Value{m.A1[l], m.A2[l]} {
+					for i := range a.Data.Data {
+						a.Data.Data[i] = 1.5 * rng.NormFloat64()
+					}
+				}
+			}
+			for gi, g := range gs {
+				q := gs[(gi+3)%len(gs)]
+				want := paperCross(m, g, q)
+				scale := 0.0
+				for _, v := range want {
+					scale = math.Max(scale, math.Abs(v))
+				}
+				for name, build := range map[string]func(*graph.Graph, int, *Vocab) *Compressed{"compressed": Build, "raw": BuildRaw} {
+					got := m.Infer(build(g, layers, vocab), build(q, layers, vocab))
+					for k := range want {
+						if d := math.Abs(got[k] - want[k]); !(d <= 1e-12*scale) {
+							t.Fatalf("vocab %d, %d layers, %s, pair %d: column %d = %v; Definition 1 gives %v (|diff| %g, scale %g)",
+								vocabSize, layers, name, gi, k, got[k], want[k], d, scale)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -256,8 +377,10 @@ func TestCrossModelGradientsFlow(t *testing.T) {
 	loss := tape.SumSquares(out)
 	tape.Backward(loss)
 	for _, name := range p.Names() {
-		v := p.Get(name)
-		if v.Grad == nil {
+		if strings.HasPrefix(name, "m.a1_") {
+			continue // never read (TestCrossModelDoesNotReadA1)
+		}
+		if p.Get(name).Grad == nil {
 			t.Fatalf("parameter %s received no gradient", name)
 		}
 	}
@@ -439,8 +562,8 @@ func TestConfigValidation(t *testing.T) {
 
 // TestInferMatchesForward pins the tape-free path to the training path.
 // The tolerance used to be 1e-9; what actually holds is equality: every
-// autograd op of Forward (MatMul, OuterSum + AddRowBroadcast, SoftmaxRows,
-// LinearCombRows, Add, WeightedMeanRows) performs the float operations of
+// autograd op of Forward (MatMul, Add, SoftmaxRows, AddRowBroadcast,
+// LinearCombRows, WeightedMeanRows) performs the float operations of
 // the inference kernel in the same order, the only difference being terms
 // that are exactly zero, so the test compares with ==.
 func TestInferMatchesForward(t *testing.T) {

@@ -144,10 +144,10 @@ func ForwardCross(t *autograd.Tape, m *CrossModel, hg, hq *HAG) *autograd.Value 
 	vg := inputFeatures(t, cgG, m.Cfg.Vocab.Size())
 	vq := inputFeatures(t, cgQ, m.Cfg.Vocab.Size())
 	for l := 1; l <= m.Cfg.Layers; l++ {
-		muGprev, muQprev := m.attend(t, l, vg, vq, cgG, cgQ)
+		muG, muQ := m.attend(t, l, vg, vq, cgG, cgQ)
 		tG := hg.Aggregate(t, l, vg)
 		tQ := hq.Aggregate(t, l, vq)
-		vg, vq = m.transform(t, l, tG, tQ, muGprev, muQprev, cgG.Levels[l].Parent, cgQ.Levels[l].Parent)
+		vg, vq = m.transform(t, l, tG, tQ, muG, muQ)
 	}
 	return m.readout(t, vg, vq, cgG, cgQ)
 }

@@ -26,22 +26,21 @@ func (m *CrossModel) Infer(cgG, cgQ *Compressed) []float64 {
 }
 
 // Bind makes (m, q) the pair the following Cross calls infer against and
-// computes what depends on q alone: the layer-1 attention keys of its
-// level-0 groups.
+// computes what depends on q alone: the layer-1 cross message every group
+// of g receives from q's level-0 groups.
 func (ws *Workspace) Bind(m *CrossModel, q *Compressed) {
 	ws.m, ws.q = m, q
-	feat := q.Levels[0].Feature
-	ws.qKey1 = lookupKeys(ws.qKey1[:0], m.A1[0].Data.Data, feat)
-	ws.qKey2 = lookupKeys(ws.qKey2[:0], m.A2[0].Data.Data, feat)
-}
-
-// lookupKeys appends a[f] for every level-0 feature index: the key score
-// of a one-hot row.
-func lookupKeys(dst, a []float64, feat []int) []float64 {
-	for _, f := range feat {
-		dst = append(dst, a[f])
+	lv := &q.Levels[0]
+	n := len(lv.Feature)
+	if d := m.Cfg.Vocab.Size(); cap(ws.qMu) < d {
+		ws.qMu = make([]float64, d)
+	} else {
+		ws.qMu = ws.qMu[:d]
 	}
-	return dst
+	ws.f.reserve(2 * n)
+	kq := keys(ws.f.take(n), nil, lv.Feature, m.A2[0].Data.Data)
+	attend(ws.qMu, kq, lv.LogSize, nil, lv.Feature, ws.f.take(n))
+	ws.f.off -= 2 * n
 }
 
 // Cross writes h_{G,Q} = h_G || h_Q for g against the bound query into
@@ -58,13 +57,10 @@ func crossFloats(m *CrossModel, g, q *Compressed) int {
 	total := 0
 	for l := 1; l <= m.Cfg.Layers; l++ {
 		ng, nq := g.Groups(l-1), q.Groups(l-1)
-		if l == 1 {
-			total += 2 * ng
-		} else {
-			total += 2 * (ng + nq)
+		total += ng + max(ng, nq) + 2*din + (g.Groups(l)+q.Groups(l))*dim
+		if l > 1 {
+			total += nq + din
 		}
-		total += (ng+nq)*din + max(ng, nq) + din
-		total += (g.Groups(l) + q.Groups(l)) * dim
 		din = dim
 	}
 	return total
@@ -72,7 +68,10 @@ func crossFloats(m *CrossModel, g, q *Compressed) int {
 
 // cross is the kernel behind Cross: L rounds of two-way attention over
 // the previous level's groups and a GIN layer on each side, then the
-// size-weighted mean readout of both.
+// size-weighted mean readout of both. Every group of a side receives the
+// same cross message (the softmax cancels a1·h_i; see the package
+// comment), so it is computed once per side and layer; layer 1's message
+// to g depends on q alone and comes from Bind.
 func (ws *Workspace) cross(dst []float64, g *Compressed) {
 	m, q := ws.m, ws.q
 	base := ws.f.off
@@ -81,27 +80,20 @@ func (ws *Workspace) cross(dst []float64, g *Compressed) {
 	// nil at level 0, where row i is the one-hot of Feature[i].
 	var hg, hq []float64
 	for l := 1; l <= m.Cfg.Layers; l++ {
-		w := m.W[l-1].Data.Data
-		a1, a2 := m.A1[l-1].Data.Data, m.A2[l-1].Data.Data
+		w, a2 := m.W[l-1].Data.Data, m.A2[l-1].Data.Data
 		pg, pq := &g.Levels[l-1], &q.Levels[l-1]
 		ng, nq := len(pg.Size), len(pq.Size)
 
-		var kg1, kg2, kq1, kq2 []float64
-		if l == 1 {
-			kg1 = lookupKeys(ws.f.take(ng)[:0], a1, pg.Feature)
-			kg2 = lookupKeys(ws.f.take(ng)[:0], a2, pg.Feature)
-			kq1, kq2 = ws.qKey1, ws.qKey2
-		} else {
-			kg1, kg2 = ws.f.take(ng), ws.f.take(ng)
-			kq1, kq2 = ws.f.take(nq), ws.f.take(nq)
-			denseKeys(kg1, kg2, hg, a1, a2)
-			denseKeys(kq1, kq2, hq, a1, a2)
-		}
-
-		muG, muQ := ws.f.take(ng*din), ws.f.take(nq*din)
 		scores := ws.f.take(max(ng, nq))
-		attend(muG, kg1, kq2, pq.LogSize, hq, pq.Feature, din, scores)
-		attend(muQ, kq1, kg2, pg.LogSize, hg, pg.Feature, din, scores)
+		kg := keys(ws.f.take(ng), hg, pg.Feature, a2)
+		muQ := ws.f.take(din)
+		attend(muQ, kg, pg.LogSize, hg, pg.Feature, scores)
+		muG := ws.qMu
+		if l > 1 {
+			kq := keys(ws.f.take(nq), hq, pq.Feature, a2)
+			muG = ws.f.take(din)
+			attend(muG, kq, pq.LogSize, hq, pq.Feature, scores)
+		}
 
 		pre := ws.f.take(din)
 		lg, lq := &g.Levels[l], &q.Levels[l]
@@ -115,66 +107,71 @@ func (ws *Workspace) cross(dst []float64, g *Compressed) {
 	ws.f.off = base
 }
 
-// denseKeys computes the attention keys k1 = h*a1 and k2 = h*a2 of dense
-// embedding rows (len(a1) wide).
-func denseKeys(k1, k2, h, a1, a2 []float64) {
-	d := len(a1)
-	for i := range k1 {
-		row := h[i*d : (i+1)*d]
-		s1, s2 := 0.0, 0.0
-		for k, v := range row {
-			s1 += v * a1[k]
-			s2 += v * a2[k]
+// keys writes into k the attention key a·h_j of every row of h (len(a)
+// wide) and returns k; when h is nil the rows are the one-hots of feat,
+// and a key is the look-up a[feat[j]].
+func keys(k, h []float64, feat []int, a []float64) []float64 {
+	if h == nil {
+		for j, f := range feat {
+			k[j] = a[f]
 		}
-		k1[i], k2[i] = s1, s2
+		return k
 	}
+	d := len(a)
+	for j := range k {
+		s := 0.0
+		for c, v := range h[j*d : (j+1)*d] {
+			s += v * a[c]
+		}
+		k[j] = s
+	}
+	return k
 }
 
-// attend fills mu (len(selfKey) rows, d wide): row i is the softmax over
-// the other side's groups of selfKey[i] + otherKey[j] + log|group j|,
-// applied to the other side's embeddings — dense rows of other, or, when
-// other is nil, the one-hots of otherFeat. scores is scratch for one row.
-func attend(mu, selfKey, otherKey, otherLogSize, other []float64, otherFeat []int, d int, scores []float64) {
-	for i := range mu {
-		mu[i] = 0
+// attend writes into mu the cross message one side receives: the softmax
+// over the other side's groups of key[j] + logSize[j], applied to the
+// other side's embeddings — dense rows of other (len(mu) wide), or, when
+// other is nil, the one-hots of feat. scores is scratch of len(key)
+// floats or more.
+func attend(mu, key, logSize, other []float64, feat []int, scores []float64) {
+	d := len(mu)
+	for k := range mu {
+		mu[k] = 0
 	}
-	scores = scores[:len(otherKey)]
-	for i, base := range selfKey {
-		maxScore := math.Inf(-1)
-		for j, key := range otherKey {
-			s := base + key + otherLogSize[j]
-			scores[j] = s
-			if s > maxScore {
-				maxScore = s
-			}
+	scores = scores[:len(key)]
+	maxScore := math.Inf(-1)
+	for j, kj := range key {
+		s := kj + logSize[j]
+		scores[j] = s
+		if s > maxScore {
+			maxScore = s
 		}
-		sum := 0.0
-		for j, s := range scores {
-			e := math.Exp(s - maxScore)
-			scores[j] = e
-			sum += e
+	}
+	sum := 0.0
+	for j, s := range scores {
+		e := math.Exp(s - maxScore)
+		scores[j] = e
+		sum += e
+	}
+	for j, e := range scores {
+		alpha := e / sum
+		if alpha == 0 {
+			continue
 		}
-		murow := mu[i*d : (i+1)*d]
-		for j, e := range scores {
-			alpha := e / sum
-			if alpha == 0 {
-				continue
-			}
-			if other == nil {
-				murow[otherFeat[j]] += alpha
-				continue
-			}
-			for k, v := range other[j*d : (j+1)*d] {
-				murow[k] += alpha * v
-			}
+		if other == nil {
+			mu[feat[j]] += alpha
+			continue
+		}
+		for k, v := range other[j*d : (j+1)*d] {
+			mu[k] += alpha * v
 		}
 	}
 }
 
 // layer computes one side's next level into next (len(lv.In) rows, Dim
 // wide): aggregate the previous level over lv.In (dense rows of prev, or
-// one-hots of prevFeat when prev is nil), add the parent group's cross
-// message, multiply by w and apply ReLU. pre is scratch for one
+// one-hots of prevFeat when prev is nil), add the side's cross message mu,
+// multiply by w and apply ReLU. pre is scratch for one
 // pre-activation row; its zero entries — most of a one-hot level's — are
 // skipped in the product, which leaves every sum unchanged.
 func layer(next, prev []float64, prevFeat []int, mu []float64, lv *Level, w, pre []float64) {
@@ -193,7 +190,7 @@ func layer(next, prev []float64, prevFeat []int, mu []float64, lv *Level, w, pre
 				pre[k] += e.W * v
 			}
 		}
-		for k, v := range mu[lv.Parent[i]*d:][:d] {
+		for k, v := range mu {
 			pre[k] += v
 		}
 		out := next[i*dim : (i+1)*dim]

@@ -34,8 +34,11 @@ func (c Config) CrossDim() int { return 2 * c.Dim }
 type CrossModel struct {
 	Cfg Config
 	W   []*autograd.Value // W[l]: d_{l-1} x Dim, l = 1..Layers
-	A1  []*autograd.Value // a = A1 || A2 split so scores decompose into an outer sum
-	A2  []*autograd.Value
+	// a = A1 || A2 of Eq. 6/10. The softmax cancels the A1 term, so no
+	// forward reads A1; it stays registered so persisted models keep their
+	// layout.
+	A1 []*autograd.Value
+	A2 []*autograd.Value
 }
 
 // NewCrossModel registers the model's parameters under prefix.
@@ -79,43 +82,42 @@ func (m *CrossModel) Forward(t *autograd.Tape, cgG, cgQ *Compressed) *autograd.V
 	hg := inputFeatures(t, cgG, m.Cfg.Vocab.Size())
 	hq := inputFeatures(t, cgQ, m.Cfg.Vocab.Size())
 	for l := 1; l <= m.Cfg.Layers; l++ {
-		muGprev, muQprev := m.attend(t, l, hg, hq, cgG, cgQ)
+		muG, muQ := m.attend(t, l, hg, hq, cgG, cgQ)
 
-		// Aggregate (Eq. 8), add the cross message of the parent group,
-		// transform, activate (Eq. 7).
-		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
-		tG := t.LinearCombRows(hg, lvG.In)
-		tQ := t.LinearCombRows(hq, lvQ.In)
-		hg, hq = m.transform(t, l, tG, tQ, muGprev, muQprev, lvG.Parent, lvQ.Parent)
+		// Aggregate (Eq. 8), add the side's cross message, transform,
+		// activate (Eq. 7).
+		tG := t.LinearCombRows(hg, cgG.Levels[l].In)
+		tQ := t.LinearCombRows(hq, cgQ.Levels[l].In)
+		hg, hq = m.transform(t, l, tG, tQ, muG, muQ)
 	}
 	return m.readout(t, hg, hq, cgG, cgQ)
 }
 
-// attend computes layer l's cross messages, one row per previous-level
-// group of each side: attention both ways over the other side's groups
-// (Eq. 9-10 with group-size weights folded into the softmax as log terms).
+// attend computes layer l's cross messages, one 1xd row per side:
+// attention over the other side's previous-level groups (Eq. 9-10 with
+// group-size weights folded into the softmax as log terms). The score of
+// group i over group j is a1·h_i + a2·h_j + log|g_j|, and the softmax
+// over j cancels a1·h_i, so every group of a side receives the same
+// message: the softmax of a2·h_j + log|g_j| applied to the other side's
+// rows. A1 is never read.
 func (m *CrossModel) attend(t *autograd.Tape, l int, hg, hq *autograd.Value, cgG, cgQ *Compressed) (muG, muQ *autograd.Value) {
-	a1, a2 := m.A1[l-1], m.A2[l-1]
+	a2 := m.A2[l-1]
 	logG, logQ := cgG.Levels[l-1].LogSize, cgQ.Levels[l-1].LogSize
 
-	kg1 := t.MatMul(hg, a1)
-	kg2 := t.Transpose(t.MatMul(hg, a2))
-	kq1 := t.MatMul(hq, a1)
-	kq2 := t.Transpose(t.MatMul(hq, a2))
+	kg := t.Transpose(t.MatMul(hg, a2))
+	kq := t.Transpose(t.MatMul(hq, a2))
 
-	scoresG := t.AddRowBroadcast(t.OuterSum(kg1, kq2), logSizeRow(t, logQ))
-	muG = t.MatMul(t.SoftmaxRows(scoresG), hq)
-	scoresQ := t.AddRowBroadcast(t.OuterSum(kq1, kg2), logSizeRow(t, logG))
-	muQ = t.MatMul(t.SoftmaxRows(scoresQ), hg)
+	muG = t.MatMul(t.SoftmaxRows(t.Add(kq, logSizeRow(t, logQ))), hq)
+	muQ = t.MatMul(t.SoftmaxRows(t.Add(kg, logSizeRow(t, logG))), hg)
 	return muG, muQ
 }
 
-// transform finishes layer l from each side's aggregation: add the cross
-// message of the parent group, multiply by W, activate (Eq. 7).
-func (m *CrossModel) transform(t *autograd.Tape, l int, tG, tQ, muG, muQ *autograd.Value, parentG, parentQ []int) (hg, hq *autograd.Value) {
+// transform finishes layer l from each side's aggregation: add the side's
+// cross message to every row, multiply by W, activate (Eq. 7).
+func (m *CrossModel) transform(t *autograd.Tape, l int, tG, tQ, muG, muQ *autograd.Value) (hg, hq *autograd.Value) {
 	w := m.W[l-1]
-	preG := t.Add(tG, t.GatherRows(muG, parentG))
-	preQ := t.Add(tQ, t.GatherRows(muQ, parentQ))
+	preG := t.AddRowBroadcast(tG, muG)
+	preQ := t.AddRowBroadcast(tQ, muQ)
 	return t.ReLU(t.MatMul(preG, w)), t.ReLU(t.MatMul(preQ, w))
 }
 

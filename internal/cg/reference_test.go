@@ -13,24 +13,21 @@ import (
 // FuzzInferMatchesReference) and the "before" side of BenchmarkCrossInfer.
 
 // refInfer computes the cross-graph embedding h_G || h_Q with the matrix
-// kernels.
+// kernels, one cross message per side per layer.
 func refInfer(m *CrossModel, cgG, cgQ *Compressed) []float64 {
 	hg := inferInput(cgG, m.Cfg.Vocab.Size())
 	hq := inferInput(cgQ, m.Cfg.Vocab.Size())
 	for l := 1; l <= m.Cfg.Layers; l++ {
 		w := m.W[l-1].Data
-		a1 := m.A1[l-1].Data
 		a2 := m.A2[l-1].Data
 		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
 		szG, szQ := cgG.Levels[l-1].Size, cgQ.Levels[l-1].Size
 
-		kg1 := mat.Mul(hg, a1)
-		kg2 := mat.Mul(hg, a2)
-		kq1 := mat.Mul(hq, a1)
-		kq2 := mat.Mul(hq, a2)
+		kg := mat.Mul(hg, a2)
+		kq := mat.Mul(hq, a2)
 
-		muG := refInferAttention(kg1, kq2, hq, szQ)
-		muQ := refInferAttention(kq1, kg2, hg, szG)
+		muG := refInferAttention(kq, hq, szQ)
+		muQ := refInferAttention(kg, hg, szG)
 
 		hg = refInferLayer(hg, muG, lvG, w)
 		hq = refInferLayer(hq, muQ, lvQ, w)
@@ -40,49 +37,40 @@ func refInfer(m *CrossModel, cgG, cgQ *Compressed) []float64 {
 	return append(outG, outQ...)
 }
 
-// refInferAttention computes mu rows: softmax over the other side's groups
-// with size weights, then the weighted combination of its embeddings.
-func refInferAttention(selfKey, otherKey *mat.Matrix, other *mat.Matrix, otherSize []float64) *mat.Matrix {
-	n := selfKey.Rows
-	mo := otherKey.Rows
-	mu := mat.New(n, other.Cols)
-	logw := make([]float64, mo)
-	for j, s := range otherSize {
-		logw[j] = math.Log(s)
-	}
+// refInferAttention computes the one cross message a side receives: the
+// softmax over the other side's groups of key + log size, then the
+// weighted combination of its embeddings.
+func refInferAttention(key, other *mat.Matrix, otherSize []float64) []float64 {
+	mo := key.Rows
+	mu := make([]float64, other.Cols)
 	scores := make([]float64, mo)
-	for i := 0; i < n; i++ {
-		base := selfKey.At(i, 0)
-		maxScore := math.Inf(-1)
-		for j := 0; j < mo; j++ {
-			scores[j] = base + otherKey.At(j, 0) + logw[j]
-			if scores[j] > maxScore {
-				maxScore = scores[j]
-			}
+	maxScore := math.Inf(-1)
+	for j := 0; j < mo; j++ {
+		scores[j] = key.At(j, 0) + math.Log(otherSize[j])
+		if scores[j] > maxScore {
+			maxScore = scores[j]
 		}
-		sum := 0.0
-		for j := range scores {
-			scores[j] = math.Exp(scores[j] - maxScore)
-			sum += scores[j]
+	}
+	sum := 0.0
+	for j := range scores {
+		scores[j] = math.Exp(scores[j] - maxScore)
+		sum += scores[j]
+	}
+	for j := 0; j < mo; j++ {
+		alpha := scores[j] / sum
+		if alpha == 0 {
+			continue
 		}
-		murow := mu.Row(i)
-		for j := 0; j < mo; j++ {
-			alpha := scores[j] / sum
-			if alpha == 0 {
-				continue
-			}
-			orow := other.Row(j)
-			for k, v := range orow {
-				murow[k] += alpha * v
-			}
+		for k, v := range other.Row(j) {
+			mu[k] += alpha * v
 		}
 	}
 	return mu
 }
 
-// refInferLayer aggregates the previous level, adds the parent's cross
-// message, multiplies by W and applies ReLU.
-func refInferLayer(prev, mu *mat.Matrix, lv Level, w *mat.Matrix) *mat.Matrix {
+// refInferLayer aggregates the previous level, adds the side's cross
+// message to every row, multiplies by W and applies ReLU.
+func refInferLayer(prev *mat.Matrix, mu []float64, lv Level, w *mat.Matrix) *mat.Matrix {
 	n := len(lv.In)
 	pre := mat.New(n, prev.Cols)
 	for i := 0; i < n; i++ {
@@ -93,8 +81,7 @@ func refInferLayer(prev, mu *mat.Matrix, lv Level, w *mat.Matrix) *mat.Matrix {
 				row[k] += e.W * v
 			}
 		}
-		murow := mu.Row(lv.Parent[i])
-		for k, v := range murow {
+		for k, v := range mu {
 			row[k] += v
 		}
 	}

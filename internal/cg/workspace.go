@@ -18,10 +18,11 @@ import "github.com/lansearch/lan/graph"
 // they stay valid and keep their contents.
 type Workspace struct {
 	// The bound (model, query) pair and what Bind hoists out of the
-	// per-pair kernel: the layer-1 attention keys of q's level-0 groups.
-	m            *CrossModel
-	q            *Compressed
-	qKey1, qKey2 []float64
+	// per-pair kernel: the layer-1 cross message q sends to every group of
+	// g (Vocab.Size() wide).
+	m   *CrossModel
+	q   *Compressed
+	qMu []float64
 
 	f       bump[float64] // kernel temporaries and callers' per-call scratch
 	ints    bump[int]     // search lifetime: ranked neighbour ids

@@ -170,45 +170,6 @@ func refAddRowBroadcast(a, b *refValue) *refValue {
 	return out
 }
 
-// refOuterSum returns the RxC matrix out[i][j] = a[i][0] + b[0][j] from a
-// column vector a (Rx1) and row vector b (1xC).
-func refOuterSum(a, b *refValue) *refValue {
-	if a.Data.Cols != 1 || b.Data.Rows != 1 {
-		panic(fmt.Sprintf("autograd: OuterSum wants Rx1 and 1xC, got %dx%d and %dx%d", a.Data.Rows, a.Data.Cols, b.Data.Rows, b.Data.Cols))
-	}
-	r, c := a.Data.Rows, b.Data.Cols
-	data := mat.New(r, c)
-	for i := 0; i < r; i++ {
-		ai := a.Data.At(i, 0)
-		row := data.Row(i)
-		for j, bj := range b.Data.Row(0) {
-			row[j] = ai + bj
-		}
-	}
-	out := refNode(data, a, b)
-	out.backward = func() {
-		if a.requiresGrad {
-			g := a.grad()
-			for i := 0; i < r; i++ {
-				s := 0.0
-				for _, v := range out.Grad.Row(i) {
-					s += v
-				}
-				g.Data[i] += s
-			}
-		}
-		if b.requiresGrad {
-			g := b.grad().Row(0)
-			for i := 0; i < r; i++ {
-				for j, v := range out.Grad.Row(i) {
-					g[j] += v
-				}
-			}
-		}
-	}
-	return out
-}
-
 // refScale returns s * a for a constant s.
 func refScale(a *refValue, s float64) *refValue {
 	out := refNode(mat.Scale(a.Data, s), a)
@@ -424,29 +385,6 @@ func refGatherCols(a *refValue, from, to int) *refValue {
 			grow := g.Row(i)
 			for j, v := range out.Grad.Row(i) {
 				grow[from+j] += v
-			}
-		}
-	}
-	return out
-}
-
-// refGatherRows returns the matrix whose i-th row is a's row idx[i]. Rows may
-// repeat; gradients scatter-add back.
-func refGatherRows(a *refValue, idx []int) *refValue {
-	data := mat.New(len(idx), a.Data.Cols)
-	for i, r := range idx {
-		copy(data.Row(i), a.Data.Row(r))
-	}
-	out := refNode(data, a)
-	out.backward = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := a.grad()
-		for i, r := range idx {
-			grow := g.Row(r)
-			for j, v := range out.Grad.Row(i) {
-				grow[j] += v
 			}
 		}
 	}

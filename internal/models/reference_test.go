@@ -14,7 +14,8 @@ import (
 )
 
 // The inference path of M_rk and M_nh as it stood before the workspace:
-// the matrix-kernel cross network (the same oracle as
+// the matrix-kernel cross network, one cross message per side per layer
+// (the same oracle as
 // internal/cg/reference_test.go, repeated here because test files do not
 // cross packages), MLP heads on mat.MulInto, one head input per score and
 // a ranker that scores every neighbour from scratch on every call. The
@@ -26,18 +27,15 @@ func refCrossInfer(m *cg.CrossModel, cgG, cgQ *cg.Compressed) []float64 {
 	hq := refInferInput(cgQ, m.Cfg.Vocab.Size())
 	for l := 1; l <= m.Cfg.Layers; l++ {
 		w := m.W[l-1].Data
-		a1 := m.A1[l-1].Data
 		a2 := m.A2[l-1].Data
 		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
 		szG, szQ := cgG.Levels[l-1].Size, cgQ.Levels[l-1].Size
 
-		kg1 := mat.Mul(hg, a1)
-		kg2 := mat.Mul(hg, a2)
-		kq1 := mat.Mul(hq, a1)
-		kq2 := mat.Mul(hq, a2)
+		kg := mat.Mul(hg, a2)
+		kq := mat.Mul(hq, a2)
 
-		muG := refInferAttention(kg1, kq2, hq, szQ)
-		muQ := refInferAttention(kq1, kg2, hg, szG)
+		muG := refInferAttention(kq, hq, szQ)
+		muQ := refInferAttention(kg, hg, szG)
 
 		hg = refInferLayer(hg, muG, lvG, w)
 		hq = refInferLayer(hq, muQ, lvQ, w)
@@ -56,45 +54,35 @@ func refInferInput(c *cg.Compressed, vocabSize int) *mat.Matrix {
 	return h
 }
 
-func refInferAttention(selfKey, otherKey *mat.Matrix, other *mat.Matrix, otherSize []float64) *mat.Matrix {
-	n := selfKey.Rows
-	mo := otherKey.Rows
-	mu := mat.New(n, other.Cols)
-	logw := make([]float64, mo)
-	for j, s := range otherSize {
-		logw[j] = math.Log(s)
-	}
+func refInferAttention(key, other *mat.Matrix, otherSize []float64) []float64 {
+	mo := key.Rows
+	mu := make([]float64, other.Cols)
 	scores := make([]float64, mo)
-	for i := 0; i < n; i++ {
-		base := selfKey.At(i, 0)
-		maxScore := math.Inf(-1)
-		for j := 0; j < mo; j++ {
-			scores[j] = base + otherKey.At(j, 0) + logw[j]
-			if scores[j] > maxScore {
-				maxScore = scores[j]
-			}
+	maxScore := math.Inf(-1)
+	for j := 0; j < mo; j++ {
+		scores[j] = key.At(j, 0) + math.Log(otherSize[j])
+		if scores[j] > maxScore {
+			maxScore = scores[j]
 		}
-		sum := 0.0
-		for j := range scores {
-			scores[j] = math.Exp(scores[j] - maxScore)
-			sum += scores[j]
+	}
+	sum := 0.0
+	for j := range scores {
+		scores[j] = math.Exp(scores[j] - maxScore)
+		sum += scores[j]
+	}
+	for j := 0; j < mo; j++ {
+		alpha := scores[j] / sum
+		if alpha == 0 {
+			continue
 		}
-		murow := mu.Row(i)
-		for j := 0; j < mo; j++ {
-			alpha := scores[j] / sum
-			if alpha == 0 {
-				continue
-			}
-			orow := other.Row(j)
-			for k, v := range orow {
-				murow[k] += alpha * v
-			}
+		for k, v := range other.Row(j) {
+			mu[k] += alpha * v
 		}
 	}
 	return mu
 }
 
-func refInferLayer(prev, mu *mat.Matrix, lv cg.Level, w *mat.Matrix) *mat.Matrix {
+func refInferLayer(prev *mat.Matrix, mu []float64, lv cg.Level, w *mat.Matrix) *mat.Matrix {
 	n := len(lv.In)
 	pre := mat.New(n, prev.Cols)
 	for i := 0; i < n; i++ {
@@ -105,8 +93,7 @@ func refInferLayer(prev, mu *mat.Matrix, lv cg.Level, w *mat.Matrix) *mat.Matrix
 				row[k] += e.W * v
 			}
 		}
-		murow := mu.Row(lv.Parent[i])
-		for k, v := range murow {
+		for k, v := range mu {
 			row[k] += v
 		}
 	}

@@ -56,26 +56,19 @@ func refCrossForward(m *cg.CrossModel, l refLeaves, cgG, cgQ *cg.Compressed) *re
 	hg := refInputFeatures(cgG, m.Cfg.Vocab.Size())
 	hq := refInputFeatures(cgQ, m.Cfg.Vocab.Size())
 	for lv := 1; lv <= m.Cfg.Layers; lv++ {
-		w, a1, a2 := l.of(m.W[lv-1]), l.of(m.A1[lv-1]), l.of(m.A2[lv-1])
-		lvG, lvQ := cgG.Levels[lv], cgQ.Levels[lv]
+		w, a2 := l.of(m.W[lv-1]), l.of(m.A2[lv-1])
 		logG, logQ := cgG.Levels[lv-1].LogSize, cgQ.Levels[lv-1].LogSize
 
-		kg1 := refMatMul(hg, a1)
-		kg2 := refTranspose(refMatMul(hg, a2))
-		kq1 := refMatMul(hq, a1)
-		kq2 := refTranspose(refMatMul(hq, a2))
+		kg := refTranspose(refMatMul(hg, a2))
+		kq := refTranspose(refMatMul(hq, a2))
 
-		scoresG := refAddRowBroadcast(refOuterSum(kg1, kq2), refLogSizeRow(logQ))
-		muGprev := refMatMul(refSoftmaxRows(scoresG), hq)
-		scoresQ := refAddRowBroadcast(refOuterSum(kq1, kg2), refLogSizeRow(logG))
-		muQprev := refMatMul(refSoftmaxRows(scoresQ), hg)
+		muG := refMatMul(refSoftmaxRows(refAdd(kq, refLogSizeRow(logQ))), hq)
+		muQ := refMatMul(refSoftmaxRows(refAdd(kg, refLogSizeRow(logG))), hg)
 
-		tG := refLinearCombRows(hg, lvG.In)
-		tQ := refLinearCombRows(hq, lvQ.In)
-		preG := refAdd(tG, refGatherRows(muGprev, lvG.Parent))
-		preQ := refAdd(tQ, refGatherRows(muQprev, lvQ.Parent))
-		hg = refReLU(refMatMul(preG, w))
-		hq = refReLU(refMatMul(preQ, w))
+		tG := refLinearCombRows(hg, cgG.Levels[lv].In)
+		tQ := refLinearCombRows(hq, cgQ.Levels[lv].In)
+		hg = refReLU(refMatMul(refAddRowBroadcast(tG, muG), w))
+		hq = refReLU(refMatMul(refAddRowBroadcast(tQ, muQ), w))
 	}
 	outG := refWeightedMeanRows(hg, cgG.Levels[m.Cfg.Layers].Size)
 	outQ := refWeightedMeanRows(hq, cgQ.Levels[m.Cfg.Layers].Size)

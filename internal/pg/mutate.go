@@ -20,7 +20,7 @@ import (
 //
 // The write methods are single-writer: the owning index serializes calls
 // under its write lock. They share the HNSW's memoizing build metric, so
-// repeated optimizer passes over the same region get cheaper over time.
+// the repairs later writes make in an already-edited region get cheaper.
 
 // Arm prepares h for incremental writes. Indexes reopened from a snapshot
 // carry no build metric, degree parameter or insertion beam (batch
