@@ -25,7 +25,7 @@ func main() {
 		qPath   = flag.String("queries", "", "query file")
 		k       = flag.Int("k", 10, "neighbors per query")
 		beam    = flag.Int("beam", 0, "candidate pool size (default k)")
-		routing = flag.String("routing", "lan", "routing: lan, baseline, oracle")
+		routing = flag.String("routing", "lan", "routing: lan, baseline, oracle (ranks by the index's build metric, not necessarily the query metric)")
 		initial = flag.String("initial", "lan", "initial node: lan, hnsw, rand")
 		trace   = flag.Bool("trace", false, "print a per-query routing trace (JSON, one line per query) to stderr")
 		store   = flag.String("store", "mmap", "storage tier: mmap (serve off the mapped file) or ram (materialize it)")

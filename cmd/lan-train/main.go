@@ -47,7 +47,7 @@ func main() {
 	}
 
 	start := time.Now()
-	idx, err := lanio.BuildIndex(db, queries, lanio.BuildParams{
+	idx, err := lan.Build(db, queries, lan.Options{
 		Dim: *dim, M: *m, Epochs: *epochs, GammaKNN: *gamma, Workers: *workers, Seed: *seed,
 	})
 	if err != nil {

@@ -130,27 +130,3 @@ func (c *pairCtx) astarPop() int32 {
 	c.heap = h[:n]
 	return h[n]
 }
-
-// exactMapping returns the mapping astar left in slot A0 in the caller's
-// orientation: when the pair was swapped, nodes of the bigger graph that
-// are not images become deletions.
-func (c *pairCtx) exactMapping() []int {
-	small := c.phiA[:c.gN]
-	if !c.swapped {
-		phi := make([]int, c.gN)
-		for u, w := range small {
-			phi[u] = int(w)
-		}
-		return phi
-	}
-	phi := make([]int, c.hN)
-	for i := range phi {
-		phi[i] = unmapped
-	}
-	for u, w := range small {
-		if w != unmapped {
-			phi[w] = u
-		}
-	}
-	return phi
-}

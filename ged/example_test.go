@@ -28,22 +28,6 @@ func ExampleExact() {
 	// Output: 1 true
 }
 
-func ExampleExactMapping() {
-	g := graph.New(-1)
-	g.AddNode("A")
-	g.AddNode("B")
-	g.MustAddEdge(0, 1)
-
-	h := graph.New(-1)
-	h.AddNode("B") // the B nodes should align
-	h.AddNode("A")
-	h.MustAddEdge(0, 1)
-
-	phi, d, _ := ged.ExactMapping(g, h, 0)
-	fmt.Println(phi, d)
-	// Output: [1 0] 0
-}
-
 func ExampleEnsemble() {
 	gen := graph.NewGenerator(1)
 	labels := []string{"C", "N", "O"}

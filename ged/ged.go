@@ -27,7 +27,6 @@
 package ged
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -72,54 +71,11 @@ func (c *pairCtx) exact(maxExpansions int) (d float64, ok bool) {
 	return d, ok
 }
 
-// Unmapped marks a node of g that an alignment deletes (maps to no node
-// of h).
-const Unmapped = unmapped
-
-// ExactMapping returns an optimal node alignment alongside the exact GED:
-// phi[u] is the node of h that u maps to, or Unmapped for a deletion;
-// nodes of h that are not images are insertions. ok=false mirrors Exact's
-// budget semantics, in which case phi is nil.
-func ExactMapping(g, h *graph.Graph, maxExpansions int) (phi []int, d float64, ok bool) {
-	c := acquire(g, h)
-	if d, ok = c.exact(maxExpansions); ok {
-		phi = c.exactMapping()
-	}
-	release(c)
-	return phi, d, ok
-}
-
 // LowerBound returns an admissible lower bound of the exact GED from the
 // node-label multisets and edge counts — cheap enough for filtering
 // pipelines (LowerBound(g,h) > tau certifies d(g,h) > tau).
 func LowerBound(g, h *graph.Graph) float64 {
 	return labelLowerBound(g, h)
-}
-
-// MappingCost returns the edit cost induced by an explicit node mapping
-// phi (phi[u] in [0,h.N()) or Unmapped). It is an upper bound of the
-// exact GED for any injective mapping and equals it for an optimal one.
-// It returns an error when phi's length does not match g's node count,
-// when a mapping target is out of range, or when phi maps two nodes of g
-// to the same node of h.
-func MappingCost(g, h *graph.Graph, phi []int) (float64, error) {
-	if len(phi) != g.N() {
-		return 0, fmt.Errorf("ged: MappingCost: mapping of length %d for %d nodes", len(phi), g.N())
-	}
-	seen := make(map[int]bool, len(phi))
-	for u, w := range phi {
-		if w == unmapped {
-			continue
-		}
-		if w < 0 || w >= h.N() {
-			return 0, fmt.Errorf("ged: MappingCost: node %d maps to out-of-range node %d (h has %d)", u, w, h.N())
-		}
-		if seen[w] {
-			return 0, fmt.Errorf("ged: MappingCost: mapping not injective (node %d has two preimages)", w)
-		}
-		seen[w] = true
-	}
-	return mappingCost(g, h, phi), nil
 }
 
 // Beam returns the beam-search GED of g and h with beam width w (an upper

@@ -325,29 +325,27 @@ func TestMappingCostIdentityMapping(t *testing.T) {
 	}
 }
 
+// TestExactMappingCostConsistency: the optimal mapping A* leaves behind
+// induces exactly the distance it returns, and Exact returns that
+// distance too.
 func TestExactMappingCostConsistency(t *testing.T) {
 	gen := graph.NewGenerator(31)
 	labels := []string{"A", "B", "C"}
 	for trial := 0; trial < 20; trial++ {
 		g := gen.RandomConnected(2+trial%4, 6, labels, 0.3)
 		h := gen.RandomConnected(2+(trial+1)%5, 7, labels, 0.3)
-		phi, d, ok := ExactMapping(g, h, 0)
+		d, phi, _, ok := arenaAStar(g, h, 0)
 		if !ok {
 			t.Fatalf("trial %d: unbounded search failed", trial)
 		}
 		if len(phi) != g.N() {
 			t.Fatalf("trial %d: mapping length %d; want %d", trial, len(phi), g.N())
 		}
-		got, err := MappingCost(g, h, phi)
-		if err != nil {
-			t.Fatalf("trial %d: MappingCost: %v", trial, err)
-		}
-		if got != d {
+		if got := mappingCost(g, h, phi); got != d {
 			t.Fatalf("trial %d: mapping cost %v != exact %v", trial, got, d)
 		}
-		want := exact(t, g, h)
-		if d != want {
-			t.Fatalf("trial %d: ExactMapping distance %v != Exact %v", trial, d, want)
+		if want := exact(t, g, h); d != want {
+			t.Fatalf("trial %d: A* mapping distance %v != Exact %v", trial, d, want)
 		}
 	}
 }
@@ -357,33 +355,12 @@ func TestExactMappingSwappedOrientation(t *testing.T) {
 	// be from g's nodes.
 	g := path("A", "B", "C", "D", "E")
 	h := path("A", "B")
-	phi, d, ok := ExactMapping(g, h, 0)
+	d, phi, _, ok := arenaAStar(g, h, 0)
 	if !ok || len(phi) != 5 {
 		t.Fatalf("phi = %v ok = %v", phi, ok)
 	}
-	got, err := MappingCost(g, h, phi)
-	if err != nil {
-		t.Fatalf("MappingCost: %v", err)
-	}
-	if got != d {
+	if got := mappingCost(g, h, phi); got != d {
 		t.Fatalf("mapping cost %v != %v", got, d)
-	}
-}
-
-func TestMappingCostRejectsInvalidMappings(t *testing.T) {
-	g := path("A", "B")
-	h := path("A", "B")
-	if _, err := MappingCost(g, h, []int{0, 0}); err == nil {
-		t.Fatal("no error for non-injective mapping")
-	}
-	if _, err := MappingCost(g, h, []int{0}); err == nil {
-		t.Fatal("no error for short mapping")
-	}
-	if _, err := MappingCost(g, h, []int{0, 7}); err == nil {
-		t.Fatal("no error for out-of-range target")
-	}
-	if got, err := MappingCost(g, h, []int{0, 1}); err != nil || got != 0 {
-		t.Fatalf("identity mapping: cost %v, err %v", got, err)
 	}
 }
 

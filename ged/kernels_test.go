@@ -95,6 +95,30 @@ func twoWordPairs() [][2]*graph.Graph {
 	return pairs
 }
 
+// exactMapping returns the mapping astar left in slot A0 in the caller's
+// orientation: when the pair was swapped, nodes of the bigger graph that
+// are not images become deletions.
+func (c *pairCtx) exactMapping() []int {
+	small := c.phiA[:c.gN]
+	if !c.swapped {
+		phi := make([]int, c.gN)
+		for u, w := range small {
+			phi[u] = int(w)
+		}
+		return phi
+	}
+	phi := make([]int, c.hN)
+	for i := range phi {
+		phi[i] = unmapped
+	}
+	for u, w := range small {
+		if w != unmapped {
+			phi[w] = u
+		}
+	}
+	return phi
+}
+
 // arenaAStar runs the arena kernel the way Exact does, additionally
 // reporting the expansion count and the mapping.
 func arenaAStar(g, h *graph.Graph, budget int) (d float64, phi []int, expansions int, ok bool) {
@@ -134,10 +158,6 @@ func TestAStarKernelMatchesReference(t *testing.T) {
 				// exhaustion exactly as the reference did.
 				if pd, pok := Exact(g, h, budget); pok != wok || pd != wd {
 					t.Fatalf("pair %d budget %d: Exact = %v, %v; reference %v, %v", i, budget, pd, pok, wd, wok)
-				}
-				if mphi, md, mok := ExactMapping(g, h, budget); mok != wok || md != wd || !slices.Equal(mphi, wphi) {
-					t.Fatalf("pair %d budget %d: ExactMapping = %v, %v, %v; reference %v, %v, %v",
-						i, budget, mphi, md, mok, wphi, wd, wok)
 				}
 			}
 		}

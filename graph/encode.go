@@ -126,24 +126,3 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
-
-// WriteJSON writes db as a JSON array of graphs.
-func WriteJSON(w io.Writer, db Database) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(db)
-}
-
-// ReadJSON parses a JSON array of graphs.
-func ReadJSON(r io.Reader) (Database, error) {
-	var db Database
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&db); err != nil {
-		return nil, err
-	}
-	for _, g := range db {
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
-}

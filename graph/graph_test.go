@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/json"
 	"io"
 	"math/rand"
 	"testing"
@@ -343,13 +344,13 @@ func TestJSONRoundTrip(t *testing.T) {
 		gen.CFGLike(8, []string{"block", "call", "ret"}, 0.2),
 		gen.MoleculeLike(12, 2, []string{"C", "N", "O"}, 0.4),
 	})
-	var buf testBuffer
-	if err := WriteJSON(&buf, db); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := ReadJSON(&buf)
+	data, err := json.Marshal(db)
 	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
+		t.Fatalf("Marshal: %v", err)
+	}
+	var got Database
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
 	for i := range db {
 		if !db[i].Equal(got[i]) {

@@ -168,7 +168,10 @@ const (
 	// BaselineRoute is Algorithm 1 (exhaustive neighbor exploration):
 	// np_route with no ranker, every neighbor in one batch.
 	BaselineRoute
-	// OracleRoute is np_route with the oracle ranker (upper bound).
+	// OracleRoute is np_route with the oracle ranker: neighbors ordered
+	// by Options.BuildMetric, uncharged. That is the query metric only
+	// when the two metrics are the same; beside an ensemble query metric
+	// and a cheap build metric the oracle ranks by the build metric.
 	OracleRoute
 )
 

@@ -140,7 +140,10 @@ func NewEnv(p Protocol, spec dataset.Spec) (*Env, error) {
 	if err := enc.Train(pairs, p.TrainEpochs, 0.01); err != nil {
 		return nil, err
 	}
-	l2 := l2route.BuildIndex(db, enc, 6)
+	l2, err := l2route.BuildIndex(db, enc, 6)
+	if err != nil {
+		return nil, err
+	}
 	buildTime := time.Since(buildStart)
 
 	env := &Env{Protocol: p, Spec: spec, DB: db, Engine: eng, L2: l2, Train: train, Test: test, BuildTime: buildTime}

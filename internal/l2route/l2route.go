@@ -5,7 +5,10 @@
 // graph, and the resulting candidates are verified with true GEDs. The
 // embedding is learned — a siamese GIN trained so that squared L2 distance
 // regresses onto GED — which is the strongest reasonable stand-in for the
-// original's learned router. Its weakness, which the paper's Fig. 5
+// original's learned router. The vector proximity graph is the HNSW
+// pg.Build makes for every index, and the vector stage is route.Route
+// without a ranker — the same builder and query loop as LAN's baseline,
+// under squared L2 instead of GED. Its weakness, which the paper's Fig. 5
 // reports, is structural: to reach high recall the vector stage must
 // surface enough true neighbors, which forces many GED verifications.
 package l2route
@@ -25,6 +28,7 @@ import (
 	"github.com/lansearch/lan/internal/obs"
 	"github.com/lansearch/lan/internal/order"
 	"github.com/lansearch/lan/internal/pg"
+	"github.com/lansearch/lan/internal/route"
 )
 
 // Encoder turns graphs into embedding vectors.
@@ -91,119 +95,42 @@ func (e *Encoder) Train(pairs []Pair, epochs int, lr float64) error {
 	return nil
 }
 
-// Index is the L2route search structure: database embeddings plus a
-// brute-force M-nearest-neighbor graph in embedding space.
+// Index is the L2route search structure: database embeddings plus an
+// HNSW proximity graph built by pg.Build over squared L2 between them.
 type Index struct {
 	DB      graph.Database
 	Encoder *Encoder
 	Vectors [][]float64
-	Adj     [][]int
+	HNSW    *pg.HNSW
 }
 
-// BuildIndex embeds every database graph and links each to its M nearest
-// vectors (symmetrized).
-func BuildIndex(db graph.Database, enc *Encoder, m int) *Index {
-	idx := &Index{DB: db, Encoder: enc, Vectors: make([][]float64, len(db)), Adj: make([][]int, len(db))}
+// BuildIndex embeds every database graph and builds the shared proximity
+// graph over the embeddings with degree parameter m. The build metric
+// reads the stored vectors by graph ID; an L2 call is a short loop, so
+// the build runs on one worker.
+func BuildIndex(db graph.Database, enc *Encoder, m int) (*Index, error) {
+	idx := &Index{DB: db, Encoder: enc, Vectors: make([][]float64, len(db))}
 	for i, g := range db {
 		idx.Vectors[i] = enc.Embed(g)
 	}
-	type nd struct {
-		id int
-		d  float64
+	metric := ged.MetricFunc(func(g, h *graph.Graph) float64 {
+		return sqL2(idx.Vectors[g.ID], idx.Vectors[h.ID])
+	})
+	h, err := pg.Build(db, pg.BuildConfig{M: m, Metric: metric, Workers: 1})
+	if err != nil {
+		return nil, fmt.Errorf("l2route: %w", err)
 	}
-	edges := make(map[[2]int]bool)
-	for i := range db {
-		nds := make([]nd, 0, len(db)-1)
-		for j := range db {
-			if i != j {
-				nds = append(nds, nd{j, sqL2(idx.Vectors[i], idx.Vectors[j])})
-			}
-		}
-		sort.Slice(nds, func(a, b int) bool {
-			return order.ByDistThenID(nds[a].d, nds[a].id, nds[b].d, nds[b].id)
-		})
-		if len(nds) > m {
-			nds = nds[:m]
-		}
-		for _, n := range nds {
-			a, b := i, n.id
-			if a > b {
-				a, b = b, a
-			}
-			edges[[2]int{a, b}] = true
-		}
-	}
-	for e := range edges {
-		idx.Adj[e[0]] = append(idx.Adj[e[0]], e[1])
-		idx.Adj[e[1]] = append(idx.Adj[e[1]], e[0])
-	}
-	idx.connectComponents()
-	for i := range idx.Adj {
-		sort.Ints(idx.Adj[i])
-	}
-	return idx
+	idx.HNSW = h
+	return idx, nil
 }
 
-// connectComponents repairs the well-known disconnection of mutual-kNN
-// graphs by repeatedly adding the closest cross-component vector pair
-// until the graph is a single component (so beam search can reach every
-// candidate from any entry).
-func (x *Index) connectComponents() {
-	n := len(x.Adj)
-	for {
-		comp := make([]int, n)
-		for i := range comp {
-			comp[i] = -1
-		}
-		comps := 0
-		for s := 0; s < n; s++ {
-			if comp[s] != -1 {
-				continue
-			}
-			stack := []int{s}
-			comp[s] = comps
-			for len(stack) > 0 {
-				u := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, v := range x.Adj[u] {
-					if comp[v] == -1 {
-						comp[v] = comps
-						stack = append(stack, v)
-					}
-				}
-			}
-			comps++
-		}
-		if comps <= 1 {
-			return
-		}
-		// Closest pair between component 0 and any other component.
-		bi, bj, bd := -1, -1, 0.0
-		for i := 0; i < n; i++ {
-			if comp[i] != 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if comp[j] == 0 {
-					continue
-				}
-				if d := sqL2(x.Vectors[i], x.Vectors[j]); bi == -1 || d < bd {
-					bi, bj, bd = i, j, d
-				}
-			}
-		}
-		x.Adj[bi] = append(x.Adj[bi], bj)
-		x.Adj[bj] = append(x.Adj[bj], bi)
-	}
-}
-
-// Search answers a k-ANN query: beam search in embedding space (free — no
-// GED), then verify the top `verify` vector candidates with true GEDs
-// charged to cache, returning the best k by GED. The vector-space beam
-// search checks the context per explored node and the GED verification
-// stage — where the wall time actually goes — checks it before every
-// distance computation, so an expired deadline stops the query within one
-// GED call.
+// Search answers a k-ANN query: route.Route over the proximity graph in
+// embedding space (free — no GED), entered through the HNSW descent, then
+// verify the best min(verify, beam) vector candidates with true GEDs
+// charged to cache, returning the best k by GED. Routing checks the
+// context before every vector distance and verification — where the wall
+// time actually goes — before every GED call and after the last, so an
+// expired deadline stops the query within one GED call.
 func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache, k, beam, verify int) ([]pg.Result, pg.Stats, error) {
 	if verify < k {
 		verify = k
@@ -213,55 +140,32 @@ func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache,
 	embedStart := time.Now()
 	qv := x.Encoder.Embed(q)
 	trace.RecordSpan("embed", embedStart, time.Since(embedStart), 0, 1)
-	entry := 0
-	trace.SetEntry(entry)
 
-	// Beam search over the vector graph under L2.
-	dist := func(id int) float64 { return sqL2(qv, x.Vectors[id]) }
-	visited := map[int]bool{entry: true}
-	frontier := []vecCand{{entry, dist(entry)}}
-	results := []vecCand{{entry, dist(entry)}}
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, pg.Stats{NDC: cache.NDC(), Explored: len(visited)}, err
-		}
-		cur := frontier[0]
-		frontier = frontier[1:]
-		if len(results) >= beam && cur.d > results[len(results)-1].d {
-			break
-		}
-		for _, nb := range x.Adj[cur.id] {
-			if visited[nb] {
-				continue
-			}
-			visited[nb] = true
-			d := dist(nb)
-			if len(results) < beam || d < results[len(results)-1].d {
-				frontier = insertCand(frontier, vecCand{nb, d})
-				results = insertCand(results, vecCand{nb, d})
-				if len(results) > beam {
-					results = results[:beam]
-				}
-			}
-		}
+	vec := pg.NewDistCache(ged.MetricFunc(func(g, _ *graph.Graph) float64 {
+		return sqL2(x.Vectors[g.ID], qv)
+	}), x.DB, q)
+	entry := x.HNSW.EntryPoint(ctx, vec)
+	cands, rs, err := route.Route(ctx, x.HNSW.PG, vec, nil, entry, route.Config{K: min(verify, beam), Beam: beam})
+	if err != nil {
+		return nil, pg.Stats{NDC: cache.NDC(), Explored: rs.Explored}, err
 	}
-
 	// The vector stage pays no GEDs, so its span NDC is zero by
 	// construction.
 	trace.EndSpan(beamSpan, 0)
 	verifySpan := trace.StartSpan("verify")
 
-	// GED verification of the best vector candidates.
 	ndcBefore := cache.NDC()
-	if verify > len(results) {
-		verify = len(results)
-	}
-	verified := make([]pg.Result, 0, verify)
-	for _, c := range results[:verify] {
-		if err := ctx.Err(); err != nil {
-			return nil, pg.Stats{NDC: cache.NDC(), Explored: len(visited)}, err
+	verified := make([]pg.Result, 0, len(cands))
+	for _, c := range cands {
+		if ctx.Err() != nil {
+			break
 		}
-		verified = append(verified, pg.Result{ID: c.id, Dist: cache.Dist(c.id)})
+		verified = append(verified, pg.Result{ID: c.ID, Dist: cache.Dist(c.ID)})
+	}
+	// Checked after the loop too, so a cancel inside the last GED call
+	// still ends the query with ctx.Err().
+	if err := ctx.Err(); err != nil {
+		return nil, pg.Stats{NDC: cache.NDC(), Explored: rs.Explored}, err
 	}
 	sort.Slice(verified, func(i, j int) bool {
 		return order.ByDistThenID(verified[i].Dist, verified[i].ID, verified[j].Dist, verified[j].ID)
@@ -274,24 +178,7 @@ func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache,
 	if verifyNDC > 0 {
 		obs.Query().NDCVerify.Add(uint64(verifyNDC))
 	}
-	return verified, pg.Stats{NDC: cache.NDC(), Explored: len(visited)}, nil
-}
-
-// vecCand is a vector-space candidate during beam search.
-type vecCand struct {
-	id int
-	d  float64
-}
-
-func insertCand(s []vecCand, c vecCand) []vecCand {
-	i := sort.Search(len(s), func(i int) bool {
-		// The first element strictly after c in the canonical order.
-		return order.ByDistThenID(c.d, c.id, s[i].d, s[i].id)
-	})
-	s = append(s, c)
-	copy(s[i+1:], s[i:])
-	s[i] = c
-	return s
+	return verified, pg.Stats{NDC: cache.NDC(), Explored: rs.Explored}, nil
 }
 
 func sqL2(a, b []float64) float64 {

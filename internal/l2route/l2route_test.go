@@ -2,9 +2,11 @@ package l2route
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/lansearch/lan/ged"
+	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/pg"
 )
@@ -58,23 +60,98 @@ func TestEncoderTrainEmptyPairs(t *testing.T) {
 	}
 }
 
+// buildIndex is BuildIndex that fails the test on error.
+func buildIndex(t *testing.T, db graph.Database, enc *Encoder, m int) *Index {
+	t.Helper()
+	idx, err := BuildIndex(db, enc, m)
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	return idx
+}
+
 func TestIndexStructure(t *testing.T) {
 	db := dataset.AIDS(0.002).Generate()
 	enc := NewEncoder(db, 2, 8, 4)
-	idx := BuildIndex(db, enc, 4)
-	if len(idx.Vectors) != len(db) || len(idx.Adj) != len(db) {
+	idx := buildIndex(t, db, enc, 4)
+	if len(idx.Vectors) != len(db) || idx.HNSW.PG.Len() != len(db) {
 		t.Fatalf("index shape wrong")
 	}
-	for u, ns := range idx.Adj {
+	if err := idx.HNSW.PG.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for u, ns := range idx.HNSW.PG.Adj {
 		if len(ns) == 0 {
 			t.Fatalf("node %d isolated", u)
 		}
-		for i, v := range ns {
-			if v == u || v < 0 || v >= len(db) {
-				t.Fatalf("bad neighbor %d of %d", v, u)
+	}
+}
+
+// TestVectorStageChargesNoGED: routing in embedding space pays no GED,
+// so a query's NDC is exactly the min(verify, beam) candidates verified.
+func TestVectorStageChargesNoGED(t *testing.T) {
+	db := dataset.AIDS(0.002).Generate()
+	idx := buildIndex(t, db, NewEncoder(db, 2, 8, 4), 4)
+	metric := ged.MetricFunc(ged.VJ)
+	for qi, q := range dataset.Workload(db, dataset.AIDS(0.002), 4, 11) {
+		for _, bv := range [][2]int{{10, 4}, {10, 10}, {8, 20}, {24, 12}} {
+			beam, verify := bv[0], bv[1]
+			if len(db) < beam {
+				t.Fatalf("fixture has %d graphs, fewer than beam %d", len(db), beam)
 			}
-			if i > 0 && ns[i-1] >= v {
-				t.Fatalf("adjacency unsorted")
+			c := pg.NewDistCache(metric, db, q)
+			_, s, err := idx.Search(context.Background(), q, c, 3, beam, verify)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(verify, beam); s.NDC != want || c.NDC() != want {
+				t.Errorf("query %d beam %d verify %d: NDC %d (cache %d); want %d", qi, beam, verify, s.NDC, c.NDC(), want)
+			}
+		}
+	}
+}
+
+// cancelInside cancels the query's context inside its n-th GED call
+// (n = 0: never) and counts the calls that started.
+type cancelInside struct {
+	ged.Metric
+	n, calls int
+	cancel   context.CancelFunc
+}
+
+func (m *cancelInside) Distance(g, h *graph.Graph) float64 {
+	m.calls++
+	if m.calls == m.n {
+		m.cancel()
+	}
+	return m.Metric.Distance(g, h)
+}
+
+// TestSearchCancelInsideEveryDistance: a cancel that lands inside the
+// k-th verification distance ends the query with ctx.Err() and NDC == k,
+// the last distance included.
+func TestSearchCancelInsideEveryDistance(t *testing.T) {
+	db := dataset.AIDS(0.002).Generate()
+	idx := buildIndex(t, db, NewEncoder(db, 2, 8, 4), 4)
+	for qi, q := range dataset.Workload(db, dataset.AIDS(0.002), 3, 13) {
+		run := func(n int) (int, pg.Stats, error) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			m := &cancelInside{Metric: ged.MetricFunc(ged.VJ), n: n, cancel: cancel}
+			_, s, err := idx.Search(ctx, q, pg.NewDistCache(m, db, q), 3, 8, 8)
+			return m.calls, s, err
+		}
+		ndc, _, err := run(0)
+		if err != nil || ndc == 0 {
+			t.Fatalf("query %d: uncancelled search: %d calls, err %v", qi, ndc, err)
+		}
+		for k := 1; k <= ndc; k++ {
+			calls, s, err := run(k)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("query %d: cancel inside call %d/%d: err = %v; want context.Canceled", qi, k, ndc, err)
+			}
+			if calls != k || s.NDC != k {
+				t.Errorf("query %d: cancel inside call %d/%d: %d calls, NDC %d", qi, k, ndc, calls, s.NDC)
 			}
 		}
 	}
@@ -88,7 +165,7 @@ func TestSearchEndToEndRecall(t *testing.T) {
 	if err := enc.Train(SamplePairs(db, metric, 60, 6), 3, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	idx := BuildIndex(db, enc, 6)
+	idx := buildIndex(t, db, enc, 6)
 	queries := dataset.Workload(db, spec, 8, 7)
 
 	var rSmall, rLarge, ndcSmall, ndcLarge float64
@@ -122,7 +199,7 @@ func TestSearchResultsSortedByGED(t *testing.T) {
 	db := dataset.AIDS(0.001).Generate()
 	metric := ged.MetricFunc(ged.VJ)
 	enc := NewEncoder(db, 2, 6, 8)
-	idx := BuildIndex(db, enc, 4)
+	idx := buildIndex(t, db, enc, 4)
 	q := dataset.Workload(db, dataset.AIDS(0.001), 1, 9)[0]
 	c := pg.NewDistCache(metric, db, q)
 	res, _, _ := idx.Search(context.Background(), q, c, 5, 20, 15)

@@ -21,12 +21,8 @@ type BuildConfig struct {
 	// Metric computes GED during construction (typically an approximation
 	// such as ged.Hungarian — construction is offline).
 	Metric ged.Metric
-	// Seed drives the level assignment when RNG is nil.
+	// Seed drives the level assignment and connectivity-repair sampling.
 	Seed int64
-	// RNG, when non-nil, is the injected randomness source for level
-	// assignment and connectivity-repair sampling; it takes precedence
-	// over Seed.
-	RNG *rand.Rand
 	// Workers bounds the goroutines evaluating candidate-beam GED
 	// distances concurrently (default runtime.NumCPU(); 1 disables the
 	// pool). The built index is bit-identical across worker counts:
@@ -85,10 +81,7 @@ func Build(db graph.Database, cfg BuildConfig) (*HNSW, error) {
 	if err := db.Validate(); err != nil {
 		return nil, fmt.Errorf("pg: %w", err)
 	}
-	rng := cfg.RNG
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	mL := 1 / math.Log(float64(cfg.M))
 
 	h := &HNSW{

@@ -99,9 +99,6 @@ type Options struct {
 	// BatchPercent is the paper's y: the share of a node's neighbors
 	// ranked into each pruning batch (default 20).
 	BatchPercent int
-	// DisableCG turns off the compressed-GNN-graph acceleration
-	// (Sec. VI); leave false outside ablation studies.
-	DisableCG bool
 	// GammaKNN and GammaQuantile calibrate the neighborhood radius
 	// gamma*: for GammaQuantile of the training queries, the
 	// neighborhood contains their GammaKNN nearest neighbors (defaults
@@ -177,7 +174,11 @@ const (
 	// BaselineRoute explores every neighbor (Algorithm 1): np_route with
 	// no ranker, so it shares the other strategies' loop and statistics.
 	BaselineRoute = core.BaselineRoute
-	// OracleRoute is np_route with a true-distance oracle ranker.
+	// OracleRoute is np_route with an oracle ranker that orders
+	// neighbors by Options.BuildMetric without charging NDC. It is the
+	// true query distance only when BuildMetric is the query metric; under
+	// the recommended cheap build metric beside an ensemble query metric
+	// it is not.
 	OracleRoute = core.OracleRoute
 )
 
@@ -268,7 +269,7 @@ func Build(db graph.Database, trainQueries []*graph.Graph, o Options) (*Index, e
 		M: o.M, EfConstruction: o.EfConstruction,
 		BuildMetric: o.BuildMetric, QueryMetric: o.QueryMetric,
 		Layers: o.Layers, Dim: o.Dim, BatchPercent: o.BatchPercent,
-		UseCG:    !o.DisableCG,
+		UseCG:    true,
 		GammaKNN: o.GammaKNN, GammaQuantile: o.GammaQuantile,
 		Clusters: o.Clusters, TopClusters: o.TopClusters, Samples: o.Samples,
 		Train:    trainOptions(o),

@@ -1,6 +1,8 @@
 package lanio
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,34 +19,44 @@ func writeTempDB(t *testing.T, name string, db graph.Database) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if name[len(name)-5:] == ".json" {
-		if err := graph.WriteJSON(f, db); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		if err := graph.WriteText(f, db); err != nil {
-			t.Fatal(err)
-		}
+	if err := graph.WriteText(f, db); err != nil {
+		t.Fatal(err)
 	}
 	return path
 }
 
+// TestReadDatabaseTextAndJSON: the text format loads, and a JSON
+// database — whatever its file name says — is refused with the text
+// parser's error.
 func TestReadDatabaseTextAndJSON(t *testing.T) {
 	db := dataset.AIDS(0.001).Generate()
-	for _, name := range []string{"db.txt", "db.json"} {
-		path := writeTempDB(t, name, db)
-		got, err := ReadDatabase(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	got, err := ReadDatabase(writeTempDB(t, "db.txt", db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(db) {
+		t.Fatalf("%d graphs; want %d", len(got), len(db))
+	}
+	for i := range db {
+		if !db[i].Equal(got[i]) {
+			t.Fatalf("graph %d differs", i)
 		}
-		if len(got) != len(db) {
-			t.Fatalf("%s: %d graphs; want %d", name, len(got), len(db))
-		}
-		for i := range db {
-			if !db[i].Equal(got[i]) {
-				t.Fatalf("%s: graph %d differs", name, i)
-			}
-		}
+	}
+
+	data, err := json.Marshal(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := graph.ReadText(bytes.NewReader(data))
+	if want == nil {
+		t.Fatal("the text parser accepted a JSON database")
+	}
+	if _, err := ReadDatabase(path); err == nil || err.Error() != want.Error() {
+		t.Fatalf("ReadDatabase(%s) = %v; want the text parser's %v", filepath.Base(path), err, want)
 	}
 }
 
@@ -65,21 +77,5 @@ func TestReadQueriesStripsIDs(t *testing.T) {
 		if q.ID != -1 {
 			t.Fatalf("query %d kept ID %d", i, q.ID)
 		}
-	}
-}
-
-func TestBuildIndexFromParams(t *testing.T) {
-	spec := dataset.AIDS(0.002)
-	db := spec.Generate()
-	queries := dataset.Workload(db, spec, 10, 1)
-	idx, err := BuildIndex(db, queries, BuildParams{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
-	if err != nil {
-		t.Fatalf("BuildIndex: %v", err)
-	}
-	if idx.Len() != len(db) {
-		t.Fatalf("Len = %d", idx.Len())
-	}
-	if _, err := BuildIndex(db, nil, BuildParams{}); err == nil {
-		t.Fatal("empty workload accepted")
 	}
 }

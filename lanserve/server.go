@@ -289,7 +289,9 @@ type SearchRequest struct {
 	K int `json:"k"`
 	// Beam is the candidate pool size (default K, clamped to MaxBeam).
 	Beam int `json:"beam,omitempty"`
-	// Routing is "lan" (default), "baseline" or "oracle".
+	// Routing is "lan" (default), "baseline" or "oracle". The oracle
+	// ranks neighbors by the index's build metric, which is the query
+	// metric only when the index was built with the same one.
 	Routing string `json:"routing,omitempty"`
 	// Initial is "lan" (default), "hnsw" or "rand".
 	Initial string `json:"initial,omitempty"`

@@ -35,7 +35,6 @@ import (
 	"github.com/lansearch/lan"
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
-	"github.com/lansearch/lan/lanio"
 )
 
 func main() {
@@ -63,7 +62,7 @@ func run() error {
 // churnSoak hammers one index with concurrent reads and writes, keeping a
 // pre-churn snapshot pinned the whole time.
 func churnSoak(db graph.Database, queries []*graph.Graph) error {
-	idx, err := lanio.BuildIndex(db, queries, lanio.BuildParams{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
+	idx, err := lan.Build(db, queries, lan.Options{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
 	if err != nil {
 		return fmt.Errorf("building index: %w", err)
 	}
@@ -174,7 +173,7 @@ func serveWrites(db graph.Database, queries []*graph.Graph) error {
 	}
 	defer os.RemoveAll(dir)
 
-	idx, err := lanio.BuildIndex(db, queries, lanio.BuildParams{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
+	idx, err := lan.Build(db, queries, lan.Options{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
 	if err != nil {
 		return err
 	}

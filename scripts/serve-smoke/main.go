@@ -29,7 +29,6 @@ import (
 	"github.com/lansearch/lan"
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
-	"github.com/lansearch/lan/lanio"
 )
 
 func main() {
@@ -53,7 +52,7 @@ func run() error {
 	spec := dataset.AIDS(0.002)
 	db := spec.Generate()
 	queries := dataset.Workload(db, spec, 10, 1)
-	idx, err := lanio.BuildIndex(db, queries, lanio.BuildParams{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
+	idx, err := lan.Build(db, queries, lan.Options{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 1})
 	if err != nil {
 		return fmt.Errorf("building index: %w", err)
 	}

@@ -30,7 +30,6 @@ import (
 	"github.com/lansearch/lan"
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
-	"github.com/lansearch/lan/lanio"
 )
 
 func main() {
@@ -57,7 +56,7 @@ func run() error {
 	spec := dataset.AIDS(0.002)
 	db := spec.Generate()
 	queries := dataset.Workload(db, spec, 12, 2)
-	idx, err := lanio.BuildIndex(db, queries[:8], lanio.BuildParams{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 6})
+	idx, err := lan.Build(db, queries[:8], lan.Options{Dim: 6, M: 4, Epochs: 1, GammaKNN: 5, Seed: 6})
 	if err != nil {
 		return fmt.Errorf("building index: %w", err)
 	}
