@@ -44,11 +44,12 @@ race:
 # BenchmarkHeads/{miss,hit} (the heads' share of one score) —, one training
 # step on a warm tape, BenchmarkRankTrainStep (M_rk, beside the ranking call
 # it trains) and BenchmarkMembershipTrainStep (M_nh), parallel
-# vs sequential PG build, pool resize, root package ablations); see DESIGN.md
+# vs sequential PG build, pool resize, lanserve's cache-hit handler
+# (BenchmarkSearchCacheHit), root package ablations); see DESIGN.md
 # "Performance architecture". End-to-end numbers come from `go run
 # ./benchmark` (benchmark/README.md), not from here.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models .
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models ./lanserve .
 
 # Benchmark smoke for CI: every benchmark runs exactly once so a
 # regression that panics or deadlocks is caught without paying for
@@ -57,7 +58,7 @@ bench:
 # judged PRs: its summary — the last stdout line — must report correct
 # answers, no failed operation, and tracing that changed no result.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models
+	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models ./lanserve
 	@summary=$$($(GO) run ./benchmark --workload syn_hung --seed 1 --seconds 3 --trace 1 | tail -n 1); \
 	for want in '"correct":true' '"failed":0,' '"obs.trace_identical":{"value":1,'; do \
 		case "$$summary" in *"$$want"*) ;; *) \

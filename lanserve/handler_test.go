@@ -17,10 +17,12 @@ import (
 	"github.com/lansearch/lan/graph"
 )
 
+// testQuery is the handler tests' /search body, open for extra fields.
+const testQuery = `{"query":{"labels":["A","B"],"edges":[[0,1]]},"k":2`
+
 func testQueryJSON(t *testing.T, extra string) *bytes.Reader {
 	t.Helper()
-	q := `{"query":{"labels":["A","B"],"edges":[[0,1]]},"k":2` + extra + `}`
-	return bytes.NewReader([]byte(q))
+	return bytes.NewReader([]byte(testQuery + extra + `}`))
 }
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -80,6 +82,47 @@ func TestHandlerSearchOKAndCacheHit(t *testing.T) {
 	s.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if !strings.Contains(mrec.Body.String(), "lanserve_cache_hits_total 1") {
 		t.Fatalf("metrics missing cache hit:\n%s", mrec.Body)
+	}
+}
+
+func TestHandlerNoCacheIsFresh(t *testing.T) {
+	idx := &fakeSearcher{results: []lan.Result{{ID: 3, Dist: 1}}, n: 50}
+	s := newTestServer(t, Config{Index: idx})
+	for i := 0; i < 2; i++ {
+		rec := doSearch(s, testQueryJSON(t, `,"no_cache":true`))
+		if rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), `"cached":true`) {
+			t.Fatalf("no_cache request %d: status %d body=%s; want a fresh 200", i, rec.Code, rec.Body)
+		}
+	}
+	if got := idx.calls.Load(); got != 2 {
+		t.Fatalf("searcher ran %d times; want 2 (no_cache never reads the cache)", got)
+	}
+	if got := s.cache.len(); got != 0 {
+		t.Fatalf("cache holds %d entries after no_cache requests; want 0", got)
+	}
+}
+
+func TestHandlerBodyTooLarge413(t *testing.T) {
+	s := newTestServer(t, Config{MaxBodyBytes: 32})
+	for i := 0; i < 2; i++ {
+		rec := doSearch(s, testQueryJSON(t, ""))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("request %d: status %d body=%s; want 413", i, rec.Code, rec.Body)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.QueryID == "" {
+			t.Fatalf("request %d: error body %s (%v); want one naming the query", i, rec.Body, err)
+		}
+	}
+	if got := s.cache.len(); got != 0 {
+		t.Fatalf("cache holds %d entries after 413 replies; want 0", got)
+	}
+	var sb strings.Builder
+	if _, err := s.Metrics().WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `lanserve_errors_total{code="413"} 2`) {
+		t.Fatalf("metrics missing the 413s:\n%s", sb.String())
 	}
 }
 

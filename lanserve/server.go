@@ -1,7 +1,7 @@
 // Package lanserve is the query-serving subsystem: a stdlib-only HTTP/JSON
 // server over a built LAN index with admission control, per-request
-// deadlines, an LRU result cache keyed by the query's canonical WL hash,
-// and first-class observability. The paper's contribution is
+// deadlines, an LRU result cache keyed by the exact request bytes, and
+// first-class observability. The paper's contribution is
 // cutting expensive GED calls during routing; the serving layer meters
 // exactly that — NDC, routing steps and pruning rate are exported per query
 // on /metrics alongside the usual request/error/latency signals.
@@ -22,6 +22,7 @@
 package lanserve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -97,13 +98,10 @@ type Config struct {
 	// CacheSize is the LRU result-cache capacity in entries (default
 	// 1024; negative disables caching).
 	CacheSize int
-	// WLDepth is the Weisfeiler-Lehman refinement depth of the cache key
-	// (default 2). Deeper keys distinguish more non-isomorphic queries at
-	// slightly higher hashing cost.
-	WLDepth int
 	// MaxK and MaxBeam clamp per-request parameters (defaults 100, 4096).
 	MaxK, MaxBeam int
-	// MaxBodyBytes caps the /search request body (default 8 MiB).
+	// MaxBodyBytes caps the /search request body (default 8 MiB); a
+	// longer body is answered 413.
 	MaxBodyBytes int64
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
@@ -143,9 +141,6 @@ func (c *Config) defaults() error {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
-	}
-	if c.WLDepth <= 0 {
-		c.WLDepth = 2
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = 100
@@ -297,7 +292,9 @@ type SearchRequest struct {
 	Initial string `json:"initial,omitempty"`
 	// TimeoutMS lowers the server's per-request deadline for this query.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// NoCache bypasses the result cache (the response is still stored).
+	// NoCache asks for a fresh search: the response is neither read from
+	// nor stored in the result cache, and the request joins no identical
+	// in-flight search.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -345,18 +342,16 @@ type errorResponse struct {
 	QueryID string `json:"query_id,omitempty"`
 }
 
-// searchParams are the validated, clamped search knobs (also the cache-key
-// payload).
+// searchParams are the validated, clamped search knobs.
 type searchParams struct {
 	K, Beam int
 	Routing lan.RoutingStrategy
 	Initial lan.InitialStrategy
 }
 
-func (s *Server) parseRequest(r *http.Request) (*SearchRequest, searchParams, error) {
+func (s *Server) parseRequest(body []byte) (*SearchRequest, searchParams, error) {
 	var req SearchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		return nil, searchParams{}, fmt.Errorf("bad request body: %v", err)
 	}
 	if req.Query == nil || req.Query.N() == 0 {
@@ -419,29 +414,42 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorResponse{Error: msg, QueryID: qid})
 	}
 
-	req, params, err := s.parseRequest(r)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooLarge.Limit))
+			return
+		}
+		fail(http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return
+	}
+
+	// Cache lookup before decoding and admission: a hit writes the bytes
+	// stored when the same request bytes missed, and costs no decode, no
+	// worker and no GED. The key carries the index epoch, so entries
+	// computed before a write are dead letters afterwards (lazy
+	// invalidation — they age out of the LRU instead of being swept). A
+	// no_cache body is never stored, so its lookup cannot hit.
+	var key digest
+	if s.cache != nil {
+		key = bodyKey(s.indexEpoch(), body)
+		if hit, ok := s.cache.get(key); ok {
+			s.metrics.Cache(true)
+			s.metrics.ObserveLatency(time.Since(start).Seconds())
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(hit) // the status line is already out; nothing to recover
+			return
+		}
+	}
+
+	req, params, err := s.parseRequest(body)
 	if err != nil {
 		fail(http.StatusBadRequest, err.Error())
 		return
 	}
-
-	// Cache lookup before admission: hits cost no worker and no GED. The
-	// key carries the index epoch, so entries computed before a write are
-	// dead letters afterwards (lazy invalidation — they age out of the
-	// LRU instead of being swept).
-	var key string
 	if s.cache != nil {
-		key = cacheKey(req.Query, s.cfg.WLDepth, s.indexEpoch(), params)
-		if !req.NoCache {
-			if resp, ok := s.cache.get(key); ok {
-				s.metrics.Cache(true)
-				s.metrics.ObserveLatency(time.Since(start).Seconds())
-				hit := *resp
-				hit.Cached = true
-				writeJSON(w, http.StatusOK, &hit)
-				return
-			}
-		}
 		s.metrics.Cache(false)
 	}
 
@@ -589,8 +597,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			RouteMicros:   stats.RouteTime.Microseconds(),
 		},
 	}
-	if s.cache != nil {
-		s.cache.put(key, resp)
+	if s.cache != nil && !req.NoCache {
+		// Stored encoded, so a hit writes it as is. An encoding failure
+		// only leaves the response uncached.
+		hit := *resp
+		hit.Cached = true
+		if data, err := json.Marshal(&hit); err == nil {
+			s.cache.put(key, append(data, '\n'))
+		}
 	}
 	leaderResp = resp
 	if qt != nil {

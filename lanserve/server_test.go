@@ -1,8 +1,14 @@
 package lanserve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,33 +18,32 @@ import (
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	a := &SearchResponse{Stats: SearchStats{NDC: 1}}
-	b := &SearchResponse{Stats: SearchStats{NDC: 2}}
-	d := &SearchResponse{Stats: SearchStats{NDC: 3}}
-	c.put("a", a)
-	c.put("b", b)
-	if _, ok := c.get("a"); !ok { // refresh a: b becomes LRU
+	a, b, d := bodyKey(0, []byte("a")), bodyKey(0, []byte("b")), bodyKey(0, []byte("d"))
+	c.put(a, []byte("1"))
+	c.put(b, []byte("2"))
+	if _, ok := c.get(a); !ok { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("d", d)
+	c.put(d, []byte("3"))
 	if c.len() != 2 {
 		t.Fatalf("len = %d; want 2", c.len())
 	}
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.get(b); ok {
 		t.Fatal("b should have been evicted (LRU)")
 	}
-	if got, ok := c.get("a"); !ok || got.Stats.NDC != 1 {
-		t.Fatalf("a lost: %+v ok=%v", got, ok)
+	if got, ok := c.get(a); !ok || string(got) != "1" {
+		t.Fatalf("a lost: %q ok=%v", got, ok)
 	}
-	if got, ok := c.get("d"); !ok || got.Stats.NDC != 3 {
-		t.Fatalf("d lost: %+v ok=%v", got, ok)
+	if got, ok := c.get(d); !ok || string(got) != "3" {
+		t.Fatalf("d lost: %q ok=%v", got, ok)
 	}
 }
 
 func TestResultCacheDisabled(t *testing.T) {
 	var c *resultCache // CacheSize < 0 yields a nil cache
-	c.put("k", &SearchResponse{})
-	if _, ok := c.get("k"); ok {
+	k := bodyKey(0, []byte("k"))
+	c.put(k, []byte("{}"))
+	if _, ok := c.get(k); ok {
 		t.Fatal("nil cache returned a hit")
 	}
 	if c.len() != 0 {
@@ -46,45 +51,111 @@ func TestResultCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCacheKeyCanonicalUnderNodeReordering(t *testing.T) {
-	// The same labeled triangle built in two node orders must share a key;
-	// a structurally different graph must not.
-	g1 := graph.New(-1)
-	g1.AddNode("A")
-	g1.AddNode("B")
-	g1.AddNode("C")
-	g1.MustAddEdge(0, 1)
-	g1.MustAddEdge(1, 2)
-	g1.MustAddEdge(0, 2)
-
-	g2 := graph.New(-1)
-	g2.AddNode("C")
-	g2.AddNode("A")
-	g2.AddNode("B")
-	g2.MustAddEdge(1, 2)
-	g2.MustAddEdge(2, 0)
-	g2.MustAddEdge(1, 0)
-
-	g3 := graph.New(-1) // path, not triangle
-	g3.AddNode("A")
-	g3.AddNode("B")
-	g3.AddNode("C")
-	g3.MustAddEdge(0, 1)
-	g3.MustAddEdge(1, 2)
-
-	p := searchParams{K: 5, Beam: 10}
-	k1 := cacheKey(g1, 2, 0, p)
-	k2 := cacheKey(g2, 2, 0, p)
-	k3 := cacheKey(g3, 2, 0, p)
-	if k1 != k2 {
-		t.Fatalf("isomorphic queries got distinct keys:\n%s\n%s", k1, k2)
+// TestCacheIsTransparent holds the result cache to the search it replaces,
+// on a real index: a hit repeats the stored miss byte for byte, a query
+// with its nodes renumbered is searched on its own (LAN's answer depends
+// on node order), and failures are never stored.
+func TestCacheIsTransparent(t *testing.T) {
+	idx, metric, test := e2eIndex(t)
+	srv, err := New(Config{Index: idx})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if k1 == k3 {
-		t.Fatalf("distinct queries share a key: %s", k1)
+	post := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)))
+		return rec
 	}
-	if kp := cacheKey(g1, 2, 0, searchParams{K: 6, Beam: 10}); kp == k1 {
-		t.Fatal("different k shares a key")
+	marshal := func(v interface{}) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
+	opts := lan.SearchOptions{K: 5, Beam: 12}
+
+	// A query whose renumbered copy gets another answer from the index.
+	var q, perm *graph.Graph
+	for _, cand := range test {
+		want, _, err := idx.Search(cand, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := reversed(cand)
+		got, _, err := idx.Search(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			q, perm = cand, p
+			break
+		}
+	}
+	if q == nil {
+		t.Fatal("no test query whose renumbered copy gets another answer")
+	}
+
+	// (a) The hit's body is the miss's, but for "cached".
+	body := marshal(SearchRequest{Query: q, K: opts.K, Beam: opts.Beam})
+	miss := post(body)
+	if miss.Code != http.StatusOK {
+		t.Fatalf("miss: status %d body=%s", miss.Code, miss.Body)
+	}
+	hit := post(body)
+	if hit.Code != http.StatusOK || hit.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("hit: status %d, Content-Type %q", hit.Code, hit.Header().Get("Content-Type"))
+	}
+	wantHit := bytes.Replace(miss.Body.Bytes(), []byte(`"cached":false`), []byte(`"cached":true`), 1)
+	if !bytes.Contains(miss.Body.Bytes(), []byte(`"cached":false`)) || !bytes.Equal(hit.Body.Bytes(), wantHit) {
+		t.Fatalf("hit body is not the miss body with \"cached\":true:\nmiss %s\nhit  %s", miss.Body, hit.Body)
+	}
+
+	// (b) The renumbered copy is a miss and answers as the library does.
+	want, _, err := idx.Search(perm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := post(marshal(SearchRequest{Query: perm, K: opts.K, Beam: opts.Beam}))
+	var got SearchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("status %d: %v", rec.Code, err)
+	}
+	if got.Cached || !reflect.DeepEqual(got.Results, want) {
+		t.Fatalf("renumbered query: cached=%v results %v; want a fresh search's %v", got.Cached, got.Results, want)
+	}
+
+	// (c) 400 and 504 replies are never stored.
+	entries := srv.cache.len()
+	bad := marshal(SearchRequest{Query: q, K: 0})
+	for i := 0; i < 2; i++ {
+		if rec := post(bad); rec.Code != http.StatusBadRequest {
+			t.Fatalf("k=0 request %d: status %d; want 400", i, rec.Code)
+		}
+	}
+	metric.delayNS.Store(int64(2 * time.Millisecond))
+	defer metric.delayNS.Store(0)
+	slow := marshal(SearchRequest{Query: q, K: 3, TimeoutMS: 1})
+	if rec := post(slow); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("tight deadline: status %d; want 504", rec.Code)
+	}
+	if got := srv.cache.len(); got != entries {
+		t.Fatalf("cache holds %d entries after 400 and 504 replies; want %d", got, entries)
+	}
+}
+
+// reversed returns g with its node ids in reverse order: the same graph,
+// renumbered.
+func reversed(g *graph.Graph) *graph.Graph {
+	n := g.N()
+	r := graph.New(g.ID)
+	for v := n - 1; v >= 0; v-- {
+		r.AddNode(g.Label(v))
+	}
+	for _, e := range g.Edges() {
+		r.MustAddEdge(n-1-e[0], n-1-e[1])
+	}
+	return r
 }
 
 func TestWorkerPoolAdmissionAndTimeout(t *testing.T) {
@@ -181,9 +252,11 @@ type fakeSearcher struct {
 	err     error
 	delay   time.Duration
 	n       int
+	calls   atomic.Int32
 }
 
 func (f *fakeSearcher) SearchContext(ctx context.Context, q *graph.Graph, so lan.SearchOptions) ([]lan.Result, lan.Stats, error) {
+	f.calls.Add(1)
 	if f.delay > 0 {
 		select {
 		case <-time.After(f.delay):

@@ -9,12 +9,13 @@ import (
 // requests with the same cache key arrive while none has finished, one
 // (the leader) computes the answer and the rest (followers) wait for it
 // instead of burning workers on the same GED computations. Flights are
-// keyed by the result cache's WL-hash key, so "identical" has exactly the
-// cache's meaning; the group is only consulted between a cache miss and
-// admission, keeping hits as cheap as before.
+// keyed by the result cache's key (bodyKey), so "identical" has exactly
+// the cache's meaning — the same request bytes against the same index
+// version; the group is only consulted between a cache miss and
+// admission, so hits never touch it.
 type flightGroup struct {
 	mu      sync.Mutex
-	flights map[string]*flight
+	flights map[digest]*flight
 }
 
 // flight is one in-progress computation. resp is written once by the
@@ -28,13 +29,13 @@ type flight struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{flights: make(map[string]*flight)}
+	return &flightGroup{flights: make(map[digest]*flight)}
 }
 
 // join returns the flight for key and whether the caller is its leader.
 // The leader must call complete on every exit path — including failures —
 // or followers would stall until their own deadlines expire.
-func (g *flightGroup) join(key string) (*flight, bool) {
+func (g *flightGroup) join(key digest) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f, ok := g.flights[key]; ok {
@@ -50,7 +51,7 @@ func (g *flightGroup) join(key string) (*flight, bool) {
 // failed) and wakes every follower. The flight is unregistered first, so
 // requests arriving after completion start a fresh flight — by then the
 // result cache answers them anyway.
-func (g *flightGroup) complete(key string, f *flight, resp *SearchResponse) {
+func (g *flightGroup) complete(key digest, f *flight, resp *SearchResponse) {
 	g.mu.Lock()
 	delete(g.flights, key)
 	g.mu.Unlock()

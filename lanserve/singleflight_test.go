@@ -17,13 +17,7 @@ import (
 // if any — how the tests observe that followers have joined before they
 // release the leader.
 func testFlight(s *Server) *flight {
-	q := graph.New(-1)
-	q.AddNode("A")
-	q.AddNode("B")
-	q.MustAddEdge(0, 1)
-	key := cacheKey(q, s.cfg.WLDepth, s.indexEpoch(), searchParams{
-		K: 2, Beam: 2, Routing: lan.LANRoute, Initial: lan.LANIS,
-	})
+	key := bodyKey(s.indexEpoch(), []byte(testQuery+"}"))
 	s.flights.mu.Lock()
 	defer s.flights.mu.Unlock()
 	return s.flights.flights[key]
