@@ -28,6 +28,7 @@ type Metrics struct {
 
 	cacheHits *obs.Counter
 	cacheMiss *obs.Counter
+	cacheRej  *obs.Counter // computed answers the cache did not store
 	sfShared  *obs.Counter // responses reused from an identical in-flight query
 
 	inflight *obs.Gauge // searches currently executing on a worker
@@ -54,6 +55,7 @@ func newMetrics() *Metrics {
 
 		cacheHits: r.Counter("lanserve_cache_hits_total", "Result-cache hits."),
 		cacheMiss: r.Counter("lanserve_cache_misses_total", "Result-cache misses."),
+		cacheRej:  r.Counter("lanserve_cache_admission_rejected_total", "Computed answers the result cache did not store (less frequent than its LRU entry, or computed before an index write)."),
 		sfShared:  r.Counter("lanserve_singleflight_shared_total", "Responses reused from an identical in-flight query."),
 
 		inflight: r.Gauge("lanserve_inflight", "Searches currently executing."),
@@ -105,6 +107,10 @@ func (m *Metrics) Cache(hit bool) {
 		m.cacheMiss.Inc()
 	}
 }
+
+// CacheRejected counts one computed answer the result cache did not
+// store.
+func (m *Metrics) CacheRejected() { m.cacheRej.Inc() }
 
 // SingleflightShared counts one response reused from an identical
 // in-flight query (single-flight deduplication).

@@ -1,10 +1,11 @@
 // Package lanserve is the query-serving subsystem: a stdlib-only HTTP/JSON
 // server over a built LAN index with admission control, per-request
-// deadlines, an LRU result cache keyed by the exact request bytes, and
-// first-class observability. The paper's contribution is
-// cutting expensive GED calls during routing; the serving layer meters
-// exactly that — NDC, routing steps and pruning rate are exported per query
-// on /metrics alongside the usual request/error/latency signals.
+// deadlines, a result cache keyed by the exact request bytes that admits
+// answers by request frequency, and first-class observability. The
+// paper's contribution is cutting expensive GED calls during routing;
+// the serving layer meters exactly that — NDC, routing steps and pruning
+// rate are exported per query on /metrics alongside the usual
+// request/error/latency signals.
 //
 // Endpoints:
 //
@@ -53,10 +54,10 @@ const (
 // Implementations must be safe for concurrent SearchContext calls
 // (*lan.Index is). An index that also exposes Epoch() uint64 (*lan.Index
 // does) may mutate between queries:
-// the result cache folds the epoch into its keys, so entries computed
-// against a superseded index version are never served again and simply
-// age out of the LRU. An index without Epoch must stay immutable for the
-// server's lifetime.
+// the result cache folds the epoch into its keys and empties itself when
+// a request arrives at a newer epoch, so entries computed against a
+// superseded index version are never served again. An index without
+// Epoch must stay immutable for the server's lifetime.
 type Searcher interface {
 	SearchContext(ctx context.Context, q *graph.Graph, so lan.SearchOptions) ([]lan.Result, lan.Stats, error)
 	Len() int
@@ -95,8 +96,11 @@ type Config struct {
 	// Timeout is the per-request deadline (default 10s). A request may
 	// lower it via timeout_ms but never raise it.
 	Timeout time.Duration
-	// CacheSize is the LRU result-cache capacity in entries (default
-	// 1024; negative disables caching).
+	// CacheSize is the result-cache capacity in entries (default 1024;
+	// negative disables caching). A full cache stores a new answer only
+	// if its request has been more frequent than the least recently
+	// used entry's; the frequency sketch behind that costs 64–128 bytes
+	// an entry.
 	CacheSize int
 	// MaxK and MaxBeam clamp per-request parameters (defaults 100, 4096).
 	MaxK, MaxBeam int
@@ -427,11 +431,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	// Cache lookup before decoding and admission: a hit writes the bytes
 	// stored when the same request bytes missed, and costs no decode, no
-	// worker and no GED. The key carries the index epoch, so entries
-	// computed before a write are dead letters afterwards (lazy
-	// invalidation — they age out of the LRU instead of being swept). A
-	// no_cache body is never stored, so its lookup cannot hit.
-	var key digest
+	// worker and no GED. The key carries the index epoch, so the first
+	// lookup after a write empties the cache of entries computed before
+	// it. Every lookup, hit or miss, counts toward the request's admission
+	// frequency. A no_cache body is never stored, so its lookup cannot hit.
+	var key cacheKey
 	if s.cache != nil {
 		key = bodyKey(s.indexEpoch(), body)
 		if hit, ok := s.cache.get(key); ok {
@@ -599,11 +603,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cache != nil && !req.NoCache {
 		// Stored encoded, so a hit writes it as is. An encoding failure
-		// only leaves the response uncached.
+		// only leaves the response uncached, as does losing admission to
+		// a more frequent entry or an index write during the search.
 		hit := *resp
 		hit.Cached = true
-		if data, err := json.Marshal(&hit); err == nil {
-			s.cache.put(key, append(data, '\n'))
+		if data, err := json.Marshal(&hit); err == nil && !s.cache.put(key, append(data, '\n')) {
+			s.metrics.CacheRejected()
 		}
 	}
 	leaderResp = resp

@@ -16,29 +16,6 @@ import (
 	"github.com/lansearch/lan/graph"
 )
 
-func TestResultCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
-	a, b, d := bodyKey(0, []byte("a")), bodyKey(0, []byte("b")), bodyKey(0, []byte("d"))
-	c.put(a, []byte("1"))
-	c.put(b, []byte("2"))
-	if _, ok := c.get(a); !ok { // refresh a: b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.put(d, []byte("3"))
-	if c.len() != 2 {
-		t.Fatalf("len = %d; want 2", c.len())
-	}
-	if _, ok := c.get(b); ok {
-		t.Fatal("b should have been evicted (LRU)")
-	}
-	if got, ok := c.get(a); !ok || string(got) != "1" {
-		t.Fatalf("a lost: %q ok=%v", got, ok)
-	}
-	if got, ok := c.get(d); !ok || string(got) != "3" {
-		t.Fatalf("d lost: %q ok=%v", got, ok)
-	}
-}
-
 func TestResultCacheDisabled(t *testing.T) {
 	var c *resultCache // CacheSize < 0 yields a nil cache
 	k := bodyKey(0, []byte("k"))
@@ -206,6 +183,7 @@ func TestMetricsPrometheusRendering(t *testing.T) {
 	m.Error(504)
 	m.Cache(true)
 	m.Cache(false)
+	m.CacheRejected()
 	m.Panic()
 	m.ObserveLatency(0.002)
 	m.ObserveQuery(10, 4, 100)
@@ -224,6 +202,7 @@ func TestMetricsPrometheusRendering(t *testing.T) {
 		"lanserve_panics_total 1",
 		"lanserve_cache_hits_total 1",
 		"lanserve_cache_misses_total 1",
+		"lanserve_cache_admission_rejected_total 1",
 		"# TYPE lanserve_request_seconds histogram",
 		"lanserve_request_seconds_count 1",
 		"lanserve_query_ndc_count 1",

@@ -15,7 +15,7 @@ import (
 // admission, so hits never touch it.
 type flightGroup struct {
 	mu      sync.Mutex
-	flights map[digest]*flight
+	flights map[cacheKey]*flight
 }
 
 // flight is one in-progress computation. resp is written once by the
@@ -29,13 +29,13 @@ type flight struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{flights: make(map[digest]*flight)}
+	return &flightGroup{flights: make(map[cacheKey]*flight)}
 }
 
 // join returns the flight for key and whether the caller is its leader.
 // The leader must call complete on every exit path — including failures —
 // or followers would stall until their own deadlines expire.
-func (g *flightGroup) join(key digest) (*flight, bool) {
+func (g *flightGroup) join(key cacheKey) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f, ok := g.flights[key]; ok {
@@ -51,7 +51,7 @@ func (g *flightGroup) join(key digest) (*flight, bool) {
 // failed) and wakes every follower. The flight is unregistered first, so
 // requests arriving after completion start a fresh flight — by then the
 // result cache answers them anyway.
-func (g *flightGroup) complete(key digest, f *flight, resp *SearchResponse) {
+func (g *flightGroup) complete(key cacheKey, f *flight, resp *SearchResponse) {
 	g.mu.Lock()
 	delete(g.flights, key)
 	g.mu.Unlock()
