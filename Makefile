@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fix test race bench bench-smoke experiments examples serve-smoke store-smoke mutate-smoke clean
+.PHONY: all build vet lint lint-fix test race bench bench-smoke experiments examples serve-smoke mutate-smoke clean
 
 all: build vet lint test
 
@@ -74,12 +74,6 @@ experiments:
 # and verify it drains within 5s of SIGTERM.
 serve-smoke:
 	$(GO) run ./scripts/serve-smoke
-
-# Storage-tier smoke: save a binary snapshot, serve it with -store mmap
-# and -store ram, and require bit-identical /search answers from both
-# (plus the -writable refusal on the read-only mmap tier).
-store-smoke:
-	$(GO) run ./scripts/store-smoke
 
 # Churn soak for the mutable index: concurrent searches, streaming
 # inserts and deletes against one index (with a pinned snapshot checked

@@ -28,14 +28,13 @@ func main() {
 		routing = flag.String("routing", "lan", "routing: lan, baseline, oracle (ranks by the index's build metric, not necessarily the query metric)")
 		initial = flag.String("initial", "lan", "initial node: lan, hnsw, rand")
 		trace   = flag.Bool("trace", false, "print a per-query routing trace (JSON, one line per query) to stderr")
-		store   = flag.String("store", "mmap", "storage tier: mmap (serve off the mapped file) or ram (materialize it)")
 	)
 	flag.Parse()
 	if *idxPath == "" || *qPath == "" {
 		log.Fatal("need -index and -queries")
 	}
 
-	idx, err := lan.OpenSnapshot(*idxPath, lan.Options{Store: *store})
+	idx, err := lan.OpenSnapshot(*idxPath, lan.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

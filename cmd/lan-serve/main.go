@@ -52,8 +52,7 @@ func main() {
 		quietLog  = flag.Bool("quiet", false, "suppress per-request error logging")
 		traceN    = flag.Int("trace-ring", 8, "per-query traces kept for /debug/trace/last (negative disables tracing)")
 		slowQ     = flag.Duration("slow-query", 0, "log the full trace of queries at least this slow (0 disables)")
-		writable  = flag.Bool("writable", false, "enable POST /insert and /delete (streaming writes against the served index; needs -store ram)")
-		storeTier = flag.String("store", "mmap", "storage tier: mmap (serve off the mapped file, read-only) or ram (materialize it)")
+		writable  = flag.Bool("writable", false, "enable POST /insert and /delete (streaming writes against the served index)")
 		traceDir  = flag.String("trace-dir", "", "export sampled query traces as JSONL segments into this directory (empty disables)")
 		traceRate = flag.Float64("trace-sample", 1.0, "fraction of queries exported to -trace-dir (slow queries always export)")
 	)
@@ -62,14 +61,8 @@ func main() {
 	if *idxPath == "" {
 		fatal(logger, "need -index")
 	}
-	if *writable && *storeTier == lan.StoreMMap {
-		// Catch the conflict at startup instead of serving an endpoint
-		// whose every request would fail with ErrReadOnly.
-		fatal(logger, "-writable needs a RAM-resident index; pass -store ram (mmap-backed indexes are read-only)")
-	}
-
 	start := time.Now()
-	idx, err := lan.OpenSnapshot(*idxPath, lan.Options{Workers: *workers, Store: *storeTier})
+	idx, err := lan.OpenSnapshot(*idxPath, lan.Options{Workers: *workers})
 	if err != nil {
 		fatal(logger, "open index", "err", err.Error())
 	}
@@ -78,7 +71,6 @@ func main() {
 		"graphs", idx.Len(),
 		"load_time", time.Since(start).Round(time.Millisecond).String(),
 		"gamma_star", idx.GammaStar(),
-		"store_tier", *storeTier,
 		"epoch", idx.Epoch())
 
 	cfg := lanserve.Config{
@@ -129,7 +121,7 @@ func main() {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	// The resolved address line is load-bearing: with -addr :0 it is how
 	// callers (the serve-smoke driver, scripts) learn the actual port.
-	logger.Info(fmt.Sprintf("listening on %s", ln.Addr()), "store_tier", *storeTier, "epoch", idx.Epoch())
+	logger.Info(fmt.Sprintf("listening on %s", ln.Addr()), "epoch", idx.Epoch())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

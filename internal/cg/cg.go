@@ -59,31 +59,8 @@ func NewVocab(db graph.Database) *Vocab {
 	return v
 }
 
-// NewVocabFromLabels rebuilds a vocabulary from an explicit label list —
-// the persisted form of NewVocab's scan, so a snapshot loader can
-// reconstruct the exact vocabulary without touching the database. Labels
-// are deduplicated and sorted, making the result independent of input
-// order.
-func NewVocabFromLabels(labels []string) *Vocab {
-	set := make(map[string]bool, len(labels))
-	for _, l := range labels {
-		set[l] = true
-	}
-	uniq := make([]string, 0, len(set))
-	for l := range set {
-		uniq = append(uniq, l)
-	}
-	sort.Strings(uniq)
-	v := &Vocab{index: make(map[string]int, len(uniq))}
-	for i, l := range uniq {
-		v.index[l] = i
-	}
-	v.size = len(uniq) + 1 // +1 OOV bucket
-	return v
-}
-
 // Labels returns the vocabulary's labels in index order (excluding the
-// OOV bucket) — the list NewVocabFromLabels round-trips.
+// OOV bucket).
 func (v *Vocab) Labels() []string {
 	out := make([]string, v.size-1)
 	for l, i := range v.index {

@@ -33,7 +33,16 @@ func vocabOf(n int) *Vocab {
 	for i := range labels {
 		labels[i] = fmt.Sprintf("L%02d", i)
 	}
-	return NewVocabFromLabels(labels)
+	return vocabFromLabels(labels...)
+}
+
+// vocabFromLabels is NewVocab over one edgeless graph carrying labels.
+func vocabFromLabels(labels ...string) *Vocab {
+	g := graph.New(0)
+	for _, l := range labels {
+		g.AddNode(l)
+	}
+	return NewVocab(graph.Database{g})
 }
 
 // labelledGraphs draws molecule-like graphs over the vocabulary's labels
@@ -245,7 +254,7 @@ func FuzzInferMatchesReference(f *testing.F) {
 		if shape&4 != 0 {
 			build = BuildRaw
 		}
-		vocab := NewVocabFromLabels([]string{"A", "B", "C", "D"})
+		vocab := vocabFromLabels("A", "B", "C", "D")
 		m := NewCrossModel(nn.NewParams(), "m", Config{Layers: layers, Dim: dim, Vocab: vocab}, rand.New(rand.NewSource(int64(shape))))
 		g, q := build(fuzzGraph(a), layers, vocab), build(fuzzGraph(b), layers, vocab)
 		got := make([]float64, 2*dim)

@@ -20,9 +20,6 @@ type Config struct {
 	Vocab *Vocab
 }
 
-// EmbedDim returns the dimension of a single-graph embedding.
-func (c Config) EmbedDim() int { return c.Dim }
-
 // CrossDim returns the dimension of a cross-graph embedding h_G || h_Q.
 func (c Config) CrossDim() int { return 2 * c.Dim }
 

@@ -36,10 +36,9 @@ type Workspace struct {
 	rows  [][]float64
 	width int
 
-	// Graphs and Emb are the caller's reusable fetch and embedding-row
-	// buffers (pg.GraphStore.FetchGraphs' dst, NodeEmbeddingSource's buf).
+	// Graphs is the caller's reusable fetch buffer, the dst of
+	// pg.GraphStore.FetchGraphs.
 	Graphs []*graph.Graph
-	Emb    []float64
 }
 
 // bump is a slab handed out front to back. reserve may replace the slab

@@ -35,14 +35,7 @@ type FeatureEmbedder struct {
 
 // NewFeatureEmbedder builds an embedder over db's label vocabulary.
 func NewFeatureEmbedder(db graph.Database) *FeatureEmbedder {
-	return NewFeatureEmbedderVocab(cg.NewVocab(db))
-}
-
-// NewFeatureEmbedderVocab builds an embedder over an existing vocabulary
-// — the snapshot-load path, which must not scan a (possibly disk-backed)
-// database.
-func NewFeatureEmbedderVocab(v *cg.Vocab) *FeatureEmbedder {
-	return &FeatureEmbedder{Vocab: v, MaxDegree: 8, SizeScale: 50}
+	return &FeatureEmbedder{Vocab: cg.NewVocab(db), MaxDegree: 8, SizeScale: 50}
 }
 
 // Dim returns the embedding dimension.

@@ -254,10 +254,8 @@ type Engine struct {
 	Index *pg.HNSW
 	Opts  Options
 
-	// Graphs is the candidate-fetch tier every search goes through: a
-	// pg.RAMStore over DB for built/loaded engines, or an mmap snapshot
-	// store for engines opened with the mmap storage mode (DB is then a
-	// husk of nil entries sized for len() accounting only).
+	// Graphs is the candidate-fetch seam every search goes through: a
+	// pg.RAMStore over DB, wrapped by tracedStore when a trace is attached.
 	Graphs pg.GraphStore
 
 	Store     *models.CGStore

@@ -30,11 +30,7 @@ func (e *Engine) SnapshotView(db graph.Database, idx *pg.HNSW, embs [][]float64,
 	view := *e
 	view.DB = db
 	view.Index = idx
-	// A RAM-backed engine's store must follow the pinned database header;
-	// an mmap store is immutable (the index is read-only) and is shared.
-	if _, ram := e.Graphs.(pg.RAMStore); ram || e.Graphs == nil {
-		view.Graphs = pg.NewRAMStore(db)
-	}
+	view.Graphs = pg.NewRAMStore(db)
 	view.Mrk = e.Mrk.WithNodeEmbeddings(embs)
 	view.Mc = e.Mc.WithClusters(km)
 	return &view

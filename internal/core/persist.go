@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/cluster"
 	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/models"
@@ -68,26 +67,15 @@ const snapshotVersion = 3
 // validate's weight counts cannot overflow.
 const maxShape = 1 << 16
 
-// mmapCGCacheBound caps the compressed-GNN-graph cache of an
-// mmap-opened engine. CGs are memos of deterministic per-graph builds,
-// so the bound only trades CPU for memory — results never change — and
-// it is what keeps resident memory sublinear in database size.
-const mmapCGCacheBound = 4096
-
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", lanstore.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
 // SaveSnapshotV3 writes the engine as a version-3 binary snapshot:
 // self-contained (database included — nothing is re-supplied at open),
-// mmap-able, with the M_rk node-embedding table stored as float64. st
-// carries the write-path state of a mutated index (nil for one that never
-// was). The engine must be RAM-resident; re-saving an mmap-opened engine
-// is not supported.
+// with the M_rk node-embedding table stored as float64. st carries the
+// write-path state of a mutated index (nil for one that never was).
 func SaveSnapshotV3(path string, e *Engine, st *MutationState) error {
-	if _, mm := e.Graphs.(*lanstore.Store); mm {
-		return fmt.Errorf("core: cannot re-save an mmap-opened engine as a snapshot (open with the ram store to materialize it first)")
-	}
 	s := snapshot{
 		Version:   snapshotVersion,
 		GammaStar: e.GammaStar,
@@ -143,102 +131,37 @@ func marshalParams(p interface{ Save(io.Writer) error }) (json.RawMessage, error
 
 // OpenSnapshotV3 opens a version-3 binary snapshot. opts supplies the
 // metrics and the worker count; every shape option comes from the file.
-//
-// With mmap true the database stays on disk: searches fetch candidate
-// graphs segment-at-a-time through the store, the adjacency is aliased
-// from the mapping, M_rk reads its node embeddings row-by-row, and
-// Engine.DB is a length-only husk of nil entries. The returned store
-// backs the engine — the caller owns closing it, after which the engine
-// must not be used. Resident memory stays far below database size; the
-// engine is read-only.
-//
-// With mmap false the snapshot is fully verified and materialized into
-// RAM (the store is closed before returning, and the returned store is
-// nil): the engine is then indistinguishable from the one that was saved,
-// writable included.
+// The file is verified whole and decoded onto the heap, and the engine is
+// indistinguishable from the one that was saved, writable included.
 //
 // A file that is not a snapshot, is of a newer format or fails validation
 // returns an error matching lanstore.ErrNotSnapshot, ErrFutureVersion or
 // ErrCorrupt.
-func OpenSnapshotV3(path string, opts Options, mmap bool) (*Engine, *MutationState, *lanstore.Store, error) {
-	store, err := lanstore.Open(path)
+func OpenSnapshotV3(path string, opts Options) (*Engine, *MutationState, error) {
+	snap, err := lanstore.Open(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	e, st, err := openV3(store, opts, mmap)
+	e, st, err := openV3(snap, opts)
 	if err != nil {
-		store.Close()
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if !mmap {
-		store.Close()
-		return e, st, nil, nil
-	}
-	return e, st, store, nil
+	return e, st, nil
 }
 
-func openV3(store *lanstore.Store, opts Options, mmap bool) (*Engine, *MutationState, error) {
+func openV3(snap *lanstore.Snapshot, opts Options) (*Engine, *MutationState, error) {
 	var s snapshot
-	if err := json.Unmarshal(store.Meta(), &s); err != nil {
+	if err := json.Unmarshal(snap.Meta, &s); err != nil {
 		return nil, nil, corruptf("snapshot meta: %v", err)
 	}
-	n := store.Len()
-	if err := s.validate(n, len(store.Labels())); err != nil {
+	if err := s.validate(len(snap.DB), len(snap.Labels)); err != nil {
 		return nil, nil, err
 	}
 	var st *MutationState
 	if s.Epoch > 0 {
 		st = &MutationState{Epoch: s.Epoch, Born: s.Born, Died: s.Died}
 	}
-
-	if !mmap {
-		// RAM mode: verify everything (including the payload sections the
-		// mmap path defers), then decode into ordinary heap structures.
-		if err := store.VerifyPayload(); err != nil {
-			return nil, nil, err
-		}
-		db, err := store.DecodeAll()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := db.Validate(); err != nil {
-			return nil, nil, corruptf("%v", err)
-		}
-		asm := assembly{}
-		if store.NodeEmbeddingCount() == n {
-			asm.nodeEmb = store.EmbeddingsFloat64()
-		}
-		e, err := assembleEngine(db, &s, store.AdjacencyCopy(), opts, asm)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, st, nil
-	}
-
-	// mmap mode: the database is a husk — only its length is real. The
-	// vocabulary comes from the snapshot's label table (identical to what
-	// a database scan would build: both are the sorted distinct labels),
-	// so no assembly step touches graph bytes beyond what queries page in.
-	db := make(graph.Database, n)
-	vocab := cg.NewVocabFromLabels(store.Labels())
-	cgs := models.NewCGStoreVocab(vocab, s.Layers, s.UseCG)
-	cgs.SetCacheBound(mmapCGCacheBound)
-	asm := assembly{
-		graphs:   store,
-		cgs:      cgs,
-		embedder: cluster.NewFeatureEmbedderVocab(vocab),
-		huskDB:   true,
-	}
-	if store.NodeEmbeddingCount() == n {
-		// The RAM path checks the row width in SetNodeEmbeddings; rows read
-		// through the store would otherwise be trusted until the first
-		// ranked neighbour.
-		if dim := len(store.NodeEmbedding(0, nil)); dim != s.Dim {
-			return nil, nil, corruptf("node embeddings have dim %d, models %d", dim, s.Dim)
-		}
-		asm.embSrc = store
-	}
-	e, err := assembleEngine(db, &s, store.Adjacency(), opts, asm)
+	e, err := assembleEngine(snap.DB, &s, snap.Adj, opts, snap.Emb)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -326,31 +249,10 @@ func (s *snapshot) validate(n, vocab int) error {
 	return nil
 }
 
-// assembly carries the storage-dependent pieces of engine assembly: the
-// RAM path derives everything from the decoded database (zero value plus
-// nodeEmb); the mmap path substitutes vocab-built caches, an external
-// graph store and an embedding source over a husk database.
-type assembly struct {
-	// graphs overrides the candidate-fetch tier (nil → RAMStore over db).
-	graphs pg.GraphStore
-	// cgs overrides the compressed-GNN-graph cache (nil → scan db).
-	cgs *models.CGStore
-	// embedder overrides M_c's feature embedder (nil → scan db).
-	embedder cluster.Embedder
-	// nodeEmb is the M_rk table decoded from the embedding section (the
-	// RAM path).
-	nodeEmb [][]float64
-	// embSrc serves the M_rk table externally (the mmap path).
-	embSrc models.NodeEmbeddingSource
-	// huskDB marks db as a length-only husk of nil entries (mmap mode):
-	// assembly must not dereference entries or fall back to db scans.
-	huskDB bool
-}
-
 // assembleEngine rebuilds a ready engine from validated snapshot
-// metadata, the base-layer adjacency and the storage-dependent inputs in
-// asm — the shared back half of the two tiers.
-func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, asm assembly) (*Engine, error) {
+// metadata, the decoded database, the base-layer adjacency and M_rk's
+// node-embedding table (nil: recompute it).
+func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, nodeEmb [][]float64) (*Engine, error) {
 	opts.M, opts.EfConstruction = s.M, s.EfConstruction
 	opts.Layers, opts.Dim = s.Layers, s.Dim
 	opts.BatchPercent, opts.Hidden = s.BatchPercent, s.Hidden
@@ -370,32 +272,22 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, a
 		return nil, corruptf("%v", err)
 	}
 
-	store := asm.cgs
-	if store == nil {
-		store = models.NewCGStore(db, opts.Layers, opts.UseCG)
-	}
-	graphs := asm.graphs
-	if graphs == nil {
-		graphs = pg.NewRAMStore(db)
-	}
+	store := models.NewCGStore(db, opts.Layers, opts.UseCG)
 	mcfg := models.Config{
 		Layers: opts.Layers, Dim: opts.Dim, BatchPercent: opts.BatchPercent,
 		Hidden: opts.Hidden, GammaStar: s.GammaStar, Seed: opts.Seed,
 	}
-	e := &Engine{DB: db, Index: idx, Opts: opts, Graphs: graphs, Store: store, GammaStar: s.GammaStar}
+	e := &Engine{DB: db, Index: idx, Opts: opts, Graphs: pg.NewRAMStore(db), Store: store, GammaStar: s.GammaStar}
 
 	e.Mrk = models.NewNeighborRanker(mcfg, store)
 	if err := e.Mrk.Params.Load(bytes.NewReader(s.MrkParams)); err != nil {
 		return nil, corruptf("%v", err)
 	}
-	switch {
-	case asm.nodeEmb != nil:
-		if err := e.Mrk.SetNodeEmbeddings(asm.nodeEmb, len(db)); err != nil {
+	if nodeEmb != nil {
+		if err := e.Mrk.SetNodeEmbeddings(nodeEmb, len(db)); err != nil {
 			return nil, corruptf("%v", err)
 		}
-	case asm.embSrc != nil:
-		e.Mrk.SetNodeEmbeddingSource(asm.embSrc)
-	case !asm.huskDB:
+	} else {
 		e.Mrk.PrecomputeNodeEmbeddings(db, opts.Workers)
 	}
 	e.Mnh = models.NewNeighborhoodModel(mcfg, store)
@@ -403,10 +295,7 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, a
 		return nil, corruptf("%v", err)
 	}
 
-	emb := asm.embedder
-	if emb == nil {
-		emb = cluster.NewFeatureEmbedder(db)
-	}
+	emb := cluster.NewFeatureEmbedder(db)
 	km := &cluster.KMeans{Centroids: s.Centroids, Assign: s.Assign, Members: make([][]int, len(s.Centroids))}
 	for c, cen := range s.Centroids {
 		if len(cen) != emb.Dim() {

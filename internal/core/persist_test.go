@@ -30,16 +30,12 @@ func saveV3(t *testing.T, e *Engine) string {
 	return path
 }
 
-// openV3Tier opens a v3 snapshot on the given tier with the fixture's
-// (default) metrics and registers cleanup.
-func openV3Tier(t *testing.T, path string, mmap bool) *Engine {
+// reopen opens a v3 snapshot with the fixture's (default) metrics.
+func reopen(t *testing.T, path string) *Engine {
 	t.Helper()
-	eng, _, store, err := OpenSnapshotV3(path, Options{}, mmap)
+	eng, _, err := OpenSnapshotV3(path, Options{})
 	if err != nil {
-		t.Fatalf("OpenSnapshotV3(mmap=%v): %v", mmap, err)
-	}
-	if store != nil {
-		t.Cleanup(func() { store.Close() })
+		t.Fatalf("OpenSnapshotV3: %v", err)
 	}
 	return eng
 }
@@ -47,31 +43,20 @@ func openV3Tier(t *testing.T, path string, mmap bool) *Engine {
 // comparableStats strips the wall-time fields, which legitimately differ
 // between runs; everything else — NDC and its per-stage split, explored
 // nodes, ranker calls, batch/γ accounting, cache hits — must be
-// bit-identical between storage tiers.
+// bit-identical between an engine and its reopened snapshot.
 func comparableStats(s QueryStats) QueryStats {
 	s.DistTime, s.ModelTime, s.InitTime, s.RouteTime, s.Total = 0, 0, 0, 0, 0
 	return s
 }
 
-// TestSnapshotV3MMapBitIdentity pins the storage-tier contract: a
-// snapshot answers every query bit-identically on the RAM
-// and mmap tiers — results (ids and exact distances), the whole NDC and
-// routing accounting, and the routing trajectory (entry node, explored
-// steps, γ trajectory) — under every initial/routing strategy. Run under -race in CI, this doubles as the
-// concurrency-safety check of the mmap fetch path.
-func TestSnapshotV3MMapBitIdentity(t *testing.T) {
+// TestSnapshotV3RAMMatchesOriginal pins that reopening a snapshot
+// reproduces the engine that wrote it under every initial/routing
+// strategy: results (ids and exact distances), the whole NDC and routing
+// accounting, and the routing trajectory (entry node, explored steps, γ
+// trajectory).
+func TestSnapshotV3RAMMatchesOriginal(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
-	path := saveV3(t, eng)
-	ram := openV3Tier(t, path, false)
-	mm := openV3Tier(t, path, true)
-
-	if _, ok := mm.Graphs.(*lanstore.Store); !ok {
-		t.Fatalf("mmap engine fetches from %T; want *lanstore.Store", mm.Graphs)
-	}
-	if _, ok := ram.Graphs.(*lanstore.Store); ok {
-		t.Fatal("ram engine still fetches from the snapshot store")
-	}
-
+	ram := reopen(t, saveV3(t, eng))
 	strategies := []struct {
 		is InitialStrategy
 		rt RoutingStrategy
@@ -86,65 +71,51 @@ func TestSnapshotV3MMapBitIdentity(t *testing.T) {
 	if testing.Short() {
 		strategies = strategies[:2]
 	}
-
 	for _, st := range strategies {
 		so := SearchOptions{K: 5, Beam: 10, Initial: st.is, Routing: st.rt}
+		tag := st.is.String() + "/" + st.rt.String()
 		for qi, q := range test {
-			ramTrace, mmTrace := obs.NewTrace("ram"), obs.NewTrace("mmap")
-			ramRes, ramStats, err := ram.Search(obs.With(context.Background(), ramTrace), q, so)
-			if err != nil {
-				t.Fatal(err)
+			wantTrace, gotTrace := obs.NewTrace("built"), obs.NewTrace("reopened")
+			wantRes, wantStats, _ := eng.Search(obs.With(context.Background(), wantTrace), q, so)
+			gotRes, gotStats, _ := ram.Search(obs.With(context.Background(), gotTrace), q, so)
+			if !reflect.DeepEqual(wantRes, gotRes) {
+				t.Fatalf("%s query %d: results differ from the engine that wrote the snapshot", tag, qi)
 			}
-			mmRes, mmStats, err := mm.Search(obs.With(context.Background(), mmTrace), q, so)
-			if err != nil {
-				t.Fatal(err)
+			if comparableStats(wantStats) != comparableStats(gotStats) {
+				t.Fatalf("%s query %d: stats differ from the engine that wrote the snapshot", tag, qi)
 			}
-			tag := st.is.String() + "/" + st.rt.String()
-			if !reflect.DeepEqual(ramRes, mmRes) {
-				t.Fatalf("%s query %d: results diverge\nram:  %v\nmmap: %v", tag, qi, ramRes, mmRes)
-			}
-			if a, b := comparableStats(ramStats), comparableStats(mmStats); a != b {
-				t.Fatalf("%s query %d: stats diverge\nram:  %+v\nmmap: %+v", tag, qi, a, b)
-			}
-			if ramTrace.Entry != mmTrace.Entry ||
-				!reflect.DeepEqual(ramTrace.Steps, mmTrace.Steps) ||
-				!reflect.DeepEqual(ramTrace.Gammas, mmTrace.Gammas) {
-				t.Fatalf("%s query %d: routing trajectories diverge\nram:  entry=%d steps=%v gammas=%v\nmmap: entry=%d steps=%v gammas=%v",
+			if wantTrace.Entry != gotTrace.Entry ||
+				!reflect.DeepEqual(wantTrace.Steps, gotTrace.Steps) ||
+				!reflect.DeepEqual(wantTrace.Gammas, gotTrace.Gammas) {
+				t.Fatalf("%s query %d: routing trajectories diverge\nbuilt:    entry=%d steps=%v gammas=%v\nreopened: entry=%d steps=%v gammas=%v",
 					tag, qi,
-					ramTrace.Entry, ramTrace.Steps, ramTrace.Gammas,
-					mmTrace.Entry, mmTrace.Steps, mmTrace.Gammas)
+					wantTrace.Entry, wantTrace.Steps, wantTrace.Gammas,
+					gotTrace.Entry, gotTrace.Steps, gotTrace.Gammas)
 			}
 		}
 	}
 }
 
-// TestSnapshotV3RAMMatchesOriginal pins that materializing a snapshot
-// reproduces the engine that wrote it: same answers, same NDC.
-func TestSnapshotV3RAMMatchesOriginal(t *testing.T) {
-	eng, _, _, test := buildEngine(t)
-	ram := openV3Tier(t, saveV3(t, eng), false)
-	so := SearchOptions{K: 5, Beam: 10}
-	for qi, q := range test {
-		wantRes, wantStats, _ := eng.Search(context.Background(), q, so)
-		gotRes, gotStats, _ := ram.Search(context.Background(), q, so)
-		if !reflect.DeepEqual(wantRes, gotRes) {
-			t.Fatalf("query %d: results differ from the engine that wrote the snapshot", qi)
-		}
-		if comparableStats(wantStats) != comparableStats(gotStats) {
-			t.Fatalf("query %d: stats differ from the engine that wrote the snapshot", qi)
-		}
-	}
-}
-
-// TestSaveSnapshotV3RejectsHuskEngine: an engine serving off an mmap
-// store has no materialized database to serialize; re-saving it must be
-// a named error, not a snapshot full of nil graphs.
-func TestSaveSnapshotV3RejectsHuskEngine(t *testing.T) {
+// TestSnapshotV3ResaveByteIdentical: an engine opened from a snapshot
+// saves the very file it was opened from — every section, the metadata
+// with the model parameters included, comes back byte for byte.
+func TestSnapshotV3ResaveByteIdentical(t *testing.T) {
 	eng, _, _, _ := buildEngine(t)
-	mm := openV3Tier(t, saveV3(t, eng), true)
-	err := SaveSnapshotV3(filepath.Join(t.TempDir(), "again.lansnap"), mm, nil)
-	if err == nil {
-		t.Fatal("re-saving an mmap-backed engine succeeded")
+	path := saveV3(t, eng)
+	again := filepath.Join(t.TempDir(), "again.lansnap")
+	if err := SaveSnapshotV3(again, reopen(t, path), nil); err != nil {
+		t.Fatalf("SaveSnapshotV3: %v", err)
+	}
+	a, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("re-saved snapshot differs from the original (%d vs %d bytes)", len(b), len(a))
 	}
 }
 
@@ -155,10 +126,8 @@ func TestOpenSnapshotV3RejectsJSONIndex(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":2,"gamma_star":4,"adj":[[1],[0]],"epoch":3}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mmap := range []bool{false, true} {
-		if _, _, _, err := OpenSnapshotV3(path, Options{}, mmap); !errors.Is(err, lanstore.ErrNotSnapshot) {
-			t.Fatalf("mmap=%v: err = %v; want ErrNotSnapshot", mmap, err)
-		}
+	if _, _, err := OpenSnapshotV3(path, Options{}); !errors.Is(err, lanstore.ErrNotSnapshot) {
+		t.Fatalf("err = %v; want ErrNotSnapshot", err)
 	}
 }
 
@@ -170,8 +139,8 @@ var tinySpec = dataset.Spec{Name: "TINY", Kind: dataset.KindMolecule, Graphs: 12
 
 // TestSaveLoadRoundTrip pins what the metadata carries: every option the
 // reopened engine needs — to shape its models, to route, and to keep
-// inserting the way the index was built — comes back as it was saved, on
-// both tiers, together with γ*, the hierarchy and the clustering. Every
+// inserting the way the index was built — comes back as it was saved,
+// together with γ*, the hierarchy and the clustering. Every
 // option is set away from its default, so a field the format dropped
 // would come back as the default and fail here.
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -193,34 +162,30 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			TopClusters: o.TopClusters, Samples: o.Samples, StepSize: o.StepSize, Seed: o.Seed,
 		}
 	}
-	path := saveV3(t, eng)
-	for _, mmap := range []bool{false, true} {
-		got := openV3Tier(t, path, mmap)
-		if a, b := persisted(got), persisted(eng); !reflect.DeepEqual(a, b) {
-			t.Fatalf("mmap=%v: options\n got %+v\nwant %+v", mmap, a, b)
-		}
-		if got.GammaStar != eng.GammaStar {
-			t.Fatalf("mmap=%v: gamma* %v != %v", mmap, got.GammaStar, eng.GammaStar)
-		}
-		if !reflect.DeepEqual(got.Index.PG.Adj, eng.Index.PG.Adj) || !reflect.DeepEqual(got.Index.Upper, eng.Index.Upper) ||
-			!reflect.DeepEqual(got.Index.Level, eng.Index.Level) || got.Index.Entry != eng.Index.Entry {
-			t.Fatalf("mmap=%v: the proximity graph changed in the round trip", mmap)
-		}
-		if !reflect.DeepEqual(got.Mc.Clusters(), eng.Mc.Clusters()) {
-			t.Fatalf("mmap=%v: the clustering changed in the round trip", mmap)
-		}
+	got := reopen(t, saveV3(t, eng))
+	if a, b := persisted(got), persisted(eng); !reflect.DeepEqual(a, b) {
+		t.Fatalf("options\n got %+v\nwant %+v", a, b)
+	}
+	if got.GammaStar != eng.GammaStar {
+		t.Fatalf("gamma* %v != %v", got.GammaStar, eng.GammaStar)
+	}
+	if !reflect.DeepEqual(got.Index.PG.Adj, eng.Index.PG.Adj) || !reflect.DeepEqual(got.Index.Upper, eng.Index.Upper) ||
+		!reflect.DeepEqual(got.Index.Level, eng.Index.Level) || got.Index.Entry != eng.Index.Entry {
+		t.Fatal("the proximity graph changed in the round trip")
+	}
+	if !reflect.DeepEqual(got.Mc.Clusters(), eng.Mc.Clusters()) {
+		t.Fatal("the clustering changed in the round trip")
 	}
 }
 
 // savedMeta returns the metadata section SaveSnapshotV3 writes for eng.
 func savedMeta(t *testing.T, eng *Engine) []byte {
 	t.Helper()
-	store, err := lanstore.Open(saveV3(t, eng))
+	snap, err := lanstore.Open(saveV3(t, eng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	return append([]byte(nil), store.Meta()...)
+	return snap.Meta
 }
 
 // craftedSnapshot writes eng as a snapshot after edit has had its way
@@ -249,7 +214,7 @@ func craftedSnapshot(t *testing.T, eng *Engine, meta []byte, edit func(d *lansto
 }
 
 // TestLoadErrors feeds the opener metadata that passes every checksum and
-// is wrong: each case must come back as ErrCorrupt on both tiers — not as
+// is wrong: each case must come back as ErrCorrupt — not as
 // an index out of range, a makeslice panic or a gigabyte of model — and
 // the unedited file must open.
 func TestLoadErrors(t *testing.T) {
@@ -312,16 +277,10 @@ func TestLoadErrors(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		path := craftedSnapshot(t, eng, meta, c.edit)
-		for _, mmap := range []bool{false, true} {
-			_, _, store, err := OpenSnapshotV3(path, Options{}, mmap)
-			if err == nil && store != nil {
-				store.Close()
-			}
-			t.Logf("%s (mmap=%v): %v", c.name, mmap, err)
-			if !errors.Is(err, lanstore.ErrCorrupt) {
-				t.Errorf("%s (mmap=%v): err = %v; want ErrCorrupt", c.name, mmap, err)
-			}
+		_, _, err := OpenSnapshotV3(craftedSnapshot(t, eng, meta, c.edit), Options{})
+		t.Logf("%s: %v", c.name, err)
+		if !errors.Is(err, lanstore.ErrCorrupt) {
+			t.Errorf("%s: err = %v; want ErrCorrupt", c.name, err)
 		}
 	}
 
@@ -330,10 +289,8 @@ func TestLoadErrors(t *testing.T) {
 	path := craftedSnapshot(t, eng, meta, func(_ *lanstore.SnapshotData, meta map[string]json.RawMessage) {
 		delete(meta, "ef_construction")
 	})
-	for _, mmap := range []bool{false, true} {
-		if got := openV3Tier(t, path, mmap); got.Opts.EfConstruction != 2*eng.Opts.M {
-			t.Fatalf("mmap=%v: EfConstruction = %d without the key; want 2M = %d", mmap, got.Opts.EfConstruction, 2*eng.Opts.M)
-		}
+	if got := reopen(t, path); got.Opts.EfConstruction != 2*eng.Opts.M {
+		t.Fatalf("EfConstruction = %d without the key; want 2M = %d", got.Opts.EfConstruction, 2*eng.Opts.M)
 	}
 }
 
@@ -357,8 +314,7 @@ func restamp(data []byte) {
 }
 
 // FuzzOpenSnapshot throws damaged snapshots at the opener, as they are and
-// with their checksums made good again: on both tiers the outcome is an
-// engine or one of the three named errors — never a panic, and never an
+// with their checksums made good again: the outcome is an engine or one of the three named errors — never a panic, and never an
 // allocation the file's own size does not justify.
 //
 // The fuzzed value is not the file but what is done to one: the snapshot
@@ -433,17 +389,12 @@ func FuzzOpenSnapshot(f *testing.F) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for _, mmap := range []bool{true, false} {
-				_, _, store, err := OpenSnapshotV3(path, Options{Workers: 1}, mmap)
-				switch {
-				case err == nil:
-					if store != nil {
-						store.Close()
-					}
-				case errors.Is(err, lanstore.ErrCorrupt), errors.Is(err, lanstore.ErrNotSnapshot), errors.Is(err, lanstore.ErrFutureVersion):
-				default:
-					t.Fatalf("mmap=%v: unnamed error %v", mmap, err)
-				}
+			_, _, err := OpenSnapshotV3(path, Options{Workers: 1})
+			switch {
+			case err == nil:
+			case errors.Is(err, lanstore.ErrCorrupt), errors.Is(err, lanstore.ErrNotSnapshot), errors.Is(err, lanstore.ErrFutureVersion):
+			default:
+				t.Fatalf("unnamed error %v", err)
 			}
 		}
 	})

@@ -1,8 +1,7 @@
-// Package lanstore implements the binary snapshot container behind the
-// mmap-backed storage tier (snapshot format v3). A v3 file is fully
+// Package lanstore reads and writes the .lansnap container (snapshot
+// format v3), the one persisted form of an index. A v3 file is fully
 // self-contained — database graphs, base-layer adjacency, M_rk node
-// embeddings and the engine's JSON metadata travel together — and is laid
-// out so a reader can serve searches straight off a read-only mapping:
+// embeddings and the engine's JSON metadata travel together:
 //
 //	header   magic "LANSNAP3", section table (offset, length, CRC32)
 //	meta     opaque JSON (owned by internal/core: models, clustering, ...)
@@ -12,15 +11,10 @@
 //	blob     per-graph varint segments: nodes, label ids, delta adjacency
 //	emb      M_rk node-embedding rows: float64
 //
-// All integers are little-endian; the adj, offs and emb sections start
-// 8-byte aligned so a little-endian 64-bit reader can alias them in
-// place instead of decoding copies. Each section carries its own CRC32:
-// the structural sections (meta, labels, adj, offs) are verified on every
-// Open, while the payload sections (blob, emb) are verified by
-// VerifyPayload — run by the RAM materialization path, and skipped by the
-// mmap path so opening a beyond-RAM snapshot does not page the whole file
-// in. Graph segments decode through graph.Assemble, which re-validates
-// the per-graph invariants on every fetch.
+// All integers are little-endian, and every section starts 8-byte
+// aligned. Open reads the whole file, checks every section's CRC32 and
+// decodes everything onto the heap; graph segments decode through
+// graph.Assemble, which re-validates the per-graph invariants.
 package lanstore
 
 import (
@@ -193,8 +187,7 @@ func Write(path string, d *SnapshotData) error {
 func align8(v uint64) uint64 { return (v + 7) &^ 7 }
 
 // labelTable returns the sorted distinct node labels of db and their
-// index map — the persisted counterpart of cg.NewVocab's scan, so vocab
-// reconstruction at load needs no database pass.
+// index map: the table the graph segments' label ids index into.
 func labelTable(db graph.Database) ([]string, map[string]int) {
 	set := make(map[string]bool)
 	for _, g := range db {

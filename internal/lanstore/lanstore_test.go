@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/lansearch/lan/internal/dataset"
-	"github.com/lansearch/lan/internal/obs"
 )
 
 func testData(t *testing.T) *SnapshotData {
@@ -61,7 +60,7 @@ func insertionSort(a []int) {
 	}
 }
 
-func writeOpen(t *testing.T, d *SnapshotData) *Store {
+func writeOpen(t *testing.T, d *SnapshotData) *Snapshot {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "snap.lan")
 	if err := Write(path, d); err != nil {
@@ -71,7 +70,6 @@ func writeOpen(t *testing.T, d *SnapshotData) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -84,65 +82,32 @@ func testRoundTripF64(t *testing.T) {
 	d := testData(t)
 	s := writeOpen(t, d)
 
-	if got := string(s.Meta()); got != string(d.Meta) {
+	if got := string(s.Meta); got != string(d.Meta) {
 		t.Fatalf("meta %q != %q", got, d.Meta)
 	}
-	if s.Len() != len(d.DB) {
-		t.Fatalf("len %d != %d", s.Len(), len(d.DB))
-	}
-	if err := s.VerifyPayload(); err != nil {
-		t.Fatalf("payload: %v", err)
+	if len(s.DB) != len(d.DB) {
+		t.Fatalf("len %d != %d", len(s.DB), len(d.DB))
 	}
 
 	// Graphs decode exactly (labels + adjacency + edge count).
 	for i, want := range d.DB {
-		got := s.Graph(i)
+		got := s.DB[i]
 		if !got.Equal(want) || got.ID != want.ID {
 			t.Fatalf("graph %d decode mismatch: %v vs %v", i, got, want)
 		}
 	}
-	db2, err := s.DecodeAll()
-	if err != nil {
+	if err := s.DB.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.Validate(); err != nil {
-		t.Fatal(err)
+	if want, _ := labelTable(d.DB); !reflect.DeepEqual(s.Labels, want) {
+		t.Fatalf("labels %v != %v", s.Labels, want)
 	}
-
-	// Adjacency round-trips.
-	adj := s.Adjacency()
-	for i, want := range d.Adj {
-		got := adj[i]
-		if len(got) != len(want) {
-			t.Fatalf("adj %d: %v != %v", i, got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("adj %d: %v != %v", i, got, want)
-			}
-		}
+	if !reflect.DeepEqual(s.Adj, d.Adj) {
+		t.Fatal("adjacency mismatch")
 	}
-	if !reflect.DeepEqual(s.AdjacencyCopy(), d.Adj) {
-		t.Fatal("AdjacencyCopy mismatch")
-	}
-
 	// Embeddings come back bit-exact.
-	var buf []float64
-	for i, want := range d.Emb {
-		if buf = s.NodeEmbedding(i, buf); !reflect.DeepEqual(buf, want) {
-			t.Fatalf("emb %d: %v != %v (must be exact)", i, buf, want)
-		}
-	}
-	// A row read into a buffer that already fits it allocates nothing:
-	// M_rk fetches one per neighbour it scores.
-	buf = make([]float64, 0, len(d.Emb[0]))
-	for i := range d.Emb {
-		if n := testing.AllocsPerRun(10, func() { s.NodeEmbedding(i, buf[:0]) }); n != 0 {
-			t.Fatalf("NodeEmbedding(%d) allocates %v times per call, want 0", i, n)
-		}
-	}
-	if !reflect.DeepEqual(s.EmbeddingsFloat64(), d.Emb) {
-		t.Fatal("EmbeddingsFloat64 not exact")
+	if !reflect.DeepEqual(s.Emb, d.Emb) {
+		t.Fatal("embeddings not exact")
 	}
 }
 
@@ -234,21 +199,31 @@ func TestCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h, err := decodeHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Flip a byte in every region; structural damage fails Open, payload
-	// damage fails VerifyPayload — either way a named error, no panic.
+	// Flip a byte in every region, and the first and last byte of every
+	// section: Open fails with a named error, no panic. The graph payload
+	// and the embedding rows are checked like the rest.
+	var probes []int
 	for probe := headerSize; probe < len(raw); probe += 64 {
+		probes = append(probes, probe)
+	}
+	for i, sec := range h.sections {
+		if sec.length == 0 {
+			t.Fatalf("section %d is empty; the probe would miss it", i)
+		}
+		probes = append(probes, int(sec.off), int(sec.off+sec.length-1))
+	}
+	for _, probe := range probes {
 		mut := append([]byte(nil), raw...)
 		mut[probe] ^= 0xff
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(path)
-		if err == nil {
-			err = s.VerifyPayload()
-			s.Close()
-		}
-		if !errors.Is(err, ErrCorrupt) {
+		if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d: got %v, want ErrCorrupt", probe, err)
 		}
 	}
@@ -272,12 +247,11 @@ func tinyData(t *testing.T) *SnapshotData {
 
 // TestOpenHeaderSweep sets every byte of the header to every value. The
 // scalar fields and the section table sit outside every checksum, so each
-// of those 47,104 files must either be refused by name or be a snapshot
-// whose every accessor returns — no panic, and nothing allocated that a
-// file of a few hundred bytes could not justify. Before the scalar fields
-// were bounded by the file length, a graph count or an embedding
-// dimension with a high bit set passed the section-size checks by
-// wrap-around and the store panicked on first use.
+// of those 47,104 files must either be refused by name or decode whole —
+// no panic, and nothing allocated that a file of a few hundred bytes
+// could not justify. Before the scalar fields were bounded by the file
+// length, a graph count or an embedding dimension with a high bit set
+// passed the section-size checks by wrap-around and the reader panicked.
 func TestOpenHeaderSweep(t *testing.T) {
 	const allocBound = 8 << 20
 	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
@@ -305,38 +279,22 @@ func TestOpenHeaderSweep(t *testing.T) {
 						t.Fatalf("header byte %d = %#02x: panic: %v", off, v, r)
 					}
 				}()
-				s := &Store{data: data, m: obs.Store()}
-				if err := s.init(); err != nil {
+				if _, err := decode(data); err != nil {
 					if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFutureVersion) && !errors.Is(err, ErrNotSnapshot) {
 						t.Fatalf("header byte %d = %#02x: unnamed error %v", off, v, err)
 					}
 					return
 				}
 				opened++
-				// Errors are fine from here on (a section offset moved
-				// onto other bytes decodes as garbage); panics are not.
-				var buf []float64
-				for id := 0; id < s.Len(); id++ {
-					_, _ = s.decodeGraph(id)
-					if s.NodeEmbeddingCount() > 0 {
-						buf = s.NodeEmbedding(id, buf)
-					}
-				}
-				_ = s.Adjacency()
-				if s.VerifyPayload() == nil {
-					_, _ = s.DecodeAll()
-					_ = s.EmbeddingsFloat64()
-				}
 			}()
 			if got := allocated() - before; got > allocBound {
 				t.Fatalf("header byte %d = %#02x: %d bytes allocated", off, v, got)
 			}
 		}
 	}
-	// The unchanged value of each byte, the checksum bytes of the
-	// unverified sections and the padding all still open.
+	// The unchanged value of each byte still opens.
 	if opened < headerSize {
-		t.Fatalf("only %d of the swept files opened; the sweep is not reaching the accessors", opened)
+		t.Fatalf("only %d of the swept files opened; the sweep is not reaching the decoders", opened)
 	}
 	t.Logf("%d-byte snapshot, %d of %d header variants open", len(raw), opened, 256*headerSize)
 }

@@ -189,13 +189,18 @@ func TestInferAllocs(t *testing.T) {
 	}
 }
 
-// TestCGStoreConcurrentHitsAndDrops: readers share the lock on the hit
-// path while misses insert and the bound drops the cache wholesale; every
-// lookup still returns the graph's own CG (run under -race).
-func TestCGStoreConcurrentHitsAndDrops(t *testing.T) {
+// TestCGStoreConcurrentHitsAndMisses: readers share the lock on the hit
+// path while misses insert; every lookup returns the graph's own CG, and
+// the cache ends holding each graph looked up once (run under -race).
+func TestCGStoreConcurrentHitsAndMisses(t *testing.T) {
 	f := newFixture(t, 0.001, 1)
 	s := NewCGStore(f.db, 2, true)
-	s.SetCacheBound(8)
+	looked := make(map[int]bool)
+	for w := 0; w < 4; w++ {
+		for i := 0; i < 400; i++ {
+			looked[(i*7+w)%len(f.db)] = true
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -211,8 +216,8 @@ func TestCGStoreConcurrentHitsAndDrops(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := len(s.byID); n > 8 {
-		t.Fatalf("cache holds %d entries past its bound of 8", n)
+	if n := len(s.byID); n != len(looked) {
+		t.Fatalf("cache holds %d entries after lookups of %d graphs", n, len(looked))
 	}
 }
 

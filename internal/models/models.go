@@ -109,7 +109,6 @@ type CGStore struct {
 
 	mu    sync.RWMutex
 	byID  map[int]*cg.Compressed
-	bound int // max cached entries (0 = unbounded)
 	useCG bool
 }
 
@@ -117,30 +116,12 @@ type CGStore struct {
 // store produces raw (uncompressed) GNN-graphs — the ablation knob behind
 // Fig. 10.
 func NewCGStore(db graph.Database, layers int, useCG bool) *CGStore {
-	return NewCGStoreVocab(cg.NewVocab(db), layers, useCG)
-}
-
-// NewCGStoreVocab is NewCGStore over an existing vocabulary — the
-// snapshot-load path, which must not scan a (possibly disk-backed)
-// database.
-func NewCGStoreVocab(v *cg.Vocab, layers int, useCG bool) *CGStore {
 	return &CGStore{
 		Layers: layers,
-		Vocab:  v,
+		Vocab:  cg.NewVocab(db),
 		byID:   make(map[int]*cg.Compressed),
 		useCG:  useCG,
 	}
-}
-
-// SetCacheBound caps the by-id cache at n entries; when an insert would
-// exceed the cap the cache is dropped wholesale and refills. Engines over
-// an mmap store set this so cached CGs cannot silently re-materialize the
-// whole database on the heap. The cache is a pure memo of deterministic
-// builds, so eviction policy never affects results.
-func (s *CGStore) SetCacheBound(n int) {
-	s.mu.Lock()
-	s.bound = n
-	s.mu.Unlock()
 }
 
 // For returns the (cached) compressed GNN-graph of g. Graphs with ID >= 0
@@ -150,8 +131,7 @@ func (s *CGStore) For(g *graph.Graph) *cg.Compressed {
 		return s.build(g)
 	}
 	// Hits — every lookup of a search once the cache is warm — share the
-	// lock; only a miss's insert (and the wholesale drop at the bound)
-	// excludes other searches.
+	// lock; only a miss's insert excludes other searches.
 	s.mu.RLock()
 	c, ok := s.byID[g.ID]
 	s.mu.RUnlock()
@@ -160,9 +140,6 @@ func (s *CGStore) For(g *graph.Graph) *cg.Compressed {
 	}
 	c = s.build(g)
 	s.mu.Lock()
-	if s.bound > 0 && len(s.byID) >= s.bound {
-		s.byID = make(map[int]*cg.Compressed, s.bound)
-	}
 	s.byID[g.ID] = c
 	s.mu.Unlock()
 	return c

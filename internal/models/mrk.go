@@ -32,26 +32,7 @@ type NeighborRanker struct {
 	// needs h_G for every ranking call; computing all of them once at
 	// index-build time moves that cost offline.
 	nodeEmbs [][]float64
-
-	// embSrc, when set, serves precomputed embeddings by id from external
-	// storage (an mmap snapshot) instead of the in-heap table. The table
-	// takes precedence where populated.
-	embSrc NodeEmbeddingSource
 }
-
-// NodeEmbeddingSource serves precomputed node embeddings h_G by database
-// id from external storage — how an mmap-backed snapshot provides the
-// M_rk table without materializing it on the heap. NodeEmbedding fills
-// buf (growing it as needed) or returns a read-only view; the returned
-// row is only valid until the next call with the same buf.
-type NodeEmbeddingSource interface {
-	NodeEmbedding(id int, buf []float64) []float64
-	NodeEmbeddingCount() int
-}
-
-// SetNodeEmbeddingSource installs an external embedding source (see
-// NodeEmbeddingSource). Pass nil to clear.
-func (r *NeighborRanker) SetNodeEmbeddingSource(src NodeEmbeddingSource) { r.embSrc = src }
 
 // NewNeighborRanker builds an untrained M_rk over the store's vocabulary.
 func NewNeighborRanker(cfg Config, store *CGStore) *NeighborRanker {
@@ -147,18 +128,11 @@ func (r *NeighborRanker) nodeEmbedding(node *graph.Graph) []float64 {
 	return r.node.Embed(r.store.For(node))
 }
 
-// nodeEmbeddingByID is nodeEmbedding keyed by database id: the in-heap
-// table first, then the external source (mmap snapshot), then a fresh
-// encoder pass over the fetched graph. buf is a caller-owned scratch
-// slice written only on the external-source path, so rows returned from
-// the table or encoder are never aliased by it.
-func (r *NeighborRanker) nodeEmbeddingByID(store pg.GraphStore, id int, buf *[]float64) []float64 {
+// nodeEmbeddingByID is nodeEmbedding keyed by database id: the
+// precomputed table, else a fresh encoder pass over the fetched graph.
+func (r *NeighborRanker) nodeEmbeddingByID(store pg.GraphStore, id int) []float64 {
 	if id >= 0 && id < len(r.nodeEmbs) && r.nodeEmbs[id] != nil {
 		return r.nodeEmbs[id]
-	}
-	if r.embSrc != nil && id >= 0 && id < r.embSrc.NodeEmbeddingCount() {
-		*buf = r.embSrc.NodeEmbedding(id, (*buf)[:0])
-		return *buf
 	}
 	return r.node.Embed(r.store.For(store.Graph(id)))
 }
@@ -284,7 +258,7 @@ func (k *searchRanker) Batches(node int, neighbors []int, dCurrent float64) [][]
 	if dCurrent > r.Cfg.GammaStar || len(neighbors) == 1 {
 		return route.AppendBatches(ws.Batches(1), ranked, 100)
 	}
-	nodeEmb := r.nodeEmbeddingByID(k.store, node, &ws.Emb)
+	nodeEmb := r.nodeEmbeddingByID(k.store, node)
 	ws.Graphs = k.store.FetchGraphs(neighbors, ws.Graphs[:0])
 	scores := ws.Floats(len(neighbors))
 	for i, nb := range neighbors {

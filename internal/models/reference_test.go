@@ -183,7 +183,6 @@ func refHeadSum(r *NeighborRanker, cross, nodeEmb []float64) float64 {
 // refRanker is the router adapter without a memo or a workspace.
 func refRanker(r *NeighborRanker, store pg.GraphStore, qc *cg.Compressed) route.Ranker {
 	var fetched []*graph.Graph
-	var embBuf []float64
 	return route.RankerFunc(func(node int, neighbors []int, dCurrent float64) [][]int {
 		if dCurrent > r.Cfg.GammaStar || len(neighbors) <= 1 {
 			return route.SplitBatches(append([]int(nil), neighbors...), 100)
@@ -192,7 +191,7 @@ func refRanker(r *NeighborRanker, store pg.GraphStore, qc *cg.Compressed) route.
 			id    int
 			score float64
 		}
-		nodeEmb := r.nodeEmbeddingByID(store, node, &embBuf)
+		nodeEmb := r.nodeEmbeddingByID(store, node)
 		fetched = store.FetchGraphs(neighbors, fetched[:0])
 		ss := make([]scored, len(neighbors))
 		for i, nb := range neighbors {

@@ -27,7 +27,6 @@
 package mutable
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -55,8 +54,7 @@ type Index struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	readonly bool
-	closed   bool
+	closed bool
 }
 
 // Snapshot is one point-in-time read view: a frozen engine plus the
@@ -71,34 +69,18 @@ type Snapshot struct {
 	state *core.MutationState
 }
 
-// ErrReadOnly is returned by the write path of an index opened
-// read-only (its storage cannot accept writes — e.g. an mmap-backed
-// snapshot whose adjacency aliases read-only mapped memory).
-var ErrReadOnly = errors.New("mutable: index is read-only")
-
 // New wraps eng, whose ownership transfers to the returned index (the
 // caller must not mutate or search eng directly afterwards; use
 // Snapshot). st carries the epoch and validity stamps of an index that
 // was saved after writes; nil means a fresh, never-mutated engine.
 func New(eng *core.Engine, st *core.MutationState) (*Index, error) {
-	return makeIndex(eng, st, false)
-}
-
-// NewReadOnly is New for engines whose storage is immutable. Insert,
-// Delete and Compact return ErrReadOnly; reads are unrestricted.
-func NewReadOnly(eng *core.Engine, st *core.MutationState) (*Index, error) {
-	return makeIndex(eng, st, true)
-}
-
-func makeIndex(eng *core.Engine, st *core.MutationState, readonly bool) (*Index, error) {
 	n := len(eng.DB)
 	x := &Index{
-		eng:      eng,
-		dead:     make([]bool, n),
-		born:     make([]uint64, n),
-		died:     make([]uint64, n),
-		live:     n,
-		readonly: readonly,
+		eng:  eng,
+		dead: make([]bool, n),
+		born: make([]uint64, n),
+		died: make([]uint64, n),
+		live: n,
 	}
 	if st != nil {
 		if len(st.Born) != n || len(st.Died) != n {
@@ -157,10 +139,6 @@ func (x *Index) Insert(g *graph.Graph) (int, error) {
 	start := time.Now()
 
 	x.mu.Lock()
-	if x.readonly {
-		x.mu.Unlock()
-		return 0, ErrReadOnly
-	}
 	if x.closed {
 		x.mu.Unlock()
 		return 0, fmt.Errorf("mutable: index closed")
@@ -204,10 +182,6 @@ func (x *Index) Insert(g *graph.Graph) (int, error) {
 func (x *Index) Delete(id int) error {
 	start := time.Now()
 	x.mu.Lock()
-	if x.readonly {
-		x.mu.Unlock()
-		return ErrReadOnly
-	}
 	if x.closed {
 		x.mu.Unlock()
 		return fmt.Errorf("mutable: index closed")
@@ -244,9 +218,6 @@ func (x *Index) Delete(id int) error {
 func (x *Index) Compact() (int, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.readonly {
-		return 0, ErrReadOnly
-	}
 	if x.closed {
 		return 0, fmt.Errorf("mutable: index closed")
 	}

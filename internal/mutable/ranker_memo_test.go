@@ -8,7 +8,6 @@ import (
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/core"
-	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/models"
 )
 
@@ -46,26 +45,23 @@ func checkRankerMemo(t *testing.T, tier string, eng *core.Engine, q *graph.Graph
 }
 
 // TestRankerMemoBitIdenticalAcrossTiers: the per-search memo changes no
-// batch on the mmap tier (embeddings and graphs decoded from the
-// snapshot) nor on a mutable index after an insert and a delete (the
-// snapshot view's extended embedding table, a tombstoned neighbour).
+// batch on a built engine, on one reopened from its snapshot (embeddings
+// and graphs decoded from the file), nor on a mutable index after an
+// insert and a delete (the snapshot view's extended embedding table, a
+// tombstoned neighbour).
 func TestRankerMemoBitIdenticalAcrossTiers(t *testing.T) {
 	eng, db, test := smallEngine(t)
-	checkRankerMemo(t, "ram", eng, test[0], eng.Index.Entry)
+	checkRankerMemo(t, "built", eng, test[0], eng.Index.Entry)
 
 	path := filepath.Join(t.TempDir(), "memo.lansnap")
 	if err := core.SaveSnapshotV3(path, eng, nil); err != nil {
 		t.Fatalf("SaveSnapshotV3: %v", err)
 	}
-	mm, _, store, err := core.OpenSnapshotV3(path, core.Options{}, true)
+	reopened, _, err := core.OpenSnapshotV3(path, core.Options{})
 	if err != nil {
 		t.Fatalf("OpenSnapshotV3: %v", err)
 	}
-	defer store.Close()
-	if _, ok := mm.Graphs.(*lanstore.Store); !ok {
-		t.Fatalf("mmap engine fetches from %T", mm.Graphs)
-	}
-	checkRankerMemo(t, "mmap", mm, test[0], mm.Index.Entry)
+	checkRankerMemo(t, "reopened", reopened, test[0], reopened.Index.Entry)
 
 	x, err := New(eng, nil)
 	if err != nil {

@@ -26,12 +26,6 @@ type PG struct {
 	Dead []bool
 }
 
-// Alive reports whether node id may appear in results. Nodes beyond the
-// Dead slice (inserted after the tombstone snapshot was taken) are alive.
-func (p *PG) Alive(id int) bool {
-	return id >= len(p.Dead) || !p.Dead[id]
-}
-
 // Neighbors returns the PG neighbors of node id.
 func (p *PG) Neighbors(id int) []int { return p.Adj[id] }
 
@@ -68,8 +62,7 @@ func containsSorted(ns []int, v int) bool {
 // DistCache evaluates distances from one query to database graphs exactly
 // once, counting the number of distance computations (NDC). A fresh cache
 // is used per query; it is not safe for concurrent use. Candidate graphs
-// are fetched through Store, so the same search code runs against the
-// RAM-resident database or an mmap-backed snapshot.
+// are fetched through Store.
 type DistCache struct {
 	Metric ged.Metric
 	Q      *graph.Graph
@@ -90,9 +83,6 @@ func NewDistCache(metric ged.Metric, db graph.Database, q *graph.Graph) *DistCac
 func NewDistCacheStore(metric ged.Metric, store GraphStore, q *graph.Graph) *DistCache {
 	return &DistCache{Metric: metric, Q: q, Store: store, memo: make(map[int]float64)}
 }
-
-// GraphAt fetches the database graph with the given id through the store.
-func (c *DistCache) GraphAt(id int) *graph.Graph { return c.Store.Graph(id) }
 
 // Dist returns d(Q, db[id]), computing it at most once.
 func (c *DistCache) Dist(id int) float64 {

@@ -2,18 +2,16 @@ package pg
 
 import "github.com/lansearch/lan/graph"
 
-// GraphStore abstracts "fetch these candidate graphs" so the search and
-// routing layers can run against either the RAM-resident database or an
-// mmap-backed snapshot. Implementations must be safe for concurrent
-// readers (one search runs per goroutine, but snapshot views share a
-// store) and must return graphs that are never mutated by the store
-// afterwards.
+// GraphStore abstracts "fetch these candidate graphs" for the search and
+// routing layers. RAMStore is the one storage behind it; the seam remains
+// so that a traced search can time each batched fetch (core's
+// tracedStore). Implementations must be safe for concurrent readers (one
+// search runs per goroutine, but snapshot views share a store) and must
+// return graphs that are never mutated by the store afterwards.
 //
 // FetchGraphs is the batched form: it appends the graphs for ids to dst
-// and returns the extended slice, letting a disk-backed store translate
-// one candidate batch into segment-at-a-time reads instead of per-graph
-// pointer chasing. Callers own dst and reuse it across batches to keep
-// the hot path allocation-free.
+// and returns the extended slice. Callers own dst and reuse it across
+// batches to keep the hot path allocation-free.
 type GraphStore interface {
 	// Len returns the number of stored graphs.
 	Len() int

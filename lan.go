@@ -42,21 +42,20 @@ import (
 	"github.com/lansearch/lan/internal/route"
 )
 
-// Storage tiers for opening a binary snapshot (Options.Store).
+// Storage tiers that Options.Store once chose between. A snapshot now
+// always opens into RAM (OpenSnapshot); the names stay so that code
+// setting Options.Store keeps compiling.
 const (
-	// StoreMMap serves queries straight off the memory-mapped snapshot:
-	// candidate graphs are fetched segment-at-a-time during routing and
-	// resident memory stays far below database size. The index is
-	// read-only — Insert, Delete and Compact return ErrReadOnly.
+	// StoreMMap named the memory-mapped, read-only tier, which measured
+	// no memory saving over RAM and was removed.
+	//
+	// Deprecated: ignored.
 	StoreMMap = "mmap"
-	// StoreRAM materializes the snapshot into ordinary heap structures at
-	// open; the index is then writable, exactly like the one that was saved.
+	// StoreRAM named the tier every snapshot now opens into.
+	//
+	// Deprecated: ignored.
 	StoreRAM = "ram"
 )
-
-// ErrReadOnly is returned by Insert, Delete and Compact on an index
-// opened with the mmap store.
-var ErrReadOnly = mutable.ErrReadOnly
 
 // Errors surfaced when opening snapshots: the file is not a snapshot at
 // all (which includes the JSON index files of format versions 1 and 2,
@@ -132,9 +131,11 @@ type Options struct {
 	QueryWorkers int
 	// Seed makes builds reproducible.
 	Seed int64
-	// Store selects the storage tier when opening a snapshot with
-	// OpenSnapshot: StoreMMap (the default) or StoreRAM. Build ignores it —
-	// a built index is always RAM-resident.
+	// Store selected the storage tier of OpenSnapshot, StoreMMap or
+	// StoreRAM. Every snapshot now opens into RAM, writable; the field
+	// stays so that composite literals naming it keep compiling.
+	//
+	// Deprecated: ignored.
 	Store string
 }
 
@@ -251,9 +252,6 @@ func ReadTraceSegments(dir string, fn func(*Trace) error) (TraceReplayStats, err
 // own, and the same writes always leave the same graph.
 type Index struct {
 	mut *mutable.Index
-	// store backs an mmap-opened index; Close releases the mapping. Nil
-	// for built and ram-materialized indexes.
-	store *lanstore.Store
 }
 
 // engine returns the engine view of the current snapshot. Read-only
@@ -332,12 +330,9 @@ type SnapshotOptions struct{}
 // SaveSnapshot writes the index to path as a .lansnap file, the one
 // persisted form of an index: self-contained (the database travels inside
 // it, and so do the epoch and tombstones of an index that received
-// writes) and laid out to be memory-mapped — OpenSnapshot with the mmap
-// store serves queries from it without materializing the database in RAM.
-// The write is atomic and durable (temp file, fsync, rename), and captures
-// one consistent point-in-time state: writes landing concurrently are
-// either fully included or fully absent. An index opened with the mmap
-// store cannot be re-saved; open with StoreRAM to materialize it first.
+// writes). The write is atomic and durable (temp file, fsync, rename), and
+// captures one consistent point-in-time state: writes landing
+// concurrently are either fully included or fully absent.
 func (x *Index) SaveSnapshot(path string, _ SnapshotOptions) error {
 	snap := x.mut.Snapshot()
 	return core.SaveSnapshotV3(path, snap.Engine, snap.State())
@@ -350,43 +345,22 @@ func (x *Index) SaveSnapshot(path string, _ SnapshotOptions) error {
 // tombstoned graphs stay invisible and the epoch continues where it left
 // off.
 //
-// Options.Store selects the tier: StoreMMap (default) serves queries
-// off the mapping with resident memory far below database size and
-// returns a read-only index; StoreRAM verifies and materializes
-// everything, returning a writable index. Both tiers return bit-identical
-// results, stats and routing trajectories.
-//
-// Call Close when done: for an mmap index it releases the mapping, and
-// the index must not be searched afterwards.
+// The whole file is read, checksummed and decoded onto the heap, and the
+// index is writable: it answers, and accepts writes, exactly like the
+// one that was saved. Options.Store is ignored.
 func OpenSnapshot(path string, o Options) (*Index, error) {
-	mmap := true
-	switch o.Store {
-	case "", StoreMMap:
-	case StoreRAM:
-		mmap = false
-	default:
-		return nil, fmt.Errorf("lan: unknown store %q (want %q or %q)", o.Store, StoreRAM, StoreMMap)
-	}
-	eng, st, store, err := core.OpenSnapshotV3(path, core.Options{
+	eng, st, err := core.OpenSnapshotV3(path, core.Options{
 		BuildMetric: o.BuildMetric, QueryMetric: o.QueryMetric,
 		Workers: o.Workers,
-	}, mmap)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var mut *mutable.Index
-	if mmap {
-		mut, err = mutable.NewReadOnly(eng, st)
-	} else {
-		mut, err = mutable.New(eng, st)
-	}
+	mut, err := mutable.New(eng, st)
 	if err != nil {
-		if store != nil {
-			store.Close()
-		}
 		return nil, err
 	}
-	return &Index{mut: mut, store: store}, nil
+	return &Index{mut: mut}, nil
 }
 
 // Len returns the number of live (searchable) graphs: inserts grow it,
@@ -398,24 +372,17 @@ func (x *Index) Len() int { return x.mut.Len() }
 func (x *Index) GammaStar() float64 { return x.engine().GammaStar }
 
 // Graph returns the indexed graph with the given id (including
-// tombstoned ones — ids stay resolvable forever). On an mmap-opened
-// index the graph is decoded from the snapshot on each call; hold the
-// returned value rather than re-fetching in a loop.
+// tombstoned ones — ids stay resolvable forever).
 func (x *Index) Graph(id int) *graph.Graph {
 	e := x.engine()
 	if id < 0 || id >= len(e.DB) {
 		return nil
 	}
-	if g := e.DB[id]; g != nil {
-		return g
-	}
-	// mmap husk: the database lives in the snapshot store.
-	return e.Graphs.Graph(id)
+	return e.DB[id]
 }
 
 // Database returns the current database view: Build's graphs followed by
-// every insert, tombstoned members included. On an mmap-opened index the
-// entries are nil — fetch graphs through Graph.
+// every insert, tombstoned members included.
 func (x *Index) Database() graph.Database { return x.engine().DB }
 
 // Insert adds g to the index and returns its assigned id. The graph is
@@ -450,19 +417,9 @@ func (x *Index) Compact() (int, error) { return x.mut.Compact() }
 // Deprecated: a no-op.
 func (x *Index) Quiesce() {}
 
-// Close rejects further writes. On an index opened with the mmap store it
-// also releases the mapping —
-// such an index must not be searched after Close. For purely in-memory
-// indexes reads keep working. Safe to call more than once.
-func (x *Index) Close() error {
-	err := x.mut.Close()
-	if x.store != nil {
-		if cerr := x.store.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// Close rejects further writes; reads keep working. Safe to call more
+// than once.
+func (x *Index) Close() error { return x.mut.Close() }
 
 // Epoch returns the index's mutation epoch: 0 for a never-mutated
 // index, incremented by exactly one for every applied insert and delete

@@ -1,6 +1,7 @@
 package lan
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,16 @@ import (
 	"github.com/lansearch/lan/graph"
 )
 
+// readFile returns the bytes of path.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // snapshotPath saves idx as a v3 binary snapshot in a temp dir.
 func snapshotPath(t *testing.T, idx *Index, so SnapshotOptions) string {
 	t.Helper()
@@ -22,6 +33,9 @@ func snapshotPath(t *testing.T, idx *Index, so SnapshotOptions) string {
 	return path
 }
 
+// TestSnapshotRoundTripBothTiers: a reopened snapshot answers like the
+// index that wrote it. (The mmap tier it was once run on is gone; the
+// name stays.)
 func TestSnapshotRoundTripBothTiers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short mode: builds a full index end to end")
@@ -30,70 +44,31 @@ func TestSnapshotRoundTripBothTiers(t *testing.T) {
 	path := snapshotPath(t, idx, SnapshotOptions{})
 
 	so := SearchOptions{K: 4, Beam: 10}
-	for _, store := range []string{StoreRAM, StoreMMap} {
-		opened, err := OpenSnapshot(path, Options{Store: store})
+	opened, err := OpenSnapshot(path, Options{})
+	if err != nil {
+		t.Fatalf("OpenSnapshot: %v", err)
+	}
+	if opened.Len() != len(db) {
+		t.Fatalf("Len = %d; want %d", opened.Len(), len(db))
+	}
+	for qi, q := range test {
+		want, wantStats, err := idx.Search(q, so)
 		if err != nil {
-			t.Fatalf("OpenSnapshot(%s): %v", store, err)
+			t.Fatal(err)
 		}
-		if opened.Len() != len(db) {
-			t.Fatalf("%s: Len = %d; want %d", store, opened.Len(), len(db))
+		got, gotStats, err := opened.Search(q, so)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for qi, q := range test {
-			want, wantStats, err := idx.Search(q, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotStats, err := opened.Search(q, so)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s query %d: results diverge from the index that wrote the snapshot\nwant: %v\ngot:  %v", store, qi, want, got)
-			}
-			if wantStats.NDC != gotStats.NDC {
-				t.Fatalf("%s query %d: NDC %d != %d", store, qi, gotStats.NDC, wantStats.NDC)
-			}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("query %d: results diverge from the index that wrote the snapshot\nwant: %v\ngot:  %v", qi, want, got)
 		}
-		if err := opened.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", store, err)
+		if wantStats.NDC != gotStats.NDC {
+			t.Fatalf("query %d: NDC %d != %d", qi, gotStats.NDC, wantStats.NDC)
 		}
 	}
-}
-
-func TestSnapshotMMapIsReadOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping in -short mode: builds a full index end to end")
-	}
-	idx, _, test := buildSmallIndex(t)
-	path := snapshotPath(t, idx, SnapshotOptions{})
-
-	mm, err := OpenSnapshot(path, Options{}) // mmap is the default tier
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mm.Close()
-	if _, err := mm.Insert(test[0]); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Insert on mmap index: err = %v; want ErrReadOnly", err)
-	}
-	if err := mm.Delete(0); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Delete on mmap index: err = %v; want ErrReadOnly", err)
-	}
-	if _, err := mm.Compact(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Compact on mmap index: err = %v; want ErrReadOnly", err)
-	}
-	// Searches still serve.
-	if res, _, err := mm.Search(test[0], SearchOptions{K: 3, Beam: 8}); err != nil || len(res) != 3 {
-		t.Fatalf("Search on mmap index: res=%v err=%v", res, err)
-	}
-
-	// The same snapshot opened on the RAM tier accepts writes.
-	ram, err := OpenSnapshot(path, Options{Store: StoreRAM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ram.Close()
-	if _, err := ram.Insert(test[0]); err != nil {
-		t.Fatalf("Insert on ram-materialized index: %v", err)
+	if err := opened.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -106,25 +81,20 @@ func TestOpenSnapshotErrors(t *testing.T) {
 	if _, err := OpenSnapshot(garbage, Options{}); !errors.Is(err, ErrNotSnapshot) {
 		t.Fatalf("garbage: err = %v; want ErrNotSnapshot", err)
 	}
-	if _, err := OpenSnapshot(filepath.Join(dir, "x.lansnap"), Options{Store: "floppy"}); err == nil {
-		t.Fatal("unknown store accepted")
-	}
 
-	// A JSON index of the removed formats is refused on both tiers by an
-	// error that says what happened to the format and what to do about it.
+	// A JSON index of the removed formats is refused by an error that says
+	// what happened to the format and what to do about it.
 	old := filepath.Join(dir, "idx.lan")
 	if err := os.WriteFile(old, []byte(`{"version":2,"gamma_star":4,"adj":[[1],[0]],"epoch":3}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, store := range []string{StoreMMap, StoreRAM} {
-		_, err := OpenSnapshot(old, Options{Store: store})
-		if !errors.Is(err, ErrNotSnapshot) {
-			t.Fatalf("JSON index (%s): err = %v; want ErrNotSnapshot", store, err)
-		}
-		for _, want := range []string{"removed", "lan-train"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("JSON index (%s): error %q does not mention %q", store, err, want)
-			}
+	_, err := OpenSnapshot(old, Options{})
+	if !errors.Is(err, ErrNotSnapshot) {
+		t.Fatalf("JSON index: err = %v; want ErrNotSnapshot", err)
+	}
+	for _, want := range []string{"removed", "lan-train"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("JSON index: error %q does not mention %q", err, want)
 		}
 	}
 }
@@ -153,14 +123,13 @@ func TestOpenSnapshotDamagedFiles(t *testing.T) {
 		t.Fatalf("truncated: err = %v; want ErrCorrupt", err)
 	}
 
-	// Flip a byte in the meta section (just past the fixed-size header):
-	// meta is structurally verified at open on both tiers, unlike the
-	// graph payload whose checksum the mmap tier defers so opening does
-	// not page the whole file.
-	corrupt := damaged("corrupt.lansnap", func(b []byte) []byte { b[200] ^= 0xff; return b })
-	for _, store := range []string{StoreMMap, StoreRAM} {
-		if _, err := OpenSnapshot(corrupt, Options{Store: store}); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("corrupt (%s): err = %v; want ErrCorrupt", store, err)
+	// Flip a byte in the meta section (just past the fixed-size header)
+	// and the file's last byte, in the embedding rows: every section is
+	// checksummed at open.
+	for _, at := range []int{200, len(raw) - 1} {
+		corrupt := damaged("corrupt.lansnap", func(b []byte) []byte { b[at] ^= 0xff; return b })
+		if _, err := OpenSnapshot(corrupt, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("corrupt at byte %d: err = %v; want ErrCorrupt", at, err)
 		}
 	}
 
@@ -234,10 +203,10 @@ func searchAll(t *testing.T, idx *Index, queries []*graph.Graph, so SearchOption
 }
 
 // TestSnapshotMutatedRoundTrip takes a written-to index through the one
-// persisted format on both tiers: the epoch, the tombstones, the inserted
-// graphs and every answer survive; the RAM tier keeps writing where the
-// saved index stopped; and a save taken while a writer runs is one
-// consistent point-in-time state.
+// persisted format: the epoch, the tombstones, the inserted graphs and
+// every answer survive; the reopened index saves the same file and keeps
+// writing where the saved index stopped; and a save taken while a writer
+// runs is one consistent point-in-time state.
 func TestSnapshotMutatedRoundTrip(t *testing.T) {
 	idx, db, test := buildMutableIndex(t)
 	var inserted []int
@@ -264,58 +233,55 @@ func TestSnapshotMutatedRoundTrip(t *testing.T) {
 		t.Fatalf("fixture: len %d epoch %d", idx.Len(), idx.Epoch())
 	}
 
-	for _, store := range []string{StoreRAM, StoreMMap} {
-		opened, err := OpenSnapshot(path, Options{Store: store})
+	opened, err := OpenSnapshot(path, Options{})
+	if err != nil {
+		t.Fatalf("OpenSnapshot: %v", err)
+	}
+	defer opened.Close()
+	if opened.Epoch() != idx.Epoch() || opened.Len() != idx.Len() {
+		t.Fatalf("epoch %d len %d; the saved index had epoch %d len %d",
+			opened.Epoch(), opened.Len(), idx.Epoch(), idx.Len())
+	}
+	gotRes, gotNDC := searchAll(t, opened, test, so)
+	if !reflect.DeepEqual(gotRes, wantRes) || !reflect.DeepEqual(gotNDC, wantNDC) {
+		t.Fatalf("answers diverge from the index that wrote the snapshot\nwant: %v %v\ngot:  %v %v",
+			wantRes, wantNDC, gotRes, gotNDC)
+	}
+	// The reopened index saves the file it was opened from, byte for byte:
+	// epoch and validity stamps included.
+	resaved := snapshotPath(t, opened, SnapshotOptions{})
+	if a, b := readFile(t, path), readFile(t, resaved); !bytes.Equal(a, b) {
+		t.Fatalf("re-saved snapshot differs from the original (%d vs %d bytes)", len(b), len(a))
+	}
+	// Membership is probed with the model-free strategies, so a
+	// mis-ranked batch cannot hide a graph that is there.
+	for i, id := range inserted {
+		res, _, err := opened.Search(test[i], SearchOptions{K: 3, Beam: 12, Initial: HNSWIS, Routing: BaselineRoute})
 		if err != nil {
-			t.Fatalf("OpenSnapshot(%s): %v", store, err)
+			t.Fatal(err)
 		}
-		defer opened.Close()
-		if opened.Epoch() != idx.Epoch() || opened.Len() != idx.Len() {
-			t.Fatalf("%s: epoch %d len %d; the saved index had epoch %d len %d",
-				store, opened.Epoch(), opened.Len(), idx.Epoch(), idx.Len())
+		found := false
+		for _, r := range res {
+			found = found || (r.ID == id && r.Dist == 0)
 		}
-		gotRes, gotNDC := searchAll(t, opened, test, so)
-		if !reflect.DeepEqual(gotRes, wantRes) || !reflect.DeepEqual(gotNDC, wantNDC) {
-			t.Fatalf("%s: answers diverge from the index that wrote the snapshot\nwant: %v %v\ngot:  %v %v",
-				store, wantRes, wantNDC, gotRes, gotNDC)
+		if !found {
+			t.Fatalf("inserted graph %d lost in the round trip: %+v", id, res)
 		}
-		// Membership is probed with the model-free strategies, so a
-		// mis-ranked batch cannot hide a graph that is there.
-		for i, id := range inserted {
-			res, _, err := opened.Search(test[i], SearchOptions{K: 3, Beam: 12, Initial: HNSWIS, Routing: BaselineRoute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, r := range res {
-				found = found || (r.ID == id && r.Dist == 0)
-			}
-			if !found {
-				t.Fatalf("%s: inserted graph %d lost in the round trip: %+v", store, id, res)
-			}
-		}
-		// Tombstones stay dead.
-		err = opened.Delete(0)
-		if store == StoreMMap {
-			if !errors.Is(err, ErrReadOnly) {
-				t.Fatalf("mmap: Delete = %v; want ErrReadOnly", err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Fatal("ram: graph 0 came back from the dead after the round trip")
-		}
-		// The write path continues: with the beam the index was built with…
-		if got, want := opened.engine().Opts.EfConstruction, idx.engine().Opts.EfConstruction; got != want {
-			t.Fatalf("ram: EfConstruction = %d after the round trip; the index was built with %d", got, want)
-		}
-		// …and from the epoch it stopped at.
-		if _, err := opened.Insert(test[0]); err != nil {
-			t.Fatalf("ram: Insert after the round trip: %v", err)
-		}
-		if opened.Epoch() <= idx.Epoch() || opened.Len() != idx.Len()+1 {
-			t.Fatalf("ram: after one more insert epoch %d len %d", opened.Epoch(), opened.Len())
-		}
+	}
+	// Tombstones stay dead.
+	if err := opened.Delete(0); err == nil {
+		t.Fatal("graph 0 came back from the dead after the round trip")
+	}
+	// The write path continues: with the beam the index was built with…
+	if got, want := opened.engine().Opts.EfConstruction, idx.engine().Opts.EfConstruction; got != want {
+		t.Fatalf("EfConstruction = %d after the round trip; the index was built with %d", got, want)
+	}
+	// …and from the epoch it stopped at.
+	if _, err := opened.Insert(test[0]); err != nil {
+		t.Fatalf("Insert after the round trip: %v", err)
+	}
+	if opened.Epoch() <= idx.Epoch() || opened.Len() != idx.Len()+1 {
+		t.Fatalf("after one more insert epoch %d len %d", opened.Epoch(), opened.Len())
 	}
 
 	// Saves racing a writer. The writer only inserts, so Len never falls
@@ -354,7 +320,7 @@ func TestSnapshotMutatedRoundTrip(t *testing.T) {
 		saved = append(saved, p)
 	}
 	for _, p := range saved {
-		opened, err := OpenSnapshot(p, Options{Store: StoreRAM})
+		opened, err := OpenSnapshot(p, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", filepath.Base(p), err)
 		}
@@ -373,7 +339,7 @@ func TestSnapshotMutatedRoundTrip(t *testing.T) {
 }
 
 // TestReopenedWritePathDeterministic pins what a reopened index promises
-// about writes: two RAM reopens of one file, given the same writes, end
+// about writes: two reopens of one file, given the same writes, end
 // with the same proximity graph, epoch and answers. It does NOT promise
 // the graph the saving index would have reached with those writes — the
 // build-metric memo, which decides the orientation an asymmetric metric
@@ -384,7 +350,7 @@ func TestReopenedWritePathDeterministic(t *testing.T) {
 
 	var twins [2]*Index
 	for i := range twins {
-		x, err := OpenSnapshot(path, Options{Store: StoreRAM})
+		x, err := OpenSnapshot(path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

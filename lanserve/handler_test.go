@@ -102,27 +102,38 @@ func TestHandlerNoCacheIsFresh(t *testing.T) {
 	}
 }
 
+// TestHandlerBodyTooLarge413: every endpoint that reads a body answers
+// one over MaxBodyBytes with 413, counts it, and applies nothing.
 func TestHandlerBodyTooLarge413(t *testing.T) {
-	s := newTestServer(t, Config{MaxBodyBytes: 32})
-	for i := 0; i < 2; i++ {
-		rec := doSearch(s, testQueryJSON(t, ""))
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("request %d: status %d body=%s; want 413", i, rec.Code, rec.Body)
+	for _, path := range []string{"/search", "/insert", "/delete"} {
+		fw := &fakeWriter{}
+		s := newTestServer(t, Config{MaxBodyBytes: 32, Writer: fw})
+		for i := 0; i < 2; i++ {
+			rec := postJSON(t, s, path, testQuery+`}`)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s request %d: status %d body=%s; want 413", path, i, rec.Code, rec.Body)
+			}
+			var er errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, "over 32 bytes") {
+				t.Fatalf("%s request %d: error body %s (%v); want one naming the limit", path, i, rec.Body, err)
+			}
+			if path == "/search" && er.QueryID == "" {
+				t.Fatalf("request %d: error body %s; want one naming the query", i, rec.Body)
+			}
 		}
-		var er errorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.QueryID == "" {
-			t.Fatalf("request %d: error body %s (%v); want one naming the query", i, rec.Body, err)
+		if got := s.cache.len(); got != 0 {
+			t.Fatalf("%s: cache holds %d entries after 413 replies; want 0", path, got)
 		}
-	}
-	if got := s.cache.len(); got != 0 {
-		t.Fatalf("cache holds %d entries after 413 replies; want 0", got)
-	}
-	var sb strings.Builder
-	if _, err := s.Metrics().WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `lanserve_errors_total{code="413"} 2`) {
-		t.Fatalf("metrics missing the 413s:\n%s", sb.String())
+		if fw.inserts != 0 || fw.deletes != 0 {
+			t.Fatalf("%s: %d inserts and %d deletes applied from bodies over the limit", path, fw.inserts, fw.deletes)
+		}
+		var sb strings.Builder
+		if _, err := s.Metrics().WriteTo(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), `lanserve_errors_total{code="413"} 2`) {
+			t.Fatalf("%s: metrics missing the 413s:\n%s", path, sb.String())
+		}
 	}
 }
 

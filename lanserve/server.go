@@ -104,8 +104,8 @@ type Config struct {
 	CacheSize int
 	// MaxK and MaxBeam clamp per-request parameters (defaults 100, 4096).
 	MaxK, MaxBeam int
-	// MaxBodyBytes caps the /search request body (default 8 MiB); a
-	// longer body is answered 413.
+	// MaxBodyBytes caps the request body of /search, /insert and /delete
+	// (default 8 MiB); a longer body is answered 413.
 	MaxBodyBytes int64
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
@@ -418,14 +418,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorResponse{Error: msg, QueryID: qid})
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, code, err := s.readBody(w, r)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooLarge.Limit))
-			return
-		}
-		fail(http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		fail(code, err.Error())
 		return
 	}
 
@@ -694,10 +689,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req InsertRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.metrics.Error(http.StatusBadRequest)
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !s.decodeWrite(w, r, &req) {
 		return
 	}
 	if req.Graph == nil || req.Graph.N() == 0 {
@@ -727,10 +719,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req DeleteRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.metrics.Error(http.StatusBadRequest)
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !s.decodeWrite(w, r, &req) {
 		return
 	}
 
@@ -745,6 +734,38 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	epoch := s.indexEpoch()
 	s.recordWrite("delete", req.ID, epoch, time.Since(start))
 	writeJSON(w, http.StatusOK, &DeleteResponse{Epoch: epoch})
+}
+
+// readBody reads a request body of at most Config.MaxBodyBytes — the one
+// body reader of every endpoint. A longer body fails with 413, any other
+// read error with 400; code is the status to answer.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, code int, err error) {
+	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit)
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+	}
+	return body, http.StatusOK, nil
+}
+
+// decodeWrite reads and decodes a write request's body into req,
+// answering the failure itself (413 or 400) when it returns false.
+func (s *Server) decodeWrite(w http.ResponseWriter, r *http.Request, req any) bool {
+	body, code, err := s.readBody(w, r)
+	if err == nil {
+		if err = json.NewDecoder(bytes.NewReader(body)).Decode(req); err != nil {
+			code, err = http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+		}
+	}
+	if err != nil {
+		s.metrics.Error(code)
+		writeJSONError(w, code, err.Error())
+		return false
+	}
+	return true
 }
 
 // recordWrite stamps one applied write into the metrics and, when

@@ -7,7 +7,7 @@
 // bit-identical throughout. After the churn it compacts the tombstones and
 // re-checks search sanity.
 //
-// Over HTTP, it boots lan-serve with -store ram -writable, drives POST
+// Over HTTP, it boots lan-serve with -writable, drives POST
 // /insert and /delete, and verifies the epoch advances, the result cache
 // is invalidated (epoch-keyed), and the write metric families are exposed.
 //
@@ -186,7 +186,7 @@ func serveWrites(db graph.Database, queries []*graph.Graph) error {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/lan-serve").CombinedOutput(); err != nil {
 		return fmt.Errorf("go build ./cmd/lan-serve: %v\n%s", err, out)
 	}
-	cmd := exec.Command(bin, "-index", idxPath, "-store", "ram", "-addr", "127.0.0.1:0", "-writable", "-shutdown-grace", "5s")
+	cmd := exec.Command(bin, "-index", idxPath, "-addr", "127.0.0.1:0", "-writable", "-shutdown-grace", "5s")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return err
