@@ -100,12 +100,8 @@ func WLJoint(gs []*Graph, L int) []*WLLabeling {
 // iterations, together with node and edge counts. Two isomorphic graphs
 // always hash equal; unequal hashes certify non-isomorphism.
 func Hash(g *Graph, L int) string {
-	wl := WL(g, L)
-	final := wl.Labels[len(wl.Labels)-1]
-
-	// Re-derive stable string forms per class by expanding iteratively,
-	// because class ids are only canonical within one WL call. We rebuild
-	// label strings bottom-up.
+	// Refine label strings bottom-up rather than WL's class ids, which are
+	// only canonical within one WL call.
 	strs := make([]string, g.N())
 	for u := 0; u < g.N(); u++ {
 		strs[u] = g.Label(u)
@@ -123,6 +119,5 @@ func Hash(g *Graph, L int) string {
 		strs = next
 	}
 	sort.Strings(strs)
-	_ = final
 	return fmt.Sprintf("n=%d;m=%d;%s", g.N(), g.M(), strings.Join(strs, ";"))
 }

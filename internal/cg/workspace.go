@@ -1,7 +1,5 @@
 package cg
 
-import "github.com/lansearch/lan/graph"
-
 // Workspace is the memory one search's model inference runs on: a
 // bump-allocated float slab for the kernels' temporaries, bump-allocated
 // id and batch-header slabs for what the router keeps until the search
@@ -35,10 +33,6 @@ type Workspace struct {
 	slot  map[int]int32
 	rows  [][]float64
 	width int
-
-	// Graphs is the caller's reusable fetch buffer, the dst of
-	// pg.GraphStore.FetchGraphs.
-	Graphs []*graph.Graph
 }
 
 // bump is a slab handed out front to back. reserve may replace the slab
@@ -80,7 +74,6 @@ func (ws *Workspace) Reset() {
 	ws.m, ws.q = nil, nil
 	ws.f.off, ws.ints.off, ws.batches.off = 0, 0, 0
 	ws.StartMemo(ws.width)
-	ws.Graphs = ws.Graphs[:0]
 }
 
 // Floats hands out n floats of per-call scratch from the kernel stack,

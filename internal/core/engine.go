@@ -48,17 +48,12 @@ type Options struct {
 	GammaQuantile float64 // default 0.9
 
 	// Initial selection.
-	Clusters    int // KMeans k (default |D|/64, min 2)
+	Clusters    int // KMeans k (default |D|/16, min 2)
 	TopClusters int // clusters M_c selects (default 3)
 	Samples     int // s verified samples (default 4)
 
 	// Training.
 	Train models.TrainOptions
-	// MaxRankExamples caps the M_rk training set (0 = 512; training cost
-	// scales with it).
-	MaxRankExamples int
-	// MaxMembershipExamples caps the M_nh training set (0 = 2048).
-	MaxMembershipExamples int
 
 	// Routing.
 	StepSize float64 // d_s (default 1)
@@ -118,13 +113,14 @@ func (o *Options) defaults(dbSize int) {
 	if o.StepSize <= 0 {
 		o.StepSize = 1
 	}
-	if o.MaxRankExamples <= 0 {
-		o.MaxRankExamples = 512
-	}
-	if o.MaxMembershipExamples <= 0 {
-		o.MaxMembershipExamples = 2048
-	}
 }
+
+// Caps on the two shuffled training sets Build draws: M_rk's (training
+// cost scales with it) and M_nh's.
+const (
+	maxRankExamples       = 512
+	maxMembershipExamples = 2048
+)
 
 // InitialStrategy selects how the routing entry node is chosen.
 type InitialStrategy int
@@ -254,10 +250,6 @@ type Engine struct {
 	Index *pg.HNSW
 	Opts  Options
 
-	// Graphs is the candidate-fetch seam every search goes through: a
-	// pg.RAMStore over DB, wrapped by tracedStore when a trace is attached.
-	Graphs pg.GraphStore
-
 	Store     *models.CGStore
 	Mrk       *models.NeighborRanker
 	Mnh       *models.NeighborhoodModel
@@ -322,7 +314,7 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 		Hidden: opts.Hidden, GammaStar: gammaStar, Seed: opts.Seed,
 	}
 
-	e := &Engine{DB: db, Index: idx, Opts: opts, Graphs: pg.NewRAMStore(db), Store: store, GammaStar: gammaStar}
+	e := &Engine{DB: db, Index: idx, Opts: opts, Store: store, GammaStar: gammaStar}
 
 	// Both training sets are shuffled and capped: neighborhoods of all
 	// training queries overlap heavily, and a bounded sample keeps offline
@@ -331,13 +323,13 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	rankSet := models.BuildRankTrainingSet(idx.PG, table, gammaStar)
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x9e37))
 	rng.Shuffle(len(rankSet), func(i, j int) { rankSet[i], rankSet[j] = rankSet[j], rankSet[i] })
-	if cap := opts.MaxRankExamples; cap > 0 && len(rankSet) > cap {
-		rankSet = rankSet[:cap]
+	if len(rankSet) > maxRankExamples {
+		rankSet = rankSet[:maxRankExamples]
 	}
 	memberSet := models.BuildMembershipTrainingSet(table, gammaStar, 2, opts.Seed)
 	rng.Shuffle(len(memberSet), func(i, j int) { memberSet[i], memberSet[j] = memberSet[j], memberSet[i] })
-	if cap := opts.MaxMembershipExamples; len(memberSet) > cap {
-		memberSet = memberSet[:cap]
+	if len(memberSet) > maxMembershipExamples {
+		memberSet = memberSet[:maxMembershipExamples]
 	}
 
 	// With Workers > 1 this branch runs on a goroutine of its own, where a
@@ -425,13 +417,7 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 	trace := obs.From(ctx)
 	trace.SetConfig(so.Initial.String(), so.Routing.String(), so.K, so.Beam)
 	tm := obs.NewTimedMetric(e.Opts.QueryMetric)
-	// Candidate fetches go through the traced wrapper only when a trace is
-	// attached, keeping the disabled path on the store's direct calls.
-	graphs := pg.GraphStore(e.Graphs)
-	if trace != nil {
-		graphs = tracedStore{GraphStore: e.Graphs, trace: trace}
-	}
-	cache := pg.NewDistCacheStore(tm, graphs, q)
+	cache := pg.NewDistCache(tm, e.DB, q)
 	var stats QueryStats
 	if err := ctx.Err(); err != nil {
 		stats.Total = time.Since(start)
@@ -474,7 +460,7 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 			WS:         ws,
 		}
 		before := tm.Elapsed()
-		entry = sel.Select(ctx, graphs, q, cache)
+		entry = sel.Select(ctx, q, cache)
 		distInModels = tm.Elapsed() - before
 	case HNSWIS:
 		entry = e.Index.EntryPoint(ctx, cache)
@@ -485,9 +471,10 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 	// Every strategy can land on a compacted tombstone — cluster members
 	// and the pseudo-random pick are not dead-filtered — and such a husk
 	// is edgeless: routing seeded there would end with no live candidate
-	// ever evaluated. The HNSW entry is kept live and wired by the write
-	// path (rescue on Compact), so fall back to it.
-	if len(e.Index.PG.Adj[entry]) == 0 {
+	// ever evaluated. M_c may also pick only empty clusters, leaving the
+	// selector no candidate (-1). The HNSW entry is kept live and wired by
+	// the write path (rescue on Compact), so fall back to it.
+	if entry < 0 || len(e.Index.PG.Adj[entry]) == 0 {
 		entry = e.Index.Entry
 	}
 	stats.ModelTime += time.Since(modelStart) - distInModels
@@ -522,7 +509,7 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 			RankMetric: e.Opts.BuildMetric,
 		}
 	default: // LANRoute
-		inner := e.Mrk.Ranker(ws, graphs, q, qcg, &scored)
+		inner := e.Mrk.Ranker(ws, e.DB, q, qcg, &scored)
 		ranker = route.RankerFunc(func(node int, neighbors []int, d float64) [][]int {
 			rs := time.Now()
 			b := inner.Batches(node, neighbors, d)

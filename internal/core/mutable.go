@@ -30,7 +30,6 @@ func (e *Engine) SnapshotView(db graph.Database, idx *pg.HNSW, embs [][]float64,
 	view := *e
 	view.DB = db
 	view.Index = idx
-	view.Graphs = pg.NewRAMStore(db)
 	view.Mrk = e.Mrk.WithNodeEmbeddings(embs)
 	view.Mc = e.Mc.WithClusters(km)
 	return &view

@@ -105,33 +105,37 @@ func searchTraced(t *testing.T, eng *Engine, q *graph.Graph, so SearchOptions) (
 }
 
 // TestTracingBitIdentity pins the observability contract: attaching a
-// trace must not change results or NDC, for every routing strategy, and
-// the trace's totals must agree with the stats of the search it rode on.
+// trace must not change results or NDC, for every initial-selection and
+// routing strategy, and the trace's totals must agree with the stats of
+// the search it rode on.
 func TestTracingBitIdentity(t *testing.T) {
 	eng, _, _, test := buildEngine(t)
 	q := test[0]
 
-	for _, rt := range []RoutingStrategy{LANRoute, BaselineRoute, OracleRoute} {
-		so := SearchOptions{K: 3, Beam: 8, Initial: HNSWIS, Routing: rt}
-		wantRes, wantStats, err := eng.Search(context.Background(), q, so)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, is := range []InitialStrategy{LANIS, HNSWIS, RandIS, LANISBasic} {
+		for _, rt := range []RoutingStrategy{LANRoute, BaselineRoute, OracleRoute} {
+			so := SearchOptions{K: 3, Beam: 8, Initial: is, Routing: rt}
+			name := so.Initial.String() + "/" + so.Routing.String()
+			wantRes, wantStats, err := eng.Search(context.Background(), q, so)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		res, stats, tr := searchTraced(t, eng, q, so)
-		if !reflect.DeepEqual(res, wantRes) {
-			t.Errorf("rt=%s: tracing changed results: %v vs %v", so.Routing.String(), res, wantRes)
-		}
-		if stats.NDC != wantStats.NDC || stats.Explored != wantStats.Explored {
-			t.Errorf("rt=%s: tracing changed cost: NDC %d/%d Explored %d/%d",
-				so.Routing.String(), stats.NDC, wantStats.NDC, stats.Explored, wantStats.Explored)
-		}
-		if tr.NDC != stats.NDC || tr.Results != len(res) {
-			t.Errorf("rt=%s: trace totals %d/%d disagree with stats %d/%d",
-				so.Routing.String(), tr.NDC, tr.Results, stats.NDC, len(res))
-		}
-		if len(tr.Steps) == 0 {
-			t.Fatalf("rt=%s: trace recorded no steps", so.Routing.String())
+			res, stats, tr := searchTraced(t, eng, q, so)
+			if !reflect.DeepEqual(res, wantRes) {
+				t.Errorf("%s: tracing changed results: %v vs %v", name, res, wantRes)
+			}
+			if stats.NDC != wantStats.NDC || stats.Explored != wantStats.Explored {
+				t.Errorf("%s: tracing changed cost: NDC %d/%d Explored %d/%d",
+					name, stats.NDC, wantStats.NDC, stats.Explored, wantStats.Explored)
+			}
+			if tr.NDC != stats.NDC || tr.Results != len(res) {
+				t.Errorf("%s: trace totals %d/%d disagree with stats %d/%d",
+					name, tr.NDC, tr.Results, stats.NDC, len(res))
+			}
+			if len(tr.Steps) == 0 {
+				t.Fatalf("%s: trace recorded no steps", name)
+			}
 		}
 	}
 }

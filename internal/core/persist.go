@@ -277,7 +277,7 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, n
 		Layers: opts.Layers, Dim: opts.Dim, BatchPercent: opts.BatchPercent,
 		Hidden: opts.Hidden, GammaStar: s.GammaStar, Seed: opts.Seed,
 	}
-	e := &Engine{DB: db, Index: idx, Opts: opts, Graphs: pg.NewRAMStore(db), Store: store, GammaStar: s.GammaStar}
+	e := &Engine{DB: db, Index: idx, Opts: opts, Store: store, GammaStar: s.GammaStar}
 
 	e.Mrk = models.NewNeighborRanker(mcfg, store)
 	if err := e.Mrk.Params.Load(bytes.NewReader(s.MrkParams)); err != nil {

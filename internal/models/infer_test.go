@@ -8,7 +8,6 @@ import (
 
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/dataset"
-	"github.com/lansearch/lan/internal/pg"
 )
 
 // rankFixture is an untrained (randomly initialised) M_rk and M_nh over
@@ -16,10 +15,9 @@ import (
 // path, not a good model.
 type rankFixture struct {
 	*fixture
-	mrk   *NeighborRanker
-	mnh   *NeighborhoodModel
-	store pg.GraphStore
-	qc    *cg.Compressed
+	mrk *NeighborRanker
+	mnh *NeighborhoodModel
+	qc  *cg.Compressed
 	// walk is a breadth-first order over the proximity graph from node 0:
 	// consecutive nodes share neighbours, as a routing trajectory does.
 	walk []int
@@ -54,7 +52,6 @@ func newRankFixtureOf(tb testing.TB, shape rankShape) *rankFixture {
 		fixture: f,
 		mrk:     NewNeighborRanker(cfg, f.store),
 		mnh:     NewNeighborhoodModel(cfg, f.store),
-		store:   pg.NewRAMStore(f.db),
 		qc:      f.store.Query(f.queries[0]),
 	}
 	rf.mrk.PrecomputeNodeEmbeddings(f.db, 1)
@@ -81,8 +78,8 @@ func TestRankerMemoBitIdentical(t *testing.T) {
 	rf := newRankFixture(t)
 	var rs RankerStats
 	ws := cg.NewWorkspace()
-	rk := rf.mrk.Ranker(ws, rf.store, rf.queries[0], rf.qc, &rs)
-	ref := refRanker(rf.mrk, rf.store, rf.qc)
+	rk := rf.mrk.Ranker(ws, rf.db, rf.queries[0], rf.qc, &rs)
+	ref := refRanker(rf.mrk, rf.db, rf.qc)
 	met := make(map[int]int)
 	var kept [][][]int
 	for _, node := range rf.walk {
@@ -157,7 +154,7 @@ func TestProbCGMatchesReference(t *testing.T) {
 func TestInferAllocs(t *testing.T) {
 	rf := newRankFixture(t)
 	ws := cg.NewWorkspace()
-	rk := rf.mrk.Ranker(ws, rf.store, rf.queries[0], rf.qc, nil).(*searchRanker)
+	rk := rf.mrk.Ranker(ws, rf.db, rf.queries[0], rf.qc, nil).(*searchRanker)
 	search := func() {
 		ws.Reset()
 		rk.sc = rf.mrk.bind(ws, rf.qc, nil)
@@ -233,7 +230,7 @@ func BenchmarkRankerCall(b *testing.B) {
 		b.Run(shape.name, func(b *testing.B) {
 			rf := newRankFixtureOf(b, shape)
 			ws := cg.NewWorkspace()
-			rk := rf.mrk.Ranker(ws, rf.store, rf.queries[0], rf.qc, nil).(*searchRanker)
+			rk := rf.mrk.Ranker(ws, rf.db, rf.queries[0], rf.qc, nil).(*searchRanker)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -252,7 +249,7 @@ func BenchmarkRankerCallReference(b *testing.B) {
 	for _, shape := range rankShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			rf := newRankFixtureOf(b, shape)
-			rk := refRanker(rf.mrk, rf.store, rf.qc)
+			rk := refRanker(rf.mrk, rf.db, rf.qc)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -204,22 +204,16 @@ type InitialSelector struct {
 	WS *cg.Workspace
 }
 
-// selectFetchBatch bounds how many candidate graphs Select materializes
-// per store fetch: large enough to amortize a disk-backed store's
-// segment reads, small enough to keep the resident working set flat even
-// in Exhaustive mode.
-const selectFetchBatch = 256
-
-// Select returns the initial node for routing Q over the store's
+// Select returns the initial node for routing Q over the cache's
 // database. Fallbacks: when the predicted neighborhood is empty, the
 // graph with the highest M_nh probability among scanned candidates is
-// used; when even that fails, the first member of the top cluster.
-// Cancelling ctx stops the GED sample verification early and returns the
-// best candidate found so far — the model predictions themselves are
-// cheap and always complete. Candidate graphs are fetched in
-// selectFetchBatch-sized batches so a disk-backed store reads segments,
-// not single graphs.
-func (s *InitialSelector) Select(ctx context.Context, store pg.GraphStore, q *graph.Graph, cache *pg.DistCache) int {
+// used; when even that fails, the first member of the top cluster. It
+// returns -1 when there is no candidate at all — every cluster M_c picked
+// is empty, which k-means leaves behind when graphs share one feature
+// vector. Cancelling ctx stops the GED sample verification early and
+// returns the best candidate found so far — the model predictions
+// themselves are cheap and always complete.
+func (s *InitialSelector) Select(ctx context.Context, q *graph.Graph, cache *pg.DistCache) int {
 	top := s.TopClusters
 	if top <= 0 {
 		top = 3
@@ -230,7 +224,7 @@ func (s *InitialSelector) Select(ctx context.Context, store pg.GraphStore, q *gr
 	}
 	var candidates []int
 	if s.Exhaustive {
-		candidates = make([]int, store.Len())
+		candidates = make([]int, len(cache.DB))
 		for i := range candidates {
 			candidates[i] = i
 		}
@@ -242,6 +236,9 @@ func (s *InitialSelector) Select(ctx context.Context, store pg.GraphStore, q *gr
 		for _, c := range clusters {
 			candidates = append(candidates, s.Mc.Clusters().Members[c]...)
 		}
+	}
+	if len(candidates) == 0 {
+		return -1
 	}
 
 	qc := s.QueryCG
@@ -255,23 +252,16 @@ func (s *InitialSelector) Select(ctx context.Context, store pg.GraphStore, q *gr
 	s.Mnh.Bind(ws, qc)
 	var predicted []int
 	bestProb, bestG := -1.0, -1
-	for start := 0; start < len(candidates); start += selectFetchBatch {
-		end := start + selectFetchBatch
-		if end > len(candidates) {
-			end = len(candidates)
+	for _, g := range candidates {
+		p := s.Mnh.ProbCG(ws, cache.DB[g])
+		if s.Predictions != nil {
+			*s.Predictions++
 		}
-		ws.Graphs = store.FetchGraphs(candidates[start:end], ws.Graphs[:0])
-		for i, g := range candidates[start:end] {
-			p := s.Mnh.ProbCG(ws, ws.Graphs[i])
-			if s.Predictions != nil {
-				*s.Predictions++
-			}
-			if p >= 0.5 {
-				predicted = append(predicted, g)
-			}
-			if p > bestProb {
-				bestProb, bestG = p, g
-			}
+		if p >= 0.5 {
+			predicted = append(predicted, g)
+		}
+		if p > bestProb {
+			bestProb, bestG = p, g
 		}
 	}
 	if len(predicted) == 0 {

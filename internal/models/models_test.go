@@ -181,7 +181,7 @@ func TestNeighborRankerRankerAdapter(t *testing.T) {
 	cfg := Config{Layers: 2, Dim: 6, BatchPercent: 25, GammaStar: f.gamma, Seed: 2}
 	r := NewNeighborRanker(cfg, f.store)
 	var rs RankerStats
-	rk := r.Ranker(cg.NewWorkspace(), pg.NewRAMStore(f.db), f.queries[0], nil, &rs)
+	rk := r.Ranker(cg.NewWorkspace(), f.db, f.queries[0], nil, &rs)
 
 	neighbors := f.index.PG.Neighbors(0)
 	if len(neighbors) < 2 {
@@ -226,7 +226,7 @@ func TestNeighborRankerRankerAdapter(t *testing.T) {
 	asc := append([]int(nil), neighbors...)
 	sort.Ints(asc)
 	var flat []int
-	for _, b := range r.Ranker(cg.NewWorkspace(), pg.NewRAMStore(f.db), f.queries[0], nil, nil).Batches(0, neighbors, 0) {
+	for _, b := range r.Ranker(cg.NewWorkspace(), f.db, f.queries[0], nil, nil).Batches(0, neighbors, 0) {
 		flat = append(flat, b...)
 	}
 	if !reflect.DeepEqual(flat, asc) {
@@ -398,7 +398,7 @@ func TestInitialSelectorEndToEnd(t *testing.T) {
 	sel := &InitialSelector{Mnh: mnh, Mc: mc, TopClusters: 3, Samples: 4, Seed: 8, Predictions: &preds}
 	q := f.queries[len(f.queries)-1]
 	cache := pg.NewDistCache(f.metric, f.db, q)
-	entry := sel.Select(context.Background(), pg.NewRAMStore(f.db), q, cache)
+	entry := sel.Select(context.Background(), q, cache)
 	if entry < 0 || entry >= len(f.db) {
 		t.Fatalf("entry out of range: %d", entry)
 	}

@@ -129,12 +129,12 @@ func (r *NeighborRanker) nodeEmbedding(node *graph.Graph) []float64 {
 }
 
 // nodeEmbeddingByID is nodeEmbedding keyed by database id: the
-// precomputed table, else a fresh encoder pass over the fetched graph.
-func (r *NeighborRanker) nodeEmbeddingByID(store pg.GraphStore, id int) []float64 {
+// precomputed table, else a fresh encoder pass over db[id].
+func (r *NeighborRanker) nodeEmbeddingByID(db graph.Database, id int) []float64 {
 	if id >= 0 && id < len(r.nodeEmbs) && r.nodeEmbs[id] != nil {
 		return r.nodeEmbs[id]
 	}
-	return r.node.Embed(r.store.For(store.Graph(id)))
+	return r.node.Embed(r.store.For(db[id]))
 }
 
 // RankerStats counts what M_rk paid for one search's neighbour scores:
@@ -226,25 +226,24 @@ func (s scorer) headSum(prefix, nodeEmb []float64) float64 {
 // Ranker adapts M_rk to the router: inside N_Q (dCurrent <= GammaStar)
 // neighbors are ordered by predicted score and cut into y% batches;
 // outside, a single batch disables pruning, per the paper's Sec. IV-C.
-// ws is the search's workspace: scores, the memo, the fetch buffer and
-// the returned batches (which the router keeps until the search ends) all
-// live there, so a ranking call allocates nothing once ws is warm; the
-// Ranker must not outlive the search or be shared with another. qc is the
+// ws is the search's workspace: scores, the memo and the returned batches
+// (which the router keeps until the search ends) all live there, so a
+// ranking call allocates nothing once ws is warm; the Ranker must not
+// outlive the search or be shared with another. qc is the
 // query's compressed GNN-graph, built once per search (nil falls back to
 // building it here). stats, when non-nil, counts inferences and memo hits.
-// Candidate graphs come through store, each ranking call's neighbors
-// fetched as one batch.
-func (r *NeighborRanker) Ranker(ws *cg.Workspace, store pg.GraphStore, q *graph.Graph, qc *cg.Compressed, stats *RankerStats) route.Ranker {
+// Node and neighbour ids index db.
+func (r *NeighborRanker) Ranker(ws *cg.Workspace, db graph.Database, q *graph.Graph, qc *cg.Compressed, stats *RankerStats) route.Ranker {
 	if qc == nil {
 		qc = r.store.Query(q)
 	}
-	return &searchRanker{sc: r.bind(ws, qc, stats), store: store}
+	return &searchRanker{sc: r.bind(ws, qc, stats), db: db}
 }
 
 // searchRanker is one search's route.Ranker over M_rk.
 type searchRanker struct {
-	sc    scorer
-	store pg.GraphStore
+	sc scorer
+	db graph.Database
 }
 
 // Batches implements route.Ranker.
@@ -258,11 +257,10 @@ func (k *searchRanker) Batches(node int, neighbors []int, dCurrent float64) [][]
 	if dCurrent > r.Cfg.GammaStar || len(neighbors) == 1 {
 		return route.AppendBatches(ws.Batches(1), ranked, 100)
 	}
-	nodeEmb := r.nodeEmbeddingByID(k.store, node)
-	ws.Graphs = k.store.FetchGraphs(neighbors, ws.Graphs[:0])
+	nodeEmb := r.nodeEmbeddingByID(k.db, node)
 	scores := ws.Floats(len(neighbors))
 	for i, nb := range neighbors {
-		scores[i] = k.sc.score(nb, ws.Graphs[i], nodeEmb)
+		scores[i] = k.sc.score(nb, k.db[nb], nodeEmb)
 	}
 	sortByScoreThenID(scores, ranked)
 	ws.PopFloats(len(scores))

@@ -9,7 +9,6 @@ import (
 	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 	"github.com/lansearch/lan/internal/order"
-	"github.com/lansearch/lan/internal/pg"
 	"github.com/lansearch/lan/internal/route"
 )
 
@@ -181,8 +180,7 @@ func refHeadSum(r *NeighborRanker, cross, nodeEmb []float64) float64 {
 }
 
 // refRanker is the router adapter without a memo or a workspace.
-func refRanker(r *NeighborRanker, store pg.GraphStore, qc *cg.Compressed) route.Ranker {
-	var fetched []*graph.Graph
+func refRanker(r *NeighborRanker, db graph.Database, qc *cg.Compressed) route.Ranker {
 	return route.RankerFunc(func(node int, neighbors []int, dCurrent float64) [][]int {
 		if dCurrent > r.Cfg.GammaStar || len(neighbors) <= 1 {
 			return route.SplitBatches(append([]int(nil), neighbors...), 100)
@@ -191,11 +189,10 @@ func refRanker(r *NeighborRanker, store pg.GraphStore, qc *cg.Compressed) route.
 			id    int
 			score float64
 		}
-		nodeEmb := r.nodeEmbeddingByID(store, node)
-		fetched = store.FetchGraphs(neighbors, fetched[:0])
+		nodeEmb := r.nodeEmbeddingByID(db, node)
 		ss := make([]scored, len(neighbors))
 		for i, nb := range neighbors {
-			ss[i] = scored{id: nb, score: refScore(r, qc, fetched[i], nodeEmb)}
+			ss[i] = scored{id: nb, score: refScore(r, qc, db[nb], nodeEmb)}
 		}
 		sort.SliceStable(ss, func(i, j int) bool {
 			return order.ByScoreThenID(ss[i].score, ss[i].id, ss[j].score, ss[j].id)

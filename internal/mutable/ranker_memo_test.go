@@ -31,10 +31,10 @@ func checkRankerMemo(t *testing.T, tier string, eng *core.Engine, q *graph.Graph
 	}
 	qc := eng.Store.Query(q)
 	var rs models.RankerStats
-	memo := eng.Mrk.Ranker(cg.NewWorkspace(), eng.Graphs, q, qc, &rs)
+	memo := eng.Mrk.Ranker(cg.NewWorkspace(), eng.DB, q, qc, &rs)
 	for _, node := range walk {
 		neighbors := p.Neighbors(node)
-		fresh := eng.Mrk.Ranker(cg.NewWorkspace(), eng.Graphs, q, qc, nil)
+		fresh := eng.Mrk.Ranker(cg.NewWorkspace(), eng.DB, q, qc, nil)
 		if got, want := memo.Batches(node, neighbors, 0), fresh.Batches(node, neighbors, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s, node %d: batches with the memo %v; without %v", tier, node, got, want)
 		}

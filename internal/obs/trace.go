@@ -69,7 +69,7 @@ type TraceStep struct {
 // Span is one node of the trace's span tree: a named slice of the query's
 // wall time with its start offset from the trace's creation (monotonic
 // clock), its duration, the NDC charged within it, an optional batch size
-// (store fetches, embedding batches) and nested children.
+// (embedding batches) and nested children.
 type Span struct {
 	Name string `json:"name"`
 	// StartUS is the span's start offset from the trace's creation, in
@@ -79,8 +79,8 @@ type Span struct {
 	US int64 `json:"us"`
 	// NDC is the number of distance computations charged to this span.
 	NDC int `json:"ndc,omitempty"`
-	// N is the span's batch size where one applies: graphs fetched in a
-	// store_fetch, neighbors encoded in an embed.
+	// N is the span's batch size where one applies: neighbors encoded in
+	// an embed.
 	N int `json:"n,omitempty"`
 	// Children are the sub-spans recorded while this span was open.
 	Children []*Span `json:"children,omitempty"`

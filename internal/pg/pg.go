@@ -61,27 +61,20 @@ func containsSorted(ns []int, v int) bool {
 
 // DistCache evaluates distances from one query to database graphs exactly
 // once, counting the number of distance computations (NDC). A fresh cache
-// is used per query; it is not safe for concurrent use. Candidate graphs
-// are fetched through Store.
+// is used per query; it is not safe for concurrent use.
 type DistCache struct {
 	Metric ged.Metric
 	Q      *graph.Graph
-	Store  GraphStore
+	DB     graph.Database
 
-	memo    map[int]float64
-	ndc     int
-	hits    int
-	scratch []*graph.Graph // reused FetchGraphs destination
+	memo map[int]float64
+	ndc  int
+	hits int
 }
 
 // NewDistCache returns a cache for distances between q and members of db.
 func NewDistCache(metric ged.Metric, db graph.Database, q *graph.Graph) *DistCache {
-	return NewDistCacheStore(metric, NewRAMStore(db), q)
-}
-
-// NewDistCacheStore is NewDistCache over an arbitrary GraphStore.
-func NewDistCacheStore(metric ged.Metric, store GraphStore, q *graph.Graph) *DistCache {
-	return &DistCache{Metric: metric, Q: q, Store: store, memo: make(map[int]float64)}
+	return &DistCache{Metric: metric, Q: q, DB: db, memo: make(map[int]float64)}
 }
 
 // Dist returns d(Q, db[id]), computing it at most once.
@@ -90,21 +83,19 @@ func (c *DistCache) Dist(id int) float64 {
 		c.hits++
 		return d
 	}
-	d := c.Metric.Distance(c.Store.Graph(id), c.Q)
+	d := c.Metric.Distance(c.DB[id], c.Q)
 	c.memo[id] = d
 	c.ndc++
 	return d
 }
 
 // Prefetch computes the distances to ids that are not yet memoized,
-// fetching the pending graphs from the store in one batch and fanning the
-// GED evaluations across pool (when non-nil), then merging the results
-// into the memo in the ids' order. Because Dist is a pure function of
-// (Q, id), prefetching then reading is indistinguishable from sequential
-// evaluation: the memo contents and the NDC count come out identical. The
-// cache itself stays single-threaded — only the metric calls run
-// concurrently, over graphs the single-threaded batch fetch already
-// materialized.
+// fanning the GED evaluations across pool (when non-nil), then merging the
+// results into the memo in the ids' order. Because Dist is a pure function
+// of (Q, id), prefetching then reading is indistinguishable from
+// sequential evaluation: the memo contents and the NDC count come out
+// identical. The cache itself stays single-threaded — only the metric
+// calls run concurrently.
 func (c *DistCache) Prefetch(ids []int, pool *WorkerPool) {
 	var pending []int
 	for _, id := range ids {
@@ -125,11 +116,9 @@ func (c *DistCache) Prefetch(ids []int, pool *WorkerPool) {
 	if len(pending) == 0 {
 		return
 	}
-	graphs := c.Store.FetchGraphs(pending, c.scratch[:0])
-	c.scratch = graphs[:0]
 	if pool == nil || len(pending) < 2 {
-		for i, id := range pending {
-			d := c.Metric.Distance(graphs[i], c.Q)
+		for _, id := range pending {
+			d := c.Metric.Distance(c.DB[id], c.Q)
 			c.memo[id] = d
 			c.ndc++
 		}
@@ -137,7 +126,7 @@ func (c *DistCache) Prefetch(ids []int, pool *WorkerPool) {
 	}
 	out := make([]float64, len(pending))
 	pool.Run(len(pending), func(i int) {
-		out[i] = c.Metric.Distance(graphs[i], c.Q)
+		out[i] = c.Metric.Distance(c.DB[pending[i]], c.Q)
 	})
 	for i, id := range pending {
 		c.memo[id] = out[i]

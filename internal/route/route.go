@@ -55,21 +55,17 @@ type OracleRanker struct {
 	RankMetric ged.Metric
 }
 
-// Batches implements Ranker by true-distance sorting. The neighbor
-// graphs are fetched from the cache's store in one batch and each
-// ranking distance is evaluated once before the sort, so a disk-backed
-// store pays one segment read per ranked neighbor, not one per
-// comparison.
+// Batches implements Ranker by true-distance sorting. Each ranking
+// distance is evaluated once before the sort, not once per comparison.
 func (o *OracleRanker) Batches(node int, neighbors []int, dCurrent float64) [][]int {
 	ranked := append([]int(nil), neighbors...)
 	metric := o.RankMetric
 	if metric == nil {
 		metric = o.Cache.Metric
 	}
-	graphs := o.Cache.Store.FetchGraphs(neighbors, nil)
 	d := make(map[int]float64, len(neighbors))
-	for i, id := range neighbors {
-		d[id] = metric.Distance(graphs[i], o.Cache.Q)
+	for _, id := range neighbors {
+		d[id] = metric.Distance(o.Cache.DB[id], o.Cache.Q)
 	}
 	sort.SliceStable(ranked, func(i, j int) bool {
 		return order.ByDistThenID(d[ranked[i]], ranked[i], d[ranked[j]], ranked[j])

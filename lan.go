@@ -214,8 +214,8 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 }
 
 // TraceSpan is one node of a trace's span tree: a named slice of the
-// query's wall time with nested children (store fetches, embedding
-// batches) — Trace.Spans.
+// query's wall time with nested children (embedding batches) —
+// Trace.Spans.
 type TraceSpan = obs.Span
 
 // TraceExporter asynchronously writes sampled query traces to
