@@ -36,12 +36,15 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Micro-benchmarks (mat kernels, GED arena kernels beside their reference
+# Micro-benchmarks (mat kernels — among them BenchmarkAddRowsScaled/{vector,go}
+# at a cross layer's 16x16 and a head's first layer's 48x32, the vector
+# body beside the Go one — GED arena kernels beside their reference
 # twins — A*, ensemble, Hungarian, VJ, beam — and BenchmarkEnsembleMembers,
 # the split of one ensemble call by member, the model kernels beside
 # theirs — BenchmarkCrossInfer, BenchmarkRankerCall/{aids,syn} (syn is the
 # shape models.us_per_ranker_call is measured at on syn_hung),
-# BenchmarkHeads/{miss,hit} (the heads' share of one score) —, one training
+# BenchmarkHeads/{miss,hit} (the heads' share of one score),
+# BenchmarkMLPInfer/{vector,go} (one head on each body) —, one training
 # step on a warm tape, BenchmarkRankTrainStep (M_rk, beside the ranking call
 # it trains) and BenchmarkMembershipTrainStep (M_nh), parallel
 # vs sequential PG build, pool resize, lanserve's cache-hit handler
@@ -49,7 +52,7 @@ race:
 # "Performance architecture". End-to-end numbers come from `go run
 # ./benchmark` (benchmark/README.md), not from here.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models ./lanserve .
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/mat ./internal/nn ./internal/pg ./ged ./internal/cg ./internal/models ./lanserve .
 
 # Benchmark smoke for CI: every benchmark runs exactly once so a
 # regression that panics or deadlocks is caught without paying for
@@ -58,7 +61,7 @@ bench:
 # judged PRs: its summary — the last stdout line — must report correct
 # answers, no failed operation, and tracing that changed no result.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/mat ./internal/pg ./ged ./internal/cg ./internal/models ./lanserve
+	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/mat ./internal/nn ./internal/pg ./ged ./internal/cg ./internal/models ./lanserve
 	@summary=$$($(GO) run ./benchmark --workload syn_hung --seed 1 --seconds 3 --trace 1 | tail -n 1); \
 	for want in '"correct":true' '"failed":0,' '"obs.trace_identical":{"value":1,'; do \
 		case "$$summary" in *"$$want"*) ;; *) \

@@ -1,6 +1,10 @@
 package cg
 
-import "math"
+import (
+	"math"
+
+	"github.com/lansearch/lan/internal/mat"
+)
 
 // Tape-free cross-graph inference on a Workspace. Routing and initial
 // selection call the cross model hundreds of times per query against one
@@ -8,11 +12,14 @@ import "math"
 // temporary from the search's workspace, never multiplies by a one-hot
 // matrix (level-0 embeddings are read as feature indices: a key score is
 // a look-up in a, an aggregation term lands in one column) and skips the
-// zero entries of a pre-activation row when multiplying by W. Each output
-// element is still accumulated from zero over ascending k, so for finite
-// weights the result equals the matrix kernels this replaced bit for bit
+// zero entries of a pre-activation row when multiplying by W. Its dense
+// products — the aggregation terms, the product by W, the attention and
+// readout weighted sums — run on mat.AddRowsScaled. Each output element
+// is still accumulated from zero over ascending k, so for finite weights
+// the result equals the matrix kernels this replaced bit for bit
 // (reference_test.go keeps those; TestInferKernelMatchesReference and
-// FuzzInferMatchesReference compare with ==).
+// FuzzInferMatchesReference compare with ==, on both of the kernel's
+// bodies).
 
 // Infer computes the cross-graph embedding h_G || h_Q (2*Dim floats) on a
 // workspace of its own. Searches go through Workspace.Bind and Cross; this
@@ -134,7 +141,6 @@ func keys(k, h []float64, feat []int, a []float64) []float64 {
 // other is nil, the one-hots of feat. scores is scratch of len(key)
 // floats or more.
 func attend(mu, key, logSize, other []float64, feat []int, scores []float64) {
-	d := len(mu)
 	for k := range mu {
 		mu[k] = 0
 	}
@@ -153,17 +159,16 @@ func attend(mu, key, logSize, other []float64, feat []int, scores []float64) {
 		scores[j] = e
 		sum += e
 	}
+	if other != nil {
+		for j, e := range scores {
+			scores[j] = e / sum
+		}
+		addNonzeroRows(mu, scores, other)
+		return
+	}
 	for j, e := range scores {
-		alpha := e / sum
-		if alpha == 0 {
-			continue
-		}
-		if other == nil {
+		if alpha := e / sum; alpha != 0 {
 			mu[feat[j]] += alpha
-			continue
-		}
-		for k, v := range other[j*d : (j+1)*d] {
-			mu[k] += alpha * v
 		}
 	}
 }
@@ -186,9 +191,7 @@ func layer(next, prev []float64, prevFeat []int, mu []float64, lv *Level, w, pre
 				pre[prevFeat[e.Row]] += e.W
 				continue
 			}
-			for k, v := range prev[e.Row*d : (e.Row+1)*d] {
-				pre[k] += e.W * v
-			}
+			mat.AddRowsScaled(pre, []float64{e.W}, prev[e.Row*d:], d)
 		}
 		for k, v := range mu {
 			pre[k] += v
@@ -197,19 +200,33 @@ func layer(next, prev []float64, prevFeat []int, mu []float64, lv *Level, w, pre
 		for j := range out {
 			out[j] = 0
 		}
-		for k, a := range pre {
-			if a == 0 {
-				continue
-			}
-			for j, b := range w[k*dim:][:dim] {
-				out[j] += a * b
-			}
-		}
+		addNonzeroRows(out, pre, w)
 		for j, v := range out {
 			if v < 0 {
 				out[j] = 0
 			}
 		}
+	}
+}
+
+// addNonzeroRows adds x·w to dst (w's rows len(dst) wide) on
+// mat.AddRowsScaled, one call per maximal run of non-zero entries of x.
+// The zero entries — most of a one-hot level's pre-activation row — are
+// skipped; from a +0 start that changes no sum
+// (mat.TestAddRowsScaledAddsZeroRowsHarmlessly).
+func addNonzeroRows(dst, x, w []float64) {
+	n := len(dst)
+	for k := 0; k < len(x); {
+		if x[k] == 0 {
+			k++
+			continue
+		}
+		k1 := k + 1
+		for k1 < len(x) && x[k1] != 0 {
+			k1++
+		}
+		mat.AddRowsScaled(dst, x[k:k1], w[k*n:], n)
+		k = k1
 	}
 }
 
@@ -221,12 +238,10 @@ func readout(dst, h, sizes []float64) {
 		dst[k] = 0
 	}
 	total := 0.0
-	for i, s := range sizes {
+	for _, s := range sizes {
 		total += s
-		for k, v := range h[i*d : (i+1)*d] {
-			dst[k] += s * v
-		}
 	}
+	mat.AddRowsScaled(dst, sizes, h, d)
 	for k := range dst {
 		dst[k] /= total
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 )
 
@@ -57,7 +58,13 @@ func labelledGraphs(seed int64, n int, vocab *Vocab) []*graph.Graph {
 	return gs
 }
 
+// TestInferKernelMatchesReference runs on both bodies of
+// mat.AddRowsScaled.
 func TestInferKernelMatchesReference(t *testing.T) {
+	mat.EachBody(func(body string) { t.Run(body, checkInferKernelMatchesReference) })
+}
+
+func checkInferKernelMatchesReference(t *testing.T) {
 	single := graph.New(-1)
 	single.AddNode("L00")
 	edgeless := graph.New(-1)
@@ -243,8 +250,9 @@ var fuzzWS = NewWorkspace()
 
 // FuzzInferMatchesReference holds the workspace kernel to the matrix
 // kernels it replaced on arbitrary pairs of graphs up to 30 nodes, in
-// both argument orders, at every depth, compressed and raw. shape picks
-// layers (1-3), raw-vs-compressed and the embedding width.
+// both argument orders, at every depth, compressed and raw, on both
+// bodies of mat.AddRowsScaled. shape picks layers (1-3), raw-vs-compressed
+// and the embedding width.
 func FuzzInferMatchesReference(f *testing.F) {
 	f.Add([]byte{}, []byte{4, 0, 1, 2, 3, 0x29}, uint8(1))
 	f.Fuzz(func(t *testing.T, a, b []byte, shape uint8) {
@@ -258,13 +266,15 @@ func FuzzInferMatchesReference(f *testing.F) {
 		m := NewCrossModel(nn.NewParams(), "m", Config{Layers: layers, Dim: dim, Vocab: vocab}, rand.New(rand.NewSource(int64(shape))))
 		g, q := build(fuzzGraph(a), layers, vocab), build(fuzzGraph(b), layers, vocab)
 		got := make([]float64, 2*dim)
-		for _, pair := range [][2]*Compressed{{g, q}, {q, g}} {
-			fuzzWS.Bind(m, pair[1])
-			fuzzWS.Cross(got, pair[0])
-			if want := refInfer(m, pair[0], pair[1]); !sameBits(got, want) {
-				t.Fatalf("layers %d dim %d raw %v:\nkernel    %v\nreference %v", layers, dim, shape&4 != 0, got, want)
+		mat.EachBody(func(body string) {
+			for _, pair := range [][2]*Compressed{{g, q}, {q, g}} {
+				fuzzWS.Bind(m, pair[1])
+				fuzzWS.Cross(got, pair[0])
+				if want := refInfer(m, pair[0], pair[1]); !sameBits(got, want) {
+					t.Fatalf("%s body, layers %d dim %d raw %v:\nkernel    %v\nreference %v", body, layers, dim, shape&4 != 0, got, want)
+				}
 			}
-		}
+		})
 		if fuzzWS.f.off != 0 {
 			t.Fatalf("Cross left %d floats on the stack", fuzzWS.f.off)
 		}

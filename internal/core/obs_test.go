@@ -12,6 +12,7 @@ import (
 
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
+	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/obs"
 	"github.com/lansearch/lan/internal/pg"
@@ -144,8 +145,13 @@ func TestTracingBitIdentity(t *testing.T) {
 // testdata/golden_trace.json: step sequence, γ trajectory, per-step
 // ranked/opened tallies and the NDC ledger. Wall-time fields are zeroed
 // before comparison. Regenerate with: go test ./internal/core -run
-// TestGoldenTrace -update
+// TestGoldenTrace -update. The query runs on both bodies of
+// mat.AddRowsScaled, against the one file.
 func TestGoldenTrace(t *testing.T) {
+	mat.EachBody(func(body string) { t.Run(body, checkGoldenTrace) })
+}
+
+func checkGoldenTrace(t *testing.T) {
 	// A dedicated tiny engine with pinned parameters, independent of
 	// -short, so the golden file is valid in every test mode.
 	spec := dataset.AIDS(0.001)

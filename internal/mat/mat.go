@@ -102,10 +102,16 @@ type rangeKernel func(dst, m, o *Matrix, i0, i1 int)
 // goroutines when the kernel has enough work to amortize the fan-out.
 // Each range writes a disjoint set of rows and the per-element
 // accumulation order is untouched, so the parallel product is
-// bit-identical to the sequential one.
+// bit-identical to the sequential one. The work test comes first: almost
+// every product is below it, and runtime.GOMAXPROCS takes the scheduler
+// lock.
 func parallelRows(dst, m, o *Matrix, rows, work int, kernel rangeKernel) {
+	if work < parallelMinWork || rows < 2 {
+		kernel(dst, m, o, 0, rows)
+		return
+	}
 	workers := runtime.GOMAXPROCS(0)
-	if work < parallelMinWork || workers < 2 || rows < 2 {
+	if workers < 2 {
 		kernel(dst, m, o, 0, rows)
 		return
 	}

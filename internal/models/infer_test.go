@@ -8,6 +8,7 @@ import (
 
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/dataset"
+	"github.com/lansearch/lan/internal/mat"
 )
 
 // rankFixture is an untrained (randomly initialised) M_rk and M_nh over
@@ -73,9 +74,13 @@ func newRankFixtureOf(tb testing.TB, shape rankShape) *rankFixture {
 // neighbour once and scores it again from the memo — to the reference
 // ranker, which runs the matrix kernels for every (node, neighbour): same
 // scores (==) and the same batches, the first time a neighbour is met and
-// the n-th.
+// the n-th. It runs on both bodies of mat.AddRowsScaled.
 func TestRankerMemoBitIdentical(t *testing.T) {
 	rf := newRankFixture(t)
+	mat.EachBody(func(body string) { t.Run(body, func(t *testing.T) { checkRankerMemoBitIdentical(t, rf) }) })
+}
+
+func checkRankerMemoBitIdentical(t *testing.T, rf *rankFixture) {
 	var rs RankerStats
 	ws := cg.NewWorkspace()
 	rk := rf.mrk.Ranker(ws, rf.db, rf.queries[0], rf.qc, &rs)
@@ -150,9 +155,13 @@ func TestProbCGMatchesReference(t *testing.T) {
 // ranking call — memo misses and memo hits alike — and an M_nh prediction
 // allocate nothing, and keep allocating nothing after the collector has
 // run (two cycles empty a sync.Pool; the workspace is not one). Runs
-// under -race as well.
+// under -race as well, and on both bodies of mat.AddRowsScaled.
 func TestInferAllocs(t *testing.T) {
 	rf := newRankFixture(t)
+	mat.EachBody(func(body string) { t.Run(body, func(t *testing.T) { checkInferAllocs(t, rf) }) })
+}
+
+func checkInferAllocs(t *testing.T, rf *rankFixture) {
 	ws := cg.NewWorkspace()
 	rk := rf.mrk.Ranker(ws, rf.db, rf.queries[0], rf.qc, nil).(*searchRanker)
 	search := func() {

@@ -161,33 +161,12 @@ func (m *MLP) Apply(t *autograd.Tape, x *autograd.Value) *autograd.Value {
 
 // accumulate adds x*W[k0:k0+len(x)] to dst (len out): dst[j] +=
 // x[i]*W[k0+i][j] over ascending i — from a zeroed dst and k0 = 0, the
-// float operations of mat.Mul on a one-row operand in the same order, as a
-// plain row loop instead of the tiled kernel these few-dozen-wide operands
-// gain nothing from. Four rows of W go through one pass over dst: every
-// dst[j] still receives its terms one at a time in ascending order, so the
-// blocking changes no float, only how often dst is loaded and stored.
+// float operations of mat.Mul on a one-row operand in the same order, on
+// mat.AddRowsScaled instead of the tiled kernel these few-dozen-wide
+// operands gain nothing from.
 func (l *Linear) accumulate(dst, x []float64, k0 int) {
 	out := len(dst)
-	w := l.W.Data.Data[k0*out:]
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		a0, a1, a2, a3 := x[i], x[i+1], x[i+2], x[i+3]
-		r0, r1 := w[i*out:][:out], w[(i+1)*out:][:out]
-		r2, r3 := w[(i+2)*out:][:out], w[(i+3)*out:][:out]
-		for j, d := range dst {
-			d += a0 * r0[j]
-			d += a1 * r1[j]
-			d += a2 * r2[j]
-			d += a3 * r3[j]
-			dst[j] = d
-		}
-	}
-	for ; i < len(x); i++ {
-		a := x[i]
-		for j, b := range w[i*out:][:out] {
-			dst[j] += a * b
-		}
-	}
+	mat.AddRowsScaled(dst, x, l.W.Data.Data[k0*out:], out)
 }
 
 // Width returns the widest layer output — the scratch Infer needs is

@@ -252,7 +252,8 @@ func TestMLPInferSplitMatchesInfer(t *testing.T) {
 // inputs. shape picks the input width (1-48), one layer or three and the
 // weights' seed; every byte of data is one input: 0x00 is +0, 0x80 is -0,
 // anything else int8(b)/32. Missing bytes read as +0, so every input
-// decodes; all values are finite, as embeddings are.
+// decodes; all values are finite, as embeddings are. Both bodies of
+// mat.AddRowsScaled run it.
 func FuzzMLPInferSplitMatchesInfer(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0x80, 0x00, 0x7f, 0x81, 0x80}, uint16(4|1<<6))
@@ -272,7 +273,25 @@ func FuzzMLPInferSplitMatchesInfer(f *testing.F) {
 				x[k] = negZero
 			}
 		}
-		checkSplit(t, m, x)
+		mat.EachBody(func(string) { checkSplit(t, m, x) })
+	})
+}
+
+var benchOut []float64
+
+// BenchmarkMLPInfer is one M_rk head at the benchmark's syn_hung shape
+// (48 -> 32 -> 1) on each body of mat.AddRowsScaled.
+func BenchmarkMLPInfer(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	m := NewMLP(NewParams(), "mlp", []int{48, 32, 1}, rng)
+	x, buf := mat.Randn(1, 48, 1, rng).Data, make([]float64, 2*m.Width())
+	mat.EachBody(func(body string) {
+		b.Run(body, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchOut = m.Infer(x, buf)
+			}
+		})
 	})
 }
 
