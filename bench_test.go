@@ -181,7 +181,7 @@ var fig10RawEngine struct {
 	err  error
 }
 
-// rawEngine lazily builds the UseCG=false twin of the shared environment.
+// rawEngine lazily builds the raw-GNN (no CG) twin of the shared environment.
 func rawEngine(b *testing.B, env *experiments.Env) *core.Engine {
 	b.Helper()
 	p := env.Protocol
@@ -191,7 +191,7 @@ func rawEngine(b *testing.B, env *experiments.Env) *core.Engine {
 		fig10RawEngine.eng, fig10RawEngine.err = core.Build(env.DB, train, core.Options{
 			M: 6, Dim: p.Dim, GammaKNN: 2 * p.K,
 			BuildMetric: p.BuildMetric,
-			QueryMetric: p.QueryMetric, UseCG: false,
+			QueryMetric: p.QueryMetric, RawGNN: true,
 			Train: models.TrainOptions{Epochs: p.TrainEpochs, LR: 0.01},
 			Seed:  p.Seed,
 		})

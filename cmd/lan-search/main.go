@@ -45,25 +45,8 @@ func main() {
 	}
 
 	so := lan.SearchOptions{K: *k, Beam: *beam}
-	switch *routing {
-	case "lan":
-		so.Routing = lan.LANRoute
-	case "baseline":
-		so.Routing = lan.BaselineRoute
-	case "oracle":
-		so.Routing = lan.OracleRoute
-	default:
-		log.Fatalf("unknown -routing %q", *routing)
-	}
-	switch *initial {
-	case "lan":
-		so.Initial = lan.LANIS
-	case "hnsw":
-		so.Initial = lan.HNSWIS
-	case "rand":
-		so.Initial = lan.RandIS
-	default:
-		log.Fatalf("unknown -initial %q", *initial)
+	if so.Routing, so.Initial, err = lan.ParseStrategies(*routing, *initial); err != nil {
+		log.Fatal(err)
 	}
 
 	var totalNDC int

@@ -3,8 +3,7 @@
 // paper uses node2vec-style embeddings; as a deterministic, training-free
 // stand-in we embed each graph by its normalized label histogram augmented
 // with degree and size statistics, which captures the same
-// coarse-structure signal GED clusters on. A learned GIN embedding can be
-// plugged in instead via Embedder.
+// coarse-structure signal GED clusters on.
 package cluster
 
 import (
@@ -15,12 +14,6 @@ import (
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/cg"
 )
-
-// Embedder maps a graph to a fixed-dimension vector.
-type Embedder interface {
-	Embed(g *graph.Graph) []float64
-	Dim() int
-}
 
 // FeatureEmbedder is the deterministic structural embedder: normalized
 // label histogram over a vocabulary, degree histogram (capped), and
@@ -41,7 +34,7 @@ func NewFeatureEmbedder(db graph.Database) *FeatureEmbedder {
 // Dim returns the embedding dimension.
 func (e *FeatureEmbedder) Dim() int { return e.Vocab.Size() + e.MaxDegree + 1 + 2 }
 
-// Embed implements Embedder.
+// Embed maps g to its Dim-long feature vector.
 func (e *FeatureEmbedder) Embed(g *graph.Graph) []float64 {
 	v := make([]float64, e.Dim())
 	n := float64(g.N())

@@ -47,7 +47,7 @@ func TestBuildIdenticalAcrossWorkers(t *testing.T) {
 	build := func(workers int) (*Engine, int64) {
 		var logged atomic.Int64
 		eng, err := Build(db, train, Options{
-			M: 5, Dim: 8, GammaKNN: 5, UseCG: true, Workers: workers, Seed: 1,
+			M: 5, Dim: 8, GammaKNN: 5, Workers: workers, Seed: 1,
 			Train: models.TrainOptions{Epochs: 2, LR: 0.01,
 				Logf: func(string, ...interface{}) { logged.Add(1) }},
 		})
@@ -134,7 +134,7 @@ func TestBuildRecoversRankerPanic(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		eng, err := Build(db, train, Options{
-			M: 5, Dim: 8, GammaKNN: 5, UseCG: true, Workers: workers, Seed: 1,
+			M: 5, Dim: 8, GammaKNN: 5, Workers: workers, Seed: 1,
 			Train: models.TrainOptions{Epochs: 1, LR: 0.01, Logf: func(string, ...interface{}) {
 				if inRankerTraining() {
 					panic("injected")
@@ -178,7 +178,7 @@ func TestBuildRecoversMetricPanic(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 2} {
 			base := runtime.NumGoroutine()
-			opts := Options{M: 5, Dim: 8, GammaKNN: 5, UseCG: true, Workers: workers, Seed: 1,
+			opts := Options{M: 5, Dim: 8, GammaKNN: 5, Workers: workers, Seed: 1,
 				Train: models.TrainOptions{Epochs: 1, LR: 0.01}}
 			c.opts(&opts)
 			eng, err := Build(db, train, opts)

@@ -38,25 +38,20 @@ type Options struct {
 	Dim          int // embedding dim (default 16; the paper uses 128)
 	BatchPercent int // the paper's y (default 20)
 	Hidden       int // MLP hidden width (default 2*Dim)
-	// UseCG toggles the compressed-GNN-graph acceleration of Sec. VI
-	// (default true; false is the Fig. 10 ablation).
-	UseCG bool
+	// RawGNN switches off the compressed-GNN-graph acceleration of
+	// Sec. VI: the models run on the raw graphs (the ablation of Figs. 10
+	// and 11). The zero value is the paper's system.
+	RawGNN bool
 
-	// Neighborhood calibration (Sec. VII: gamma* covers the knn-NNs for
-	// the given quantile of training queries).
-	GammaKNN      int     // default 20
-	GammaQuantile float64 // default 0.9
+	// Neighborhood calibration (Sec. VII: gamma* covers the GammaKNN
+	// nearest neighbors of 90 % of the training queries).
+	GammaKNN int // default 20
 
 	// Initial selection.
-	Clusters    int // KMeans k (default |D|/16, min 2)
-	TopClusters int // clusters M_c selects (default 3)
-	Samples     int // s verified samples (default 4)
+	Clusters int // KMeans k (default |D|/16, min 2)
 
 	// Training.
 	Train models.TrainOptions
-
-	// Routing.
-	StepSize float64 // d_s (default 1)
 
 	// Workers bounds the index-build worker pool, the distance-table and
 	// node-embedding fan-outs, and with more than one lets Build train
@@ -95,23 +90,11 @@ func (o *Options) defaults(dbSize int) {
 	if o.GammaKNN <= 0 {
 		o.GammaKNN = 20
 	}
-	if o.GammaQuantile <= 0 {
-		o.GammaQuantile = 0.9
-	}
 	if o.Clusters <= 0 {
 		o.Clusters = dbSize / 16
 		if o.Clusters < 2 {
 			o.Clusters = 2
 		}
-	}
-	if o.TopClusters <= 0 {
-		o.TopClusters = 3
-	}
-	if o.Samples <= 0 {
-		o.Samples = 4
-	}
-	if o.StepSize <= 0 {
-		o.StepSize = 1
 	}
 }
 
@@ -277,9 +260,6 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	if len(trainQueries) == 0 {
 		return nil, fmt.Errorf("core: no training queries")
 	}
-	if err := route.CheckStepSize(opts.StepSize); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	opts.defaults(len(db))
 	buildStart := time.Now()
 	workers := opts.Workers
@@ -306,9 +286,11 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	}); err != nil {
 		return nil, err
 	}
-	gammaStar := models.CalibrateGammaStar(table, opts.GammaKNN, opts.GammaQuantile)
+	// The paper's quantile: γ* covers the GammaKNN-NNs of 90 % of the
+	// training queries.
+	gammaStar := models.CalibrateGammaStar(table, opts.GammaKNN, 0.9)
 
-	store := models.NewCGStore(db, opts.Layers, opts.UseCG)
+	store := models.NewCGStore(db, opts.Layers, !opts.RawGNN)
 	mcfg := models.Config{
 		Layers: opts.Layers, Dim: opts.Dim, BatchPercent: opts.BatchPercent,
 		Hidden: opts.Hidden, GammaStar: gammaStar, Seed: opts.Seed,
@@ -453,7 +435,6 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 	case LANIS, LANISBasic:
 		sel := &models.InitialSelector{
 			Mnh: e.Mnh, Mc: e.Mc,
-			TopClusters: e.Opts.TopClusters, Samples: e.Opts.Samples,
 			Seed: e.Opts.Seed, Predictions: &stats.ISPredictions,
 			Exhaustive: so.Initial == LANISBasic,
 			QueryCG:    qcg,
@@ -519,7 +500,7 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 			return b
 		})
 	}
-	res, s, err := route.Route(ctx, e.Index.PG, cache, ranker, entry, route.Config{K: so.K, Beam: so.Beam, StepSize: e.Opts.StepSize})
+	res, s, err := route.Route(ctx, e.Index.PG, cache, ranker, entry, route.Config{K: so.K, Beam: so.Beam})
 	fillRouteStats(&stats, s)
 	stats.RankerInferences, stats.RankerMemoHits = scored.Inferences, scored.MemoHits
 	stats.NDC = cache.NDC()

@@ -2,14 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/models"
-	"github.com/lansearch/lan/internal/route"
 )
 
 var engineFixture struct {
@@ -59,10 +57,6 @@ func TestBuildValidation(t *testing.T) {
 	db := dataset.AIDS(0.0005).Generate()
 	if _, err := Build(db, nil, Options{}); err == nil {
 		t.Fatal("no error for empty training set")
-	}
-	// Refused before any distance is paid: a step γ absorbs hangs queries.
-	if _, err := Build(db, db[:1], Options{StepSize: 1e-17}); !errors.Is(err, route.ErrStepSize) {
-		t.Fatalf("StepSize 1e-17: err = %v; want ErrStepSize", err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"github.com/lansearch/lan/internal/lanstore"
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/pg"
-	"github.com/lansearch/lan/internal/route"
 )
 
 // snapshot is the metadata section of a .lansnap file — the one persisted
@@ -30,6 +29,9 @@ type snapshot struct {
 	// Options that shape the models, and those the write path of a
 	// reopened index must share with the build. EfConstruction is absent
 	// from files written before it was persisted and then defaults to 2M.
+	// TopClusters, Samples and StepSize carry settings no build varies
+	// any more; every file holds models.SelectorTopClusters,
+	// models.SelectorSamples and route's default d_s of 1 there.
 	M              int     `json:"m"`
 	EfConstruction int     `json:"ef_construction"`
 	Layers         int     `json:"layers"`
@@ -86,9 +88,9 @@ func SaveSnapshotV3(path string, e *Engine, st *MutationState) error {
 		M: e.Opts.M, EfConstruction: e.Opts.EfConstruction,
 		Layers: e.Opts.Layers, Dim: e.Opts.Dim,
 		BatchPercent: e.Opts.BatchPercent, Hidden: e.Opts.Hidden,
-		UseCG:       e.Opts.UseCG,
-		TopClusters: e.Opts.TopClusters, Samples: e.Opts.Samples,
-		StepSize: e.Opts.StepSize,
+		UseCG:       !e.Opts.RawGNN,
+		TopClusters: models.SelectorTopClusters, Samples: models.SelectorSamples,
+		StepSize: 1,
 		Seed:     e.Opts.Seed,
 
 		Centroids: e.Mc.Clusters().Centroids,
@@ -182,16 +184,21 @@ func (s *snapshot) validate(n, vocab int) error {
 	}{
 		{"m", s.M, 1}, {"ef_construction", s.EfConstruction, 0},
 		{"layers", s.Layers, 1}, {"dim", s.Dim, 1}, {"hidden", s.Hidden, 1},
-		{"top_clusters", s.TopClusters, 0}, {"samples", s.Samples, 0},
 	} {
 		if f.v < f.floor || f.v > maxShape {
 			return corruptf("%s = %d outside [%d, %d]", f.name, f.v, f.floor, maxShape)
 		}
 	}
-	// Not the opener's safety but the query's: a step that γ absorbs opens
-	// fine and then routes forever.
-	if err := route.CheckStepSize(s.StepSize); err != nil {
-		return corruptf("step_size: %v", err)
+	// The settings no build varies: any other value was not written here
+	// (and a step that γ absorbs would open fine and then route forever).
+	if s.TopClusters != models.SelectorTopClusters {
+		return corruptf("top_clusters = %d; want %d", s.TopClusters, models.SelectorTopClusters)
+	}
+	if s.Samples != models.SelectorSamples {
+		return corruptf("samples = %d; want %d", s.Samples, models.SelectorSamples)
+	}
+	if s.StepSize != 1 {
+		return corruptf("step_size = %v; want 1", s.StepSize)
 	}
 	// A weight costs its blob at least a digit and a separator, so shapes
 	// the parameter blobs cannot hold are refused before a model is sized
@@ -256,9 +263,7 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, n
 	opts.M, opts.EfConstruction = s.M, s.EfConstruction
 	opts.Layers, opts.Dim = s.Layers, s.Dim
 	opts.BatchPercent, opts.Hidden = s.BatchPercent, s.Hidden
-	opts.UseCG = s.UseCG
-	opts.TopClusters, opts.Samples = s.TopClusters, s.Samples
-	opts.StepSize = s.StepSize
+	opts.RawGNN = !s.UseCG
 	opts.Seed = s.Seed
 	opts.defaults(len(db))
 
@@ -272,7 +277,7 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, n
 		return nil, corruptf("%v", err)
 	}
 
-	store := models.NewCGStore(db, opts.Layers, opts.UseCG)
+	store := models.NewCGStore(db, opts.Layers, !opts.RawGNN)
 	mcfg := models.Config{
 		Layers: opts.Layers, Dim: opts.Dim, BatchPercent: opts.BatchPercent,
 		Hidden: opts.Hidden, GammaStar: s.GammaStar, Seed: opts.Seed,

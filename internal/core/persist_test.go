@@ -148,7 +148,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	train, _, _ := dataset.Split(dataset.Workload(db, tinySpec, 8, 3))
 	eng, err := Build(db, train, Options{
 		M: 4, EfConstruction: 64, Layers: 3, Dim: 6, BatchPercent: 25, Hidden: 10,
-		GammaKNN: 3, Clusters: 2, TopClusters: 2, Samples: 3, StepSize: 2,
+		RawGNN: true, GammaKNN: 3, Clusters: 2,
 		Train: models.TrainOptions{Epochs: 1}, Seed: 7,
 	})
 	if err != nil {
@@ -158,8 +158,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		o := e.Opts
 		return Options{
 			M: o.M, EfConstruction: o.EfConstruction, Layers: o.Layers, Dim: o.Dim,
-			BatchPercent: o.BatchPercent, Hidden: o.Hidden, UseCG: o.UseCG,
-			TopClusters: o.TopClusters, Samples: o.Samples, StepSize: o.StepSize, Seed: o.Seed,
+			BatchPercent: o.BatchPercent, Hidden: o.Hidden, RawGNN: o.RawGNN, Seed: o.Seed,
 		}
 	}
 	got := reopen(t, saveV3(t, eng))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/lansearch/lan/ged"
+	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/dataset"
 )
 
@@ -31,6 +32,34 @@ func TestTable1(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Fatalf("Table1 missing %s:\n%s", name, out)
 		}
+	}
+}
+
+// TestEnvEngineUsesCG: every figure but the CG ablation measures the
+// paper's system, so the engine NewEnv builds must run its models on
+// compressed GNN-graphs (Sec. VI) — graph for graph the groups cg.Build
+// makes, and on this database fewer than the raw graphs' nodes.
+func TestEnvEngineUsesCG(t *testing.T) {
+	p := tinyProtocol()
+	p.Scale, p.Queries, p.TrainEpochs = 0.001, 6, 1
+	env, err := NewEnv(p, dataset.AIDS(p.Scale))
+	if err != nil {
+		t.Fatalf("NewEnv: %v", err)
+	}
+	store := env.Engine.Store
+	nodes, groups := 0, 0
+	for _, g := range env.DB {
+		got, want := store.For(g), cg.Build(g, store.Layers, store.Vocab)
+		for l := range want.Levels {
+			if len(got.Levels[l].Size) != len(want.Levels[l].Size) {
+				t.Fatalf("graph %d, level %d: %d groups; cg.Build makes %d", g.ID, l, len(got.Levels[l].Size), len(want.Levels[l].Size))
+			}
+		}
+		nodes += g.N()
+		groups += len(want.Levels[0].Size)
+	}
+	if groups >= nodes {
+		t.Fatalf("%d level-0 groups for %d nodes: nothing to compress, the check above is vacuous", groups, nodes)
 	}
 }
 

@@ -151,7 +151,7 @@ func Fig10(env *Env) ([]Point, error) {
 		M: 6, Dim: p.Dim, GammaKNN: 2 * p.K,
 		BuildMetric: p.buildMetric(),
 		QueryMetric: p.QueryMetric,
-		UseCG:       false,
+		RawGNN:      true,
 		Train:       models.TrainOptions{Epochs: p.TrainEpochs, LR: 0.01},
 		Seed:        p.Seed,
 	})
@@ -190,7 +190,7 @@ func Fig11(p Protocol, spec dataset.Spec) (Fig11Row, error) {
 		M: 6, Dim: p.Dim, GammaKNN: 2 * p.K,
 		BuildMetric: p.buildMetric(),
 		QueryMetric: p.QueryMetric,
-		UseCG:       false,
+		RawGNN:      true,
 		Train:       models.TrainOptions{Epochs: p.TrainEpochs, LR: 0.01},
 		Seed:        p.Seed,
 	})

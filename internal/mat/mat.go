@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -80,60 +78,14 @@ func (m *Matrix) shapeCheck(o *Matrix, op string) {
 	}
 }
 
-// Product-kernel tuning. The tiles keep a destination-row segment and
-// the matching segment of the streamed operand rows L1-resident; every
-// tiling loop walks the inner (k) dimension in ascending order for each
-// output element, so tiled results are bit-identical to the naive triple
-// loop. parallelMinWork is the multiply-add count below which goroutine
-// fan-out costs more than it saves.
+// Product-kernel tiles. They keep a destination-row segment and the
+// matching segment of the streamed operand rows L1-resident; every tiling
+// loop walks the inner (k) dimension in ascending order for each output
+// element, so tiled results are bit-identical to the naive triple loop.
 const (
-	tileJ           = 128
-	tileK           = 256
-	parallelMinWork = 1 << 19
+	tileJ = 128
+	tileK = 256
 )
-
-// rangeKernel computes destination rows [i0, i1) of one product kernel.
-// Declared kernels (mulRange, mulTRange, tMulRange) are passed instead of
-// closures so that the sequential fast path of parallelRows allocates
-// nothing.
-type rangeKernel func(dst, m, o *Matrix, i0, i1 int)
-
-// parallelRows splits the destination rows [0, rows) across GOMAXPROCS
-// goroutines when the kernel has enough work to amortize the fan-out.
-// Each range writes a disjoint set of rows and the per-element
-// accumulation order is untouched, so the parallel product is
-// bit-identical to the sequential one. The work test comes first: almost
-// every product is below it, and runtime.GOMAXPROCS takes the scheduler
-// lock.
-func parallelRows(dst, m, o *Matrix, rows, work int, kernel rangeKernel) {
-	if work < parallelMinWork || rows < 2 {
-		kernel(dst, m, o, 0, rows)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		kernel(dst, m, o, 0, rows)
-		return
-	}
-	if workers > rows {
-		workers = rows
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for i0 := 0; i0 < rows; i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > rows {
-			i1 = rows
-		}
-		wg.Add(1)
-		// The fan-out runs only above parallelMinWork, where the kernel's work amortizes the closure.
-		go func(i0, i1 int) {
-			defer wg.Done()
-			kernel(dst, m, o, i0, i1)
-		}(i0, i1)
-	}
-	wg.Wait()
-}
 
 // Mul returns the matrix product m * o.
 func Mul(m, o *Matrix) *Matrix {
@@ -153,20 +105,10 @@ func MulInto(dst, m, o *Matrix) *Matrix {
 	if dst.Rows != m.Rows || dst.Cols != o.Cols {
 		panic(fmt.Sprintf("mat: mul into %dx%d destination for %dx%d product", dst.Rows, dst.Cols, m.Rows, o.Cols))
 	}
-	parallelRows(dst, m, o, m.Rows, m.Rows*m.Cols*o.Cols, mulRange)
-	return dst
-}
-
-// mulRange computes rows [i0, i1) of dst = m * o, tiled over the inner
-// dimension and the destination columns. Dense inputs take no
-// per-element branch (zero-skip lives only in the sparse-aware TMul).
-func mulRange(dst, m, o *Matrix, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
+	// Tiled over the inner dimension and the destination columns. Dense
+	// inputs take no per-element branch (zero-skip lives only in the
+	// sparse-aware TMul).
+	dst.Zero()
 	for k0 := 0; k0 < m.Cols; k0 += tileK {
 		k1 := k0 + tileK
 		if k1 > m.Cols {
@@ -177,7 +119,7 @@ func mulRange(dst, m, o *Matrix, i0, i1 int) {
 			if j1 > o.Cols {
 				j1 = o.Cols
 			}
-			for i := i0; i < i1; i++ {
+			for i := 0; i < m.Rows; i++ {
 				mrow := m.Row(i)
 				drow := dst.Row(i)[j0:j1]
 				k := k0
@@ -207,6 +149,7 @@ func mulRange(dst, m, o *Matrix, i0, i1 int) {
 			}
 		}
 	}
+	return dst
 }
 
 // MulT returns m * oᵀ.
@@ -226,19 +169,14 @@ func MulTInto(dst, m, o *Matrix) *Matrix {
 	if dst.Rows != m.Rows || dst.Cols != o.Rows {
 		panic(fmt.Sprintf("mat: mulT into %dx%d destination for %dx%d product", dst.Rows, dst.Cols, m.Rows, o.Rows))
 	}
-	parallelRows(dst, m, o, m.Rows, m.Rows*m.Cols*o.Rows, mulTRange)
-	return dst
-}
-
-// mulTRange computes rows [i0, i1) of dst = m * oᵀ as dot products,
-// tiled over o's rows so a tile of them stays cached across the range.
-func mulTRange(dst, m, o *Matrix, i0, i1 int) {
+	// Dot products, tiled over o's rows so a tile of them stays cached
+	// across m's rows.
 	for j0 := 0; j0 < o.Rows; j0 += tileJ {
 		j1 := j0 + tileJ
 		if j1 > o.Rows {
 			j1 = o.Rows
 		}
-		for i := i0; i < i1; i++ {
+		for i := 0; i < m.Rows; i++ {
 			mrow := m.Row(i)
 			drow := dst.Row(i)
 			j := j0
@@ -266,6 +204,7 @@ func mulTRange(dst, m, o *Matrix, i0, i1 int) {
 			}
 		}
 	}
+	return dst
 }
 
 // TMul returns mᵀ * o.
@@ -288,33 +227,22 @@ func TMulInto(dst, m, o *Matrix) *Matrix {
 	if dst.Rows != m.Cols || dst.Cols != o.Cols {
 		panic(fmt.Sprintf("mat: tmul into %dx%d destination for %dx%d product", dst.Rows, dst.Cols, m.Cols, o.Cols))
 	}
-	parallelRows(dst, m, o, m.Cols, m.Rows*m.Cols*o.Cols, tMulRange)
-	return dst
-}
-
-// tMulRange computes rows [i0, i1) of dst = mᵀ * o (i indexes m's
-// columns). k stays the outer ascending loop, so per-element accumulation
-// order matches the naive kernel exactly.
-func tMulRange(dst, m, o *Matrix, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
+	// k stays the outer ascending loop, so per-element accumulation order
+	// matches the naive kernel exactly.
+	dst.Zero()
 	for k := 0; k < m.Rows; k++ {
-		mrow := m.Row(k)[i0:i1]
 		okrow := o.Row(k)
-		for di, a := range mrow {
+		for i, a := range m.Row(k) {
 			if a == 0 {
 				continue
 			}
-			drow := dst.Row(i0 + di)
+			drow := dst.Row(i)
 			for j, b := range okrow {
 				drow[j] += a * b
 			}
 		}
 	}
+	return dst
 }
 
 // Add returns m + o.

@@ -140,12 +140,8 @@ func naiveMul(m, o *Matrix) *Matrix {
 func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Shapes straddling the tile boundaries and leaving every tail (0-3)
-	// after the kernels' blocks of four, including a parallel-sized product
-	// (work > parallelMinWork) so the goroutine split is covered.
-	shapes := [][3]int{{1, 1, 1}, {3, 5, 4}, {5, 7, 6}, {4, 6, 7}, {17, 129, 31}, {130, 257, 129}, {96, 96, 96}}
-	if !testing.Short() {
-		shapes = append(shapes, [3]int{120, 300, 160}) // 120*300*160 > parallelMinWork
-	}
+	// after the kernels' blocks of four.
+	shapes := [][3]int{{1, 1, 1}, {3, 5, 4}, {5, 7, 6}, {4, 6, 7}, {17, 129, 31}, {130, 257, 129}, {96, 96, 96}, {120, 300, 160}}
 	for _, s := range shapes {
 		a := Randn(s[0], s[1], 1, rng)
 		b := Randn(s[1], s[2], 1, rng)

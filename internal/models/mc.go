@@ -21,13 +21,13 @@ type ClusterModel struct {
 	Cfg    Config
 	Params *nn.Params
 
-	embedder cluster.Embedder
+	embedder *cluster.FeatureEmbedder
 	clusters *cluster.KMeans
 	head     *nn.MLP
 }
 
 // NewClusterModel builds an untrained M_c over a fitted clustering.
-func NewClusterModel(cfg Config, embedder cluster.Embedder, km *cluster.KMeans) *ClusterModel {
+func NewClusterModel(cfg Config, embedder *cluster.FeatureEmbedder, km *cluster.KMeans) *ClusterModel {
 	cfg.defaults()
 	p := nn.NewParams()
 	rng := newRNG(cfg.Seed, 0x33c)
@@ -60,19 +60,7 @@ func (m *ClusterModel) WithClusters(km *cluster.KMeans) *ClusterModel {
 // g's feature embedding — how inserted graphs join the fitted
 // clustering without refitting it.
 func (m *ClusterModel) NearestCentroid(g *graph.Graph) int {
-	emb := m.embedder.Embed(g)
-	best, bd := 0, 0.0
-	for c, cen := range m.clusters.Centroids {
-		var d float64
-		for i := range cen {
-			diff := cen[i] - emb[i]
-			d += diff * diff
-		}
-		if c == 0 || d < bd {
-			best, bd = c, d
-		}
-	}
-	return best
+	return m.clusters.Nearest(m.embedder.Embed(g))
 }
 
 // features appends M_c's head input for cluster c to in: centroid, query
@@ -174,18 +162,23 @@ func (m *ClusterModel) Train(table *DistanceTable, examples []ClusterExample, op
 	return nil
 }
 
-// InitialSelector is LAN_IS (Sec. V-A): M_c prunes to the top clusters,
-// M_nh filters their members into the predicted neighborhood N̂_Q, and s
-// random samples from N̂_Q are verified with true GEDs (charged to the
-// query's DistCache); the best sample seeds the routing.
+// LAN_IS's two settings, at the paper's values.
+const (
+	// SelectorTopClusters is the number of clusters M_c selects.
+	SelectorTopClusters = 3
+	// SelectorSamples is s, the number of verified candidates (the paper:
+	// precision > 0.7 makes 4 samples hit N_Q w.p. > 0.99).
+	SelectorSamples = 4
+)
+
+// InitialSelector is LAN_IS (Sec. V-A): M_c prunes to the
+// SelectorTopClusters top clusters, M_nh filters their members into the
+// predicted neighborhood N̂_Q, and SelectorSamples random samples from N̂_Q
+// are verified with true GEDs (charged to the query's DistCache); the best
+// sample seeds the routing.
 type InitialSelector struct {
 	Mnh *NeighborhoodModel
 	Mc  *ClusterModel
-	// TopClusters is the number of clusters M_c selects (default 3).
-	TopClusters int
-	// Samples is s, the number of verified candidates (default 4; the
-	// paper: precision > 0.7 makes 4 samples hit N_Q w.p. > 0.99).
-	Samples int
 	// Seed drives sampling.
 	Seed int64
 	// Predictions, if non-nil, accumulates the number of model
@@ -214,14 +207,6 @@ type InitialSelector struct {
 // returns the best candidate found so far — the model predictions
 // themselves are cheap and always complete.
 func (s *InitialSelector) Select(ctx context.Context, q *graph.Graph, cache *pg.DistCache) int {
-	top := s.TopClusters
-	if top <= 0 {
-		top = 3
-	}
-	samples := s.Samples
-	if samples <= 0 {
-		samples = 4
-	}
 	var candidates []int
 	if s.Exhaustive {
 		candidates = make([]int, len(cache.DB))
@@ -229,7 +214,7 @@ func (s *InitialSelector) Select(ctx context.Context, q *graph.Graph, cache *pg.
 			candidates[i] = i
 		}
 	} else {
-		clusters := s.Mc.TopClusters(q, top)
+		clusters := s.Mc.TopClusters(q, SelectorTopClusters)
 		if s.Predictions != nil {
 			*s.Predictions += s.Mc.Clusters().K()
 		}
@@ -273,9 +258,7 @@ func (s *InitialSelector) Select(ctx context.Context, q *graph.Graph, cache *pg.
 
 	rng := newRNG(s.Seed, int64(q.N())*1315423911^int64(q.M()))
 	rng.Shuffle(len(predicted), func(i, j int) { predicted[i], predicted[j] = predicted[j], predicted[i] })
-	if samples > len(predicted) {
-		samples = len(predicted)
-	}
+	samples := min(SelectorSamples, len(predicted))
 	best, bestD := predicted[0], cache.Dist(predicted[0])
 	for _, g := range predicted[1:samples] {
 		if ctx.Err() != nil {

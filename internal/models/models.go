@@ -71,11 +71,10 @@ func (c Config) Heads() int { return (100 + c.BatchPercent - 1) / c.BatchPercent
 
 // TrainOptions control the optimization loops.
 type TrainOptions struct {
-	Epochs      int
-	LR          float64
-	LRDecay     float64 // multiplicative decay applied every DecayEvery epochs
-	DecayEvery  int
-	WeightDecay float64
+	Epochs     int
+	LR         float64
+	LRDecay    float64 // multiplicative decay applied every DecayEvery epochs
+	DecayEvery int
 	// Logf, when set, receives one progress line per epoch. core.Build
 	// trains M_rk beside M_nh and M_c when it has more than one worker, so
 	// Logf can be called from two goroutines at once and must be safe for
@@ -253,7 +252,6 @@ func trainLoop(params *nn.Params, n int, opts TrainOptions, seed int64,
 	step func(t *autograd.Tape, idx int) float64) {
 	opts.defaults()
 	opt := nn.NewAdam(params, opts.LR)
-	opt.WeightDecay = opts.WeightDecay
 	rng := newRNG(seed, 0x7ea1)
 	order := rng.Perm(n)
 	tape := autograd.NewTape()

@@ -395,7 +395,7 @@ func TestInitialSelectorEndToEnd(t *testing.T) {
 	}
 
 	preds := 0
-	sel := &InitialSelector{Mnh: mnh, Mc: mc, TopClusters: 3, Samples: 4, Seed: 8, Predictions: &preds}
+	sel := &InitialSelector{Mnh: mnh, Mc: mc, Seed: 8, Predictions: &preds}
 	q := f.queries[len(f.queries)-1]
 	cache := pg.NewDistCache(f.metric, f.db, q)
 	entry := sel.Select(context.Background(), q, cache)

@@ -1,7 +1,8 @@
 // Package nn builds neural network layers and training machinery on top of
 // the autograd engine: parameter registries, linear layers, multilayer
-// perceptrons, the Adam optimizer with L2 weight decay (the paper's
-// regularizer), and parameter (de)serialization for trained models.
+// perceptrons, the Adam optimizer, and parameter (de)serialization for
+// trained models. The paper's L2 regularizer is not applied: Adam takes
+// no weight decay.
 package nn
 
 import (
@@ -236,14 +237,12 @@ func (m *MLP) InferFrom(prefix, rest, buf []float64) []float64 {
 	return cur
 }
 
-// Adam is the Adam optimizer with decoupled L2 weight decay over one
-// parameter registry.
+// Adam is the Adam optimizer over one parameter registry.
 type Adam struct {
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
+	LR    float64
+	Beta1 float64
+	Beta2 float64
+	Eps   float64
 
 	params *Params
 	t      int
@@ -282,7 +281,7 @@ func (a *Adam) Step() {
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
 			mh := m[i] / bc1
 			vh := v[i] / bc2
-			w[i] -= a.LR * (mh/(math.Sqrt(vh)+a.Eps) + a.WeightDecay*w[i])
+			w[i] -= a.LR * (mh / (math.Sqrt(vh) + a.Eps))
 		}
 	}
 }

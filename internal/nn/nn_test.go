@@ -295,22 +295,6 @@ func BenchmarkMLPInfer(b *testing.B) {
 	})
 }
 
-func TestAdamWeightDecayShrinksUnusedParams(t *testing.T) {
-	p := NewParams()
-	w := p.Add("w", mat.FromSlice(1, 1, []float64{10}))
-	opt := NewAdam(p, 0.1)
-	opt.WeightDecay = 0.1
-	for i := 0; i < 50; i++ {
-		p.ZeroGrad()
-		// Zero gradient: only decay acts.
-		w.Grad = mat.New(1, 1)
-		opt.Step()
-	}
-	if v := math.Abs(w.Data.At(0, 0)); v >= 10 {
-		t.Fatalf("weight decay had no effect: %v", v)
-	}
-}
-
 func TestAdamSkipsParamsWithoutGrad(t *testing.T) {
 	p := NewParams()
 	w := p.Add("w", mat.FromSlice(1, 1, []float64{5}))

@@ -11,9 +11,6 @@ package route
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math"
 	"sort"
 
 	"github.com/lansearch/lan/ged"
@@ -111,32 +108,10 @@ type Config struct {
 	// Beam is b, the candidate pool size.
 	Beam int
 	// StepSize is d_s, the threshold increment between supersteps
-	// (default 1 — GED is integral under unit costs).
+	// (default 1 — GED is integral under unit costs). Stage 2 ends only
+	// because γ grows, so a step that γ absorbs (γ + d_s == γ) never ends
+	// it; the engine always routes at the default.
 	StepSize float64
-}
-
-// The accepted range of a positive StepSize. Stage 2 of Route ends only
-// because γ grows, so a step that γ absorbs (γ + d_s == γ: 1e-17 at
-// Hungarian distances) never ends it. GED under the repo's cost model
-// moves in halves, so no d_s below MinStepSize means anything, and none
-// above MaxStepSize differs from one superstep over the whole graph.
-const (
-	MinStepSize = 1.0 / (1 << 10)
-	MaxStepSize = 1 << 16
-)
-
-// ErrStepSize is CheckStepSize's refusal.
-var ErrStepSize = errors.New("route: step size out of range")
-
-// CheckStepSize refuses a d_s that is not finite, or positive but outside
-// [MinStepSize, MaxStepSize]; zero and below keep meaning "the default".
-// Route trusts its Config: whoever takes a step size from outside — an
-// option at build, snapshot metadata at open — asks here first.
-func CheckStepSize(d float64) error {
-	if math.IsNaN(d) || math.IsInf(d, 0) || d > 0 && (d < MinStepSize || d > MaxStepSize) {
-		return fmt.Errorf("%w: %v not in [%v, %v]", ErrStepSize, d, MinStepSize, MaxStepSize)
-	}
-	return nil
 }
 
 func (c *Config) defaults() {

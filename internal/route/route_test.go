@@ -475,23 +475,11 @@ func TestRouteCancelInsideEveryDistance(t *testing.T) {
 	}
 }
 
-func TestCheckStepSize(t *testing.T) {
-	for _, d := range []float64{0, -1, MinStepSize, 0.5, 1, MaxStepSize} {
-		if err := CheckStepSize(d); err != nil {
-			t.Errorf("CheckStepSize(%v) = %v; want nil", d, err)
-		}
-	}
-	for _, d := range []float64{1e-300, 1e-17, MinStepSize / 2, 2 * MaxStepSize, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := CheckStepSize(d); !errors.Is(err, ErrStepSize) {
-			t.Errorf("CheckStepSize(%v) = %v; want ErrStepSize", d, err)
-		}
-	}
-}
-
 // TestRouteSmallestStepTerminates: stage 2 ends only because γ grows, so
-// the smallest step CheckStepSize lets through must still carry γ across
-// the database's distance range — a step γ absorbs (1e-17 here) spins to
-// the deadline without paying one distance.
+// a step of 2⁻¹⁰ — below it no d_s means anything, GED under the repo's
+// cost model moving in halves — must still carry γ across the database's
+// distance range; a step γ absorbs (1e-17 here) spins to the deadline
+// without paying one distance.
 func TestRouteSmallestStepTerminates(t *testing.T) {
 	metric := ged.MetricFunc(ged.Hungarian)
 	db := clusteredDB(3, 4, 10)
@@ -505,15 +493,16 @@ func TestRouteSmallestStepTerminates(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	c := pg.NewDistCache(metric, db, q)
-	res, stats, err := Route(ctx, h.PG, c, &OracleRanker{Cache: c, BatchPercent: 20}, h.Entry, Config{K: 5, Beam: 8, StepSize: MinStepSize})
+	const step = 1.0 / 1024
+	res, stats, err := Route(ctx, h.PG, c, &OracleRanker{Cache: c, BatchPercent: 20}, h.Entry, Config{K: 5, Beam: 8, StepSize: step})
 	if err != nil {
-		t.Fatalf("Route at step %v: %v after %d supersteps", MinStepSize, err, stats.GammaSteps)
+		t.Fatalf("Route at step %v: %v after %d supersteps", step, err, stats.GammaSteps)
 	}
 	if len(res) != 5 {
 		t.Fatalf("%d results; want 5", len(res))
 	}
-	if limit := int(farthest/MinStepSize) + 1; stats.GammaSteps > limit {
-		t.Fatalf("%d supersteps to cross a distance range of %v at step %v; want at most %d", stats.GammaSteps, farthest, MinStepSize, limit)
+	if limit := int(farthest/step) + 1; stats.GammaSteps > limit {
+		t.Fatalf("%d supersteps to cross a distance range of %v at step %v; want at most %d", stats.GammaSteps, farthest, step, limit)
 	}
-	t.Logf("step %v: %d supersteps, NDC %d, farthest graph at %v", MinStepSize, stats.GammaSteps, stats.NDC, farthest)
+	t.Logf("step %v: %d supersteps, NDC %d, farthest graph at %v", step, stats.GammaSteps, stats.NDC, farthest)
 }

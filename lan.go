@@ -39,7 +39,6 @@ import (
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/mutable"
 	"github.com/lansearch/lan/internal/obs"
-	"github.com/lansearch/lan/internal/route"
 )
 
 // Storage tiers that Options.Store once chose between. A snapshot now
@@ -69,18 +68,14 @@ var (
 	ErrCorrupt       = lanstore.ErrCorrupt
 )
 
-// ErrStepSize is returned by Build for an Options.StepSize that is not
-// finite, or positive but so small that routing would not end (or above
-// 65536); zero keeps meaning the default.
-var ErrStepSize = route.ErrStepSize
-
-// Options configure Build. The zero value is usable.
+// Options configure Build. The zero value is usable. The paper's other
+// settings are fixed at its values: construction beam 2M, two GNN layers,
+// batch share y = 20 %, γ*'s 0.9 quantile, LAN_IS's 3 top clusters and
+// s = 4 samples, and routing step d_s = 1.
 type Options struct {
 	// M is the proximity-graph degree parameter (default 8; base layer
 	// allows 2M neighbors).
 	M int
-	// EfConstruction is the construction beam width (default 2M).
-	EfConstruction int
 	// BuildMetric is the GED used during offline index construction
 	// (default: the Riesen-Bunke bipartite upper bound, ged.Hungarian —
 	// fast). The proximity graph inherits this metric's geometry, so
@@ -93,27 +88,20 @@ type Options struct {
 	// QueryMetric is the GED used to answer queries (default
 	// ged.Hungarian; use a ged.Ensemble for higher-fidelity distances).
 	QueryMetric ged.Metric
-	// Layers and Dim shape the GNN models (defaults 2 and 16).
-	Layers, Dim int
-	// BatchPercent is the paper's y: the share of a node's neighbors
-	// ranked into each pruning batch (default 20).
-	BatchPercent int
-	// GammaKNN and GammaQuantile calibrate the neighborhood radius
-	// gamma*: for GammaQuantile of the training queries, the
-	// neighborhood contains their GammaKNN nearest neighbors (defaults
-	// 20 and 0.9).
-	GammaKNN      int
-	GammaQuantile float64
-	// Clusters, TopClusters and Samples control learned initial-node
-	// selection (defaults |D|/16, 3 and 4).
-	Clusters, TopClusters, Samples int
+	// Dim is the GNN models' embedding dimension (default 16; the paper
+	// uses 128).
+	Dim int
+	// GammaKNN calibrates the neighborhood radius gamma*: for 90 % of the
+	// training queries, the neighborhood contains their GammaKNN nearest
+	// neighbors (default 20).
+	GammaKNN int
+	// Clusters is the k of the k-means clustering learned initial-node
+	// selection prunes by (default |D|/16).
+	Clusters int
 	// Epochs and LR control model training (defaults 30 and 0.005, with
 	// the paper's x0.96-every-5-epochs decay).
 	Epochs int
 	LR     float64
-	// StepSize is the routing threshold increment d_s (default 1; Build
-	// returns ErrStepSize for a positive one outside [2⁻¹⁰, 2¹⁶]).
-	StepSize float64
 	// Workers bounds the concurrency of offline index construction: the
 	// proximity-graph build pool, the training distance table and the
 	// node-embedding precompute fan out across this many goroutines, and
@@ -182,6 +170,37 @@ const (
 	// it is not.
 	OracleRoute = core.OracleRoute
 )
+
+// ParseStrategies maps the wire names of a routing and an initial-node
+// strategy — their String values, as lanserve's requests and lan-search's
+// flags carry them — to the strategies. An empty name picks the default
+// (LANRoute, LANIS).
+func ParseStrategies(routing, initial string) (RoutingStrategy, InitialStrategy, error) {
+	r, ok := parseName(routing, LANRoute, BaselineRoute, OracleRoute)
+	if !ok {
+		return 0, 0, fmt.Errorf("unknown routing %q (want lan, baseline or oracle)", routing)
+	}
+	i, ok := parseName(initial, LANIS, HNSWIS, RandIS)
+	if !ok {
+		return 0, 0, fmt.Errorf("unknown initial %q (want lan, hnsw or rand)", initial)
+	}
+	return r, i, nil
+}
+
+// parseName returns the strategy of all whose String is name; "" is the
+// first, the default.
+func parseName[S fmt.Stringer](name string, all ...S) (S, bool) {
+	if name == "" {
+		return all[0], true
+	}
+	for _, s := range all {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	var none S
+	return none, false
+}
 
 // Result is one answer: a database graph id and its distance to the
 // query.
@@ -264,16 +283,10 @@ func (x *Index) engine() *core.Engine { return x.mut.Snapshot().Engine }
 // graph.NewDatabase.
 func Build(db graph.Database, trainQueries []*graph.Graph, o Options) (*Index, error) {
 	eng, err := core.Build(db, trainQueries, core.Options{
-		M: o.M, EfConstruction: o.EfConstruction,
-		BuildMetric: o.BuildMetric, QueryMetric: o.QueryMetric,
-		Layers: o.Layers, Dim: o.Dim, BatchPercent: o.BatchPercent,
-		UseCG:    true,
-		GammaKNN: o.GammaKNN, GammaQuantile: o.GammaQuantile,
-		Clusters: o.Clusters, TopClusters: o.TopClusters, Samples: o.Samples,
-		Train:    trainOptions(o),
-		StepSize: o.StepSize,
-		Workers:  o.Workers,
-		Seed:     o.Seed,
+		M: o.M, BuildMetric: o.BuildMetric, QueryMetric: o.QueryMetric,
+		Dim: o.Dim, GammaKNN: o.GammaKNN, Clusters: o.Clusters,
+		Train:   models.TrainOptions{Epochs: o.Epochs, LR: o.LR},
+		Workers: o.Workers, Seed: o.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -456,10 +469,4 @@ func (s *IndexSnapshot) Search(q *graph.Graph, so SearchOptions) ([]Result, Stat
 // SearchContext is Search with cancellation, against the pinned state.
 func (s *IndexSnapshot) SearchContext(ctx context.Context, q *graph.Graph, so SearchOptions) ([]Result, Stats, error) {
 	return snapshotSearch(ctx, s.snap, q, so)
-}
-
-func trainOptions(o Options) (t models.TrainOptions) {
-	t.Epochs = o.Epochs
-	t.LR = o.LR
-	return t
 }

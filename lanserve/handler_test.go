@@ -160,6 +160,39 @@ func TestHandlerBadRequests(t *testing.T) {
 	}
 }
 
+// TestHandlerStrategyNames: every public strategy's wire name reaches the
+// index as that strategy, an absent one as the default, and a name the
+// public API does not offer — lan_basic, the ablation's name, among them —
+// is answered 400 with the names it wants.
+func TestHandlerStrategyNames(t *testing.T) {
+	idx := &optionsSearcher{}
+	s := newTestServer(t, Config{Index: idx})
+	routings := map[string]lan.RoutingStrategy{"": lan.LANRoute, "lan": lan.LANRoute, "baseline": lan.BaselineRoute, "oracle": lan.OracleRoute}
+	initials := map[string]lan.InitialStrategy{"": lan.LANIS, "lan": lan.LANIS, "hnsw": lan.HNSWIS, "rand": lan.RandIS}
+	for rn, rt := range routings {
+		for in, is := range initials {
+			extra := fmt.Sprintf(`,"routing":%q,"initial":%q,"no_cache":true`, rn, in)
+			if rec := doSearch(s, testQueryJSON(t, extra)); rec.Code != http.StatusOK {
+				t.Fatalf("routing %q, initial %q: status = %d body=%s", rn, in, rec.Code, rec.Body)
+			}
+			if idx.so.Routing != rt || idx.so.Initial != is {
+				t.Errorf("routing %q, initial %q searched with %v, %v; want %v, %v", rn, in, idx.so.Routing, idx.so.Initial, rt, is)
+			}
+		}
+	}
+	for _, c := range []struct{ extra, want string }{
+		{`,"initial":"lan_basic"`, `unknown initial \"lan_basic\" (want lan, hnsw or rand)`},
+		{`,"initial":"HNSW"`, `unknown initial \"HNSW\" (want lan, hnsw or rand)`},
+		{`,"routing":"lan_basic"`, `unknown routing \"lan_basic\" (want lan, baseline or oracle)`},
+		{`,"routing":"np_route"`, `unknown routing \"np_route\" (want lan, baseline or oracle)`},
+	} {
+		rec := doSearch(s, testQueryJSON(t, c.extra))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s: status = %d body=%s; want 400 with %s", c.extra, rec.Code, rec.Body, c.want)
+		}
+	}
+}
+
 func TestHandlerDeadlineReturns504(t *testing.T) {
 	s := newTestServer(t, Config{
 		Index: &fakeSearcher{delay: 200 * time.Millisecond, n: 10},
@@ -298,3 +331,15 @@ func (p *panickySearcher) SearchContext(ctx context.Context, q *graph.Graph, so 
 }
 
 func (p *panickySearcher) Len() int { return 1 }
+
+// optionsSearcher records the options of the last search it answered.
+type optionsSearcher struct {
+	so lan.SearchOptions
+}
+
+func (o *optionsSearcher) SearchContext(_ context.Context, _ *graph.Graph, so lan.SearchOptions) ([]lan.Result, lan.Stats, error) {
+	o.so = so
+	return []lan.Result{{ID: 1, Dist: 0}}, lan.Stats{NDC: 1}, nil
+}
+
+func (o *optionsSearcher) Len() int { return 2 }

@@ -377,25 +377,9 @@ func (s *Server) parseRequest(body []byte) (*SearchRequest, searchParams, error)
 	if p.Beam > s.cfg.MaxBeam {
 		p.Beam = s.cfg.MaxBeam
 	}
-	switch req.Routing {
-	case "", "lan":
-		p.Routing = lan.LANRoute
-	case "baseline":
-		p.Routing = lan.BaselineRoute
-	case "oracle":
-		p.Routing = lan.OracleRoute
-	default:
-		return nil, searchParams{}, fmt.Errorf("unknown routing %q (want lan, baseline or oracle)", req.Routing)
-	}
-	switch req.Initial {
-	case "", "lan":
-		p.Initial = lan.LANIS
-	case "hnsw":
-		p.Initial = lan.HNSWIS
-	case "rand":
-		p.Initial = lan.RandIS
-	default:
-		return nil, searchParams{}, fmt.Errorf("unknown initial %q (want lan, hnsw or rand)", req.Initial)
+	var err error
+	if p.Routing, p.Initial, err = lan.ParseStrategies(req.Routing, req.Initial); err != nil {
+		return nil, searchParams{}, err
 	}
 	return &req, p, nil
 }
