@@ -45,7 +45,7 @@ race:
 # shape models.us_per_ranker_call is measured at on syn_hung),
 # BenchmarkHeads/{miss,hit} (the heads' share of one score),
 # BenchmarkMLPInfer/{vector,go} (one head on each body) —, one training
-# step on a warm tape, BenchmarkRankTrainStep (M_rk, beside the ranking call
+# step on warm passes, BenchmarkRankTrainStep (M_rk, beside the ranking call
 # it trains) and BenchmarkMembershipTrainStep (M_nh), parallel
 # vs sequential PG build, pool resize, lanserve's cache-hit handler
 # (BenchmarkSearchCacheHit), root package ablations); see DESIGN.md

@@ -13,7 +13,7 @@ import (
 // sites must return errors instead.
 //
 // Internal packages are out of scope: there a panic is the documented
-// numpy-style shape-check contract (mat, autograd) or a corruption abort
+// numpy-style shape-check contract (mat) or a corruption abort
 // (lanstore), lanserve turns a panic under a request into a 500, and
 // core.Build recovers one from the ranker's training goroutine.
 //

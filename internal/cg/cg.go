@@ -16,9 +16,9 @@
 //
 // A second note: the attention score a1·h_i + a2·h_j + log|g_j| has no
 // non-linearity around it, so the softmax over j cancels the a1·h_i term —
-// every group of one side receives the same cross message. Both forwards
-// compute it as what it equals, one softmax of a2·h_j + log|g_j| per side
-// per layer, and never read A1 (TestCrossModelDoesNotReadA1,
+// every group of one side receives the same cross message. The forward
+// computes it as what it equals, one softmax of a2·h_j + log|g_j| per side
+// per layer, and never reads A1 (TestCrossModelDoesNotReadA1,
 // TestCrossAttentionMatchesPaper; DESIGN.md "Deviations" 7).
 package cg
 
@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/internal/autograd"
 )
 
 // Vocab maps node labels to dense feature indices. Labels not present when
@@ -101,7 +100,14 @@ type Level struct {
 	Feature []int
 	// In[i] lists the weighted aggregation edges from previous-level
 	// groups into group i (levels >= 1), including the GIN self term.
-	In [][]autograd.Lin
+	In [][]Lin
+}
+
+// Lin is one weighted aggregation edge: weight W applied to row Row of
+// the previous level.
+type Lin struct {
+	Row int
+	W   float64
 }
 
 // zeroLogs is the LogSize of every level made of singleton groups — all of
@@ -174,7 +180,7 @@ func Build(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 				lv.Feature[i] = vocab.Index(g.Label(u))
 			}
 		} else {
-			lv.In = make([][]autograd.Lin, ng)
+			lv.In = make([][]Lin, ng)
 			for i, u := range rep {
 				// Weighted in-edges per Algorithm 5: |N(u) ∩ group| for
 				// each previous-level group, +1 for u's own group.
@@ -183,9 +189,9 @@ func Build(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 				for _, v := range g.Neighbors(u) {
 					w[groupOf[l-1][v]]++
 				}
-				ins := make([]autograd.Lin, 0, len(w))
+				ins := make([]Lin, 0, len(w))
 				for from, weight := range w {
-					ins = append(ins, autograd.Lin{Row: from, W: weight})
+					ins = append(ins, Lin{Row: from, W: weight})
 				}
 				sort.Slice(ins, func(a, b int) bool { return ins[a].Row < ins[b].Row })
 				lv.In[i] = ins
@@ -215,12 +221,12 @@ func BuildRaw(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 			}
 			continue
 		}
-		lv.In = make([][]autograd.Lin, n)
+		lv.In = make([][]Lin, n)
 		for u := 0; u < n; u++ {
-			ins := make([]autograd.Lin, 0, g.Degree(u)+1)
-			ins = append(ins, autograd.Lin{Row: u, W: 1})
+			ins := make([]Lin, 0, g.Degree(u)+1)
+			ins = append(ins, Lin{Row: u, W: 1})
 			for _, v := range g.Neighbors(u) {
-				ins = append(ins, autograd.Lin{Row: v, W: 1})
+				ins = append(ins, Lin{Row: v, W: 1})
 			}
 			sort.Slice(ins, func(a, b int) bool { return ins[a].Row < ins[b].Row })
 			lv.In[u] = ins

@@ -1,6 +1,7 @@
 package cg
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -8,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 )
@@ -62,7 +62,7 @@ func TestBuildPaperExampleFig2(t *testing.T) {
 	}
 	// The center aggregates itself once and three leaves (weight 3); the
 	// edge weights per Algorithm 5 must reflect that.
-	var centerIn []autograd.Lin
+	var centerIn []Lin
 	for i := range c.Levels[1].Size {
 		if c.Levels[1].Size[i] == 1 {
 			centerIn = c.Levels[1].In[i]
@@ -153,29 +153,35 @@ func newTestModel(t *testing.T, db graph.Database, layers, dim int) (*CrossModel
 // group j is a1·h_i + a2·h_j + log|g_j| with no non-linearity around it,
 // and the softmax over j cancels every term that does not depend on j. So
 // every group of one side receives the same cross message, and neither
-// forward reads A1: redrawing it — to other numbers or to NaN — leaves
-// Infer and Forward the same bits, and it gets no gradient. A change that
-// gives the attention a non-linearity (GAT's LeakyReLU, GMN's dot product)
-// must fail this test and delete it.
+// the forward nor the reference reads A1: redrawing it — to other numbers
+// or to NaN — leaves Infer, the training forward and refInfer the same
+// bits, and it gets no gradient. A change that gives the attention a
+// non-linearity (GAT's LeakyReLU, GMN's dot product) must fail this test
+// and delete it.
 func TestCrossModelDoesNotReadA1(t *testing.T) {
-	tape := autograd.NewTape()
 	db := testDB(31, 8)
 	m, vocab := newTestModel(t, db, 2, 8)
 	var cs []*Compressed
 	for _, g := range db {
 		cs = append(cs, Build(g, 2, vocab), BuildRaw(g, 2, vocab))
 	}
+	var pass CrossPass
 	embed := func() (out [][]float64) {
 		for _, g := range cs {
 			for _, q := range cs {
-				out = append(out, m.Infer(g, q), m.Forward(tape, g, q).Data.Data)
+				out = append(out, m.Infer(g, q), slices.Clone(pass.Forward(m, g, q)), refInfer(m, g, q))
 			}
 		}
 		return out
 	}
 	before := embed()
 
-	tape.Backward(tape.SumSquares(m.Forward(tape, cs[0], cs[3])))
+	out := pass.Forward(m, cs[0], cs[3])
+	dOut := make([]float64, len(out))
+	for k, v := range out {
+		dOut[k] = 2 * v // the gradient of the sum of squares
+	}
+	pass.Backward(dOut)
 	for l, a1 := range m.A1 {
 		if a1.Grad != nil {
 			t.Fatalf("A1 of layer %d received a gradient", l+1)
@@ -295,7 +301,7 @@ func TestCrossAttentionMatchesPaper(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100*vocabSize + layers)))
 			m := NewCrossModel(nn.NewParams(), "m", Config{Layers: layers, Dim: 7, Vocab: vocab}, rng)
 			for l := range m.A1 {
-				for _, a := range []*autograd.Value{m.A1[l], m.A2[l]} {
+				for _, a := range []*nn.Param{m.A1[l], m.A2[l]} {
 					for i := range a.Data.Data {
 						a.Data.Data[i] = 1.5 * rng.NormFloat64()
 					}
@@ -322,60 +328,74 @@ func TestCrossAttentionMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestTheorem2CompressedEqualsRaw: Definition 3 on compressed inputs
+// equals Definition 1 on raw ones — the kernel on both, and the kernel on
+// compressed inputs against the matrix reference on raw ones.
 func TestTheorem2CompressedEqualsRaw(t *testing.T) {
-	tape := autograd.NewTape()
 	db := testDB(5, 8)
 	m, vocab := newTestModel(t, db, 3, 8)
 	for i := 0; i < len(db); i++ {
 		for j := i + 1; j < len(db); j++ {
 			g, q := db[i], db[j]
-			raw := m.Forward(tape, BuildRaw(g, 3, vocab), BuildRaw(q, 3, vocab))
-			comp := m.Forward(tape, Build(g, 3, vocab), Build(q, 3, vocab))
-			if d := mat.MaxAbsDiff(raw.Data, comp.Data); d > 1e-9 {
-				t.Fatalf("pair (%d,%d): |raw - compressed| = %v", i, j, d)
+			rawG, rawQ := BuildRaw(g, 3, vocab), BuildRaw(q, 3, vocab)
+			comp := m.Infer(Build(g, 3, vocab), Build(q, 3, vocab))
+			for name, raw := range map[string][]float64{"kernel": m.Infer(rawG, rawQ), "reference": refInfer(m, rawG, rawQ)} {
+				if d := maxAbsDiff(raw, comp); d > 1e-9 {
+					t.Fatalf("pair (%d,%d): |raw (%s) - compressed| = %v", i, j, name, d)
+				}
 			}
 		}
 	}
 }
 
 func TestTheorem2MixedInputs(t *testing.T) {
-	tape := autograd.NewTape()
 	// Raw G with compressed Q must still match (the two sides are
 	// independent groupings of the same computation).
 	db := testDB(6, 4)
 	m, vocab := newTestModel(t, db, 2, 6)
 	g, q := db[0], db[1]
-	a := m.Forward(tape, BuildRaw(g, 2, vocab), Build(q, 2, vocab))
-	b := m.Forward(tape, Build(g, 2, vocab), BuildRaw(q, 2, vocab))
-	if d := mat.MaxAbsDiff(a.Data, b.Data); d > 1e-9 {
+	a := m.Infer(BuildRaw(g, 2, vocab), Build(q, 2, vocab))
+	b := refInfer(m, Build(g, 2, vocab), BuildRaw(q, 2, vocab))
+	if d := maxAbsDiff(a, b); d > 1e-9 {
 		t.Fatalf("mixed inputs diverge: %v", d)
 	}
 }
 
+// maxAbsDiff returns max |a[k] - b[k]|.
+func maxAbsDiff(a, b []float64) float64 {
+	d := 0.0
+	for k := range a {
+		d = math.Max(d, math.Abs(a[k]-b[k]))
+	}
+	return d
+}
+
 func TestForwardShapeAndDeterminism(t *testing.T) {
-	tape := autograd.NewTape()
 	db := testDB(7, 3)
 	m, vocab := newTestModel(t, db, 2, 5)
 	c0, c1 := Build(db[0], 2, vocab), Build(db[1], 2, vocab)
-	out := m.Forward(tape, c0, c1)
-	if out.Data.Rows != 1 || out.Data.Cols != 10 {
-		t.Fatalf("cross embedding shape %dx%d; want 1x10", out.Data.Rows, out.Data.Cols)
+	var pass CrossPass
+	out := slices.Clone(pass.Forward(m, c0, c1))
+	if len(out) != 10 {
+		t.Fatalf("cross embedding has %d floats; want 10", len(out))
 	}
-	out2 := m.Forward(tape, c0, c1)
-	if mat.MaxAbsDiff(out.Data, out2.Data) != 0 {
-		t.Fatalf("forward not deterministic")
+	if out2 := pass.Forward(m, c0, c1); !sameBits(out, out2) {
+		t.Fatalf("forward not deterministic: %v then %v", out, out2)
 	}
 }
 
 func TestCrossModelGradientsFlow(t *testing.T) {
-	tape := autograd.NewTape()
 	db := testDB(8, 2)
 	vocab := NewVocab(db)
 	p := nn.NewParams()
 	m := NewCrossModel(p, "m", Config{Layers: 2, Dim: 4, Vocab: vocab}, rand.New(rand.NewSource(1)))
-	out := m.Forward(tape, Build(db[0], 2, vocab), Build(db[1], 2, vocab))
-	loss := tape.SumSquares(out)
-	tape.Backward(loss)
+	var pass CrossPass
+	out := pass.Forward(m, Build(db[0], 2, vocab), Build(db[1], 2, vocab))
+	dOut := make([]float64, len(out))
+	for k, v := range out {
+		dOut[k] = 2 * v // the gradient of the sum of squares
+	}
+	pass.Backward(dOut)
 	for _, name := range p.Names() {
 		if strings.HasPrefix(name, "m.a1_") {
 			continue // never read (TestCrossModelDoesNotReadA1)
@@ -391,7 +411,6 @@ func TestCrossModelGradientsFlow(t *testing.T) {
 }
 
 func TestCrossModelTrainsToSeparateClasses(t *testing.T) {
-	tape := autograd.NewTape()
 	// Tiny end-to-end learnability check: classify whether Q is a mutation
 	// of G (positive) or an unrelated graph (negative).
 	gen := graph.NewGenerator(42)
@@ -421,16 +440,20 @@ func TestCrossModelTrainsToSeparateClasses(t *testing.T) {
 			pair{Build(g, 2, vocab), Build(far, 2, vocab), 0},
 		)
 	}
+	var pass CrossPass
+	acts, buf := make([]float64, head.Acts()), make([]float64, 2*head.Width())
+	dEmb := make([]float64, 16)
 	var loss float64
 	for epoch := 0; epoch < 60; epoch++ {
 		p.ZeroGrad()
 		total := 0.0
 		for _, pr := range pairs {
-			emb := m.Forward(tape, pr.a, pr.b)
-			logit := head.Apply(tape, emb)
-			l := tape.BCEWithLogits(logit, []float64{pr.y})
-			tape.Backward(l)
-			total += l.Data.At(0, 0)
+			emb := pass.Forward(m, pr.a, pr.b)
+			l, d := nn.BCEWithLogits(head.Forward(acts, emb)[0], pr.y)
+			clear(dEmb)
+			head.Backward(emb, acts, []float64{d}, dEmb, buf)
+			pass.Backward(dEmb)
+			total += l
 		}
 		opt.Step()
 		loss = total / float64(len(pairs))
@@ -490,28 +513,49 @@ func TestGINModelEmbedding(t *testing.T) {
 	}
 }
 
+// TestHAGEquivalenceAndSavings: a HAG plan aggregates what the raw
+// GNN-graph does — every rewritten row, its aux rows expanded into the
+// sources they sum, holds raw's terms as a multiset — and never adds
+// aggregation work.
 func TestHAGEquivalenceAndSavings(t *testing.T) {
-	tape := autograd.NewTape()
 	db := testDB(11, 6)
-	m, vocab := newTestModel(t, db, 2, 6)
-	for i := 0; i+1 < len(db); i += 2 {
-		g, q := db[i], db[i+1]
-		rawG, rawQ := BuildRaw(g, 2, vocab), BuildRaw(q, 2, vocab)
-		hg, hq := BuildHAG(rawG, 8), BuildHAG(rawQ, 8)
-		want := m.Forward(tape, rawG, rawQ)
-		got := ForwardCross(tape, m, hg, hq)
-		if d := mat.MaxAbsDiff(want.Data, got.Data); d > 1e-9 {
-			t.Fatalf("pair %d: HAG forward differs by %v", i, d)
-		}
-		// The plan never increases aggregation work.
+	vocab := NewVocab(db)
+	for _, g := range db {
+		raw := BuildRaw(g, 2, vocab)
+		h := BuildHAG(raw, 8)
 		rawEdges := 0
 		for l := 1; l <= 2; l++ {
-			for _, ins := range rawG.Levels[l].In {
-				rawEdges += len(ins)
+			base := raw.Groups(l - 1)
+			var expand func(e Lin) []Lin
+			expand = func(e Lin) []Lin {
+				if e.Row < base {
+					return []Lin{e}
+				}
+				var out []Lin
+				for _, a := range h.Aux[l][e.Row-base] {
+					for _, x := range expand(a) {
+						out = append(out, Lin{Row: x.Row, W: x.W * e.W})
+					}
+				}
+				return out
+			}
+			for i, terms := range raw.Levels[l].In {
+				rawEdges += len(terms)
+				var got []Lin
+				for _, e := range h.In[l][i] {
+					got = append(got, expand(e)...)
+				}
+				want := slices.Clone(terms)
+				for _, s := range [][]Lin{got, want} {
+					slices.SortFunc(s, func(a, b Lin) int { return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.W, b.W)) })
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("graph %d layer %d row %d: plan aggregates %v, raw %v", g.ID, l, i, got, want)
+				}
 			}
 		}
-		if hg.AggEdges() > rawEdges {
-			t.Fatalf("HAG increased agg edges: %d > %d", hg.AggEdges(), rawEdges)
+		if h.AggEdges() > rawEdges {
+			t.Fatalf("graph %d: HAG increased agg edges: %d > %d", g.ID, h.AggEdges(), rawEdges)
 		}
 	}
 }
@@ -560,46 +604,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestInferMatchesForward pins the tape-free path to the training path.
-// The tolerance used to be 1e-9; what actually holds is equality: every
-// autograd op of Forward (MatMul, Add, SoftmaxRows, AddRowBroadcast,
-// LinearCombRows, WeightedMeanRows) performs the float operations of
-// the inference kernel in the same order, the only difference being terms
-// that are exactly zero, so the test compares with ==.
+// TestInferMatchesForward pins the training forward (CrossPass) to
+// inference (Infer) and both to the matrix reference, with ==: they are
+// one kernel, run with and without a record, so not a bit may differ.
 func TestInferMatchesForward(t *testing.T) {
-	tape := autograd.NewTape()
 	db := testDB(21, 8)
 	m, vocab := newTestModel(t, db, 3, 8)
+	var pass CrossPass
 	for i := 0; i+1 < len(db); i += 2 {
 		for name, build := range map[string]func(*graph.Graph, int, *Vocab) *Compressed{"compressed": Build, "raw": BuildRaw} {
 			cgG, cgQ := build(db[i], 3, vocab), build(db[i+1], 3, vocab)
-			want := m.Forward(tape, cgG, cgQ).Data.Data
-			got := m.Infer(cgG, cgQ)
-			if len(got) != len(want) {
-				t.Fatalf("pair %d %s: dim %d vs %d", i, name, len(got), len(want))
+			want := refInfer(m, cgG, cgQ)
+			if got := m.Infer(cgG, cgQ); !sameBits(got, want) {
+				t.Fatalf("pair %d %s: Infer %v; reference %v", i, name, got, want)
 			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("pair %d %s: Infer[%d] = %v; Forward = %v", i, name, j, got[j], want[j])
-				}
+			if got := pass.Forward(m, cgG, cgQ); !sameBits(got, want) {
+				t.Fatalf("pair %d %s: training forward %v; reference %v", i, name, got, want)
 			}
 		}
 	}
 }
 
+// TestGINEmbedMatchesForward pins Embed and the training forward
+// (GINPass) to the dense reference, with ==.
 func TestGINEmbedMatchesForward(t *testing.T) {
-	tape := autograd.NewTape()
 	db := testDB(23, 6)
 	vocab := NewVocab(db)
 	p := nn.NewParams()
 	m := NewGINModel(p, "gin", Config{Layers: 3, Dim: 7, Vocab: vocab}, rand.New(rand.NewSource(2)))
+	var pass GINPass
 	for _, g := range db {
-		c := Build(g, 3, vocab)
-		want := m.Forward(tape, c).Data.Data
-		got := m.Embed(c)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("graph %d: Embed[%d]=%v Forward=%v", g.ID, j, got[j], want[j])
+		for _, c := range []*Compressed{Build(g, 3, vocab), BuildRaw(g, 3, vocab)} {
+			want := refEmbed(m, c)
+			if got := m.Embed(c); !sameBits(got, want) {
+				t.Fatalf("graph %d: Embed %v; reference %v", g.ID, got, want)
+			}
+			if got := pass.Forward(m, c); !sameBits(got, want) {
+				t.Fatalf("graph %d: training forward %v; reference %v", g.ID, got, want)
 			}
 		}
 	}

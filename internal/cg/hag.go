@@ -1,10 +1,6 @@
 package cg
 
-import (
-	"sort"
-
-	"github.com/lansearch/lan/internal/autograd"
-)
+import "sort"
 
 // HAG is the comparison baseline of Sec. VI (Jia et al., KDD 2020): it
 // leaves the GNN-graph uncompressed but eliminates redundant *additions*
@@ -12,17 +8,19 @@ import (
 // frequently co-occurring source pairs. Because every original node still
 // flows through W^l individually, HAG reduces AggEdges but neither
 // AttnPairs nor MatmulRows — which is why it cannot speed up cross-graph
-// learning (Fig. 12).
+// learning. Fig. 12 counts that cost (AggEdges) rather than running the
+// plan; TestHAGEquivalenceAndSavings checks that the plan aggregates what
+// the raw GNN-graph does.
 type HAG struct {
 	// Base is the raw GNN-graph the plan optimizes.
 	Base *Compressed
 	// Aux[l] lists, per layer l >= 1, the auxiliary sum nodes to
 	// prepend-compute over the previous level's rows; an aux combo may
 	// reference earlier aux rows at indices >= Groups(l-1).
-	Aux [][][]autograd.Lin
+	Aux [][][]Lin
 	// In[l] is the rewritten aggregation for layer l, whose Lin.Row may
 	// reference aux rows.
-	In [][][]autograd.Lin
+	In [][][]Lin
 }
 
 // BuildHAG constructs a HAG aggregation plan for g with at most maxAux
@@ -31,14 +29,14 @@ type HAG struct {
 func BuildHAG(raw *Compressed, maxAux int) *HAG {
 	h := &HAG{Base: raw}
 	L := raw.Depth()
-	h.Aux = make([][][]autograd.Lin, L+1)
-	h.In = make([][][]autograd.Lin, L+1)
+	h.Aux = make([][][]Lin, L+1)
+	h.In = make([][][]Lin, L+1)
 	for l := 1; l <= L; l++ {
-		in := make([][]autograd.Lin, len(raw.Levels[l].In))
+		in := make([][]Lin, len(raw.Levels[l].In))
 		for i, terms := range raw.Levels[l].In {
-			in[i] = append([]autograd.Lin(nil), terms...)
+			in[i] = append([]Lin(nil), terms...)
 		}
-		var aux [][]autograd.Lin
+		var aux [][]Lin
 		base := raw.Groups(l - 1)
 		for len(aux) < maxAux {
 			pair, count := mostFrequentPair(in)
@@ -46,7 +44,7 @@ func BuildHAG(raw *Compressed, maxAux int) *HAG {
 				break
 			}
 			auxRow := base + len(aux)
-			aux = append(aux, []autograd.Lin{{Row: pair[0], W: 1}, {Row: pair[1], W: 1}})
+			aux = append(aux, []Lin{{Row: pair[0], W: 1}, {Row: pair[1], W: 1}})
 			for i, terms := range in {
 				in[i] = substitutePair(terms, pair, auxRow)
 			}
@@ -59,7 +57,7 @@ func BuildHAG(raw *Compressed, maxAux int) *HAG {
 
 // mostFrequentPair finds the unordered pair of unit-weight sources that
 // co-occurs in the most aggregation lists.
-func mostFrequentPair(in [][]autograd.Lin) ([2]int, int) {
+func mostFrequentPair(in [][]Lin) ([2]int, int) {
 	counts := make(map[[2]int]int)
 	for _, terms := range in {
 		var rows []int
@@ -87,7 +85,7 @@ func mostFrequentPair(in [][]autograd.Lin) ([2]int, int) {
 
 // substitutePair rewrites terms to use auxRow in place of the two
 // unit-weight sources pair[0], pair[1] when both are present.
-func substitutePair(terms []autograd.Lin, pair [2]int, auxRow int) []autograd.Lin {
+func substitutePair(terms []Lin, pair [2]int, auxRow int) []Lin {
 	i0, i1 := -1, -1
 	for i, t := range terms {
 		if t.W == 1 {
@@ -101,13 +99,13 @@ func substitutePair(terms []autograd.Lin, pair [2]int, auxRow int) []autograd.Li
 	if i0 == -1 || i1 == -1 {
 		return terms
 	}
-	out := make([]autograd.Lin, 0, len(terms)-1)
+	out := make([]Lin, 0, len(terms)-1)
 	for i, t := range terms {
 		if i != i0 && i != i1 {
 			out = append(out, t)
 		}
 	}
-	return append(out, autograd.Lin{Row: auxRow, W: 1})
+	return append(out, Lin{Row: auxRow, W: 1})
 }
 
 // AggEdges returns the aggregation additions of the plan (aux construction
@@ -123,31 +121,4 @@ func (h *HAG) AggEdges() int {
 		}
 	}
 	return total
-}
-
-// Aggregate computes layer l's aggregation t over prev (the previous
-// level's embeddings) honoring the plan's auxiliary nodes.
-func (h *HAG) Aggregate(t *autograd.Tape, l int, prev *autograd.Value) *autograd.Value {
-	full := prev
-	// Aux combos may reference earlier aux rows, so extend one at a time.
-	for _, combo := range h.Aux[l] {
-		auxRow := t.LinearCombRows(full, [][]autograd.Lin{combo})
-		full = t.ConcatRows(full, auxRow)
-	}
-	return t.LinearCombRows(full, h.In[l])
-}
-
-// ForwardCross runs the cross-graph model m over two HAG plans; the result
-// equals m.Forward over the underlying raw GNN-graphs.
-func ForwardCross(t *autograd.Tape, m *CrossModel, hg, hq *HAG) *autograd.Value {
-	cgG, cgQ := hg.Base, hq.Base
-	vg := inputFeatures(t, cgG, m.Cfg.Vocab.Size())
-	vq := inputFeatures(t, cgQ, m.Cfg.Vocab.Size())
-	for l := 1; l <= m.Cfg.Layers; l++ {
-		muG, muQ := m.attend(t, l, vg, vq, cgG, cgQ)
-		tG := hg.Aggregate(t, l, vg)
-		tQ := hq.Aggregate(t, l, vq)
-		vg, vq = m.transform(t, l, tG, tQ, muG, muQ)
-	}
-	return m.readout(t, vg, vq, cgG, cgQ)
 }

@@ -6,12 +6,12 @@ import (
 	"github.com/lansearch/lan/internal/mat"
 )
 
-// Tape-free cross-graph inference on a Workspace. Routing and initial
-// selection call the cross model hundreds of times per query against one
-// query graph, so the inference path builds no autodiff tape, draws every
-// temporary from the search's workspace, never multiplies by a one-hot
-// matrix (level-0 embeddings are read as feature indices: a key score is
-// a look-up in a, an aggregation term lands in one column) and skips the
+// The one forward of both models. Routing and initial selection call the
+// cross model hundreds of times per query against one query graph, so the
+// kernel draws every temporary from a bump slab (the search's Workspace,
+// or a training pass's own), never multiplies by a one-hot matrix
+// (level-0 embeddings are read as feature indices: a key score is a
+// look-up in a, an aggregation term lands in one column) and skips the
 // zero entries of a pre-activation row when multiplying by W. Its dense
 // products — the aggregation terms, the product by W, the attention and
 // readout weighted sums — run on mat.AddRowsScaled. Each output element
@@ -19,7 +19,9 @@ import (
 // the result equals the matrix kernels this replaced bit for bit
 // (reference_test.go keeps those; TestInferKernelMatchesReference and
 // FuzzInferMatchesReference compare with ==, on both of the kernel's
-// bodies).
+// bodies). Training runs the same kernel with a record (train.go): it
+// keeps the softmax rows, the pre-activation rows and the layer outputs
+// that the backward reads.
 
 // Infer computes the cross-graph embedding h_G || h_Q (2*Dim floats) on a
 // workspace of its own. Searches go through Workspace.Bind and Cross; this
@@ -53,35 +55,43 @@ func (ws *Workspace) Bind(m *CrossModel, q *Compressed) {
 // Cross writes h_{G,Q} = h_G || h_Q for g against the bound query into
 // dst (2*Dim floats).
 func (ws *Workspace) Cross(dst []float64, g *Compressed) {
-	ws.f.reserve(crossFloats(ws.m, g, ws.q))
-	ws.cross(dst, g)
+	ws.f.reserve(crossFloats(ws.m, g, ws.q, false))
+	cross(&ws.f, dst, ws.m, g, ws.q, ws.qMu, nil)
 }
 
-// crossFloats is the number of slab floats cross takes for one pair; it
-// mirrors the take calls there.
-func crossFloats(m *CrossModel, g, q *Compressed) int {
+// crossFloats is the number of slab floats cross takes for one pair, with
+// a record (train) or without; it mirrors the take calls there.
+func crossFloats(m *CrossModel, g, q *Compressed, train bool) int {
 	din, dim := m.Cfg.Vocab.Size(), m.Cfg.Dim
 	total := 0
 	for l := 1; l <= m.Cfg.Layers; l++ {
 		ng, nq := g.Groups(l-1), q.Groups(l-1)
-		total += ng + max(ng, nq) + 2*din + (g.Groups(l)+q.Groups(l))*dim
-		if l > 1 {
-			total += nq + din
+		rg, rq := g.Groups(l), q.Groups(l)
+		total += 2*ng + din + (rg+rq)*dim
+		if l > 1 || train {
+			total += 2*nq + din
+		}
+		total += din
+		if train {
+			total += (rg + rq) * din
 		}
 		din = dim
 	}
 	return total
 }
 
-// cross is the kernel behind Cross: L rounds of two-way attention over
+// cross is the cross model's kernel: L rounds of two-way attention over
 // the previous level's groups and a GIN layer on each side, then the
-// size-weighted mean readout of both. Every group of a side receives the
-// same cross message (the softmax cancels a1·h_i; see the package
-// comment), so it is computed once per side and layer; layer 1's message
-// to g depends on q alone and comes from Bind.
-func (ws *Workspace) cross(dst []float64, g *Compressed) {
-	m, q := ws.m, ws.q
-	base := ws.f.off
+// size-weighted mean readout of both, into dst. Every group of a side
+// receives the same cross message (the softmax cancels a1·h_i; see the
+// package comment), so it is computed once per side and layer. Without a
+// record, layer 1's message to g is qMu (Bind's) and the kernel pops what
+// it took from f; with one (rec, one entry per layer) it computes that
+// message too, keeps every pre-activation row, records what the backward
+// reads and leaves it all on f. f must hold crossFloats(m, g, q, rec !=
+// nil) floats past its offset.
+func cross(f *bump[float64], dst []float64, m *CrossModel, g, q *Compressed, qMu []float64, rec []crossLayer) {
+	base := f.off
 	din, dim := m.Cfg.Vocab.Size(), m.Cfg.Dim
 	// hg/hq are the previous level's embeddings, row-major and din wide;
 	// nil at level 0, where row i is the one-hot of Feature[i].
@@ -91,27 +101,83 @@ func (ws *Workspace) cross(dst []float64, g *Compressed) {
 		pg, pq := &g.Levels[l-1], &q.Levels[l-1]
 		ng, nq := len(pg.Size), len(pq.Size)
 
-		scores := ws.f.take(max(ng, nq))
-		kg := keys(ws.f.take(ng), hg, pg.Feature, a2)
-		muQ := ws.f.take(din)
-		attend(muQ, kg, pg.LogSize, hg, pg.Feature, scores)
-		muG := ws.qMu
-		if l > 1 {
-			kq := keys(ws.f.take(nq), hq, pq.Feature, a2)
-			muG = ws.f.take(din)
-			attend(muG, kq, pq.LogSize, hq, pq.Feature, scores)
+		alphaG, muQ := f.take(ng), f.take(din)
+		attend(muQ, keys(f.take(ng), hg, pg.Feature, a2), pg.LogSize, hg, pg.Feature, alphaG)
+		muG, alphaQ := qMu, []float64(nil)
+		if l > 1 || rec != nil {
+			alphaQ, muG = f.take(nq), f.take(din)
+			attend(muG, keys(f.take(nq), hq, pq.Feature, a2), pq.LogSize, hq, pq.Feature, alphaQ)
 		}
 
-		pre := ws.f.take(din)
 		lg, lq := &g.Levels[l], &q.Levels[l]
-		nextG, nextQ := ws.f.take(len(lg.In)*dim), ws.f.take(len(lq.In)*dim)
-		layer(nextG, hg, pg.Feature, muG, lg, w, pre)
-		layer(nextQ, hq, pq.Feature, muQ, lq, w, pre)
+		pre := f.take(din)
+		var preG, preQ []float64
+		if rec != nil {
+			preG, preQ = f.take(len(lg.In)*din), f.take(len(lq.In)*din)
+		}
+		nextG, nextQ := f.take(len(lg.In)*dim), f.take(len(lq.In)*dim)
+		layer(nextG, hg, pg.Feature, muG, lg, w, pre, preG)
+		layer(nextQ, hq, pq.Feature, muQ, lq, w, pre, preQ)
+		if rec != nil {
+			rec[l-1] = crossLayer{{alpha: alphaG, pre: preG, h: nextG}, {alpha: alphaQ, pre: preQ, h: nextQ}}
+		}
 		hg, hq, din = nextG, nextQ, dim
 	}
 	readout(dst[:dim], hg, g.Levels[m.Cfg.Layers].Size)
 	readout(dst[dim:2*dim], hq, q.Levels[m.Cfg.Layers].Size)
-	ws.f.off = base
+	if rec == nil {
+		f.off = base
+	}
+}
+
+// Embed computes the GIN embedding h_G (Dim floats) of c.
+func (m *GINModel) Embed(c *Compressed) []float64 {
+	var f bump[float64]
+	f.reserve(ginFloats(m, c, false))
+	out := make([]float64, m.Cfg.Dim)
+	gin(&f, out, m, c, nil)
+	return out
+}
+
+// ginFloats is the number of slab floats gin takes for c, with a record
+// (train) or without; it mirrors the take calls there.
+func ginFloats(m *GINModel, c *Compressed, train bool) int {
+	din, dim := m.Cfg.Vocab.Size(), m.Cfg.Dim
+	total := 0
+	for l := 1; l <= m.Cfg.Layers; l++ {
+		rows := c.Groups(l)
+		total += rows*dim + din
+		if train {
+			total += rows * din
+		}
+		din = dim
+	}
+	return total
+}
+
+// gin is the GIN model's kernel: cross's layers without the cross
+// message, then the size-weighted mean readout into dst. With a record
+// (rec, one entry per layer) it keeps every pre-activation row and
+// records what the backward reads. f must hold ginFloats(m, c, rec !=
+// nil) floats past its offset; nothing is popped.
+func gin(f *bump[float64], dst []float64, m *GINModel, c *Compressed, rec []side) {
+	din, dim := m.Cfg.Vocab.Size(), m.Cfg.Dim
+	var h []float64
+	for l := 1; l <= m.Cfg.Layers; l++ {
+		lv := &c.Levels[l]
+		pre := f.take(din)
+		var kept []float64
+		if rec != nil {
+			kept = f.take(len(lv.In) * din)
+		}
+		next := f.take(len(lv.In) * dim)
+		layer(next, h, c.Levels[l-1].Feature, nil, lv, m.W[l-1].Data.Data, pre, kept)
+		if rec != nil {
+			rec[l-1] = side{pre: kept, h: next}
+		}
+		h, din = next, dim
+	}
+	readout(dst, h, c.Levels[m.Cfg.Layers].Size)
 }
 
 // keys writes into k the attention key a·h_j of every row of h (len(a)
@@ -138,8 +204,8 @@ func keys(k, h []float64, feat []int, a []float64) []float64 {
 // attend writes into mu the cross message one side receives: the softmax
 // over the other side's groups of key[j] + logSize[j], applied to the
 // other side's embeddings — dense rows of other (len(mu) wide), or, when
-// other is nil, the one-hots of feat. scores is scratch of len(key)
-// floats or more.
+// other is nil, the one-hots of feat. scores (len(key) floats or more)
+// is left holding the softmax row.
 func attend(mu, key, logSize, other []float64, feat []int, scores []float64) {
 	for k := range mu {
 		mu[k] = 0
@@ -167,7 +233,9 @@ func attend(mu, key, logSize, other []float64, feat []int, scores []float64) {
 		return
 	}
 	for j, e := range scores {
-		if alpha := e / sum; alpha != 0 {
+		alpha := e / sum
+		scores[j] = alpha
+		if alpha != 0 {
 			mu[feat[j]] += alpha
 		}
 	}
@@ -175,11 +243,12 @@ func attend(mu, key, logSize, other []float64, feat []int, scores []float64) {
 
 // layer computes one side's next level into next (len(lv.In) rows, Dim
 // wide): aggregate the previous level over lv.In (dense rows of prev, or
-// one-hots of prevFeat when prev is nil), add the side's cross message mu,
-// multiply by w and apply ReLU. pre is scratch for one
+// one-hots of prevFeat when prev is nil), add the side's cross message mu
+// (none when nil), multiply by w and apply ReLU. pre is scratch for one
 // pre-activation row; its zero entries — most of a one-hot level's — are
-// skipped in the product, which leaves every sum unchanged.
-func layer(next, prev []float64, prevFeat []int, mu []float64, lv *Level, w, pre []float64) {
+// skipped in the product, which leaves every sum unchanged. When keep is
+// not nil (training), row i of it receives group i's pre-activation row.
+func layer(next, prev []float64, prevFeat []int, mu []float64, lv *Level, w, pre, keep []float64) {
 	d := len(pre)
 	dim := len(w) / d
 	for i, terms := range lv.In {
@@ -195,6 +264,9 @@ func layer(next, prev []float64, prevFeat []int, mu []float64, lv *Level, w, pre
 		}
 		for k, v := range mu {
 			pre[k] += v
+		}
+		if keep != nil {
+			copy(keep[i*d:], pre)
 		}
 		out := next[i*dim : (i+1)*dim]
 		for j := range out {

@@ -10,7 +10,28 @@ import (
 // infer.go replaced it: dense one-hot inputs, one mat.Mul per product, a
 // fresh matrix per temporary and math.Log per attention row. It is the
 // oracle the kernels are pinned to with == (TestInferKernelMatchesReference,
-// FuzzInferMatchesReference) and the "before" side of BenchmarkCrossInfer.
+// FuzzInferMatchesReference, TestInferMatchesForward,
+// TestGINEmbedMatchesForward) and the "before" side of BenchmarkCrossInfer.
+
+// inferInput builds the dense one-hot level-0 feature matrix of c.
+func inferInput(c *Compressed, vocabSize int) *mat.Matrix {
+	lv := c.Levels[0]
+	h := mat.New(len(lv.Feature), vocabSize)
+	for i, f := range lv.Feature {
+		h.Set(i, f, 1)
+	}
+	return h
+}
+
+// refEmbed computes the GIN embedding with the matrix kernels: the cross
+// reference's layers without the cross message.
+func refEmbed(m *GINModel, c *Compressed) []float64 {
+	h := inferInput(c, m.Cfg.Vocab.Size())
+	for l := 1; l <= m.Cfg.Layers; l++ {
+		h = refInferLayer(h, nil, c.Levels[l], m.W[l-1].Data)
+	}
+	return refWeightedMean(h, c.Levels[m.Cfg.Layers].Size)
+}
 
 // refInfer computes the cross-graph embedding h_G || h_Q with the matrix
 // kernels, one cross message per side per layer.

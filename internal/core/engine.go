@@ -315,7 +315,7 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	}
 
 	// With Workers > 1 this branch runs on a goroutine of its own, where a
-	// panic — the shape checks in autograd and mat panic by contract, and
+	// panic — the shape checks in mat panic by contract, and
 	// Train.Logf is the caller's code — would kill the process instead of
 	// unwinding into Build's caller. It fails the build instead, whatever
 	// the worker count.

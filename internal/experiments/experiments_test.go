@@ -100,20 +100,16 @@ func TestFig5Through7Shapes(t *testing.T) {
 	}
 }
 
+// TestFig12SpeedupShape holds Fig. 12 to its shape: CG below raw in
+// Theorem 3's counted cost and HAG's plan further from CG than raw is
+// from it, and the kernel's wall-clock CG speedup above 1. The speedup is
+// the median, over 201 alternating rounds, of one round's raw/CG time
+// ratio, so drift and other processes' load weigh on both sides of every
+// ratio and a slow round moves the median by one place at most.
 func TestFig12SpeedupShape(t *testing.T) {
 	p := tinyProtocol()
-	// A call times ~0.1 s of wall clock per variant on cores the sibling
-	// packages' tests share, and noise only ever adds: each variant's time
-	// is the fastest of five calls (the argument of benchmark/passes.go's
-	// fastest).
 	row := Fig12(p, dataset.AIDS(p.Scale), 16)
-	for rep := 1; rep < 5; rep++ {
-		r := Fig12(p, dataset.AIDS(p.Scale), 16)
-		row.RawPerPair = min(row.RawPerPair, r.RawPerPair)
-		row.CGPerPair = min(row.CGPerPair, r.CGPerPair)
-		row.HAGPerPair = min(row.HAGPerPair, r.HAGPerPair)
-	}
-	if row.CGPerPair <= 0 || row.RawPerPair <= 0 || row.HAGPerPair <= 0 {
+	if row.CGPerPair <= 0 || row.RawPerPair <= 0 {
 		t.Fatalf("degenerate timings: %+v", row)
 	}
 	// The CG cost (Theorem 3 units) must be below the raw cost; HAG only
@@ -121,14 +117,14 @@ func TestFig12SpeedupShape(t *testing.T) {
 	if row.CGCost >= row.RawCost {
 		t.Fatalf("CG cost %d >= raw %d", row.CGCost, row.RawCost)
 	}
+	t.Logf("CG speedup %.3fx; cost ratios CG %.2fx, HAG %.2fx", row.CGSpeedup, row.CGCostRatio(), row.HAGCostRatio())
 	// Wall-clock CG speedup should be visible (>1x) on molecule graphs.
-	cgSpeedup := row.RawPerPair.Seconds() / row.CGPerPair.Seconds()
-	if cgSpeedup <= 1 {
-		t.Fatalf("no CG speedup (%0.2fx): %+v", cgSpeedup, row)
+	if row.CGSpeedup <= 1 {
+		t.Fatalf("no CG speedup (%0.2fx): %+v", row.CGSpeedup, row)
 	}
-	// HAG cannot approach CG's speedup (it keeps all matmul rows).
-	if hagSpeedup := row.RawPerPair.Seconds() / row.HAGPerPair.Seconds(); hagSpeedup >= cgSpeedup {
-		t.Fatalf("HAG (%0.2fx) >= CG (%0.2fx)", hagSpeedup, cgSpeedup)
+	// HAG cannot approach CG's saving (it keeps all matmul rows).
+	if row.HAGCost > row.RawCost || row.HAGCostRatio() >= row.CGCostRatio() {
+		t.Fatalf("HAG cost ratio %0.2fx vs CG %0.2fx (raw %d, HAG %d)", row.HAGCostRatio(), row.CGCostRatio(), row.RawCost, row.HAGCost)
 	}
 }
 

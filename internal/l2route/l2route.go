@@ -22,7 +22,6 @@ import (
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/nn"
 	"github.com/lansearch/lan/internal/obs"
@@ -52,11 +51,6 @@ func NewEncoder(db graph.Database, layers, dim int, seed int64) *Encoder {
 	}
 }
 
-// forward records the embedding of g on t.
-func (e *Encoder) forward(t *autograd.Tape, g *graph.Graph) *autograd.Value {
-	return e.gin.Forward(t, cg.Build(g, e.layers, e.vocab))
-}
-
 // Embed returns the embedding vector of g.
 func (e *Encoder) Embed(g *graph.Graph) []float64 {
 	return e.gin.Embed(cg.Build(g, e.layers, e.vocab))
@@ -76,23 +70,48 @@ func (e *Encoder) Train(pairs []Pair, epochs int, lr float64) error {
 	opt := nn.NewAdam(e.Params, lr)
 	rng := rand.New(rand.NewSource(31))
 	order := rng.Perm(len(pairs))
-	t := autograd.NewTape()
+	s := e.newPairStep()
 	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, idx := range order {
-			p := pairs[idx]
 			e.Params.ZeroGrad()
-			t.Reset()
-			ea := e.forward(t, p.A)
-			eb := e.forward(t, p.B)
-			diff := t.Add(ea, t.Scale(eb, -1))
-			sq := t.SumSquares(diff)
-			loss := t.MSE(sq, []float64{p.D})
-			t.Backward(loss)
+			s.run(pairs[idx])
 			opt.Step()
 		}
 	}
 	return nil
+}
+
+// pairStep is what the encoder's training steps run on: a recorded
+// forward of the GIN per side of the pair, and their gradients.
+type pairStep struct {
+	e      *Encoder
+	a, b   cg.GINPass
+	dA, dB []float64
+}
+
+func (e *Encoder) newPairStep() *pairStep {
+	return &pairStep{e: e, dA: make([]float64, e.gin.Cfg.Dim), dB: make([]float64, e.gin.Cfg.Dim)}
+}
+
+// run adds the gradient of one pair's loss, the squared error of
+// ||e(A)-e(B)||^2 against D, to the encoder's Params and returns the loss.
+// The gradient reaches the embeddings through the squared L2 — 2·s·(e(A)
+// − e(B)) on A and its negation on B, s the squared error's derivative —
+// and B's backward runs before A's, the order the weights were pinned
+// under.
+func (s *pairStep) run(p Pair) float64 {
+	e := s.e
+	ea := s.a.Forward(e.gin, cg.Build(p.A, e.layers, e.vocab))
+	eb := s.b.Forward(e.gin, cg.Build(p.B, e.layers, e.vocab))
+	loss, d := nn.MSE(sqL2(ea, eb), p.D)
+	for i := range s.dA {
+		s.dA[i] = 2 * d * (ea[i] - eb[i])
+		s.dB[i] = -s.dA[i]
+	}
+	s.b.Backward(s.dB)
+	s.a.Backward(s.dA)
+	return loss
 }
 
 // Index is the L2route search structure: database embeddings plus an

@@ -3,6 +3,8 @@ package l2route
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/lansearch/lan/ged"
@@ -22,6 +24,38 @@ func TestEncoderEmbedShapeAndDeterminism(t *testing.T) {
 	for i := range e1 {
 		if e1[i] != e2[i] {
 			t.Fatalf("not deterministic")
+		}
+	}
+}
+
+// TestEncoderGradientFiniteDifference checks a training step's gradient
+// — the squared-L2 loss back through both GIN passes — against central
+// differences of the loss over every weight, for a pair of distinct
+// graphs and a graph paired with itself.
+func TestEncoderGradientFiniteDifference(t *testing.T) {
+	db := dataset.AIDS(0.001).Generate()
+	enc := NewEncoder(db, 2, 3, 4)
+	s := enc.newPairStep()
+	for _, p := range []Pair{{A: db[0], B: db[1], D: 3}, {A: db[2], B: db[2], D: 1}} {
+		enc.Params.ZeroGrad()
+		s.run(p)
+		var grads [][]float64 // the FD's own runs add to the gradients
+		for _, v := range enc.Params.All() {
+			grads = append(grads, slices.Clone(v.Grad.Data))
+		}
+		const h = 1e-6
+		for k, v := range enc.Params.All() {
+			for i, orig := range v.Data.Data {
+				v.Data.Data[i] = orig + h
+				up := s.run(p)
+				v.Data.Data[i] = orig - h
+				down := s.run(p)
+				v.Data.Data[i] = orig
+				want := (up - down) / (2 * h)
+				if got := grads[k][i]; math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
+					t.Fatalf("%s[%d]: analytic %.9g, finite difference %.9g", enc.Params.Names()[k], i, got, want)
+				}
+			}
 		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"sort"
 
 	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/cluster"
-	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 	"github.com/lansearch/lan/internal/pg"
 )
@@ -82,16 +80,9 @@ func (m *ClusterModel) features(in []float64, c int, qemb []float64) []float64 {
 	return in
 }
 
-// predictValue records the predicted |C ∩ N_Q| for cluster c on t (the
-// training path).
-func (m *ClusterModel) predictValue(t *autograd.Tape, c int, qemb []float64) *autograd.Value {
-	in := m.features(make([]float64, 0, 4*m.embedder.Dim()), c, qemb)
-	return m.head.Apply(t, t.Const(&mat.Matrix{Rows: 1, Cols: len(in), Data: in}))
-}
-
-// Predict returns the predicted intersection size for every cluster
-// (tape-free: one input and one scratch buffer for all clusters; the
-// values equal predictValue's bit for bit, as MLP.Infer equals Apply).
+// Predict returns the predicted intersection size for every cluster (one
+// input and one scratch buffer for all clusters; the values are the
+// training forward's, as MLP.Infer's arithmetic is MLP.Forward's).
 func (m *ClusterModel) Predict(q *graph.Graph) []float64 {
 	qemb := m.embedder.Embed(q)
 	width := 4 * m.embedder.Dim()
@@ -148,14 +139,19 @@ func (m *ClusterModel) Train(table *DistanceTable, examples []ClusterExample, op
 	if len(examples) == 0 {
 		return errf("empty M_c training set")
 	}
-	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(t *autograd.Tape, idx int) float64 {
+	in := make([]float64, 0, 4*m.embedder.Dim())
+	acts, buf := make([]float64, m.head.Acts()), make([]float64, 2*m.head.Width())
+	var dOut [1]float64
+	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(idx int) float64 {
 		ex := examples[idx]
 		qemb := m.embedder.Embed(table.Queries[ex.Qi])
 		total := 0.0
 		for c, truth := range ex.Intersections {
-			loss := t.MSE(m.predictValue(t, c, qemb), []float64{truth})
-			t.Backward(loss)
-			total += loss.Data.At(0, 0)
+			in = m.features(in[:0], c, qemb)
+			loss, d := nn.MSE(m.head.Forward(acts, in)[0], truth)
+			dOut[0] = d
+			m.head.Backward(in, acts, dOut[:], nil, buf)
+			total += loss
 		}
 		return total / float64(len(ex.Intersections))
 	})

@@ -8,7 +8,6 @@ import (
 
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/cluster"
 	"github.com/lansearch/lan/internal/dataset"
@@ -333,12 +332,12 @@ func TestClusterModelPipeline(t *testing.T) {
 	if err := mc.Train(f.table, exs, TrainOptions{Epochs: 30, LR: 0.01}); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	// The tape-free Predict is the training path's forward, bit for bit.
-	tape := autograd.NewTape()
+	// Predict is the training path's forward, bit for bit.
+	acts := make([]float64, mc.head.Acts())
 	for _, q := range f.queries[:3] {
 		qemb := emb.Embed(q)
 		for c, got := range mc.Predict(q) {
-			if want := mc.predictValue(tape, c, qemb).Data.At(0, 0); got != want {
+			if want := mc.head.Forward(acts, mc.features(nil, c, qemb))[0]; got != want {
 				t.Fatalf("Predict[%d] = %v; training path %v", c, got, want)
 			}
 		}

@@ -1,10 +1,10 @@
 package models
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/nn"
 	"github.com/lansearch/lan/internal/order"
@@ -341,48 +341,85 @@ func (r *NeighborRanker) headTarget(i, rank, n int) float64 {
 	return 0
 }
 
-// rankLoss records a rank example's graph on t and returns the scalar its
-// training step differentiates: the sum over (neighbour, head) of the
-// head's binary cross-entropy against headTarget. The current node is
-// encoded once, each neighbour's cross embedding once, and every head
-// reads that one h_{G′,Q} || h_G — so one Backward over the tape gives the
-// shared encoders the gradient of the whole sum.
-func (r *NeighborRanker) rankLoss(t *autograd.Tape, td trainData, ex RankExample) *autograd.Value {
-	qc := td.queries[ex.Qi]
-	hg := r.node.Forward(t, r.store.For(td.db[ex.Node]))
-	n := len(ex.Neighbors)
-	var loss *autograd.Value
-	for j, nb := range ex.Neighbors {
-		in := t.ConcatCols(r.cross.Forward(t, r.store.For(td.db[nb]), qc), hg)
-		for i, h := range r.heads {
-			l := t.BCEWithLogits(h.Apply(t, in), []float64{r.headTarget(i, ex.Ranks[j], n)})
-			if loss == nil {
-				loss = l
-			} else {
-				loss = t.Add(loss, l)
-			}
-		}
-	}
-	return loss
+// rankStep is what M_rk's training steps run on: one recorded forward of
+// the node encoder and one of the cross network (reused neighbour after
+// neighbour), and the heads' input, activations and gradients.
+type rankStep struct {
+	r      *NeighborRanker
+	td     trainData
+	node   cg.GINPass
+	cross  cg.CrossPass
+	in     []float64 // h_{G′,Q} || h_G
+	dIn    []float64
+	dNode  []float64 // ∂loss/∂h_G, summed over neighbours
+	acts   []float64
+	buf    []float64
+	dOut   [1]float64
+	losses []float64
 }
 
-// trainStep accumulates one example's gradient into Params with a single
-// backward pass and returns its mean loss per (neighbour, head).
-func (r *NeighborRanker) trainStep(t *autograd.Tape, td trainData, ex RankExample) float64 {
-	loss := r.rankLoss(t, td, ex)
-	t.Backward(loss)
-	return loss.Data.At(0, 0) / float64(len(ex.Neighbors)*len(r.heads))
+func (r *NeighborRanker) newRankStep(td trainData) *rankStep {
+	dim, h := r.Cfg.Dim, r.heads[0]
+	return &rankStep{
+		r: r, td: td,
+		in: make([]float64, 3*dim), dIn: make([]float64, 3*dim), dNode: make([]float64, dim),
+		acts: make([]float64, h.Acts()), buf: make([]float64, 2*h.Width()),
+	}
+}
+
+// run adds one rank example's gradient to Params and returns its mean
+// loss per (neighbour, head). The loss is the sum over (neighbour, head)
+// of the head's binary cross-entropy against headTarget. The current node
+// is encoded once, each neighbour's cross embedding once, and every head
+// reads that one h_{G′,Q} || h_G.
+//
+// The engine the weights were pinned under summed the losses neighbour
+// by neighbour, head by head, and back-propagated the sum once, so the
+// rules run in the reverse: the last neighbour first and, per neighbour,
+// the last head first, the heads' input gradients summed before the
+// cross network's backward; h_G's gradient collects every neighbour's
+// share before the node encoder's backward runs last.
+func (s *rankStep) run(ex RankExample) float64 {
+	r, td := s.r, s.td
+	dim := r.Cfg.Dim
+	n, heads := len(ex.Neighbors), len(r.heads)
+	s.losses = slices.Grow(s.losses[:0], n*heads)[:n*heads]
+	hg := s.node.Forward(r.node, r.store.For(td.db[ex.Node]))
+	clear(s.dNode)
+	for j := n - 1; j >= 0; j-- {
+		nb := ex.Neighbors[j]
+		copy(s.in, s.cross.Forward(r.cross, r.store.For(td.db[nb]), td.queries[ex.Qi]))
+		copy(s.in[2*dim:], hg)
+		clear(s.dIn)
+		for i := heads - 1; i >= 0; i-- {
+			h := r.heads[i]
+			loss, d := nn.BCEWithLogits(h.Forward(s.acts, s.in)[0], r.headTarget(i, ex.Ranks[j], n))
+			s.losses[j*heads+i] = loss
+			s.dOut[0] = d
+			h.Backward(s.in, s.acts, s.dOut[:], s.dIn, s.buf)
+		}
+		for k, d := range s.dIn[2*dim:] {
+			s.dNode[k] += d
+		}
+		s.cross.Backward(s.dIn[:2*dim])
+	}
+	s.node.Backward(s.dNode)
+	total := 0.0
+	for _, l := range s.losses {
+		total += l
+	}
+	return total / float64(n*heads)
 }
 
 // Train fits the shared encoders and the ranker heads on examples, one
-// Adam step per example (see rankLoss for the loss).
+// Adam step per example (see rankStep.run for the loss).
 func (r *NeighborRanker) Train(db graph.Database, table *DistanceTable, examples []RankExample, opts TrainOptions) error {
 	if len(examples) == 0 {
 		return errf("empty M_rk training set")
 	}
-	td := r.store.trainData(db, table)
-	trainLoop(r.Params, len(examples), opts, r.Cfg.Seed, func(t *autograd.Tape, idx int) float64 {
-		return r.trainStep(t, td, examples[idx])
+	s := r.newRankStep(r.store.trainData(db, table))
+	trainLoop(r.Params, len(examples), opts, r.Cfg.Seed, func(idx int) float64 {
+		return s.run(examples[idx])
 	})
 	return nil
 }

@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/lansearch/lan/internal/autograd"
+	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/mat"
 )
 
-// The autograd engine as it stood before the tape: every op allocates its
-// node, its result and a closure for its backward rule, Backward orders
-// the graph with a map-based depth-first search, and nothing is reused.
-// It is the oracle of TestTrainMatchesReference — the tape must leave
-// every model with the weights this leaves it with, compared with == — and
-// it lives here rather than beside the tape because the models' forward
-// passes (reference_train_test.go) are what it is run through, and test
-// files do not cross packages. Gone from it are the ops no model runs
+// The reverse-mode autodiff engine the models' weights were pinned under:
+// every op allocates its node, its result and a closure for its backward
+// rule, Backward orders the graph with a map-based depth-first search, and
+// nothing is reused. It is the oracle of TestTrainMatchesReference — the
+// hand-written backward (cg/train.go, nn.MLP.Backward, the models' steps)
+// must leave every model with the weights this leaves it with, compared
+// with == — and it lives here because the models' forward passes
+// (reference_train_test.go) are what it is run through, and test files do
+// not cross packages. Gone from it are the ops no model runs
 // (Sigmoid, Tanh, Sum, ConcatRows) and mat.GetScratch: the two MatMul
 // temporaries are plain zero matrices, as the pool handed out.
 
@@ -394,7 +395,7 @@ func refGatherCols(a *refValue, from, to int) *refValue {
 // refLinearCombRows returns the matrix whose i-th row is the weighted sum
 // Σ combos[i][k].W * a[combos[i][k].Row, :]. It is the sparse aggregation
 // primitive behind GNN message passing on (compressed) GNN-graphs.
-func refLinearCombRows(a *refValue, combos [][]autograd.Lin) *refValue {
+func refLinearCombRows(a *refValue, combos [][]cg.Lin) *refValue {
 	data := mat.New(len(combos), a.Data.Cols)
 	for i, terms := range combos {
 		dst := data.Row(i)

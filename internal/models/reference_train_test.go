@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/lansearch/lan/graph"
-	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/cluster"
 	"github.com/lansearch/lan/internal/dataset"
@@ -20,12 +19,12 @@ import (
 // model shares its nn.Params with the optimizer — a leaf wraps the
 // parameter's matrix, and its gradient is handed to the parameter after
 // every backward pass — so the oracle replaces the engine and nothing else:
-// trainLoop, the shuffles and Adam are the ones the tape trains under.
+// trainLoop, the shuffles and Adam are the ones the models train under.
 
 // refLeaves maps the parameters of one model to their oracle leaves.
-type refLeaves map[*autograd.Value]*refValue
+type refLeaves map[*nn.Param]*refValue
 
-func (l refLeaves) of(p *autograd.Value) *refValue {
+func (l refLeaves) of(p *nn.Param) *refValue {
 	v, ok := l[p]
 	if !ok {
 		v = refParam(p.Data)
@@ -106,7 +105,7 @@ func refTarget(y float64) *mat.Matrix { return mat.FromSlice(1, 1, []float64{y})
 // refTrainRank is NeighborRanker.Train on the oracle.
 func refTrainRank(r *NeighborRanker, td trainData, examples []RankExample, opts TrainOptions) {
 	l := refLeaves{}
-	trainLoop(r.Params, len(examples), opts, r.Cfg.Seed, func(_ *autograd.Tape, idx int) float64 {
+	trainLoop(r.Params, len(examples), opts, r.Cfg.Seed, func(idx int) float64 {
 		ex := examples[idx]
 		qc := td.queries[ex.Qi]
 		hg := refGINForward(r.node, l, r.store.For(td.db[ex.Node]))
@@ -131,7 +130,7 @@ func refTrainRank(r *NeighborRanker, td trainData, examples []RankExample, opts 
 // refTrainMembership is NeighborhoodModel.Train on the oracle.
 func refTrainMembership(m *NeighborhoodModel, td trainData, examples []MembershipExample, opts TrainOptions) {
 	l := refLeaves{}
-	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(_ *autograd.Tape, idx int) float64 {
+	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(idx int) float64 {
 		ex := examples[idx]
 		y := 0.0
 		if ex.InNQ {
@@ -147,7 +146,7 @@ func refTrainMembership(m *NeighborhoodModel, td trainData, examples []Membershi
 // refTrainCluster is ClusterModel.Train on the oracle.
 func refTrainCluster(m *ClusterModel, table *DistanceTable, examples []ClusterExample, opts TrainOptions) {
 	l := refLeaves{}
-	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(_ *autograd.Tape, idx int) float64 {
+	trainLoop(m.Params, len(examples), opts, m.Cfg.Seed, func(idx int) float64 {
 		ex := examples[idx]
 		qemb := m.embedder.Embed(table.Queries[ex.Qi])
 		total := 0.0
@@ -208,14 +207,14 @@ func sameParams(t *testing.T, model string, got, want *nn.Params) {
 	}
 }
 
-// TestTrainMatchesReference is the tape's contract: M_rk, M_nh, M_c and
-// the l2route encoder trained on it end with the weights the allocating
-// engine gives them, bit for bit, after two epochs — on molecule-sized
-// graphs over 48 labels and on small graphs over 5, so the tape is reset
-// into smaller and into larger examples, one-hot look-ups meet wide and
-// narrow vocabularies, and Adam's second-epoch state is crossed. What
-// moves a weight by one bit here moves golden_trace.json and every
-// snapshot.
+// TestTrainMatchesReference is the training backward's contract: M_rk,
+// M_nh, M_c and the l2route encoder trained on it end with the weights
+// the allocating engine gives them, bit for bit, after two epochs — on
+// molecule-sized graphs over 48 labels and on small graphs over 5, so the
+// passes are reused for smaller and for larger examples, one-hot look-ups
+// meet wide and narrow vocabularies, and Adam's second-epoch state is
+// crossed. What moves a weight by one bit here moves golden_trace.json
+// and every snapshot.
 func TestTrainMatchesReference(t *testing.T) {
 	for _, fx := range []struct {
 		name string

@@ -1,8 +1,9 @@
-// Package nn builds neural network layers and training machinery on top of
-// the autograd engine: parameter registries, linear layers, multilayer
-// perceptrons, the Adam optimizer, and parameter (de)serialization for
-// trained models. The paper's L2 regularizer is not applied: Adam takes
-// no weight decay.
+// Package nn holds the layers and training machinery the models share:
+// a registry of parameters and their gradients, linear layers, multilayer
+// perceptrons with a training forward and a hand-written backward, the two
+// losses the models train on, the Adam optimizer, and parameter
+// (de)serialization for trained models. The paper's L2 regularizer is not
+// applied: Adam takes no weight decay.
 package nn
 
 import (
@@ -13,29 +14,52 @@ import (
 	"math/rand"
 	"sort"
 
-	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/mat"
 )
+
+// Param is one trainable tensor and its gradient. Grad is nil until a
+// backward rule first adds to it (GradData); Adam skips a parameter whose
+// Grad is nil.
+type Param struct {
+	Data *mat.Matrix
+	Grad *mat.Matrix
+}
+
+// GradData returns the floats of p's gradient for a backward rule to add
+// into, zero-filled on first use.
+func (p *Param) GradData() []float64 {
+	if p.Grad == nil {
+		p.Grad = mat.New(p.Data.Rows, p.Data.Cols)
+	}
+	return p.Grad.Data
+}
+
+// ZeroGrad clears p's gradient.
+func (p *Param) ZeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
+}
 
 // Params is a named registry of trainable parameters. Models register
 // their parameters so optimizers and serializers can walk them.
 type Params struct {
 	names  []string
-	all    []*autograd.Value // registration order, parallel to names
-	byName map[string]*autograd.Value
+	all    []*Param // registration order, parallel to names
+	byName map[string]*Param
 }
 
 // NewParams returns an empty registry.
 func NewParams() *Params {
-	return &Params{byName: make(map[string]*autograd.Value)}
+	return &Params{byName: make(map[string]*Param)}
 }
 
 // Add registers a new trainable parameter under name and returns it.
-func (p *Params) Add(name string, m *mat.Matrix) *autograd.Value {
+func (p *Params) Add(name string, m *mat.Matrix) *Param {
 	if _, ok := p.byName[name]; ok {
 		panic(fmt.Sprintf("nn: duplicate parameter %q", name))
 	}
-	v := autograd.Param(m)
+	v := &Param{Data: m}
 	p.names = append(p.names, name)
 	p.all = append(p.all, v)
 	p.byName[name] = v
@@ -43,14 +67,14 @@ func (p *Params) Add(name string, m *mat.Matrix) *autograd.Value {
 }
 
 // Get returns the parameter registered under name, or nil.
-func (p *Params) Get(name string) *autograd.Value { return p.byName[name] }
+func (p *Params) Get(name string) *Param { return p.byName[name] }
 
 // Names returns the registered names in registration order.
 func (p *Params) Names() []string { return append([]string(nil), p.names...) }
 
 // All returns the parameters in registration order. The slice is the
 // registry's own: callers must not modify it.
-func (p *Params) All() []*autograd.Value { return p.all }
+func (p *Params) All() []*Param { return p.all }
 
 // ZeroGrad clears every parameter gradient.
 func (p *Params) ZeroGrad() {
@@ -88,31 +112,49 @@ func (p *Params) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(wire)
 }
 
-// Load restores parameter tensors saved by Save. Every stored tensor must
-// match a registered parameter's shape.
+// Load restores parameter tensors saved by Save. The stored tensors must
+// be exactly the registered ones: each name once, none missing, each with
+// the registered shape and rows×cols values. Nothing is written unless all
+// of them are.
 func (p *Params) Load(r io.Reader) error {
 	var wire []paramWire
 	if err := json.NewDecoder(r).Decode(&wire); err != nil {
 		return err
 	}
+	seen := make(map[string]bool, len(wire))
 	for _, pw := range wire {
 		v, ok := p.byName[pw.Name]
 		if !ok {
 			return fmt.Errorf("nn: unknown parameter %q", pw.Name)
 		}
+		if seen[pw.Name] {
+			return fmt.Errorf("nn: parameter %q stored twice", pw.Name)
+		}
+		seen[pw.Name] = true
 		if v.Data.Rows != pw.Rows || v.Data.Cols != pw.Cols {
 			return fmt.Errorf("nn: parameter %q shape %dx%d, stored %dx%d",
 				pw.Name, v.Data.Rows, v.Data.Cols, pw.Rows, pw.Cols)
 		}
-		copy(v.Data.Data, pw.Data)
+		if len(pw.Data) != len(v.Data.Data) {
+			return fmt.Errorf("nn: parameter %q is %dx%d, stored with %d values",
+				pw.Name, pw.Rows, pw.Cols, len(pw.Data))
+		}
+	}
+	for _, n := range p.names {
+		if !seen[n] {
+			return fmt.Errorf("nn: parameter %q not stored", n)
+		}
+	}
+	for _, pw := range wire {
+		copy(p.byName[pw.Name].Data.Data, pw.Data)
 	}
 	return nil
 }
 
-// Linear is a fully connected layer: x (N x in) -> x*W + b (N x out).
+// Linear is a fully connected layer: x (1 x in) -> x*W + b (1 x out).
 type Linear struct {
-	W *autograd.Value // in x out
-	B *autograd.Value // 1 x out
+	W *Param // in x out
+	B *Param // 1 x out
 }
 
 // NewLinear registers a linear layer's parameters under prefix with
@@ -125,9 +167,14 @@ func NewLinear(p *Params, prefix string, in, out int, rng *rand.Rand) *Linear {
 	}
 }
 
-// Apply computes x*W + b on t.
-func (l *Linear) Apply(t *autograd.Tape, x *autograd.Value) *autograd.Value {
-	return t.AddRowBroadcast(t.MatMul(x, l.W), l.B)
+// accumulate adds x*W[k0:k0+len(x)] to dst (len out): dst[j] +=
+// x[i]*W[k0+i][j] over ascending i — from a zeroed dst and k0 = 0, the
+// float operations of mat.Mul on a one-row operand in the same order, on
+// mat.AddRowsScaled instead of the tiled kernel these few-dozen-wide
+// operands gain nothing from.
+func (l *Linear) accumulate(dst, x []float64, k0 int) {
+	out := len(dst)
+	mat.AddRowsScaled(dst, x, l.W.Data.Data[k0*out:], out)
 }
 
 // MLP is a multilayer perceptron with ReLU activations between layers and
@@ -149,29 +196,8 @@ func NewMLP(p *Params, prefix string, sizes []int, rng *rand.Rand) *MLP {
 	return m
 }
 
-// Apply runs the MLP on x (N x sizes[0]), recording on t.
-func (m *MLP) Apply(t *autograd.Tape, x *autograd.Value) *autograd.Value {
-	for i, l := range m.Layers {
-		x = l.Apply(t, x)
-		if i < len(m.Layers)-1 {
-			x = t.ReLU(x)
-		}
-	}
-	return x
-}
-
-// accumulate adds x*W[k0:k0+len(x)] to dst (len out): dst[j] +=
-// x[i]*W[k0+i][j] over ascending i — from a zeroed dst and k0 = 0, the
-// float operations of mat.Mul on a one-row operand in the same order, on
-// mat.AddRowsScaled instead of the tiled kernel these few-dozen-wide
-// operands gain nothing from.
-func (l *Linear) accumulate(dst, x []float64, k0 int) {
-	out := len(dst)
-	mat.AddRowsScaled(dst, x, l.W.Data.Data[k0*out:], out)
-}
-
-// Width returns the widest layer output — the scratch Infer needs is
-// twice that.
+// Width returns the widest layer output — the scratch Infer and Backward
+// need is twice that.
 func (m *MLP) Width() int {
 	w := 0
 	for _, l := range m.Layers {
@@ -182,12 +208,18 @@ func (m *MLP) Width() int {
 	return w
 }
 
-// Infer runs the MLP on one input row without building an autograd tape
-// and without allocating: activations ping-pong between the halves of
-// buf (at least 2*Width() floats), and the returned output row aliases
-// buf. The arithmetic (accumulation order, bias after the product, ReLU)
-// matches Apply exactly, so Infer(x) equals Apply(t, t.Const(x)).Data bit for
-// bit. x is not modified.
+// Acts returns the number of floats Forward keeps: every layer's output.
+func (m *MLP) Acts() int {
+	n := 0
+	for _, l := range m.Layers {
+		n += l.W.Data.Cols
+	}
+	return n
+}
+
+// Infer runs the MLP on one input row without allocating: activations
+// ping-pong between the halves of buf (at least 2*Width() floats), and
+// the returned output row aliases buf. x is not modified.
 func (m *MLP) Infer(x, buf []float64) []float64 { return m.InferFrom(nil, x, buf) }
 
 // InferPrefix writes into dst (one float per first-layer output) the first
@@ -208,10 +240,27 @@ func (m *MLP) InferPrefix(dst, x []float64) {
 // InferFrom(InferPrefix(x[:c]), x[c:]) equals Infer(x) bit for bit at every
 // c. Neither prefix nor rest is modified; buf is as for Infer.
 func (m *MLP) InferFrom(prefix, rest, buf []float64) []float64 {
-	half := len(buf) / 2
+	return m.run(prefix, rest, buf, false)
+}
+
+// Forward runs the MLP on the input row x for training: Infer's
+// arithmetic, with every layer's output kept in acts (Acts() floats) for
+// Backward. The returned output row aliases acts.
+func (m *MLP) Forward(acts, x []float64) []float64 { return m.run(nil, x, acts, true) }
+
+// run is the MLP's one forward. Each layer's output goes into buf: one
+// after the other when keep is set, else ping-ponging between its halves.
+func (m *MLP) run(prefix, rest, buf []float64, keep bool) []float64 {
+	half, off := len(buf)/2, 0
 	cur := rest
 	for i, l := range m.Layers {
-		next := buf[(i%2)*half:][:l.W.Data.Cols]
+		var next []float64
+		if keep {
+			next = buf[off:][:l.W.Data.Cols]
+			off += len(next)
+		} else {
+			next = buf[(i%2)*half:][:l.W.Data.Cols]
+		}
 		// Layers past the first always see their whole input.
 		k0 := l.W.Data.Rows - len(cur)
 		if k0 == 0 {
@@ -235,6 +284,88 @@ func (m *MLP) InferFrom(prefix, rest, buf []float64) []float64 {
 		cur = next
 	}
 	return cur
+}
+
+// Backward back-propagates dOut, the loss's gradient at the output of the
+// Forward that filled acts from x. Every layer's bias and weights get
+// their gradient added to their Param; when dx is not nil, the input's
+// gradient is added to it. Layer by layer from the last: ReLU's mask, the
+// bias (one row of the output gradient), the input gradient (each entry a
+// dot product with a row of W, formed whole and then added) and the
+// weights' (x[k]·g[j] for every non-zero x[k]) — the rules and the order
+// of the matrix engine this replaced, so gradients are its bits. buf is
+// scratch of 2*Width() floats; dOut is not modified.
+func (m *MLP) Backward(x, acts, dOut, dx, buf []float64) {
+	// The gradient at layer i's output is in half (i+1)%2 of buf, the one
+	// at its input in half i%2.
+	half := len(buf) / 2
+	ends := len(acts)
+	g := buf[(len(m.Layers)%2)*half:][:len(dOut)]
+	copy(g, dOut)
+	for i := len(m.Layers) - 1; i >= 0; i-- {
+		l := m.Layers[i]
+		in, out := l.W.Data.Rows, l.W.Data.Cols
+		if i < len(m.Layers)-1 {
+			for j, v := range acts[ends-out : ends] {
+				if !(v > 0) {
+					g[j] = 0
+				}
+			}
+		}
+		ends -= out
+		input := x
+		if i > 0 {
+			input = acts[ends-in : ends]
+		}
+		bg := l.B.GradData()
+		for j, d := range g {
+			bg[j] += d
+		}
+		var dIn []float64
+		if i > 0 {
+			dIn = buf[(i%2)*half:][:in]
+		} else if dx != nil {
+			dIn = dx
+		}
+		if dIn != nil {
+			w := l.W.Data.Data
+			for k := range dIn {
+				s := 0.0
+				for j, d := range g {
+					s += d * w[k*out+j]
+				}
+				if i > 0 {
+					dIn[k] = s
+				} else {
+					dIn[k] += s
+				}
+			}
+		}
+		wg := l.W.GradData()
+		for k, a := range input {
+			if a == 0 {
+				continue
+			}
+			row := wg[k*out : (k+1)*out]
+			for j, d := range g {
+				row[j] += float64(a * d)
+			}
+		}
+		g = dIn
+	}
+}
+
+// BCEWithLogits returns the binary cross-entropy of logit x against a
+// target t in {0,1}, in the numerically stable form max(x,0) − x·t +
+// log(1+e^−|x|), and its derivative in x, σ(x) − t.
+func BCEWithLogits(x, t float64) (loss, grad float64) {
+	return math.Max(x, 0) - x*t + math.Log1p(math.Exp(-math.Abs(x))), 1/(1+math.Exp(-x)) - t
+}
+
+// MSE returns the squared error (x − t)² and its derivative in x.
+func MSE(x, t float64) (loss, grad float64) {
+	d := x - t
+	return d * d, 2 * d
 }
 
 // Adam is the Adam optimizer over one parameter registry.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/lansearch/lan/internal/autograd"
 	"github.com/lansearch/lan/internal/mat"
 )
 
@@ -70,17 +69,57 @@ func TestParamsLoadErrors(t *testing.T) {
 	if err := p.Load(bytes.NewBufferString(`{`)); err == nil {
 		t.Fatal("no error for bad JSON")
 	}
+
+	q := NewParams()
+	y := q.Add("y", mat.FromSlice(1, 2, []float64{7, 8}))
+	q.Add("z", mat.New(1, 1))
+	for name, bad := range map[string]string{
+		"too few values":        `[{"name":"y","rows":1,"cols":2,"data":[5]},{"name":"z","rows":1,"cols":1,"data":[0]}]`,
+		"too many values":       `[{"name":"y","rows":1,"cols":2,"data":[1,2,3]},{"name":"z","rows":1,"cols":1,"data":[0]}]`,
+		"missing and duplicate": `[{"name":"z","rows":1,"cols":1,"data":[1]},{"name":"z","rows":1,"cols":1,"data":[2]}]`,
+		"missing":               `[{"name":"z","rows":1,"cols":1,"data":[1]}]`,
+	} {
+		if err := q.Load(bytes.NewBufferString(bad)); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+		if y.Data.Data[0] != 7 || y.Data.Data[1] != 8 {
+			t.Fatalf("%s: a refused load wrote %v", name, y.Data.Data)
+		}
+	}
 }
 
 func TestLinearShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := NewParams()
 	l := NewLinear(p, "l", 4, 3, rng)
-	tape := autograd.NewTape()
-	y := l.Apply(tape, tape.Const(mat.Randn(5, 4, 1, rng)))
-	if y.Data.Rows != 5 || y.Data.Cols != 3 {
-		t.Fatalf("Linear output %dx%d; want 5x3", y.Data.Rows, y.Data.Cols)
+	if l.W.Data.Rows != 4 || l.W.Data.Cols != 3 || l.B.Data.Rows != 1 || l.B.Data.Cols != 3 {
+		t.Fatalf("Linear W %dx%d, B %dx%d; want 4x3 and 1x3", l.W.Data.Rows, l.W.Data.Cols, l.B.Data.Rows, l.B.Data.Cols)
 	}
+	m := &MLP{Layers: []*Linear{l}}
+	acts := make([]float64, m.Acts())
+	if y := m.Forward(acts, mat.Randn(1, 4, 1, rng).Data); len(y) != 3 || m.Acts() != 3 {
+		t.Fatalf("Linear output %d floats, %d kept; want 3", len(y), m.Acts())
+	}
+}
+
+// fit runs full-batch Adam on m over the rows of x against targets y,
+// the loss the mean over rows of lossFn, and returns the last epoch's
+// loss.
+func fit(m *MLP, p *Params, x *mat.Matrix, y []float64, lr float64, epochs int, lossFn func(x, t float64) (float64, float64)) float64 {
+	opt := NewAdam(p, lr)
+	acts, buf := make([]float64, m.Acts()), make([]float64, 2*m.Width())
+	var loss float64
+	for epoch := 0; epoch < epochs; epoch++ {
+		p.ZeroGrad()
+		loss = 0
+		for i := 0; i < x.Rows; i++ {
+			l, d := lossFn(m.Forward(acts, x.Row(i))[0], y[i])
+			m.Backward(x.Row(i), acts, []float64{d / float64(x.Rows)}, nil, buf)
+			loss += l / float64(x.Rows)
+		}
+		opt.Step()
+	}
+	return loss
 }
 
 func TestMLPLearnsXOR(t *testing.T) {
@@ -88,29 +127,16 @@ func TestMLPLearnsXOR(t *testing.T) {
 	p := NewParams()
 	m := NewMLP(p, "xor", []int{2, 8, 1}, rng)
 	x := mat.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
-	y := mat.FromSlice(4, 1, []float64{0, 1, 1, 0})
-	opt := NewAdam(p, 0.05)
-	tape := autograd.NewTape()
-	var loss float64
-	for epoch := 0; epoch < 400; epoch++ {
-		p.ZeroGrad()
-		tape.Reset()
-		logits := m.Apply(tape, tape.Const(x))
-		l := tape.BCEWithLogits(logits, y.Data)
-		tape.Backward(l)
-		opt.Step()
-		loss = l.Data.At(0, 0)
-	}
-	if loss > 0.1 {
+	y := []float64{0, 1, 1, 0}
+	if loss := fit(m, p, x, y, 0.05, 400, BCEWithLogits); loss > 0.1 {
 		t.Fatalf("XOR did not converge: loss %v", loss)
 	}
 	// Predictions on the training set must be correct.
-	logits := m.Apply(tape, tape.Const(x))
+	buf := make([]float64, 2*m.Width())
 	for i := 0; i < 4; i++ {
-		pred := logits.Data.At(i, 0) > 0
-		want := y.At(i, 0) > 0.5
-		if pred != want {
-			t.Fatalf("XOR row %d misclassified (logit %v)", i, logits.Data.At(i, 0))
+		logit := m.Infer(x.Row(i), buf)[0]
+		if pred, want := logit > 0, y[i] > 0.5; pred != want {
+			t.Fatalf("XOR row %d misclassified (logit %v)", i, logit)
 		}
 	}
 }
@@ -122,26 +148,84 @@ func TestMLPRegressionWithMSE(t *testing.T) {
 	// Fit y = x^2 on [-1, 1].
 	n := 32
 	x := mat.New(n, 1)
-	y := mat.New(n, 1)
+	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		xv := -1 + 2*float64(i)/float64(n-1)
 		x.Set(i, 0, xv)
-		y.Set(i, 0, xv*xv)
+		y[i] = xv * xv
 	}
-	opt := NewAdam(p, 0.01)
-	tape := autograd.NewTape()
-	var loss float64
-	for epoch := 0; epoch < 600; epoch++ {
-		p.ZeroGrad()
-		tape.Reset()
-		pred := m.Apply(tape, tape.Const(x))
-		l := tape.MSE(pred, y.Data)
-		tape.Backward(l)
-		opt.Step()
-		loss = l.Data.At(0, 0)
-	}
-	if loss > 0.01 {
+	if loss := fit(m, p, x, y, 0.01, 600, MSE); loss > 0.01 {
 		t.Fatalf("regression did not converge: MSE %v", loss)
+	}
+}
+
+// TestMLPBackwardFiniteDifference checks every weight's, bias's and
+// input's gradient against central differences of a fixed linear
+// combination of the outputs, on one to three layers, with an input that
+// has a zero (whose weight row the backward skips).
+func TestMLPBackwardFiniteDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, sizes := range [][]int{{5, 3}, {5, 6, 1}, {4, 7, 5, 2}} {
+		p := NewParams()
+		m := NewMLP(p, "mlp", sizes, rng)
+		x := mat.Randn(1, sizes[0], 1, rng).Data
+		x[1] = 0
+		c := mat.Randn(1, sizes[len(sizes)-1], 1, rng).Data
+		acts, buf := make([]float64, m.Acts()), make([]float64, 2*m.Width())
+		loss := func() float64 {
+			s := 0.0
+			for j, v := range m.Infer(x, buf) {
+				s += c[j] * v
+			}
+			return s
+		}
+		m.Forward(acts, x)
+		dx := make([]float64, len(x))
+		m.Backward(x, acts, c, dx, buf)
+		const h = 1e-6
+		check := func(name string, vals, grads []float64) {
+			for i, orig := range vals {
+				vals[i] = orig + h
+				up := loss()
+				vals[i] = orig - h
+				down := loss()
+				vals[i] = orig
+				if want := (up - down) / (2 * h); math.Abs(grads[i]-want) > 1e-6*(1+math.Abs(want)) {
+					t.Fatalf("sizes %v: %s[%d] analytic %.10g, finite difference %.10g", sizes, name, i, grads[i], want)
+				}
+			}
+		}
+		for k, v := range p.All() {
+			check(p.Names()[k], v.Data.Data, v.Grad.Data)
+		}
+		check("x", x, dx)
+	}
+}
+
+// TestLossGradients checks each loss's derivative against central
+// differences, and BCE's stable form against the textbook one.
+func TestLossGradients(t *testing.T) {
+	const h = 1e-6
+	for _, x := range []float64{-7, -1.3, -0.2, 0, 0.4, 2.5, 9} {
+		for _, tgt := range []float64{0, 1, 2.5} {
+			for name, f := range map[string]func(x, t float64) (float64, float64){"BCE": BCEWithLogits, "MSE": MSE} {
+				if name == "BCE" && tgt > 1 {
+					continue
+				}
+				up, _ := f(x+h, tgt)
+				down, _ := f(x-h, tgt)
+				if _, got := f(x, tgt); math.Abs(got-(up-down)/(2*h)) > 1e-6 {
+					t.Fatalf("%s(%v, %v): derivative %v, finite difference %v", name, x, tgt, got, (up-down)/(2*h))
+				}
+			}
+			if tgt > 1 {
+				continue
+			}
+			s := 1 / (1 + math.Exp(-x))
+			if got, _ := BCEWithLogits(x, tgt); math.Abs(got+tgt*math.Log(s)+(1-tgt)*math.Log(1-s)) > 1e-9 {
+				t.Fatalf("BCE(%v, %v) = %v", x, tgt, got)
+			}
+		}
 	}
 }
 
@@ -153,6 +237,27 @@ var inferWidths = []int{1, 3, 4, 5, 8, 24, 48}
 
 var negZero = math.Copysign(0, -1)
 
+// apply is the MLP as matrix products: x*W + b per layer on mat.Mul,
+// ReLU between layers — the form the models were first trained on, and
+// the oracle Infer and Forward are held to bit for bit.
+func apply(m *MLP, x []float64) []float64 {
+	cur := mat.FromSlice(1, len(x), x)
+	for i, l := range m.Layers {
+		cur = mat.Mul(cur, l.W.Data)
+		for j, b := range l.B.Data.Data {
+			cur.Data[j] += b
+		}
+		if i < len(m.Layers)-1 {
+			for j, v := range cur.Data {
+				if v < 0 {
+					cur.Data[j] = 0
+				}
+			}
+		}
+	}
+	return cur.Data
+}
+
 func TestMLPInferMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, in := range inferWidths {
@@ -161,29 +266,34 @@ func TestMLPInferMatchesApply(t *testing.T) {
 			t.Fatalf("in %d: Width = %d; want 8", in, m.Width())
 		}
 		buf := make([]float64, 2*m.Width())
+		acts := make([]float64, m.Acts())
 		for trial := 0; trial < 10; trial++ {
 			x := mat.Randn(1, in, 1, rng)
-			tape := autograd.NewTape()
-			want := m.Apply(tape, tape.Const(x)).Data
-			got := m.Infer(x.Data, buf)
-			if len(got) != 1 || got[0] != want.At(0, 0) {
-				t.Fatalf("in %d: Infer = %v; Apply = %v (must be bit-identical)", in, got, want.Data)
+			want := apply(m, x.Data)
+			if got := m.Infer(x.Data, buf); len(got) != 1 || got[0] != want[0] {
+				t.Fatalf("in %d: Infer = %v; apply = %v (must be bit-identical)", in, got, want)
+			}
+			if got := m.Forward(acts, x.Data); len(got) != 1 || got[0] != want[0] {
+				t.Fatalf("in %d: Forward = %v; apply = %v (must be bit-identical)", in, got, want)
 			}
 		}
 		x := mat.Randn(1, in, 1, rng).Data
 		if n := testing.AllocsPerRun(50, func() { m.Infer(x, buf) }); n != 0 {
 			t.Fatalf("in %d: Infer allocates %v objects per call", in, n)
 		}
+		dx, dOut := make([]float64, in), []float64{0.5}
+		if n := testing.AllocsPerRun(50, func() { m.Forward(acts, x); m.Backward(x, acts, dOut, dx, buf) }); n != 0 {
+			t.Fatalf("in %d: Forward and Backward allocate %v objects per call", in, n)
+		}
 	}
 }
 
 // checkSplit holds m, at every column c its input can be split at, to
-// InferFrom(InferPrefix(x[:c]), x[c:]) == Infer(x) == Apply(Const(x)), bit
+// InferFrom(InferPrefix(x[:c]), x[c:]) == Infer(x) == apply(x), bit
 // pattern for bit pattern (so -0 does not pass for +0).
 func checkSplit(t *testing.T, m *MLP, x []float64) {
 	t.Helper()
-	tape := autograd.NewTape()
-	want := m.Apply(tape, tape.Const(mat.FromSlice(1, len(x), append([]float64(nil), x...)))).Data.Data
+	want := apply(m, x)
 	buf := make([]float64, 2*m.Width())
 	prefix := make([]float64, m.Layers[0].W.Data.Cols)
 	same := func(got []float64) bool {
@@ -198,12 +308,12 @@ func checkSplit(t *testing.T, m *MLP, x []float64) {
 		return true
 	}
 	if got := m.Infer(x, buf); !same(got) {
-		t.Fatalf("in %d, %d layers: Infer = %v; Apply = %v", len(x), len(m.Layers), got, want)
+		t.Fatalf("in %d, %d layers: Infer = %v; apply = %v", len(x), len(m.Layers), got, want)
 	}
 	for c := 0; c <= len(x); c++ {
 		m.InferPrefix(prefix, x[:c])
 		if got := m.InferFrom(prefix, x[c:], buf); !same(got) {
-			t.Fatalf("in %d, %d layers, split at %d: InferFrom = %v; Apply = %v", len(x), len(m.Layers), c, got, want)
+			t.Fatalf("in %d, %d layers, split at %d: InferFrom = %v; apply = %v", len(x), len(m.Layers), c, got, want)
 		}
 	}
 }
