@@ -27,17 +27,14 @@ import (
 
 // Options configure an Engine build.
 type Options struct {
-	// Index construction.
-	M              int        // PG degree parameter (default 8)
-	EfConstruction int        // insertion beam (default 2M)
-	BuildMetric    ged.Metric // offline GED (default Hungarian)
-	QueryMetric    ged.Metric // online GED (default Hungarian)
+	// Index construction. The insertion beam is pg's 2M.
+	M           int        // PG degree parameter (default 8)
+	BuildMetric ged.Metric // offline GED (default Hungarian)
+	QueryMetric ged.Metric // online GED (default Hungarian)
 
-	// Model shape.
-	Layers       int // GNN layers (default 2)
-	Dim          int // embedding dim (default 16; the paper uses 128)
-	BatchPercent int // the paper's y (default 20)
-	Hidden       int // MLP hidden width (default 2*Dim)
+	// Model shape: the paper's models.Layers GNN layers, y =
+	// models.BatchPercent and MLP hidden width 2*Dim are constants.
+	Dim int // embedding dim (default 16; the paper uses 128)
 	// RawGNN switches off the compressed-GNN-graph acceleration of
 	// Sec. VI: the models run on the raw graphs (the ablation of Figs. 10
 	// and 11). The zero value is the paper's system.
@@ -66,26 +63,14 @@ func (o *Options) defaults(dbSize int) {
 	if o.M <= 0 {
 		o.M = 8
 	}
-	if o.EfConstruction <= 0 {
-		o.EfConstruction = 2 * o.M
-	}
 	if o.BuildMetric == nil {
 		o.BuildMetric = ged.MetricFunc(ged.Hungarian)
 	}
 	if o.QueryMetric == nil {
 		o.QueryMetric = ged.MetricFunc(ged.Hungarian)
 	}
-	if o.Layers <= 0 {
-		o.Layers = 2
-	}
 	if o.Dim <= 0 {
 		o.Dim = 16
-	}
-	if o.BatchPercent <= 0 {
-		o.BatchPercent = 20
-	}
-	if o.Hidden <= 0 {
-		o.Hidden = 2 * o.Dim
 	}
 	if o.GammaKNN <= 0 {
 		o.GammaKNN = 20
@@ -270,8 +255,7 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	var idx *pg.HNSW
 	err := recovered("building the proximity graph", func() (err error) {
 		idx, err = pg.Build(db, pg.BuildConfig{
-			M: opts.M, EfConstruction: opts.EfConstruction,
-			Metric: opts.BuildMetric, Seed: opts.Seed, Workers: workers,
+			M: opts.M, Metric: opts.BuildMetric, Seed: opts.Seed, Workers: workers,
 		})
 		return err
 	})
@@ -290,11 +274,8 @@ func Build(db graph.Database, trainQueries []*graph.Graph, opts Options) (*Engin
 	// training queries.
 	gammaStar := models.CalibrateGammaStar(table, opts.GammaKNN, 0.9)
 
-	store := models.NewCGStore(db, opts.Layers, !opts.RawGNN)
-	mcfg := models.Config{
-		Layers: opts.Layers, Dim: opts.Dim, BatchPercent: opts.BatchPercent,
-		Hidden: opts.Hidden, GammaStar: gammaStar, Seed: opts.Seed,
-	}
+	store := models.NewCGStore(db, !opts.RawGNN)
+	mcfg := models.Config{Dim: opts.Dim, GammaStar: gammaStar, Seed: opts.Seed}
 
 	e := &Engine{DB: db, Index: idx, Opts: opts, Store: store, GammaStar: gammaStar}
 
@@ -484,7 +465,7 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 	case BaselineRoute: // nil ranker
 	case OracleRoute:
 		ranker = &route.OracleRanker{
-			Cache: cache, BatchPercent: e.Opts.BatchPercent,
+			Cache: cache, BatchPercent: models.BatchPercent,
 			// Rank with the cheap build metric so the oracle's
 			// hypothetically-free ranking does not pay the query metric.
 			RankMetric: e.Opts.BuildMetric,

@@ -198,7 +198,7 @@ func TestPseudoRandomEntryStableAndInRange(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
 	o.defaults(1000)
-	if o.M != 8 || o.EfConstruction != 16 || o.Layers != 2 || o.Dim != 16 {
+	if o.M != 8 || o.Dim != 16 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.Clusters != 62 {

@@ -27,11 +27,13 @@ type snapshot struct {
 	Entry int             `json:"entry"`
 
 	// Options that shape the models, and those the write path of a
-	// reopened index must share with the build. EfConstruction is absent
-	// from files written before it was persisted and then defaults to 2M.
-	// TopClusters, Samples and StepSize carry settings no build varies
-	// any more; every file holds models.SelectorTopClusters,
-	// models.SelectorSamples and route's default d_s of 1 there.
+	// reopened index must share with the build. EfConstruction, Layers,
+	// BatchPercent, Hidden, TopClusters, Samples and StepSize carry
+	// settings no build varies any more; every file holds 2M,
+	// models.Layers, models.BatchPercent, 2*Dim,
+	// models.SelectorTopClusters, models.SelectorSamples and route's
+	// default d_s of 1 there. EfConstruction is absent (0) from files
+	// written before it was persisted.
 	M              int     `json:"m"`
 	EfConstruction int     `json:"ef_construction"`
 	Layers         int     `json:"layers"`
@@ -64,9 +66,9 @@ type snapshot struct {
 // 1 and 2 were free-standing JSON index files; their readers are gone.
 const snapshotVersion = 3
 
-// maxShape bounds every shape field of the metadata: far above any real
-// index (the paper's embedding dimension is 128), and small enough that
-// validate's weight counts cannot overflow.
+// maxShape bounds the metadata's two settable shape fields, m and dim:
+// far above any real index (the paper's embedding dimension is 128), and
+// small enough that validate's weight counts cannot overflow.
 const maxShape = 1 << 16
 
 func corruptf(format string, args ...any) error {
@@ -85,9 +87,9 @@ func SaveSnapshotV3(path string, e *Engine, st *MutationState) error {
 		Level:     e.Index.Level,
 		Entry:     e.Index.Entry,
 
-		M: e.Opts.M, EfConstruction: e.Opts.EfConstruction,
-		Layers: e.Opts.Layers, Dim: e.Opts.Dim,
-		BatchPercent: e.Opts.BatchPercent, Hidden: e.Opts.Hidden,
+		M: e.Opts.M, EfConstruction: 2 * e.Opts.M,
+		Layers: models.Layers, Dim: e.Opts.Dim,
+		BatchPercent: models.BatchPercent, Hidden: models.Config{Dim: e.Opts.Dim}.Hidden(),
 		UseCG:       !e.Opts.RawGNN,
 		TopClusters: models.SelectorTopClusters, Samples: models.SelectorSamples,
 		StepSize: 1,
@@ -179,23 +181,29 @@ func (s *snapshot) validate(n, vocab int) error {
 		return corruptf("binary snapshot carries metadata version %d, want %d", s.Version, snapshotVersion)
 	}
 	for _, f := range []struct {
-		name     string
-		v, floor int
-	}{
-		{"m", s.M, 1}, {"ef_construction", s.EfConstruction, 0},
-		{"layers", s.Layers, 1}, {"dim", s.Dim, 1}, {"hidden", s.Hidden, 1},
-	} {
-		if f.v < f.floor || f.v > maxShape {
-			return corruptf("%s = %d outside [%d, %d]", f.name, f.v, f.floor, maxShape)
+		name string
+		v    int
+	}{{"m", s.M}, {"dim", s.Dim}} {
+		if f.v < 1 || f.v > maxShape {
+			return corruptf("%s = %d outside [1, %d]", f.name, f.v, maxShape)
 		}
 	}
 	// The settings no build varies: any other value was not written here
 	// (and a step that γ absorbs would open fine and then route forever).
-	if s.TopClusters != models.SelectorTopClusters {
-		return corruptf("top_clusters = %d; want %d", s.TopClusters, models.SelectorTopClusters)
+	for _, f := range []struct {
+		name    string
+		v, want int
+	}{
+		{"layers", s.Layers, models.Layers}, {"batch_percent", s.BatchPercent, models.BatchPercent},
+		{"hidden", s.Hidden, models.Config{Dim: s.Dim}.Hidden()},
+		{"top_clusters", s.TopClusters, models.SelectorTopClusters}, {"samples", s.Samples, models.SelectorSamples},
+	} {
+		if f.v != f.want {
+			return corruptf("%s = %d; want %d", f.name, f.v, f.want)
+		}
 	}
-	if s.Samples != models.SelectorSamples {
-		return corruptf("samples = %d; want %d", s.Samples, models.SelectorSamples)
+	if s.EfConstruction != 0 && s.EfConstruction != 2*s.M {
+		return corruptf("ef_construction = %d; want 2m = %d", s.EfConstruction, 2*s.M)
 	}
 	if s.StepSize != 1 {
 		return corruptf("step_size = %v; want 1", s.StepSize)
@@ -206,17 +214,12 @@ func (s *snapshot) validate(n, vocab int) error {
 	// (cg.NewCrossModel, cg.NewGINModel) and the first layer of every head —
 	// by far most of each model. Should a model outgrow its count here,
 	// every round-trip test fails at once: its own snapshots stop opening.
-	bp := s.BatchPercent
-	if bp <= 0 || bp > 100 {
-		bp = 20 // models.Config's own clamp
-	}
-	heads := models.Config{BatchPercent: bp}.Heads()
-	dim, hidden := int64(s.Dim), int64(s.Hidden)
-	encoder := int64(vocab)*dim + int64(s.Layers-1)*dim*dim
+	dim, hidden := int64(s.Dim), int64(models.Config{Dim: s.Dim}.Hidden())
+	encoder := int64(vocab)*dim + (models.Layers-1)*dim*dim
 	head := 3 * dim * hidden
-	if 2*(2*encoder+int64(heads)*head) > int64(len(s.MrkParams)) ||
+	if 2*(2*encoder+models.Heads*head) > int64(len(s.MrkParams)) ||
 		2*(encoder+head) > int64(len(s.MnhParams)) || 2*hidden > int64(len(s.McParams)) {
-		return corruptf("model shape (layers %d, dim %d, hidden %d) exceeds the stored parameters", s.Layers, s.Dim, s.Hidden)
+		return corruptf("model shape (dim %d) exceeds the stored parameters", s.Dim)
 	}
 
 	if len(s.Level) != n || len(s.Assign) != n {
@@ -260,9 +263,7 @@ func (s *snapshot) validate(n, vocab int) error {
 // metadata, the decoded database, the base-layer adjacency and M_rk's
 // node-embedding table (nil: recompute it).
 func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, nodeEmb [][]float64) (*Engine, error) {
-	opts.M, opts.EfConstruction = s.M, s.EfConstruction
-	opts.Layers, opts.Dim = s.Layers, s.Dim
-	opts.BatchPercent, opts.Hidden = s.BatchPercent, s.Hidden
+	opts.M, opts.Dim = s.M, s.Dim
 	opts.RawGNN = !s.UseCG
 	opts.Seed = s.Seed
 	opts.defaults(len(db))
@@ -277,11 +278,8 @@ func assembleEngine(db graph.Database, s *snapshot, adj [][]int, opts Options, n
 		return nil, corruptf("%v", err)
 	}
 
-	store := models.NewCGStore(db, opts.Layers, !opts.RawGNN)
-	mcfg := models.Config{
-		Layers: opts.Layers, Dim: opts.Dim, BatchPercent: opts.BatchPercent,
-		Hidden: opts.Hidden, GammaStar: s.GammaStar, Seed: opts.Seed,
-	}
+	store := models.NewCGStore(db, !opts.RawGNN)
+	mcfg := models.Config{Dim: opts.Dim, GammaStar: s.GammaStar, Seed: opts.Seed}
 	e := &Engine{DB: db, Index: idx, Opts: opts, Store: store, GammaStar: s.GammaStar}
 
 	e.Mrk = models.NewNeighborRanker(mcfg, store)

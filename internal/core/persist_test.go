@@ -140,15 +140,14 @@ var tinySpec = dataset.Spec{Name: "TINY", Kind: dataset.KindMolecule, Graphs: 12
 // TestSaveLoadRoundTrip pins what the metadata carries: every option the
 // reopened engine needs — to shape its models, to route, and to keep
 // inserting the way the index was built — comes back as it was saved,
-// together with γ*, the hierarchy and the clustering. Every
-// option is set away from its default, so a field the format dropped
-// would come back as the default and fail here.
+// together with γ*, the hierarchy and the clustering. Every persisted
+// option a build can set is set away from its default, so a field the
+// format dropped would come back as the default and fail here.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := tinySpec.Generate()
 	train, _, _ := dataset.Split(dataset.Workload(db, tinySpec, 8, 3))
 	eng, err := Build(db, train, Options{
-		M: 4, EfConstruction: 64, Layers: 3, Dim: 6, BatchPercent: 25, Hidden: 10,
-		RawGNN: true, GammaKNN: 3, Clusters: 2,
+		M: 4, Dim: 6, RawGNN: true, GammaKNN: 3, Clusters: 2,
 		Train: models.TrainOptions{Epochs: 1}, Seed: 7,
 	})
 	if err != nil {
@@ -156,10 +155,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	persisted := func(e *Engine) Options {
 		o := e.Opts
-		return Options{
-			M: o.M, EfConstruction: o.EfConstruction, Layers: o.Layers, Dim: o.Dim,
-			BatchPercent: o.BatchPercent, Hidden: o.Hidden, RawGNN: o.RawGNN, Seed: o.Seed,
-		}
+		return Options{M: o.M, Dim: o.Dim, RawGNN: o.RawGNN, Seed: o.Seed}
 	}
 	got := reopen(t, saveV3(t, eng))
 	if a, b := persisted(got), persisted(eng); !reflect.DeepEqual(a, b) {
@@ -282,14 +278,25 @@ func TestLoadErrors(t *testing.T) {
 			t.Errorf("%s: err = %v; want ErrCorrupt", c.name, err)
 		}
 	}
+	// The model and build shapes no build varies: a value off the paper's
+	// is refused by name, not left to fail inside a model's load.
+	for _, kv := range [][2]string{
+		{"layers", "3"}, {"batch_percent", "25"},
+		{"hidden", strconv.Itoa(2*eng.Opts.Dim + 1)}, {"ef_construction", strconv.Itoa(3 * eng.Opts.M)},
+	} {
+		_, _, err := OpenSnapshotV3(craftedSnapshot(t, eng, meta, set(kv[0], kv[1])), Options{})
+		if !errors.Is(err, lanstore.ErrCorrupt) || !strings.Contains(err.Error(), kv[0]) {
+			t.Errorf("%s = %s: err = %v; want ErrCorrupt naming the key", kv[0], kv[1], err)
+		}
+	}
 
 	// The crafting itself is sound: with no edit the file opens, and a file
-	// written before ef_construction was persisted opens with 2M.
+	// written before ef_construction was persisted opens and saves 2M.
 	path := craftedSnapshot(t, eng, meta, func(_ *lanstore.SnapshotData, meta map[string]json.RawMessage) {
 		delete(meta, "ef_construction")
 	})
-	if got := reopen(t, path); got.Opts.EfConstruction != 2*eng.Opts.M {
-		t.Fatalf("EfConstruction = %d without the key; want 2M = %d", got.Opts.EfConstruction, 2*eng.Opts.M)
+	if want := `"ef_construction":` + strconv.Itoa(2*eng.Opts.M) + ","; !bytes.Contains(savedMeta(t, reopen(t, path)), []byte(want)) {
+		t.Fatalf("a file without ef_construction re-saves without %s", want)
 	}
 }
 
@@ -326,7 +333,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	db := tinySpec.Generate()
 	train, _, _ := dataset.Split(dataset.Workload(db, tinySpec, 8, 3))
 	eng, err := Build(db, train, Options{
-		M: 2, Layers: 1, Dim: 2, Hidden: 2, BatchPercent: 50, GammaKNN: 3, Clusters: 2,
+		M: 2, Dim: 2, GammaKNN: 3, Clusters: 2,
 		Train: models.TrainOptions{Epochs: 1}, Seed: 1,
 	})
 	if err != nil {

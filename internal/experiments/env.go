@@ -123,14 +123,7 @@ func NewEnv(p Protocol, spec dataset.Spec) (*Env, error) {
 	train, _, test := dataset.Split(queries)
 
 	buildStart := time.Now()
-	eng, err := core.Build(db, train, core.Options{
-		M: 6, Dim: p.Dim, GammaKNN: 2 * p.K, // N_Q covers the 2k-NNs (the paper uses 4k at full scale)
-		BuildMetric: p.buildMetric(),
-		QueryMetric: p.QueryMetric,
-		Train:       models.TrainOptions{Epochs: p.TrainEpochs, LR: 0.01},
-		Workers:     p.Workers,
-		Seed:        p.Seed,
-	})
+	eng, err := p.buildEngine(db, train, false)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
 	}
@@ -205,6 +198,20 @@ func WritePoints(w io.Writer, title string, pts []Point) {
 		fmt.Fprintf(w, "  %-14s %6d %8.3f %10.2f %10.1f %12s\n",
 			p.Method, p.Beam, p.Recall, p.QPS, p.AvgNDC, p.AvgTime.Round(time.Microsecond))
 	}
+}
+
+// buildEngine builds the LAN engine the figures measure over db, trained
+// on train; raw switches off the CG acceleration (Figs. 10 and 11).
+func (p Protocol) buildEngine(db graph.Database, train []*graph.Graph, raw bool) (*core.Engine, error) {
+	return core.Build(db, train, core.Options{
+		M: 6, Dim: p.Dim, GammaKNN: 2 * p.K, // N_Q covers the 2k-NNs (the paper uses 4k at full scale)
+		BuildMetric: p.buildMetric(),
+		QueryMetric: p.QueryMetric,
+		RawGNN:      raw,
+		Train:       models.TrainOptions{Epochs: p.TrainEpochs, LR: 0.01},
+		Workers:     p.Workers,
+		Seed:        p.Seed,
+	})
 }
 
 // buildMetric returns the configured build metric, defaulting to the

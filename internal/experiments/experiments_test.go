@@ -8,6 +8,7 @@ import (
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/internal/cg"
 	"github.com/lansearch/lan/internal/dataset"
+	"github.com/lansearch/lan/internal/models"
 )
 
 // tinyProtocol keeps experiment smoke tests fast.
@@ -49,7 +50,7 @@ func TestEnvEngineUsesCG(t *testing.T) {
 	store := env.Engine.Store
 	nodes, groups := 0, 0
 	for _, g := range env.DB {
-		got, want := store.For(g), cg.Build(g, store.Layers, store.Vocab)
+		got, want := store.For(g), cg.Build(g, models.Layers, store.Vocab)
 		for l := range want.Levels {
 			if len(got.Levels[l].Size) != len(want.Levels[l].Size) {
 				t.Fatalf("graph %d, level %d: %d groups; cg.Build makes %d", g.ID, l, len(got.Levels[l].Size), len(want.Levels[l].Size))

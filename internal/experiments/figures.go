@@ -147,14 +147,7 @@ func Fig10(env *Env) ([]Point, error) {
 	db := env.DB
 	queries := dataset.Workload(db, spec, p.Queries, p.Seed+7)
 	train, _, _ := dataset.Split(queries)
-	rawEng, err := core.Build(db, train, core.Options{
-		M: 6, Dim: p.Dim, GammaKNN: 2 * p.K,
-		BuildMetric: p.buildMetric(),
-		QueryMetric: p.QueryMetric,
-		RawGNN:      true,
-		Train:       models.TrainOptions{Epochs: p.TrainEpochs, LR: 0.01},
-		Seed:        p.Seed,
-	})
+	rawEng, err := p.buildEngine(db, train, true)
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +179,7 @@ func Fig11(p Protocol, spec dataset.Spec) (Fig11Row, error) {
 	db := spec.Generate()
 	queries := dataset.Workload(db, spec, p.Queries, p.Seed+7)
 	train, _, test := dataset.Split(queries)
-	eng, err := core.Build(db, train, core.Options{
-		M: 6, Dim: p.Dim, GammaKNN: 2 * p.K,
-		BuildMetric: p.buildMetric(),
-		QueryMetric: p.QueryMetric,
-		RawGNN:      true,
-		Train:       models.TrainOptions{Epochs: p.TrainEpochs, LR: 0.01},
-		Seed:        p.Seed,
-	})
+	eng, err := p.buildEngine(db, train, true)
 	if err != nil {
 		return Fig11Row{}, err
 	}

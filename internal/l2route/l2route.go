@@ -83,15 +83,35 @@ func (e *Encoder) Train(pairs []Pair, epochs int, lr float64) error {
 }
 
 // pairStep is what the encoder's training steps run on: a recorded
-// forward of the GIN per side of the pair, and their gradients.
+// forward of the GIN per side of the pair, their gradients, and the
+// compressed GNN-graph of every database graph a pair has brought,
+// built once per Train (SamplePairs draws database members).
 type pairStep struct {
 	e      *Encoder
 	a, b   cg.GINPass
 	dA, dB []float64
+	cgs    map[int]*cg.Compressed
 }
 
 func (e *Encoder) newPairStep() *pairStep {
-	return &pairStep{e: e, dA: make([]float64, e.gin.Cfg.Dim), dB: make([]float64, e.gin.Cfg.Dim)}
+	return &pairStep{
+		e: e, dA: make([]float64, e.gin.Cfg.Dim), dB: make([]float64, e.gin.Cfg.Dim),
+		cgs: make(map[int]*cg.Compressed),
+	}
+}
+
+// compressed returns g's compressed GNN-graph, cached by ID for database
+// members; cg.Build is deterministic, so a cached one is the one a fresh
+// build would give.
+func (s *pairStep) compressed(g *graph.Graph) *cg.Compressed {
+	if c, ok := s.cgs[g.ID]; ok {
+		return c
+	}
+	c := cg.Build(g, s.e.layers, s.e.vocab)
+	if g.ID >= 0 {
+		s.cgs[g.ID] = c
+	}
+	return c
 }
 
 // run adds the gradient of one pair's loss, the squared error of
@@ -102,8 +122,8 @@ func (e *Encoder) newPairStep() *pairStep {
 // under.
 func (s *pairStep) run(p Pair) float64 {
 	e := s.e
-	ea := s.a.Forward(e.gin, cg.Build(p.A, e.layers, e.vocab))
-	eb := s.b.Forward(e.gin, cg.Build(p.B, e.layers, e.vocab))
+	ea := s.a.Forward(e.gin, s.compressed(p.A))
+	eb := s.b.Forward(e.gin, s.compressed(p.B))
 	loss, d := nn.MSE(sqL2(ea, eb), p.D)
 	for i := range s.dA {
 		s.dA[i] = 2 * d * (ea[i] - eb[i])

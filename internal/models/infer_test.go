@@ -48,7 +48,7 @@ func newRankFixture(tb testing.TB) *rankFixture { return newRankFixtureOf(tb, ai
 func newRankFixtureOf(tb testing.TB, shape rankShape) *rankFixture {
 	tb.Helper()
 	f := newFixtureOf(tb, shape.spec, shape.m, 2)
-	cfg := Config{Layers: 2, Dim: shape.dim, BatchPercent: 20, GammaStar: f.gamma, Seed: 5}
+	cfg := Config{Dim: shape.dim, GammaStar: f.gamma, Seed: 5}
 	rf := &rankFixture{
 		fixture: f,
 		mrk:     NewNeighborRanker(cfg, f.store),
@@ -200,7 +200,7 @@ func checkInferAllocs(t *testing.T, rf *rankFixture) {
 // the cache ends holding each graph looked up once (run under -race).
 func TestCGStoreConcurrentHitsAndMisses(t *testing.T) {
 	f := newFixture(t, 0.001, 1)
-	s := NewCGStore(f.db, 2, true)
+	s := NewCGStore(f.db, true)
 	looked := make(map[int]bool)
 	for w := 0; w < 4; w++ {
 		for i := 0; i < 400; i++ {

@@ -26,7 +26,6 @@ type ClusterModel struct {
 
 // NewClusterModel builds an untrained M_c over a fitted clustering.
 func NewClusterModel(cfg Config, embedder *cluster.FeatureEmbedder, km *cluster.KMeans) *ClusterModel {
-	cfg.defaults()
 	p := nn.NewParams()
 	rng := newRNG(cfg.Seed, 0x33c)
 	// Interaction features |c-q| and c⊙q make the similarity signal
@@ -38,7 +37,7 @@ func NewClusterModel(cfg Config, embedder *cluster.FeatureEmbedder, km *cluster.
 		Params:   p,
 		embedder: embedder,
 		clusters: km,
-		head:     nn.NewMLP(p, "mc.head", []int{in, cfg.Hidden, 1}, rng),
+		head:     nn.NewMLP(p, "mc.head", []int{in, cfg.Hidden(), 1}, rng),
 	}
 }
 

@@ -24,15 +24,14 @@ type NeighborhoodModel struct {
 // NewNeighborhoodModel builds an untrained M_nh over the store's
 // vocabulary.
 func NewNeighborhoodModel(cfg Config, store *CGStore) *NeighborhoodModel {
-	cfg.defaults()
 	p := nn.NewParams()
 	rng := newRNG(cfg.Seed, 0x22b)
-	ccfg := cg.Config{Layers: cfg.Layers, Dim: cfg.Dim, Vocab: store.Vocab}
+	ccfg := cg.Config{Layers: Layers, Dim: cfg.Dim, Vocab: store.Vocab}
 	return &NeighborhoodModel{
 		Cfg:    cfg,
 		Params: p,
 		cross:  cg.NewCrossModel(p, "mnh.cross", ccfg, rng),
-		head:   nn.NewMLP(p, "mnh.head", []int{3 * cfg.Dim, cfg.Hidden, 1}, rng),
+		head:   nn.NewMLP(p, "mnh.head", []int{3 * cfg.Dim, cfg.Hidden(), 1}, rng),
 		store:  store,
 	}
 }

@@ -33,16 +33,28 @@ import (
 	"github.com/lansearch/lan/internal/pg"
 )
 
+// The paper's model shape (Sec. VII), which no build varies: two GNN
+// layers, y = 20 % (so 100/y = 5 partial rankers), and a learning rate
+// that decays by 0.96 every 5 epochs. Every MLP's hidden width is twice
+// the embedding dimension.
+const (
+	// Layers is the depth of every GNN encoder.
+	Layers = 2
+	// BatchPercent is the paper's y: ranker head i covers the top
+	// (i+1)*y% neighbors, and the router opens them in y% batches.
+	BatchPercent = 20
+	// Heads is 100/y rounded up: the number of partial rankers.
+	Heads = (100 + BatchPercent - 1) / BatchPercent
+
+	lrDecay    = 0.96 // the paper's decay…
+	decayEvery = 5    // …applied every decayEvery epochs
+)
+
 // Config shapes all three models.
 type Config struct {
-	// Layers and Dim shape the shared GNN encoders.
-	Layers int
-	Dim    int
-	// BatchPercent is the paper's y: each ranker head i covers the top
-	// (i+1)*y% neighbors. Default 20 (five heads).
-	BatchPercent int
-	// Hidden is the MLP hidden width (default 2*Dim).
-	Hidden int
+	// Dim is the embedding dimension of the GNN encoders; the MLP heads'
+	// hidden width is 2*Dim.
+	Dim int
 	// GammaStar is the neighborhood radius gamma*. Calibrate with
 	// CalibrateGammaStar.
 	GammaStar float64
@@ -50,30 +62,13 @@ type Config struct {
 	Seed int64
 }
 
-func (c *Config) defaults() {
-	if c.Layers <= 0 {
-		c.Layers = 2
-	}
-	if c.Dim <= 0 {
-		c.Dim = 16
-	}
-	if c.BatchPercent <= 0 || c.BatchPercent > 100 {
-		c.BatchPercent = 20
-	}
-	if c.Hidden <= 0 {
-		c.Hidden = 2 * c.Dim
-	}
-}
-
-// Heads returns 100/y rounded up — the number of partial rankers.
-func (c Config) Heads() int { return (100 + c.BatchPercent - 1) / c.BatchPercent }
+// Hidden returns every MLP head's hidden width, 2*Dim.
+func (c Config) Hidden() int { return 2 * c.Dim }
 
 // TrainOptions control the optimization loops.
 type TrainOptions struct {
-	Epochs     int
-	LR         float64
-	LRDecay    float64 // multiplicative decay applied every DecayEvery epochs
-	DecayEvery int
+	Epochs int
+	LR     float64
 	// Logf, when set, receives one progress line per epoch. core.Build
 	// trains M_rk beside M_nh and M_c when it has more than one worker, so
 	// Logf can be called from two goroutines at once and must be safe for
@@ -88,12 +83,6 @@ func (o *TrainOptions) defaults() {
 	if o.LR <= 0 {
 		o.LR = 0.005 // the paper's initial learning rate
 	}
-	if o.LRDecay <= 0 {
-		o.LRDecay = 0.96 // the paper's decay
-	}
-	if o.DecayEvery <= 0 {
-		o.DecayEvery = 5
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}
 	}
@@ -102,8 +91,7 @@ func (o *TrainOptions) defaults() {
 // CGStore precomputes and caches compressed GNN-graphs for database
 // graphs (Sec. VI: data-graph CGs are built offline).
 type CGStore struct {
-	Layers int
-	Vocab  *cg.Vocab
+	Vocab *cg.Vocab
 
 	mu    sync.RWMutex
 	byID  map[int]*cg.Compressed
@@ -113,12 +101,11 @@ type CGStore struct {
 // NewCGStore builds a store over db's vocabulary. When useCG is false the
 // store produces raw (uncompressed) GNN-graphs — the ablation knob behind
 // Fig. 10.
-func NewCGStore(db graph.Database, layers int, useCG bool) *CGStore {
+func NewCGStore(db graph.Database, useCG bool) *CGStore {
 	return &CGStore{
-		Layers: layers,
-		Vocab:  cg.NewVocab(db),
-		byID:   make(map[int]*cg.Compressed),
-		useCG:  useCG,
+		Vocab: cg.NewVocab(db),
+		byID:  make(map[int]*cg.Compressed),
+		useCG: useCG,
 	}
 }
 
@@ -151,9 +138,9 @@ func (s *CGStore) Query(q *graph.Graph) *cg.Compressed { return s.build(q) }
 
 func (s *CGStore) build(g *graph.Graph) *cg.Compressed {
 	if s.useCG {
-		return cg.Build(g, s.Layers, s.Vocab)
+		return cg.Build(g, Layers, s.Vocab)
 	}
-	return cg.BuildRaw(g, s.Layers, s.Vocab)
+	return cg.BuildRaw(g, Layers, s.Vocab)
 }
 
 // DistanceTable holds d(query_i, db_j) for a set of training queries —
@@ -274,8 +261,8 @@ func trainLoop(params *nn.Params, n int, opts TrainOptions, seed int64, step fun
 			total += step(idx)
 			opt.Step()
 		}
-		if (epoch+1)%opts.DecayEvery == 0 {
-			opt.DecayLR(opts.LRDecay)
+		if (epoch+1)%decayEvery == 0 {
+			opt.DecayLR(lrDecay)
 		}
 		if n > 0 {
 			opts.Logf("epoch %d: avg loss %.4f", epoch, total/float64(n))

@@ -47,7 +47,7 @@ func newFixtureOf(t testing.TB, spec dataset.Spec, m, queries int) *fixture {
 	return &fixture{
 		spec: spec, db: db, index: idx, metric: metric,
 		table: table, gamma: gamma,
-		store:   NewCGStore(db, 2, true),
+		store:   NewCGStore(db, true),
 		queries: qs,
 	}
 }
@@ -86,17 +86,19 @@ func TestCalibrateGammaStar(t *testing.T) {
 	}
 }
 
-func TestConfigDefaultsAndHeads(t *testing.T) {
-	c := Config{}
-	c.defaults()
-	if c.Layers != 2 || c.Dim != 16 || c.BatchPercent != 20 || c.Hidden != 32 {
-		t.Fatalf("defaults = %+v", c)
+// TestHeads pins the paper's 100/y partial rankers: five at y = 20 %,
+// one per head in M_rk, and their cuts cover every neighbour.
+func TestHeads(t *testing.T) {
+	if Heads != 5 || Heads*BatchPercent < 100 {
+		t.Fatalf("Heads = %d at y = %d%%", Heads, BatchPercent)
 	}
-	if c.Heads() != 5 {
-		t.Fatalf("heads = %d", c.Heads())
+	f := newFixture(t, 0.001, 2)
+	r := NewNeighborRanker(Config{Dim: 4, GammaStar: f.gamma, Seed: 1}, f.store)
+	if len(r.heads) != Heads {
+		t.Fatalf("M_rk has %d heads; want %d", len(r.heads), Heads)
 	}
-	if (Config{BatchPercent: 30}).Heads() != 4 {
-		t.Fatalf("ceil heads wrong")
+	if got := r.headTarget(Heads-1, 9, 10); got != 1 {
+		t.Fatalf("the last head leaves out the farthest neighbour (target %v)", got)
 	}
 }
 
@@ -114,7 +116,7 @@ func TestCGStoreCachesByID(t *testing.T) {
 		t.Fatalf("free-standing graphs must not share cache entries")
 	}
 	// Raw-mode store produces per-node groups.
-	raw := NewCGStore(f.db, 2, false)
+	raw := NewCGStore(f.db, false)
 	if raw.For(f.db[0]).Groups(0) != f.db[0].N() {
 		t.Fatalf("raw store compressed")
 	}
@@ -158,7 +160,7 @@ func TestNeighborRankerLearnsToRank(t *testing.T) {
 		t.Skip("skipping in -short mode: trains the neighbor ranker to convergence")
 	}
 	f := newFixture(t, 0.003, 8)
-	cfg := Config{Layers: 2, Dim: 8, BatchPercent: 20, GammaStar: f.gamma, Seed: 1}
+	cfg := Config{Dim: 8, GammaStar: f.gamma, Seed: 1}
 	r := NewNeighborRanker(cfg, f.store)
 	exs := BuildRankTrainingSet(f.index.PG, f.table, f.gamma)
 	if len(exs) > 60 {
@@ -177,7 +179,7 @@ func TestNeighborRankerLearnsToRank(t *testing.T) {
 
 func TestNeighborRankerRankerAdapter(t *testing.T) {
 	f := newFixture(t, 0.002, 3)
-	cfg := Config{Layers: 2, Dim: 6, BatchPercent: 25, GammaStar: f.gamma, Seed: 2}
+	cfg := Config{Dim: 6, GammaStar: f.gamma, Seed: 2}
 	r := NewNeighborRanker(cfg, f.store)
 	var rs RankerStats
 	rk := r.Ranker(cg.NewWorkspace(), f.db, f.queries[0], nil, &rs)
@@ -270,7 +272,7 @@ func TestNeighborhoodModelLearnsMembership(t *testing.T) {
 		t.Skip("skipping in -short mode: trains the neighborhood classifier to convergence")
 	}
 	f := newFixture(t, 0.003, 8)
-	cfg := Config{Layers: 2, Dim: 8, GammaStar: f.gamma, Seed: 3}
+	cfg := Config{Dim: 8, GammaStar: f.gamma, Seed: 3}
 	m := NewNeighborhoodModel(cfg, f.store)
 	exs := BuildMembershipTrainingSet(f.table, f.gamma, 2, 9)
 	if len(exs) > 200 {
@@ -306,7 +308,7 @@ func TestClusterModelPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FitKMeans: %v", err)
 	}
-	cfg := Config{Layers: 2, Dim: 8, GammaStar: f.gamma, Seed: 5}
+	cfg := Config{Dim: 8, GammaStar: f.gamma, Seed: 5}
 	mc := NewClusterModel(cfg, emb, km)
 
 	exs := BuildClusterTrainingSet(f.table, km, f.gamma)
@@ -379,7 +381,7 @@ func TestInitialSelectorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Layers: 2, Dim: 8, GammaStar: f.gamma, Seed: 6}
+	cfg := Config{Dim: 8, GammaStar: f.gamma, Seed: 6}
 	mnh := NewNeighborhoodModel(cfg, f.store)
 	mc := NewClusterModel(cfg, emb, km)
 	mexs := BuildMembershipTrainingSet(f.table, f.gamma, 2, 9)

@@ -36,10 +36,9 @@ type NeighborRanker struct {
 
 // NewNeighborRanker builds an untrained M_rk over the store's vocabulary.
 func NewNeighborRanker(cfg Config, store *CGStore) *NeighborRanker {
-	cfg.defaults()
 	p := nn.NewParams()
 	rng := newRNG(cfg.Seed, 0x11a)
-	ccfg := cg.Config{Layers: cfg.Layers, Dim: cfg.Dim, Vocab: store.Vocab}
+	ccfg := cg.Config{Layers: Layers, Dim: cfg.Dim, Vocab: store.Vocab}
 	r := &NeighborRanker{
 		Cfg:    cfg,
 		Params: p,
@@ -48,8 +47,8 @@ func NewNeighborRanker(cfg Config, store *CGStore) *NeighborRanker {
 		store:  store,
 	}
 	in := 3 * cfg.Dim // h_{G',Q} (2*Dim) || h_G (Dim)
-	for i := 0; i < cfg.Heads(); i++ {
-		r.heads = append(r.heads, nn.NewMLP(p, headName(i), []int{in, cfg.Hidden, 1}, rng))
+	for i := 0; i < Heads; i++ {
+		r.heads = append(r.heads, nn.NewMLP(p, headName(i), []int{in, cfg.Hidden(), 1}, rng))
 	}
 	return r
 }
@@ -58,6 +57,7 @@ func headName(i int) string { return "mrk.head" + string(rune('0'+i)) }
 
 // Score returns the summed head probability for one neighbor — a monotone
 // proxy for its predicted rank (higher means predicted closer to Q).
+// neighbor and node are database members.
 func (r *NeighborRanker) Score(q, neighbor, node *graph.Graph) float64 {
 	sc := r.bind(cg.NewWorkspace(), r.store.For(q), nil)
 	return sc.score(neighbor.ID, neighbor, r.nodeEmbedding(node))
@@ -119,22 +119,13 @@ func (r *NeighborRanker) AppendNodeEmbedding(emb []float64) {
 	r.nodeEmbs = append(r.nodeEmbs, emb)
 }
 
-// nodeEmbedding returns h_G for a graph, served from the precomputed
-// table when the graph is a database member covered by it.
-func (r *NeighborRanker) nodeEmbedding(node *graph.Graph) []float64 {
-	if node.ID >= 0 && node.ID < len(r.nodeEmbs) && r.nodeEmbs[node.ID] != nil {
-		return r.nodeEmbs[node.ID]
+// nodeEmbedding returns h_G for database member g: its row of the
+// precomputed table, else a fresh encoder pass over g.
+func (r *NeighborRanker) nodeEmbedding(g *graph.Graph) []float64 {
+	if g.ID < len(r.nodeEmbs) && r.nodeEmbs[g.ID] != nil {
+		return r.nodeEmbs[g.ID]
 	}
-	return r.node.Embed(r.store.For(node))
-}
-
-// nodeEmbeddingByID is nodeEmbedding keyed by database id: the
-// precomputed table, else a fresh encoder pass over db[id].
-func (r *NeighborRanker) nodeEmbeddingByID(db graph.Database, id int) []float64 {
-	if id >= 0 && id < len(r.nodeEmbs) && r.nodeEmbs[id] != nil {
-		return r.nodeEmbs[id]
-	}
-	return r.node.Embed(r.store.For(db[id]))
+	return r.node.Embed(r.store.For(g))
 }
 
 // RankerStats counts what M_rk paid for one search's neighbour scores:
@@ -160,7 +151,7 @@ type RankerStats struct {
 // first in every head's input. The scorer therefore runs the cross network
 // once per distinct neighbour G′ and keeps in the workspace's memo not the
 // embedding but what each head's first layer makes of it — the sum over
-// the cross columns, heads × Hidden floats (nn.MLP.InferPrefix). A score,
+// the cross columns, Heads × 2·Dim floats (nn.MLP.InferPrefix). A score,
 // the first for G′ or the n-th from another node, resumes every head from
 // its prefix with the Dim columns of h_G: the float operations of the
 // whole forward in the same order, so memoised scores equal unmemoised
@@ -257,14 +248,14 @@ func (k *searchRanker) Batches(node int, neighbors []int, dCurrent float64) [][]
 	if dCurrent > r.Cfg.GammaStar || len(neighbors) == 1 {
 		return route.AppendBatches(ws.Batches(1), ranked, 100)
 	}
-	nodeEmb := r.nodeEmbeddingByID(k.db, node)
+	nodeEmb := r.nodeEmbedding(k.db[node])
 	scores := ws.Floats(len(neighbors))
 	for i, nb := range neighbors {
 		scores[i] = k.sc.score(nb, k.db[nb], nodeEmb)
 	}
 	sortByScoreThenID(scores, ranked)
 	ws.PopFloats(len(scores))
-	return route.AppendBatches(ws.Batches(r.Cfg.Heads()), ranked, r.Cfg.BatchPercent)
+	return route.AppendBatches(ws.Batches(Heads), ranked, BatchPercent)
 }
 
 // sortByScoreThenID puts ids, and scores with them, in the order the
@@ -331,7 +322,7 @@ func BuildRankTrainingSet(p *pg.PG, table *DistanceTable, gammaStar float64) []R
 // headTarget is head i's label for a neighbour of 0-based true rank
 // among n: 1 inside the top (i+1)*y%, which always holds the closest one.
 func (r *NeighborRanker) headTarget(i, rank, n int) float64 {
-	cut := (i + 1) * r.Cfg.BatchPercent * n / 100
+	cut := (i + 1) * BatchPercent * n / 100
 	if cut < 1 {
 		cut = 1
 	}
@@ -437,7 +428,7 @@ func (r *NeighborRanker) RankAccuracy(db graph.Database, table *DistanceTable, e
 	for _, ex := range examples {
 		q := table.Queries[ex.Qi]
 		n := len(ex.Neighbors)
-		cut := r.Cfg.BatchPercent * n / 100
+		cut := BatchPercent * n / 100
 		if cut < 1 {
 			cut = 1
 		}

@@ -189,7 +189,7 @@ func refRanker(r *NeighborRanker, db graph.Database, qc *cg.Compressed) route.Ra
 			id    int
 			score float64
 		}
-		nodeEmb := r.nodeEmbeddingByID(db, node)
+		nodeEmb := r.nodeEmbedding(db[node])
 		ss := make([]scored, len(neighbors))
 		for i, nb := range neighbors {
 			ss[i] = scored{id: nb, score: refScore(r, qc, db[nb], nodeEmb)}
@@ -201,6 +201,6 @@ func refRanker(r *NeighborRanker, db graph.Database, qc *cg.Compressed) route.Ra
 		for i, s := range ss {
 			ranked[i] = s.id
 		}
-		return route.SplitBatches(ranked, r.Cfg.BatchPercent)
+		return route.SplitBatches(ranked, BatchPercent)
 	})
 }

@@ -225,8 +225,8 @@ func TestTrainMatchesReference(t *testing.T) {
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			f := newFixtureOf(t, fx.spec, 5, 3)
-			cfg := Config{Layers: 2, Dim: 8, BatchPercent: 20, GammaStar: f.gamma, Seed: 7}
-			opts := TrainOptions{Epochs: 2, LR: 0.01, DecayEvery: 1}
+			cfg := Config{Dim: 8, GammaStar: f.gamma, Seed: 7}
+			opts := TrainOptions{Epochs: 2, LR: 0.01}
 			td := f.store.trainData(f.db, f.table)
 
 			rankSet := BuildRankTrainingSet(f.index.PG, f.table, f.gamma)

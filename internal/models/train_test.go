@@ -45,7 +45,7 @@ func paramGrads(r *NeighborRanker) []*mat.Matrix {
 // that let one head's gradient reach the encoders twice, or skipped a
 // neighbour's cross backward, fails here.
 func TestRankTrainGradientIsSumOfHeadGradients(t *testing.T) {
-	td, r, ex := rankTrainFixture(t, Config{Layers: 2, Dim: 8, BatchPercent: 20, Seed: 5})
+	td, r, ex := rankTrainFixture(t, Config{Dim: 8, Seed: 5})
 	step := r.newRankStep(td)
 
 	r.Params.ZeroGrad()
@@ -93,12 +93,9 @@ func TestRankTrainGradientIsSumOfHeadGradients(t *testing.T) {
 
 // TestRankTrainGradientFiniteDifference checks the same step against
 // central differences of the summed loss on a ranker small enough to
-// perturb every weight: 2 heads, Dim 4.
+// perturb every weight: the paper's five heads at Dim 4.
 func TestRankTrainGradientFiniteDifference(t *testing.T) {
-	td, r, ex := rankTrainFixture(t, Config{Layers: 2, Dim: 4, BatchPercent: 50, Seed: 9})
-	if len(r.heads) != 2 {
-		t.Fatalf("%d heads, want 2", len(r.heads))
-	}
+	td, r, ex := rankTrainFixture(t, Config{Dim: 4, Seed: 9})
 	step := r.newRankStep(td)
 	r.Params.ZeroGrad()
 	step.run(ex)
@@ -127,6 +124,30 @@ func TestRankTrainGradientFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestTrainLoopDecaysEveryFiveEpochs pins the paper's schedule: the
+// learning rate starts at TrainOptions.LR and is multiplied by 0.96 after
+// every fifth epoch. A lone weight with a constant gradient of 1 moves by
+// the learning rate at every Adam step, so its steps read the schedule
+// off, across two decays.
+func TestTrainLoopDecaysEveryFiveEpochs(t *testing.T) {
+	p := nn.NewParams()
+	w := p.Add("w", mat.New(1, 1))
+	const epochs, lr = 11, 0.01
+	var at []float64
+	trainLoop(p, 1, TrainOptions{Epochs: epochs, LR: lr}, 1, func(int) float64 {
+		at = append(at, w.Data.Data[0])
+		w.GradData()[0] = 1
+		return 0
+	})
+	at = append(at, w.Data.Data[0])
+	for e := 0; e < epochs; e++ {
+		want := lr * math.Pow(0.96, float64(e/5))
+		if got := at[e] - at[e+1]; math.Abs(got-want) > 1e-9 {
+			t.Fatalf("epoch %d stepped by %.12g; want %.12g", e, got, want)
+		}
+	}
+}
+
 var benchLoss float64
 
 // BenchmarkRankTrainStep is one M_rk training step — one example's
@@ -134,7 +155,7 @@ var benchLoss float64
 // what an epoch pays per rank example, beside BenchmarkRankerCall's cost
 // of using the result.
 func BenchmarkRankTrainStep(b *testing.B) {
-	td, r, ex := rankTrainFixture(b, Config{Layers: 2, Dim: 16, BatchPercent: 20, Seed: 5})
+	td, r, ex := rankTrainFixture(b, Config{Dim: 16, Seed: 5})
 	step := r.newRankStep(td)
 	step.run(ex) // grow the passes, fill the CG cache
 	b.ReportAllocs()
@@ -162,7 +183,7 @@ func membershipTrainFixture(tb testing.TB, cfg Config) (trainData, *Neighborhood
 // BenchmarkRankTrainStep is one of M_rk's: one (G, Q) pair through the
 // cross network and the head, one backward pass, no optimizer.
 func BenchmarkMembershipTrainStep(b *testing.B) {
-	td, m, exs := membershipTrainFixture(b, Config{Layers: 2, Dim: 16, Seed: 5})
+	td, m, exs := membershipTrainFixture(b, Config{Dim: 16, Seed: 5})
 	step := m.newMembershipStep(td)
 	for _, ex := range exs { // grow the pass, fill the CG cache
 		step.run(ex)
@@ -181,7 +202,7 @@ func BenchmarkMembershipTrainStep(b *testing.B) {
 // result; it is 0 now). Two collections first, as in ged's
 // TestEnsembleAllocs, so a sweep in progress cannot be counted.
 func TestTrainStepAllocs(t *testing.T) {
-	cfg := Config{Layers: 2, Dim: 16, BatchPercent: 20, Seed: 5}
+	cfg := Config{Dim: 16, Seed: 5}
 	td, r, ex := rankTrainFixture(t, cfg)
 	_, m, mexs := membershipTrainFixture(t, cfg)
 	rs, ms := r.newRankStep(td), m.newMembershipStep(td)

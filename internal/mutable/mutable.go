@@ -96,7 +96,9 @@ func New(eng *core.Engine, st *core.MutationState) (*Index, error) {
 			}
 		}
 	}
-	eng.Index.Arm(eng.Opts.BuildMetric, eng.Opts.M, eng.Opts.EfConstruction)
+	// A reopened index carries no insertion beam: arm it with the 2M
+	// every build uses.
+	eng.Index.Arm(eng.Opts.BuildMetric, eng.Opts.M, 2*eng.Opts.M)
 	x.mu.Lock()
 	x.publishLocked()
 	x.mu.Unlock()

@@ -41,7 +41,8 @@ func (f RankerFunc) Batches(node int, neighbors []int, dCurrent float64) [][]int
 
 // OracleRanker ranks neighbors by their true distance to the query without
 // charging distance computations — the idealized ranker of Sec. IV-A used
-// to analyze np_route. BatchPercent is the paper's y (default 20).
+// to analyze np_route. BatchPercent is the paper's y (models.BatchPercent
+// in the engine; the ablation benchmarks vary it).
 type OracleRanker struct {
 	Cache        *pg.DistCache // read-only view of the database and query
 	BatchPercent int
@@ -71,7 +72,8 @@ func (o *OracleRanker) Batches(node int, neighbors []int, dCurrent float64) [][]
 }
 
 // SplitBatches partitions an already-ranked neighbor list into batches of
-// percent% each (at least one neighbor per batch).
+// percent% each (at least one neighbor per batch). Every caller passes its
+// y; nothing defaults it.
 func SplitBatches(ranked []int, percent int) [][]int {
 	return AppendBatches(nil, ranked, percent)
 }
@@ -80,9 +82,6 @@ func SplitBatches(ranked []int, percent int) [][]int {
 // room for ceil(100/percent) batches gets its batch list without an
 // allocation.
 func AppendBatches(dst [][]int, ranked []int, percent int) [][]int {
-	if percent <= 0 || percent > 100 {
-		percent = 20
-	}
 	n := len(ranked)
 	if n == 0 {
 		return dst

@@ -282,11 +282,12 @@ func TestSplitBatches(t *testing.T) {
 	if len(b) != 2 || len(b[0]) != 2 || len(b[1]) != 1 {
 		t.Fatalf("uneven split = %v", b)
 	}
-	// Degenerate percents fall back to 20.
-	if got := SplitBatches(ranked, 0); len(got) != 5 {
+	// Percents are taken as given: nothing defaults y. Beyond 100 is
+	// one batch; 0 floors at one neighbour a batch.
+	if got := SplitBatches(ranked, 0); len(got) != 10 {
 		t.Fatalf("percent=0 split = %v", got)
 	}
-	if got := SplitBatches(ranked, 200); len(got) != 5 {
+	if got := SplitBatches(ranked, 200); len(got) != 1 {
 		t.Fatalf("percent=200 split = %v", got)
 	}
 	if SplitBatches(nil, 20) != nil {

@@ -272,9 +272,10 @@ func TestSnapshotMutatedRoundTrip(t *testing.T) {
 	if err := opened.Delete(0); err == nil {
 		t.Fatal("graph 0 came back from the dead after the round trip")
 	}
-	// The write path continues: with the beam the index was built with…
-	if got, want := opened.engine().Opts.EfConstruction, idx.engine().Opts.EfConstruction; got != want {
-		t.Fatalf("EfConstruction = %d after the round trip; the index was built with %d", got, want)
+	// The write path continues: with the beam the index was built with
+	// (2M)…
+	if got, want := opened.engine().Opts.M, idx.engine().Opts.M; got != want {
+		t.Fatalf("M = %d after the round trip; the index was built with %d", got, want)
 	}
 	// …and from the epoch it stopped at.
 	if _, err := opened.Insert(test[0]); err != nil {
