@@ -36,9 +36,10 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Micro-benchmarks (mat kernels — among them BenchmarkAddRowsScaled/{vector,go}
-# at a cross layer's 16x16 and a head's first layer's 48x32, the vector
-# body beside the Go one — GED arena kernels beside their reference
+# Micro-benchmarks (mat kernels — BenchmarkAddRowsScaled/{vector,go} at
+# a cross layer's 16x16 and a head's first layer's 48x32, the vector body
+# beside the Go one, and the two training products, BenchmarkMulTInto and
+# BenchmarkTMulInto, at the shape cg.linearBack runs — GED arena kernels beside their reference
 # twins — A*, ensemble, Hungarian, VJ, beam — and BenchmarkEnsembleMembers,
 # the split of one ensemble call by member, the model kernels beside
 # theirs — BenchmarkCrossInfer, BenchmarkRankerCall/{aids,syn} (syn is the

@@ -7,8 +7,9 @@ import (
 )
 
 // The inference path as it stood before the workspace kernels of
-// infer.go replaced it: dense one-hot inputs, one mat.Mul per product, a
-// fresh matrix per temporary and math.Log per attention row. It is the
+// infer.go replaced it: dense one-hot inputs, one plain triple loop
+// (refProduct) per product, a fresh matrix per temporary and math.Log per
+// attention row. It is the
 // oracle the kernels are pinned to with == (TestInferKernelMatchesReference,
 // FuzzInferMatchesReference, TestInferMatchesForward,
 // TestGINEmbedMatchesForward) and the "before" side of BenchmarkCrossInfer.
@@ -44,8 +45,8 @@ func refInfer(m *CrossModel, cgG, cgQ *Compressed) []float64 {
 		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
 		szG, szQ := cgG.Levels[l-1].Size, cgQ.Levels[l-1].Size
 
-		kg := mat.Mul(hg, a2)
-		kq := mat.Mul(hq, a2)
+		kg := refProduct(hg, a2)
+		kq := refProduct(hq, a2)
 
 		muG := refInferAttention(kq, hq, szQ)
 		muQ := refInferAttention(kg, hg, szG)
@@ -106,7 +107,7 @@ func refInferLayer(prev *mat.Matrix, mu []float64, lv Level, w *mat.Matrix) *mat
 			row[k] += v
 		}
 	}
-	out := mat.Mul(pre, w)
+	out := refProduct(pre, w)
 	for i, v := range out.Data {
 		if v < 0 {
 			out.Data[i] = 0
@@ -127,6 +128,22 @@ func refWeightedMean(h *mat.Matrix, sizes []float64) []float64 {
 	}
 	for k := range out {
 		out[k] /= total
+	}
+	return out
+}
+
+// refProduct returns a * b by the plain triple loop, each element summed
+// from zero over ascending k.
+func refProduct(a, b *mat.Matrix) *mat.Matrix {
+	out := mat.New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := 0.0
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
 	}
 	return out
 }

@@ -1,64 +1,42 @@
 package mat
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// Benchmarks for the product kernels at the sizes the GNNs actually see:
-// tiny cross-encoder heads (16), mid-size layer matmuls (64), and a large
-// product past the row-split threshold (256). MulInto is benchmarked with
-// a reused destination to show the allocation-free steady state.
+// The training kernels at the shape cg.linearBack runs them on for the
+// second layer of a 10-node SYN graph at Dim 16: out = pre·W with pre
+// 10 x 16 (ReLU-masked, so about half zeros) and W 16 x 16. MulTInto
+// forms dpre = dout·Wᵀ and TMulInto W's gradient preᵀ·dout, each into a
+// reused destination.
+const benchRows, benchIn, benchDim = 10, 16, 16
 
-var benchSizes = []int{16, 64, 256}
-
-func benchMatrices(n int) (*Matrix, *Matrix) {
-	rng := rand.New(rand.NewSource(int64(n)))
-	return Randn(n, n, 1, rng), Randn(n, n, 1, rng)
+func benchOperands() (pre, w, dout *Matrix) {
+	rng := rand.New(rand.NewSource(1))
+	pre = Randn(benchRows, benchIn, 1, rng)
+	for i, v := range pre.Data {
+		pre.Data[i] = max(v, 0)
+	}
+	return pre, Randn(benchIn, benchDim, 1, rng), Randn(benchRows, benchDim, 1, rng)
 }
 
-func BenchmarkMul(b *testing.B) {
-	for _, n := range benchSizes {
-		a, c := benchMatrices(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Mul(a, c)
-			}
-		})
+func BenchmarkMulTInto(b *testing.B) {
+	_, w, dout := benchOperands()
+	dpre := New(benchRows, benchIn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MulTInto(dpre, dout, w)
 	}
 }
 
-func BenchmarkMulInto(b *testing.B) {
-	for _, n := range benchSizes {
-		a, c := benchMatrices(n)
-		dst := New(n, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MulInto(dst, a, c)
-			}
-		})
-	}
-}
-
-func BenchmarkMulT(b *testing.B) {
-	for _, n := range benchSizes {
-		a, c := benchMatrices(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MulT(a, c)
-			}
-		})
-	}
-}
-
-func BenchmarkTMul(b *testing.B) {
-	for _, n := range benchSizes {
-		a, c := benchMatrices(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				TMul(a, c)
-			}
-		})
+func BenchmarkTMulInto(b *testing.B) {
+	pre, _, dout := benchOperands()
+	grad := New(benchIn, benchDim)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TMulInto(grad, pre, dout)
 	}
 }

@@ -1,12 +1,14 @@
-// Package mat implements the small dense float64 matrix kernels that back
-// the library's neural network substrate. It is deliberately minimal: row
-// major storage, no views, explicit shapes, and panics on shape mismatch
-// (shape errors are programming bugs, not runtime conditions).
+// Package mat holds the dense float64 kernels the models run on. Every
+// forward, at training and at query time, and the aggregation terms of
+// the backwards run on one row kernel, AddRowsScaled (rows.go); the
+// products of a layer's backward by its weight matrix run on MulTInto and
+// TMulInto. Storage is row major with explicit shapes, and a shape
+// mismatch panics (shape errors are programming bugs, not runtime
+// conditions).
 package mat
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -22,16 +24,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("mat: negative shape %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromSlice builds a matrix from a row-major slice, which is copied.
-func FromSlice(rows, cols int, data []float64) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("mat: %d values for %dx%d", len(data), rows, cols))
-	}
-	m := New(rows, cols)
-	copy(m.Data, data)
-	return m
 }
 
 // Randn fills a new matrix with N(0, std) entries from rng.
@@ -66,99 +58,16 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// SameShape reports whether m and o have identical dimensions.
-func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
-
-// SameShapeOrPanic panics when m and o have different dimensions.
-func (m *Matrix) SameShapeOrPanic(o *Matrix) { m.shapeCheck(o, "shape") }
-
 func (m *Matrix) shapeCheck(o *Matrix, op string) {
-	if !m.SameShape(o) {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic(fmt.Sprintf("mat: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
 
-// Product-kernel tiles. They keep a destination-row segment and the
-// matching segment of the streamed operand rows L1-resident; every tiling
-// loop walks the inner (k) dimension in ascending order for each output
-// element, so tiled results are bit-identical to the naive triple loop.
-const (
-	tileJ = 128
-	tileK = 256
-)
-
-// Mul returns the matrix product m * o.
-func Mul(m, o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("mat: mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	return MulInto(New(m.Rows, o.Cols), m, o)
-}
-
-// MulInto computes m * o into dst (which must be m.Rows x o.Cols and
-// must not alias m or o) and returns dst. Reusing a destination avoids
-// the per-call allocation of Mul on hot paths.
-func MulInto(dst, m, o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("mat: mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	if dst.Rows != m.Rows || dst.Cols != o.Cols {
-		panic(fmt.Sprintf("mat: mul into %dx%d destination for %dx%d product", dst.Rows, dst.Cols, m.Rows, o.Cols))
-	}
-	// Tiled over the inner dimension and the destination columns. Dense
-	// inputs take no per-element branch (zero-skip lives only in the
-	// sparse-aware TMul).
-	dst.Zero()
-	for k0 := 0; k0 < m.Cols; k0 += tileK {
-		k1 := k0 + tileK
-		if k1 > m.Cols {
-			k1 = m.Cols
-		}
-		for j0 := 0; j0 < o.Cols; j0 += tileJ {
-			j1 := j0 + tileJ
-			if j1 > o.Cols {
-				j1 = o.Cols
-			}
-			for i := 0; i < m.Rows; i++ {
-				mrow := m.Row(i)
-				drow := dst.Row(i)[j0:j1]
-				k := k0
-				// Four rows of o per pass over drow: every drow[j] still
-				// receives its terms one at a time in ascending k, so the
-				// blocking changes no float, only how often drow is loaded
-				// and stored.
-				for ; k+4 <= k1; k += 4 {
-					a0, a1, a2, a3 := mrow[k], mrow[k+1], mrow[k+2], mrow[k+3]
-					b0, b1 := o.Row(k)[j0:j1], o.Row(k + 1)[j0:j1]
-					b2, b3 := o.Row(k + 2)[j0:j1], o.Row(k + 3)[j0:j1]
-					for j, d := range drow {
-						d += a0 * b0[j]
-						d += a1 * b1[j]
-						d += a2 * b2[j]
-						d += a3 * b3[j]
-						drow[j] = d
-					}
-				}
-				for ; k < k1; k++ {
-					a := mrow[k]
-					brow := o.Row(k)[j0:j1]
-					for j, b := range brow {
-						drow[j] += a * b
-					}
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// MulT returns m * oᵀ.
-func MulT(m, o *Matrix) *Matrix {
-	if m.Cols != o.Cols {
-		panic(fmt.Sprintf("mat: mulT shape mismatch %dx%d * (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	return MulTInto(New(m.Rows, o.Rows), m, o)
-}
+// tileJ is how many of o's rows MulTInto keeps cached across m's rows.
+// Each output element is still one dot product summed over ascending k,
+// so the tiling changes no float.
+const tileJ = 128
 
 // MulTInto computes m * oᵀ into dst (which must be m.Rows x o.Rows and
 // must not alias m or o) and returns dst.
@@ -207,19 +116,11 @@ func MulTInto(dst, m, o *Matrix) *Matrix {
 	return dst
 }
 
-// TMul returns mᵀ * o.
-func TMul(m, o *Matrix) *Matrix {
-	if m.Rows != o.Rows {
-		panic(fmt.Sprintf("mat: tmul shape mismatch (%dx%d)ᵀ * %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	return TMulInto(New(m.Cols, o.Cols), m, o)
-}
-
 // TMulInto computes mᵀ * o into dst (which must be m.Cols x o.Cols and
-// must not alias m or o) and returns dst. It keeps the zero-skip: its
-// left operand is routinely sparse (one-hot GNN inputs, ReLU-masked
-// activations and their gradients), where skipping zero rows saves far
-// more than the branch costs.
+// must not alias m or o) and returns dst. It skips zero entries of m:
+// its left operand is routinely sparse (one-hot GNN inputs and
+// ReLU-masked activations), where skipping zero rows saves far more than
+// the branch costs.
 func TMulInto(dst, m, o *Matrix) *Matrix {
 	if m.Rows != o.Rows {
 		panic(fmt.Sprintf("mat: tmul shape mismatch (%dx%d)ᵀ * %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
@@ -245,94 +146,10 @@ func TMulInto(dst, m, o *Matrix) *Matrix {
 	return dst
 }
 
-// Add returns m + o.
-func Add(m, o *Matrix) *Matrix {
-	m.shapeCheck(o, "add")
-	out := m.Clone()
-	for i, v := range o.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
 // AddInPlace accumulates o into m.
 func (m *Matrix) AddInPlace(o *Matrix) {
 	m.shapeCheck(o, "add")
 	for i, v := range o.Data {
 		m.Data[i] += v
 	}
-}
-
-// AddScaledInPlace accumulates s*o into m.
-func (m *Matrix) AddScaledInPlace(o *Matrix, s float64) {
-	m.shapeCheck(o, "addscaled")
-	for i, v := range o.Data {
-		m.Data[i] += s * v
-	}
-}
-
-// Sub returns m - o.
-func Sub(m, o *Matrix) *Matrix {
-	m.shapeCheck(o, "sub")
-	out := m.Clone()
-	for i, v := range o.Data {
-		out.Data[i] -= v
-	}
-	return out
-}
-
-// Scale returns s * m.
-func Scale(m *Matrix, s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// Hadamard returns the elementwise product m ⊙ o.
-func Hadamard(m, o *Matrix) *Matrix {
-	m.shapeCheck(o, "hadamard")
-	out := m.Clone()
-	for i, v := range o.Data {
-		out.Data[i] *= v
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func Transpose(m *Matrix) *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// MaxAbsDiff returns max |m - o| elementwise.
-func MaxAbsDiff(m, o *Matrix) float64 {
-	m.shapeCheck(o, "maxabsdiff")
-	max := 0.0
-	for i, v := range o.Data {
-		if d := math.Abs(m.Data[i] - v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Norm2 returns the Frobenius norm.
-func (m *Matrix) Norm2() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	return fmt.Sprintf("Matrix(%dx%d)%v", m.Rows, m.Cols, m.Data)
 }

@@ -113,7 +113,7 @@ func refTopo(v *refValue) []*refValue {
 
 // refMatMul returns a * b.
 func refMatMul(a, b *refValue) *refValue {
-	out := refNode(mat.Mul(a.Data, b.Data), a, b)
+	out := refNode(refProduct(a.Data, b.Data), a, b)
 	out.backward = func() {
 		if a.requiresGrad {
 			tmp := mat.New(out.Grad.Rows, b.Data.Rows)
@@ -129,7 +129,9 @@ func refMatMul(a, b *refValue) *refValue {
 
 // refAdd returns a + b (same shape).
 func refAdd(a, b *refValue) *refValue {
-	out := refNode(mat.Add(a.Data, b.Data), a, b)
+	data := a.Data.Clone()
+	data.AddInPlace(b.Data)
+	out := refNode(data, a, b)
 	out.backward = func() {
 		if a.requiresGrad {
 			a.grad().AddInPlace(out.Grad)
@@ -173,10 +175,17 @@ func refAddRowBroadcast(a, b *refValue) *refValue {
 
 // refScale returns s * a for a constant s.
 func refScale(a *refValue, s float64) *refValue {
-	out := refNode(mat.Scale(a.Data, s), a)
+	data := a.Data.Clone()
+	for i := range data.Data {
+		data.Data[i] *= s
+	}
+	out := refNode(data, a)
 	out.backward = func() {
 		if a.requiresGrad {
-			a.grad().AddScaledInPlace(out.Grad, s)
+			g := a.grad()
+			for i, v := range out.Grad.Data {
+				g.Data[i] += s * v
+			}
 		}
 	}
 	return out
@@ -251,10 +260,10 @@ func refSoftmaxRows(a *refValue) *refValue {
 
 // refTranspose returns aᵀ.
 func refTranspose(a *refValue) *refValue {
-	out := refNode(mat.Transpose(a.Data), a)
+	out := refNode(refTransposed(a.Data), a)
 	out.backward = func() {
 		if a.requiresGrad {
-			a.grad().AddInPlace(mat.Transpose(out.Grad))
+			a.grad().AddInPlace(refTransposed(out.Grad))
 		}
 	}
 	return out
@@ -342,25 +351,28 @@ func refSumSquares(a *refValue) *refValue {
 	for _, v := range a.Data.Data {
 		s += v * v
 	}
-	out := refNode(mat.FromSlice(1, 1, []float64{s}), a)
+	out := refNode(refScalar(s), a)
 	out.backward = func() {
 		if !a.requiresGrad {
 			return
 		}
-		a.grad().AddScaledInPlace(a.Data, 2*out.Grad.At(0, 0))
+		g, f := a.grad(), 2*out.Grad.At(0, 0)
+		for i, v := range a.Data.Data {
+			g.Data[i] += f * v
+		}
 	}
 	return out
 }
 
 // refMul returns the elementwise product a ⊙ b.
 func refMul(a, b *refValue) *refValue {
-	out := refNode(mat.Hadamard(a.Data, b.Data), a, b)
+	out := refNode(refHadamard(a.Data, b.Data), a, b)
 	out.backward = func() {
 		if a.requiresGrad {
-			a.grad().AddInPlace(mat.Hadamard(out.Grad, b.Data))
+			a.grad().AddInPlace(refHadamard(out.Grad, b.Data))
 		}
 		if b.requiresGrad {
-			b.grad().AddInPlace(mat.Hadamard(out.Grad, a.Data))
+			b.grad().AddInPlace(refHadamard(out.Grad, a.Data))
 		}
 	}
 	return out
@@ -429,7 +441,7 @@ func refLinearCombRows(a *refValue, combos [][]cg.Lin) *refValue {
 // and constant targets in {0,1}, computed in the numerically stable form
 // max(x,0) - x*t + log(1+exp(-|x|)).
 func refBCEWithLogits(logits *refValue, targets *mat.Matrix) *refValue {
-	logits.Data.SameShapeOrPanic(targets)
+	refSameShape(logits.Data, targets)
 	n := float64(len(targets.Data))
 	loss := 0.0
 	for i, x := range logits.Data.Data {
@@ -437,7 +449,7 @@ func refBCEWithLogits(logits *refValue, targets *mat.Matrix) *refValue {
 		loss += math.Max(x, 0) - x*t + math.Log1p(math.Exp(-math.Abs(x)))
 	}
 	loss /= n
-	out := refNode(mat.FromSlice(1, 1, []float64{loss}), logits)
+	out := refNode(refScalar(loss), logits)
 	out.backward = func() {
 		if !logits.requiresGrad {
 			return
@@ -454,7 +466,7 @@ func refBCEWithLogits(logits *refValue, targets *mat.Matrix) *refValue {
 
 // refMSE returns the 1x1 mean squared error between pred and constant targets.
 func refMSE(pred *refValue, targets *mat.Matrix) *refValue {
-	pred.Data.SameShapeOrPanic(targets)
+	refSameShape(pred.Data, targets)
 	n := float64(len(targets.Data))
 	loss := 0.0
 	for i, x := range pred.Data.Data {
@@ -462,7 +474,7 @@ func refMSE(pred *refValue, targets *mat.Matrix) *refValue {
 		loss += d * d
 	}
 	loss /= n
-	out := refNode(mat.FromSlice(1, 1, []float64{loss}), pred)
+	out := refNode(refScalar(loss), pred)
 	out.backward = func() {
 		if !pred.requiresGrad {
 			return
@@ -474,4 +486,55 @@ func refMSE(pred *refValue, targets *mat.Matrix) *refValue {
 		}
 	}
 	return out
+}
+
+// refProduct returns a * b by the plain triple loop, each element summed
+// from zero over ascending k.
+func refProduct(a, b *mat.Matrix) *mat.Matrix {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("autograd: product %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := mat.New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			s := 0.0
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// refTransposed returns aᵀ.
+func refTransposed(a *mat.Matrix) *mat.Matrix {
+	out := mat.New(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			out.Set(j, i, a.At(i, j))
+		}
+	}
+	return out
+}
+
+// refHadamard returns the elementwise product a ⊙ b.
+func refHadamard(a, b *mat.Matrix) *mat.Matrix {
+	refSameShape(a, b)
+	out := a.Clone()
+	for i, v := range b.Data {
+		out.Data[i] *= v
+	}
+	return out
+}
+
+// refScalar returns the 1x1 matrix holding v.
+func refScalar(v float64) *mat.Matrix {
+	return &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{v}}
+}
+
+func refSameShape(a, b *mat.Matrix) {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic(fmt.Sprintf("autograd: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
 }

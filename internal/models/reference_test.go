@@ -16,7 +16,8 @@ import (
 // the matrix-kernel cross network, one cross message per side per layer
 // (the same oracle as
 // internal/cg/reference_test.go, repeated here because test files do not
-// cross packages), MLP heads on mat.MulInto, one head input per score and
+// cross packages), MLP heads on the plain product loop refProduct, one
+// head input per score and
 // a ranker that scores every neighbour from scratch on every call. The
 // identity tests pin the workspace path to it with ==, and
 // BenchmarkRankerCallReference is the "before" of BenchmarkRankerCall.
@@ -30,8 +31,8 @@ func refCrossInfer(m *cg.CrossModel, cgG, cgQ *cg.Compressed) []float64 {
 		lvG, lvQ := cgG.Levels[l], cgQ.Levels[l]
 		szG, szQ := cgG.Levels[l-1].Size, cgQ.Levels[l-1].Size
 
-		kg := mat.Mul(hg, a2)
-		kq := mat.Mul(hq, a2)
+		kg := refProduct(hg, a2)
+		kq := refProduct(hq, a2)
 
 		muG := refInferAttention(kq, hq, szQ)
 		muQ := refInferAttention(kg, hg, szG)
@@ -96,7 +97,7 @@ func refInferLayer(prev *mat.Matrix, mu []float64, lv cg.Level, w *mat.Matrix) *
 			row[k] += v
 		}
 	}
-	out := mat.Mul(pre, w)
+	out := refProduct(pre, w)
 	for i, v := range out.Data {
 		if v < 0 {
 			out.Data[i] = 0
@@ -125,7 +126,7 @@ func refWeightedMean(h *mat.Matrix, sizes []float64) []float64 {
 func refMLPInfer(m *nn.MLP, x *mat.Matrix) *mat.Matrix {
 	cur := x
 	for i, l := range m.Layers {
-		next := mat.Mul(cur, l.W.Data)
+		next := refProduct(cur, l.W.Data)
 		bias := l.B.Data.Row(0)
 		for r := 0; r < next.Rows; r++ {
 			row := next.Row(r)
@@ -159,7 +160,7 @@ func refHeadFeatureVec(cross []float64, dim int) []float64 {
 func refProbCG(m *NeighborhoodModel, g *graph.Graph, qc *cg.Compressed) float64 {
 	cross := refCrossInfer(m.cross, m.store.For(g), qc)
 	feat := refHeadFeatureVec(cross, m.Cfg.Dim)
-	return sigmoid(refMLPInfer(m.head, mat.FromSlice(1, len(feat), feat)).At(0, 0))
+	return sigmoid(refMLPInfer(m.head, &mat.Matrix{Rows: 1, Cols: len(feat), Data: feat}).At(0, 0))
 }
 
 // refScore is M_rk's neighbour score on the matrix kernels: the cross
@@ -170,7 +171,8 @@ func refScore(r *NeighborRanker, qc *cg.Compressed, neighbor *graph.Graph, nodeE
 
 // refHeadSum is the heads' part of refScore.
 func refHeadSum(r *NeighborRanker, cross, nodeEmb []float64) float64 {
-	in := mat.FromSlice(1, len(cross)+len(nodeEmb), append(append([]float64(nil), cross...), nodeEmb...))
+	feat := append(append([]float64(nil), cross...), nodeEmb...)
+	in := &mat.Matrix{Rows: 1, Cols: len(feat), Data: feat}
 	s := 0.0
 	for _, h := range r.heads {
 		out := refMLPInfer(h, in)

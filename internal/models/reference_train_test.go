@@ -100,8 +100,6 @@ func refHeadFeatures(cross *refValue, dim int) *refValue {
 	return refConcatCols(cross, refMul(diff, diff))
 }
 
-func refTarget(y float64) *mat.Matrix { return mat.FromSlice(1, 1, []float64{y}) }
-
 // refTrainRank is NeighborRanker.Train on the oracle.
 func refTrainRank(r *NeighborRanker, td trainData, examples []RankExample, opts TrainOptions) {
 	l := refLeaves{}
@@ -114,7 +112,7 @@ func refTrainRank(r *NeighborRanker, td trainData, examples []RankExample, opts 
 		for j, nb := range ex.Neighbors {
 			in := refConcatCols(refCrossForward(r.cross, l, r.store.For(td.db[nb]), qc), hg)
 			for i, h := range r.heads {
-				bce := refBCEWithLogits(refMLPApply(h, l, in), refTarget(r.headTarget(i, ex.Ranks[j], n)))
+				bce := refBCEWithLogits(refMLPApply(h, l, in), refScalar(r.headTarget(i, ex.Ranks[j], n)))
 				if loss == nil {
 					loss = bce
 				} else {
@@ -137,7 +135,7 @@ func refTrainMembership(m *NeighborhoodModel, td trainData, examples []Membershi
 			y = 1
 		}
 		cross := refCrossForward(m.cross, l, m.store.For(td.db[ex.G]), td.queries[ex.Qi])
-		loss := refBCEWithLogits(refMLPApply(m.head, l, refHeadFeatures(cross, m.Cfg.Dim)), refTarget(y))
+		loss := refBCEWithLogits(refMLPApply(m.head, l, refHeadFeatures(cross, m.Cfg.Dim)), refScalar(y))
 		l.backward(loss)
 		return loss.Data.At(0, 0)
 	})
@@ -152,7 +150,7 @@ func refTrainCluster(m *ClusterModel, table *DistanceTable, examples []ClusterEx
 		total := 0.0
 		for c, truth := range ex.Intersections {
 			in := m.features(nil, c, qemb)
-			loss := refMSE(refMLPApply(m.head, l, refConst(mat.FromSlice(1, len(in), in))), refTarget(truth))
+			loss := refMSE(refMLPApply(m.head, l, refConst(&mat.Matrix{Rows: 1, Cols: len(in), Data: in})), refScalar(truth))
 			l.backward(loss)
 			total += loss.Data.At(0, 0)
 		}
@@ -178,7 +176,7 @@ func refTrainL2Route(enc *l2route.Encoder, db graph.Database, layers, dim int, p
 			ea := refGINForward(gin, l, cg.Build(p.A, layers, vocab))
 			eb := refGINForward(gin, l, cg.Build(p.B, layers, vocab))
 			sq := refSumSquares(refAdd(ea, refScale(eb, -1)))
-			l.backward(refMSE(sq, refTarget(p.D)))
+			l.backward(refMSE(sq, refScalar(p.D)))
 			opt.Step()
 		}
 	}

@@ -38,6 +38,24 @@ func paramGrads(r *NeighborRanker) []*mat.Matrix {
 	return out
 }
 
+// norm2 is m's Frobenius norm.
+func norm2(m *mat.Matrix) float64 {
+	s := 0.0
+	for _, v := range m.Data {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+// maxAbsDiff is the largest |a[i] - b[i]|.
+func maxAbsDiff(a, b []float64) float64 {
+	d := 0.0
+	for i, v := range a {
+		d = math.Max(d, math.Abs(v-b[i]))
+	}
+	return d
+}
+
 // TestRankTrainGradientIsSumOfHeadGradients holds the training step to the
 // loss it is meant to descend: its parameter gradients must be the sum,
 // over every (neighbour, head), of that one binary cross-entropy's
@@ -77,15 +95,15 @@ func TestRankTrainGradientIsSumOfHeadGradients(t *testing.T) {
 	// their true gradient is zero and what they hold is rounding.
 	largest := 0.0
 	for _, w := range want {
-		largest = math.Max(largest, w.Norm2())
+		largest = math.Max(largest, norm2(w))
 	}
 	if largest == 0 {
 		t.Fatal("reference gradient is zero; the example exercises nothing")
 	}
 	names := r.Params.Names()
 	for k := range want {
-		scale := math.Max(want[k].Norm2(), 1e-3*largest)
-		if d := mat.MaxAbsDiff(got[k], want[k]); d > 1e-12*scale {
+		scale := math.Max(norm2(want[k]), 1e-3*largest)
+		if d := maxAbsDiff(got[k].Data, want[k].Data); d > 1e-12*scale {
 			t.Errorf("%s: step gradient differs from the sum of per-head gradients by %.3g (|want| = %.3g)", names[k], d, scale)
 		}
 	}

@@ -96,9 +96,9 @@ func New(eng *core.Engine, st *core.MutationState) (*Index, error) {
 			}
 		}
 	}
-	// A reopened index carries no insertion beam: arm it with the 2M
-	// every build uses.
-	eng.Index.Arm(eng.Opts.BuildMetric, eng.Opts.M, 2*eng.Opts.M)
+	// A reopened index carries no build metric, degree or insertion beam:
+	// Arm restores them.
+	eng.Index.Arm(eng.Opts.BuildMetric, eng.Opts.M)
 	x.mu.Lock()
 	x.publishLocked()
 	x.mu.Unlock()

@@ -168,10 +168,9 @@ func NewLinear(p *Params, prefix string, in, out int, rng *rand.Rand) *Linear {
 }
 
 // accumulate adds x*W[k0:k0+len(x)] to dst (len out): dst[j] +=
-// x[i]*W[k0+i][j] over ascending i — from a zeroed dst and k0 = 0, the
-// float operations of mat.Mul on a one-row operand in the same order, on
-// mat.AddRowsScaled instead of the tiled kernel these few-dozen-wide
-// operands gain nothing from.
+// x[i]*W[k0+i][j] over ascending i, on mat.AddRowsScaled — from a zeroed
+// dst and k0 = 0, the float operations of the plain one-row product x·W
+// in the same order.
 func (l *Linear) accumulate(dst, x []float64, k0 int) {
 	out := len(dst)
 	mat.AddRowsScaled(dst, x, l.W.Data.Data[k0*out:], out)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/lansearch/lan/internal/mat"
@@ -48,7 +49,7 @@ func TestParamsSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	for _, n := range p1.Names() {
-		if mat.MaxAbsDiff(p1.Get(n).Data, p2.Get(n).Data) != 0 {
+		if !slices.Equal(p1.Get(n).Data.Data, p2.Get(n).Data.Data) {
 			t.Fatalf("parameter %q not restored", n)
 		}
 	}
@@ -71,7 +72,7 @@ func TestParamsLoadErrors(t *testing.T) {
 	}
 
 	q := NewParams()
-	y := q.Add("y", mat.FromSlice(1, 2, []float64{7, 8}))
+	y := q.Add("y", &mat.Matrix{Rows: 1, Cols: 2, Data: []float64{7, 8}})
 	q.Add("z", mat.New(1, 1))
 	for name, bad := range map[string]string{
 		"too few values":        `[{"name":"y","rows":1,"cols":2,"data":[5]},{"name":"z","rows":1,"cols":1,"data":[0]}]`,
@@ -126,7 +127,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := NewParams()
 	m := NewMLP(p, "xor", []int{2, 8, 1}, rng)
-	x := mat.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
+	x := &mat.Matrix{Rows: 4, Cols: 2, Data: []float64{0, 0, 0, 1, 1, 0, 1, 1}}
 	y := []float64{0, 1, 1, 0}
 	if loss := fit(m, p, x, y, 0.05, 400, BCEWithLogits); loss > 0.1 {
 		t.Fatalf("XOR did not converge: loss %v", loss)
@@ -237,25 +238,35 @@ var inferWidths = []int{1, 3, 4, 5, 8, 24, 48}
 
 var negZero = math.Copysign(0, -1)
 
-// apply is the MLP as matrix products: x*W + b per layer on mat.Mul,
-// ReLU between layers — the form the models were first trained on, and
-// the oracle Infer and Forward are held to bit for bit.
+// apply is the MLP as matrix products: x*W + b per layer, each output
+// summed from zero over ascending k, ReLU between layers — the form the
+// models were first trained on, and the oracle Infer and Forward are held
+// to bit for bit.
 func apply(m *MLP, x []float64) []float64 {
-	cur := mat.FromSlice(1, len(x), x)
+	cur := x
 	for i, l := range m.Layers {
-		cur = mat.Mul(cur, l.W.Data)
+		w := l.W.Data
+		next := make([]float64, w.Cols)
+		for j := range next {
+			s := 0.0
+			for k, v := range cur {
+				s += v * w.At(k, j)
+			}
+			next[j] = s
+		}
 		for j, b := range l.B.Data.Data {
-			cur.Data[j] += b
+			next[j] += b
 		}
 		if i < len(m.Layers)-1 {
-			for j, v := range cur.Data {
+			for j, v := range next {
 				if v < 0 {
-					cur.Data[j] = 0
+					next[j] = 0
 				}
 			}
 		}
+		cur = next
 	}
-	return cur.Data
+	return cur
 }
 
 func TestMLPInferMatchesApply(t *testing.T) {
@@ -407,7 +418,7 @@ func BenchmarkMLPInfer(b *testing.B) {
 
 func TestAdamSkipsParamsWithoutGrad(t *testing.T) {
 	p := NewParams()
-	w := p.Add("w", mat.FromSlice(1, 1, []float64{5}))
+	w := p.Add("w", &mat.Matrix{Rows: 1, Cols: 1, Data: []float64{5}})
 	NewAdam(p, 0.5).Step()
 	if w.Data.At(0, 0) != 5 {
 		t.Fatalf("param without grad was updated")
@@ -438,9 +449,9 @@ func TestMLPPanicsOnBadSizes(t *testing.T) {
 // gave it), and a parameter without a gradient rests.
 func TestAdamStateFollowsRegistrationOrder(t *testing.T) {
 	p := NewParams()
-	a := p.Add("a", mat.FromSlice(1, 2, []float64{1, -2}))
+	a := p.Add("a", &mat.Matrix{Rows: 1, Cols: 2, Data: []float64{1, -2}})
 	opt := NewAdam(p, 0.1)
-	grad := func() *mat.Matrix { return mat.FromSlice(1, 2, []float64{0.5, -0.25}) }
+	grad := func() *mat.Matrix { return &mat.Matrix{Rows: 1, Cols: 2, Data: []float64{0.5, -0.25}} }
 	a.Grad = grad()
 	opt.Step()
 	rested := a.Data.Clone()
@@ -448,10 +459,10 @@ func TestAdamStateFollowsRegistrationOrder(t *testing.T) {
 		t.Fatal("a did not move at its first step")
 	}
 
-	b := p.Add("b", mat.FromSlice(1, 2, []float64{1, -2}))
+	b := p.Add("b", &mat.Matrix{Rows: 1, Cols: 2, Data: []float64{1, -2}})
 	a.Grad, b.Grad = nil, grad()
 	opt.Step()
-	if mat.MaxAbsDiff(a.Data, rested) != 0 {
+	if !slices.Equal(a.Data.Data, rested.Data) {
 		t.Fatalf("a moved to %v without a gradient", a.Data)
 	}
 	// Fresh moments under step 2's bias correction (1-β² in place of 1-β).

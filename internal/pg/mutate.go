@@ -24,11 +24,11 @@ import (
 
 // Arm prepares h for incremental writes. Indexes reopened from a snapshot
 // carry no build metric, degree parameter or insertion beam (batch
-// construction is over), so Arm re-arms what is missing: metric, m and
-// efConstruction must match the values the index was built with for
-// edits to preserve its geometry. On an index Build returned it changes
-// nothing.
-func (h *HNSW) Arm(metric ged.Metric, m, efConstruction int) {
+// construction is over), so Arm re-arms what is missing: metric and m
+// must match the values the index was built with for edits to preserve
+// its geometry, and the insertion beam is the 2m every build defaults to.
+// On an index Build returned it changes nothing.
+func (h *HNSW) Arm(metric ged.Metric, m int) {
 	if h.buildMetric == nil {
 		if metric == nil {
 			metric = ged.MetricFunc(ged.Hungarian)
@@ -37,9 +37,6 @@ func (h *HNSW) Arm(metric ged.Metric, m, efConstruction int) {
 	}
 	if h.m <= 0 {
 		h.m = m
-	}
-	if h.efConstruction <= 0 {
-		h.efConstruction = efConstruction
 	}
 	if h.efConstruction <= 0 {
 		h.efConstruction = 2 * h.m

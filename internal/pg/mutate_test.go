@@ -17,7 +17,7 @@ func incrementalIndex(t *testing.T, db graph.Database, built int) (*HNSW, int) {
 		t.Fatalf("Build: %v", err)
 	}
 	h.PG.DB = db // the database grows first; the graph catches up per insert
-	h.Arm(nil, 6, 16)
+	h.Arm(nil, 6)
 	for id := built; id < len(db); id++ {
 		h.Insert(id, DeterministicLevel(1, id, 6))
 	}
@@ -114,7 +114,7 @@ func TestMutatorCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PG.DB = db
-	h.Arm(nil, 6, 16)
+	h.Arm(nil, 6)
 
 	// A reader's snapshot: the outer slice copied, the inner neighbor
 	// slices shared. COW requires those inner slices to stay frozen.

@@ -193,6 +193,29 @@ func TestHandlerStrategyNames(t *testing.T) {
 	}
 }
 
+// TestHandlerClampsKAndBeam: a request's k is clamped to MaxK, its beam
+// raised to k and clamped to 4096.
+func TestHandlerClampsKAndBeam(t *testing.T) {
+	idx := &optionsSearcher{}
+	s := newTestServer(t, Config{Index: idx, MaxK: 50})
+	for _, c := range []struct {
+		body            string
+		wantK, wantBeam int
+	}{
+		{`{"query":{"labels":["A"],"edges":[]},"k":3,"no_cache":true}`, 3, 3},
+		{`{"query":{"labels":["A"],"edges":[]},"k":3,"beam":2,"no_cache":true}`, 3, 3},
+		{`{"query":{"labels":["A"],"edges":[]},"k":900,"beam":10,"no_cache":true}`, 50, 50},
+		{`{"query":{"labels":["A"],"edges":[]},"k":3,"beam":5000,"no_cache":true}`, 3, 4096},
+	} {
+		if rec := doSearch(s, bytes.NewReader([]byte(c.body))); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d body=%s", c.body, rec.Code, rec.Body)
+		}
+		if idx.so.K != c.wantK || idx.so.Beam != c.wantBeam {
+			t.Errorf("%s: searched with k %d, beam %d; want %d, %d", c.body, idx.so.K, idx.so.Beam, c.wantK, c.wantBeam)
+		}
+	}
+}
+
 func TestHandlerDeadlineReturns504(t *testing.T) {
 	s := newTestServer(t, Config{
 		Index: &fakeSearcher{delay: 200 * time.Millisecond, n: 10},

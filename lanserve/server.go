@@ -102,8 +102,9 @@ type Config struct {
 	// used entry's; the frequency sketch behind that costs 64–128 bytes
 	// an entry.
 	CacheSize int
-	// MaxK and MaxBeam clamp per-request parameters (defaults 100, 4096).
-	MaxK, MaxBeam int
+	// MaxK clamps a request's k (default 100); its beam is clamped to
+	// maxBeam.
+	MaxK int
 	// MaxBodyBytes caps the request body of /search, /insert and /delete
 	// (default 8 MiB); a longer body is answered 413.
 	MaxBodyBytes int64
@@ -127,6 +128,9 @@ type Config struct {
 	Exporter *obs.Exporter
 }
 
+// maxBeam is the largest candidate pool a request may ask for.
+const maxBeam = 4096
+
 func (c *Config) defaults() error {
 	if c.Index == nil {
 		return errors.New("lanserve: Config.Index is required")
@@ -148,9 +152,6 @@ func (c *Config) defaults() error {
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = 100
-	}
-	if c.MaxBeam <= 0 {
-		c.MaxBeam = 4096
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -286,7 +287,7 @@ type SearchRequest struct {
 	Query *graph.Graph `json:"query"`
 	// K is the number of neighbors to return (required, clamped to MaxK).
 	K int `json:"k"`
-	// Beam is the candidate pool size (default K, clamped to MaxBeam).
+	// Beam is the candidate pool size (default K, clamped to maxBeam).
 	Beam int `json:"beam,omitempty"`
 	// Routing is "lan" (default), "baseline" or "oracle". The oracle
 	// ranks neighbors by the index's build metric, which is the query
@@ -374,8 +375,8 @@ func (s *Server) parseRequest(body []byte) (*SearchRequest, searchParams, error)
 	if p.Beam < p.K {
 		p.Beam = p.K
 	}
-	if p.Beam > s.cfg.MaxBeam {
-		p.Beam = s.cfg.MaxBeam
+	if p.Beam > maxBeam {
+		p.Beam = maxBeam
 	}
 	var err error
 	if p.Routing, p.Initial, err = lan.ParseStrategies(req.Routing, req.Initial); err != nil {

@@ -7,16 +7,16 @@
 // bit-identical throughout. After the churn it compacts the tombstones and
 // re-checks search sanity.
 //
-// Over HTTP, it boots lan-serve with -writable, drives POST
-// /insert and /delete, and verifies the epoch advances, the result cache
-// is invalidated (epoch-keyed), and the write metric families are exposed.
+// Over HTTP, it boots lan-serve with -writable (scripts/internal/smoke),
+// drives POST /insert and /delete, and verifies the epoch advances, the
+// result cache is invalidated (epoch-keyed), and the write metric
+// families are exposed.
 //
 // It exits 0 on success and 1 with a diagnostic on any failure, so it
 // works as a CI gate without extra tooling.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -24,17 +24,14 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"github.com/lansearch/lan"
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
+	"github.com/lansearch/lan/scripts/internal/smoke"
 )
 
 func main() {
@@ -177,92 +174,16 @@ func serveWrites(db graph.Database, queries []*graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	idxPath := filepath.Join(dir, "idx.lansnap")
-	if err := idx.SaveSnapshot(idxPath, lan.SnapshotOptions{}); err != nil {
-		return err
-	}
-
-	bin := filepath.Join(dir, "lan-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/lan-serve").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build ./cmd/lan-serve: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, "-index", idxPath, "-addr", "127.0.0.1:0", "-writable", "-shutdown-grace", "5s")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return err
-	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	defer cmd.Process.Kill() // no-op if the SIGTERM path already reaped it
-
-	addrRe := regexp.MustCompile(`listening on (\S+:\d+)`)
-	addrCh := make(chan string, 1)
-	logDone := make(chan struct{})
-	// Exits at scanner EOF, when the child process closes its stderr pipe.
-	go func() {
-		defer close(logDone)
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintf(os.Stderr, "  [lan-serve] %s\n", line)
-			if m := addrRe.FindStringSubmatch(line); m != nil {
-				select {
-				case addrCh <- m[1]:
-				default:
-				}
-			}
-		}
-	}()
-	var base string
-	select {
-	case addr := <-addrCh:
-		base = "http://" + addr
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("server never reported its listen address")
-	}
-
-	if err := writeChecks(base, queries[0], len(db)); err != nil {
-		return err
-	}
-
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	select {
-	case err := <-exited:
-		if err != nil {
-			return fmt.Errorf("server exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		cmd.Process.Kill()
-		return fmt.Errorf("server did not exit within 5s of SIGTERM")
-	}
-	<-logDone
-	return nil
+	return smoke.Serve(dir, idx, []string{"-writable"}, func(base string) error {
+		return writeChecks(base, queries[0], len(db))
+	})
 }
 
-// writeChecks drives /insert and /delete and verifies epoch advance,
-// cache invalidation and the write metric families.
+// writeChecks drives the live, ready server's /insert and /delete and
+// verifies epoch advance, cache invalidation and the write metric
+// families.
 func writeChecks(base string, q *graph.Graph, dbSize int) error {
 	client := &http.Client{Timeout: 10 * time.Second}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := client.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("/readyz never turned 200: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 
 	q.ID = -1
 	searchBody, err := json.Marshal(map[string]interface{}{"query": q, "k": 3})

@@ -1,17 +1,17 @@
 // Command serve-smoke is the end-to-end smoke check behind `make
-// serve-smoke` and the CI "Serve smoke" step. It builds the lan-serve
-// binary, prepares a tiny trained index snapshot on disk, boots the
-// server on an ephemeral port, exercises /readyz, /search (twice, so the
-// second hit must come from the result cache), /metrics (server and
-// process-wide obs families alike) and /debug/trace/last, then delivers
-// SIGTERM and insists the server drains and exits within 5 seconds.
+// serve-smoke` and the CI "Serve smoke" step. It boots lan-serve with
+// -trace-dir over a tiny trained index snapshot (scripts/internal/smoke:
+// build, boot, /readyz, SIGTERM and a clean exit within 5 seconds),
+// exercises /search (twice, so the second hit must come from the result
+// cache), /metrics (server and process-wide obs families alike) and
+// /debug/trace/last, and after the drain replays the exported trace
+// segments through lan-trace.
 //
 // It exits 0 on success and 1 with a diagnostic on any failure, so it
 // works as a CI gate without extra tooling.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -21,14 +21,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/lansearch/lan"
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
+	"github.com/lansearch/lan/scripts/internal/smoke"
 )
 
 func main() {
@@ -56,76 +55,12 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("building index: %w", err)
 	}
-	idxPath := filepath.Join(dir, "idx.lansnap")
-	if err := idx.SaveSnapshot(idxPath, lan.SnapshotOptions{}); err != nil {
-		return err
-	}
-
-	bin := filepath.Join(dir, "lan-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/lan-serve").CombinedOutput(); err != nil {
-		return fmt.Errorf("go build ./cmd/lan-serve: %v\n%s", err, out)
-	}
-
 	traceDir := filepath.Join(dir, "traces")
-	cmd := exec.Command(bin, "-index", idxPath, "-addr", "127.0.0.1:0",
-		"-shutdown-grace", "5s", "-trace-dir", traceDir)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
+	if err := smoke.Serve(dir, idx, []string{"-trace-dir", traceDir}, func(base string) error {
+		return checks(base, queries[0])
+	}); err != nil {
 		return err
 	}
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	defer cmd.Process.Kill() // no-op if the SIGTERM path already reaped it
-
-	// The server logs "listening on 127.0.0.1:<port>" once bound; everything
-	// after that is streamed through for the CI log.
-	addrRe := regexp.MustCompile(`listening on (\S+:\d+)`)
-	addrCh := make(chan string, 1)
-	logDone := make(chan struct{})
-	// Exits at scanner EOF, when the child process closes its stderr pipe.
-	go func() {
-		defer close(logDone)
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintf(os.Stderr, "  [lan-serve] %s\n", line)
-			if m := addrRe.FindStringSubmatch(line); m != nil {
-				select {
-				case addrCh <- m[1]:
-				default:
-				}
-			}
-		}
-	}()
-	var base string
-	select {
-	case addr := <-addrCh:
-		base = "http://" + addr
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("server never reported its listen address")
-	}
-
-	if err := checks(base, queries[0]); err != nil {
-		return err
-	}
-
-	// Graceful shutdown: SIGTERM must drain and exit cleanly within 5s.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	select {
-	case err := <-exited:
-		if err != nil {
-			return fmt.Errorf("server exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		cmd.Process.Kill()
-		return fmt.Errorf("server did not exit within 5s of SIGTERM")
-	}
-	<-logDone
 
 	// Shutdown flushed the exporter; the segments on disk must replay
 	// through lan-trace into a non-empty offline summary, closing the
@@ -189,26 +124,10 @@ func copyDir(src, dst string) error {
 	return nil
 }
 
-// checks drives the live server through the readiness, search, cache and
-// metrics assertions.
+// checks drives the live, ready server through the search, cache,
+// metrics and trace-ring assertions.
 func checks(base string, q *graph.Graph) error {
 	client := &http.Client{Timeout: 10 * time.Second}
-
-	// Readiness.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := client.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("/readyz never turned 200: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 
 	// Two identical searches: both succeed, the second is a cache hit.
 	q.ID = -1
