@@ -38,11 +38,15 @@ race:
 
 # Micro-benchmarks (mat kernels — BenchmarkAddRowsScaled/{vector,go} at
 # a cross layer's 16x16 and a head's first layer's 48x32, the vector body
-# beside the Go one, and the two training products, BenchmarkMulTInto and
+# beside the Go one, BenchmarkGatherRows/{vector,go} (one group's
+# aggregation at a dense cross level) and BenchmarkMulRowsReLU/{vector,go}/
+# {dense,sparse} (one side's product by W, from a dense level and from a
+# one-hot-like one), and the two training products, BenchmarkMulTInto and
 # BenchmarkTMulInto, at the shape cg.linearBack runs — GED arena kernels beside their reference
 # twins — A*, ensemble, Hungarian, VJ, beam — and BenchmarkEnsembleMembers,
 # the split of one ensemble call by member, the model kernels beside
-# theirs — BenchmarkCrossInfer, BenchmarkRankerCall/{aids,syn} (syn is the
+# theirs — BenchmarkCrossInfer/{aids,syn} (syn is the cross call of
+# syn_hung), BenchmarkRankerCall/{aids,syn} (syn is the
 # shape models.us_per_ranker_call is measured at on syn_hung),
 # BenchmarkHeads/{miss,hit} (the heads' share of one score),
 # BenchmarkMLPInfer/{vector,go} (one head on each body) —, one training

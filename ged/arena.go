@@ -81,7 +81,7 @@ type pairCtx struct {
 	fa, fb        []float64
 	ia, ib, ic    []int32
 	assign        []int32
-	mark          []bool
+	scanned       []scan
 	lvl           []uint64
 	// solves counts assignment problems solved since load: what the
 	// ensemble is held to (two per fallback, none when A* finishes).

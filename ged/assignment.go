@@ -33,7 +33,7 @@ func (c *pairCtx) startSolve() {
 	n := c.n1 + c.n2
 	c.assign, c.ia, c.ic = grow(c.assign, n), grow(c.ia, n), grow(c.ic, n)
 	c.fa, c.fb = grow(c.fa, n), grow(c.fb, n)
-	c.mark, c.lvl = grow(c.mark, n), grow(c.lvl, (n+63)/64)
+	c.scanned, c.lvl = grow(c.scanned, n), grow(c.lvl, (n+63)/64)
 	for j := range c.assign {
 		c.assign[j], c.ia[j] = -1, -1
 	}
@@ -198,6 +198,12 @@ func joinLevel(lvl []uint64, j int, d, level float64) float64 {
 	return level
 }
 
+// scan is a column augment has scanned, with its final distance.
+type scan struct {
+	j int32
+	d float64
+}
+
 // augment grows the matching by free row f along a shortest augmenting
 // path: Dijkstra from f to the nearest free column over the reduced costs
 // cost[i][j] − u[i] − v[j], then the potential update that keeps them
@@ -205,14 +211,18 @@ func joinLevel(lvl []uint64, j int, d, level float64) float64 {
 // row's assigned cell is tight, u[i] = cost[i][rowsol[i]] − v[rowsol[i]],
 // and a free row's is zero. Among the unscanned columns at the smallest
 // distance the lowest is scanned next, as the dense solvers' argmin loops
-// have it. Four things are done differently from those loops, none of which
+// have it. Five things are done differently from those loops, none of which
 // changes the outcome of a comparison:
 //
 //   - only the finite cells of the row that enters the tree are relaxed;
+//   - a scanned column's distance becomes −∞ (its final distance moves to
+//     the scanned list), so no finite offer undercuts it and the relax
+//     loops need no scanned test;
 //   - distances are absolute and the potentials are settled once, after the
-//     search (column j moves by dist[j] − dist[end]), where the dense
-//     Hungarian lowered every entry by the step after each scan — the cells
-//     being multiples of ½, both orders of summing are exact and equal;
+//     search, for the scanned columns only (column j moves by dist[j] −
+//     dist[end]), where the dense Hungarian lowered every entry by the step
+//     after each scan — the cells being multiples of ½, both orders of
+//     summing are exact and equal;
 //   - the unscanned columns that sit at the current distance level are kept
 //     in a bitset, so the next column is the lowest set bit and the argmin
 //     scan over all columns runs once per level, not once per column. Levels
@@ -226,29 +236,26 @@ func (c *pairCtx) augment(f int32) {
 	n := n1 + n2
 	sub, v, dist := c.sub, c.fa[:n], c.fb[:n]
 	rowsol, colsol, pred := c.assign[:n], c.ia[:n], c.ic[:n]
-	done, lvl := c.mark[:n], c.lvl[:(n+63)/64]
-	inf := math.Inf(1)
+	scanned, lvl := c.scanned[:0:n], c.lvl[:(n+63)/64]
+	inf, ninf := math.Inf(1), math.Inf(-1)
 	for j := range dist {
 		dist[j] = inf
 	}
-	clear(done)
 	clear(lvl)
 
 	// Row i enters the tree offering column j the distance
 	// base + cost[i][j] − v[j]; level is the distance of the columns in lvl.
 	i, base, level, padBase := f, 0.0, 0.0, inf
-	end := 0
 	for {
 		// The row's diagonal cell (j1, c1) comes after its block.
 		var j1 int
 		var c1 float64
 		if int(i) < n1 {
-			for j, cij := range sub[int(i)*n2 : (int(i)+1)*n2] {
-				if done[j] {
-					continue
-				}
-				if d := base + cij - v[j]; d < dist[j] {
-					dist[j], pred[j] = d, i
+			row := sub[int(i)*n2:][:n2]
+			vr, dr, pr := v[:len(row)], dist[:len(row)], pred[:len(row)]
+			for j, cij := range row {
+				if d := base + cij - vr[j]; d < dr[j] {
+					dr[j], pr[j] = d, i
 					if !(level < d) {
 						level = joinLevel(lvl, j, d, level)
 					}
@@ -258,21 +265,20 @@ func (c *pairCtx) augment(f int32) {
 		} else {
 			if base < padBase {
 				padBase = base
-				for j := n2; j < n; j++ {
-					if done[j] {
-						continue
-					}
-					if d := base - v[j]; d < dist[j] {
-						dist[j], pred[j] = d, i
+				vp := v[n2:]
+				dp, pp := dist[n2:][:len(vp)], pred[n2:][:len(vp)]
+				for k, vk := range vp {
+					if d := base - vk; d < dp[k] {
+						dp[k], pp[k] = d, i
 						if !(level < d) {
-							level = joinLevel(lvl, j, d, level)
+							level = joinLevel(lvl, n2+k, d, level)
 						}
 					}
 				}
 			}
 			j1, c1 = int(i)-n1, c.ins[int(i)-n1]
 		}
-		if d := base + c1 - v[j1]; !done[j1] && d < dist[j1] {
+		if d := base + c1 - v[j1]; d < dist[j1] {
 			dist[j1], pred[j1] = d, i
 			if !(level < d) {
 				level = joinLevel(lvl, j1, d, level)
@@ -285,28 +291,28 @@ func (c *pairCtx) augment(f int32) {
 		if j < 0 {
 			level = inf
 			for j, d := range dist {
-				if !done[j] && !(level < d) {
+				if d > ninf && !(level < d) {
 					level = joinLevel(lvl, j, d, level)
 				}
 			}
 			j = lowestBit(lvl)
 		}
 		lvl[j>>6] &^= 1 << (j & 63)
-		done[j] = true
+		d := dist[j]
+		dist[j] = ninf
+		scanned = append(scanned, scan{int32(j), d})
 		if colsol[j] < 0 {
-			end = j
 			break
 		}
 		i = colsol[j]
-		base = dist[j] - (c.cell(int(i), j) - v[j])
+		base = d - (c.cell(int(i), j) - v[j])
 	}
 
-	for j, d := range dist {
-		if done[j] {
-			v[j] += d - dist[end]
-		}
+	last := scanned[len(scanned)-1]
+	for _, s := range scanned {
+		v[s.j] += s.d - last.d
 	}
-	for j := int32(end); ; {
+	for j := last.j; ; {
 		i := pred[j]
 		colsol[j] = i
 		j, rowsol[i] = rowsol[i], j

@@ -27,6 +27,7 @@ import (
 	"sort"
 
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/mat"
 )
 
 // Vocab maps node labels to dense feature indices. Labels not present when
@@ -104,11 +105,9 @@ type Level struct {
 }
 
 // Lin is one weighted aggregation edge: weight W applied to row Row of
-// the previous level.
-type Lin struct {
-	Row int
-	W   float64
-}
+// the previous level. It is mat.Term, so the kernel hands a group's edges
+// to mat.GatherRows as they are.
+type Lin = mat.Term
 
 // zeroLogs is the LogSize of every level made of singleton groups — all of
 // a raw GNN-graph's, and most levels of a compressed one past level 0. It
@@ -251,7 +250,13 @@ type Cost struct {
 }
 
 // CrossCost returns the Theorem-3 cost of cross-graph learning between two
-// compressed (or raw) GNN-graphs.
+// compressed (or raw) GNN-graphs: the paper's count, not the kernel's
+// work. It counts |V_{l-1}(G*)|·|V_{l-1}(Q*)| attention pairs each way
+// and every aggregation term and matmul row, where the kernel pays one
+// attention row per side per layer (the softmax cancels the group's own
+// term) and skips the zero entries of a one-hot level's pre-activation
+// rows in the product by W. A figure that asserts on the work done needs
+// the kernel's own count.
 func CrossCost(a, b *Compressed) Cost {
 	var c Cost
 	L := a.Depth()

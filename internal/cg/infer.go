@@ -12,16 +12,19 @@ import (
 // or a training pass's own), never multiplies by a one-hot matrix
 // (level-0 embeddings are read as feature indices: a key score is a
 // look-up in a, an aggregation term lands in one column) and skips the
-// zero entries of a pre-activation row when multiplying by W. Its dense
-// products — the aggregation terms, the product by W, the attention and
-// readout weighted sums — run on mat.AddRowsScaled. Each output element
-// is still accumulated from zero over ascending k, so for finite weights
-// the result equals the matrix kernels this replaced bit for bit
-// (reference_test.go keeps those; TestInferKernelMatchesReference and
-// FuzzInferMatchesReference compare with ==, on both of the kernel's
-// bodies). Training runs the same kernel with a record (train.go): it
-// keeps the softmax rows, the pre-activation rows and the layer outputs
-// that the backward reads.
+// zero entries of a pre-activation row when multiplying by W. A layer is
+// two mat kernel calls a side: per group, mat.GatherRows sums the
+// previous level's rows its terms name; then one mat.MulRowsReLU
+// multiplies every pre-activation row of the level by W and applies ReLU.
+// The attention and readout weighted sums run on mat.AddRowsScaled. Each
+// output element is still accumulated from zero over ascending k, so for
+// finite weights the result equals the matrix kernels this replaced bit
+// for bit (reference_test.go keeps those; TestInferKernelMatchesReference
+// and FuzzInferMatchesReference compare with ==, on both of the kernels'
+// bodies). A pass keeps every pre-activation row of a level on the slab,
+// with or without a record. Training runs the same kernel with a record
+// (train.go): it keeps the softmax rows, the pre-activation rows and the
+// layer outputs that the backward reads.
 
 // Infer computes the cross-graph embedding h_G || h_Q (2*Dim floats) on a
 // workspace of its own. Searches go through Workspace.Bind and Cross; this
@@ -67,13 +70,9 @@ func crossFloats(m *CrossModel, g, q *Compressed, train bool) int {
 	for l := 1; l <= m.Cfg.Layers; l++ {
 		ng, nq := g.Groups(l-1), q.Groups(l-1)
 		rg, rq := g.Groups(l), q.Groups(l)
-		total += 2*ng + din + (rg+rq)*dim
+		total += 2*ng + din + (rg+rq)*(din+dim)
 		if l > 1 || train {
 			total += 2*nq + din
-		}
-		total += din
-		if train {
-			total += (rg + rq) * din
 		}
 		din = dim
 	}
@@ -87,9 +86,9 @@ func crossFloats(m *CrossModel, g, q *Compressed, train bool) int {
 // package comment), so it is computed once per side and layer. Without a
 // record, layer 1's message to g is qMu (Bind's) and the kernel pops what
 // it took from f; with one (rec, one entry per layer) it computes that
-// message too, keeps every pre-activation row, records what the backward
-// reads and leaves it all on f. f must hold crossFloats(m, g, q, rec !=
-// nil) floats past its offset.
+// message too, records what the backward reads — the softmax rows, the
+// pre-activation rows and the layer outputs — and leaves it all on f. f
+// must hold crossFloats(m, g, q, rec != nil) floats past its offset.
 func cross(f *bump[float64], dst []float64, m *CrossModel, g, q *Compressed, qMu []float64, rec []crossLayer) {
 	base := f.off
 	din, dim := m.Cfg.Vocab.Size(), m.Cfg.Dim
@@ -110,14 +109,10 @@ func cross(f *bump[float64], dst []float64, m *CrossModel, g, q *Compressed, qMu
 		}
 
 		lg, lq := &g.Levels[l], &q.Levels[l]
-		pre := f.take(din)
-		var preG, preQ []float64
-		if rec != nil {
-			preG, preQ = f.take(len(lg.In)*din), f.take(len(lq.In)*din)
-		}
+		preG, preQ := f.take(len(lg.In)*din), f.take(len(lq.In)*din)
 		nextG, nextQ := f.take(len(lg.In)*dim), f.take(len(lq.In)*dim)
-		layer(nextG, hg, pg.Feature, muG, lg, w, pre, preG)
-		layer(nextQ, hq, pq.Feature, muQ, lq, w, pre, preQ)
+		layer(nextG, preG, hg, pg.Feature, muG, lg, w, din)
+		layer(nextQ, preQ, hq, pq.Feature, muQ, lq, w, din)
 		if rec != nil {
 			rec[l-1] = crossLayer{{alpha: alphaG, pre: preG, h: nextG}, {alpha: alphaQ, pre: preQ, h: nextQ}}
 		}
@@ -140,16 +135,13 @@ func (m *GINModel) Embed(c *Compressed) []float64 {
 }
 
 // ginFloats is the number of slab floats gin takes for c, with a record
-// (train) or without; it mirrors the take calls there.
+// (train) or without — the same count, since both keep every
+// pre-activation row; it mirrors the take calls there.
 func ginFloats(m *GINModel, c *Compressed, train bool) int {
 	din, dim := m.Cfg.Vocab.Size(), m.Cfg.Dim
 	total := 0
 	for l := 1; l <= m.Cfg.Layers; l++ {
-		rows := c.Groups(l)
-		total += rows*dim + din
-		if train {
-			total += rows * din
-		}
+		total += c.Groups(l) * (din + dim)
 		din = dim
 	}
 	return total
@@ -157,23 +149,18 @@ func ginFloats(m *GINModel, c *Compressed, train bool) int {
 
 // gin is the GIN model's kernel: cross's layers without the cross
 // message, then the size-weighted mean readout into dst. With a record
-// (rec, one entry per layer) it keeps every pre-activation row and
-// records what the backward reads. f must hold ginFloats(m, c, rec !=
+// (rec, one entry per layer) it records the pre-activation rows and the
+// layer outputs the backward reads. f must hold ginFloats(m, c, rec !=
 // nil) floats past its offset; nothing is popped.
 func gin(f *bump[float64], dst []float64, m *GINModel, c *Compressed, rec []side) {
 	din, dim := m.Cfg.Vocab.Size(), m.Cfg.Dim
 	var h []float64
 	for l := 1; l <= m.Cfg.Layers; l++ {
 		lv := &c.Levels[l]
-		pre := f.take(din)
-		var kept []float64
+		pre, next := f.take(len(lv.In)*din), f.take(len(lv.In)*dim)
+		layer(next, pre, h, c.Levels[l-1].Feature, nil, lv, m.W[l-1].Data.Data, din)
 		if rec != nil {
-			kept = f.take(len(lv.In) * din)
-		}
-		next := f.take(len(lv.In) * dim)
-		layer(next, h, c.Levels[l-1].Feature, nil, lv, m.W[l-1].Data.Data, pre, kept)
-		if rec != nil {
-			rec[l-1] = side{pre: kept, h: next}
+			rec[l-1] = side{pre: pre, h: next}
 		}
 		h, din = next, dim
 	}
@@ -242,50 +229,36 @@ func attend(mu, key, logSize, other []float64, feat []int, scores []float64) {
 }
 
 // layer computes one side's next level into next (len(lv.In) rows, Dim
-// wide): aggregate the previous level over lv.In (dense rows of prev, or
-// one-hots of prevFeat when prev is nil), add the side's cross message mu
-// (none when nil), multiply by w and apply ReLU. pre is scratch for one
-// pre-activation row; its zero entries — most of a one-hot level's — are
-// skipped in the product, which leaves every sum unchanged. When keep is
-// not nil (training), row i of it receives group i's pre-activation row.
-func layer(next, prev []float64, prevFeat []int, mu []float64, lv *Level, w, pre, keep []float64) {
-	d := len(pre)
-	dim := len(w) / d
+// wide) in two steps. It fills pre (len(lv.In) rows, din wide) with the
+// pre-activation rows: group i's aggregation of the previous level over
+// lv.In[i] — a mat.GatherRows of dense rows of prev, or, when prev is nil,
+// a scatter of the one-hots of prevFeat — plus the side's cross message
+// mu (none when nil). Then one mat.MulRowsReLU multiplies every row by w
+// and applies ReLU, skipping each row's zero entries — most of a one-hot
+// level's — which leaves every sum unchanged.
+func layer(next, pre, prev []float64, prevFeat []int, mu []float64, lv *Level, w []float64, din int) {
 	for i, terms := range lv.In {
-		for k := range pre {
-			pre[k] = 0
-		}
-		for _, e := range terms {
-			if prev == nil {
-				pre[prevFeat[e.Row]] += e.W
-				continue
+		row := pre[i*din:][:din]
+		if prev == nil {
+			clear(row)
+			for _, e := range terms {
+				row[prevFeat[e.Row]] += e.W
 			}
-			mat.AddRowsScaled(pre, []float64{e.W}, prev[e.Row*d:], d)
+		} else {
+			mat.GatherRows(row, terms, prev)
 		}
 		for k, v := range mu {
-			pre[k] += v
-		}
-		if keep != nil {
-			copy(keep[i*d:], pre)
-		}
-		out := next[i*dim : (i+1)*dim]
-		for j := range out {
-			out[j] = 0
-		}
-		addNonzeroRows(out, pre, w)
-		for j, v := range out {
-			if v < 0 {
-				out[j] = 0
-			}
+			row[k] += v
 		}
 	}
+	mat.MulRowsReLU(next, pre, din, w)
 }
 
 // addNonzeroRows adds x·w to dst (w's rows len(dst) wide) on
 // mat.AddRowsScaled, one call per maximal run of non-zero entries of x.
-// The zero entries — most of a one-hot level's pre-activation row — are
-// skipped; from a +0 start that changes no sum
-// (mat.TestAddRowsScaledAddsZeroRowsHarmlessly).
+// The zero entries of the softmax row attend passes — those of groups
+// whose score underflowed — are skipped; from a +0 start that changes no
+// sum (mat.TestAddRowsScaledAddsZeroRowsHarmlessly).
 func addNonzeroRows(dst, x, w []float64) {
 	n := len(dst)
 	for k := 0; k < len(x); {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/lansearch/lan/graph"
+	"github.com/lansearch/lan/internal/dataset"
 	"github.com/lansearch/lan/internal/mat"
 	"github.com/lansearch/lan/internal/nn"
 )
@@ -58,48 +59,145 @@ func labelledGraphs(seed int64, n int, vocab *Vocab) []*graph.Graph {
 	return gs
 }
 
-// TestInferKernelMatchesReference runs on both bodies of
-// mat.AddRowsScaled.
-func TestInferKernelMatchesReference(t *testing.T) {
-	mat.EachBody(func(body string) { t.Run(body, checkInferKernelMatchesReference) })
-}
-
-func checkInferKernelMatchesReference(t *testing.T) {
+// kernelGraphs is the identity tests' graph set over a vocabulary of
+// vocabSize: 14 molecule-like graphs (unseen labels included), one single
+// node and one edgeless graph.
+func kernelGraphs(vocabSize int) (*Vocab, []*graph.Graph) {
 	single := graph.New(-1)
 	single.AddNode("L00")
 	edgeless := graph.New(-1)
 	for i := 0; i < 5; i++ {
 		edgeless.AddNode([]string{"L00", "L01", "oov-1"}[i%3])
 	}
+	vocab := vocabOf(vocabSize)
+	return vocab, append(labelledGraphs(int64(vocabSize), 14, vocab), single, edgeless)
+}
+
+// kernelBuilds are the two constructions the identity tests run on.
+var kernelBuilds = []struct {
+	name string
+	fn   func(*graph.Graph, int, *Vocab) *Compressed
+}{{"compressed", Build}, {"raw", BuildRaw}}
+
+// TestInferKernelMatchesReference runs on both bodies of the mat row
+// kernels, at Dim 7 (the 4-column block and a Go tail), 16 (the benchmark's
+// width: one 16-column block) and 23 (a 16-block, a 4-block and a
+// 3-column tail).
+func TestInferKernelMatchesReference(t *testing.T) {
+	mat.EachBody(func(body string) { t.Run(body, checkInferKernelMatchesReference) })
+}
+
+func checkInferKernelMatchesReference(t *testing.T) {
 	for _, vocabSize := range []int{6, 52} {
-		vocab := vocabOf(vocabSize)
-		gs := append(labelledGraphs(int64(vocabSize), 14, vocab), single, edgeless)
+		vocab, gs := kernelGraphs(vocabSize)
+		for _, dim := range []int{7, 16, 23} {
+			for layers := 1; layers <= 3; layers++ {
+				m := NewCrossModel(nn.NewParams(), "m", Config{Layers: layers, Dim: dim, Vocab: vocab}, rand.New(rand.NewSource(int64(layers))))
+				for _, build := range kernelBuilds {
+					cs := make([]*Compressed, len(gs))
+					for i, g := range gs {
+						cs[i] = build.fn(g, layers, vocab)
+					}
+					// One workspace for the whole sweep: every call after the
+					// first runs on memory the previous pairs left dirty.
+					ws := NewWorkspace()
+					got := make([]float64, 2*m.Cfg.Dim)
+					for qi, q := range cs {
+						ws.Bind(m, q)
+						for gi, g := range cs { // every ordered pair: G and Q swap roles
+							ws.Cross(got, g)
+							if want := refInfer(m, g, q); !sameBits(got, want) {
+								t.Fatalf("vocab %d, dim %d, %d layers, %s, G=%d Q=%d:\nkernel    %v\nreference %v",
+									vocabSize, dim, layers, build.name, gi, qi, got, want)
+							}
+						}
+					}
+					if ws.f.off != 0 {
+						t.Fatalf("Cross left %d floats on the stack", ws.f.off)
+					}
+				}
+			}
+		}
+	}
+}
+
+// slabSentinel marks slab floats no kernel has written: a NaN payload no
+// arithmetic produces.
+var slabSentinel = math.Float64frombits(0x7ff4_5a5a_5a5a_5a5a)
+
+// exactSlab returns a slab of exactly n floats, all the sentinel: a take
+// past n panics, and a float never taken stays the sentinel.
+func exactSlab(n int) bump[float64] {
+	buf := make([]float64, n)
+	for i := range buf {
+		buf[i] = slabSentinel
+	}
+	return bump[float64]{buf: buf}
+}
+
+// untouched counts the floats of f's slab still holding the sentinel.
+func untouched(f *bump[float64]) int {
+	n := 0
+	for _, v := range f.buf {
+		if math.Float64bits(v) == math.Float64bits(slabSentinel) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSlabFloatsMatchTakes pins crossFloats and ginFloats to the takes of
+// cross and gin they mirror. Each pass runs on a slab of exactly the
+// count, so a take beyond it panics; a recorded pass must end at the
+// count, and an inference pass — which pops what it took — must have
+// written every float of it, which it does only if it took them all (every
+// float a kernel takes, it writes).
+func TestSlabFloatsMatchTakes(t *testing.T) {
+	for _, vocabSize := range []int{6, 52} {
+		vocab, gs := kernelGraphs(vocabSize)
 		for layers := 1; layers <= 3; layers++ {
-			m := NewCrossModel(nn.NewParams(), "m", Config{Layers: layers, Dim: 7, Vocab: vocab}, rand.New(rand.NewSource(int64(layers))))
-			for _, build := range []struct {
-				name string
-				fn   func(*graph.Graph, int, *Vocab) *Compressed
-			}{{"compressed", Build}, {"raw", BuildRaw}} {
+			cfg := Config{Layers: layers, Dim: 7, Vocab: vocab}
+			cm := NewCrossModel(nn.NewParams(), "m", cfg, rand.New(rand.NewSource(1)))
+			gm := NewGINModel(nn.NewParams(), "g", cfg, rand.New(rand.NewSource(2)))
+			rec, sides := make([]crossLayer, layers), make([]side, layers)
+			out := make([]float64, cfg.CrossDim())
+			for _, build := range kernelBuilds {
 				cs := make([]*Compressed, len(gs))
 				for i, g := range gs {
 					cs[i] = build.fn(g, layers, vocab)
 				}
-				// One workspace for the whole sweep: every call after the
-				// first runs on memory the previous pairs left dirty.
-				ws := NewWorkspace()
-				got := make([]float64, 2*m.Cfg.Dim)
-				for qi, q := range cs {
-					ws.Bind(m, q)
-					for gi, g := range cs { // every ordered pair: G and Q swap roles
-						ws.Cross(got, g)
-						if want := refInfer(m, g, q); !sameBits(got, want) {
-							t.Fatalf("vocab %d, %d layers, %s, G=%d Q=%d:\nkernel    %v\nreference %v",
-								vocabSize, layers, build.name, gi, qi, got, want)
+				where := fmt.Sprintf("vocab %d, %d layers, %s", vocabSize, layers, build.name)
+				for gi, g := range cs {
+					for _, train := range []bool{false, true} {
+						n := ginFloats(gm, g, train)
+						f := exactSlab(n)
+						r := sides
+						if !train {
+							r = nil
+						}
+						gin(&f, out[:cfg.Dim], gm, g, r)
+						if f.off != n || untouched(&f) != 0 {
+							t.Fatalf("%s, gin G=%d train %v: took %d of ginFloats %d, %d never written", where, gi, train, f.off, n, untouched(&f))
 						}
 					}
-				}
-				if ws.f.off != 0 {
-					t.Fatalf("Cross left %d floats on the stack", ws.f.off)
+					for qi, q := range cs {
+						n := crossFloats(cm, g, q, true)
+						f := exactSlab(n)
+						cross(&f, out, cm, g, q, nil, rec)
+						if f.off != n {
+							t.Fatalf("%s, G=%d Q=%d: a recorded pass took %d of crossFloats %d", where, gi, qi, f.off, n)
+						}
+						qMu := make([]float64, vocab.Size())
+						ws := NewWorkspace()
+						ws.Bind(cm, q)
+						copy(qMu, ws.qMu)
+						n = crossFloats(cm, g, q, false)
+						f = exactSlab(n)
+						cross(&f, out, cm, g, q, qMu, nil)
+						if f.off != 0 || untouched(&f) != 0 {
+							t.Fatalf("%s, G=%d Q=%d: an inference pass left %d on the stack and %d of crossFloats %d unwritten", where, gi, qi, f.off, untouched(&f), n)
+						}
+					}
 				}
 			}
 		}
@@ -251,13 +349,14 @@ var fuzzWS = NewWorkspace()
 // FuzzInferMatchesReference holds the workspace kernel to the matrix
 // kernels it replaced on arbitrary pairs of graphs up to 30 nodes, in
 // both argument orders, at every depth, compressed and raw, on both
-// bodies of mat.AddRowsScaled. shape picks layers (1-3), raw-vs-compressed
-// and the embedding width.
+// bodies of the mat row kernels. shape picks layers (1-3),
+// raw-vs-compressed and the embedding width (1-24: every column block and
+// tail the vector bodies have, 16 included).
 func FuzzInferMatchesReference(f *testing.F) {
 	f.Add([]byte{}, []byte{4, 0, 1, 2, 3, 0x29}, uint8(1))
 	f.Fuzz(func(t *testing.T, a, b []byte, shape uint8) {
 		layers := 1 + int(shape)%3
-		dim := 1 + int(shape>>3)%9
+		dim := 1 + int(shape>>3)%24
 		build := Build
 		if shape&4 != 0 {
 			build = BuildRaw
@@ -278,7 +377,7 @@ func FuzzInferMatchesReference(f *testing.F) {
 		if fuzzWS.f.off != 0 {
 			t.Fatalf("Cross left %d floats on the stack", fuzzWS.f.off)
 		}
-		// 30 groups a side, three layers, a 9-wide model: a few thousand
+		// 30 groups a side, three layers, a 24-wide model: a few thousand
 		// floats. A slab past 1 MiB means growth ran away.
 		if n := len(fuzzWS.f.buf); n > 1<<17 {
 			t.Fatalf("float slab grew to %d floats on graphs of at most 30 nodes", n)
@@ -286,40 +385,66 @@ func FuzzInferMatchesReference(f *testing.F) {
 	})
 }
 
-// benchPairs builds AIDS-shaped inputs: 52-wide vocabulary, ~8-26 nodes.
-func benchPairs(b *testing.B) (*CrossModel, []*Compressed) {
+// benchPairs builds a model at the benchmark's Dim 16 and two layers, and
+// 16 compressed graphs of one shape: "aids", a 52-wide vocabulary and
+// ~8-26-node molecules, or "syn", dataset.SYN's 6-wide vocabulary and
+// ~10-node graphs — the cross calls of the syn_hung workload.
+func benchPairs(b *testing.B, shape string) (*CrossModel, []*Compressed) {
 	b.Helper()
-	vocab := vocabOf(52)
+	var vocab *Vocab
+	gs := make([]*graph.Graph, 16)
+	switch shape {
+	case "aids":
+		vocab = vocabOf(52)
+		gen := graph.NewGenerator(9)
+		for i := range gs {
+			gs[i] = gen.MoleculeLike(8+i%19, 1+i%3, vocab.Labels(), 0.5)
+		}
+	case "syn":
+		db := dataset.SYN(0.00002).Generate()
+		vocab = NewVocab(db)
+		copy(gs, db)
+	}
 	m := NewCrossModel(nn.NewParams(), "m", Config{Layers: 2, Dim: 16, Vocab: vocab}, rand.New(rand.NewSource(1)))
-	gen := graph.NewGenerator(9)
-	cs := make([]*Compressed, 16)
-	for i := range cs {
-		cs[i] = Build(gen.MoleculeLike(8+i%19, 1+i%3, vocab.Labels(), 0.5), 2, vocab)
+	cs := make([]*Compressed, len(gs))
+	for i, g := range gs {
+		cs[i] = Build(g, 2, vocab)
 	}
 	return m, cs
 }
 
-var benchSink []float64
+var (
+	benchSink   []float64
+	benchShapes = []string{"aids", "syn"}
+)
 
 func BenchmarkCrossInfer(b *testing.B) {
-	m, cs := benchPairs(b)
-	ws := NewWorkspace()
-	out := make([]float64, 32)
-	ws.Bind(m, cs[0])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Cross(out, cs[i%len(cs)])
+	for _, shape := range benchShapes {
+		b.Run(shape, func(b *testing.B) {
+			m, cs := benchPairs(b, shape)
+			ws := NewWorkspace()
+			out := make([]float64, 32)
+			ws.Bind(m, cs[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Cross(out, cs[i%len(cs)])
+			}
+			benchSink = out
+		})
 	}
-	benchSink = out
 }
 
 func BenchmarkCrossInferReference(b *testing.B) {
-	m, cs := benchPairs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = refInfer(m, cs[i%len(cs)], cs[0])
+	for _, shape := range benchShapes {
+		b.Run(shape, func(b *testing.B) {
+			m, cs := benchPairs(b, shape)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = refInfer(m, cs[i%len(cs)], cs[0])
+			}
+		})
 	}
 }
 

@@ -1,7 +1,11 @@
-// Package mat holds the dense float64 kernels the models run on. Every
-// forward, at training and at query time, and the aggregation terms of
-// the backwards run on one row kernel, AddRowsScaled (rows.go); the
-// products of a layer's backward by its weight matrix run on MulTInto and
+// Package mat holds the dense float64 kernels the models run on. The
+// forwards, at training and at query time, run on three row kernels
+// (rows.go): AddRowsScaled, a row vector times a matrix added into a
+// row — the heads' layers, attention and readout sums, and the
+// aggregation terms of the backwards; GatherRows, a weighted sum of named
+// rows — a GNN layer's aggregation; and MulRowsReLU, a block of rows
+// times a matrix through ReLU — a GNN layer's product by W. The products
+// of a layer's backward by its weight matrix run on MulTInto and
 // TMulInto. Storage is row major with explicit shapes, and a shape
 // mismatch panics (shape errors are programming bugs, not runtime
 // conditions).

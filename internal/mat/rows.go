@@ -2,7 +2,7 @@ package mat
 
 import "fmt"
 
-// vector is whether AddRowsScaled runs its vector body. It is set once,
+// vector is whether the row kernels run their vector bodies. It is set once,
 // at package init, from what the host reports (an amd64 CPU and OS with
 // AVX); EachBody clears it for tests.
 var vector = hasAVX()
@@ -66,11 +66,107 @@ func addRowsScaledGo(dst, x, w []float64, stride int) {
 	}
 }
 
-// EachBody calls f once per body of AddRowsScaled: "vector" with the
-// host's dispatch (which is the Go body on a host without AVX), then "go"
-// with the vector body switched off. It is for tests that hold the
-// kernel's callers to the same bits on both; no kernel may run on another
-// goroutine meanwhile.
+// Term is one weighted row of a GatherRows sum: W times row Row of the
+// source.
+type Term struct {
+	Row int
+	W   float64
+}
+
+// GatherRows sets dst to the weighted sum of the source rows the terms
+// name: dst[j] = Σ t.W·src[t.Row·len(dst)+j] over the terms in order,
+// each a multiply then an add, from a +0 start. No terms leave dst +0.
+// It keeps AddRowsScaled's rules — the same bits on the vector body and
+// the Go one, four columns per instruction, no fused multiply-add — and
+// allocates nothing.
+func GatherRows(dst []float64, terms []Term, src []float64) {
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	rows := len(src) / n
+	for _, t := range terms {
+		if uint(t.Row) >= uint(rows) {
+			panic(fmt.Sprintf("mat: row %d of %d rows %d wide", t.Row, rows, n))
+		}
+	}
+	c := 0
+	if vector && n >= 4 && len(terms) > 0 {
+		c = n &^ 3
+		gatherRowsAVX(&dst[0], &terms[0], len(terms), &src[0], c, n)
+		if c == n {
+			return
+		}
+	}
+	gatherRowsGo(dst[c:], terms, src[c:], n)
+}
+
+// gatherRowsGo is GatherRows' portable body and the oracle the vector body
+// is held to; row r of src is src[r·stride:][:len(dst)].
+func gatherRowsGo(dst []float64, terms []Term, src []float64, stride int) {
+	clear(dst)
+	for _, t := range terms {
+		a := t.W
+		for j, b := range src[t.Row*stride:][:len(dst)] {
+			dst[j] += a * b
+		}
+	}
+}
+
+// MulRowsReLU sets out to ReLU(x·w): x is rows × din, w is din × n and
+// out is rows × n, all row major. Each out[r·n+j] starts at +0 and takes
+// x[r·din+k]·w[k·n+j] over ascending k, skipping the k whose x entry is
+// ±0 (a NaN is kept); from a +0 start a skipped term changes no sum, so
+// only the work differs from the full product. A negative result becomes
+// +0; NaN and −0 stay. It keeps AddRowsScaled's rules and allocates
+// nothing.
+func MulRowsReLU(out, x []float64, din int, w []float64) {
+	if din <= 0 || len(x)%din != 0 || len(w)%din != 0 || len(out) != len(x)/din*(len(w)/din) {
+		panic(fmt.Sprintf("mat: %d values times %d at inner width %d into %d", len(x), len(w), din, len(out)))
+	}
+	rows, n := len(x)/din, len(w)/din
+	if rows == 0 || n == 0 {
+		return
+	}
+	c := 0
+	if vector && n >= 4 {
+		c = n &^ 3
+		mulRowsReLUAVX(&out[0], &x[0], rows, din, &w[0], c, n)
+		if c == n {
+			return
+		}
+	}
+	mulRowsReLUGo(out[c:], x, w[c:], din, n-c, n)
+}
+
+// mulRowsReLUGo is MulRowsReLU's portable body and the oracle the vector
+// body is held to, over n columns of rows at stride: row r of out is
+// out[r·stride:][:n], row k of w is w[k·stride:][:n].
+func mulRowsReLUGo(out, x, w []float64, din, n, stride int) {
+	for r := 0; r < len(x)/din; r++ {
+		o := out[r*stride:][:n]
+		clear(o)
+		for k, a := range x[r*din:][:din] {
+			if a == 0 {
+				continue
+			}
+			for j, b := range w[k*stride:][:n] {
+				o[j] += a * b
+			}
+		}
+		for j, v := range o {
+			if v < 0 {
+				o[j] = 0
+			}
+		}
+	}
+}
+
+// EachBody calls f once per body of the row kernels (AddRowsScaled,
+// GatherRows, MulRowsReLU): "vector" with the host's dispatch (which is
+// the Go body on a host without AVX), then "go" with the vector body
+// switched off. It is for tests that hold the kernels' callers to the
+// same bits on both; no kernel may run on another goroutine meanwhile.
 func EachBody(f func(body string)) {
 	f("vector")
 	was := vector

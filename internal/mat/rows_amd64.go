@@ -22,3 +22,17 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func addRowsScaledAVX(dst, x, w *float64, cols, rows, stride int)
+
+// gatherRowsAVX is GatherRows' vector body over the first cols columns (a
+// positive multiple of 4) of n > 0 terms, row r of src at r·stride; the
+// wrapper has checked every term's row.
+//
+//go:noescape
+func gatherRowsAVX(dst *float64, terms *Term, n int, src *float64, cols, stride int)
+
+// mulRowsReLUAVX is MulRowsReLU's vector body over the first cols columns
+// (a positive multiple of 4) of rows > 0 rows of din > 0 entries, out's
+// and w's rows stride wide; the wrapper has checked the lengths.
+//
+//go:noescape
+func mulRowsReLUAVX(out, x *float64, rows, din int, w *float64, cols, stride int)

@@ -104,3 +104,208 @@ rows4:
 done:
 	VZEROUPPER
 	RET
+
+// func gatherRowsAVX(dst *float64, terms *Term, n int, src *float64, cols, stride int)
+//
+// addRowsScaledAVX's loop with two changes: the accumulators start at +0
+// instead of dst's values, and each term names its row (Term.Row at
+// offset 0, Term.W at 8) instead of taking the next one. Same operand
+// order: row·W, then product + accumulator.
+TEXT ·gatherRowsAVX(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ terms+8(FP), SI
+	MOVQ n+16(FP), R8
+	MOVQ src+24(FP), DX
+	MOVQ cols+32(FP), CX
+	MOVQ stride+40(FP), R9
+	SHLQ $3, R9
+
+gblock16:
+	CMPQ CX, $16
+	JLT  gblock4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, R10
+	MOVQ R8, R12
+
+gterms16:
+	MOVQ  0(R10), R11
+	IMULQ R9, R11
+	ADDQ  DX, R11
+	VBROADCASTSD 8(R10), Y4
+	VMOVUPD 0(R11), Y5
+	VMULPD  Y4, Y5, Y5
+	VADDPD  Y0, Y5, Y0
+	VMOVUPD 32(R11), Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  Y1, Y6, Y1
+	VMOVUPD 64(R11), Y7
+	VMULPD  Y4, Y7, Y7
+	VADDPD  Y2, Y7, Y2
+	VMOVUPD 96(R11), Y8
+	VMULPD  Y4, Y8, Y8
+	VADDPD  Y3, Y8, Y3
+	ADDQ $16, R10
+	DECQ R12
+	JNZ  gterms16
+
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, CX
+	JMP  gblock16
+
+gblock4:
+	TESTQ CX, CX
+	JZ    gdone
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, R10
+	MOVQ R8, R12
+
+gterms4:
+	MOVQ  0(R10), R11
+	IMULQ R9, R11
+	ADDQ  DX, R11
+	VBROADCASTSD 8(R10), Y4
+	VMOVUPD (R11), Y5
+	VMULPD  Y4, Y5, Y5
+	VADDPD  Y0, Y5, Y0
+	ADDQ $16, R10
+	DECQ R12
+	JNZ  gterms4
+
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  gblock4
+
+gdone:
+	VZEROUPPER
+	RET
+
+// func mulRowsReLUAVX(out, x *float64, rows, din int, w *float64, cols, stride int)
+//
+// Column blocks of 16 (four accumulators), then of 4; within a block,
+// row by row of x. Each row's accumulators start at +0 and take, for k
+// ascending, x[k]·w's row k (w·x, then product + accumulator, as in
+// addRowsScaledAVX) unless x[k] is ±0 — its bits shifted left past the
+// sign are zero; a NaN's are not, so it is kept. The block is stored
+// through VMAXPD with +0 as the first source, which gives (0 > v) ? 0 : v:
+// a negative v becomes +0, NaN and −0 pass, as the Go body's v < 0 test.
+TEXT ·mulRowsReLUAVX(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ din+24(FP), R13
+	SHLQ $3, R13
+	MOVQ w+32(FP), DX
+	MOVQ cols+40(FP), CX
+	MOVQ stride+48(FP), R9
+	SHLQ $3, R9
+	VXORPD Y15, Y15, Y15
+
+mblock16:
+	CMPQ CX, $16
+	JLT  mblock4
+	MOVQ x+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ DI, BX
+
+mrows16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, R10
+	LEAQ (SI)(R13*1), R12
+	MOVQ DX, R11
+
+mk16:
+	MOVQ (R10), AX
+	SHLQ $1, AX
+	JZ   mskip16
+	VBROADCASTSD (R10), Y4
+	VMOVUPD 0(R11), Y5
+	VMULPD  Y4, Y5, Y5
+	VADDPD  Y0, Y5, Y0
+	VMOVUPD 32(R11), Y6
+	VMULPD  Y4, Y6, Y6
+	VADDPD  Y1, Y6, Y1
+	VMOVUPD 64(R11), Y7
+	VMULPD  Y4, Y7, Y7
+	VADDPD  Y2, Y7, Y2
+	VMOVUPD 96(R11), Y8
+	VMULPD  Y4, Y8, Y8
+	VADDPD  Y3, Y8, Y3
+
+mskip16:
+	ADDQ $8, R10
+	ADDQ R9, R11
+	CMPQ R10, R12
+	JB   mk16
+
+	VMAXPD  Y0, Y15, Y0
+	VMAXPD  Y1, Y15, Y1
+	VMAXPD  Y2, Y15, Y2
+	VMAXPD  Y3, Y15, Y3
+	VMOVUPD Y0, 0(BX)
+	VMOVUPD Y1, 32(BX)
+	VMOVUPD Y2, 64(BX)
+	VMOVUPD Y3, 96(BX)
+	MOVQ R12, SI
+	ADDQ R9, BX
+	DECQ R8
+	JNZ  mrows16
+
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, CX
+	JMP  mblock16
+
+mblock4:
+	TESTQ CX, CX
+	JZ    mdone
+	MOVQ x+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ DI, BX
+
+mrows4:
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, R10
+	LEAQ (SI)(R13*1), R12
+	MOVQ DX, R11
+
+mk4:
+	MOVQ (R10), AX
+	SHLQ $1, AX
+	JZ   mskip4
+	VBROADCASTSD (R10), Y4
+	VMOVUPD (R11), Y5
+	VMULPD  Y4, Y5, Y5
+	VADDPD  Y0, Y5, Y0
+
+mskip4:
+	ADDQ $8, R10
+	ADDQ R9, R11
+	CMPQ R10, R12
+	JB   mk4
+
+	VMAXPD  Y0, Y15, Y0
+	VMOVUPD Y0, (BX)
+	MOVQ R12, SI
+	ADDQ R9, BX
+	DECQ R8
+	JNZ  mrows4
+
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  mblock4
+
+mdone:
+	VZEROUPPER
+	RET

@@ -2,10 +2,19 @@
 
 package mat
 
-// hasAVX is false off amd64: AddRowsScaled runs its Go body.
+// hasAVX is false off amd64: the row kernels run their Go bodies.
 func hasAVX() bool { return false }
 
-// addRowsScaledAVX is never called off amd64 (vector stays false).
+// The vector bodies are never called off amd64 (vector stays false).
+
 func addRowsScaledAVX(dst, x, w *float64, cols, rows, stride int) {
+	panic("mat: no vector body on this architecture")
+}
+
+func gatherRowsAVX(dst *float64, terms *Term, n int, src *float64, cols, stride int) {
+	panic("mat: no vector body on this architecture")
+}
+
+func mulRowsReLUAVX(out, x *float64, rows, din int, w *float64, cols, stride int) {
 	panic("mat: no vector body on this architecture")
 }
