@@ -156,7 +156,7 @@ func summarize(w io.Writer, traces []*obs.Trace, stats obs.ReplayStats, slowest 
 	fmt.Fprintf(w, "total:   us %s   ndc %s\n", pcts(totalUS, "%.0f"), pcts(totalNDC, "%.0f"))
 	fmt.Fprintf(w, "gammas:  steps %s\n", pcts(gammaSteps, "%.0f"))
 	if len(openedFrac) > 0 {
-		fmt.Fprintf(w, "opened/ranked: %s  (fraction of ranked neighbors whose distance was computed)\n",
+		fmt.Fprintf(w, "opened/ranked: %s  (fraction of the neighbors handed to the ranker that were opened)\n",
 			pcts(openedFrac, "%.2f"))
 	}
 

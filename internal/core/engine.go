@@ -163,7 +163,10 @@ type SearchOptions struct {
 // routing strategy runs the same np_route loop and fills the same fields;
 // BaselineRoute has no ranker, so its RankerCalls and M_rk tallies stay
 // zero and it opens every neighbor it ranks, one batch per explored node
-// (see TestSearchStatsConsistency).
+// (see TestSearchStatsConsistency). The oracle and M_rk are handed only
+// the neighbors whose distance the query does not know yet (route.Stats):
+// the known ones join the candidate pool free, and the neighbor tallies
+// do not count them.
 type QueryStats struct {
 	NDC int
 	// InitNDC/RouteNDC split NDC by pipeline stage: distance computations
@@ -171,8 +174,9 @@ type QueryStats struct {
 	InitNDC  int
 	RouteNDC int
 	Explored int
-	// RankerCalls counts neighbor-ranking invocations (one per explored
-	// node), the same quantity for the learned and the oracle ranker.
+	// RankerCalls counts ranked nodes (one per explored node, whether or
+	// not any neighbor was left unknown to rank), the same quantity for
+	// the learned and the oracle ranker.
 	RankerCalls   int
 	ISPredictions int
 	// RankerInferences and RankerMemoHits split M_rk's neighbour scores
@@ -183,9 +187,9 @@ type QueryStats struct {
 	RankerInferences int
 	RankerMemoHits   int
 	// BatchesOpened, GammaSteps and the neighbor tallies come from
-	// np_route: opened batches, γ-trajectory length, and neighbors ranked
-	// (or, without a ranker, batched) vs. opened (1 - Opened/Ranked is the
-	// prune rate).
+	// np_route: opened batches, γ-trajectory length, and neighbors handed
+	// to the ranker (or, without a ranker, batched) vs. opened (1 -
+	// Opened/Ranked is the prune rate).
 	BatchesOpened   int
 	GammaSteps      int
 	RankedNeighbors int
@@ -203,8 +207,8 @@ type QueryStats struct {
 	Total     time.Duration
 }
 
-// PruneRate returns the fraction of ranked neighbors whose distance was
-// never computed (0 when nothing was ranked).
+// PruneRate returns the fraction of the neighbors handed to the ranker
+// that were never opened (0 when nothing was ranked).
 func (s *QueryStats) PruneRate() float64 {
 	if s.RankedNeighbors == 0 {
 		return 0

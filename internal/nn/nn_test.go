@@ -472,3 +472,90 @@ func TestAdamStateFollowsRegistrationOrder(t *testing.T) {
 		t.Fatalf("b[0] = %v after its first step, want %v", got, want)
 	}
 }
+
+// unflushedAdam is Adam.Step as it was before moments were flushed: the
+// reference TestAdamFlushMatchesUnflushed holds the optimizer to.
+type unflushedAdam struct {
+	lr, beta1, beta2, eps float64
+	t                     int
+	w, m, v               []float64
+	// sawM/sawV record that a moment went subnormal, so the test is not
+	// vacuous.
+	sawM, sawV bool
+}
+
+func (a *unflushedAdam) step(grad []float64) {
+	a.t++
+	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
+	bc2 := 1 - math.Pow(a.beta2, float64(a.t))
+	for i, g := range grad {
+		a.m[i] = a.beta1*a.m[i] + (1-a.beta1)*g
+		a.v[i] = a.beta2*a.v[i] + (1-a.beta2)*g*g
+		a.w[i] -= a.lr * ((a.m[i] / bc1) / (math.Sqrt(a.v[i]/bc2) + a.eps))
+		if m := math.Abs(a.m[i]); m > 0 && m < minNormal {
+			a.sawM = true
+		}
+		if a.v[i] > 0 && a.v[i] < minNormal {
+			a.sawV = true
+		}
+	}
+}
+
+// TestAdamFlushMatchesUnflushed: flushing subnormal moments moves no
+// weight bit. Gradient entries arrive in bursts separated by zero runs
+// long enough (7,000–9,000 steps at β1 0.9) for m to decay through the
+// subnormals. Every fourth entry carries gradients near 1e-160, whose
+// square makes v subnormal at once. Every fourth other entry is a weight
+// near 1e-270 with gradients near 1e-285: its ulp is small enough that
+// flushing m anywhere above ~1e-292 would move it. After every step each
+// weight equals the unflushed reference's bit for bit.
+func TestAdamFlushMatchesUnflushed(t *testing.T) {
+	const n, steps = 12, 26000
+	rng := rand.New(rand.NewSource(5))
+	init := make([]float64, n)
+	for i := range init {
+		init[i] = rng.NormFloat64() * 0.3
+		if i%4 == 2 {
+			init[i] *= 1e-270
+		}
+	}
+	p := NewParams()
+	w := p.Add("w", &mat.Matrix{Rows: 1, Cols: n, Data: slices.Clone(init)})
+	w.Grad = mat.New(1, n)
+	opt := NewAdam(p, 0.01)
+	ref := &unflushedAdam{lr: opt.LR, beta1: opt.Beta1, beta2: opt.Beta2, eps: opt.Eps,
+		w: slices.Clone(init), m: make([]float64, n), v: make([]float64, n)}
+
+	// quietUntil[i] is the step at which entry i's current zero run ends.
+	quietUntil := make([]int, n)
+	for s := 0; s < steps; s++ {
+		for i := range w.Grad.Data {
+			g := 0.0
+			if s >= quietUntil[i] {
+				// A burst entry: mostly ordinary gradients, some tiny.
+				scale := math.Pow(10, -12*rng.Float64())
+				switch i % 4 {
+				case 2:
+					scale = 1e-285
+				case 3:
+					scale = 1e-160
+				}
+				g = rng.NormFloat64() * scale
+				if rng.Intn(40) == 0 {
+					quietUntil[i] = s + 7000 + rng.Intn(2000)
+				}
+			}
+			w.Grad.Data[i] = g
+		}
+		opt.Step()
+		ref.step(w.Grad.Data)
+		for i, got := range w.Data.Data {
+			if math.Float64bits(got) != math.Float64bits(ref.w[i]) {
+				t.Fatalf("step %d: w[%d] = %v (%#x), unflushed %v (%#x)", s, i, got, math.Float64bits(got), ref.w[i], math.Float64bits(ref.w[i]))
+			}
+		}
+	}
+	if !ref.sawM || !ref.sawV {
+		t.Fatalf("no subnormal moment reached (m %v, v %v): the sequence tests nothing", ref.sawM, ref.sawV)
+	}
+}

@@ -19,8 +19,9 @@ type QueryMetrics struct {
 	NDCInitial *Counter
 	NDCRouting *Counter
 	NDCVerify  *Counter
-	// PruningRatio is the fraction of ranked neighbors whose distance was
-	// never computed (np_route's whole point).
+	// PruningRatio is the fraction of the neighbors handed to the ranker
+	// that were never opened (np_route's whole point); neighbors whose
+	// distance a search already knew are not handed over.
 	PruningRatio *Histogram
 	// GammaSteps is the length of the γ-threshold trajectory (np_route
 	// supersteps per query).
@@ -68,7 +69,7 @@ func Query() *QueryMetrics {
 			BatchesOpened: r.Counter("lan_route_batches_opened_total",
 				"Neighbor batches whose distances were computed during routing."),
 			RankerCalls: r.Counter("lan_route_ranker_calls_total",
-				"Per-node neighbor-ranking invocations during routing (learned or oracle)."),
+				"Nodes ranked during routing (learned or oracle), one per explored node; a node whose neighbors all had known distances counts without invoking the ranker."),
 			RankerInferences: r.Counter("lan_ranker_inferences_total",
 				"Cross-graph inferences M_rk ran, each with the cross columns of its heads' first layer: one per distinct neighbor scored in a search."),
 			RankerMemoHits: r.Counter("lan_ranker_memo_hits_total",

@@ -53,8 +53,9 @@ type Trace struct {
 }
 
 // TraceStep records one exploration step: the node whose neighborhood was
-// expanded, its distance to the query, how many neighbors the ranker saw
-// vs. how many had their distance computed (opened), the threshold in
+// expanded, its distance to the query, how many neighbors the ranker was
+// handed (those whose distance the search did not know yet; without a
+// ranker, all) vs. how many of them were opened, the threshold in
 // force (γ in np_route's superstep phase, the current node's distance in
 // the greedy phase) and the cumulative NDC after the step.
 type TraceStep struct {

@@ -3,7 +3,9 @@
 // step the current node's PG-neighbors are ranked into batches of y% each
 // by a Ranker — an oracle or a learned model — and batches are opened
 // lazily under a growing GED threshold, so distances to unpromising
-// neighbors are never computed. Without a ranker every neighbor is one
+// neighbors are never computed. Neighbors whose distance the query
+// already knows are not ranked: they join the candidate pool free and
+// never stop the opening. Without a ranker every neighbor is one
 // batch and Route is the baseline beam search (Algorithm 1); with an
 // oracle ranker the search results provably equal the baseline's while
 // NDC never increases (Lemma 1, Theorem 1).
@@ -11,6 +13,7 @@ package route
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"github.com/lansearch/lan/ged"
@@ -21,7 +24,8 @@ import (
 
 // Ranker orders the PG-neighbors of a node by predicted proximity to the
 // query and partitions them into batches (B_0 holds the predicted-closest
-// y% and so on). dCurrent is the known distance from the query to the node
+// y% and so on). Route hands it only the neighbors whose distance the
+// query does not know yet, and never an empty list. dCurrent is the known distance from the query to the node
 // whose neighbors are ranked — learned rankers use it to fall back to a
 // single batch outside the query's neighborhood. Rankers are constructed
 // per query, so implementations may close over per-search state (the
@@ -125,21 +129,26 @@ func (c *Config) defaults() {
 	}
 }
 
-// Stats reports the routing effort.
+// Stats reports the routing effort. With a ranker, a node's neighbors
+// whose distance the query already knows when the node is ranked form its
+// known set: they join W at no NDC and are never handed to the ranker, so
+// Ranked, Opened and BatchesOpened count the unknown neighbors only.
 type Stats struct {
 	// NDC is the number of distance computations.
 	NDC int
 	// Explored counts nodes whose neighbors were (partially) explored.
 	Explored int
-	// RankerCalls counts neighbor-ranking invocations (model inferences
-	// happen inside these).
+	// RankerCalls counts ranked nodes, one per explored node, including a
+	// node whose neighbors were all known and so never reached the
+	// ranker (model inferences happen inside the calls that did).
 	RankerCalls int
 	// BatchesOpened counts opened neighbor batches across all nodes.
 	BatchesOpened int
-	// Ranked counts neighbors handed to the ranker; Opened counts
-	// neighbors whose batch was opened (distance computed). 1 -
-	// Opened/Ranked is the prune rate — the fraction of ranked neighbors
-	// np_route never paid a distance for.
+	// Ranked counts neighbors handed to the ranker (without one, every
+	// neighbor, in one batch); Opened counts those whose batch was opened
+	// (distance paid or read from the memo). 1 - Opened/Ranked is the
+	// prune rate — the fraction of the neighbors the ranker was asked
+	// about that np_route never opened.
 	Ranked int
 	Opened int
 	// GammaSteps is the number of stage-2 supersteps (the length of the
@@ -149,6 +158,10 @@ type Stats struct {
 
 // nodeState tracks the batch progress of one PG node during a query.
 type nodeState struct {
+	// known holds the neighbors whose distance was already in the cache
+	// when the node was ranked (a ranker set): they are in no batch, so
+	// they never stop the opening of the batches that follow.
+	known   []int
 	batches [][]int
 	opened  int
 }
@@ -161,8 +174,12 @@ type router struct {
 	ranker Ranker // nil: Algorithm 1, every neighbor in one batch
 	cfg    Config
 
-	w        *pg.Pool
-	states   map[int]*nodeState
+	w      *pg.Pool
+	states map[int]*nodeState
+	// ids is the chunk the nodes' known sets and the ranker's inputs are
+	// cut from, so splitting a node's neighbors allocates only when a
+	// chunk runs out; a cut is never written after it is made.
+	ids      []int
 	explored []int // exploration order
 	stats    Stats
 	trace    *obs.Trace // nil when tracing is disabled
@@ -184,7 +201,9 @@ func (r *router) canceled() bool {
 }
 
 // state lazily ranks and batches the neighbors of node id; without a
-// ranker they form one batch.
+// ranker they form one batch. With one, the neighbors whose distance is
+// known join W now, at no NDC, and only the unknown rest is ranked — the
+// ranker is not called when none is left.
 func (r *router) state(id int, dCurrent float64) *nodeState {
 	if s, ok := r.states[id]; ok {
 		return s
@@ -193,18 +212,56 @@ func (r *router) state(id int, dCurrent float64) *nodeState {
 	s := &nodeState{}
 	switch {
 	case r.ranker != nil:
-		s.batches = r.ranker.Batches(id, neighbors, dCurrent)
+		unknown := r.split(s, neighbors)
+		for _, nb := range s.known {
+			r.w.Add(nb, r.cache.Dist(nb))
+		}
+		if len(unknown) > 0 {
+			s.batches = r.ranker.Batches(id, unknown, dCurrent)
+			r.stats.Ranked += len(unknown)
+		}
 		r.stats.RankerCalls++
 	case len(neighbors) > 0:
 		s.batches = [][]int{neighbors}
+		r.stats.Ranked += len(neighbors)
 	}
-	r.stats.Ranked += len(neighbors)
 	r.states[id] = s
 	return s
 }
 
+// idChunk is the size of a chunk of r.ids: a few ranked nodes' worth on
+// the benchmark's indexes, so a query cuts its splits from a handful.
+const idChunk = 512
+
+// split sets s.known to the neighbors whose distance the cache holds and
+// returns the others, both in PG order and cut from r.ids.
+func (r *router) split(s *nodeState, neighbors []int) []int {
+	n := len(neighbors)
+	if cap(r.ids)-len(r.ids) < n {
+		r.ids = make([]int, 0, max(idChunk, n))
+	}
+	cut := r.ids[len(r.ids) : len(r.ids)+n : len(r.ids)+n]
+	r.ids = r.ids[:len(r.ids)+n]
+	// Unknown neighbors fill the cut from the front, known ones from the
+	// back; reversing the back restores their order.
+	u, k := 0, n
+	for _, nb := range neighbors {
+		if r.cache.Known(nb) {
+			k--
+			cut[k] = nb
+		} else {
+			cut[u] = nb
+			u++
+		}
+	}
+	s.known = cut[k:]
+	slices.Reverse(s.known)
+	return cut[:u:u]
+}
+
 // farthestOpened returns the largest known distance among the members of
-// the opened batches of s (-inf when none opened).
+// the opened batches of s (ok false when none opened); the known set is
+// not read.
 func (r *router) farthestOpened(s *nodeState) (float64, bool) {
 	found := false
 	far := 0.0
@@ -264,15 +321,21 @@ func (r *router) rankExpl(id int, gamma, dCurrent float64) {
 }
 
 // allQualiNeigh is Algorithm 3: make sure every neighbor of explored node
-// id with distance below gamma is in W — re-adding known members of opened
-// batches and opening new batches as needed. A known member farther than
-// cutoff (the pool's Cutoff when the sweep began) would be evicted by the
-// sweep's Resize, so it is not re-added.
+// id with distance below gamma is in W — re-adding the known set and the
+// members of opened batches, and opening new batches as needed. A member
+// farther than cutoff (the pool's Cutoff when the sweep began) would be
+// evicted by the sweep's Resize, so it is not re-added. Only opened
+// batches, not the known set, stop the sweep at gamma.
 func (r *router) allQualiNeigh(id int, gamma, cutoff float64) {
 	if r.canceled() {
 		return
 	}
 	s := r.states[id] // explored nodes always have state
+	for _, nb := range s.known {
+		if d := r.cache.Dist(nb); d <= cutoff {
+			r.w.Add(nb, d)
+		}
+	}
 	for j := 0; j < s.opened; j++ {
 		hit := false
 		for _, nb := range s.batches[j] {

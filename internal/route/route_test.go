@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -371,16 +372,22 @@ func TestRouteStatsPopulated(t *testing.T) {
 }
 
 // TestFullExplorationRankerMatchesBaselineExactly: a ranker that puts every
-// neighbor in one 100% batch is the nil ranker's Algorithm 1 bit for bit —
-// results, statistics, cache hits, every trace step and γ — except that it
-// counts its ranker calls.
+// neighbor it is handed in one 100% batch walks the nil ranker's
+// Algorithm 1 exactly — results, NDC, cache hits, explored steps and γ.
+// Only the counters differ, by the known set: the ranker is handed only
+// the neighbors whose distance is not yet known, so every one it ranks is
+// opened and paid once (Ranked == Opened == NDC − 1, the entry being the
+// other call), a batch is opened only for a node with an unknown
+// neighbor, and every explored node still counts a ranker call.
 func TestFullExplorationRankerMatchesBaselineExactly(t *testing.T) {
 	metric := ged.MetricFunc(ged.Hungarian)
 	db := clusteredDB(21, 6, 8)
 	h := buildIndex(t, db, 21)
 	gen := graph.NewGenerator(3)
 	labels := []string{"C", "N", "O", "S"}
+	var withUnknown int // explored nodes handed at least one neighbor
 	all := RankerFunc(func(node int, neighbors []int, d float64) [][]int {
+		withUnknown++
 		return SplitBatches(append([]int(nil), neighbors...), 100)
 	})
 	for qi := 0; qi < 5; qi++ {
@@ -395,6 +402,7 @@ func TestFullExplorationRankerMatchesBaselineExactly(t *testing.T) {
 			return res, st, c.Hits(), tr
 		}
 		wantRes, wantStats, wantHits, wantTr := run(nil)
+		withUnknown = 0
 		gotRes, gotStats, gotHits, gotTr := run(all)
 
 		if wantStats.RankerCalls != 0 || wantStats.Ranked != wantStats.Opened || wantStats.Opened == 0 ||
@@ -402,17 +410,153 @@ func TestFullExplorationRankerMatchesBaselineExactly(t *testing.T) {
 			t.Errorf("query %d: nil ranker is not one opened batch per explored node: %+v", qi, wantStats)
 		}
 		if gotStats.RankerCalls != gotStats.Explored {
-			t.Errorf("query %d: 100%% ranker called %d times for %d explored nodes", qi, gotStats.RankerCalls, gotStats.Explored)
+			t.Errorf("query %d: 100%% ranker counted %d calls for %d explored nodes", qi, gotStats.RankerCalls, gotStats.Explored)
 		}
-		gotStats.RankerCalls = 0
-		if !sameResults(gotRes, wantRes) || gotStats != wantStats || gotHits != wantHits {
+		if gotStats.Ranked != gotStats.Opened || gotStats.Opened != gotStats.NDC-1 {
+			t.Errorf("query %d: 100%% ranker ranked %d and opened %d neighbors for NDC %d; want NDC-1 each", qi, gotStats.Ranked, gotStats.Opened, gotStats.NDC)
+		}
+		if gotStats.BatchesOpened != withUnknown || withUnknown >= gotStats.Explored {
+			t.Errorf("query %d: %d batches opened, %d nodes with an unknown neighbor, %d explored; want the first two equal and below the third",
+				qi, gotStats.BatchesOpened, withUnknown, gotStats.Explored)
+		}
+		if gotStats.Ranked >= wantStats.Ranked {
+			t.Errorf("query %d: known set handed the ranker %d neighbors, the nil ranker batched %d", qi, gotStats.Ranked, wantStats.Ranked)
+		}
+		if !sameResults(gotRes, wantRes) || gotStats.NDC != wantStats.NDC || gotStats.Explored != wantStats.Explored ||
+			gotStats.GammaSteps != wantStats.GammaSteps || gotHits != wantHits {
 			t.Fatalf("query %d: 100%%-batch np_route != nil ranker\n np: %v %+v hits %d\n nil: %v %+v hits %d",
 				qi, gotRes, gotStats, gotHits, wantRes, wantStats, wantHits)
 		}
-		if !reflect.DeepEqual(gotTr.Steps, wantTr.Steps) || !reflect.DeepEqual(gotTr.Gammas, wantTr.Gammas) {
+		// The trace steps keep node, distance, γ and NDC; their
+		// ranked/opened counts follow Stats.
+		if len(gotTr.Steps) != len(wantTr.Steps) || !reflect.DeepEqual(gotTr.Gammas, wantTr.Gammas) {
 			t.Fatalf("query %d: traces differ\n np:  %v %v\n nil: %v %v", qi, gotTr.Steps, gotTr.Gammas, wantTr.Steps, wantTr.Gammas)
 		}
+		ranked, opened := 0, 0
+		for i, g := range gotTr.Steps {
+			w := wantTr.Steps[i]
+			if g.Node != w.Node || g.Dist != w.Dist || g.Gamma != w.Gamma || g.NDC != w.NDC {
+				t.Fatalf("query %d: step %d is %+v, nil ranker's %+v", qi, i, g, w)
+			}
+			ranked += g.Ranked
+			opened += g.Opened
+		}
+		if ranked != gotStats.Ranked || opened != gotStats.Opened {
+			t.Errorf("query %d: trace steps ranked %d and opened %d; stats %d and %d", qi, ranked, opened, gotStats.Ranked, gotStats.Opened)
+		}
 	}
+}
+
+// TestRankerNeverHandedKnownNeighbor: on the Theorem 1 fixture, under the
+// oracle, a 100%-batch ranker and a 20% ranker in PG order, np_route
+// hands a ranker only neighbors of the ranked node whose distance the
+// query's cache does not hold, ranks each node at most once, calls the
+// ranker for no node without such a neighbor, and counts in Ranked
+// exactly the neighbors it handed over.
+func TestRankerNeverHandedKnownNeighbor(t *testing.T) {
+	metric := ged.MetricFunc(ged.Hungarian)
+	rankers := []struct {
+		name string
+		make func(c *pg.DistCache) Ranker
+	}{
+		{"oracle", func(c *pg.DistCache) Ranker { return &OracleRanker{Cache: c, BatchPercent: 20} }},
+		{"100%", func(*pg.DistCache) Ranker {
+			return RankerFunc(func(_ int, nbs []int, _ float64) [][]int { return SplitBatches(nbs, 100) })
+		}},
+		{"20%", func(*pg.DistCache) Ranker {
+			return RankerFunc(func(_ int, nbs []int, _ float64) [][]int { return SplitBatches(nbs, 20) })
+		}},
+	}
+	var handed, known int
+	eachFixtureRouting(t, func(name string, h *pg.HNSW, db graph.Database, q *graph.Graph, entry int, cfg Config) {
+		for _, rk := range rankers {
+			c := pg.NewDistCache(metric, db, q)
+			inner := rk.make(c)
+			ranked := make(map[int]bool)
+			count := 0
+			rec := RankerFunc(func(node int, nbs []int, d float64) [][]int {
+				if len(nbs) == 0 {
+					t.Fatalf("%s, %s ranker: called with no neighbor for node %d", name, rk.name, node)
+				}
+				if ranked[node] {
+					t.Fatalf("%s, %s ranker: node %d ranked twice", name, rk.name, node)
+				}
+				ranked[node] = true
+				adj := h.PG.Neighbors(node)
+				for _, nb := range nbs {
+					if c.Known(nb) {
+						t.Fatalf("%s, %s ranker: node %d handed neighbor %d, whose distance is cached", name, rk.name, node, nb)
+					}
+					if !slices.Contains(adj, nb) {
+						t.Fatalf("%s, %s ranker: node %d handed %d, not its neighbor", name, rk.name, node, nb)
+					}
+				}
+				for _, nb := range adj {
+					if c.Known(nb) {
+						known++
+					}
+				}
+				count += len(nbs)
+				return inner.Batches(node, nbs, d)
+			})
+			_, st, err := Route(context.Background(), h.PG, c, rec, entry, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Ranked != count {
+				t.Fatalf("%s, %s ranker: Ranked %d, handed %d", name, rk.name, st.Ranked, count)
+			}
+			if st.RankerCalls != st.Explored || len(ranked) > st.Explored {
+				t.Fatalf("%s, %s ranker: %d ranker calls counted, %d made, %d explored", name, rk.name, st.RankerCalls, len(ranked), st.Explored)
+			}
+			handed += count
+		}
+	})
+	if known == 0 {
+		t.Fatal("no ranked node had a known neighbor: the fixture tests nothing")
+	}
+	t.Logf("%d neighbors handed to rankers; %d known neighbors of ranked nodes kept from them", handed, known)
+}
+
+// TestKnownSetAllocsPerQuery: splitting ranked nodes' neighbors into
+// known and unknown allocates per query, not per node. Over a
+// precomputed-distance metric (no GED allocations), a 100%-batch ranker
+// that allocates one batch list per call walks the nil ranker's path; the
+// nil ranker allocates one batch list per explored node, so beyond those
+// the two may differ by the one chunk the splits are cut from.
+func TestKnownSetAllocsPerQuery(t *testing.T) {
+	db := clusteredDB(42, 12, 10)
+	h := buildIndex(t, db, 42)
+	q := graph.NewGenerator(7).Mutate(db[11], 1, []string{"C", "N", "O", "S"})
+	dist := make(map[*graph.Graph]float64, len(db))
+	for _, g := range db {
+		dist[g] = ged.Hungarian(g, q)
+	}
+	metric := ged.MetricFunc(func(g, _ *graph.Graph) float64 { return dist[g] })
+	calls := 0
+	all := RankerFunc(func(_ int, nbs []int, _ float64) [][]int {
+		calls++
+		return [][]int{nbs}
+	})
+	var st Stats
+	allocs := func(rk Ranker) float64 {
+		return testing.AllocsPerRun(10, func() {
+			_, st, _ = Route(context.Background(), h.PG, pg.NewDistCache(metric, db, q), rk, 0, Config{K: 5, Beam: 12})
+		})
+	}
+	nilAllocs := allocs(nil)
+	explored := st.Explored
+	calls = 0
+	rkAllocs := allocs(all)
+	perRun := float64(calls) / 11 // AllocsPerRun adds a warm-up run
+	if st.Explored != explored {
+		t.Fatalf("100%% ranker explored %d nodes, nil ranker %d", st.Explored, explored)
+	}
+	if rkAllocs-perRun > nilAllocs-float64(explored)+1 {
+		t.Fatalf("ranker route: %.1f allocs less %.1f ranker batch lists; nil ranker: %.1f less %d batch lists",
+			rkAllocs, perRun, nilAllocs, explored)
+	}
+	t.Logf("%d explored: nil ranker %.1f allocs, 100%% ranker %.1f (%.1f its own)", explored, nilAllocs, rkAllocs, perRun)
 }
 
 // cancelInside is a metric that cancels a context from inside its n-th

@@ -210,7 +210,10 @@ type Result struct {
 }
 
 // Stats report a query's cost; NDC (the number of GED computations) is
-// the paper's primary efficiency metric.
+// the paper's primary efficiency metric. RankedNeighbors counts the
+// neighbors handed to the ranker: those whose distance the search already
+// knew join the candidate pool without being ranked, so the prune rate is
+// taken over the unknown neighbors only.
 type Stats = core.QueryStats
 
 // Trace is a per-query routing trace: the entry node, every routing step
