@@ -41,10 +41,15 @@ race:
 # beside the Go one, BenchmarkGatherRows/{vector,go} (one group's
 # aggregation at a dense cross level) and BenchmarkMulRowsReLU/{vector,go}/
 # {dense,sparse} (one side's product by W, from a dense level and from a
-# one-hot-like one), and the two training products, BenchmarkMulTInto and
-# BenchmarkTMulInto, at the shape cg.linearBack runs — GED arena kernels beside their reference
+# one-hot-like one), and the training step's two, BenchmarkAddOuter/
+# {vector,go} (a weight gradient at the shape cg.linearBack forms it and at
+# a head's first layer) and BenchmarkAdamStep/{vector,go} (one update of a
+# head's first layer) — GED arena kernels beside their reference
 # twins — A*, ensemble, Hungarian, VJ, beam — and BenchmarkEnsembleMembers,
-# the split of one ensemble call by member, the model kernels beside
+# the split of one ensemble call by member, on a graph against its mutants
+# (aids, syn) and on independently generated graphs of the same shapes
+# (aids-apart, syn-apart), its assignment members also reporting
+# searches/solve and pops/solve, the model kernels beside
 # theirs — BenchmarkCrossInfer/{aids,syn} (syn is the cross call of
 # syn_hung), BenchmarkRankerCall/{aids,syn} (syn is the
 # shape models.us_per_ranker_call is measured at on syn_hung),

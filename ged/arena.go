@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -26,13 +27,15 @@ type pairCtx struct {
 	hWords  int
 	hM      int32
 
-	// Label interning: labelID maps label strings of both graphs to dense
-	// ids; gLab/hLab hold the interned label of each node.
-	labelID map[string]int32
-	nLabels int
-	gLab    []int32
-	hLab    []int32
-	hAdj    []uint64 // hN rows of hWords words: the adjacency bitset of h
+	// Label interning: labels[id] is the label string of dense id id, and
+	// labelSlot the open-addressing table from a label's hash to id+1 (0
+	// empty); gLab/hLab hold the interned label of each node.
+	labels    []string
+	labelSlot []int32
+	nLabels   int
+	gLab      []int32
+	hLab      []int32
+	hAdj      []uint64 // hN rows of hWords words: the adjacency bitset of h
 
 	// Static g-side search tables, filled by prepSearch.
 	order       []int32 // g nodes in processing order (degree descending)
@@ -40,6 +43,7 @@ type pairCtx struct {
 	suffixHist  []int32 // (gN+1) x nLabels label histogram of order[i:]
 	suffixEdges []int32 // edges with both endpoints at positions >= i
 	hHist       []int32 // label histogram of h
+	lbHist      []int32 // labelBound's label multiset of g, less h's
 
 	// Per-parent tables, filled by prepParent before a state's children
 	// are priced: usedHist is the state's used-h-node label histogram; img
@@ -82,7 +86,20 @@ type pairCtx struct {
 	ia, ib, ic    []int32
 	assign        []int32
 	scanned       []scan
-	lvl           []uint64
+	lvl, seen     []uint64
+	deg           []int32 // fillCosts' node degrees of the column graph
+	// The node rows' zero-reduced-cost cells (walk): row i's are
+	// zeroCells[i·(n2+1):][:zeroN[i]], ascending, valid while zeroTag[i] is
+	// epoch and the row's base has the bits zeroBase[i]; zeroN[i] is -1
+	// when the row has a negative reduced cost. epoch moves whenever a
+	// column potential does, and at every startSolve, and never goes back,
+	// so no entry outlives the potentials or the solve it was made under.
+	zeroCells        []int32
+	zeroN            []int32
+	zeroTag          []uint64
+	zeroBase         []uint64
+	epoch            uint64
+	searches, popped int // full searches and column pops since load
 	// solves counts assignment problems solved since load: what the
 	// ensemble is held to (two per fallback, none when A* finishes).
 	solves int
@@ -145,7 +162,7 @@ func acquireAsGiven(g, h *graph.Graph) *pairCtx {
 	if c == nil {
 		arenaNews.Add(1)
 		// A pool miss: one arena per concurrent caller, then reused for the life of the process.
-		c = &pairCtx{labelID: make(map[string]int32)}
+		c = &pairCtx{}
 	}
 	c.load(g, h)
 	return c
@@ -174,30 +191,58 @@ func (c *pairCtx) footprint() int {
 	const candBytes, stateBytes = int(unsafe.Sizeof(searchCand{})), int(unsafe.Sizeof(searchState{}))
 	return cap(c.cands)*candBytes + (cap(c.frontier)+cap(c.next))*stateBytes +
 		8*(cap(c.cost)+cap(c.hAdj)+cap(c.usedA)+cap(c.usedB)+cap(c.img)+cap(c.seq)) +
-		4*(cap(c.heap)+cap(c.suffixHist)+cap(c.phiA)+cap(c.phiB))
+		4*(cap(c.heap)+cap(c.suffixHist)+cap(c.phiA)+cap(c.phiB)+cap(c.zeroCells))
 }
 
 // intern returns the dense id of label l, assigning the next id on first
-// sight.
+// sight. The table is the arena's own, sized to the labels of the pair it
+// holds and emptied by load, so no request graph grows anything that
+// outlives its call; a label's id depends only on the order of first sight,
+// as with a map.
 func (c *pairCtx) intern(l string) int32 {
-	if id, ok := c.labelID[l]; ok {
-		return id
+	mask := uint32(len(c.labelSlot) - 1)
+	i := labelHash(l) & mask
+	for {
+		id := c.labelSlot[i] - 1
+		if id < 0 {
+			break
+		}
+		if c.labels[id] == l {
+			return id
+		}
+		i = (i + 1) & mask
 	}
 	id := int32(c.nLabels)
-	c.labelID[l] = id
+	c.labelSlot[i] = id + 1
+	c.labels = append(c.labels, l)
 	c.nLabels++
 	return id
+}
+
+// labelHash is FNV-1a over the label's bytes.
+func labelHash(l string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(l); i++ {
+		h = (h ^ uint32(l[i])) * 16777619
+	}
+	return h
 }
 
 // load points the arena at (g, h) as given and computes what every kernel
 // needs: interned labels and h's adjacency bitset.
 func (c *pairCtx) load(g, h *graph.Graph) {
-	c.g, c.h, c.swapped, c.solves = g, h, false, 0
+	c.g, c.h, c.swapped = g, h, false
+	c.solves, c.searches, c.popped = 0, 0, 0
 	c.gN, c.hN = g.N(), h.N()
 	c.hWords = (c.hN + 63) / 64
 	c.hM = int32(h.M())
 
-	clear(c.labelID)
+	// At most gN+hN labels: a table at least twice that keeps every probe
+	// sequence short and never full.
+	c.labelSlot = grow(c.labelSlot, max(16, 1<<bits.Len(uint(2*(c.gN+c.hN)))))
+	clear(c.labelSlot)
+	clear(c.labels)
+	c.labels = c.labels[:0]
 	c.nLabels = 0
 	c.gLab = grow(c.gLab, c.gN)
 	for u := 0; u < c.gN; u++ {

@@ -16,12 +16,25 @@ import (
 // Deleting every node of one graph and inserting every node of the other is
 // a perfect matching on finite cells, so an optimal solver never assigns an
 // infeasible cell, and a cell that is never assigned decides nothing. The
-// solvers below therefore look only at a row's finite cells: n2+1 of them
-// in a node row, n1+1 in a padding row. They are the textbook algorithms,
-// phase for phase and tie for tie — refSolveHungarian and refSolveJV in
-// reference_test.go, which run on the dense matrix, return the same
-// assignment array on every instance — but each phase is written as what it
-// is on this matrix, a shortest-augmenting-path search (augment).
+// solvers below are the textbook algorithms, phase for phase and tie for
+// tie — refSolveHungarian and refSolveJV in reference_test.go, which run
+// on the dense matrix, return the same assignment array on every instance
+// — but each phase is written as what it is on this matrix. What differs
+// from the dense solvers, none of it changing a comparison's outcome:
+//
+//   - only a row's finite cells are read: n2+1 of them in a node row, n1+1
+//     in a padding row;
+//   - a phase that grows the matching by one row is a shortest augmenting
+//     path search (augment), whose own departures from the dense loops are
+//     listed at augment;
+//   - a free node row whose cheapest cell is in a free column takes that
+//     cell without a search (settle): the search's first scan would end
+//     there, moving no potential;
+//   - a free padding row first looks for an augmenting path among the
+//     cells of zero reduced cost (walk), which is the part of the search
+//     at distance 0; only when there is none does the search run, from the
+//     start. The node rows' zero cells are kept from one walk to the next
+//     while no potential moves.
 //
 // The row -> column assignment is left in c.assign[:n], columns -> rows in
 // c.ia[:n] (-1 while free) and the column potentials in c.fa[:n].
@@ -33,7 +46,11 @@ func (c *pairCtx) startSolve() {
 	n := c.n1 + c.n2
 	c.assign, c.ia, c.ic = grow(c.assign, n), grow(c.ia, n), grow(c.ic, n)
 	c.fa, c.fb = grow(c.fa, n), grow(c.fb, n)
-	c.scanned, c.lvl = grow(c.scanned, n), grow(c.lvl, (n+63)/64)
+	c.scanned = grow(c.scanned, n)
+	c.lvl, c.seen = grow(c.lvl, (n+63)/64), grow(c.seen, (n+63)/64)
+	c.zeroCells = grow(c.zeroCells, c.n1*(c.n2+1))
+	c.zeroN, c.zeroTag, c.zeroBase = grow(c.zeroN, c.n1), grow(c.zeroTag, c.n1), grow(c.zeroBase, c.n1)
+	c.epoch++
 	for j := range c.assign {
 		c.assign[j], c.ia[j] = -1, -1
 	}
@@ -46,8 +63,21 @@ func (c *pairCtx) startSolve() {
 func (c *pairCtx) solveHungarian() {
 	c.startSolve()
 	for f := 0; f < c.n1+c.n2; f++ {
-		c.augment(int32(f))
+		c.extend(int32(f))
 	}
+}
+
+// extend grows the matching by free row f: by settle or walk where they
+// find the row's augmenting path, else by the search.
+func (c *pairCtx) extend(f int32) {
+	if int(f) < c.n1 {
+		if c.settle(f) {
+			return
+		}
+	} else if c.walk(f) {
+		return
+	}
+	c.augment(f)
 }
 
 // twoMin keeps the two smallest values offered to it, each with the first
@@ -166,10 +196,10 @@ func (c *pairCtx) solveJV() {
 		c.ib, c.ic = c.ic, c.ib
 	}
 
-	// The rows still free are in c.ib; augment takes c.ic for its own use.
+	// The rows still free are in c.ib; walk and augment take c.ic for pred.
 	c.ic = grow(c.ic, n)
 	for _, f := range c.ib {
-		c.augment(f)
+		c.extend(f)
 	}
 }
 
@@ -235,9 +265,10 @@ func (c *pairCtx) augment(f int32) {
 	n1, n2 := c.n1, c.n2
 	n := n1 + n2
 	sub, v, dist := c.sub, c.fa[:n], c.fb[:n]
-	rowsol, colsol, pred := c.assign[:n], c.ia[:n], c.ic[:n]
+	colsol, pred := c.ia[:n], c.ic[:n]
 	scanned, lvl := c.scanned[:0:n], c.lvl[:(n+63)/64]
 	inf, ninf := math.Inf(1), math.Inf(-1)
+	c.searches++
 	for j := range dist {
 		dist[j] = inf
 	}
@@ -298,6 +329,7 @@ func (c *pairCtx) augment(f int32) {
 			j = lowestBit(lvl)
 		}
 		lvl[j>>6] &^= 1 << (j & 63)
+		c.popped++
 		d := dist[j]
 		dist[j] = ninf
 		scanned = append(scanned, scan{int32(j), d})
@@ -310,9 +342,19 @@ func (c *pairCtx) augment(f int32) {
 
 	last := scanned[len(scanned)-1]
 	for _, s := range scanned {
+		if s.d < last.d {
+			c.epoch++ // a potential moves: every cached zero cell is stale
+		}
 		v[s.j] += s.d - last.d
 	}
-	for j := last.j; ; {
+	c.flip(f, last.j)
+}
+
+// flip assigns column j to its pred and walks the augmenting path back to
+// free row f, handing each row on it the column it was reached through.
+func (c *pairCtx) flip(f int32, j int32) {
+	rowsol, colsol, pred := c.assign, c.ia, c.ic
+	for {
 		i := pred[j]
 		colsol[j] = i
 		j, rowsol[i] = rowsol[i], j
@@ -320,6 +362,171 @@ func (c *pairCtx) augment(f int32) {
 			return
 		}
 	}
+}
+
+// settle assigns free node row f the column augment's first scan would
+// take — the lowest among those of the smallest offer cost[f][j] − v[j] —
+// when that column is free, and reports whether it did. The search would
+// end there with a path of one cell, moving that column's potential by
+// d − d (+0: a potential is never −0, so not at all), so settle is the
+// search on the one path that needs none of its state.
+func (c *pairCtx) settle(f int32) bool {
+	n2 := c.n2
+	v := c.fa
+	jm, dm := -1, math.Inf(1)
+	for j, cij := range c.sub[int(f)*n2:][:n2] {
+		// The base is 0: base + cij − v[j], as augment computes it.
+		if d := 0 + cij - v[j]; d < dm {
+			jm, dm = j, d
+		}
+	}
+	if d := 0 + c.del[f] - v[n2+int(f)]; d < dm {
+		jm = n2 + int(f)
+	}
+	if c.ia[jm] >= 0 {
+		return false
+	}
+	c.assign[f], c.ia[jm] = int32(jm), f
+	return true
+}
+
+// walk grows the matching by free padding row f along a path of cells of
+// zero reduced cost, when there is one, and reports whether it did. It is
+// augment's search while its distance level is 0 — the same columns
+// scanned in the same order, each with the same pred — stopped where that
+// level has no free column, or where an offer falls below it (JV's
+// positive potentials allow one): there augment runs the search from the
+// start. A path at distance 0 moves no potential (each scanned column's
+// by 0 − 0), and the cell it assigns each row on it is tight, so every
+// row's implicit potential stays what it was. What it saves:
+//
+//   - a node row entering the tree offers only its zero cells, kept in
+//     zeroCells between walks while no potential moves;
+//   - the padding columns that padding rows hold at potential 0 are not
+//     scanned: such a row enters at base 0, which is not below the root's,
+//     so it offers only its insertion cell, and that is passed over when
+//     its reduced cost is above 0, checked before the column is skipped;
+//   - no distance vector is reset: a bitset marks the columns reached.
+func (c *pairCtx) walk(f int32) bool {
+	n1, n2 := c.n1, c.n2
+	n := n1 + n2
+	v, ins := c.fa[:n], c.ins
+	colsol, pred := c.ia[:n], c.ic[:n]
+	lvl, seen := c.lvl[:(n+63)/64], c.seen[:(n+63)/64]
+	clear(lvl)
+	clear(seen)
+	reach := func(j int, i int32) {
+		if seen[j>>6]&(1<<(j&63)) == 0 {
+			seen[j>>6] |= 1 << (j & 63)
+			lvl[j>>6] |= 1 << (j & 63)
+			pred[j] = i
+		}
+	}
+
+	// The root offers every padding column 0 − v[j] and its insertion
+	// cell, as augment's first row does.
+	for j := n2; j < n; j++ {
+		d := 0 - v[j]
+		if d < 0 {
+			return false
+		}
+		if d == 0 {
+			if r := colsol[j]; int(r) >= n1 {
+				if d := 0 + ins[int(r)-n1] - v[int(r)-n1]; d > 0 {
+					continue
+				} else if d < 0 {
+					return false
+				}
+			}
+			reach(j, f)
+		}
+	}
+	k := int(f) - n1
+	if d := 0 + ins[k] - v[k]; d < 0 {
+		return false
+	} else if d == 0 {
+		reach(k, f)
+	}
+
+	padBase := 0.0
+	for {
+		j := lowestBit(lvl)
+		if j < 0 {
+			return false
+		}
+		lvl[j>>6] &^= 1 << (j & 63)
+		c.popped++
+		i := colsol[j]
+		if i < 0 {
+			c.flip(f, int32(j))
+			return true
+		}
+		base := 0 - (c.cell(int(i), j) - v[j])
+		if int(i) < n1 {
+			cells, ok := c.zeroCellsOf(i, base)
+			if !ok {
+				return false
+			}
+			for _, z := range cells {
+				reach(int(z), i)
+			}
+			continue
+		}
+		if base < padBase {
+			padBase = base
+			for jj := n2; jj < n; jj++ {
+				if d := base - v[jj]; d < 0 {
+					return false
+				} else if d == 0 {
+					reach(jj, i)
+				}
+			}
+		}
+		k := int(i) - n1
+		if d := base + ins[k] - v[k]; d < 0 {
+			return false
+		} else if d == 0 {
+			reach(k, i)
+		}
+	}
+}
+
+// zeroCellsOf returns node row i's cells of zero reduced cost at base —
+// the columns j where base + cost[i][j] − v[j] is 0, ascending — and
+// false when one of the row's cells is below zero. The list is computed
+// once per row and potential epoch and kept while the row enters at the
+// same base, which it does while the potentials stand still: the row's
+// assigned cell may change along a path at distance 0, but the new one is
+// tight, so cost − v, and with it the base, is the same float (every cell
+// being a multiple of ½, the sums are exact; the bits are checked anyway).
+func (c *pairCtx) zeroCellsOf(i int32, base float64) ([]int32, bool) {
+	n2 := c.n2
+	zc := c.zeroCells[int(i)*(n2+1):][:n2+1]
+	if c.zeroTag[i] == c.epoch && c.zeroBase[i] == math.Float64bits(base) {
+		if c.zeroN[i] < 0 {
+			return nil, false
+		}
+		return zc[:c.zeroN[i]], true
+	}
+	c.zeroTag[i], c.zeroBase[i], c.zeroN[i] = c.epoch, math.Float64bits(base), -1
+	v := c.fa
+	m := 0
+	for j, cij := range c.sub[int(i)*n2:][:n2] {
+		if d := base + cij - v[j]; d < 0 {
+			return nil, false
+		} else if d == 0 {
+			zc[m] = int32(j)
+			m++
+		}
+	}
+	if d := base + c.del[i] - v[n2+int(i)]; d < 0 {
+		return nil, false
+	} else if d == 0 {
+		zc[m] = int32(n2) + i
+		m++
+	}
+	c.zeroN[i] = int32(m)
+	return zc[:m], true
 }
 
 // lowestBit returns the index of the lowest set bit of the set, or -1 when

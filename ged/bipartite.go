@@ -59,15 +59,21 @@ func (c *pairCtx) fillCosts(structural bool) {
 	}
 	n1, n2 := a.N(), b.N()
 	c.sizeCosts(n1, n2)
+	bDeg := grow(c.deg, n2)
+	c.deg = bDeg
+	for k := range bDeg {
+		bDeg[k] = int32(b.Degree(k))
+	}
 	for i := 0; i < n1; i++ {
 		row := c.sub[i*n2 : (i+1)*n2]
-		for j := range row {
+		la, da := aLab[i], int32(a.Degree(i))
+		for j, lb := range bLab[:n2] {
 			v := 0.0
-			if aLab[i] != bLab[j] {
+			if la != lb {
 				v = 1
 			}
 			if structural {
-				dd := a.Degree(i) - b.Degree(j)
+				dd := da - bDeg[j]
 				if dd < 0 {
 					dd = -dd
 				}
@@ -77,13 +83,13 @@ func (c *pairCtx) fillCosts(structural bool) {
 		}
 		c.del[i] = 1
 		if structural {
-			c.del[i] += float64(a.Degree(i)) / 2
+			c.del[i] += float64(da) / 2
 		}
 	}
-	for k := range c.ins {
+	for k, d := range bDeg {
 		c.ins[k] = 1
 		if structural {
-			c.ins[k] += float64(b.Degree(k)) / 2
+			c.ins[k] += float64(d) / 2
 		}
 	}
 }

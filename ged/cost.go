@@ -48,46 +48,35 @@ func (c *pairCtx) mappingCost(phi []int32) float64 {
 	return float64(nodes + edges)
 }
 
-// labelLowerBound is an admissible GED lower bound from the node-label
-// multisets and edge counts: relabeling can fix at most the overlapping
-// labels; size differences force insertions/deletions; the edge-count gap
-// forces at least that many edge edits.
-func labelLowerBound(g, h *graph.Graph) float64 {
-	lb := multisetEditLB(g.LabelHistogram(), h.LabelHistogram(), g.N(), h.N())
-	eg, eh := g.M(), h.M()
+// labelBound is an admissible GED lower bound of the loaded pair from its
+// node-label multisets and edge counts: relabeling can fix at most the
+// overlapping labels, size differences force insertions or deletions, and
+// the edge-count gap forces at least that many edge edits. The multisets
+// are counted over the interned labels.
+func (c *pairCtx) labelBound() float64 {
+	hist := grow(c.lbHist, c.nLabels)
+	c.lbHist = hist
+	clear(hist)
+	for _, l := range c.gLab[:c.gN] {
+		hist[l]++
+	}
+	common := 0
+	for _, l := range c.hLab[:c.hN] {
+		if hist[l] > 0 {
+			hist[l]--
+			common++
+		}
+	}
+	small, big := min(c.gN, c.hN), max(c.gN, c.hN)
+	// |n1-n2| insertions/deletions, relabels for the unmatched part of the
+	// smaller side (common <= small), and the edge-count gap: small
+	// integers, summed exactly.
+	lb := float64(big-small) + float64(small-common)
+	eg, eh := c.g.M(), int(c.hM)
 	if eg > eh {
 		lb += float64(eg - eh)
 	} else {
 		lb += float64(eh - eg)
 	}
 	return lb
-}
-
-// multisetEditLB lower-bounds node edit cost between two label multisets of
-// sizes n1 and n2: the larger side must delete/insert |n1-n2| nodes and the
-// remaining non-overlapping labels must be relabeled.
-func multisetEditLB(h1, h2 map[string]int, n1, n2 int) float64 {
-	common := 0
-	for l, c1 := range h1 {
-		if c2 := h2[l]; c2 < c1 {
-			common += c2
-		} else {
-			common += c1
-		}
-	}
-	small := n1
-	if n2 < n1 {
-		small = n2
-	}
-	big := n1 + n2 - small
-	// |n1-n2| insertions/deletions plus relabels for the unmatched part of
-	// the smaller side.
-	return float64(big-small) + float64(small-minInt(common, small))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

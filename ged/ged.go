@@ -73,9 +73,14 @@ func (c *pairCtx) exact(maxExpansions int) (d float64, ok bool) {
 
 // LowerBound returns an admissible lower bound of the exact GED from the
 // node-label multisets and edge counts — cheap enough for filtering
-// pipelines (LowerBound(g,h) > tau certifies d(g,h) > tau).
+// pipelines (LowerBound(g,h) > tau certifies d(g,h) > tau). It counts the
+// multisets on a pooled arena's interned labels and allocates nothing in
+// steady state.
 func LowerBound(g, h *graph.Graph) float64 {
-	return labelLowerBound(g, h)
+	c := acquire(g, h)
+	lb := c.labelBound()
+	release(c)
+	return lb
 }
 
 // Beam returns the beam-search GED of g and h with beam width w (an upper

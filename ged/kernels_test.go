@@ -358,6 +358,80 @@ func TestEnsembleAllocs(t *testing.T) {
 	}
 }
 
+// TestLowerBoundMatchesReference holds LowerBound, counted on the arena's
+// interned labels, to the map-counted bound it replaced, on every pair of
+// the bipartite corpus in both argument orders.
+func TestLowerBoundMatchesReference(t *testing.T) {
+	for i, pair := range bipartiteCorpus() {
+		for _, p := range [][2]*graph.Graph{pair, {pair[1], pair[0]}} {
+			if got, want := LowerBound(p[0], p[1]), labelLowerBound(p[0], p[1]); got != want {
+				t.Fatalf("pair %d (|g|=%d |h|=%d): LowerBound %v; reference %v", i, p[0].N(), p[1].N(), got, want)
+			}
+		}
+	}
+}
+
+// TestLowerBoundAllocs: LowerBound allocates nothing once the pooled arena
+// has its working size, as TestEnsembleAllocs holds the ensemble to.
+func TestLowerBoundAllocs(t *testing.T) {
+	for i, p := range append(aidsPairs(4), synApartPairs(4)...) {
+		LowerBound(p[0], p[1])
+		runtime.GC()
+		runtime.GC()
+		if allocs := testing.AllocsPerRun(20, func() { LowerBound(p[0], p[1]) }); allocs != 0 {
+			t.Fatalf("pair %d (|g|=%d |h|=%d): %.1f allocs/op in steady state; want 0", i, p[0].N(), p[1].N(), allocs)
+		}
+	}
+}
+
+// TestReusedArenaMatchesFresh runs both solvers on one arena over a
+// shuffled mix of pair sizes — empty sides, sides past 64 columns, both
+// argument orders — each solver after the other in either order, and
+// holds every assignment to the one a fresh arena returns. What a solve
+// keeps across its searches (the walk's zero cells, the potentials'
+// epoch) must not reach the next solve, on any schedule.
+func TestReusedArenaMatchesFresh(t *testing.T) {
+	var pairs [][2]*graph.Graph
+	for _, p := range append(bipartiteCorpus(), synApartPairs(12)...) {
+		pairs = append(pairs, p, [2]*graph.Graph{p[1], p[0]})
+	}
+	solvers := []struct {
+		name       string
+		structural bool
+		solve      func(*pairCtx)
+	}{{"hungarian", true, (*pairCtx).solveHungarian}, {"vj", false, (*pairCtx).solveJV}}
+	solveOn := func(c *pairCtx, k int) []int32 {
+		c.fillCosts(solvers[k].structural)
+		solvers[k].solve(c)
+		return slices.Clone(c.assign[:c.n1+c.n2])
+	}
+	loadInto := func(c *pairCtx, g, h *graph.Graph) {
+		if g.N() > h.N() {
+			c.load(h, g)
+			c.swapped = true
+			return
+		}
+		c.load(g, h)
+	}
+	rng := rand.New(rand.NewSource(53))
+	reused := &pairCtx{}
+	for round := 0; round < 3; round++ {
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		for i, p := range pairs {
+			loadInto(reused, p[0], p[1])
+			first := rng.Intn(2)
+			for _, k := range []int{first, 1 - first} {
+				fresh := &pairCtx{}
+				loadInto(fresh, p[0], p[1])
+				if got, want := solveOn(reused, k), solveOn(fresh, k); !slices.Equal(got, want) {
+					t.Fatalf("round %d pair %d (|g|=%d |h|=%d) %s: reused arena %v; fresh arena %v",
+						round, i, p[0].N(), p[1].N(), solvers[k].name, got, want)
+				}
+			}
+		}
+	}
+}
+
 // pooledArenas returns the arenas idle in the pool.
 func pooledArenas() []*pairCtx {
 	arenaPool.mu.Lock()
@@ -464,24 +538,72 @@ func BenchmarkVJReference(b *testing.B) {
 	benchPairs(b, func(g, h *graph.Graph) { refVJ(g, h) })
 }
 
+// apartPairs draws n pairs of independently generated graphs of one
+// shape: what a build's candidate beams and a search's routing mostly pay
+// for, where a graph and its own few-edit mutant (simulatorPairs) make the
+// solvers' work look 3-4x cheaper. Benchmarks draw a few hundred, so that
+// the branch predictor cannot learn the pairs, as it learns nine.
+func apartPairs(seed int64, n int, newGraph func(*graph.Generator, *rand.Rand) *graph.Graph) [][2]*graph.Graph {
+	gen := graph.NewGenerator(seed)
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	pairs := make([][2]*graph.Graph, n)
+	for i := range pairs {
+		pairs[i] = [2]*graph.Graph{newGraph(gen, rng), newGraph(gen, rng)}
+	}
+	return pairs
+}
+
+// aidsApartPairs and synApartPairs are apartPairs of aidsPairs' and
+// synPairs' shapes.
+func aidsApartPairs(n int) [][2]*graph.Graph {
+	labels := simLabels(51)
+	return apartPairs(4301, n, func(gen *graph.Generator, rng *rand.Rand) *graph.Graph {
+		return gen.MoleculeLike(19+rng.Intn(13), 2+rng.Intn(3), labels, 0.35)
+	})
+}
+
+func synApartPairs(n int) [][2]*graph.Graph {
+	labels := simLabels(5)
+	return apartPairs(4304, n, func(gen *graph.Generator, rng *rand.Rand) *graph.Graph {
+		return gen.RandomConnected(7+rng.Intn(6), 11+rng.Intn(9), labels, 0.1)
+	})
+}
+
 // BenchmarkEnsembleMembers splits an ensemble call that exhausts its A*
 // budget into its stages, each timed alone, so the shares of a call are
 // read where they are true (the benchmark's ged.astar_us_per_call times
 // public Exact, which pays a Hungarian bound on exhaustion). load runs on
-// one arena; the members run on arenas loaded and prepared beforehand, one
-// per pair, and leave them as they found them.
+// one arena. The families are a graph against its mutants and across
+// clusters (aids, syn: nine pairs each), whose members run on arenas
+// loaded and prepared beforehand, one per pair, and leave them as they
+// found them; and independently generated graphs of the same shapes
+// (aids-apart, syn-apart: 200 and 500 pairs, too many to be learned),
+// whose every call first loads and prepares its pair on one arena, as a
+// goroutine's pooled arena is — hundreds of arenas kept loaded would all
+// be cold — so their members include the load line's time and
+// prepSearch's. The two assignment members also report, per solve, the
+// full shortest-path searches they ran (searches/solve) and the columns
+// they scanned, in searches and walks (pops/solve): counts that repeat
+// run to run where the times do not.
 func BenchmarkEnsembleMembers(b *testing.B) {
 	for _, family := range []struct {
-		name  string
-		pairs [][2]*graph.Graph
-	}{{"aids", aidsPairs(9)}, {"syn", synPairs(9)}} {
-		arenas := make([]*pairCtx, len(family.pairs))
-		for i, p := range family.pairs {
-			arenas[i] = acquire(p[0], p[1])
-			arenas[i].prepSearch()
+		name   string
+		pairs  [][2]*graph.Graph
+		reload bool
+	}{
+		{"aids", aidsPairs(9), false}, {"syn", synPairs(9), false},
+		{"aids-apart", aidsApartPairs(200), true}, {"syn-apart", synApartPairs(500), true},
+	} {
+		arenas := []*pairCtx{{}}
+		if !family.reload {
+			arenas = make([]*pairCtx, len(family.pairs))
+			for i, p := range family.pairs {
+				arenas[i] = acquire(p[0], p[1])
+				arenas[i].prepSearch()
+			}
 		}
 		b.Run(family.name+"/load", func(b *testing.B) {
-			c := &pairCtx{labelID: make(map[string]int32)}
+			c := &pairCtx{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := family.pairs[i%len(family.pairs)]
@@ -498,14 +620,29 @@ func BenchmarkEnsembleMembers(b *testing.B) {
 			{"beam(4)", func(c *pairCtx) { c.beam(4) }},
 		} {
 			b.Run(family.name+"/"+member.name, func(b *testing.B) {
+				var solves, searches, popped int
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					member.run(arenas[i%len(arenas)])
+					c := arenas[i%len(arenas)]
+					if family.reload {
+						p := family.pairs[i%len(family.pairs)]
+						c.load(p[0], p[1])
+						c.prepSearch()
+					}
+					s0, se0, p0 := c.solves, c.searches, c.popped
+					member.run(c)
+					solves, searches, popped = solves+c.solves-s0, searches+c.searches-se0, popped+c.popped-p0
+				}
+				if solves > 0 {
+					b.ReportMetric(float64(searches)/float64(solves), "searches/solve")
+					b.ReportMetric(float64(popped)/float64(solves), "pops/solve")
 				}
 			})
 		}
-		for _, c := range arenas {
-			release(c)
+		if !family.reload {
+			for _, c := range arenas {
+				release(c)
+			}
 		}
 	}
 }

@@ -686,3 +686,48 @@ func refMappingCost(g, h *graph.Graph, phi []int) float64 {
 	cost += float64(h.M() - matched)
 	return cost
 }
+
+// labelLowerBound is LowerBound as it stood before it ran on the arena:
+// an admissible GED lower bound from the node-label multisets, counted in
+// maps, and the edge counts: relabeling can fix at most the overlapping
+// labels; size differences force insertions/deletions; the edge-count gap
+// forces at least that many edge edits.
+func labelLowerBound(g, h *graph.Graph) float64 {
+	lb := multisetEditLB(g.LabelHistogram(), h.LabelHistogram(), g.N(), h.N())
+	eg, eh := g.M(), h.M()
+	if eg > eh {
+		lb += float64(eg - eh)
+	} else {
+		lb += float64(eh - eg)
+	}
+	return lb
+}
+
+// multisetEditLB lower-bounds node edit cost between two label multisets of
+// sizes n1 and n2: the larger side must delete/insert |n1-n2| nodes and the
+// remaining non-overlapping labels must be relabeled.
+func multisetEditLB(h1, h2 map[string]int, n1, n2 int) float64 {
+	common := 0
+	for l, c1 := range h1 {
+		if c2 := h2[l]; c2 < c1 {
+			common += c2
+		} else {
+			common += c1
+		}
+	}
+	small := n1
+	if n2 < n1 {
+		small = n2
+	}
+	big := n1 + n2 - small
+	// |n1-n2| insertions/deletions plus relabels for the unmatched part of
+	// the smaller side.
+	return float64(big-small) + float64(small-minInt(common, small))
+}
+
+func minInt(a, b int) int {
+	if a < b {
+		return a
+	}
+	return b
+}

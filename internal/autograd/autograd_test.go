@@ -860,8 +860,19 @@ func TestOneHotMatchesDense(t *testing.T) {
 		p.ZeroGrad()
 		gp.Forward(gin, g)
 		gp.Backward(dOut)
-		want := mat.TMulInto(mat.New(pre.Cols, dh.Cols), pre, dh)
-		for k, v := range want.Data {
+		// preᵀ·dh over ascending rows, zeros of pre skipped.
+		want := make([]float64, pre.Cols*dh.Cols)
+		for r := 0; r < pre.Rows; r++ {
+			for c, a := range pre.Row(r) {
+				if a == 0 {
+					continue
+				}
+				for j, d := range dh.Row(r) {
+					want[c*dh.Cols+j] += a * d
+				}
+			}
+		}
+		for k, v := range want {
 			if got := gin.W[0].Grad.Data[k]; got != v {
 				t.Fatalf("pair %d: W gradient[%d] = %v on the one-hots, %v on the dense matrix", i, k, got, v)
 			}

@@ -307,17 +307,28 @@ func reluBack(dh, h []float64) {
 }
 
 // linearBack back-propagates out = pre·W (rows x din times din x dim):
-// dpre = dout·Wᵀ (skipped when dpre is nil), and W's gradient gets
-// preᵀ·dout, formed whole in tmp and then added.
+// dpre = dout·Wᵀ (skipped when dpre is nil), each row summed from +0 on
+// mat.AddRowsScaled over the rows of Wᵀ (made once per training step, by
+// w.T()), and W's gradient gets preᵀ·dout, formed whole in tmp on
+// mat.AddOuter and then added.
 func linearBack(dpre []float64, w *nn.Param, pre, dout []float64, rows, din, dim int, tmp []float64) {
-	d := &mat.Matrix{Rows: rows, Cols: dim, Data: dout}
 	if dpre != nil {
-		mat.MulTInto(&mat.Matrix{Rows: rows, Cols: din, Data: dpre}, d, w.Data)
+		wt := w.T()
+		for r := 0; r < rows; r++ {
+			d := dpre[r*din:][:din]
+			clear(d)
+			mat.AddRowsScaled(d, dout[r*dim:][:dim], wt, din)
+		}
 	}
-	t := &mat.Matrix{Rows: din, Cols: dim, Data: tmp[:din*dim]}
-	mat.TMulInto(t, &mat.Matrix{Rows: rows, Cols: din, Data: pre}, d)
-	w.GradData()
-	w.Grad.AddInPlace(t)
+	t := tmp[:din*dim]
+	clear(t)
+	if rows > 0 {
+		mat.AddOuter(t, pre[:rows*din], dout[:rows*dim], rows)
+	}
+	g := w.GradData()
+	for i, v := range t {
+		g[i] += v
+	}
 }
 
 // aggBack adds to dPrev, the previous level's rows, what the aggregation

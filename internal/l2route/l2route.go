@@ -79,6 +79,7 @@ func (e *Encoder) Train(pairs []Pair, epochs int, lr float64) error {
 			opt.Step()
 		}
 	}
+	e.Params.DropTransposes()
 	return nil
 }
 

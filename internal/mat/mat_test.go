@@ -21,25 +21,45 @@ func TestNewAndAccessors(t *testing.T) {
 	}
 }
 
-// TestMulKnown checks both training kernels on one product worked by
-// hand: [1 2 3; 4 5 6] times [7 8; 9 10; 11 12].
+// dotT returns a·bᵀ as a layer's backward forms its input's gradient:
+// each row of the result summed from +0 by AddRowsScaled over the rows of
+// bᵀ, given explicitly.
+func dotT(a, bt *Matrix) *Matrix {
+	out := New(a.Rows, bt.Cols)
+	for r := 0; r < a.Rows; r++ {
+		AddRowsScaled(out.Row(r), a.Row(r), bt.Data, bt.Cols)
+	}
+	return out
+}
+
+// tMul returns aᵀ·b as a layer's backward forms its weight's gradient: by
+// AddOuter from a zeroed destination.
+func tMul(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	AddOuter(out.Data, a.Data, b.Data, a.Rows)
+	return out
+}
+
+// TestMulKnown checks both training products, as the backwards form them
+// on the row kernels, on one product worked by hand: [1 2 3; 4 5 6] times
+// [7 8; 9 10; 11 12].
 func TestMulKnown(t *testing.T) {
 	a := &Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
 	b := &Matrix{Rows: 3, Cols: 2, Data: []float64{7, 8, 9, 10, 11, 12}}
 	want := []float64{58, 64, 139, 154}
-	if got := MulTInto(New(2, 2), a, transpose(b)); !sameFloatBits(got.Data, want) {
-		t.Fatalf("MulTInto = %v; want %v", got.Data, want)
+	if got := dotT(a, b); !sameFloatBits(got.Data, want) {
+		t.Fatalf("a·(bᵀ)ᵀ = %v; want %v", got.Data, want)
 	}
-	if got := TMulInto(New(2, 2), transpose(a), b); !sameFloatBits(got.Data, want) {
-		t.Fatalf("TMulInto = %v; want %v", got.Data, want)
+	if got := tMul(transpose(a), b); !sameFloatBits(got.Data, want) {
+		t.Fatalf("(aᵀ)ᵀ·b = %v; want %v", got.Data, want)
 	}
 }
 
-// TestMulTAndTMulAgreeWithExplicitTranspose holds both kernels to the
-// naive product on an explicitly transposed operand, on small random
-// shapes whose operands are half zeros, as the ReLU-masked activations
-// linearBack passes are: TMulInto skips those zeros, and the result must
-// not show it.
+// TestMulTAndTMulAgreeWithExplicitTranspose holds both training products
+// — a·bᵀ on AddRowsScaled over bᵀ's rows, aᵀ·c on AddOuter — to the naive
+// product on an explicitly transposed operand, on small random shapes
+// whose operands are half zeros, as the ReLU-masked activations a backward
+// passes are: AddOuter skips those zeros, and the result must not show it.
 func TestMulTAndTMulAgreeWithExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	masked := func(rows, cols int) *Matrix {
@@ -54,12 +74,12 @@ func TestMulTAndTMulAgreeWithExplicitTranspose(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		a := masked(1+rng.Intn(6), 1+rng.Intn(6))
 		b := masked(1+rng.Intn(6), a.Cols)
-		if got, want := MulTInto(New(a.Rows, b.Rows), a, b), naiveMul(a, transpose(b)); !equalValues(got.Data, want.Data) {
-			t.Fatalf("trial %d: MulTInto = %v; want %v", trial, got.Data, want.Data)
+		if got, want := dotT(a, transpose(b)), naiveMul(a, transpose(b)); !equalValues(got.Data, want.Data) {
+			t.Fatalf("trial %d: a·bᵀ = %v; want %v", trial, got.Data, want.Data)
 		}
 		c := masked(a.Rows, 1+rng.Intn(6))
-		if got, want := TMulInto(New(a.Cols, c.Cols), a, c), naiveMul(transpose(a), c); !equalValues(got.Data, want.Data) {
-			t.Fatalf("trial %d: TMulInto = %v; want %v", trial, got.Data, want.Data)
+		if got, want := tMul(a, c), naiveMul(transpose(a), c); !equalValues(got.Data, want.Data) {
+			t.Fatalf("trial %d: aᵀ·c = %v; want %v", trial, got.Data, want.Data)
 		}
 	}
 }
@@ -80,8 +100,6 @@ func TestElementwiseOps(t *testing.T) {
 func TestShapePanics(t *testing.T) {
 	cases := []func(){
 		func() { New(2, 3).AddInPlace(New(3, 2)) },
-		func() { MulTInto(New(2, 2), New(2, 3), New(2, 4)) }, // inner mismatch
-		func() { TMulInto(New(3, 2), New(2, 3), New(4, 2)) }, // inner mismatch
 		func() { New(-1, 2) },
 	}
 	for i, f := range cases {
@@ -96,8 +114,8 @@ func TestShapePanics(t *testing.T) {
 	}
 }
 
-// naiveMul is the reference triple loop the training kernels must match
-// bit for bit (same ascending-k accumulation per output element).
+// naiveMul is the reference triple loop the training products must match
+// (same ascending-k accumulation per output element).
 func naiveMul(m, o *Matrix) *Matrix {
 	out := New(m.Rows, o.Cols)
 	for i := 0; i < m.Rows; i++ {
@@ -135,63 +153,6 @@ func equalValues(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// TestTiledKernelsBitIdenticalToNaive holds MulTInto and TMulInto to the
-// naive triple loop bit for bit, each writing into a destination full of
-// stale values that it must overwrite.
-func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	// Shapes straddling MulTInto's tile of o's rows and leaving every tail
-	// (0-3) after its blocks of four dot products.
-	shapes := [][3]int{{1, 1, 1}, {3, 5, 4}, {5, 7, 6}, {4, 6, 7}, {17, 129, 31}, {130, 257, 129}, {96, 96, 96}, {120, 300, 160}}
-	for _, s := range shapes {
-		a := Randn(s[0], s[1], 1, rng)
-		b := Randn(s[1], s[2], 1, rng)
-		want := naiveMul(a, b)
-		if got := MulTInto(Randn(s[0], s[2], 1, rng), a, transpose(b)); !sameFloatBits(got.Data, want.Data) {
-			t.Fatalf("MulTInto %v not bit-identical to naive", s)
-		}
-		if got := TMulInto(Randn(s[0], s[2], 1, rng), transpose(a), b); !sameFloatBits(got.Data, want.Data) {
-			t.Fatalf("TMulInto %v not bit-identical to naive", s)
-		}
-	}
-}
-
-// TestIntoVariantsMatchAndReuseDirtyDst writes both kernels into
-// destinations full of stale values and holds the result to the naive
-// product on fresh operands.
-func TestIntoVariantsMatchAndReuseDirtyDst(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := Randn(9, 17, 1, rng)
-	b := Randn(17, 13, 1, rng)
-	bt := transpose(b)
-	dst := Randn(9, 13, 1, rng) // dirty destination must be fully overwritten
-	if got, want := MulTInto(dst, a, bt), naiveMul(a, b); got != dst || !sameFloatBits(got.Data, want.Data) {
-		t.Fatalf("MulTInto into a dirty destination differs from the naive product")
-	}
-	c := Randn(9, 13, 1, rng)
-	dst2 := Randn(17, 13, 1, rng)
-	if got, want := TMulInto(dst2, a, c), naiveMul(transpose(a), c); got != dst2 || !sameFloatBits(got.Data, want.Data) {
-		t.Fatalf("TMulInto into a dirty destination differs from the naive product")
-	}
-}
-
-func TestIntoShapePanics(t *testing.T) {
-	cases := []func(){
-		func() { MulTInto(New(2, 2), New(2, 3), New(4, 3)) }, // dst cols wrong
-		func() { TMulInto(New(2, 2), New(4, 3), New(4, 2)) }, // dst rows wrong
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			f()
-		}()
-	}
 }
 
 func TestZeroAndClone(t *testing.T) {

@@ -36,3 +36,16 @@ func gatherRowsAVX(dst *float64, terms *Term, n int, src *float64, cols, stride 
 //
 //go:noescape
 func mulRowsReLUAVX(out, x *float64, rows, din int, w *float64, cols, stride int)
+
+// addOuterAVX is AddOuter's vector body over the first cols columns (a
+// positive multiple of 4) of rows > 0 row pairs, x's rows m > 0 wide, dst's
+// and y's rows stride wide; the wrapper has checked the lengths.
+//
+//go:noescape
+func addOuterAVX(dst, x, y *float64, rows, m, cols, stride int)
+
+// adamStepAVX is AdamStep's vector body over the first n elements (a
+// positive multiple of 4); the wrapper has checked the lengths.
+//
+//go:noescape
+func adamStepAVX(w, m, v, grad *float64, n int, a *Adam)

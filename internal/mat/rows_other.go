@@ -18,3 +18,11 @@ func gatherRowsAVX(dst *float64, terms *Term, n int, src *float64, cols, stride 
 func mulRowsReLUAVX(out, x *float64, rows, din int, w *float64, cols, stride int) {
 	panic("mat: no vector body on this architecture")
 }
+
+func addOuterAVX(dst, x, y *float64, rows, m, cols, stride int) {
+	panic("mat: no vector body on this architecture")
+}
+
+func adamStepAVX(w, m, v, grad *float64, n int, a *Adam) {
+	panic("mat: no vector body on this architecture")
+}

@@ -268,6 +268,7 @@ func trainLoop(params *nn.Params, n int, opts TrainOptions, seed int64, step fun
 			opts.Logf("epoch %d: avg loss %.4f", epoch, total/float64(n))
 		}
 	}
+	params.DropTransposes()
 }
 
 // errf builds consistent error values for this package.

@@ -116,12 +116,10 @@ func refMatMul(a, b *refValue) *refValue {
 	out := refNode(refProduct(a.Data, b.Data), a, b)
 	out.backward = func() {
 		if a.requiresGrad {
-			tmp := mat.New(out.Grad.Rows, b.Data.Rows)
-			a.grad().AddInPlace(mat.MulTInto(tmp, out.Grad, b.Data)) // dA = dOut * Bᵀ
+			a.grad().AddInPlace(refMulT(out.Grad, b.Data)) // dA = dOut * Bᵀ
 		}
 		if b.requiresGrad {
-			tmp := mat.New(a.Data.Cols, out.Grad.Cols)
-			b.grad().AddInPlace(mat.TMulInto(tmp, a.Data, out.Grad)) // dB = Aᵀ * dOut
+			b.grad().AddInPlace(refTMul(a.Data, out.Grad)) // dB = Aᵀ * dOut
 		}
 	}
 	return out
@@ -502,6 +500,40 @@ func refProduct(a, b *mat.Matrix) *mat.Matrix {
 				s += a.At(i, k) * b.At(k, j)
 			}
 			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// refMulT returns a * bᵀ, each element a dot product summed from +0 over
+// ascending k.
+func refMulT(a, b *mat.Matrix) *mat.Matrix {
+	out := mat.New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			s := 0.0
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// refTMul returns aᵀ * b with k the outer ascending loop, skipping the
+// zero entries of a.
+func refTMul(a, b *mat.Matrix) *mat.Matrix {
+	out := mat.New(a.Cols, b.Cols)
+	for k := 0; k < a.Rows; k++ {
+		for i := 0; i < a.Cols; i++ {
+			x := a.At(k, i)
+			if x == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Set(i, j, out.At(i, j)+x*b.At(k, j))
+			}
 		}
 	}
 	return out

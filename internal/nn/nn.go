@@ -23,6 +23,41 @@ import (
 type Param struct {
 	Data *mat.Matrix
 	Grad *mat.Matrix
+	// t is Data transposed, current while fresh is set (T).
+	t     []float64
+	fresh bool
+}
+
+// T returns Data transposed (Cols rows of Rows), for a backward to read:
+// the input's gradient dout·Wᵀ of a layer out = x·W is Wᵀ's rows summed
+// with mat.AddRowsScaled. It is made on the first call after the weights
+// last moved and reused until they move again, so a training step
+// transposes each weight once however many backwards read it. Adam.Step
+// and Params.Load, the writers of Data, mark the weights moved. It
+// allocates only the first time.
+func (p *Param) T() []float64 {
+	if !p.fresh {
+		rows, cols := p.Data.Rows, p.Data.Cols
+		if len(p.t) != rows*cols {
+			p.t = make([]float64, rows*cols)
+		}
+		for i, row := 0, p.Data.Data; i < rows; i++ {
+			for j, w := range row[i*cols : (i+1)*cols] {
+				p.t[j*rows+i] = w
+			}
+		}
+		p.fresh = true
+	}
+	return p.t
+}
+
+// DropTransposes lets go of every transpose T keeps. A trainer calls it
+// after its last step, so that nothing a backward needed outlives
+// training in the model.
+func (p *Params) DropTransposes() {
+	for _, q := range p.all {
+		q.t, q.fresh = nil, false
+	}
 }
 
 // GradData returns the floats of p's gradient for a backward rule to add
@@ -147,6 +182,7 @@ func (p *Params) Load(r io.Reader) error {
 	}
 	for _, pw := range wire {
 		copy(p.byName[pw.Name].Data.Data, pw.Data)
+		p.byName[pw.Name].fresh = false
 	}
 	return nil
 }
@@ -290,10 +326,11 @@ func (m *MLP) run(prefix, rest, buf []float64, keep bool) []float64 {
 // their gradient added to their Param; when dx is not nil, the input's
 // gradient is added to it. Layer by layer from the last: ReLU's mask, the
 // bias (one row of the output gradient), the input gradient (each entry a
-// dot product with a row of W, formed whole and then added) and the
-// weights' (x[k]·g[j] for every non-zero x[k]) — the rules and the order
-// of the matrix engine this replaced, so gradients are its bits. buf is
-// scratch of 2*Width() floats; dOut is not modified.
+// dot product with a row of W, formed whole and then added: g·Wᵀ on
+// mat.AddRowsScaled over W.T()) and the weights' (x[k]·g[j] for every
+// non-zero x[k]: mat.AddOuter) — the rules and the order of the matrix
+// engine this replaced, so gradients are its bits. buf is scratch of
+// 2*Width() floats; dOut is not modified.
 func (m *MLP) Backward(x, acts, dOut, dx, buf []float64) {
 	// The gradient at layer i's output is in half (i+1)%2 of buf, the one
 	// at its input in half i%2.
@@ -327,29 +364,27 @@ func (m *MLP) Backward(x, acts, dOut, dx, buf []float64) {
 			dIn = dx
 		}
 		if dIn != nil {
-			w := l.W.Data.Data
-			for k := range dIn {
-				s := 0.0
-				for j, d := range g {
-					s += d * w[k*out+j]
-				}
-				if i > 0 {
-					dIn[k] = s
-				} else {
-					dIn[k] += s
+			// dIn = g·Wᵀ, each entry summed from +0 over ascending j.
+			wt := l.W.T()
+			if i > 0 {
+				clear(dIn)
+				mat.AddRowsScaled(dIn, g, wt, in)
+			} else {
+				// The entries are formed whole before they are added to
+				// dx, a column block at a time in buf's free half (g is
+				// in the other).
+				t := buf[:half]
+				for c0 := 0; c0 < in; c0 += half {
+					tc := t[:min(half, in-c0)]
+					clear(tc)
+					mat.AddRowsScaled(tc, g, wt[c0:], in)
+					for k, s := range tc {
+						dIn[c0+k] += s
+					}
 				}
 			}
 		}
-		wg := l.W.GradData()
-		for k, a := range input {
-			if a == 0 {
-				continue
-			}
-			row := wg[k*out : (k+1)*out]
-			for j, d := range g {
-				row[j] += float64(a * d)
-			}
-		}
+		mat.AddOuter(l.W.GradData(), input, g, 1)
 		g = dIn
 	}
 }
@@ -366,9 +401,6 @@ func MSE(x, t float64) (loss, grad float64) {
 	d := x - t
 	return d * d, 2 * d
 }
-
-// minNormal is the smallest normal float64, 2^-1022.
-const minNormal = 0x1p-1022
 
 // Adam is the Adam optimizer over one parameter registry.
 type Adam struct {
@@ -391,11 +423,20 @@ func NewAdam(params *Params, lr float64) *Adam {
 }
 
 // Step applies one Adam update to every parameter with a gradient, then
-// leaves gradients untouched (callers ZeroGrad between steps).
+// leaves gradients untouched (callers ZeroGrad between steps). The update
+// of each parameter is mat.AdamStep, which also flushes a moment left to
+// decay into the subnormals to +0, where x86 arithmetic is ~100x slower.
+// What a subnormal m still moves, LR·m/Eps ≈ 2e-302, is below half an ulp
+// of any weight above ~1e-285 in magnitude, and a later gradient above
+// ~1e-290 swamps it in m; a subnormal v is below half an ulp of Eps under
+// the square root. So no weight moves (TestAdamFlushMatchesUnflushed).
 func (a *Adam) Step() {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := mat.Adam{
+		Beta1: a.Beta1, Beta2: a.Beta2, C1: 1 - a.Beta1, C2: 1 - a.Beta2,
+		BC1: 1 - math.Pow(a.Beta1, float64(a.t)), BC2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		LR: a.LR, Eps: a.Eps,
+	}
 	all := a.params.All()
 	for len(a.m) < len(all) {
 		a.m, a.v = append(a.m, nil), append(a.v, nil)
@@ -408,27 +449,8 @@ func (a *Adam) Step() {
 			a.m[k] = make([]float64, len(p.Data.Data))
 			a.v[k] = make([]float64, len(p.Data.Data))
 		}
-		m, v, w := a.m[k], a.v[k], p.Data.Data
-		for i, g := range p.Grad.Data {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			w[i] -= a.LR * (mh / (math.Sqrt(vh) + a.Eps))
-			// A moment left to decay under zero gradients turns subnormal,
-			// where x86 arithmetic is ~100x slower; flush it. What a
-			// subnormal m still moves, LR·m/Eps ≈ 2e-302, is below half an
-			// ulp of any weight above ~1e-285 in magnitude, and a later
-			// gradient above ~1e-290 swamps it in m; a subnormal v is below
-			// half an ulp of Eps under the square root. So no weight moves
-			// (TestAdamFlushMatchesUnflushed).
-			if math.Abs(m[i]) < minNormal {
-				m[i] = 0
-			}
-			if v[i] < minNormal {
-				v[i] = 0
-			}
-		}
+		mat.AdamStep(p.Data.Data, a.m[k], a.v[k], p.Grad.Data, &c)
+		p.fresh = false
 	}
 }
 

@@ -484,6 +484,10 @@ type unflushedAdam struct {
 	sawM, sawV bool
 }
 
+// minNormal is the smallest normal float64, 2^-1022: the threshold below
+// which mat.AdamStep flushes a moment.
+const minNormal = 0x1p-1022
+
 func (a *unflushedAdam) step(grad []float64) {
 	a.t++
 	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
