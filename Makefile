@@ -48,8 +48,9 @@ race:
 # twins — A*, ensemble, Hungarian, VJ, beam — and BenchmarkEnsembleMembers,
 # the split of one ensemble call by member, on a graph against its mutants
 # (aids, syn) and on independently generated graphs of the same shapes
-# (aids-apart, syn-apart), its assignment members also reporting
-# searches/solve and pops/solve, the model kernels beside
+# (aids-apart, syn-apart), its assignment members once per row-kernel body
+# ({vj,hungarian}/{vector,go}) and also reporting searches/solve and
+# pops/solve, the model kernels beside
 # theirs — BenchmarkCrossInfer/{aids,syn} (syn is the cross call of
 # syn_hung), BenchmarkRankerCall/{aids,syn} (syn is the
 # shape models.us_per_ranker_call is measured at on syn_hung),

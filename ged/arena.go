@@ -88,14 +88,17 @@ type pairCtx struct {
 	scanned       []scan
 	lvl, seen     []uint64
 	deg           []int32 // fillCosts' node degrees of the column graph
-	// The node rows' zero-reduced-cost cells (walk): row i's are
-	// zeroCells[i·(n2+1):][:zeroN[i]], ascending, valid while zeroTag[i] is
-	// epoch and the row's base has the bits zeroBase[i]; zeroN[i] is -1
-	// when the row has a negative reduced cost. epoch moves whenever a
-	// column potential does, and at every startSolve, and never goes back,
-	// so no entry outlives the potentials or the solve it was made under.
-	zeroCells        []int32
-	zeroN            []int32
+	// cand is the relax kernel's scratch mask (augment). The node rows'
+	// zero-reduced-cost cells (walk): row i's are the mask
+	// zeroMask[i·w:][:w] over the n columns, w = ⌈n/64⌉, valid while
+	// zeroTag[i] is epoch and the row's base has the bits zeroBase[i];
+	// zeroOK[i] is false when the row has a negative reduced cost. epoch
+	// moves whenever a column potential does, and at every startSolve, and
+	// never goes back, so no entry outlives the potentials or the solve it
+	// was made under.
+	cand             []uint64
+	zeroMask         []uint64
+	zeroOK           []bool
 	zeroTag          []uint64
 	zeroBase         []uint64
 	epoch            uint64
@@ -190,8 +193,8 @@ func release(c *pairCtx) {
 func (c *pairCtx) footprint() int {
 	const candBytes, stateBytes = int(unsafe.Sizeof(searchCand{})), int(unsafe.Sizeof(searchState{}))
 	return cap(c.cands)*candBytes + (cap(c.frontier)+cap(c.next))*stateBytes +
-		8*(cap(c.cost)+cap(c.hAdj)+cap(c.usedA)+cap(c.usedB)+cap(c.img)+cap(c.seq)) +
-		4*(cap(c.heap)+cap(c.suffixHist)+cap(c.phiA)+cap(c.phiB)+cap(c.zeroCells))
+		8*(cap(c.cost)+cap(c.hAdj)+cap(c.usedA)+cap(c.usedB)+cap(c.img)+cap(c.seq)+cap(c.zeroMask)) +
+		4*(cap(c.heap)+cap(c.suffixHist)+cap(c.phiA)+cap(c.phiB))
 }
 
 // intern returns the dense id of label l, assigning the next id on first

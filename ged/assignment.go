@@ -33,8 +33,14 @@ import (
 //   - a free padding row first looks for an augmenting path among the
 //     cells of zero reduced cost (walk), which is the part of the search
 //     at distance 0; only when there is none does the search run, from the
-//     start. The node rows' zero cells are kept from one walk to the next
-//     while no potential moves.
+//     start. The node rows' zero cells are kept, as a bitmask over the
+//     columns, from one walk to the next while no potential moves;
+//   - a node row's work — the search's relaxation of the row, its zero
+//     cells, its cheapest cell for settle, the search's rescan for the next
+//     level, and the substitution block itself (fillCosts) — runs on the
+//     row kernels in rows.go: four cells per AVX instruction on amd64, the
+//     same floats and the same columns as the Go loops they replaced, which
+//     are kept as their portable bodies.
 //
 // The row -> column assignment is left in c.assign[:n], columns -> rows in
 // c.ia[:n] (-1 while free) and the column potentials in c.fa[:n].
@@ -47,9 +53,10 @@ func (c *pairCtx) startSolve() {
 	c.assign, c.ia, c.ic = grow(c.assign, n), grow(c.ia, n), grow(c.ic, n)
 	c.fa, c.fb = grow(c.fa, n), grow(c.fb, n)
 	c.scanned = grow(c.scanned, n)
-	c.lvl, c.seen = grow(c.lvl, (n+63)/64), grow(c.seen, (n+63)/64)
-	c.zeroCells = grow(c.zeroCells, c.n1*(c.n2+1))
-	c.zeroN, c.zeroTag, c.zeroBase = grow(c.zeroN, c.n1), grow(c.zeroTag, c.n1), grow(c.zeroBase, c.n1)
+	w := (n + 63) / 64
+	c.lvl, c.seen, c.cand = grow(c.lvl, w), grow(c.seen, w), grow(c.cand, w)
+	c.zeroMask = grow(c.zeroMask, c.n1*w)
+	c.zeroOK, c.zeroTag, c.zeroBase = grow(c.zeroOK, c.n1), grow(c.zeroTag, c.n1), grow(c.zeroBase, c.n1)
 	c.epoch++
 	for j := range c.assign {
 		c.assign[j], c.ia[j] = -1, -1
@@ -266,7 +273,7 @@ func (c *pairCtx) augment(f int32) {
 	n := n1 + n2
 	sub, v, dist := c.sub, c.fa[:n], c.fb[:n]
 	colsol, pred := c.ia[:n], c.ic[:n]
-	scanned, lvl := c.scanned[:0:n], c.lvl[:(n+63)/64]
+	scanned, lvl, cand := c.scanned[:0:n], c.lvl[:(n+63)/64], c.cand
 	inf, ninf := math.Inf(1), math.Inf(-1)
 	c.searches++
 	for j := range dist {
@@ -282,16 +289,8 @@ func (c *pairCtx) augment(f int32) {
 		var j1 int
 		var c1 float64
 		if int(i) < n1 {
-			row := sub[int(i)*n2:][:n2]
-			vr, dr, pr := v[:len(row)], dist[:len(row)], pred[:len(row)]
-			for j, cij := range row {
-				if d := base + cij - vr[j]; d < dr[j] {
-					dr[j], pr[j] = d, i
-					if !(level < d) {
-						level = joinLevel(lvl, j, d, level)
-					}
-				}
-			}
+			relax(dist[:n2], pred[:n2], sub[int(i)*n2:][:n2], v[:n2], base, i, level, cand)
+			level = joinOffers(lvl, cand[:(n2+63)/64], dist, level)
 			j1, c1 = n2+int(i), c.del[i]
 		} else {
 			if base < padBase {
@@ -320,12 +319,7 @@ func (c *pairCtx) augment(f int32) {
 		// the next level is the smallest distance among the unscanned.
 		j := lowestBit(lvl)
 		if j < 0 {
-			level = inf
-			for j, d := range dist {
-				if d > ninf && !(level < d) {
-					level = joinLevel(lvl, j, d, level)
-				}
-			}
+			level = levelSet(dist, lvl)
 			j = lowestBit(lvl)
 		}
 		lvl[j>>6] &^= 1 << (j & 63)
@@ -373,13 +367,8 @@ func (c *pairCtx) flip(f int32, j int32) {
 func (c *pairCtx) settle(f int32) bool {
 	n2 := c.n2
 	v := c.fa
-	jm, dm := -1, math.Inf(1)
-	for j, cij := range c.sub[int(f)*n2:][:n2] {
-		// The base is 0: base + cij − v[j], as augment computes it.
-		if d := 0 + cij - v[j]; d < dm {
-			jm, dm = j, d
-		}
-	}
+	// The base is 0: base + cost − v[j], as augment computes it.
+	jm, dm := rowArgmin(c.sub[int(f)*n2:][:n2], v[:n2])
 	if d := 0 + c.del[f] - v[n2+int(f)]; d < dm {
 		jm = n2 + int(f)
 	}
@@ -400,8 +389,12 @@ func (c *pairCtx) settle(f int32) bool {
 // by 0 − 0), and the cell it assigns each row on it is tight, so every
 // row's implicit potential stays what it was. What it saves:
 //
-//   - a node row entering the tree offers only its zero cells, kept in
-//     zeroCells between walks while no potential moves;
+//   - a node row entering the tree offers only its zero cells, a mask over
+//     the columns kept in zeroMask between walks while no potential moves,
+//     and it reaches them a word at a time: the columns of the mask not
+//     seen yet join the level set, each with the row as pred — which
+//     column joins first does not matter, the set being scanned lowest
+//     column first;
 //   - the padding columns that padding rows hold at potential 0 are not
 //     scanned: such a row enters at base 0, which is not below the root's,
 //     so it offers only its insertion cell, and that is passed over when
@@ -415,13 +408,6 @@ func (c *pairCtx) walk(f int32) bool {
 	lvl, seen := c.lvl[:(n+63)/64], c.seen[:(n+63)/64]
 	clear(lvl)
 	clear(seen)
-	reach := func(j int, i int32) {
-		if seen[j>>6]&(1<<(j&63)) == 0 {
-			seen[j>>6] |= 1 << (j & 63)
-			lvl[j>>6] |= 1 << (j & 63)
-			pred[j] = i
-		}
-	}
 
 	// The root offers every padding column 0 − v[j] and its insertion
 	// cell, as augment's first row does.
@@ -438,14 +424,14 @@ func (c *pairCtx) walk(f int32) bool {
 					return false
 				}
 			}
-			reach(j, f)
+			reachOne(lvl, seen, pred, j, f)
 		}
 	}
 	k := int(f) - n1
 	if d := 0 + ins[k] - v[k]; d < 0 {
 		return false
 	} else if d == 0 {
-		reach(k, f)
+		reachOne(lvl, seen, pred, k, f)
 	}
 
 	padBase := 0.0
@@ -463,12 +449,17 @@ func (c *pairCtx) walk(f int32) bool {
 		}
 		base := 0 - (c.cell(int(i), j) - v[j])
 		if int(i) < n1 {
-			cells, ok := c.zeroCellsOf(i, base)
+			mask, ok := c.zeroMaskOf(i, base)
 			if !ok {
 				return false
 			}
-			for _, z := range cells {
-				reach(int(z), i)
+			for w, word := range mask {
+				word &^= seen[w]
+				seen[w] |= word
+				lvl[w] |= word
+				for ; word != 0; word &= word - 1 {
+					pred[w<<6+bits.TrailingZeros64(word)] = i
+				}
 			}
 			continue
 		}
@@ -478,7 +469,7 @@ func (c *pairCtx) walk(f int32) bool {
 				if d := base - v[jj]; d < 0 {
 					return false
 				} else if d == 0 {
-					reach(jj, i)
+					reachOne(lvl, seen, pred, jj, i)
 				}
 			}
 		}
@@ -486,47 +477,51 @@ func (c *pairCtx) walk(f int32) bool {
 		if d := base + ins[k] - v[k]; d < 0 {
 			return false
 		} else if d == 0 {
-			reach(k, i)
+			reachOne(lvl, seen, pred, k, i)
 		}
 	}
 }
 
-// zeroCellsOf returns node row i's cells of zero reduced cost at base —
-// the columns j where base + cost[i][j] − v[j] is 0, ascending — and
-// false when one of the row's cells is below zero. The list is computed
-// once per row and potential epoch and kept while the row enters at the
-// same base, which it does while the potentials stand still: the row's
-// assigned cell may change along a path at distance 0, but the new one is
-// tight, so cost − v, and with it the base, is the same float (every cell
-// being a multiple of ½, the sums are exact; the bits are checked anyway).
-func (c *pairCtx) zeroCellsOf(i int32, base float64) ([]int32, bool) {
+// reachOne puts column j into walk's level set, reached from row i, unless
+// a row reached it before.
+func reachOne(lvl, seen []uint64, pred []int32, j int, i int32) {
+	if bit := uint64(1) << (j & 63); seen[j>>6]&bit == 0 {
+		seen[j>>6] |= bit
+		lvl[j>>6] |= bit
+		pred[j] = i
+	}
+}
+
+// zeroMaskOf returns node row i's cells of zero reduced cost at base — the
+// columns j where base + cost[i][j] − v[j] is 0, as a mask over the n
+// columns — and false when one of the row's cells is below zero. The mask
+// is computed once per row and potential epoch and kept while the row
+// enters at the same base, which it does while the potentials stand still:
+// the row's assigned cell may change along a path at distance 0, but the
+// new one is tight, so cost − v, and with it the base, is the same float
+// (every cell being a multiple of ½, the sums are exact; the bits are
+// checked anyway).
+func (c *pairCtx) zeroMaskOf(i int32, base float64) ([]uint64, bool) {
 	n2 := c.n2
-	zc := c.zeroCells[int(i)*(n2+1):][:n2+1]
+	w := (c.n1 + n2 + 63) / 64
+	mask := c.zeroMask[int(i)*w:][:w]
 	if c.zeroTag[i] == c.epoch && c.zeroBase[i] == math.Float64bits(base) {
-		if c.zeroN[i] < 0 {
-			return nil, false
-		}
-		return zc[:c.zeroN[i]], true
+		return mask, c.zeroOK[i]
 	}
-	c.zeroTag[i], c.zeroBase[i], c.zeroN[i] = c.epoch, math.Float64bits(base), -1
+	c.zeroTag[i], c.zeroBase[i] = c.epoch, math.Float64bits(base)
 	v := c.fa
-	m := 0
-	for j, cij := range c.sub[int(i)*n2:][:n2] {
-		if d := base + cij - v[j]; d < 0 {
-			return nil, false
+	ok := zeroMask(mask, c.sub[int(i)*n2:][:n2], v[:n2], base)
+	if ok {
+		clear(mask[(n2+63)/64:])
+		if d := base + c.del[i] - v[n2+int(i)]; d < 0 {
+			ok = false
 		} else if d == 0 {
-			zc[m] = int32(j)
-			m++
+			j := n2 + int(i)
+			mask[j>>6] |= 1 << (j & 63)
 		}
 	}
-	if d := base + c.del[i] - v[n2+int(i)]; d < 0 {
-		return nil, false
-	} else if d == 0 {
-		zc[m] = int32(n2) + i
-		m++
-	}
-	c.zeroN[i] = int32(m)
-	return zc[:m], true
+	c.zeroOK[i] = ok
+	return mask, ok
 }
 
 // lowestBit returns the index of the lowest set bit of the set, or -1 when

@@ -65,22 +65,8 @@ func (c *pairCtx) fillCosts(structural bool) {
 		bDeg[k] = int32(b.Degree(k))
 	}
 	for i := 0; i < n1; i++ {
-		row := c.sub[i*n2 : (i+1)*n2]
-		la, da := aLab[i], int32(a.Degree(i))
-		for j, lb := range bLab[:n2] {
-			v := 0.0
-			if la != lb {
-				v = 1
-			}
-			if structural {
-				dd := da - bDeg[j]
-				if dd < 0 {
-					dd = -dd
-				}
-				v += float64(dd) / 2
-			}
-			row[j] = v
-		}
+		da := int32(a.Degree(i))
+		fillCostRow(c.sub[i*n2:(i+1)*n2], aLab[i], da, bLab[:n2], bDeg, structural)
 		c.del[i] = 1
 		if structural {
 			c.del[i] += float64(da) / 2

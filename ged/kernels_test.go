@@ -584,7 +584,9 @@ func synApartPairs(n int) [][2]*graph.Graph {
 // prepSearch's. The two assignment members also report, per solve, the
 // full shortest-path searches they ran (searches/solve) and the columns
 // they scanned, in searches and walks (pops/solve): counts that repeat
-// run to run where the times do not.
+// run to run where the times do not. They run once per body of the row
+// kernels (rows.go), vj/vector beside vj/go, so one run shows what the
+// vector bodies take off; the counts are the same on both.
 func BenchmarkEnsembleMembers(b *testing.B) {
 	for _, family := range []struct {
 		name   string
@@ -611,33 +613,41 @@ func BenchmarkEnsembleMembers(b *testing.B) {
 			}
 		})
 		for _, member := range []struct {
-			name string
-			run  func(*pairCtx)
+			name   string
+			run    func(*pairCtx)
+			bodies bool
 		}{
-			{"prepSearch+astar(30)", func(c *pairCtx) { c.prepSearch(); c.astar(30) }},
-			{"vj", func(c *pairCtx) { c.vj() }},
-			{"hungarian", func(c *pairCtx) { c.hungarian() }},
-			{"beam(4)", func(c *pairCtx) { c.beam(4) }},
+			{"prepSearch+astar(30)", func(c *pairCtx) { c.prepSearch(); c.astar(30) }, false},
+			{"vj", func(c *pairCtx) { c.vj() }, true},
+			{"hungarian", func(c *pairCtx) { c.hungarian() }, true},
+			{"beam(4)", func(c *pairCtx) { c.beam(4) }, false},
 		} {
-			b.Run(family.name+"/"+member.name, func(b *testing.B) {
-				var solves, searches, popped int
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c := arenas[i%len(arenas)]
-					if family.reload {
-						p := family.pairs[i%len(family.pairs)]
-						c.load(p[0], p[1])
-						c.prepSearch()
+			run := func(name string) {
+				b.Run(name, func(b *testing.B) {
+					var solves, searches, popped int
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						c := arenas[i%len(arenas)]
+						if family.reload {
+							p := family.pairs[i%len(family.pairs)]
+							c.load(p[0], p[1])
+							c.prepSearch()
+						}
+						s0, se0, p0 := c.solves, c.searches, c.popped
+						member.run(c)
+						solves, searches, popped = solves+c.solves-s0, searches+c.searches-se0, popped+c.popped-p0
 					}
-					s0, se0, p0 := c.solves, c.searches, c.popped
-					member.run(c)
-					solves, searches, popped = solves+c.solves-s0, searches+c.searches-se0, popped+c.popped-p0
-				}
-				if solves > 0 {
-					b.ReportMetric(float64(searches)/float64(solves), "searches/solve")
-					b.ReportMetric(float64(popped)/float64(solves), "pops/solve")
-				}
-			})
+					if solves > 0 {
+						b.ReportMetric(float64(searches)/float64(solves), "searches/solve")
+						b.ReportMetric(float64(popped)/float64(solves), "pops/solve")
+					}
+				})
+			}
+			if !member.bodies {
+				run(family.name + "/" + member.name)
+				continue
+			}
+			eachBody(func(body string) { run(family.name + "/" + member.name + "/" + body) })
 		}
 		if !family.reload {
 			for _, c := range arenas {

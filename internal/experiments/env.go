@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -155,16 +156,33 @@ type Point struct {
 	AvgTime time.Duration
 }
 
-// measure runs every test query through search and aggregates a Point.
+// timedPasses is how many timed passes over the test queries measure
+// takes; a Point's times are their median.
+const timedPasses = 3
+
+// measure runs every test query through search and aggregates a Point. A
+// first, untimed pass warms the caches, the pools and the branch
+// predictors and gives the recall and NDC, which every pass repeats (a
+// search is deterministic); the times are the median of timedPasses timed
+// passes. One cold pass made Fig. 10's CG/no-CG time ratio swing 0.88–1.51
+// between identical runs.
 func (e *Env) measure(method string, beam int, search func(q *graph.Graph) ([]pg.Result, core.QueryStats)) Point {
 	var recall, ndc float64
-	start := time.Now()
 	for i, q := range e.Test {
 		res, stats := search(q)
 		recall += dataset.Recall(res, e.Truth[i].Results)
 		ndc += float64(stats.NDC)
 	}
-	elapsed := time.Since(start)
+	var passes [timedPasses]time.Duration
+	for p := range passes {
+		start := time.Now()
+		for _, q := range e.Test {
+			search(q)
+		}
+		passes[p] = time.Since(start)
+	}
+	slices.Sort(passes[:])
+	elapsed := passes[timedPasses/2]
 	n := float64(len(e.Test))
 	return Point{
 		Method: method, Beam: beam,

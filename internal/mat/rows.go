@@ -2,10 +2,19 @@ package mat
 
 import "fmt"
 
-// vector is whether the row kernels run their vector bodies. It is set once,
-// at package init, from what the host reports (an amd64 CPU and OS with
-// AVX); EachBody clears it for tests.
-var vector = hasAVX()
+// avx is what the host reports at package init: an amd64 CPU and OS with
+// AVX. vector is whether the row kernels run their vector bodies; it starts
+// as avx, and EachBody clears it for tests.
+var (
+	avx    = hasAVX()
+	vector = avx
+)
+
+// HasAVX reports whether the host runs AVX code: an amd64 CPU with AVX whose
+// OS saves the YMM registers. It does not change when EachBody switches the
+// row kernels' bodies. Other packages' vector kernels dispatch on it instead
+// of asking the CPU again.
+func HasAVX() bool { return avx }
 
 // AddRowsScaled adds to dst the rows of w scaled by x: dst[j] +=
 // x[i]·w[i·stride+j] for every i in ascending order, each term a multiply
