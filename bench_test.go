@@ -116,9 +116,9 @@ func BenchmarkFig5L2route(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		qi := i % len(env.Test)
 		cache := pg.NewDistCache(p.QueryMetric, env.DB, env.Test[qi])
-		res, stats, _ := env.L2.Search(context.Background(), env.Test[qi], cache, p.K, 3*p.Beams[len(p.Beams)-1], 3*p.Beams[len(p.Beams)-1])
+		res, _, _ := env.L2.Search(context.Background(), env.Test[qi], cache, p.K, 3*p.Beams[len(p.Beams)-1], 3*p.Beams[len(p.Beams)-1])
 		recall += dataset.Recall(res, env.Truth[qi].Results)
-		ndc += float64(stats.NDC)
+		ndc += float64(cache.NDC())
 	}
 	b.ReportMetric(recall/float64(b.N), "recall@k")
 	b.ReportMetric(ndc/float64(b.N), "NDC/query")
@@ -155,10 +155,11 @@ func BenchmarkFig7RandIS(b *testing.B) {
 // Fig 8: one M_nh membership prediction.
 func BenchmarkFig8MnhPredict(b *testing.B) {
 	env := benchAIDS(b)
-	q := env.Test[0]
+	m, ws := env.Engine.Mnh, cg.NewWorkspace()
+	m.Bind(ws, m.QueryCG(env.Test[0]))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Engine.Mnh.Predict(env.DB[i%len(env.DB)], q)
+		m.ProbCG(ws, env.DB[i%len(env.DB)])
 	}
 }
 

@@ -41,16 +41,3 @@ func ExampleEnsemble() {
 	fmt.Println(d > 0, d <= 4) // two edits cost at most 4 (node ops touch edges)
 	// Output: true true
 }
-
-func ExampleCounter() {
-	gen := graph.NewGenerator(2)
-	db := graph.NewDatabase([]*graph.Graph{
-		gen.MoleculeLike(8, 1, []string{"C", "N"}, 0.3),
-		gen.MoleculeLike(9, 1, []string{"C", "N"}, 0.3),
-	})
-	counter := ged.NewCounter(ged.MetricFunc(ged.Hungarian))
-	counter.Distance(db[0], db[1])
-	counter.Distance(db[1], db[0]) // symmetric: served from cache
-	fmt.Println(counter.Calls())
-	// Output: 1
-}

@@ -158,19 +158,14 @@ func TestWLDistinguishesLabels(t *testing.T) {
 	// Path A-B-A vs path A-A-B: WL iteration 1 must separate the centers.
 	g1 := buildPath(t, "A", "B", "A")
 	g2 := buildPath(t, "A", "A", "B")
-	ls := WLJoint([]*Graph{g1, g2}, 2)
+	w1, w2 := WL(g1, 2), WL(g2, 2)
 	// In g1 the two endpoints share a class at every level; in g2 the
 	// endpoints differ at level 0 already.
-	if ls[0].Labels[0][0] != ls[0].Labels[0][2] {
+	if w1.Labels[0][0] != w1.Labels[0][2] {
 		t.Fatalf("g1 endpoints differ at iter 0")
 	}
-	if ls[1].Labels[0][0] == ls[1].Labels[0][2] {
+	if w2.Labels[0][0] == w2.Labels[0][2] {
 		t.Fatalf("g2 endpoints equal at iter 0")
-	}
-	// Joint class space: node 0 of g1 (label A, neighbor B) and node 1 of
-	// g2... check cross-graph consistency of iteration-0 classes.
-	if ls[0].Labels[0][0] != ls[1].Labels[0][0] {
-		t.Fatalf("shared label A got different class ids across graphs")
 	}
 }
 
@@ -191,6 +186,32 @@ func TestWLRefinementMonotone(t *testing.T) {
 						t.Fatalf("WL not a refinement at level %d", l)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestWLClassesDenseInFirstSeenOrder: at every iteration the class ids are
+// 0..Classes[l]-1, numbered in the order their first nodes appear — the
+// group numbering cg.Build takes as it is.
+func TestWLClassesDenseInFirstSeenOrder(t *testing.T) {
+	gen := NewGenerator(3)
+	labels := []string{"A", "B", "C"}
+	for i := 0; i < 20; i++ {
+		g := gen.RandomConnected(3+gen.rng.Intn(20), 25, labels, 0.3)
+		wl := WL(g, 3)
+		for l, cls := range wl.Labels {
+			next := 0
+			for u, c := range cls {
+				if c > next || c < 0 {
+					t.Fatalf("graph %d level %d: node %d has class %d before class %d was used", i, l, u, c, next)
+				}
+				if c == next {
+					next++
+				}
+			}
+			if next != wl.Classes[l] {
+				t.Fatalf("graph %d level %d: %d classes used, Classes says %d", i, l, next, wl.Classes[l])
 			}
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // hence, by the GIN equivalence of [Xu et al. 2019], provably equal GIN
 // embeddings at layer l.
 //
-// Class ids are canonical per (graph set, iteration): they are assigned by
-// first occurrence of the underlying WL string, so labelings computed by a
-// single call are comparable across the graphs passed to that call.
+// Class ids are dense per iteration, 0..Classes[l]-1, in the order of each
+// class's first node (lowest id). They are only comparable within one
+// graph's labeling; Hash is the cross-graph form.
 type WLLabeling struct {
 	// Labels[l][u] is the class of node u at iteration l, for l = 0..L.
 	Labels [][]int
@@ -25,72 +25,48 @@ type WLLabeling struct {
 // WL runs L iterations of Weisfeiler-Lehman labeling on g. Iteration 0 uses
 // the node labels.
 func WL(g *Graph, L int) *WLLabeling {
-	return WLJoint([]*Graph{g}, L)[0]
-}
-
-// WLJoint runs WL labeling on several graphs with a shared class-id space,
-// so class i at iteration l means the same WL label in every graph. This is
-// what the cross-graph learning acceleration needs to compare node groups
-// of a data graph and a query graph.
-func WLJoint(gs []*Graph, L int) []*WLLabeling {
-	out := make([]*WLLabeling, len(gs))
-	cur := make([][]int, len(gs))
-
+	out := &WLLabeling{}
 	// Iteration 0: classes from raw labels.
-	dict := make(map[string]int)
-	for i, g := range gs {
-		out[i] = &WLLabeling{}
-		cls := make([]int, g.N())
-		for u := 0; u < g.N(); u++ {
-			l := g.Label(u)
-			id, ok := dict[l]
-			if !ok {
-				id = len(dict)
-				dict[l] = id
-			}
-			cls[u] = id
+	labels := make(map[string]int)
+	cur := make([]int, g.N())
+	for u := range cur {
+		l := g.Label(u)
+		id, ok := labels[l]
+		if !ok {
+			id = len(labels)
+			labels[l] = id
 		}
-		cur[i] = cls
-		out[i].Labels = append(out[i].Labels, cls)
+		cur[u] = id
 	}
-	n0 := len(dict)
-	for i := range gs {
-		out[i].Classes = append(out[i].Classes, n0)
-	}
+	out.Labels = append(out.Labels, cur)
+	out.Classes = append(out.Classes, len(labels))
 
 	var sb strings.Builder
 	for l := 1; l <= L; l++ {
 		dict := make(map[string]int)
-		next := make([][]int, len(gs))
-		for i, g := range gs {
-			cls := make([]int, g.N())
-			for u := 0; u < g.N(); u++ {
-				sb.Reset()
-				fmt.Fprintf(&sb, "%d|", cur[i][u])
-				ns := make([]int, 0, g.Degree(u))
-				for _, v := range g.Neighbors(u) {
-					ns = append(ns, cur[i][v])
-				}
-				sort.Ints(ns)
-				for _, c := range ns {
-					fmt.Fprintf(&sb, "%d,", c)
-				}
-				key := sb.String()
-				id, ok := dict[key]
-				if !ok {
-					id = len(dict)
-					dict[key] = id
-				}
-				cls[u] = id
+		next := make([]int, g.N())
+		for u := range next {
+			sb.Reset()
+			fmt.Fprintf(&sb, "%d|", cur[u])
+			ns := make([]int, 0, g.Degree(u))
+			for _, v := range g.Neighbors(u) {
+				ns = append(ns, cur[v])
 			}
-			next[i] = cls
+			sort.Ints(ns)
+			for _, c := range ns {
+				fmt.Fprintf(&sb, "%d,", c)
+			}
+			key := sb.String()
+			id, ok := dict[key]
+			if !ok {
+				id = len(dict)
+				dict[key] = id
+			}
+			next[u] = id
 		}
-		nl := len(dict)
-		for i := range gs {
-			cur[i] = next[i]
-			out[i].Labels = append(out[i].Labels, next[i])
-			out[i].Classes = append(out[i].Classes, nl)
-		}
+		cur = next
+		out.Labels = append(out.Labels, next)
+		out.Classes = append(out.Classes, len(dict))
 	}
 	return out
 }

@@ -24,6 +24,7 @@ package cg
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/lansearch/lan/graph"
@@ -137,98 +138,73 @@ func (c *Compressed) Depth() int { return len(c.Levels) - 1 }
 
 // Build constructs the compressed GNN-graph of g for an L-layer GNN by WL
 // labeling (Algorithm 5). Theorem 4: grouping by WL classes is the optimum
-// grouping that preserves embedding equality.
+// grouping that preserves embedding equality. WL numbers one graph's
+// classes densely in first-seen order, so its classes are the groups.
 func Build(g *graph.Graph, L int, vocab *Vocab) *Compressed {
 	wl := graph.WL(g, L)
-	c := &Compressed{N: g.N(), Levels: make([]Level, L+1)}
-
-	// groupOf[l][u] = group index of node u at level l. WL class ids are
-	// dense per level already, but not necessarily contiguous from 0 for
-	// this graph alone (joint labeling); remap to local dense ids.
-	groupOf := make([][]int, L+1)
-	for l := 0; l <= L; l++ {
-		remap := make(map[int]int)
-		groupOf[l] = make([]int, g.N())
-		for u := 0; u < g.N(); u++ {
-			cls := wl.Labels[l][u]
-			id, ok := remap[cls]
-			if !ok {
-				id = len(remap)
-				remap[cls] = id
-			}
-			groupOf[l][u] = id
-		}
-		ng := len(remap)
-		lv := &c.Levels[l]
-		lv.Size = make([]float64, ng)
-		rep := make([]int, ng) // a representative node per group
-		for i := range rep {
-			rep[i] = -1
-		}
-		for u := 0; u < g.N(); u++ {
-			gi := groupOf[l][u]
-			lv.Size[gi]++
-			if rep[gi] == -1 {
-				rep[gi] = u
-			}
-		}
-		lv.LogSize = logSizes(lv.Size, g.N())
-		if l == 0 {
-			lv.Feature = make([]int, ng)
-			for i, u := range rep {
-				lv.Feature[i] = vocab.Index(g.Label(u))
-			}
-		} else {
-			lv.In = make([][]Lin, ng)
-			for i, u := range rep {
-				// Weighted in-edges per Algorithm 5: |N(u) ∩ group| for
-				// each previous-level group, +1 for u's own group.
-				w := make(map[int]float64)
-				w[groupOf[l-1][u]]++ // self term
-				for _, v := range g.Neighbors(u) {
-					w[groupOf[l-1][v]]++
-				}
-				ins := make([]Lin, 0, len(w))
-				for from, weight := range w {
-					ins = append(ins, Lin{Row: from, W: weight})
-				}
-				sort.Slice(ins, func(a, b int) bool { return ins[a].Row < ins[b].Row })
-				lv.In[i] = ins
-			}
-		}
-	}
-	return c
+	return assemble(g, vocab, wl.Labels, wl.Classes)
 }
 
 // BuildRaw constructs the uncompressed GNN-graph of g (Sec. III-D) in the
 // same representation: every node is its own group at every level. Forward
 // passes over it implement Definition 1 exactly.
 func BuildRaw(g *graph.Graph, L int, vocab *Vocab) *Compressed {
+	self := make([]int, g.N())
+	for u := range self {
+		self[u] = u
+	}
+	groupOf, groups := make([][]int, L+1), make([]int, L+1)
+	for l := range groupOf {
+		groupOf[l], groups[l] = self, g.N()
+	}
+	return assemble(g, vocab, groupOf, groups)
+}
+
+// assemble builds the levels of g's GNN-graph from a grouping of its
+// nodes: groupOf[l][u] is node u's group at level l, numbered
+// 0..groups[l]-1 in the order of each group's first node. A group's
+// in-edges are its first node's, per Algorithm 5: |N(u) ∩ group| for each
+// previous-level group, +1 for u's own group (the GIN self term).
+func assemble(g *graph.Graph, vocab *Vocab, groupOf [][]int, groups []int) *Compressed {
 	n := g.N()
-	c := &Compressed{N: n, Levels: make([]Level, L+1)}
-	for l := 0; l <= L; l++ {
+	c := &Compressed{N: n, Levels: make([]Level, len(groupOf))}
+	var rows []int
+	var ins []Lin
+	for l, of := range groupOf {
 		lv := &c.Levels[l]
-		lv.Size = make([]float64, n)
-		for i := range lv.Size {
-			lv.Size[i] = 1
+		lv.Size = make([]float64, groups[l])
+		rep := make([]int, groups[l]) // a group's first node
+		for u, gi := range of {
+			if lv.Size[gi] == 0 {
+				rep[gi] = u
+			}
+			lv.Size[gi]++
 		}
 		lv.LogSize = logSizes(lv.Size, n)
 		if l == 0 {
-			lv.Feature = make([]int, n)
-			for u := 0; u < n; u++ {
-				lv.Feature[u] = vocab.Index(g.Label(u))
+			lv.Feature = make([]int, len(rep))
+			for i, u := range rep {
+				lv.Feature[i] = vocab.Index(g.Label(u))
 			}
 			continue
 		}
-		lv.In = make([][]Lin, n)
-		for u := 0; u < n; u++ {
-			ins := make([]Lin, 0, g.Degree(u)+1)
-			ins = append(ins, Lin{Row: u, W: 1})
+		prev := groupOf[l-1]
+		lv.In = make([][]Lin, len(rep))
+		for i, u := range rep {
+			rows = append(rows[:0], prev[u])
 			for _, v := range g.Neighbors(u) {
-				ins = append(ins, Lin{Row: v, W: 1})
+				rows = append(rows, prev[v])
 			}
-			sort.Slice(ins, func(a, b int) bool { return ins[a].Row < ins[b].Row })
-			lv.In[u] = ins
+			sort.Ints(rows)
+			ins = ins[:0]
+			for j, r := range rows {
+				if j > 0 && r == rows[j-1] {
+					ins[len(ins)-1].W++
+				} else {
+					ins = append(ins, Lin{Row: r, W: 1})
+				}
+			}
+			lv.In[i] = slices.Clone(ins)
 		}
 	}
 	return c

@@ -70,13 +70,6 @@ func (k *KMeans) K() int { return len(k.Centroids) }
 // FitKMeans clusters points into k groups with Lloyd's algorithm and
 // kmeans++-style seeding, deterministic under seed.
 func FitKMeans(points [][]float64, k int, iters int, seed int64) (*KMeans, error) {
-	return FitKMeansRand(points, k, iters, rand.New(rand.NewSource(seed)))
-}
-
-// FitKMeansRand is FitKMeans with an injected randomness source (must be
-// non-nil), for callers that thread one reproducible stream through a
-// whole pipeline.
-func FitKMeansRand(points [][]float64, k int, iters int, rng *rand.Rand) (*KMeans, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("cluster: no points")
 	}
@@ -97,6 +90,7 @@ func FitKMeansRand(points [][]float64, k int, iters int, rng *rand.Rand) (*KMean
 	}
 
 	// kmeans++ seeding.
+	rng := rand.New(rand.NewSource(seed))
 	centroids := make([][]float64, 0, k)
 	centroids = append(centroids, clonePoint(points[rng.Intn(len(points))]))
 	d2 := make([]float64, len(points))

@@ -475,7 +475,7 @@ func (e *Engine) Search(ctx context.Context, q *graph.Graph, so SearchOptions) (
 			RankMetric: e.Opts.BuildMetric,
 		}
 	default: // LANRoute
-		inner := e.Mrk.Ranker(ws, e.DB, q, qcg, &scored)
+		inner := e.Mrk.Ranker(ws, e.DB, qcg, &scored)
 		ranker = route.RankerFunc(func(node int, neighbors []int, d float64) [][]int {
 			rs := time.Now()
 			b := inner.Batches(node, neighbors, d)

@@ -44,8 +44,8 @@ func Fig5(e *Env) []Point {
 			cache := pg.NewDistCache(e.Protocol.QueryMetric, e.DB, q)
 			// As in search: no caller context, and cancellation is the
 			// only error.
-			res, s, _ := e.L2.Search(context.Background(), q, cache, e.Protocol.K, verify, verify)
-			return res, core.QueryStats{NDC: s.NDC, Explored: s.Explored, Total: time.Since(start)}
+			res, explored, _ := e.L2.Search(context.Background(), q, cache, e.Protocol.K, verify, verify)
+			return res, core.QueryStats{NDC: cache.NDC(), Explored: explored, Total: time.Since(start)}
 		}))
 	}
 	return pts

@@ -167,11 +167,12 @@ func BuildIndex(db graph.Database, enc *Encoder, m int) (*Index, error) {
 // Search answers a k-ANN query: route.Route over the proximity graph in
 // embedding space (free — no GED), entered through the HNSW descent, then
 // verify the best min(verify, beam) vector candidates with true GEDs
-// charged to cache, returning the best k by GED. Routing checks the
+// charged to cache, returning the best k by GED and the number of vector
+// nodes the routing explored (its NDC is cache's). Routing checks the
 // context before every vector distance and verification — where the wall
 // time actually goes — before every GED call and after the last, so an
 // expired deadline stops the query within one GED call.
-func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache, k, beam, verify int) ([]pg.Result, pg.Stats, error) {
+func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache, k, beam, verify int) ([]pg.Result, int, error) {
 	if verify < k {
 		verify = k
 	}
@@ -187,7 +188,7 @@ func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache,
 	entry := x.HNSW.EntryPoint(ctx, vec)
 	cands, rs, err := route.Route(ctx, x.HNSW.PG, vec, nil, entry, route.Config{K: min(verify, beam), Beam: beam})
 	if err != nil {
-		return nil, pg.Stats{NDC: cache.NDC(), Explored: rs.Explored}, err
+		return nil, rs.Explored, err
 	}
 	// The vector stage pays no GEDs, so its span NDC is zero by
 	// construction.
@@ -205,7 +206,7 @@ func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache,
 	// Checked after the loop too, so a cancel inside the last GED call
 	// still ends the query with ctx.Err().
 	if err := ctx.Err(); err != nil {
-		return nil, pg.Stats{NDC: cache.NDC(), Explored: rs.Explored}, err
+		return nil, rs.Explored, err
 	}
 	sort.Slice(verified, func(i, j int) bool {
 		return order.ByDistThenID(verified[i].Dist, verified[i].ID, verified[j].Dist, verified[j].ID)
@@ -218,7 +219,7 @@ func (x *Index) Search(ctx context.Context, q *graph.Graph, cache *pg.DistCache,
 	if verifyNDC > 0 {
 		obs.Query().NDCVerify.Add(uint64(verifyNDC))
 	}
-	return verified, pg.Stats{NDC: cache.NDC(), Explored: rs.Explored}, nil
+	return verified, rs.Explored, nil
 }
 
 func sqL2(a, b []float64) float64 {

@@ -134,12 +134,11 @@ func TestVectorStageChargesNoGED(t *testing.T) {
 				t.Fatalf("fixture has %d graphs, fewer than beam %d", len(db), beam)
 			}
 			c := pg.NewDistCache(metric, db, q)
-			_, s, err := idx.Search(context.Background(), q, c, 3, beam, verify)
-			if err != nil {
+			if _, _, err := idx.Search(context.Background(), q, c, 3, beam, verify); err != nil {
 				t.Fatal(err)
 			}
-			if want := min(verify, beam); s.NDC != want || c.NDC() != want {
-				t.Errorf("query %d beam %d verify %d: NDC %d (cache %d); want %d", qi, beam, verify, s.NDC, c.NDC(), want)
+			if want := min(verify, beam); c.NDC() != want {
+				t.Errorf("query %d beam %d verify %d: NDC %d; want %d", qi, beam, verify, c.NDC(), want)
 			}
 		}
 	}
@@ -168,24 +167,25 @@ func TestSearchCancelInsideEveryDistance(t *testing.T) {
 	db := dataset.AIDS(0.002).Generate()
 	idx := buildIndex(t, db, NewEncoder(db, 2, 8, 4), 4)
 	for qi, q := range dataset.Workload(db, dataset.AIDS(0.002), 3, 13) {
-		run := func(n int) (int, pg.Stats, error) {
+		run := func(n int) (int, int, error) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			m := &cancelInside{Metric: ged.MetricFunc(ged.VJ), n: n, cancel: cancel}
-			_, s, err := idx.Search(ctx, q, pg.NewDistCache(m, db, q), 3, 8, 8)
-			return m.calls, s, err
+			c := pg.NewDistCache(m, db, q)
+			_, _, err := idx.Search(ctx, q, c, 3, 8, 8)
+			return m.calls, c.NDC(), err
 		}
 		ndc, _, err := run(0)
 		if err != nil || ndc == 0 {
 			t.Fatalf("query %d: uncancelled search: %d calls, err %v", qi, ndc, err)
 		}
 		for k := 1; k <= ndc; k++ {
-			calls, s, err := run(k)
+			calls, ndcAt, err := run(k)
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("query %d: cancel inside call %d/%d: err = %v; want context.Canceled", qi, k, ndc, err)
 			}
-			if calls != k || s.NDC != k {
-				t.Errorf("query %d: cancel inside call %d/%d: %d calls, NDC %d", qi, k, ndc, calls, s.NDC)
+			if calls != k || ndcAt != k {
+				t.Errorf("query %d: cancel inside call %d/%d: %d calls, NDC %d", qi, k, ndc, calls, ndcAt)
 			}
 		}
 	}
@@ -207,14 +207,14 @@ func TestSearchEndToEndRecall(t *testing.T) {
 		truth := dataset.BruteForceKNN(db, q, metric, 5)
 
 		c1 := pg.NewDistCache(metric, db, q)
-		got1, s1, _ := idx.Search(context.Background(), q, c1, 5, 10, 10)
+		got1, _, _ := idx.Search(context.Background(), q, c1, 5, 10, 10)
 		rSmall += dataset.Recall(got1, truth)
-		ndcSmall += float64(s1.NDC)
+		ndcSmall += float64(c1.NDC())
 
 		c2 := pg.NewDistCache(metric, db, q)
-		got2, s2, _ := idx.Search(context.Background(), q, c2, 5, 80, 80)
+		got2, _, _ := idx.Search(context.Background(), q, c2, 5, 80, 80)
 		rLarge += dataset.Recall(got2, truth)
-		ndcLarge += float64(s2.NDC)
+		ndcLarge += float64(c2.NDC())
 	}
 	n := float64(len(queries))
 	t.Logf("recall small=%.3f (ndc %.0f)  large=%.3f (ndc %.0f)", rSmall/n, ndcSmall/n, rLarge/n, ndcLarge/n)

@@ -83,7 +83,7 @@ func TestRankerMemoBitIdentical(t *testing.T) {
 func checkRankerMemoBitIdentical(t *testing.T, rf *rankFixture) {
 	var rs RankerStats
 	ws := cg.NewWorkspace()
-	rk := rf.mrk.Ranker(ws, rf.db, rf.queries[0], rf.qc, &rs)
+	rk := rf.mrk.Ranker(ws, rf.db, rf.qc, &rs)
 	ref := refRanker(rf.mrk, rf.db, rf.qc)
 	met := make(map[int]int)
 	var kept [][][]int
@@ -146,9 +146,6 @@ func TestProbCGMatchesReference(t *testing.T) {
 			t.Fatalf("graph %d: ProbCG = %v; reference %v", g.ID, got, want)
 		}
 	}
-	if got, want := rf.mnh.Prob(rf.db[3], rf.queries[0]), refProbCG(rf.mnh, rf.db[3], rf.qc); got != want {
-		t.Fatalf("Prob = %v; reference %v", got, want)
-	}
 }
 
 // TestInferAllocs: once a workspace has seen a search's worth of work, a
@@ -163,7 +160,7 @@ func TestInferAllocs(t *testing.T) {
 
 func checkInferAllocs(t *testing.T, rf *rankFixture) {
 	ws := cg.NewWorkspace()
-	rk := rf.mrk.Ranker(ws, rf.db, rf.queries[0], rf.qc, nil).(*searchRanker)
+	rk := rf.mrk.Ranker(ws, rf.db, rf.qc, nil).(*searchRanker)
 	search := func() {
 		ws.Reset()
 		rk.sc = rf.mrk.bind(ws, rf.qc, nil)
@@ -239,7 +236,7 @@ func BenchmarkRankerCall(b *testing.B) {
 		b.Run(shape.name, func(b *testing.B) {
 			rf := newRankFixtureOf(b, shape)
 			ws := cg.NewWorkspace()
-			rk := rf.mrk.Ranker(ws, rf.db, rf.queries[0], rf.qc, nil).(*searchRanker)
+			rk := rf.mrk.Ranker(ws, rf.db, rf.qc, nil).(*searchRanker)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -184,11 +184,9 @@ type InitialSelector struct {
 	// members. O(|D|) predictions — kept for the paper's basic-vs-
 	// optimized ablation.
 	Exhaustive bool
-	// QueryCG, when set, is the query's precomputed compressed GNN-graph
-	// (the engine builds it once per search); nil makes Select build it.
+	// QueryCG is the query's compressed GNN-graph, built once per search.
 	QueryCG *cg.Compressed
-	// WS, when set, is the search's inference workspace; nil makes Select
-	// run on one of its own.
+	// WS is the search's inference workspace.
 	WS *cg.Workspace
 }
 
@@ -221,19 +219,11 @@ func (s *InitialSelector) Select(ctx context.Context, q *graph.Graph, cache *pg.
 		return -1
 	}
 
-	qc := s.QueryCG
-	if qc == nil {
-		qc = s.Mnh.QueryCG(q)
-	}
-	ws := s.WS
-	if ws == nil {
-		ws = cg.NewWorkspace()
-	}
-	s.Mnh.Bind(ws, qc)
+	s.Mnh.Bind(s.WS, s.QueryCG)
 	var predicted []int
 	bestProb, bestG := -1.0, -1
 	for _, g := range candidates {
-		p := s.Mnh.ProbCG(ws, cache.DB[g])
+		p := s.Mnh.ProbCG(s.WS, cache.DB[g])
 		if s.Predictions != nil {
 			*s.Predictions++
 		}

@@ -105,19 +105,6 @@ func (m *NeighborhoodModel) ProbCG(ws *cg.Workspace, g *graph.Graph) float64 {
 	return p
 }
 
-// Prob returns the predicted probability that G is in N_Q (on a
-// workspace of its own).
-func (m *NeighborhoodModel) Prob(g, q *graph.Graph) float64 {
-	ws := cg.NewWorkspace()
-	m.Bind(ws, m.QueryCG(q))
-	return m.ProbCG(ws, g)
-}
-
-// Predict reports whether G is predicted to be in N_Q (threshold 0.5).
-func (m *NeighborhoodModel) Predict(g, q *graph.Graph) bool {
-	return m.Prob(g, q) >= 0.5
-}
-
 // MembershipExample is one M_nh training pair.
 type MembershipExample struct {
 	Qi   int // index into the distance table's queries

@@ -182,7 +182,7 @@ func TestNeighborRankerRankerAdapter(t *testing.T) {
 	cfg := Config{Dim: 6, GammaStar: f.gamma, Seed: 2}
 	r := NewNeighborRanker(cfg, f.store)
 	var rs RankerStats
-	rk := r.Ranker(cg.NewWorkspace(), f.db, f.queries[0], nil, &rs)
+	rk := r.Ranker(cg.NewWorkspace(), f.db, f.store.Query(f.queries[0]), &rs)
 
 	neighbors := f.index.PG.Neighbors(0)
 	if len(neighbors) < 2 {
@@ -227,7 +227,7 @@ func TestNeighborRankerRankerAdapter(t *testing.T) {
 	asc := append([]int(nil), neighbors...)
 	sort.Ints(asc)
 	var flat []int
-	for _, b := range r.Ranker(cg.NewWorkspace(), f.db, f.queries[0], nil, nil).Batches(0, neighbors, 0) {
+	for _, b := range r.Ranker(cg.NewWorkspace(), f.db, f.store.Query(f.queries[0]), nil).Batches(0, neighbors, 0) {
 		flat = append(flat, b...)
 	}
 	if !reflect.DeepEqual(flat, asc) {
@@ -283,8 +283,10 @@ func TestNeighborhoodModelLearnsMembership(t *testing.T) {
 	}
 	// Training accuracy on the (downsampled) set should beat chance.
 	correct := 0
+	ws := cg.NewWorkspace()
 	for _, ex := range exs {
-		if m.Predict(f.db[ex.G], f.table.Queries[ex.Qi]) == ex.InNQ {
+		m.Bind(ws, m.QueryCG(f.table.Queries[ex.Qi]))
+		if (m.ProbCG(ws, f.db[ex.G]) >= 0.5) == ex.InNQ {
 			correct++
 		}
 	}
@@ -396,8 +398,8 @@ func TestInitialSelectorEndToEnd(t *testing.T) {
 	}
 
 	preds := 0
-	sel := &InitialSelector{Mnh: mnh, Mc: mc, Seed: 8, Predictions: &preds}
 	q := f.queries[len(f.queries)-1]
+	sel := &InitialSelector{Mnh: mnh, Mc: mc, Seed: 8, Predictions: &preds, QueryCG: mnh.QueryCG(q), WS: cg.NewWorkspace()}
 	cache := pg.NewDistCache(f.metric, f.db, q)
 	entry := sel.Select(context.Background(), q, cache)
 	if entry < 0 || entry >= len(f.db) {

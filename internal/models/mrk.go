@@ -221,13 +221,10 @@ func (s scorer) headSum(prefix, nodeEmb []float64) float64 {
 // (which the router keeps until the search ends) all live there, so a
 // ranking call allocates nothing once ws is warm; the Ranker must not
 // outlive the search or be shared with another. qc is the
-// query's compressed GNN-graph, built once per search (nil falls back to
-// building it here). stats, when non-nil, counts inferences and memo hits.
-// Node and neighbour ids index db.
-func (r *NeighborRanker) Ranker(ws *cg.Workspace, db graph.Database, q *graph.Graph, qc *cg.Compressed, stats *RankerStats) route.Ranker {
-	if qc == nil {
-		qc = r.store.Query(q)
-	}
+// query's compressed GNN-graph, built once per search. stats, when
+// non-nil, counts inferences and memo hits. Node and neighbour ids index
+// db.
+func (r *NeighborRanker) Ranker(ws *cg.Workspace, db graph.Database, qc *cg.Compressed, stats *RankerStats) route.Ranker {
 	return &searchRanker{sc: r.bind(ws, qc, stats), db: db}
 }
 

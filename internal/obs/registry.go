@@ -353,17 +353,13 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveExemplar records one value and retains traceID as the exemplar
-// of the bucket the value lands in. An empty traceID degrades to a plain
-// Observe. The exemplar store is one atomic pointer per bucket (last
-// writer wins), so the call stays lock-free; it does allocate the
-// exemplar record, which is why only traced observations go through it —
-// the untraced hot path keeps using Observe.
+// of the bucket the value lands in. An empty traceID makes it Observe. The
+// exemplar store is one atomic pointer per bucket (last writer wins), so
+// the call stays lock-free; it allocates the exemplar record only when
+// there is a trace id.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if math.IsNaN(v) {
-		return
-	}
 	h.Observe(v)
-	if traceID == "" {
+	if traceID == "" || math.IsNaN(v) {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
@@ -389,36 +385,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Mean returns Sum/Count (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if n := h.Count(); n > 0 {
-		return h.Sum() / float64(n)
-	}
-	return 0
-}
-
-// Quantile returns the value at quantile q (0..1) estimated from the
-// bucket upper bounds — the same estimate Prometheus' histogram_quantile
-// gives, good enough for tests and status pages.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
 
 func (h *Histogram) help() string { return h.h }
 func (h *Histogram) kind() string { return "histogram" }

@@ -85,31 +85,24 @@ func TestRegisterKindMismatchPanics(t *testing.T) {
 	r.Gauge("lan_test_kind_total", "Now a gauge.")
 }
 
-// TestHistogramQuantile pins the bucket-bound quantile estimate that the
-// serving layer's status assertions rely on (formerly a lanserve test;
-// the histogram moved here).
-func TestHistogramQuantile(t *testing.T) {
+// TestHistogramBucketsCountAndSum pins where an observation lands (the
+// first bucket whose upper bound it does not exceed, else +Inf), the count
+// and the sum, and that NaN is dropped.
+func TestHistogramBucketsCountAndSum(t *testing.T) {
 	h := newHistogram("test", []float64{1, 2, 4, 8})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram p50 = %v; want 0", got)
-	}
-	for _, v := range []float64{0.5, 1.5, 1.7, 3, 7, 100} {
+	for _, v := range []float64{0.5, 1.5, 2, 3, 7, 100} {
 		h.Observe(v)
 	}
-	if got := h.Quantile(0.5); got != 2 {
-		t.Errorf("p50 = %v; want 2 (bucket upper bound)", got)
-	}
-	if got := h.Quantile(0.99); !math.IsInf(got, 1) {
-		t.Errorf("p99 = %v; want +Inf (overflow bucket)", got)
+	for i, want := range []uint64{1, 2, 1, 1, 1} {
+		if got := h.counts[i].Load(); got != want {
+			t.Errorf("bucket %d holds %d; want %d", i, got, want)
+		}
 	}
 	if got, want := h.Count(), uint64(6); got != want {
 		t.Errorf("count = %d; want %d", got, want)
 	}
-	if got, want := h.Sum(), 113.7; math.Abs(got-want) > 1e-9 {
+	if got, want := h.Sum(), 114.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("sum = %v; want %v", got, want)
-	}
-	if got, want := h.Mean(), 113.7/6; math.Abs(got-want) > 1e-9 {
-		t.Errorf("mean = %v; want %v", got, want)
 	}
 	h.Observe(math.NaN()) // dropped
 	if got := h.Count(); got != 6 {

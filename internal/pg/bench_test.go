@@ -83,7 +83,7 @@ func TestResizeMatchesSortReference(t *testing.T) {
 func TestResizeAllocs(t *testing.T) {
 	const b = 16
 	p := fillPool(rand.New(rand.NewSource(3)), b, 12)
-	full := append([]Candidate(nil), p.items...)
+	full := append([]Result(nil), p.items...)
 	refill := func() {
 		p.items = append(p.items[:0], full...)
 		for _, c := range full {
@@ -121,7 +121,7 @@ func BenchmarkPoolResize(b *testing.B) {
 					for id := range src.inW {
 						inW[id] = true
 					}
-					p := &Pool{items: append([]Candidate(nil), src.items...),
+					p := &Pool{items: append([]Result(nil), src.items...),
 						inW: inW, exploredSeq: src.exploredSeq}
 					if impl == "quickselect" {
 						p.Resize(width)

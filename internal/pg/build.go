@@ -61,7 +61,7 @@ type HNSW struct {
 	// efConstruction is Insert's candidate-beam width: the build's
 	// BuildConfig.EfConstruction, or what Arm gives a reopened index.
 	efConstruction int
-	buildMetric    ged.Metric
+	buildMetric    *memo
 	// pool fans Insert's distance prefetches out; nil outside Build (and
 	// when Workers == 1), making every prefetch sequential.
 	pool *WorkerPool
@@ -89,7 +89,7 @@ func Build(db graph.Database, cfg BuildConfig) (*HNSW, error) {
 		Level:          make([]int, len(db)),
 		m:              cfg.M,
 		efConstruction: cfg.EfConstruction,
-		buildMetric:    ged.NewCounter(cfg.Metric), // memoizes by (ID, ID)
+		buildMetric:    newMemo(cfg.Metric),
 		pool:           NewWorkerPool(cfg.Workers),
 	}
 	defer func() {
@@ -199,12 +199,12 @@ func insertSorted(ns []int, v int) []int {
 // edges that plain closest-M selection prunes away, which is what keeps
 // the base layer navigable between GED clusters. Skipped candidates
 // backfill remaining slots (keepPrunedConnections).
-func (h *HNSW) selectNeighbors(c *DistCache, cands []Candidate, m int) []Candidate {
+func (h *HNSW) selectNeighbors(c *DistCache, cands []Result, m int) []Result {
 	if len(cands) <= m {
 		return cands
 	}
-	kept := make([]Candidate, 0, m)
-	var skipped []Candidate
+	kept := make([]Result, 0, m)
+	var skipped []Result
 	for _, cand := range cands {
 		if len(kept) >= m {
 			break
@@ -232,7 +232,7 @@ func (h *HNSW) selectNeighbors(c *DistCache, cands []Candidate, m int) []Candida
 }
 
 // pairDist returns the build-metric distance between two database graphs
-// (memoized by the counting build metric).
+// (memoized by the build metric).
 func (h *HNSW) pairDist(a, b int) float64 {
 	return h.buildMetric.Distance(h.PG.DB[a], h.PG.DB[b])
 }
@@ -297,9 +297,9 @@ func (h *HNSW) shrink(u int, ns []int, cap int) (kept, dropped []int) {
 	// edge was made, so during a build these are all hits in the build
 	// metric's memo and not worth waking a helper for.
 	c := NewDistCache(h.buildMetric, h.PG.DB, h.PG.DB[u])
-	cands := make([]Candidate, len(ns))
+	cands := make([]Result, len(ns))
 	for i, v := range ns {
-		cands[i] = Candidate{ID: v, Dist: c.Dist(v)}
+		cands[i] = Result{ID: v, Dist: c.Dist(v)}
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		return order.ByDistThenID(cands[i].Dist, cands[i].ID, cands[j].Dist, cands[j].ID)

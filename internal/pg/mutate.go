@@ -33,7 +33,7 @@ func (h *HNSW) Arm(metric ged.Metric, m int) {
 		if metric == nil {
 			metric = ged.MetricFunc(ged.Hungarian)
 		}
-		h.buildMetric = ged.NewCounter(metric) // memoizes by (ID, ID)
+		h.buildMetric = newMemo(metric)
 	}
 	if h.m <= 0 {
 		h.m = m
@@ -140,9 +140,9 @@ func (h *HNSW) Reselect(u int) int {
 		}
 	}
 	c := NewDistCache(h.buildMetric, h.PG.DB, h.PG.DB[u])
-	cands := make([]Candidate, len(candIDs))
+	cands := make([]Result, len(candIDs))
 	for i, v := range candIDs {
-		cands[i] = Candidate{ID: v, Dist: c.Dist(v)}
+		cands[i] = Result{ID: v, Dist: c.Dist(v)}
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		return order.ByDistThenID(cands[i].Dist, cands[i].ID, cands[j].Dist, cands[j].ID)

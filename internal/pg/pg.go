@@ -155,35 +155,19 @@ func (c *DistCache) NDC() int { return c.ndc }
 // Hits returns the number of Dist calls served from the memo.
 func (c *DistCache) Hits() int { return c.hits }
 
-// Result is one k-ANN answer: a database graph id and its distance to the
-// query.
+// Result is a database graph and its distance to the query: an entry of
+// the pool W, and one k-ANN answer.
 type Result struct {
 	ID   int
 	Dist float64
 }
 
-// Stats aggregates the per-query search effort.
-type Stats struct {
-	// NDC is the number of GED computations.
-	NDC int
-	// Explored is the number of PG nodes whose neighborhood was (at least
-	// partially) expanded.
-	Explored int
-}
-
-// topK converts a candidate pool into the k best results (ascending
-// distance, ties by id).
-func topK(cands []Candidate, k int) []Result {
-	sorted := append([]Candidate(nil), cands...)
+// topK returns the k best of cands (ascending distance, ties by id).
+func topK(cands []Result, k int) []Result {
+	sorted := make([]Result, len(cands)) // never nil: an empty answer encodes as []
+	copy(sorted, cands)
 	sort.Slice(sorted, func(i, j int) bool {
 		return order.ByDistThenID(sorted[i].Dist, sorted[i].ID, sorted[j].Dist, sorted[j].ID)
 	})
-	if len(sorted) > k {
-		sorted = sorted[:k]
-	}
-	out := make([]Result, len(sorted))
-	for i, c := range sorted {
-		out[i] = Result{ID: c.ID, Dist: c.Dist}
-	}
-	return out
+	return sorted[:min(k, len(sorted))]
 }

@@ -116,8 +116,8 @@ func TestPoolTieBreaking(t *testing.T) {
 	p := NewPool(3, nil)
 	// byPriority ranks the pool's items under the resize order (Resize
 	// itself only partitions, it no longer promises sorted items).
-	byPriority := func() []Candidate {
-		s := append([]Candidate(nil), p.items...)
+	byPriority := func() []Result {
+		s := append([]Result(nil), p.items...)
 		sort.Slice(s, func(i, j int) bool { return p.less(s[i], s[j]) })
 		return s
 	}

@@ -7,13 +7,6 @@ import (
 	"github.com/lansearch/lan/internal/order"
 )
 
-// Candidate is an entry of the pool W: a database graph and its distance
-// to the query.
-type Candidate struct {
-	ID   int
-	Dist float64
-}
-
 // Pool is the candidate priority pool W of np_route (Algorithm 2, and
 // Algorithm 1 as its one-batch case), with the paper's tie-breaking:
 // ascending distance; on ties an unexplored node outranks an explored one,
@@ -21,7 +14,7 @@ type Candidate struct {
 // nodes rank by smaller id. Exploration state is remembered for the whole
 // query, so nodes dropped from W stay explored if they return.
 type Pool struct {
-	items []Candidate
+	items []Result
 	inW   map[int]bool
 	// exploredSeq[id] is the exploration timestamp (1, 2, ...); absent
 	// means unexplored.
@@ -36,7 +29,7 @@ type Pool struct {
 	// W before the answers are read.
 	k         int
 	dead      []bool
-	survivors []Candidate
+	survivors []Result
 }
 
 // NewPool returns an empty pool for a query that wants k answers from an
@@ -52,9 +45,9 @@ func (p *Pool) Add(id int, dist float64) {
 		return
 	}
 	p.inW[id] = true
-	p.items = append(p.items, Candidate{ID: id, Dist: dist})
+	p.items = append(p.items, Result{ID: id, Dist: dist})
 	if p.dead != nil && (id >= len(p.dead) || !p.dead[id]) {
-		p.addSurvivor(Candidate{ID: id, Dist: dist})
+		p.addSurvivor(Result{ID: id, Dist: dist})
 	}
 }
 
@@ -62,7 +55,7 @@ func (p *Pool) Add(id int, dist float64) {
 // candidates. Candidates evicted from W and re-Added later arrive here
 // again with the same distance (the metric is deterministic), so an
 // existing entry is left alone.
-func (p *Pool) addSurvivor(c Candidate) {
+func (p *Pool) addSurvivor(c Result) {
 	pos := sort.Search(len(p.survivors), func(i int) bool {
 		s := p.survivors[i]
 		return !order.ByDistThenID(s.Dist, s.ID, c.Dist, c.ID)
@@ -74,7 +67,7 @@ func (p *Pool) addSurvivor(c Candidate) {
 		return
 	}
 	if len(p.survivors) < p.k {
-		p.survivors = append(p.survivors, Candidate{})
+		p.survivors = append(p.survivors, Result{})
 	}
 	copy(p.survivors[pos+1:], p.survivors[pos:])
 	p.survivors[pos] = c
@@ -93,7 +86,7 @@ func (p *Pool) Explored(id int) bool {
 }
 
 // less implements the paper's resize priority.
-func (p *Pool) less(a, b Candidate) bool {
+func (p *Pool) less(a, b Result) bool {
 	if c := order.Cmp(a.Dist, b.Dist); c != 0 {
 		return c < 0
 	}
@@ -164,8 +157,8 @@ func (p *Pool) selectBest(b int) {
 
 // Best returns the candidate with the smallest distance (ties by id)
 // regardless of exploration state, or ok=false on an empty pool.
-func (p *Pool) Best() (Candidate, bool) {
-	best := Candidate{}
+func (p *Pool) Best() (Result, bool) {
+	best := Result{}
 	found := false
 	for _, c := range p.items {
 		if !found || order.ByDistThenID(c.Dist, c.ID, best.Dist, best.ID) {
@@ -178,8 +171,8 @@ func (p *Pool) Best() (Candidate, bool) {
 
 // NextUnexplored returns the unexplored candidate with the smallest
 // distance (ties by id), or ok=false.
-func (p *Pool) NextUnexplored() (Candidate, bool) {
-	best := Candidate{}
+func (p *Pool) NextUnexplored() (Result, bool) {
+	best := Result{}
 	found := false
 	for _, c := range p.items {
 		if p.Explored(c.ID) {
@@ -194,10 +187,10 @@ func (p *Pool) NextUnexplored() (Candidate, bool) {
 }
 
 // NextUnexploredWithin is NextUnexplored restricted to distance <= gamma.
-func (p *Pool) NextUnexploredWithin(gamma float64) (Candidate, bool) {
+func (p *Pool) NextUnexploredWithin(gamma float64) (Result, bool) {
 	c, ok := p.NextUnexplored()
 	if !ok || c.Dist > gamma {
-		return Candidate{}, false
+		return Result{}, false
 	}
 	return c, true
 }
@@ -242,11 +235,11 @@ func (p *Pool) TopKAlive() []Result {
 // neighbors of each expanded node are prefetched concurrently; the merge
 // back into the cache is ordered, so the search trajectory — and hence
 // the built index — is identical to the sequential run.
-func searchLayer(c *DistCache, neighbors func(int) []int, entry int, ef int, pool *WorkerPool) []Candidate {
+func searchLayer(c *DistCache, neighbors func(int) []int, entry int, ef int, pool *WorkerPool) []Result {
 	visited := map[int]bool{entry: true}
-	entryCand := Candidate{ID: entry, Dist: c.Dist(entry)}
-	cands := []Candidate{entryCand}   // frontier, ascending
-	results := []Candidate{entryCand} // best ef, ascending
+	entryCand := Result{ID: entry, Dist: c.Dist(entry)}
+	cands := []Result{entryCand}   // frontier, ascending
+	results := []Result{entryCand} // best ef, ascending
 	var batch []int
 	for len(cands) > 0 {
 		cur := cands[0]
@@ -266,7 +259,7 @@ func searchLayer(c *DistCache, neighbors func(int) []int, entry int, ef int, poo
 			visited[nb] = true
 			d := c.Dist(nb)
 			if len(results) < ef || d < results[len(results)-1].Dist {
-				nc := Candidate{ID: nb, Dist: d}
+				nc := Result{ID: nb, Dist: d}
 				cands = insertAsc(cands, nc)
 				results = insertAsc(results, nc)
 				if len(results) > ef {
@@ -278,12 +271,12 @@ func searchLayer(c *DistCache, neighbors func(int) []int, entry int, ef int, poo
 	return results
 }
 
-func insertAsc(s []Candidate, c Candidate) []Candidate {
+func insertAsc(s []Result, c Result) []Result {
 	i := sort.Search(len(s), func(i int) bool {
 		// The first element strictly after c in the canonical order.
 		return order.ByDistThenID(c.Dist, c.ID, s[i].Dist, s[i].ID)
 	})
-	s = append(s, Candidate{})
+	s = append(s, Result{})
 	copy(s[i+1:], s[i:])
 	s[i] = c
 	return s

@@ -15,11 +15,10 @@ import "github.com/lansearch/lan/internal/pg"
 // proximity graph. It starts at entry, explores the unexplored pool node
 // closest to the query, computes distances for all its PG neighbors, and
 // keeps the best b candidates, stopping when every pool member is
-// explored. It returns the k best along with search statistics.
-func refBeamSearch(p *pg.PG, c *pg.DistCache, entry, k, b int) ([]pg.Result, pg.Stats) {
+// explored. It returns the k best; its NDC is c's.
+func refBeamSearch(p *pg.PG, c *pg.DistCache, entry, k, b int) []pg.Result {
 	w := pg.NewPool(k, p.Dead)
 	w.Add(entry, c.Dist(entry))
-	explored := 0
 	for {
 		cur, ok := w.NextUnexplored()
 		if !ok {
@@ -29,8 +28,7 @@ func refBeamSearch(p *pg.PG, c *pg.DistCache, entry, k, b int) ([]pg.Result, pg.
 			w.Add(nb, c.Dist(nb))
 		}
 		w.MarkExplored(cur.ID)
-		explored++
 		w.Resize(b)
 	}
-	return w.TopKAlive(), pg.Stats{NDC: c.NDC(), Explored: explored}
+	return w.TopKAlive()
 }

@@ -133,7 +133,8 @@ func TestBaselineNeverWorseThanReference(t *testing.T) {
 	metric := ged.MetricFunc(ged.Hungarian)
 	var refNDC, ndc, queries, identical int
 	eachFixtureRouting(t, func(name string, h *pg.HNSW, db graph.Database, q *graph.Graph, entry int, cfg Config) {
-		wantRes, wantStats := refBeamSearch(h.PG, pg.NewDistCache(metric, db, q), entry, cfg.K, cfg.Beam)
+		refCache := pg.NewDistCache(metric, db, q)
+		wantRes := refBeamSearch(h.PG, refCache, entry, cfg.K, cfg.Beam)
 		gotRes, gotStats, err := Route(context.Background(), h.PG, pg.NewDistCache(metric, db, q), nil, entry, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +145,7 @@ func TestBaselineNeverWorseThanReference(t *testing.T) {
 		if sameResults(gotRes, wantRes) {
 			identical++
 		}
-		refNDC += wantStats.NDC
+		refNDC += refCache.NDC()
 		ndc += gotStats.NDC
 		queries++
 	})

@@ -39,6 +39,7 @@ import (
 	"github.com/lansearch/lan/internal/models"
 	"github.com/lansearch/lan/internal/mutable"
 	"github.com/lansearch/lan/internal/obs"
+	"github.com/lansearch/lan/internal/pg"
 )
 
 // Storage tiers that Options.Store once chose between. A snapshot now
@@ -204,10 +205,7 @@ func parseName[S fmt.Stringer](name string, all ...S) (S, bool) {
 
 // Result is one answer: a database graph id and its distance to the
 // query.
-type Result struct {
-	ID   int
-	Dist float64
-}
+type Result = pg.Result
 
 // Stats report a query's cost; NDC (the number of GED computations) is
 // the paper's primary efficiency metric. RankedNeighbors counts the
@@ -325,17 +323,9 @@ func snapshotSearch(ctx context.Context, snap *mutable.Snapshot, q *graph.Graph,
 	if snap.Live == 0 {
 		return nil, Stats{}, nil
 	}
-	res, stats, err := snap.Engine.Search(ctx, q, core.SearchOptions{
+	return snap.Engine.Search(ctx, q, core.SearchOptions{
 		K: so.K, Beam: so.Beam, Initial: so.Initial, Routing: so.Routing,
 	})
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{ID: r.ID, Dist: r.Dist}
-	}
-	return out, stats, nil
 }
 
 // SnapshotOptions configure SaveSnapshot; it has no fields. A snapshot

@@ -7,7 +7,6 @@ import (
 	"github.com/lansearch/lan/ged"
 	"github.com/lansearch/lan/graph"
 	"github.com/lansearch/lan/internal/dataset"
-	"github.com/lansearch/lan/internal/pg"
 )
 
 // buildMutableIndex is a cheap fixture for the write-path tests: small
@@ -207,8 +206,8 @@ func TestIncrementalBuildRecallMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchRecall += dataset.Recall(toPGResults(bres), truth)
-		incrRecall += dataset.Recall(toPGResults(ires), truth)
+		batchRecall += dataset.Recall(bres, truth)
+		incrRecall += dataset.Recall(ires, truth)
 	}
 	batchRecall /= float64(len(test))
 	incrRecall /= float64(len(test))
@@ -249,12 +248,4 @@ func TestDeleteEveryGraph(t *testing.T) {
 			t.Fatalf("query %d against an empty index: res = %v, err = %v; want none and nil", qi, res, err)
 		}
 	}
-}
-
-func toPGResults(res []Result) []pg.Result {
-	out := make([]pg.Result, len(res))
-	for i, r := range res {
-		out[i] = pg.Result{ID: r.ID, Dist: r.Dist}
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package lan
 
 import (
+	"context"
+	"encoding/json"
 	"testing"
 
 	"github.com/lansearch/lan/graph"
@@ -75,5 +77,48 @@ func TestStrategyConstantsWireThrough(t *testing.T) {
 				t.Fatalf("is=%v rt=%v: res=%v err=%v", is, rt, res, err)
 			}
 		}
+	}
+}
+
+// TestTraceExportRoundTrip: a trace recorded by a search and written by
+// the exporter reads back from its segment directory as the same trace,
+// and the replay counts it.
+func TestTraceExportRoundTrip(t *testing.T) {
+	idx, _, test := buildMutableIndex(t)
+	dir := t.TempDir()
+	exp, err := NewTraceExporter(TraceExportConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTrace("roundtrip")
+	res, stats, err := idx.SearchContext(WithTrace(context.Background(), tr), test[0], SearchOptions{K: 3, Beam: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Steps) == 0 || tr.NDC != stats.NDC || tr.Results != len(res) {
+		t.Fatalf("trace recorded %d steps, NDC %d, %d results; search NDC %d, %d results", len(tr.Steps), tr.NDC, tr.Results, stats.NDC, len(res))
+	}
+	exp.Submit(tr)
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	rs, err := ReadTraceSegments(dir, func(read *Trace) error {
+		b, err := json.Marshal(read)
+		got = append(got, b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Traces != 1 || rs.Segments != 1 || rs.Truncated != 0 {
+		t.Fatalf("replay stats %+v; want 1 trace in 1 segment, none truncated", rs)
+	}
+	if len(got) != 1 || string(got[0]) != string(want) {
+		t.Fatalf("read back %d traces:\n%s\nwant\n%s", len(got), got, want)
 	}
 }

@@ -132,33 +132,21 @@ func (m *Metrics) WorkStart() { m.inflight.Inc() }
 // WorkEnd decrements the in-flight gauge.
 func (m *Metrics) WorkEnd() { m.inflight.Dec() }
 
-// ObserveLatency records one completed request's wall time in seconds.
-func (m *Metrics) ObserveLatency(seconds float64) { m.latency.Observe(seconds) }
-
-// ObserveLatencyExemplar is ObserveLatency additionally retaining traceID
-// as the landing bucket's exemplar, so a latency bucket in /metrics links
-// straight to /debug/trace/<id>. Used for traced requests only; untraced
-// ones take the cheaper ObserveLatency.
-func (m *Metrics) ObserveLatencyExemplar(seconds float64, traceID string) {
+// ObserveLatency records one completed request's wall time in seconds. A
+// traced request passes its trace id, which stays as the landing bucket's
+// exemplar, so a latency bucket in /metrics links straight to
+// /debug/trace/<id>; an untraced one passes "".
+func (m *Metrics) ObserveLatency(seconds float64, traceID string) {
 	m.latency.ObserveExemplar(seconds, traceID)
 }
 
 // ObserveQuery records the per-query cost telemetry of one executed
 // (uncached) search: NDC, routing steps, and the pruning rate
 // 1 - NDC/indexSize (the fraction of the database whose GED was never
-// computed — the quantity LAN's learned routing exists to maximize).
-func (m *Metrics) ObserveQuery(ndc, explored, indexSize int) {
-	m.ndc.Observe(float64(ndc))
-	m.steps.Observe(float64(explored))
-	if indexSize > 0 {
-		m.pruning.Observe(1 - float64(ndc)/float64(indexSize))
-	}
-}
-
-// ObserveQueryExemplar is ObserveQuery with the NDC observation retaining
-// traceID as its bucket's exemplar — an outlier NDC bucket then names a
-// concrete trace to replay.
-func (m *Metrics) ObserveQueryExemplar(ndc, explored, indexSize int, traceID string) {
+// computed — the quantity LAN's learned routing exists to maximize). A
+// non-empty traceID stays as the NDC bucket's exemplar, so an outlier
+// NDC bucket names a concrete trace to replay.
+func (m *Metrics) ObserveQuery(ndc, explored, indexSize int, traceID string) {
 	m.ndc.ObserveExemplar(float64(ndc), traceID)
 	m.steps.Observe(float64(explored))
 	if indexSize > 0 {

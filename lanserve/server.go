@@ -398,7 +398,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	qid := "q" + strconv.FormatUint(s.queryID.Add(1), 10)
 	fail := func(code int, msg string) {
 		s.metrics.Error(code)
-		s.metrics.ObserveLatency(time.Since(start).Seconds())
+		s.metrics.ObserveLatency(time.Since(start).Seconds(), "")
 		s.log.Warn("search failed", "query_id", qid, "code", code, "err", msg)
 		writeJSON(w, code, errorResponse{Error: msg, QueryID: qid})
 	}
@@ -420,7 +420,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		key = bodyKey(s.indexEpoch(), body)
 		if hit, ok := s.cache.get(key); ok {
 			s.metrics.Cache(true)
-			s.metrics.ObserveLatency(time.Since(start).Seconds())
+			s.metrics.ObserveLatency(time.Since(start).Seconds(), "")
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			_, _ = w.Write(hit) // the status line is already out; nothing to recover
@@ -472,7 +472,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			case <-f.done:
 				if f.resp != nil {
 					s.metrics.SingleflightShared()
-					s.metrics.ObserveLatency(time.Since(start).Seconds())
+					s.metrics.ObserveLatency(time.Since(start).Seconds(), "")
 					shared := *f.resp
 					shared.Shared = true
 					writeJSON(w, http.StatusOK, &shared)
@@ -505,10 +505,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Per-query trace, recorded into the /debug/trace/last ring, the
 	// slow-query log and the async exporter. Tracing never changes results
 	// or NDC (the recorder only observes), so cached and traced responses
-	// stay identical.
-	var qt *obs.Trace
+	// stay identical. A traced query's id is also its metric buckets'
+	// exemplar, linking /metrics outliers to /debug/trace/<id>.
+	var (
+		qt      *obs.Trace
+		traceID string
+	)
 	if s.ring != nil || s.cfg.SlowQuery > 0 || s.exporter != nil {
-		qt = obs.NewTrace(qid)
+		qt, traceID = obs.NewTrace(qid), qid
 	}
 
 	s.metrics.WorkStart()
@@ -592,15 +596,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	leaderResp = resp
-	if qt != nil {
-		// Traced queries leave their id as the bucket exemplar, linking
-		// /metrics outliers to /debug/trace/<id>.
-		s.metrics.ObserveQueryExemplar(stats.NDC, stats.Explored, indexSize, qid)
-		s.metrics.ObserveLatencyExemplar(time.Since(start).Seconds(), qid)
-	} else {
-		s.metrics.ObserveQuery(stats.NDC, stats.Explored, indexSize)
-		s.metrics.ObserveLatency(time.Since(start).Seconds())
-	}
+	s.metrics.ObserveQuery(stats.NDC, stats.Explored, indexSize, traceID)
+	s.metrics.ObserveLatency(time.Since(start).Seconds(), traceID)
 	writeJSON(w, http.StatusOK, resp)
 }
 

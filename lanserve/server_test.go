@@ -185,8 +185,8 @@ func TestMetricsPrometheusRendering(t *testing.T) {
 	m.Cache(false)
 	m.CacheRejected()
 	m.Panic()
-	m.ObserveLatency(0.002)
-	m.ObserveQuery(10, 4, 100)
+	m.ObserveLatency(0.002, "")
+	m.ObserveQuery(10, 4, 100, "")
 
 	var sb strings.Builder
 	if _, err := m.WriteTo(&sb); err != nil {
