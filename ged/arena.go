@@ -12,11 +12,14 @@ import (
 // A*, the VJ and Hungarian bipartite bounds and beam search. One
 // Ensemble.Distance call draws one arena, loads the pair once — labels
 // interned to dense ids, h's adjacency as a bitset, and (prepSearch) the
-// processing order with its suffix tables — and runs up to four kernels on
-// it. All slices grow monotonically and are reused across calls through
-// arenaPool, so after a few calls at the corpus' working sizes every
-// kernel reaches a zero-alloc steady state (TestEnsembleAllocs) and keeps
-// it across garbage collections (TestArenaSurvivesGC).
+// processing order with its suffix tables and h's degrees — and runs up to
+// four kernels on it. The two searches price a state's children together,
+// in one integer pass over the state (priceChildren) into per-child
+// tables and a bitset of the children under a bound; beam search visits
+// only that bitset's children. All slices grow monotonically and are
+// reused across calls through arenaPool, so after a few calls at the
+// corpus' working sizes every kernel reaches a zero-alloc steady state and
+// keeps it across garbage collections (TestEnsembleAllocs, TestPoolIsBounded).
 type pairCtx struct {
 	// g, h is the loaded pair; acquire orients it so that g is the smaller
 	// graph (the search kernels branch over h) and records in swapped
@@ -45,16 +48,30 @@ type pairCtx struct {
 	hHist       []int32 // label histogram of h
 	lbHist      []int32 // labelBound's label multiset of g, less h's
 
-	// Per-parent tables, filled by prepParent before a state's children
-	// are priced: usedHist is the state's used-h-node label histogram; img
-	// is the bitset over h of the images of the deciding g node's
-	// processed, mapped neighbours; nDel and nMapped count those neighbours
-	// deleted and mapped; common is the heuristic's label-overlap sum one
-	// depth down, which each child adjusts at its own label only.
+	hDeg []int32 // degree of each h node
+
+	// Per-parent tables, filled before a state's children are priced:
+	// usedHist is the state's used-h-node label histogram; img is the
+	// bitset over h of the images of the deciding g node's processed,
+	// mapped neighbours; nDel and nMapped count those neighbours deleted
+	// and mapped; common is the heuristic's label-overlap sum one depth
+	// down, which each child adjusts at its own label only, and labTab,
+	// by label, a mapping child's node term of the heuristic built from
+	// it.
 	usedHist      []int32
 	img           []uint64
 	nDel, nMapped int32
 	common        int32
+	labTab        []int32
+
+	// One parent's children as priceChildren priced them in one pass, by
+	// h node and the deletion last (index hN): f, cost and the used h
+	// neighbours of each, and the bitset of those whose f is below the
+	// bound the pass was given — the children beam search's selection
+	// visits, and every child for A*.
+	childF, childCost, childNbr []int32
+	childMask                   []uint64
+	priced, visited             int // children priced, and visited in a mask, since load
 
 	// Search state. A* keeps every generated child in cands (parent
 	// pointers index into it) and its open list in heap. Beam search uses
@@ -193,8 +210,8 @@ func release(c *pairCtx) {
 func (c *pairCtx) footprint() int {
 	const candBytes, stateBytes = int(unsafe.Sizeof(searchCand{})), int(unsafe.Sizeof(searchState{}))
 	return cap(c.cands)*candBytes + (cap(c.frontier)+cap(c.next))*stateBytes +
-		8*(cap(c.cost)+cap(c.hAdj)+cap(c.usedA)+cap(c.usedB)+cap(c.img)+cap(c.seq)+cap(c.zeroMask)) +
-		4*(cap(c.heap)+cap(c.suffixHist)+cap(c.phiA)+cap(c.phiB))
+		8*(cap(c.cost)+cap(c.hAdj)+cap(c.usedA)+cap(c.usedB)+cap(c.img)+cap(c.seq)+cap(c.zeroMask)+cap(c.childMask)) +
+		4*(cap(c.heap)+cap(c.suffixHist)+cap(c.phiA)+cap(c.phiB)+cap(c.childF)+cap(c.childCost)+cap(c.childNbr))
 }
 
 // intern returns the dense id of label l, assigning the next id on first
@@ -236,6 +253,7 @@ func labelHash(l string) uint32 {
 func (c *pairCtx) load(g, h *graph.Graph) {
 	c.g, c.h, c.swapped = g, h, false
 	c.solves, c.searches, c.popped = 0, 0, 0
+	c.priced, c.visited = 0, 0
 	c.gN, c.hN = g.N(), h.N()
 	c.hWords = (c.hN + 63) / 64
 	c.hM = int32(h.M())
@@ -274,7 +292,7 @@ func (c *pairCtx) hasEdgeH(x, y int32) bool {
 // prepSearch computes the tables A* and beam search share: the
 // degree-descending processing order of g, the suffix label histograms and
 // suffix edge counts behind the admissible heuristic, and h's label
-// histogram.
+// histogram and degrees.
 func (c *pairCtx) prepSearch() {
 	g := c.g
 	// Insertion sort moving strictly greater degrees only, so equal
@@ -315,8 +333,10 @@ func (c *pairCtx) prepSearch() {
 
 	c.hHist = grow(c.hHist, L)
 	clear(c.hHist)
+	c.hDeg = grow(c.hDeg, c.hN)
 	for x := 0; x < c.hN; x++ {
 		c.hHist[c.hLab[x]]++
+		c.hDeg[x] = int32(c.h.Degree(x))
 	}
 	c.usedHist = grow(c.usedHist, L)
 	c.img = grow(c.img, c.hWords)

@@ -1,6 +1,6 @@
 package ged
 
-import "math"
+import "math/bits"
 
 // notProcessed marks a g node whose mapping decision has not been made.
 const notProcessed = -2
@@ -13,8 +13,8 @@ const notProcessed = -2
 //
 // Children are candidate records with a parent pointer; only the states
 // actually popped (at most the budget) have their mapping rebuilt, and
-// cost, heuristic and edge counters come from the per-parent tables and
-// the child-cost function beam search prices its children with.
+// cost, heuristic and edge counters come from the per-parent pass beam
+// search prices its children with (priceChildren), under no bound.
 // The open list is an index heap performing container/heap's exact
 // comparisons (astarPush, astarPop), so the pop order among equal-f states
 // — and with it which pairs finish inside a budget — is that of the
@@ -23,7 +23,7 @@ func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) 
 	s := c.rootState()
 	root := searchCand{parent: -1, remEdges: c.hM}
 	if c.gN == 0 {
-		root.cost = float64(c.hN) + float64(c.hM) // insert all of h
+		root.cost = int32(c.hN) + c.hM // insert all of h
 		root.f = root.cost
 	} else {
 		root.f = c.lowerBound(0, c.commonAt(0), 0, c.hM)
@@ -35,9 +35,9 @@ func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) 
 		ci := c.astarPop()
 		depth := int(c.cands[ci].depth)
 		if depth == c.gN {
-			// Completion cost already folded in by child.
+			// Completion cost already folded in by priceChildren.
 			c.rebuild(ci, &s)
-			return s.cost, expansions, true
+			return float64(s.cost), expansions, true
 		}
 		expansions++
 		if depth+1 > deepest {
@@ -61,15 +61,14 @@ func (c *pairCtx) astar(maxExpansions int) (d float64, expansions int, ok bool) 
 
 // expand appends to c.cands every child of s, the state of candidate pi at
 // the given depth: g node order[depth] mapped to each unused h node in
-// ascending id order, then deleted. c.usedHist must hold s's used-label
-// histogram.
+// ascending id order, then deleted, all priced in one pass over s.
+// c.usedHist must hold s's used-label histogram.
 func (c *pairCtx) expand(depth int, pi int32, s *searchState) {
-	c.prepParent(depth, s)
-	for wi := 0; wi <= c.hN/64; wi++ {
-		for free := c.freeBits(s, wi); free != 0; free &= free - 1 {
-			n := len(c.cands)
-			c.cands = append(c.cands, searchCand{})
-			c.child(&c.cands[n], depth, pi, s, c.childAt(wi, free), math.Inf(1))
+	c.priceChildren(depth, s, noBound)
+	for wi, word := range c.childMask {
+		for ; word != 0; word &= word - 1 {
+			c.cands = append(c.cands, c.childCand(depth, pi, s, 64*wi+bits.TrailingZeros64(word)))
+			c.visited++
 		}
 	}
 }

@@ -583,10 +583,13 @@ func synApartPairs(n int) [][2]*graph.Graph {
 // be cold — so their members include the load line's time and
 // prepSearch's. The two assignment members also report, per solve, the
 // full shortest-path searches they ran (searches/solve) and the columns
-// they scanned, in searches and walks (pops/solve): counts that repeat
-// run to run where the times do not. They run once per body of the row
-// kernels (rows.go), vj/vector beside vj/go, so one run shows what the
-// vector bodies take off; the counts are the same on both.
+// they scanned, in searches and walks (pops/solve); the two search
+// members, per call, the children they priced (children/call) and those
+// they visited in a pass's mask (visited/call): counts that repeat run to
+// run where the times do not. Every member runs once per body of the row
+// kernels and the child pass (rows.go, children.go), vj/vector beside
+// vj/go, so one run shows what the vector bodies take off; the counts are
+// the same on both.
 func BenchmarkEnsembleMembers(b *testing.B) {
 	for _, family := range []struct {
 		name   string
@@ -613,18 +616,17 @@ func BenchmarkEnsembleMembers(b *testing.B) {
 			}
 		})
 		for _, member := range []struct {
-			name   string
-			run    func(*pairCtx)
-			bodies bool
+			name string
+			run  func(*pairCtx)
 		}{
-			{"prepSearch+astar(30)", func(c *pairCtx) { c.prepSearch(); c.astar(30) }, false},
-			{"vj", func(c *pairCtx) { c.vj() }, true},
-			{"hungarian", func(c *pairCtx) { c.hungarian() }, true},
-			{"beam(4)", func(c *pairCtx) { c.beam(4) }, false},
+			{"prepSearch+astar(30)", func(c *pairCtx) { c.prepSearch(); c.astar(30) }},
+			{"vj", func(c *pairCtx) { c.vj() }},
+			{"hungarian", func(c *pairCtx) { c.hungarian() }},
+			{"beam(4)", func(c *pairCtx) { c.beam(4) }},
 		} {
-			run := func(name string) {
-				b.Run(name, func(b *testing.B) {
-					var solves, searches, popped int
+			eachBody(func(body string) {
+				b.Run(family.name+"/"+member.name+"/"+body, func(b *testing.B) {
+					var solves, searches, popped, priced, visited int
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						c := arenas[i%len(arenas)]
@@ -633,21 +635,21 @@ func BenchmarkEnsembleMembers(b *testing.B) {
 							c.load(p[0], p[1])
 							c.prepSearch()
 						}
-						s0, se0, p0 := c.solves, c.searches, c.popped
+						s0, se0, p0, pr0, v0 := c.solves, c.searches, c.popped, c.priced, c.visited
 						member.run(c)
 						solves, searches, popped = solves+c.solves-s0, searches+c.searches-se0, popped+c.popped-p0
+						priced, visited = priced+c.priced-pr0, visited+c.visited-v0
 					}
 					if solves > 0 {
 						b.ReportMetric(float64(searches)/float64(solves), "searches/solve")
 						b.ReportMetric(float64(popped)/float64(solves), "pops/solve")
 					}
+					if priced > 0 {
+						b.ReportMetric(float64(priced)/float64(b.N), "children/call")
+						b.ReportMetric(float64(visited)/float64(b.N), "visited/call")
+					}
 				})
-			}
-			if !member.bodies {
-				run(family.name + "/" + member.name)
-				continue
-			}
-			eachBody(func(body string) { run(family.name + "/" + member.name + "/" + body) })
+			})
 		}
 		if !family.reload {
 			for _, c := range arenas {

@@ -18,3 +18,9 @@ func levelAVX(dist *float64, n int, lvl *uint64) float64
 
 //go:noescape
 func costRowAVX(row *float64, lab, deg *int32, n int, la, da int32, half float64)
+
+// childRowsAVX512 is childRows' vector body (children_amd64.s) over n one-word
+// rows, 0 < n <= 64.
+//
+//go:noescape
+func childRowsAVX512(f, cost, nbr *int32, mask *uint64, adj *uint64, lab, deg, tab *int32, n int, img, used uint64, base, gap, gl, bound int32)

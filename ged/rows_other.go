@@ -27,3 +27,8 @@ func levelAVX(dist *float64, n int, lvl *uint64) float64 {
 func costRowAVX(row *float64, lab, deg *int32, n int, la, da int32, half float64) {
 	costRowGo(unsafe.Slice(row, n), la, da, unsafe.Slice(lab, n), unsafe.Slice(deg, n), half != 0)
 }
+
+// childRowsAVX512 is never called off amd64 (vectorPopcnt stays false).
+func childRowsAVX512(f, cost, nbr *int32, mask *uint64, adj *uint64, lab, deg, tab *int32, n int, img, used uint64, base, gap, gl, bound int32) {
+	panic("ged: no vector body on this architecture")
+}

@@ -40,8 +40,9 @@ func eachBody(f func(body string)) {
 	f("go")
 }
 
-// TestGoBodiesMatchReference runs the solvers' identity tests once more on
-// the Go bodies; the plain run has them on the host's dispatch.
+// TestGoBodiesMatchReference runs the solvers' and the searches' identity
+// tests once more on the Go bodies; the plain run has them on the host's
+// dispatch.
 func TestGoBodiesMatchReference(t *testing.T) {
 	was := vector
 	vector = false
@@ -51,6 +52,8 @@ func TestGoBodiesMatchReference(t *testing.T) {
 		run  func(*testing.T)
 	}{
 		{"BipartiteKernelsMatchReference", TestBipartiteKernelsMatchReference},
+		{"BeamKernelMatchesReference", TestBeamKernelMatchesReference},
+		{"AStarKernelMatchesReference", TestAStarKernelMatchesReference},
 		{"EnsembleMatchesReference", TestEnsembleMatchesReference},
 		{"ReusedArenaMatchesFresh", TestReusedArenaMatchesFresh},
 		{"EnsembleSolvesEachBoundOnce", TestEnsembleSolvesEachBoundOnce},

@@ -10,11 +10,20 @@ var (
 	vector = avx
 )
 
+// popcnt512 is what the host reports at package init: an amd64 CPU and OS
+// with AVX-512 VL and VPOPCNTQ. No kernel of this package uses it.
+var popcnt512 = hasVPOPCNTQ()
+
 // HasAVX reports whether the host runs AVX code: an amd64 CPU with AVX whose
 // OS saves the YMM registers. It does not change when EachBody switches the
 // row kernels' bodies. Other packages' vector kernels dispatch on it instead
 // of asking the CPU again.
 func HasAVX() bool { return avx }
+
+// HasVPOPCNTQ reports whether the host runs AVX-512 code with VPOPCNTQ: an
+// amd64 CPU with AVX2, AVX-512 F and VL and VPOPCNTDQ whose OS saves the
+// opmask and ZMM registers. Like HasAVX it is asked of the CPU once.
+func HasVPOPCNTQ() bool { return popcnt512 }
 
 // AddRowsScaled adds to dst the rows of w scaled by x: dst[j] +=
 // x[i]·w[i·stride+j] for every i in ascending order, each term a multiply

@@ -12,6 +12,26 @@ func hasAVX() bool {
 	return xcr0&6 == 6
 }
 
+// hasVPOPCNTQ reports whether the CPU has AVX2, AVX-512 F and VL and
+// VPOPCNTDQ (CPUID leaf 7), and the OS saves the YMM, opmask and ZMM
+// registers across context switches (XCR0 bits 1, 2 and 5 to 7).
+func hasVPOPCNTQ() bool {
+	if !hasAVX() {
+		return false
+	}
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	_, ebx, ecx, _ := cpuid(7, 0)
+	const avx2, avx512f, avx512vl = 1 << 5, 1 << 16, 1 << 31
+	const vpopcntdq = 1 << 14
+	if ebx&(avx2|avx512f|avx512vl) != avx2|avx512f|avx512vl || ecx&vpopcntdq == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&0xe6 == 0xe6
+}
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

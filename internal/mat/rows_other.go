@@ -5,6 +5,9 @@ package mat
 // hasAVX is false off amd64: the row kernels run their Go bodies.
 func hasAVX() bool { return false }
 
+// hasVPOPCNTQ is false off amd64.
+func hasVPOPCNTQ() bool { return false }
+
 // The vector bodies are never called off amd64 (vector stays false).
 
 func addRowsScaledAVX(dst, x, w *float64, cols, rows, stride int) {
